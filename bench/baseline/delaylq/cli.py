@@ -1,0 +1,328 @@
+"""Command-line front end: solve, simulate, verify.
+
+Exit codes: 0 success, 1 validation failure, 2 numerical failure,
+3 I/O failure.  The run summary is a flat JSON document with sorted
+keys and floats printed to 17 significant digits, so identical configs
+and seeds produce byte-identical summaries.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+
+import numpy as np
+
+from . import oracles
+from .adjoint import solve_adjoint, synthesize_feedback, value_function
+from .exceptions import NumericalError, ProblemValidationError
+from .presets import PRESET_NAMES, preset_problem
+from .problem import load_problem, validate
+from .riccati import riccati_residual, solve_riccati
+from .simulate import (estimate_cost, gen_brownian, simulate_closed_loop,
+                       stationarity_test)
+from .volterra import build_volterra
+
+EXIT_OK = 0
+EXIT_VALIDATION = 1
+EXIT_NUMERICAL = 2
+EXIT_IO = 3
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return '"' + str(value) + '"'
+
+
+def write_summary(path: str, summary: dict) -> None:
+    lines = [f'  "{key}": {_fmt(summary[key])}' for key in sorted(summary)]
+    with open(path, "w") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def _write_node_table(path: str, grid, table: np.ndarray) -> None:
+    with open(path, "w") as fh:
+        for j in range(table.shape[0]):
+            entries = ",".join(f"{v:.17g}" for v in table[j].ravel())
+            fh.write(f"{j},{grid.time(j):.17g},{entries}\n")
+
+
+def _write_pair_table(path: str, table: np.ndarray) -> None:
+    with open(path, "w") as fh:
+        for i in range(table.shape[0]):
+            for j in range(i):
+                entries = ",".join(f"{v:.17g}" for v in table[i, j].ravel())
+                fh.write(f"{i},{j},{entries}\n")
+
+
+def _load_problem_from_args(args):
+    if args.problem is not None:
+        if not os.path.exists(args.problem):
+            print(f"problem file not found: {args.problem}", file=sys.stderr)
+            raise SystemExit(EXIT_IO)
+        try:
+            return load_problem(args.problem), None
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"failed to parse problem JSON: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_VALIDATION)
+    name = args.preset or "tanh"
+    return preset_problem(name, args.n_steps), name
+
+
+def _solve_pipeline(problem):
+    report = validate(problem)
+    if not report.ok:
+        for violation in report.violations:
+            print(f"validation: {violation}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
+    vp = build_volterra(problem)
+    P = solve_riccati(vp)
+    adj = solve_adjoint(P, vp, problem)
+    strategy = synthesize_feedback(P, adj, vp, problem)
+    return vp, P, adj, strategy
+
+
+def cmd_solve(args) -> int:
+    problem, preset = _load_problem_from_args(args)
+    os.makedirs(args.out, exist_ok=True)
+    vp, P, adj, strategy = _solve_pipeline(problem)
+    g = problem.grid
+
+    summary = {
+        "preset": preset or "custom",
+        "n_steps": g.N,
+        "delay_steps": g.delay_steps,
+        "dt": g.dt,
+        "rcal_min_eigenvalue": P.lambda_floor,
+        "seed": args.seed,
+    }
+    homogeneous = (np.abs(problem.b).max() == 0
+                   and np.abs(problem.sigma).max() == 0)
+    if homogeneous:
+        summary["value_function"] = value_function(P, vp)
+
+    _write_node_table(os.path.join(args.out, "feedback_k1.csv"), g, strategy.k1)
+    _write_node_table(os.path.join(args.out, "feedback_k3.csv"), g, strategy.k3)
+    _write_node_table(os.path.join(args.out, "feedback_v.csv"), g, strategy.v)
+    _write_pair_table(os.path.join(args.out, "feedback_k2.csv"), strategy.k2)
+    _write_pair_table(os.path.join(args.out, "feedback_k4.csv"), strategy.k4)
+    _write_node_table(os.path.join(args.out, "riccati_p1.csv"), g, P.p1)
+    if args.dump_kernels:
+        for name in ("A", "B", "C", "D"):
+            _write_pair_table(os.path.join(args.out, f"kernel_{name}.csv"),
+                              getattr(vp, name))
+    if args.dump_riccati:
+        with open(os.path.join(args.out, "riccati_p2.csv"), "w") as fh:
+            for l in range(g.N + 1):
+                sl = P.p2_slices[l]
+                for a in range(sl.shape[0]):
+                    for b in range(sl.shape[1]):
+                        entries = ",".join(f"{v:.17g}"
+                                           for v in sl[a, b].ravel())
+                        fh.write(f"{l + a},{l + b},{l},{entries}\n")
+    write_summary(os.path.join(args.out, "summary.json"), summary)
+    return EXIT_OK
+
+
+def cmd_simulate(args) -> int:
+    problem, preset = _load_problem_from_args(args)
+    os.makedirs(args.out, exist_ok=True)
+    vp, P, adj, strategy = _solve_pipeline(problem)
+    g = problem.grid
+    batch = gen_brownian(g, args.n_paths, args.seed)
+    sim = simulate_closed_loop(problem, strategy, batch)
+    est = estimate_cost(problem, sim)
+
+    n_show = min(args.n_paths, 5)
+    with open(os.path.join(args.out, "paths_x.csv"), "w") as fh:
+        for j in range(g.N + 1):
+            cols = ",".join(f"{v:.17g}" for p in range(n_show)
+                            for v in sim.x[p, j])
+            fh.write(f"{g.time(j):.17g},{cols}\n")
+    with open(os.path.join(args.out, "paths_u.csv"), "w") as fh:
+        for j in range(g.N + 1):
+            cols = ",".join(f"{v:.17g}" for p in range(n_show)
+                            for v in sim.u[p, j])
+            fh.write(f"{g.time(j):.17g},{cols}\n")
+
+    summary = {
+        "preset": preset or "custom",
+        "n_steps": g.N,
+        "n_paths": args.n_paths,
+        "seed": args.seed,
+        "cost_mean": est.mean,
+        "cost_stderr": est.stderr,
+        "flagged_paths": est.n_flagged,
+        "rcal_min_eigenvalue": P.lambda_floor,
+    }
+    write_summary(os.path.join(args.out, "summary.json"), summary)
+    return EXIT_OK
+
+
+def _verify_residuals(problem, vp, P, summary, out_dir) -> None:
+    res = riccati_residual(P, vp)
+    summary["residual_pointwise"] = res.pointwise
+    summary["residual_evolution"] = res.evolution
+    summary["residual_boundary"] = res.boundary
+    summary["residual_rcal_identity"] = res.rcal_identity
+    with open(os.path.join(out_dir, "residuals.csv"), "w") as fh:
+        fh.write("node,pointwise,evolution,boundary\n")
+        for l in range(problem.grid.N + 1):
+            ev = res.evolution_profile[l] if l < problem.grid.N else 0.0
+            bd = res.boundary_profile[l] if l < problem.grid.N else 0.0
+            fh.write(f"{l},{res.pointwise_profile[l]:.17g},"
+                     f"{ev:.17g},{bd:.17g}\n")
+
+
+def _verify_cases(problem, vp, P, adj, strategy, preset, summary) -> None:
+    if preset == "tanh":
+        oracle = oracles.classical_riccati(problem)
+        rep = oracles.casev_consistency(P, adj, strategy, oracle, vp)
+        summary["casev_p_error"] = rep.p_error
+        summary["casev_eta_error"] = rep.eta_error
+        summary["casev_k1_error"] = rep.k1_error
+        summary["casev_v_error"] = rep.v_error
+    elif preset == "input-delay":
+        ext = oracles.casei_extract(P, vp)
+        res = oracles.casei_residual(ext, problem)
+        summary["casei_ode_residual"] = res.ode
+        summary["casei_transport1_residual"] = res.transport1
+        summary["casei_transport2_residual"] = res.transport2
+        summary["casei_boundary_residual"] = res.boundary
+    elif preset == "state-delay":
+        ext = oracles.caseii_extract(P, vp)
+        res = oracles.caseii_residual(ext, problem)
+        summary["caseii_ode_late"] = res.ode_late
+        summary["caseii_ode_early"] = res.ode_early
+        summary["caseii_transport_late"] = res.transport_late
+        summary["caseii_transport_early"] = res.transport_early
+        summary["caseii_diagonal"] = res.diagonal
+    else:
+        print(f"case reductions undefined for preset {preset!r}; skipping",
+              file=sys.stderr)
+
+
+def _verify_stationarity(problem, strategy, args, summary) -> None:
+    g = problem.grid
+    batch = gen_brownian(g, args.n_paths, args.seed)
+    rng = np.random.Generator(np.random.Philox(key=[args.seed, 2 ** 32]))
+    n_pass = 0
+    n_dirs = 20
+    worst = 0.0
+    for _ in range(n_dirs):
+        w = rng.standard_normal((g.N + 1, problem.m))
+        w[g.N] = 0.0
+        w /= np.sqrt((w[:g.N] ** 2).sum() * g.dt)
+        der = stationarity_test(problem, strategy, w, args.eps, batch)
+        slack = 10.0 * g.dt
+        if der.passes(slack):
+            n_pass += 1
+        worst = max(worst, abs(der.estimate) - 3.0 * der.stderr)
+    summary["stationarity_pass_fraction"] = n_pass / n_dirs
+    summary["stationarity_worst_excess"] = worst
+
+
+def cmd_verify(args) -> int:
+    problem, preset = _load_problem_from_args(args)
+    os.makedirs(args.out, exist_ok=True)
+    checks = [c.strip() for c in args.verify.split(",") if c.strip()]
+    known = {"residuals", "cases", "stationarity", "qp-oracle"}
+    unknown = set(checks) - known
+    if unknown:
+        print(f"unknown verification toggles: {sorted(unknown)}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
+    if "qp-oracle" in checks:
+        diffusion = max(np.abs(problem.C1).max(), np.abs(problem.C2).max(),
+                        np.abs(problem.C3).max(), np.abs(problem.D1).max(),
+                        np.abs(problem.sigma).max())
+        if diffusion > 0:
+            print("oracle requires zero diffusion", file=sys.stderr)
+            return EXIT_VALIDATION
+
+    vp, P, adj, strategy = _solve_pipeline(problem)
+    g = problem.grid
+    summary = {"preset": preset or "custom", "n_steps": g.N, "seed": args.seed}
+
+    if "residuals" in checks:
+        _verify_residuals(problem, vp, P, summary, args.out)
+    if "cases" in checks:
+        _verify_cases(problem, vp, P, adj, strategy, preset, summary)
+    if "qp-oracle" in checks:
+        oracle = oracles.deterministic_qp_oracle(problem)
+        batch = gen_brownian(g, 1, args.seed)
+        sim = simulate_closed_loop(problem, strategy, batch)
+        cost_cl = estimate_cost(problem, sim).mean
+        gap = abs(cost_cl - oracle.cost_opt) / max(abs(oracle.cost_opt), 1e-30)
+        summary["qp_cost"] = oracle.cost_opt
+        summary["qp_closed_loop_cost"] = cost_cl
+        summary["qp_relative_gap"] = gap
+        summary["qp_kkt_residual"] = oracle.kkt_residual
+        verdict = "PASS" if gap <= 5.0 * g.dt else "FAIL"
+        summary["qp_gap_within_5dt"] = verdict == "PASS"
+        print(f"qp-oracle: gap <= 5*dt: {verdict}")
+    if "stationarity" in checks:
+        _verify_stationarity(problem, strategy, args, summary)
+        frac = summary["stationarity_pass_fraction"]
+        print(f"stationarity: pass fraction {frac:.2f}"
+              f" ({'PASS' if frac >= 0.9 else 'FAIL'})")
+
+    write_summary(os.path.join(args.out, "summary.json"), summary)
+    return EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="delaylq",
+        description="Stochastic LQ control with delays: solve the lifted "
+                    "Riccati system, synthesize feedback, simulate, verify.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, fn in (("solve", cmd_solve), ("simulate", cmd_simulate),
+                     ("verify", cmd_verify)):
+        sp = sub.add_parser(name)
+        sp.add_argument("--problem", help="path to a problem JSON document")
+        sp.add_argument("--preset", choices=PRESET_NAMES,
+                        help="built-in problem instance")
+        sp.add_argument("--n-steps", type=int, default=None)
+        sp.add_argument("--n-paths", type=int, default=1000)
+        sp.add_argument("--seed", type=int, default=12345)
+        sp.add_argument("--eps", type=float, default=None,
+                        help="finite-difference step for stationarity")
+        sp.add_argument("--out", default="out")
+        sp.add_argument("--dump-kernels", action="store_true")
+        sp.add_argument("--dump-riccati", action="store_true",
+                        help="write the full two-time kernel (large)")
+        if name == "verify":
+            sp.add_argument("--verify", default="residuals",
+                            help="comma list: residuals,cases,stationarity,"
+                                 "qp-oracle")
+        sp.set_defaults(func=fn)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else EXIT_OK
+    except ProblemValidationError as exc:
+        for violation in exc.violations:
+            print(f"validation: {violation}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,588 @@
+"""Independent cross-checks for the general solver.
+
+Three families: the classical no-delay Riccati/adjoint pair integrated
+with fixed-step RK4 (fourth order, so its error is negligible next to
+the first-order primary scheme); block extractions of the two-time
+solution that must satisfy the specialized coupled Riccati equations of
+the control-delay-only and state-delay-only models; and an exact convex
+QP solve of the discretized deterministic problem.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from .exceptions import NumericalError, ProblemValidationError
+from .problem import DelayLQProblem
+from .riccati import RiccatiSolution
+from .simulate import BrownianBatch, simulate_open_loop
+from .volterra import VolterraProblem
+
+
+# ----------------------------------------------------------------------
+# Classical no-delay oracle
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ClassicalRiccatiPath:
+    P: np.ndarray        # (N+1, n, n)
+    eta_t: np.ndarray    # (N+1, n)
+    zeta_t: np.ndarray   # (N+1, n), zero under deterministic data
+
+
+def _require_zero(problem: DelayLQProblem, names) -> None:
+    bad = [nm for nm in names if np.abs(getattr(problem, nm)).max() > 0]
+    if bad:
+        raise ProblemValidationError(
+            [f"preset mismatch: expected zero {', '.join(bad)}"])
+
+
+def classical_riccati(problem: DelayLQProblem) -> ClassicalRiccatiPath:
+    """RK4 backward integration of the no-delay Riccati/adjoint pair."""
+    _require_zero(problem, ("A2", "A3", "B2", "B3", "C2", "C3",
+                            "Q2", "Q3", "R2", "F", "Ftilde"))
+    g = problem.grid
+    N, dt, n = g.N, g.dt, problem.n
+
+    def coeffs(stage_t: float):
+        # linear interpolation between node samples
+        pos = (stage_t - g.t0) / dt
+        j0 = min(max(int(np.floor(pos)), 0), N - 1)
+        w = pos - j0
+
+        def at(name):
+            tab = getattr(problem, name)
+            return (1 - w) * tab[j0] + w * tab[j0 + 1]
+
+        return {nm: at(nm) for nm in
+                ("A1", "B1", "C1", "D1", "Q1", "R1", "b", "sigma")}
+
+    def rhs(stage_t: float, P: np.ndarray, eta: np.ndarray):
+        c = coeffs(stage_t)
+        A1, B1, C1, D1 = c["A1"], c["B1"], c["C1"], c["D1"]
+        rc = c["R1"] + D1.T @ P @ D1
+        try:
+            fac = cho_factor(0.5 * (rc + rc.T), lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"oracle control weight lost positive definiteness near "
+                f"t={stage_t}") from exc
+        lhs = P @ B1 + C1.T @ P @ D1                     # (n, m)
+        dP = -(P @ A1 + A1.T @ P + C1.T @ P @ C1 + c["Q1"]
+               - lhs @ cho_solve(fac, lhs.T))
+        closed_a = A1.T - lhs @ cho_solve(fac, B1.T)
+        mix = C1.T - lhs @ cho_solve(fac, D1.T)
+        deta = -(closed_a @ eta + mix @ (P @ c["sigma"]) + P @ c["b"])
+        return dP, deta
+
+    P = np.zeros((N + 1, n, n))
+    eta = np.zeros((N + 1, n))
+    for j in range(N - 1, -1, -1):
+        t1 = g.time(j + 1)
+        h = -dt
+        p0, e0 = P[j + 1], eta[j + 1]
+        k1p, k1e = rhs(t1, p0, e0)
+        k2p, k2e = rhs(t1 + h / 2, p0 + h / 2 * k1p, e0 + h / 2 * k1e)
+        k3p, k3e = rhs(t1 + h / 2, p0 + h / 2 * k2p, e0 + h / 2 * k2e)
+        k4p, k4e = rhs(t1 + h, p0 + h * k3p, e0 + h * k3e)
+        Pj = p0 + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        P[j] = 0.5 * (Pj + Pj.T)
+        eta[j] = e0 + h / 6 * (k1e + 2 * k2e + 2 * k3e + k4e)
+
+    return ClassicalRiccatiPath(P=P, eta_t=eta, zeta_t=np.zeros((N + 1, n)))
+
+
+def classical_gains(problem: DelayLQProblem,
+                    oracle: ClassicalRiccatiPath) -> tuple[np.ndarray, np.ndarray]:
+    """No-delay feedback pair (state gain, offset) from the oracle path."""
+    g = problem.grid
+    N, n, m = g.N, problem.n, problem.m
+    K1 = np.zeros((N + 1, m, n))
+    v = np.zeros((N + 1, m))
+    for j in range(N + 1):
+        P = oracle.P[j]
+        D1, B1, C1 = problem.D1[j], problem.B1[j], problem.C1[j]
+        rc = problem.R1[j] + D1.T @ P @ D1
+        fac = cho_factor(0.5 * (rc + rc.T), lower=True)
+        K1[j] = -cho_solve(fac, B1.T @ P + D1.T @ P @ C1)
+        v[j] = -cho_solve(fac, B1.T @ oracle.eta_t[j]
+                          + D1.T @ P @ problem.sigma[j])
+    return K1, v
+
+
+@dataclass(frozen=True)
+class CaseVReport:
+    """Max-norm gaps between the lifted solution's no-delay embedding
+    and the classical oracle path/gains."""
+
+    p_error: float
+    eta_error: float
+    k1_error: float
+    v_error: float
+
+
+def casev_consistency(P: RiccatiSolution, adjoint, strategy,
+                      oracle: ClassicalRiccatiPath,
+                      vp: VolterraProblem) -> CaseVReport:
+    g = vp.grid
+    N, dt, n = g.N, g.dt, vp.n
+    p_err = eta_err = 0.0
+    for l in range(N + 1):
+        sl = P.p2_slices[l]
+        emb = P.p1[l + 1:, :n, :n].sum(axis=0) * dt
+        emb = emb + sl[1:, 1:, :n, :n].sum(axis=(0, 1)) * dt * dt
+        p_err = max(p_err, float(np.abs(emb - oracle.P[l]).max()))
+        eta_emb = adjoint.eta[l + 1:, l, :n].sum(axis=0) * dt
+        eta_err = max(eta_err, float(np.abs(eta_emb - oracle.eta_t[l]).max()))
+    k1o, vo = classical_gains(vp.source, oracle)
+    k1_err = float(np.abs(strategy.k1 - k1o).max())
+    v_err = float(np.abs(strategy.v - vo).max())
+    return CaseVReport(p_error=p_err, eta_error=eta_err,
+                       k1_error=k1_err, v_error=v_err)
+
+
+# ----------------------------------------------------------------------
+# Case II: state delays only, time-invariant coefficients
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CaseIIExtraction:
+    P2c: np.ndarray     # (N+1, n, n)
+    P3c: np.ndarray     # (N+1, N+1, n, n); P3c[l, q] for l <= q <= l+k
+
+
+@dataclass(frozen=True)
+class CaseIIResiduals:
+    ode_late: float         # value-kernel ODE on (T-delay, T]
+    ode_early: float        # value-kernel ODE on [t0, T-delay]
+    transport_late: float
+    transport_early: float
+    diagonal: float         # boundary relation at the diagonal
+
+
+def _require_time_invariant(problem: DelayLQProblem, names) -> None:
+    bad = [nm for nm in names
+           if np.abs(getattr(problem, nm) - getattr(problem, nm)[0]).max() > 0]
+    if bad:
+        raise ProblemValidationError(
+            [f"preset mismatch: expected time-invariant {', '.join(bad)}"])
+
+
+def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
+    problem = vp.source
+    _require_zero(problem, ("A3", "B2", "B3", "C3", "Q2", "Q3", "R2",
+                            "b", "sigma", "F", "Ftilde"))
+    _require_time_invariant(problem, ("A1", "A2", "B1", "C1", "C2",
+                                      "D1", "Q1", "R1"))
+    g = vp.grid
+    N, dt, n, k = g.N, g.dt, vp.n, g.delay_steps
+
+    P2c = np.zeros((N + 1, n, n))
+    P3c = np.zeros((N + 1, N + 1, n, n))
+    for l in range(N + 1):
+        sl = P.p2_slices[l]
+        M = N - l
+        if M > 0:
+            sel = np.zeros((M, n, 3 * n))
+            sel[:, :, :n] = np.eye(n)
+            lag = np.arange(l + 1, N + 1) - l > k
+            sel[lag, :, n:2 * n] = np.eye(n)
+            pw = np.einsum("sab,sbc,sdc->ad", sel, P.p1[l + 1:], sel) * dt
+            inner = np.einsum("stab,tcb->sac", sl[1:, 1:], sel,
+                              optimize=True) * dt
+            pw = pw + np.einsum("sab,sbc->ac", sel, inner) * dt
+            P2c[l] = pw
+        for q in range(l, min(l + k, N) + 1):
+            acc = P.p1[q][:n, n:2 * n].copy()
+            for r in range(l + 1, N + 1):
+                pair = P.p2(q, r, l)
+                # ((pair)^T)[:n, n:2n] = (pair[n:2n, :n])^T
+                acc = acc + pair[n:2 * n, :n].T * dt
+                if r - l > k:
+                    acc = acc + pair[n:2 * n, n:2 * n].T * dt
+            P3c[l, q] = acc
+    return CaseIIExtraction(P2c=P2c, P3c=P3c)
+
+
+def caseii_residual(ext: CaseIIExtraction,
+                    problem: DelayLQProblem) -> CaseIIResiduals:
+    g = problem.grid
+    N, dt, n, k = g.N, g.dt, problem.n, g.delay_steps
+    A1, A2 = problem.A1[0], problem.A2[0]
+    B1, C1, C2, D1 = problem.B1[0], problem.C1[0], problem.C2[0], problem.D1[0]
+    Q1, R1 = problem.Q1[0], problem.R1[0]
+
+    def gain_parts(l: int):
+        P2 = ext.P2c[l]
+        rc = R1 + D1.T @ P2 @ D1
+        rci = np.linalg.inv(rc)
+        lhs = B1.T @ P2 + D1.T @ P2 @ C1
+        return P2, rci, lhs
+
+    ode_late = ode_early = tr_late = tr_early = diag = 0.0
+    for l in range(1, N + 1):
+        P2l, rci, lhs = gain_parts(l)
+        fd = -(ext.P2c[l] - ext.P2c[l - 1]) / dt
+        rhs = (P2l @ A1 + A1.T @ P2l + C1.T @ P2l @ C1 + Q1
+               - lhs.T @ rci @ lhs)
+        if l >= N - k + 2:
+            ode_late = max(ode_late, float(np.abs(fd - rhs).max()))
+        elif l <= N - k:
+            P2d = ext.P2c[l + k]
+            cross = D1.T @ P2d @ C2
+            rhs = rhs + (C2.T @ P2d @ C2 + ext.P3c[l, l + k]
+                         + ext.P3c[l, l + k].T - cross.T @ rci @ cross)
+            ode_early = max(ode_early, float(np.abs(fd - rhs).max()))
+
+    for l in range(1, N + 1):
+        P2l, rci, lhs = gain_parts(l)
+        for q in range(l + 1, min(l + k, N) + 1):
+            if q > (l - 1) + k:
+                continue
+            fd = -(ext.P3c[l, q] - ext.P3c[l - 1, q]) / dt
+            rhs = A1.T @ ext.P3c[l, q] - lhs.T @ rci @ (B1.T @ ext.P3c[l, q])
+            if l >= N - k + 2:
+                tr_late = max(tr_late, float(np.abs(fd - rhs).max()))
+            elif l <= N - k:
+                extra = (ext.P3c[q, l + k].T @ A2
+                         - (B1.T @ ext.P3c[q, l + k]).T @ rci
+                         @ (D1.T @ P2l @ C2))
+                s_sum = np.zeros((n, n))
+                for s in range(l + 1, q + 1):
+                    s_sum += ((B1.T @ ext.P3c[s, l + k]).T @ rci
+                              @ (B1.T @ ext.P3c[s, q])) * dt
+                rhs = rhs + extra - s_sum
+                tr_early = max(tr_early, float(np.abs(fd - rhs).max()))
+
+    for l in range(N + 1):
+        P2l, rci, lhs = gain_parts(l)
+        rel = P2l @ A2 + C1.T @ P2l @ C2 - lhs.T @ rci @ (D1.T @ P2l @ C2)
+        diag = max(diag, float(np.abs(ext.P3c[l, l] - rel).max()))
+
+    return CaseIIResiduals(ode_late=ode_late, ode_early=ode_early,
+                           transport_late=tr_late, transport_early=tr_early,
+                           diagonal=diag)
+
+
+def caseii_control(ext: CaseIIExtraction, problem: DelayLQProblem,
+                   x: np.ndarray, u: np.ndarray, l: int) -> np.ndarray:
+    """Specialized state-delay feedback law at node l along given paths."""
+    g = problem.grid
+    N, dt, k = g.N, g.dt, g.delay_steps
+    B1, C1, C2, D1 = problem.B1[0], problem.C1[0], problem.C2[0], problem.D1[0]
+    P2 = ext.P2c[l]
+    rc = problem.R1[0] + D1.T @ P2 @ D1
+    rci = np.linalg.inv(rc)
+    y = problem.xi[l] if l <= k else x[:, l - k]
+    acc = np.einsum("mn,pn->pm", B1.T @ P2 + D1.T @ P2 @ C1, x[:, l])
+    acc = acc + np.einsum("mn,pn->pm", D1.T @ P2 @ C2,
+                          np.broadcast_to(y, x[:, l].shape))
+    for s in range(max(l, k), min(l + k, N)):
+        acc = acc + np.einsum("mn,pn->pm", B1.T @ ext.P3c[l, s],
+                              x[:, s - k]) * dt
+    for s in range(l + 1, min(k, N) + 1):
+        acc = acc + (B1.T @ ext.P3c[l, s] @ problem.xi[s]) * dt
+    return -np.einsum("mq,pq->pm", rci, acc)
+
+
+# ----------------------------------------------------------------------
+# Case I: control delays only
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CaseIExtraction:
+    S0: np.ndarray      # (N+1, n, n)
+    S1: np.ndarray      # (N+1, k+1, m, n); lag index q: theta = (q-k)dt
+    S2: np.ndarray      # (N+1, k+1, k+1, m, m)
+    p1script: object    # callable (l, a, b) -> n x n window sum
+
+
+@dataclass(frozen=True)
+class CaseIResiduals:
+    ode: float          # pointwise-kernel ODE
+    transport1: float   # single-lag transport
+    transport2: float   # double-lag transport
+    boundary: float     # lag-edge relation
+
+
+def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
+    problem = vp.source
+    _require_zero(problem, ("A2", "A3", "C2", "C3", "Q2", "Q3", "R2",
+                            "b", "sigma", "F"))
+    if np.abs(problem.varsigma).max() > 0:
+        raise ProblemValidationError(
+            ["preset mismatch: control-delay-only check needs zero varsigma"])
+    g = vp.grid
+    N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
+    first = slice(0, n)
+
+    sufp1 = np.zeros((N + 2, n, n))
+    sufp1[:N + 1] = P.p1[:, first, first]
+    sufp1 = np.cumsum(sufp1[::-1], axis=0)[::-1] * dt   # sum over s >= index
+    suf2 = []
+    for l in range(N + 1):
+        sl = P.p2_slices[l][:, :, first, first]
+        M = sl.shape[0]
+        ss = np.zeros((M + 1, M + 1, n, n))
+        ss[:M, :M] = sl
+        ss = np.cumsum(np.cumsum(ss[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+        suf2.append(ss)
+
+    def p1script(l: int, a: int, b: int) -> np.ndarray:
+        """(1,1)-block window sum: first kernel over s > max(a,b) plus
+        the pair kernel over {s > b} x {alpha > a} at base node l."""
+        out = sufp1[min(max(a, b) + 1, N + 1)].copy()
+        ss = suf2[l]
+        ib, ia = b - l + 1, a - l + 1
+        if 0 <= ib < ss.shape[0] and 0 <= ia < ss.shape[1]:
+            out = out + ss[ib, ia] * dt * dt
+        return out
+
+    has_memory = np.abs(problem.B3).max() > 0 and np.abs(problem.Ftilde).max() > 0
+    S0 = np.zeros((N + 1, n, n))
+    S1 = np.zeros((N + 1, k + 1, m, n))
+    S2 = np.zeros((N + 1, k + 1, k + 1, m, m))
+    for l in range(N + 1):
+        S0[l] = p1script(l, l, l)
+        for q in range(k + 1):
+            sq = l + q
+            val = np.zeros((m, n))
+            if sq <= N:
+                val += problem.B2[sq].T @ p1script(l, l, sq)
+            if has_memory and l + q - k >= 0:
+                sarg = l + q - k
+                for th in range(max(l, sarg) + 1, N + 1):
+                    val += (problem.Ftilde[th, sarg].T @ problem.B3[th].T
+                            @ p1script(l, th, l).T) * dt
+            S1[l, q] = val
+        for q in range(k + 1):
+            for p in range(k + 1):
+                sq, sp = l + q, l + p
+                val = np.zeros((m, m))
+                if sq <= N and sp <= N:
+                    val += (problem.B2[sq].T @ p1script(l, sq, sp).T
+                            @ problem.B2[sp])
+                if has_memory:
+                    if sq <= N and l + p - k >= 0:
+                        sargp = l + p - k
+                        inner = np.zeros((n, m))
+                        for th in range(max(l, sargp) + 1, N + 1):
+                            inner += (p1script(l, th, sq) @ problem.B3[th].T
+                                      @ problem.Ftilde[th, sargp]) * dt
+                        val += problem.B2[sq].T @ inner
+                    if l + q - k >= 0:
+                        sargq = l + q - k
+                        for th in range(max(l, sargq) + 1, N + 1):
+                            row = problem.Ftilde[th, sargq].T @ problem.B3[th].T
+                            if sp <= N:
+                                val += (row @ p1script(l, th, sp).T
+                                        @ problem.B2[sp]) * dt
+                            if l + p - k >= 0:
+                                sargp = l + p - k
+                                inner = np.zeros((n, m))
+                                for be in range(max(l, sargp) + 1, N + 1):
+                                    inner += (p1script(l, th, be).T
+                                              @ problem.B3[be].T
+                                              @ problem.Ftilde[be, sargp]) * dt
+                                val += row @ inner * dt
+                S2[l, q, p] = val
+    return CaseIExtraction(S0=S0, S1=S1, S2=S2, p1script=p1script)
+
+
+def casei_residual(ext: CaseIExtraction,
+                   problem: DelayLQProblem) -> CaseIResiduals:
+    """Finite-difference residuals of the control-delay equations.
+
+    Transport residuals are evaluated along characteristics on interior
+    lag nodes; when the memory channel is active the zero-lag row is
+    skipped because its drift references the kernel diagonal, which has
+    no discrete value.
+    """
+    g = problem.grid
+    N, dt, n, k = g.N, g.dt, problem.n, g.delay_steps
+    has_memory = np.abs(problem.B3).max() > 0 and np.abs(problem.Ftilde).max() > 0
+    q_hi = k if not has_memory else k - 1
+
+    def gain_parts(l: int):
+        S0 = ext.S0[l]
+        D1, B1, C1 = problem.D1[l], problem.B1[l], problem.C1[l]
+        rc = problem.R1[l] + D1.T @ S0 @ D1
+        rci = np.linalg.inv(rc)
+        brace = B1.T @ S0 + ext.S1[l, k] + D1.T @ S0 @ C1
+        return S0, rci, brace
+
+    ode = tr1 = tr2 = bnd = 0.0
+    for l in range(1, N + 1):
+        S0l, rci, brace = gain_parts(l)
+        fd = (ext.S0[l] - ext.S0[l - 1]) / dt
+        rhs = (problem.A1[l].T @ S0l + S0l @ problem.A1[l] + problem.Q1[l]
+               + problem.C1[l].T @ S0l @ problem.C1[l] - brace.T @ rci @ brace)
+        ode = max(ode, float(np.abs(fd + rhs).max()))
+
+    for l in range(N):
+        S0l, rci, brace = gain_parts(l)
+        for q in range(1, q_hi + 1):
+            if l + q - k < 0:
+                continue
+            fd = (ext.S1[l + 1, q - 1] - ext.S1[l, q]) / dt
+            memory = np.zeros((problem.m, n))
+            if has_memory and l > l + q - k >= 0:
+                memory = problem.Ftilde[l, l + q - k].T @ problem.B3[l].T @ S0l
+            rhs = (memory + ext.S1[l, q] @ problem.A1[l]
+                   - (ext.S1[l, q] @ problem.B1[l] + ext.S2[l, q, k])
+                   @ rci @ brace)
+            tr1 = max(tr1, float(np.abs(fd + rhs).max()))
+
+    for l in range(N):
+        S0l, rci, brace = gain_parts(l)
+        for q in range(1, q_hi + 1):
+            for p in range(1, q_hi + 1):
+                if l + q - k < 0 or l + p - k < 0:
+                    continue
+                fd = (ext.S2[l + 1, q - 1, p - 1] - ext.S2[l, q, p]) / dt
+                mem1 = np.zeros((problem.m, problem.m))
+                mem2 = np.zeros((problem.m, problem.m))
+                if has_memory:
+                    if l > l + q - k:
+                        mem1 = (problem.Ftilde[l, l + q - k].T
+                                @ problem.B3[l].T @ ext.S1[l, p].T)
+                    if l > l + p - k:
+                        mem2 = (ext.S1[l, q] @ problem.B3[l].T
+                                @ problem.Ftilde[l, l + p - k])
+                rhs = (mem1 + mem2
+                       - (ext.S1[l, q] @ problem.B1[l] + ext.S2[l, q, k])
+                       @ rci
+                       @ (problem.B1[l].T @ ext.S1[l, p].T + ext.S2[l, k, p]))
+                tr2 = max(tr2, float(np.abs(fd + rhs).max()))
+
+    for l in range(N + 1):
+        S0l, _, _ = gain_parts(l)
+        if has_memory and l - k < 0:
+            continue
+        edge = problem.B2[l].T @ S0l
+        if has_memory:
+            for th in range(max(l, l - k) + 1, N + 1):
+                edge += (problem.Ftilde[th, l - k].T @ problem.B3[th].T
+                         @ ext.p1script(l, th, l).T) * dt
+        bnd = max(bnd, float(np.abs(ext.S1[l, 0] - edge).max()))
+
+    return CaseIResiduals(ode=ode, transport1=tr1, transport2=tr2, boundary=bnd)
+
+
+def casei_control(ext: CaseIExtraction, problem: DelayLQProblem,
+                  x: np.ndarray, u: np.ndarray, l: int) -> np.ndarray:
+    """Specialized control-delay feedback law at node l along paths.
+
+    Supports presets with an inactive memory channel (B3 Ftilde = 0);
+    the general memory correction term is exercised through the primary
+    synthesis path instead.
+    """
+    if np.abs(problem.B3).max() > 0 and np.abs(problem.Ftilde).max() > 0:
+        raise ProblemValidationError(
+            ["specialized control-delay law implemented for B3*Ftilde = 0"])
+    g = problem.grid
+    N, dt, k = g.N, g.dt, g.delay_steps
+    S0 = ext.S0[l]
+    D1, B1 = problem.D1[l], problem.B1[l]
+    rc = problem.R1[l] + D1.T @ S0 @ D1
+    rci = np.linalg.inv(rc)
+    brace = B1.T @ S0 + ext.S1[l, k] + D1.T @ S0 @ problem.C1[l]
+    acc = np.einsum("mn,pn->pm", brace, x[:, l])
+    for r in range(max(l, k), min(l + k, N)):
+        ker = B1.T @ ext.S1[l, r - l].T + ext.S2[l, k, r - l]
+        acc = acc + np.einsum("mq,pq->pm", ker, u[:, r - k]) * dt
+    return -np.einsum("mq,pq->pm", rci, acc)
+
+
+# ----------------------------------------------------------------------
+# Deterministic convex QP oracle
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QpOracleResult:
+    u_opt: np.ndarray      # (N+1, m); terminal node unused, kept zero
+    cost_opt: float
+    kkt_residual: float
+    gradient_norm: float   # norm of the affine part, for relative checks
+
+
+def _extended_cost_paths(problem: DelayLQProblem, x: np.ndarray,
+                         u: np.ndarray, homogeneous: bool):
+    """Per-path trajectories entering the cost at nodes 0..N-1."""
+    g = problem.grid
+    N, k, dt = g.N, g.delay_steps, g.dt
+    P = x.shape[0]
+    y = np.zeros((P, N, problem.n))
+    nu = np.zeros((P, N, problem.m))
+    z = np.zeros((P, N, problem.n))
+    for j in range(N):
+        if j >= k:
+            y[:, j] = x[:, j - k]
+            nu[:, j] = u[:, j - k]
+        elif not homogeneous:
+            y[:, j] = problem.xi[j]
+            nu[:, j] = problem.varsigma[j]
+        if j > 0:
+            z[:, j] = np.einsum("lab,plb->pa", problem.F[j, :j], x[:, :j]) * dt
+    return x[:, :N], y, z, u[:, :N], nu
+
+
+def deterministic_qp_oracle(problem: DelayLQProblem) -> QpOracleResult:
+    """Exact minimizer of the discretized deterministic problem.
+
+    The discrete cost is an explicit convex quadratic in the stacked
+    control; the Hessian is assembled from unit-impulse responses of
+    the linear dynamics and factorized directly.
+    """
+    _require_zero(problem, ("C1", "C2", "C3", "D1", "sigma"))
+    g = problem.grid
+    N, m, dt = g.N, problem.m, g.dt
+    nb = N * m
+
+    zero_noise = BrownianBatch(seed=0, n_paths=nb,
+                               increments=np.zeros((nb, N)))
+    impulses = np.zeros((nb, N + 1, m))
+    for j in range(N):
+        for c in range(m):
+            impulses[j * m + c, j, c] = 1.0
+    hom = replace(problem,
+                  b=np.zeros_like(problem.b),
+                  xi=np.zeros_like(problem.xi),
+                  varsigma=np.zeros_like(problem.varsigma))
+    basis = simulate_open_loop(hom, impulses, zero_noise)
+    tb = _extended_cost_paths(hom, basis.x, impulses, True)
+
+    one_path = BrownianBatch(seed=0, n_paths=1, increments=np.zeros((1, N)))
+    affine = simulate_open_loop(problem, np.zeros((N + 1, m)), one_path)
+    ta = _extended_cost_paths(problem, affine.x,
+                              np.zeros((1, N + 1, m)), False)
+
+    def bilinear(t1, t2):
+        x1, y1, z1, u1, nu1 = t1
+        x2, y2, z2, u2, nu2 = t2
+        return ((np.einsum("ija,jab,kjb->ik", x1, problem.Q1[:N], x2)
+                 + np.einsum("ija,jab,kjb->ik", y1, problem.Q2[:N], y2)
+                 + np.einsum("ija,jab,kjb->ik", z1, problem.Q3[:N], z2)
+                 + np.einsum("ija,jab,kjb->ik", u1, problem.R1[:N], u2)
+                 + np.einsum("ija,jab,kjb->ik", nu1, problem.R2[:N], nu2))
+                * dt)
+
+    H = 2.0 * bilinear(tb, tb)
+    H = 0.5 * (H + H.T)
+    gvec = 2.0 * bilinear(tb, ta)[:, 0]
+    c0 = float(bilinear(ta, ta)[0, 0])
+
+    try:
+        fac = cho_factor(H, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("QP Hessian is not positive definite") from exc
+    u_flat = cho_solve(fac, -gvec)
+    kkt = float(np.linalg.norm(H @ u_flat + gvec))
+    cost = float(c0 + gvec @ u_flat + 0.5 * u_flat @ H @ u_flat)
+    u_opt = np.zeros((N + 1, m))
+    u_opt[:N] = u_flat.reshape(N, m)
+    return QpOracleResult(u_opt=u_opt, cost_opt=cost, kkt_residual=kkt,
+                          gradient_norm=float(np.linalg.norm(gvec)))

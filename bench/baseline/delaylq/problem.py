@@ -1,0 +1,363 @@
+"""Delayed LQ problem instances: construction, validation, serialization.
+
+Coefficients are node samples on the uniform grid (piecewise constant on
+[t_j, t_{j+1})).  Two-time kernels are dense (N+1, N+1, ...) arrays whose
+meaningful entries sit strictly below the diagonal (second index < first).
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .exceptions import ProblemValidationError
+from .grid import TimeGrid
+
+_PSD_TOL = 1e-10
+_SYM_TOL = 1e-12
+
+
+def constant_table(value, n_nodes: int) -> np.ndarray:
+    """Replicate one matrix/vector across all grid nodes."""
+    v = np.asarray(value, dtype=float)
+    return np.broadcast_to(v, (n_nodes,) + v.shape).copy()
+
+
+def zero_kernel(n_nodes: int, d1: int, d2: int) -> np.ndarray:
+    return np.zeros((n_nodes, n_nodes, d1, d2))
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Diagnostics from validate(); empty violations means admissible."""
+
+    violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def raise_if_invalid(self) -> None:
+        if self.violations:
+            raise ProblemValidationError(self.violations)
+
+
+@dataclass(frozen=True)
+class DelayLQProblem:
+    """All data of the delayed LQ control problem, sampled on the grid.
+
+    State dimension n, control dimension m.  Shapes:
+
+    - A1,A2,A3,C1,C2,C3,Q1,Q2,Q3: (N+1, n, n)
+    - B1,B2,D1: (N+1, n, m); B3: (N+1, n, n) (it multiplies the
+      distributed control-delay vector, which is n-dimensional)
+    - R1,R2: (N+1, m, m)
+    - b, sigma: (N+1, n) deterministic free terms
+    - F: (N+1, N+1, n, n), Ftilde: (N+1, N+1, n, m), entries for s < t
+    - xi: (k+1, n) initial state trajectory on [t0-delay, t0]
+    - varsigma: (k, m) initial control trajectory on [t0-delay, t0)
+    - lam: declared coercivity constant for R1(t) + R2(t+delay)
+    """
+
+    grid: TimeGrid
+    n: int
+    m: int
+    A1: np.ndarray
+    A2: np.ndarray
+    A3: np.ndarray
+    B1: np.ndarray
+    B2: np.ndarray
+    B3: np.ndarray
+    C1: np.ndarray
+    C2: np.ndarray
+    C3: np.ndarray
+    D1: np.ndarray
+    Q1: np.ndarray
+    Q2: np.ndarray
+    Q3: np.ndarray
+    R1: np.ndarray
+    R2: np.ndarray
+    b: np.ndarray
+    sigma: np.ndarray
+    F: np.ndarray
+    Ftilde: np.ndarray
+    xi: np.ndarray
+    varsigma: np.ndarray
+    lam: float
+
+    def with_scaled_weights(self, c: float) -> "DelayLQProblem":
+        """Multiply every cost weight by c > 0 (dynamics untouched)."""
+        return replace(
+            self,
+            Q1=c * self.Q1, Q2=c * self.Q2, Q3=c * self.Q3,
+            R1=c * self.R1, R2=c * self.R2, lam=c * self.lam,
+        )
+
+
+def empty_problem(grid: TimeGrid, n: int, m: int, lam: float = 1.0) -> DelayLQProblem:
+    """Problem with every coefficient, kernel, and trajectory zero."""
+    nn = grid.N + 1
+    k = grid.delay_steps
+    zn = np.zeros((nn, n, n))
+    znm = np.zeros((nn, n, m))
+    zm = np.zeros((nn, m, m))
+    return DelayLQProblem(
+        grid=grid, n=n, m=m,
+        A1=zn.copy(), A2=zn.copy(), A3=zn.copy(),
+        B1=znm.copy(), B2=znm.copy(), B3=zn.copy(),
+        C1=zn.copy(), C2=zn.copy(), C3=zn.copy(), D1=znm.copy(),
+        Q1=zn.copy(), Q2=zn.copy(), Q3=zn.copy(),
+        R1=zm.copy(), R2=zm.copy(),
+        b=np.zeros((nn, n)), sigma=np.zeros((nn, n)),
+        F=zero_kernel(nn, n, n), Ftilde=zero_kernel(nn, n, m),
+        xi=np.zeros((k + 1, n)), varsigma=np.zeros((k, m)),
+        lam=lam,
+    )
+
+
+def _check_shape(violations, name, arr, shape):
+    arr = np.asarray(arr)
+    if arr.shape != shape:
+        violations.append(f"{name}: expected shape {shape}, got {arr.shape}")
+        return False
+    return True
+
+
+def validate(problem: DelayLQProblem) -> ValidationReport:
+    """Check every admissibility invariant; diagnostics, never raises."""
+    v: list[str] = []
+    g = problem.grid
+    n, m, nn, k = problem.n, problem.m, g.N + 1, g.delay_steps
+
+    if not g.delay_is_grid_multiple:
+        v.append(
+            f"delay not a grid multiple: delay={g.delay}, dt={g.dt} "
+            f"(nearest multiple {g.delay_steps}*dt={g.delay_steps * g.dt})"
+        )
+    if problem.lam <= 0:
+        v.append(f"coercivity constant must be positive, got lam={problem.lam}")
+
+    shapes_ok = True
+    for name, shape in [
+        ("A1", (nn, n, n)), ("A2", (nn, n, n)), ("A3", (nn, n, n)),
+        ("B1", (nn, n, m)), ("B2", (nn, n, m)), ("B3", (nn, n, n)),
+        ("C1", (nn, n, n)), ("C2", (nn, n, n)), ("C3", (nn, n, n)),
+        ("D1", (nn, n, m)),
+        ("Q1", (nn, n, n)), ("Q2", (nn, n, n)), ("Q3", (nn, n, n)),
+        ("R1", (nn, m, m)), ("R2", (nn, m, m)),
+        ("b", (nn, n)), ("sigma", (nn, n)),
+        ("F", (nn, nn, n, n)), ("Ftilde", (nn, nn, n, m)),
+        ("xi", (k + 1, n)), ("varsigma", (k, m)),
+    ]:
+        shapes_ok &= _check_shape(v, name, getattr(problem, name), shape)
+    if not shapes_ok:
+        return ValidationReport(tuple(v))
+
+    for name in ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "D1",
+                 "Q1", "Q2", "Q3", "R1", "R2", "b", "sigma", "F", "Ftilde",
+                 "xi", "varsigma"):
+        if not np.isfinite(getattr(problem, name)).all():
+            v.append(f"{name}: non-finite entries")
+
+    # two-time kernels live strictly below the diagonal
+    triu = np.triu_indices(nn)
+    for name in ("F", "Ftilde"):
+        kern = getattr(problem, name)
+        if np.abs(kern[triu]).max() > 0:
+            v.append(f"{name}: nonzero entries on or above the diagonal "
+                     f"(kernels are defined only for s < t)")
+
+    for name in ("Q1", "Q2", "Q3"):
+        q = getattr(problem, name)
+        asym = np.abs(q - q.transpose(0, 2, 1)).max()
+        if asym > _SYM_TOL:
+            v.append(f"{name}: not symmetric (max asymmetry {asym:.3e})")
+        else:
+            mins = np.linalg.eigvalsh(q).min(axis=-1)
+            bad = np.where(mins < -_PSD_TOL)[0]
+            if bad.size:
+                j = int(bad[0])
+                v.append(
+                    f"{name}: not positive semidefinite at node {j} "
+                    f"(min eigenvalue {mins[j]:.3e})"
+                )
+
+    for name in ("R1", "R2"):
+        r = getattr(problem, name)
+        asym = np.abs(r - r.transpose(0, 2, 1)).max()
+        if asym > _SYM_TOL:
+            v.append(f"{name}: not symmetric (max asymmetry {asym:.3e})")
+
+    # effective control weight R1(t_j) + R2(t_{j+k}) while j < N-k
+    reff = problem.R1.copy()
+    if k < g.N:
+        reff[: g.N - k] += problem.R2[k : g.N]
+    reff = 0.5 * (reff + reff.transpose(0, 2, 1))
+    mins = np.linalg.eigvalsh(reff).min(axis=-1)
+    bad = np.where(mins < problem.lam - _PSD_TOL)[0]
+    for j in bad:
+        v.append(
+            f"coercivity failure at node {int(j)}: min eigenvalue "
+            f"{mins[j]:.6e} < lam={problem.lam}"
+        )
+
+    return ValidationReport(tuple(v))
+
+
+@dataclass(frozen=True)
+class ExtendedSddeSpec:
+    """Bounded-window form: kernels G1, G2 act on the moving window
+    [t-delay, t] and are stored lag-indexed: G1[i, d] multiplies the
+    state at t_i - d*dt, d = 0..k (second argument may precede t0).
+    """
+
+    grid: TimeGrid
+    n: int
+    m: int
+    A1: np.ndarray
+    A2: np.ndarray
+    A3: np.ndarray
+    B1: np.ndarray
+    B2: np.ndarray
+    B3: np.ndarray
+    C1: np.ndarray
+    C2: np.ndarray
+    C3: np.ndarray
+    D1: np.ndarray
+    Q1: np.ndarray
+    Q2: np.ndarray
+    Q3: np.ndarray
+    R1: np.ndarray
+    R2: np.ndarray
+    btilde: np.ndarray
+    sigtilde: np.ndarray
+    G1: np.ndarray  # (N+1, k+1, n, n)
+    G2: np.ndarray  # (N+1, k+1, n, m)
+    xi: np.ndarray
+    varsigma: np.ndarray
+    lam: float
+
+
+def from_extended_sdde(spec: ExtendedSddeSpec) -> DelayLQProblem:
+    """Reduce the moving-window form to the canonical delayed problem.
+
+    The window integrals over the initial segment are absorbed into the
+    free terms by left-rectangle quadrature; the kernels are restricted
+    to second arguments in [t0, t) intersected with the window.
+    """
+    g = spec.grid
+    n, m, nn, k, dt = spec.n, spec.m, g.N + 1, g.delay_steps, g.dt
+    if spec.G1.shape != (nn, k + 1, n, n) or spec.G2.shape != (nn, k + 1, n, m):
+        raise ProblemValidationError(
+            [f"window kernels must be ({nn},{k + 1},dims); got "
+             f"G1 {spec.G1.shape}, G2 {spec.G2.shape}"]
+        )
+
+    # initial-window integrals: gw1[i] = sum_{p=i..k-1} G1(t_i, t0+(p-k)dt) xi[p] dt
+    gw1 = np.zeros((nn, n))
+    gw2 = np.zeros((nn, n))
+    for i in range(min(k, nn)):
+        acc1 = np.zeros(n)
+        acc2 = np.zeros(n)
+        for p in range(i, k):
+            d = i - (p - k)  # lag steps of the sample at t0+(p-k)dt behind t_i
+            if d <= k:
+                acc1 += spec.G1[i, d] @ spec.xi[p] * dt
+                acc2 += spec.G2[i, d] @ spec.varsigma[p] * dt
+        gw1[i] = acc1
+        gw2[i] = acc2
+
+    b = spec.btilde + np.einsum("jab,jb->ja", spec.A3, gw1) \
+        + np.einsum("jab,jb->ja", spec.B3, gw2)
+    sigma = spec.sigtilde + np.einsum("jab,jb->ja", spec.C3, gw1)
+
+    F = zero_kernel(nn, n, n)
+    Ftilde = zero_kernel(nn, n, m)
+    for i in range(nn):
+        for j in range(max(0, i - k), i):
+            F[i, j] = spec.G1[i, i - j]
+            Ftilde[i, j] = spec.G2[i, i - j]
+
+    return DelayLQProblem(
+        grid=g, n=n, m=m,
+        A1=spec.A1, A2=spec.A2, A3=spec.A3,
+        B1=spec.B1, B2=spec.B2, B3=spec.B3,
+        C1=spec.C1, C2=spec.C2, C3=spec.C3, D1=spec.D1,
+        Q1=spec.Q1, Q2=spec.Q2, Q3=spec.Q3, R1=spec.R1, R2=spec.R2,
+        b=b, sigma=sigma, F=F, Ftilde=Ftilde,
+        xi=spec.xi, varsigma=spec.varsigma, lam=spec.lam,
+    )
+
+
+# ----------------------------------------------------------------------
+# JSON serialization.  Scalars, coefficient tables as arrays of row-major
+# matrices, kernels as triangular arrays, trajectories as arrays.
+# ----------------------------------------------------------------------
+
+_TABLE_FIELDS = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "D1",
+                 "Q1", "Q2", "Q3", "R1", "R2")
+
+
+def _kernel_to_triangular(kern: np.ndarray) -> list:
+    return [[kern[i, j].tolist() for j in range(i)] for i in range(kern.shape[0])]
+
+
+def _kernel_from_triangular(rows: list, nn: int, d1: int, d2: int) -> np.ndarray:
+    kern = np.zeros((nn, nn, d1, d2))
+    for i, row in enumerate(rows):
+        for j, mat in enumerate(row):
+            kern[i, j] = np.asarray(mat, dtype=float)
+    return kern
+
+
+def problem_to_dict(problem: DelayLQProblem) -> dict:
+    g = problem.grid
+    doc = {
+        "t0": g.t0, "T": g.T, "N": g.N, "delay_steps": g.delay_steps,
+        "n": problem.n, "m": problem.m, "lambda": problem.lam,
+    }
+    for name in _TABLE_FIELDS:
+        doc[name] = getattr(problem, name).tolist()
+    doc["b"] = problem.b.tolist()
+    doc["sigma"] = problem.sigma.tolist()
+    doc["F"] = _kernel_to_triangular(problem.F)
+    doc["Ftilde"] = _kernel_to_triangular(problem.Ftilde)
+    doc["xi"] = problem.xi.tolist()
+    doc["varsigma"] = problem.varsigma.tolist()
+    return doc
+
+
+def problem_from_dict(doc: dict) -> DelayLQProblem:
+    N = int(doc["N"])
+    k = int(doc["delay_steps"])
+    t0, T = float(doc["t0"]), float(doc["T"])
+    dt = (T - t0) / N
+    grid = TimeGrid(t0=t0, T=T, N=N, delay=k * dt)
+    n, m, nn = int(doc["n"]), int(doc["m"]), N + 1
+    kwargs = {}
+    for name in _TABLE_FIELDS:
+        kwargs[name] = np.asarray(doc[name], dtype=float)
+    return DelayLQProblem(
+        grid=grid, n=n, m=m,
+        b=np.asarray(doc["b"], dtype=float),
+        sigma=np.asarray(doc["sigma"], dtype=float),
+        F=_kernel_from_triangular(doc["F"], nn, n, n),
+        Ftilde=_kernel_from_triangular(doc["Ftilde"], nn, n, m),
+        xi=np.asarray(doc["xi"], dtype=float),
+        varsigma=np.asarray(doc["varsigma"], dtype=float),
+        lam=float(doc["lambda"]),
+        **kwargs,
+    )
+
+
+def save_problem(problem: DelayLQProblem, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(problem_to_dict(problem), fh)
+
+
+def load_problem(path) -> DelayLQProblem:
+    with open(path) as fh:
+        doc = json.load(fh)
+    return problem_from_dict(doc)

@@ -1,0 +1,253 @@
+"""Euler-Maruyama simulation, Monte-Carlo cost, stationarity testing.
+
+One scheme everywhere: explicit Euler with left-point (Ito) evaluation
+of every integrand, matching the left-rectangle quadrature used by the
+lifting and cost modules.  Paths are vectorized; the per-step history
+quadratures are recomputed in full because the memory kernels depend on
+both time arguments.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .adjoint import FeedbackStrategy
+from .problem import DelayLQProblem
+
+#: Paths whose state norm exceeds this are flagged and excluded.
+BLOWUP_THRESHOLD = 1e12
+
+
+@dataclass(frozen=True)
+class BrownianBatch:
+    """Reproducible per-path increment streams, dW_j ~ Normal(0, dt).
+
+    Each path's stream comes from a counter-based generator keyed by
+    (seed, path index), so the batch is bitwise reproducible and path
+    streams are independent of scheduling.
+    """
+
+    seed: int
+    n_paths: int
+    increments: np.ndarray   # (n_paths, N)
+
+
+def gen_brownian(grid, n_paths: int, seed: int) -> BrownianBatch:
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    scale = np.sqrt(grid.dt)
+    increments = np.empty((n_paths, grid.N))
+    for p in range(n_paths):
+        gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), p]))
+        increments[p] = gen.standard_normal(grid.N) * scale
+    return BrownianBatch(seed=seed, n_paths=n_paths, increments=increments)
+
+
+@dataclass(frozen=True)
+class SimulationBatch:
+    """Realized paths on the grid plus per-path costs and blow-up flags."""
+
+    x: np.ndarray            # (n_paths, N+1, n)
+    u: np.ndarray            # (n_paths, N+1, m)
+    cost_samples: np.ndarray  # (n_paths,)
+    flagged: np.ndarray      # (n_paths,) bool
+
+
+@dataclass(frozen=True)
+class CostEstimate:
+    mean: float
+    stderr: float
+    n_paths: int
+    n_flagged: int = 0
+
+
+def _delayed_state(problem: DelayLQProblem, x: np.ndarray, j: int) -> np.ndarray:
+    k = problem.grid.delay_steps
+    if j <= k:
+        return np.broadcast_to(problem.xi[j], x.shape[0:1] + (problem.n,))
+    return x[:, j - k]
+
+
+def _delayed_control(problem: DelayLQProblem, u: np.ndarray, j: int) -> np.ndarray:
+    k = problem.grid.delay_steps
+    if j < k:
+        return np.broadcast_to(problem.varsigma[j], u.shape[0:1] + (problem.m,))
+    return u[:, j - k]
+
+
+def _memory_terms(problem: DelayLQProblem, x: np.ndarray, u: np.ndarray,
+                  j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distributed-delay integrals z_j, mu_j by left-rectangle quadrature."""
+    dt = problem.grid.dt
+    if j == 0:
+        P = x.shape[0]
+        return np.zeros((P, problem.n)), np.zeros((P, problem.n))
+    z = np.einsum("lab,plb->pa", problem.F[j, :j], x[:, :j]) * dt
+    mu = np.einsum("lab,plb->pa", problem.Ftilde[j, :j], u[:, :j]) * dt
+    return z, mu
+
+
+def _euler_step(problem: DelayLQProblem, j: int, x: np.ndarray,
+                y: np.ndarray, z: np.ndarray, u_j: np.ndarray,
+                nu: np.ndarray, mu: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    p = problem
+    drift = (np.einsum("ab,pb->pa", p.A1[j], x)
+             + np.einsum("ab,pb->pa", p.A2[j], y)
+             + np.einsum("ab,pb->pa", p.A3[j], z)
+             + np.einsum("am,pm->pa", p.B1[j], u_j)
+             + np.einsum("am,pm->pa", p.B2[j], nu)
+             + np.einsum("ab,pb->pa", p.B3[j], mu)
+             + p.b[j])
+    diff = (np.einsum("ab,pb->pa", p.C1[j], x)
+            + np.einsum("ab,pb->pa", p.C2[j], y)
+            + np.einsum("ab,pb->pa", p.C3[j], z)
+            + np.einsum("am,pm->pa", p.D1[j], u_j)
+            + p.sigma[j])
+    return x + drift * problem.grid.dt + diff * dw[:, None]
+
+
+def path_costs(problem: DelayLQProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-path left-rectangle quadrature of the running quadratic cost."""
+    g = problem.grid
+    N, dt, k = g.N, g.dt, g.delay_steps
+    P = x.shape[0]
+    total = np.zeros(P)
+    for j in range(N):
+        y = _delayed_state(problem, x, j)
+        nu = _delayed_control(problem, u, j)
+        z, _ = _memory_terms(problem, x, u, j)
+        total += (np.einsum("pa,ab,pb->p", x[:, j], problem.Q1[j], x[:, j])
+                  + np.einsum("pa,ab,pb->p", y, problem.Q2[j], y)
+                  + np.einsum("pa,ab,pb->p", z, problem.Q3[j], z)
+                  + np.einsum("pa,ab,pb->p", u[:, j], problem.R1[j], u[:, j])
+                  + np.einsum("pa,ab,pb->p", nu, problem.R2[j], nu)) * dt
+    return total
+
+
+def simulate_open_loop(problem: DelayLQProblem, u_paths: np.ndarray,
+                       batch: BrownianBatch) -> SimulationBatch:
+    """Drive the state equation with externally supplied adapted controls.
+
+    ``u_paths`` is (n_paths, N+1, m) or (N+1, m) broadcast to all paths.
+    """
+    g = problem.grid
+    N, n, m, P = g.N, problem.n, problem.m, batch.n_paths
+    u_paths = np.asarray(u_paths, dtype=float)
+    if u_paths.ndim == 2:
+        u_paths = np.broadcast_to(u_paths, (P, N + 1, m))
+    if u_paths.shape != (P, N + 1, m):
+        raise ValueError(f"u_paths must be ({P},{N + 1},{m}), got {u_paths.shape}")
+
+    x = np.zeros((P, N + 1, n))
+    x[:, 0] = problem.xi[g.delay_steps]
+    for j in range(N):
+        y = _delayed_state(problem, x, j)
+        nu = _delayed_control(problem, u_paths, j)
+        z, mu = _memory_terms(problem, x, u_paths, j)
+        x[:, j + 1] = _euler_step(problem, j, x[:, j], y, z,
+                                  u_paths[:, j], nu, mu, batch.increments[:, j])
+
+    flagged = (np.abs(x).max(axis=(1, 2)) > BLOWUP_THRESHOLD) | ~np.isfinite(
+        x.reshape(P, -1)).all(axis=1)
+    costs = path_costs(problem, x, np.asarray(u_paths))
+    return SimulationBatch(x=x, u=np.array(u_paths), cost_samples=costs,
+                           flagged=flagged)
+
+
+def simulate_closed_loop(problem: DelayLQProblem, strategy: FeedbackStrategy,
+                         batch: BrownianBatch) -> SimulationBatch:
+    """Run the feedback loop; u(t_j) uses only information up to t_j."""
+    g = problem.grid
+    N, n, m, P, dt = g.N, problem.n, problem.m, batch.n_paths, g.dt
+    x = np.zeros((P, N + 1, n))
+    u = np.zeros((P, N + 1, m))
+    x[:, 0] = problem.xi[g.delay_steps]
+    for j in range(N + 1):
+        y = _delayed_state(problem, x, j)
+        u_j = (np.einsum("ma,pa->pm", strategy.k1[j], x[:, j])
+               + np.einsum("ma,pa->pm", strategy.k3[j], y)
+               + strategy.v[j])
+        if j > 0:
+            u_j += np.einsum("sma,psa->pm", strategy.k2[j, :j], x[:, :j]) * dt
+            u_j += np.einsum("smq,psq->pm", strategy.k4[j, :j], u[:, :j]) * dt
+        u[:, j] = u_j
+        if j == N:
+            break
+        nu = _delayed_control(problem, u, j)
+        z, mu = _memory_terms(problem, x, u, j)
+        x[:, j + 1] = _euler_step(problem, j, x[:, j], y, z, u_j, nu, mu,
+                                  batch.increments[:, j])
+
+    flagged = (np.abs(x).max(axis=(1, 2)) > BLOWUP_THRESHOLD) | ~np.isfinite(
+        x.reshape(P, -1)).all(axis=1)
+    costs = path_costs(problem, x, u)
+    return SimulationBatch(x=x, u=u, cost_samples=costs, flagged=flagged)
+
+
+def estimate_cost(problem: DelayLQProblem, sim: SimulationBatch) -> CostEstimate:
+    """Mean and standard error over unflagged paths."""
+    good = ~sim.flagged
+    samples = sim.cost_samples[good]
+    n_good = int(good.sum())
+    if n_good == 0:
+        return CostEstimate(mean=float("nan"), stderr=float("nan"),
+                            n_paths=0, n_flagged=int(sim.flagged.sum()))
+    mean = float(samples.mean())
+    stderr = float(samples.std(ddof=1) / np.sqrt(n_good)) if n_good > 1 else 0.0
+    return CostEstimate(mean=mean, stderr=stderr, n_paths=n_good,
+                        n_flagged=int(sim.flagged.sum()))
+
+
+@dataclass(frozen=True)
+class DerivativeEstimate:
+    """Central-difference directional derivative with paired-path stderr."""
+
+    estimate: float
+    stderr: float
+    eps: float
+    n_paths: int
+
+    def passes(self, slack: float) -> bool:
+        return abs(self.estimate) <= 3.0 * self.stderr + slack
+
+
+def default_direction_scale(u: np.ndarray) -> float:
+    """Control scale for the finite-difference step size."""
+    rms = float(np.sqrt(np.mean(u ** 2)))
+    return max(rms, 1.0)
+
+
+def stationarity_test(problem: DelayLQProblem, strategy: FeedbackStrategy,
+                      direction: np.ndarray, eps: Optional[float],
+                      batch: BrownianBatch) -> DerivativeEstimate:
+    """First-order optimality certificate along one deterministic direction.
+
+    Records the closed-loop control path per realization, re-simulates
+    open loop with u* +/- eps*direction on the same noise, and returns
+    the pathwise central-difference derivative estimate.
+
+    When ``eps`` is None it defaults to 1e-3 times the control scale:
+    larger steps trade the O(eps^2) curvature bias against Monte-Carlo
+    noise in the paired difference, which common random numbers already
+    suppress to O(eps) per path.
+    """
+    g = problem.grid
+    direction = np.asarray(direction, dtype=float)
+    if direction.shape != (g.N + 1, problem.m):
+        raise ValueError(
+            f"direction must be ({g.N + 1},{problem.m}), got {direction.shape}")
+    base = simulate_closed_loop(problem, strategy, batch)
+    if eps is None:
+        eps = 1e-3 * default_direction_scale(base.u)
+    up = simulate_open_loop(problem, base.u + eps * direction, batch)
+    dn = simulate_open_loop(problem, base.u - eps * direction, batch)
+    good = ~(base.flagged | up.flagged | dn.flagged)
+    diffs = (up.cost_samples[good] - dn.cost_samples[good]) / (2.0 * eps)
+    n_good = int(good.sum())
+    est = float(diffs.mean())
+    stderr = float(diffs.std(ddof=1) / np.sqrt(n_good)) if n_good > 1 else 0.0
+    return DerivativeEstimate(estimate=est, stderr=stderr, eps=float(eps),
+                              n_paths=n_good)
