@@ -71,10 +71,14 @@ class FeedbackStrategy:
                                 k3=self.k3, k4=self.k4, v=self.v)
 
 
+def _pointwise_gain(P: RiccatiSolution, vp: VolterraProblem) -> np.ndarray:
+    """Xi: the causal feedback's gain on the current lifted state."""
+    dgc = np.einsum("tam,tab,tbc->tmc", vp.source.D1, P.g1_table, vp.Ccal)
+    return -np.einsum("tmq,tqc->tmc", P.rcal_inv, dgc)
+
+
 def causal_gains(P: RiccatiSolution, vp: VolterraProblem) -> CausalGains:
-    src = vp.source
-    dgc = np.einsum("tam,tab,tbc->tmc", src.D1, P.g1_table, vp.Ccal)
-    Xi = -np.einsum("tmq,tqc->tmc", P.rcal_inv, dgc)
+    Xi = _pointwise_gain(P, vp)
     Gamma = -np.einsum("tiq,stjq->stij", P.rcal_inv, P.pb)
     nn = vp.grid.N + 1
     ii, jj = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
@@ -87,7 +91,7 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem,
     g = vp.grid
     N, dt, n, m = g.N, g.dt, vp.n, vp.m
     d = 3 * n
-    gains = causal_gains(P, vp)
+    Xi = _pointwise_gain(P, vp)
 
     eta = np.zeros((N + 1, N + 1, d))
     omega = np.zeros((N + 1, m))
@@ -95,12 +99,12 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem,
 
     def diagonal_and_kvec(l: int) -> None:
         g1sig = P.g1_table[l] @ problem.sigma[l]
-        mix = vp.Ccal[l] + problem.D1[l] @ gains.Xi[l]     # (n, 3n)
+        mix = vp.Ccal[l] + problem.D1[l] @ Xi[l]     # (n, 3n)
         diag = mix.T @ g1sig
         kv = problem.D1[l].T @ g1sig
         if l < N:
             closed = vp.A[l + 1:, l] + np.einsum(
-                "rbm,mc->rbc", vp.B[l + 1:, l], gains.Xi[l])
+                "rbm,mc->rbc", vp.B[l + 1:, l], Xi[l])
             diag = diag + np.einsum("rba,rb->a", closed, eta[l + 1:, l]) * dt
             kv = kv + np.einsum("rbm,rb->m", vp.B[l + 1:, l], eta[l + 1:, l]) * dt
         eta[l, l] = diag
@@ -110,13 +114,10 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem,
     diagonal_and_kvec(N)
     for l in range(N - 1, -1, -1):
         s = l + 1
-        # drift of eta(., second argument) frozen at the known node s
-        ub = np.einsum("rab,b->ra", vp.U[s:, s], problem.b[s])   # (., d)
-        sl = P.p2_slices[s]
-        w_free = np.einsum("rab,rb->ra", P.p1[s:], ub)
-        w_free = w_free + np.einsum("rqab,qb->ra", sl[:, 1:], ub[1:]) * dt
+        # drift of eta(., second argument) frozen at the known node s; the
+        # free-term star product comes from the Riccati sweep
         y = P.rcal_inv[s] @ kvec[s]
-        drift = w_free - np.einsum("ram,m->ra", P.pb[s:, s], y)
+        drift = P.pfree[s:, s] - np.einsum("ram,m->ra", P.pb[s:, s], y)
         eta[l + 1:, l] = eta[l + 1:, l + 1] + dt * drift
         diagonal_and_kvec(l)
 
@@ -220,6 +221,5 @@ def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     N, dt = vp.grid.N, vp.grid.dt
     phi = vp.phi[:N]
     single = np.einsum("ja,jab,jb->", phi, P.p1[:N], phi) * dt
-    sl0 = P.p2_slices[0]
-    double = np.einsum("ia,ijab,jb->", phi, sl0[:N, :N], phi) * dt * dt
+    double = np.einsum("ia,ijab,jb->", phi, P.slice0[:N, :N], phi) * dt * dt
     return float(single + double)

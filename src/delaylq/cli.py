@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from . import oracles
 from .adjoint import solve_adjoint, synthesize_feedback, value_function
 from .exceptions import NumericalError, ProblemValidationError
-from .presets import PRESET_NAMES, preset_problem
+from .presets import PRESET_NAMES, STEP_MULTIPLE, preset_problem
 from .problem import load_problem, validate
 from .riccati import riccati_residual, solve_riccati
 from .simulate import (estimate_cost, gen_brownian, simulate_closed_loop,
@@ -59,6 +60,45 @@ def _write_pair_table(path: str, table: np.ndarray) -> None:
             for j in range(i):
                 entries = ",".join(f"{v:.17g}" for v in table[i, j].ravel())
                 fh.write(f"{i},{j},{entries}\n")
+
+
+def _write_riccati_dump(path: str, P) -> None:
+    """Every slice of the two-time kernel, base nodes in ascending order.
+
+    One replay yields the slices from the last node back to the first;
+    each is formatted once into a spool file, and the spooled chunks are
+    then copied out in ascending order, so only one slice is held.
+    """
+    chunks = []
+    with tempfile.TemporaryFile(dir=os.path.dirname(path) or None) as spool:
+        for l, sl in P.replay():
+            lines = []
+            for a in range(sl.shape[0]):
+                for b in range(sl.shape[1]):
+                    entries = ",".join(f"{v:.17g}" for v in sl[a, b].ravel())
+                    lines.append(f"{l + a},{l + b},{l},{entries}\n")
+            data = "".join(lines).encode()
+            chunks.append((spool.tell(), len(data)))
+            spool.write(data)
+        with open(path, "wb") as fh:
+            for offset, size in reversed(chunks):
+                spool.seek(offset)
+                fh.write(spool.read(size))
+
+
+def _argument_violations(args) -> list:
+    """Flag values the commands cannot run with, before any work."""
+    out = []
+    if args.n_steps is not None and args.problem is None:
+        if args.n_steps < 1:
+            out.append(f"--n-steps must be a positive integer, "
+                       f"got {args.n_steps}")
+        elif args.n_steps % STEP_MULTIPLE != 0:
+            out.append(f"--n-steps must be divisible by {STEP_MULTIPLE} for "
+                       f"a preset (delay 0.25 on [0, 1]), got {args.n_steps}")
+    if args.command in ("simulate", "verify") and args.n_paths < 1:
+        out.append(f"--n-paths must be at least 1, got {args.n_paths}")
+    return out
 
 
 def _load_problem_from_args(args):
@@ -118,14 +158,7 @@ def cmd_solve(args) -> int:
             _write_pair_table(os.path.join(args.out, f"kernel_{name}.csv"),
                               getattr(vp, name))
     if args.dump_riccati:
-        with open(os.path.join(args.out, "riccati_p2.csv"), "w") as fh:
-            for l in range(g.N + 1):
-                sl = P.p2_slices[l]
-                for a in range(sl.shape[0]):
-                    for b in range(sl.shape[1]):
-                        entries = ",".join(f"{v:.17g}"
-                                           for v in sl[a, b].ravel())
-                        fh.write(f"{l + a},{l + b},{l},{entries}\n")
+        _write_riccati_dump(os.path.join(args.out, "riccati_p2.csv"), P)
     write_summary(os.path.join(args.out, "summary.json"), summary)
     return EXIT_OK
 
@@ -308,6 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    violations = _argument_violations(args)
+    if violations:
+        for violation in violations:
+            print(f"validation: {violation}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -130,8 +130,7 @@ def casev_consistency(P: RiccatiSolution, adjoint, strategy,
     g = vp.grid
     N, dt, n = g.N, g.dt, vp.n
     p_err = eta_err = 0.0
-    for l in range(N + 1):
-        sl = P.p2_slices[l]
+    for l, sl in P.replay():
         emb = P.p1[l + 1:, :n, :n].sum(axis=0) * dt
         emb = emb + sl[1:, 1:, :n, :n].sum(axis=(0, 1)) * dt * dt
         p_err = max(p_err, float(np.abs(emb - oracle.P[l]).max()))
@@ -182,8 +181,7 @@ def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
 
     P2c = np.zeros((N + 1, n, n))
     P3c = np.zeros((N + 1, N + 1, n, n))
-    for l in range(N + 1):
-        sl = P.p2_slices[l]
+    for l, sl in P.replay():
         M = N - l
         if M > 0:
             sel = np.zeros((M, n, 3 * n))
@@ -198,7 +196,7 @@ def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
         for q in range(l, min(l + k, N) + 1):
             acc = P.p1[q][:n, n:2 * n].copy()
             for r in range(l + 1, N + 1):
-                pair = P.p2(q, r, l)
+                pair = sl[q - l, r - l]
                 # ((pair)^T)[:n, n:2n] = (pair[n:2n, :n])^T
                 acc = acc + pair[n:2 * n, :n].T * dt
                 if r - l > k:
@@ -322,14 +320,13 @@ def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
     sufp1 = np.zeros((N + 2, n, n))
     sufp1[:N + 1] = P.p1[:, first, first]
     sufp1 = np.cumsum(sufp1[::-1], axis=0)[::-1] * dt   # sum over s >= index
-    suf2 = []
-    for l in range(N + 1):
-        sl = P.p2_slices[l][:, :, first, first]
+    suf2 = [None] * (N + 1)
+    for l, sl in P.replay(first):
         M = sl.shape[0]
         ss = np.zeros((M + 1, M + 1, n, n))
         ss[:M, :M] = sl
         ss = np.cumsum(np.cumsum(ss[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-        suf2.append(ss)
+        suf2[l] = ss
 
     def p1script(l: int, a: int, b: int) -> np.ndarray:
         """(1,1)-block window sum: first kernel over s > max(a,b) plus

@@ -12,6 +12,9 @@ import numpy as np
 from .grid import TimeGrid
 from .problem import DelayLQProblem, empty_problem
 
+#: Preset step counts must be multiples of this (delay 0.25 on [0, 1]).
+STEP_MULTIPLE = 4
+
 PRESET_NAMES = ("tanh", "input-delay", "state-delay", "distributed",
                 "pointwise", "full")
 
@@ -26,9 +29,9 @@ _DEFAULT_STEPS = {
 
 
 def _scalar_grid(n_steps: int) -> TimeGrid:
-    if n_steps % 4 != 0:
-        raise ValueError("preset step counts must be divisible by 4 "
-                         "(delay 0.25 on [0, 1])")
+    if n_steps % STEP_MULTIPLE != 0:
+        raise ValueError(f"preset step counts must be divisible by "
+                         f"{STEP_MULTIPLE} (delay 0.25 on [0, 1])")
     return TimeGrid(t0=0.0, T=1.0, N=n_steps, delay=0.25)
 
 

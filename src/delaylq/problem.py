@@ -304,9 +304,16 @@ def _kernel_to_triangular(kern: np.ndarray) -> list:
     return [[kern[i, j].tolist() for j in range(i)] for i in range(kern.shape[0])]
 
 
-def _kernel_from_triangular(rows: list, nn: int, d1: int, d2: int) -> np.ndarray:
+def _kernel_from_triangular(name: str, rows: list, nn: int, d1: int,
+                            d2: int) -> np.ndarray:
+    if len(rows) > nn:
+        raise ValueError(f"{name}: {len(rows)} rows, more than the {nn} "
+                         f"grid nodes")
     kern = np.zeros((nn, nn, d1, d2))
     for i, row in enumerate(rows):
+        if len(row) > nn:
+            raise ValueError(f"{name}: row {i} has {len(row)} entries, more "
+                             f"than the {nn} grid nodes")
         for j, mat in enumerate(row):
             kern[i, j] = np.asarray(mat, dtype=float)
     return kern
@@ -343,8 +350,8 @@ def problem_from_dict(doc: dict) -> DelayLQProblem:
         grid=grid, n=n, m=m,
         b=np.asarray(doc["b"], dtype=float),
         sigma=np.asarray(doc["sigma"], dtype=float),
-        F=_kernel_from_triangular(doc["F"], nn, n, n),
-        Ftilde=_kernel_from_triangular(doc["Ftilde"], nn, n, m),
+        F=_kernel_from_triangular("F", doc["F"], nn, n, n),
+        Ftilde=_kernel_from_triangular("Ftilde", doc["Ftilde"], nn, n, m),
         xi=np.asarray(doc["xi"], dtype=float),
         varsigma=np.asarray(doc["varsigma"], dtype=float),
         lam=float(doc["lambda"]),

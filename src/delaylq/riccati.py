@@ -11,7 +11,10 @@ Sweep at node t_l (l = N..0):
         drift frozen at t_{l+1};
   (ii)  form the selector sandwich over future nodes {l+1..N};
   (iii) set the effective control weight and the pointwise kernel;
-  (iv)  fill the boundary column/row and the symmetrized corner.
+  (iv)  fill the boundary column/row and the symmetrized corner;
+  (v)   record the frontier column and the adjoint's free-term product.
+Only the running slice is held, so storage is O(N^2 (3n)^2); time is
+O(N^3 (3n)^2).
 """
 
 from __future__ import annotations
@@ -27,29 +30,80 @@ from .volterra import VolterraProblem
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Pointwise kernel p1, two-time kernel slices, derived tables.
+    """Pointwise kernel p1, factored two-time kernel, derived tables.
 
-    ``p2_slices[l]`` has shape (N+1-l, N+1-l, 3n, 3n) and covers grid
-    pairs (i, j) with i, j >= l; local index 0 maps to global l.
+    The two-time kernel p2(i, j, l) (i, j >= l) is not stored slice by
+    slice.  The sweep advances the interior of each slice by a rank-m
+    update, so every entry is its frontier value minus a sum of those
+    updates:
+
+        p2(i, j, l) = p2(i, j, q) - dt sum_{r=l+1}^{q} pb(i, r) rcal_inv(r) pb(j, r)^T,
+        q = min(i, j),
+
+    and ``p2`` evaluates that closed form.  ``frontier[r, l]`` holds
+    p2(r, l, l) for r >= l (the boundary column and the corner the sweep
+    writes at node l; p2(l, r, l) is its transpose).  Readers that need
+    whole slices get them from ``replay``, which re-runs the sweep's own
+    recurrence backwards from the terminal corner and reproduces the
+    sweep's slices bit for bit.  ``slice0`` is the slice at node 0.
+
     ``pb[s, t]`` holds the control-kernel star product (P*B)(t_s, t_t)
-    for s >= t (the diagonal carries the limiting corner value).
+    for s >= t (the diagonal carries the limiting corner value), and
+    ``pfree[r, s]`` the free-term star product
+    p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q) with ub = U[., s] b(s),
+    which drives the adjoint sweep.  Storage is O(N^2 (3n)^2).
     """
 
     n: int
     m: int
+    dt: float
     p1: np.ndarray              # (N+1, 3n, 3n)
-    p2_slices: tuple            # of (N+1-l, N+1-l, 3n, 3n) arrays
+    frontier: np.ndarray        # (N+1, N+1, 3n, 3n); [r, l] = p2(r, l, l)
+    slice0: np.ndarray          # (N+1, N+1, 3n, 3n); [i, j] = p2(i, j, 0)
     g1_table: np.ndarray        # (N+1, n, n)
     rcal: np.ndarray            # (N+1, m, m)
     rcal_inv: np.ndarray        # (N+1, m, m)
     pb: np.ndarray              # (N+1, N+1, 3n, m)
+    pfree: np.ndarray           # (N+1, N+1, 3n)
     lambda_floor: float
 
     def p2(self, i: int, j: int, l: int) -> np.ndarray:
         """Two-time kernel at (t_i, t_j, t_l); requires l <= min(i, j)."""
         if l > min(i, j):
             raise ValueError(f"p2 needs l <= min(i, j), got ({i},{j},{l})")
-        return self.p2_slices[l][i - l, j - l]
+        q = min(i, j)
+        base = self.frontier[i, j] if i >= j else self.frontier[j, i].T
+        rs = slice(l + 1, q + 1)
+        return base - self.dt * np.einsum(
+            "ram,rmk,rbk->ab", self.pb[i, rs], self.rcal_inv[rs], self.pb[j, rs])
+
+    def replay(self, block: slice = slice(None)):
+        """Yield (l, slice_l) for l = N, N-1, ..., 0.
+
+        ``slice_l`` covers grid pairs (i, j) with i, j >= l (local index
+        0 is global l) and the lifted components ``block`` on both sides.
+        The recurrence is blockwise, so a block replay costs its share
+        of the full one.  Only the current slice is held, and it seeds
+        the next step, so callers must not modify it in place.
+        """
+        N = self.N
+        frontier = self.frontier[:, :, block, block]
+        pb = self.pb[:, :, block, :]
+        cur = frontier[N, N][None, None].copy()
+        yield N, cur
+        for l in range(N - 1, -1, -1):
+            interior = _advance(cur, pb[l + 1:, l + 1], self.rcal_inv[l + 1],
+                                self.dt)
+            cur = _bordered(interior, frontier[l + 1:, l])
+            cur[0, 0] = frontier[l, l]
+            yield l, cur
+
+    def p2_slice(self, l: int) -> np.ndarray:
+        """The whole slice at node l, replayed from the terminal node."""
+        for node, sl in self.replay():
+            if node == l:
+                return sl
+        raise ValueError(f"p2_slice needs 0 <= l <= N, got l={l}")
 
     @property
     def N(self) -> int:
@@ -60,17 +114,40 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _advance(prev: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
+             dt: float) -> np.ndarray:
+    """Interior of slice l from slice l+1: one Euler step of the rank-m drift."""
+    gain_next = pb_next @ rinv_next
+    interior = prev - dt * np.einsum(
+        "iaq,jbq->ijab", gain_next, pb_next, optimize=True
+    )
+    # elementwise averaging keeps the swap-transpose symmetry exact
+    return 0.5 * (interior + interior.transpose(1, 0, 3, 2))
+
+
+def _bordered(interior: np.ndarray, bnd: np.ndarray) -> np.ndarray:
+    """Slice l from its interior and boundary column; the corner is unset."""
+    M = interior.shape[0]
+    cur = np.empty((M + 1, M + 1) + interior.shape[2:])
+    cur[1:, 1:] = interior
+    cur[1:, 0] = bnd
+    cur[0, 1:] = bnd.transpose(0, 2, 1)
+    return cur
+
+
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     g = vp.grid
     N, dt, n, m = g.N, g.dt, vp.n, vp.m
     d = 3 * n
+    b = vp.source.b
 
     p1 = np.zeros((N + 1, d, d))
     g1_table = np.zeros((N + 1, n, n))
     rcal = np.zeros((N + 1, m, m))
     rcal_inv = np.zeros((N + 1, m, m))
     pb = np.zeros((N + 1, N + 1, d, m))
-    slices: list = [None] * (N + 1)
+    frontier = np.zeros((N + 1, N + 1, d, d))
+    pfree = np.zeros((N + 1, N + 1, d))
     eye_m = np.eye(m)
     lambda_floor = np.inf
 
@@ -89,25 +166,25 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         rcal[l] = mat
         rcal_inv[l] = cho_solve(cho_factor(mat, lower=True), eye_m)
 
+    def free_term(l: int, sl: np.ndarray) -> None:
+        ub = np.einsum("rab,b->ra", vp.U[l:, l], b[l])
+        w_free = np.einsum("rab,rb->ra", p1[l:], ub)
+        pfree[l:, l] = w_free + np.einsum("rqab,qb->ra", sl[:, 1:], ub[1:]) * dt
+
     # terminal node: empty future, sandwich vanishes
     p1[N] = _sym(vp.Q[N])
     factor_rcal(N, vp.R[N])
     corner = _sym(p1[N] @ vp.A[N, N])
-    slices[N] = corner[None, None]
+    cur = corner[None, None]
+    frontier[N, N] = corner
     pb[N, N] = p1[N] @ vp.B[N, N]
+    free_term(N, cur)
 
     for l in range(N - 1, -1, -1):
-        M = N - l
-        prev = slices[l + 1]                     # ((M, M, d, d)) over {l+1..N}^2
-        pb_next = pb[l + 1:, l + 1]              # (M, d, m)
-        gain_next = pb_next @ rcal_inv[l + 1]
-        interior = prev - dt * np.einsum(
-            "iaq,jbq->ijab", gain_next, pb_next, optimize=True
-        )
-        # elementwise averaging keeps the swap-transpose symmetry exact
-        interior = 0.5 * (interior + interior.transpose(1, 0, 3, 2))
+        # the running slice over {l+1..N}^2 is advanced, not kept
+        interior = _advance(cur, pb[l + 1:, l + 1], rcal_inv[l + 1], dt)
 
-        ups = vp.U[l + 1:, l]                    # (M, d, n)
+        ups = vp.U[l + 1:, l]                    # (N-l, d, n)
         p1_fut = p1[l + 1:]
         pu = np.einsum("sab,sbj->saj", p1_fut, ups)
         g1_val = np.einsum("sai,saj->ij", ups, pu) * dt
@@ -125,36 +202,35 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
                      - cgd @ rcal_inv[l] @ dgc)
 
         # boundary column (i, l, l) for i > l, then the symmetrized corner
-        bcol = vp.B[l + 1:, l]                   # (M, d, m)
-        g2col = pu + v_in                        # (M, d, n), selector-weighted
+        bcol = vp.B[l + 1:, l]                   # (N-l, d, m)
+        g2col = pu + v_in                        # (N-l, d, n), selector-weighted
         pa_col = np.einsum("saj,jc->sac", g2col, vp.Acal[l])
         pb_col = (np.einsum("sab,sbm->sam", p1_fut, bcol)
                   + np.einsum("srab,rbm->sam", interior, bcol, optimize=True) * dt)
         bnd = pa_col - np.einsum("sam,mq,qc->sac", pb_col, rcal_inv[l], dgc)
 
-        cur = np.empty((M + 1, M + 1, d, d))
-        cur[1:, 1:] = interior
-        cur[1:, 0] = bnd
-        cur[0, 1:] = bnd.transpose(0, 2, 1)
-        row0 = cur[0, 1:]                        # (M, d, d) = p2(l, r, l)
+        cur = _bordered(interior, bnd)
+        row0 = cur[0, 1:]                        # (N-l, d, d) = p2(l, r, l)
         pa_corner = p1[l] @ vp.A[l, l] + np.einsum("rab,rbc->ac", row0, vp.A[l + 1:, l]) * dt
         pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
         cur[0, 0] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
         if not np.isfinite(cur).all():
             raise NumericalError(f"two-time kernel non-finite at node {l}")
-        slices[l] = cur
+        frontier[l:, l] = cur[:, 0]
+        free_term(l, cur)
 
         pb[l + 1:, l] = pb_col
         pb[l, l] = pb_corner
 
     return RiccatiSolution(
-        n=n, m=m, p1=p1, p2_slices=tuple(slices), g1_table=g1_table,
-        rcal=rcal, rcal_inv=rcal_inv, pb=pb, lambda_floor=float(lambda_floor),
+        n=n, m=m, dt=dt, p1=p1, frontier=frontier, slice0=cur,
+        g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, pb=pb, pfree=pfree,
+        lambda_floor=float(lambda_floor),
     )
 
 
 # ----------------------------------------------------------------------
-# Star products over stored solutions (quadrature: right nodes {t+1..N})
+# Star products over replayed slices (quadrature: right nodes {t+1..N})
 # ----------------------------------------------------------------------
 
 def star_left(M1: np.ndarray, P: RiccatiSolution, vp: VolterraProblem,
@@ -163,7 +239,7 @@ def star_left(M1: np.ndarray, P: RiccatiSolution, vp: VolterraProblem,
     if t >= s:
         raise ValueError(f"star_left needs t < s, got t={t}, s={s}")
     dt = vp.grid.dt
-    sl = P.p2_slices[t]
+    sl = P.p2_slice(t)
     acc = M1[s, t] @ P.p1[s]
     acc = acc + np.einsum("rab,rbc->ac", M1[t + 1:, t], sl[1:, s - t]) * dt
     return acc
@@ -175,7 +251,7 @@ def star_right(P: RiccatiSolution, M2: np.ndarray, vp: VolterraProblem,
     if t >= s:
         raise ValueError(f"star_right needs t < s, got t={t}, s={s}")
     dt = vp.grid.dt
-    sl = P.p2_slices[t]
+    sl = P.p2_slice(t)
     acc = P.p1[s] @ M2[s, t]
     acc = acc + np.einsum("rab,rbc->ac", sl[s - t, 1:], M2[t + 1:, t]) * dt
     return acc
@@ -185,7 +261,7 @@ def star_sandwich(M1: np.ndarray, P: RiccatiSolution, M2: np.ndarray,
                   vp: VolterraProblem, t: int) -> np.ndarray:
     """Double star product over (t, T)^2 with right-node weights."""
     dt = vp.grid.dt
-    sl = P.p2_slices[t]
+    sl = P.p2_slice(t)
     M1f, M2f = M1[t + 1:, t], M2[t + 1:, t]
     single = np.einsum("sab,sbc,scd->ad", M1f, P.p1[t + 1:], M2f,
                        optimize=True) * dt
@@ -208,7 +284,7 @@ def g2(P: RiccatiSolution, vp: VolterraProblem, sbar: int, t: int) -> np.ndarray
     if sbar < t:
         raise ValueError(f"g2 needs sbar >= t, got sbar={sbar}, t={t}")
     dt = vp.grid.dt
-    sl = P.p2_slices[t]
+    sl = P.p2_slice(t)
     acc = P.p1[sbar] @ vp.U[sbar, t]
     acc = acc + np.einsum("rab,rbj->aj", sl[sbar - t, 1:], vp.U[t + 1:, t]) * dt
     return acc
@@ -255,7 +331,7 @@ def g3(P: RiccatiSolution, vp: VolterraProblem, s: int, t: int,
     if s <= t:
         raise ValueError(f"g3 needs s > t, got s={s}, t={t}")
     dt = vp.grid.dt
-    sl = P.p2_slices[t]
+    sl = P.p2_slice(t)
     acc = np.zeros((3 * vp.n, 3 * vp.n))
     if theta <= s:
         acc += P.p1[s] @ pi_matrix(vp, s, t, theta)
@@ -303,14 +379,15 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     prof_point = np.zeros(N + 1)
     prof_bound = np.zeros(N)
     prof_evol = np.zeros(N)
-    for l in range(N + 1):
+    k = g.delay_steps
+    nxt = None                                    # slice l+1 of the replay
+    for l, sl in P.replay():
         w = np.full(N + 1 - l, dt)
         w[0] *= 0.5
         w[-1] *= 0.5
         if l == N:
             w[:] = 0.0
         ups = vp.U[l:, l]
-        sl = P.p2_slices[l]
         pu = np.einsum("sab,sbj->saj", P.p1[l:], ups)
         g1t = np.einsum("s,sai,saj->ij", w, ups, pu)
         v_in = np.einsum("t,stab,tbj->saj", w, sl, ups, optimize=True)
@@ -335,20 +412,19 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
                 "sam,mq,qc->sac", pbt[1:], rct_inv, dgc))
             prof_bound[l] = float(np.abs(lhs3).max())
 
-    k = g.delay_steps
-    for l in range(N):
-        if l == N - k - 1 and np.abs(src.R2).max() > 0:
-            continue  # effective weight jumps one delay before the horizon
-        fd = (P.p2_slices[l + 1] - P.p2_slices[l][1:, 1:]) / dt
-        pb_rows = P.pb[l + 1:, l]
-        drift = np.einsum("iam,mq,jbq->ijab", pb_rows, P.rcal_inv[l],
-                          pb_rows, optimize=True)
-        idx = np.arange(l + 1, N + 1) - l
-        smooth = (np.abs(idx - k) > 1) & (np.abs(idx - 2 * k) > 1)
-        mask = smooth[:, None] & smooth[None, :]
-        if mask.any():
-            per_pair = np.abs(fd - drift).max(axis=(2, 3))
-            prof_evol[l] = float(per_pair[mask].max())
+            # effective weight jumps one delay before the horizon
+            if not (l == N - k - 1 and np.abs(src.R2).max() > 0):
+                fd = (nxt - sl[1:, 1:]) / dt
+                pb_rows = P.pb[l + 1:, l]
+                drift = np.einsum("iam,mq,jbq->ijab", pb_rows, P.rcal_inv[l],
+                                  pb_rows, optimize=True)
+                idx = np.arange(l + 1, N + 1) - l
+                smooth = (np.abs(idx - k) > 1) & (np.abs(idx - 2 * k) > 1)
+                mask = smooth[:, None] & smooth[None, :]
+                if mask.any():
+                    per_pair = np.abs(fd - drift).max(axis=(2, 3))
+                    prof_evol[l] = float(per_pair[mask].max())
+        nxt = sl
 
     return RiccatiResiduals(
         pointwise=float(prof_point.max()),

@@ -31,7 +31,7 @@ def _solve(problem):
 def _embedded_value_kernel_at_start(P, vp):
     dt = vp.grid.dt
     return (P.p1[1:, 0, 0].sum() * dt
-            + P.p2_slices[0][1:, 1:, 0, 0].sum() * dt * dt)
+            + P.slice0[1:, 1:, 0, 0].sum() * dt * dt)
 
 
 class TestCriterion1DelayFreeConsistency:
@@ -113,7 +113,7 @@ class TestCriterion4RiccatiStructuralInvariants:
                          np.abs(P.p1 - P.p1.transpose(0, 2, 1)).max())
             sym_p2 = max(sym_p2,
                          max(np.abs(sl - sl.transpose(1, 0, 3, 2)).max()
-                             for sl in P.p2_slices))
+                             for _, sl in P.replay()))
             floor_ok &= P.lambda_floor >= 0.5 * p.lam
         pz = dl.empty_problem(dl.TimeGrid(0.0, 1.0, 40, 0.25), 1, 1)
         pz.R1[:] = 1.0
@@ -122,7 +122,7 @@ class TestCriterion4RiccatiStructuralInvariants:
         pz.C1[:] = 0.3
         Pz = dl.solve_riccati(dl.build_volterra(pz))
         zero_ok = (np.abs(Pz.p1).max() == 0.0
-                   and max(np.abs(sl).max() for sl in Pz.p2_slices) == 0.0)
+                   and max(np.abs(sl).max() for _, sl in Pz.replay()) == 0.0)
         ok = sym_p1 == 0.0 and sym_p2 == 0.0 and floor_ok and zero_ok
         _report(4, ok, f"p1 asym {sym_p1}, p2 asym {sym_p2}, "
                        f"floor>=0.5lam {floor_ok}, zero fixed point {zero_ok}")

@@ -1,6 +1,9 @@
 """Command-line front end: artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +120,31 @@ class TestVerify:
     def test_unknown_toggle_rejected(self, tmp_path, capsys):
         assert run(["verify", "--preset", "tanh", "--verify", "bogus",
                     "--out", tmp_path / "o"]) == 1
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "full", "--n-steps", "10"],
+        ["solve", "--preset", "full", "--n-steps", "0"],
+        ["solve", "--n-steps", "-4"],
+        ["simulate", "--preset", "full", "--n-steps", "8", "--n-paths", "0"],
+    ])
+    def test_bad_arguments_exit_one_without_traceback(self, argv, tmp_path):
+        # a separate interpreter, so an escaping exception would show up
+        # on stderr as it does for a user
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(dl.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "delaylq.cli", *argv,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestReproducibility:

@@ -53,7 +53,7 @@ def test_full_pipeline_with_planar_state(m):
     vp, P, adj, strat = pipeline(p)
     assert P.lambda_floor >= 0.5 * p.lam
     assert max(np.abs(sl - sl.transpose(1, 0, 3, 2)).max()
-               for sl in P.p2_slices) == 0.0
+               for _, sl in P.replay()) == 0.0
 
     batch = dl.gen_brownian(p.grid, 4, seed=3)
     u = np.random.default_rng(1).standard_normal((4, p.grid.N + 1, m))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delaylq as dl
+from delaylq.cli import main as cli_main
 from delaylq.problem import ExtendedSddeSpec, from_extended_sdde
 
 
@@ -160,6 +161,23 @@ class TestSerialization:
             assert key in doc
         # kernels are triangular: row i holds i entries
         assert [len(row) for row in doc["F"]] == list(range(p.grid.N + 1))
+
+    @pytest.mark.parametrize("field", ["F", "Ftilde"])
+    def test_overlong_kernel_row_names_the_field(self, tmp_path, field):
+        doc = dl.problem_to_dict(dl.preset_problem("tanh", 8))
+        doc[field][3] = [[[0.0]]] * 20
+        with pytest.raises(ValueError, match=f"^{field}: row 3 has 20"):
+            dl.problem_from_dict(doc)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", "--problem", str(path),
+                            "--out", str(tmp_path / "o")]) == 1
+
+    def test_too_many_kernel_rows_names_the_field(self):
+        doc = dl.problem_to_dict(dl.preset_problem("tanh", 8))
+        doc["F"] = doc["F"] + [[]]
+        with pytest.raises(ValueError, match="^F: 10 rows"):
+            dl.problem_from_dict(doc)
 
 
 class TestTimeGrid:

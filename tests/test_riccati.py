@@ -1,9 +1,12 @@
 """Backward solver: fixed points, symmetry, star products, evaluators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import delaylq as dl
+from delaylq.cli import main as cli_main
 from delaylq.riccati import (RiccatiSolution, g1, g2, g3, star_left,
                              star_right, star_sandwich)
 
@@ -31,7 +34,7 @@ class TestFixedPointsAndSymmetry:
     def test_zero_weights_give_zero_solution_exactly(self):
         vp, P = zero_weight_solution()
         assert np.abs(P.p1).max() == 0.0
-        assert max(np.abs(s).max() for s in P.p2_slices) == 0.0
+        assert max(np.abs(s).max() for _, s in P.replay()) == 0.0
         np.testing.assert_array_equal(P.rcal, vp.R)
 
     def test_p1_symmetry_exact(self, solve_preset):
@@ -44,7 +47,7 @@ class TestFixedPointsAndSymmetry:
             P = solve_preset(name, 20).P
             worst = max(
                 np.abs(sl - sl.transpose(1, 0, 3, 2)).max()
-                for sl in P.p2_slices)
+                for _, sl in P.replay())
             assert worst == 0.0
 
     def test_weight_floor_holds_on_all_presets(self, solve_preset):
@@ -60,6 +63,85 @@ class TestFixedPointsAndSymmetry:
             dl.solve_riccati(vp)
 
 
+#: sha256 of ``solve --dump-riccati --n-steps 16`` per preset, taken from
+#: the solver that stored every slice of the two-time kernel.
+DUMP16_SHA256 = {
+    "tanh": "fc19bdb8f5eced835295ab3f257b296340be3e5cb5074ba5b9b6e4f5c52c4afb",
+    "input-delay": "42101c06916fb15762014b933eb658e7e04ae614a7e47ad8d9c6701287599320",
+    "state-delay": "d7dc82eb6826b8bc5844b4f87223add2e0f685ff7a8d6c11d9cc1d3acc629e56",
+    "distributed": "05e78d6f9b5028a3a5f411f0b558309e5c8f0c06b84910a9af124be9cdeb3721",
+    "pointwise": "f5eccc0ffa4d69babbdc8e36385bb8fecbfbab57a56f02031d1d1628901add06",
+    "full": "997aea047bab89873f15086d7dce869f19dbea586ff6c4c189aca82412909b6c",
+}
+
+
+class TestFactoredKernel:
+    def test_closed_form_matches_replay_on_all_presets(self, solve_preset):
+        for name in dl.PRESET_NAMES:
+            P = solve_preset(name, 24).P
+            worst = 0.0
+            for l, sl in P.replay():
+                for i in range(l, P.N + 1):
+                    for j in range(l, P.N + 1):
+                        worst = max(worst, float(np.abs(
+                            P.p2(i, j, l) - sl[i - l, j - l]).max()))
+            assert worst <= 1e-12, (name, worst)
+
+    def test_replay_reproduces_stored_tables_exactly(self, solve_preset):
+        for name in dl.PRESET_NAMES:
+            P = solve_preset(name, 24).P
+            for l, sl in P.replay():
+                assert sl.shape == (P.N + 1 - l,) * 2 + (3 * P.n,) * 2
+                np.testing.assert_array_equal(sl[:, 0], P.frontier[l:, l])
+            np.testing.assert_array_equal(sl, P.slice0)
+
+    def test_block_replay_matches_full_replay(self, solve_preset):
+        P = solve_preset("full", 24).P
+        first = slice(0, P.n)
+        for (l, full), (lb, block) in zip(P.replay(), P.replay(first)):
+            assert l == lb
+            np.testing.assert_array_equal(block, full[:, :, first, first])
+
+    def test_free_term_table_is_the_star_product(self, solve_preset):
+        s = solve_preset("full", 24)
+        P, vp, b = s.P, s.vp, s.problem.b
+        dt, N = vp.grid.dt, vp.grid.N
+        for sn in (0, 5, 17, N):
+            ub = np.einsum("rab,b->ra", vp.U[:, sn], b[sn])
+            for r in range(sn, N + 1):
+                want = P.p1[r] @ ub[r] + sum(
+                    (P.p2(r, q, sn) @ ub[q] for q in range(sn + 1, N + 1)),
+                    np.zeros(3 * P.n)) * dt
+                np.testing.assert_allclose(P.pfree[r, sn], want,
+                                           rtol=0, atol=1e-12)
+
+    def test_stored_tables_are_quadratic_in_the_horizon(self, solve_preset):
+        P = solve_preset("full", 48).P
+        d, nn = 3 * P.n, P.N + 1
+        arrays = [v for v in vars(P).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) <= nn * nn * d * d
+        assert sum(a.nbytes for a in arrays) <= 4 * nn * nn * d * d * 8
+
+    def test_domain_errors(self, solve_preset):
+        P = solve_preset("tanh", 16).P
+        with pytest.raises(ValueError):
+            P.p2(3, 5, 4)
+        with pytest.raises(ValueError):
+            P.p2_slice(17)
+
+    @pytest.mark.parametrize("name", sorted(DUMP16_SHA256))
+    def test_dump_riccati_output_is_pinned(self, name, tmp_path):
+        out = tmp_path / "run"
+        assert cli_main(["solve", "--preset", name, "--n-steps", "16",
+                         "--dump-riccati", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "riccati_p2.csv").read_bytes())
+        assert digest.hexdigest() == DUMP16_SHA256[name]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["summary.json", "feedback_k1.csv", "feedback_k2.csv",
+             "feedback_k3.csv", "feedback_k4.csv", "feedback_v.csv",
+             "riccati_p1.csv", "riccati_p2.csv"])
+
+
 class TestClosedFormAnchor:
     def test_no_delay_embedding_approaches_tanh(self):
         errs = {}
@@ -69,7 +151,7 @@ class TestClosedFormAnchor:
             P = dl.solve_riccati(vp)
             dt = p.grid.dt
             emb = (P.p1[1:, 0, 0].sum() * dt
-                   + P.p2_slices[0][1:, 1:, 0, 0].sum() * dt * dt)
+                   + P.slice0[1:, 1:, 0, 0].sum() * dt * dt)
             errs[N] = abs(emb - np.tanh(1.0))
         assert errs[40] < 0.02
         ratio = errs[40] / errs[80]
@@ -80,7 +162,7 @@ class TestClosedFormAnchor:
         scaled = solve_preset("pointwise", 20, 3.0)
         np.testing.assert_allclose(scaled.P.p1, 3.0 * base.P.p1,
                                    rtol=0, atol=1e-12)
-        for a, b in zip(scaled.P.p2_slices, base.P.p2_slices):
+        for (_, a), (_, b) in zip(scaled.P.replay(), base.P.replay()):
             np.testing.assert_allclose(a, 3.0 * b, rtol=0, atol=1e-12)
 
 
@@ -106,21 +188,23 @@ class TestStarProducts:
         vp = dl.build_volterra(p)
         d = 3
         p1 = np.tile(np.diag([2.0, 3.0, 4.0]), (9, 1, 1))
-        slices = tuple(np.zeros((9 - l, 9 - l, d, d)) for l in range(9))
-        P = RiccatiSolution(n=1, m=1, p1=p1, p2_slices=slices,
-                            g1_table=np.zeros((9, 1, 1)),
+        zero_p2 = np.zeros((9, 9, d, d))
+        P = RiccatiSolution(n=1, m=1, dt=g.dt, p1=p1, frontier=zero_p2,
+                            slice0=zero_p2, g1_table=np.zeros((9, 1, 1)),
                             rcal=np.tile(np.eye(1), (9, 1, 1)),
                             rcal_inv=np.tile(np.eye(1), (9, 1, 1)),
-                            pb=np.zeros((9, 9, d, 1)), lambda_floor=1.0)
+                            pb=np.zeros((9, 9, d, 1)),
+                            pfree=np.zeros((9, 9, d)), lambda_floor=1.0)
         ident = np.tile(np.eye(d), (9, 9, 1, 1))
         np.testing.assert_array_equal(star_left(ident, P, vp, 5, 2), p1[5])
         np.testing.assert_array_equal(star_right(P, ident, vp, 5, 2), p1[5])
         # sandwich of the identity against constant p1 integrates exactly
-        const = RiccatiSolution(n=1, m=1, p1=np.tile(np.eye(d), (9, 1, 1)),
-                                p2_slices=slices,
+        const = RiccatiSolution(n=1, m=1, dt=g.dt,
+                                p1=np.tile(np.eye(d), (9, 1, 1)),
+                                frontier=zero_p2, slice0=zero_p2,
                                 g1_table=np.zeros((9, 1, 1)),
                                 rcal=P.rcal, rcal_inv=P.rcal_inv,
-                                pb=P.pb, lambda_floor=1.0)
+                                pb=P.pb, pfree=P.pfree, lambda_floor=1.0)
         val = star_sandwich(ident, const, ident, vp, 2)
         np.testing.assert_allclose(val, (1.0 - g.time(2)) * np.eye(d),
                                    atol=1e-14)
@@ -166,7 +250,7 @@ class TestEvaluators:
         dt = s.problem.grid.dt
         for l in (0, 10, 30):
             emb = (s.P.p1[l + 1:, 0, 0].sum() * dt
-                   + s.P.p2_slices[l][1:, 1:, 0, 0].sum() * dt * dt)
+                   + s.P.p2_slice(l)[1:, 1:, 0, 0].sum() * dt * dt)
             assert g1(s.P, l)[0, 0] == pytest.approx(emb, abs=1e-13)
 
     def test_g3_regrouping_matches_star_product(self, solve_preset):
