@@ -11,15 +11,14 @@ from .problem import (DelayLQProblem, ExtendedSddeSpec, ValidationReport,
                       load_problem, problem_from_dict, problem_to_dict,
                       save_problem, validate)
 from .presets import PRESET_NAMES, preset_problem
-from .riccati import (RiccatiResiduals, RiccatiSolution, g1, g2, g3,
-                      pi_matrix, riccati_residual, solve_riccati, star_left,
-                      star_right, star_sandwich)
+from .riccati import (RiccatiResiduals, RiccatiSolution, riccati_residual,
+                      solve_riccati)
 from .simulate import (BrownianBatch, CostEstimate, DerivativeEstimate,
                        SimulationBatch, estimate_cost, gen_brownian,
-                       path_costs, simulate_closed_loop, simulate_open_loop,
+                       simulate_closed_loop, simulate_open_loop,
                        stationarity_test)
 from .volterra import (VolterraProblem, build_volterra, cost_volterra,
-                       lift_state, script_e)
+                       lift_state, lifted_kernel)
 
 __all__ = [
     "AdjointSolution", "BrownianBatch", "CausalGains", "CostEstimate",
@@ -28,12 +27,11 @@ __all__ = [
     "ProblemValidationError", "RiccatiResiduals", "RiccatiSolution",
     "SimulationBatch", "TimeGrid", "ValidationReport", "VolterraProblem",
     "build_volterra", "causal_gains", "constant_table", "cost_volterra",
-    "empty_problem", "estimate_cost", "from_extended_sdde", "g1", "g2", "g3",
-    "gen_brownian", "lift_state", "load_problem", "path_costs", "pi_matrix",
-    "preset_problem", "problem_from_dict", "problem_to_dict",
-    "riccati_residual", "save_problem", "script_e", "simulate_closed_loop",
-    "simulate_open_loop", "solve_adjoint", "solve_riccati",
-    "star_left", "star_right", "star_sandwich", "stationarity_test",
+    "empty_problem", "estimate_cost", "from_extended_sdde", "gen_brownian",
+    "lift_state", "lifted_kernel", "load_problem", "preset_problem",
+    "problem_from_dict", "problem_to_dict", "riccati_residual",
+    "save_problem", "simulate_closed_loop", "simulate_open_loop",
+    "solve_adjoint", "solve_riccati", "stationarity_test",
     "synthesize_feedback", "validate", "value_function",
 ]
 

@@ -40,16 +40,12 @@ class AdjointSolution:
 
     ``eta[i, j]`` approximates the pair solution at (t_i, t_j), j <= i,
     diagonal included; the martingale component is identically zero
-    under the deterministic-data restriction, and ``omega`` is the
-    offset of the causal feedback.
+    under the deterministic-data restriction and is not stored, and
+    ``omega`` is the offset of the causal feedback.
     """
 
     eta: np.ndarray     # (N+1, N+1, 3n)
     omega: np.ndarray   # (N+1, m)
-
-    @property
-    def zeta(self) -> np.ndarray:
-        return np.zeros_like(self.eta)
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem,
         diag = mix.T @ g1sig
         kv = problem.D1[l].T @ g1sig
         if l < N:
-            closed = vp.A[l + 1:, l] + np.einsum(
+            closed = vp.a_column(l)[1:] + np.einsum(
                 "rbm,mc->rbc", vp.B[l + 1:, l], Xi[l])
             diag = diag + np.einsum("rba,rb->a", closed, eta[l + 1:, l]) * dt
             kv = kv + np.einsum("rbm,rb->m", vp.B[l + 1:, l], eta[l + 1:, l]) * dt

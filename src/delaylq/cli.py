@@ -1,14 +1,15 @@
 """Command-line front end: solve, simulate, verify.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure,
-3 I/O failure.  The run summary is a flat JSON document with sorted
-keys and floats printed to 17 significant digits, so identical configs
-and seeds produce byte-identical summaries.
+Exit codes: 0 success, 1 validation failure (usage errors included),
+2 numerical failure, 3 I/O failure.  The run summary is a flat JSON
+document with sorted keys and floats printed to 17 significant digits,
+so identical configs and seeds produce byte-identical summaries.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -23,7 +24,7 @@ from .problem import load_problem, validate
 from .riccati import riccati_residual, solve_riccati
 from .simulate import (estimate_cost, gen_brownian, simulate_closed_loop,
                        stationarity_test)
-from .volterra import build_volterra
+from .volterra import build_volterra, lifted_kernel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -98,6 +99,8 @@ def _argument_violations(args) -> list:
                        f"a preset (delay 0.25 on [0, 1]), got {args.n_steps}")
     if args.command in ("simulate", "verify") and args.n_paths < 1:
         out.append(f"--n-paths must be at least 1, got {args.n_paths}")
+    if args.eps is not None and not (math.isfinite(args.eps) and args.eps > 0):
+        out.append(f"--eps must be a positive finite number, got {args.eps}")
     return out
 
 
@@ -154,9 +157,12 @@ def cmd_solve(args) -> int:
     _write_pair_table(os.path.join(args.out, "feedback_k4.csv"), strategy.k4)
     _write_node_table(os.path.join(args.out, "riccati_p1.csv"), g, P.p1)
     if args.dump_kernels:
-        for name in ("A", "B", "C", "D"):
+        kernels = {"A": lifted_kernel(vp.U, vp.Acal), "B": vp.B,
+                   "C": lifted_kernel(vp.U, vp.Ccal),
+                   "D": lifted_kernel(vp.U, problem.D1)}
+        for name, table in kernels.items():
             _write_pair_table(os.path.join(args.out, f"kernel_{name}.csv"),
-                              getattr(vp, name))
+                              table)
     if args.dump_riccati:
         _write_riccati_dump(os.path.join(args.out, "riccati_p2.csv"), P)
     write_summary(os.path.join(args.out, "summary.json"), summary)
@@ -173,16 +179,12 @@ def cmd_simulate(args) -> int:
     est = estimate_cost(problem, sim)
 
     n_show = min(args.n_paths, 5)
-    with open(os.path.join(args.out, "paths_x.csv"), "w") as fh:
-        for j in range(g.N + 1):
-            cols = ",".join(f"{v:.17g}" for p in range(n_show)
-                            for v in sim.x[p, j])
-            fh.write(f"{g.time(j):.17g},{cols}\n")
-    with open(os.path.join(args.out, "paths_u.csv"), "w") as fh:
-        for j in range(g.N + 1):
-            cols = ",".join(f"{v:.17g}" for p in range(n_show)
-                            for v in sim.u[p, j])
-            fh.write(f"{g.time(j):.17g},{cols}\n")
+    for name, paths in (("paths_x.csv", sim.x), ("paths_u.csv", sim.u)):
+        with open(os.path.join(args.out, name), "w") as fh:
+            for j in range(g.N + 1):
+                cols = ",".join(f"{v:.17g}" for p in range(n_show)
+                                for v in paths[p, j])
+                fh.write(f"{g.time(j):.17g},{cols}\n")
 
     summary = {
         "preset": preset or "custom",
@@ -200,10 +202,8 @@ def cmd_simulate(args) -> int:
 
 def _verify_residuals(problem, vp, P, summary, out_dir) -> None:
     res = riccati_residual(P, vp)
-    summary["residual_pointwise"] = res.pointwise
-    summary["residual_evolution"] = res.evolution
-    summary["residual_boundary"] = res.boundary
-    summary["residual_rcal_identity"] = res.rcal_identity
+    for line in ("pointwise", "evolution", "boundary", "rcal_identity"):
+        summary[f"residual_{line}"] = getattr(res, line)
     with open(os.path.join(out_dir, "residuals.csv"), "w") as fh:
         fh.write("node,pointwise,evolution,boundary\n")
         for l in range(problem.grid.N + 1):
@@ -217,25 +217,15 @@ def _verify_cases(problem, vp, P, adj, strategy, preset, summary) -> None:
     if preset == "tanh":
         oracle = oracles.classical_riccati(problem)
         rep = oracles.casev_consistency(P, adj, strategy, oracle, vp)
-        summary["casev_p_error"] = rep.p_error
-        summary["casev_eta_error"] = rep.eta_error
-        summary["casev_k1_error"] = rep.k1_error
-        summary["casev_v_error"] = rep.v_error
+        summary.update({f"casev_{k}": v for k, v in vars(rep).items()})
     elif preset == "input-delay":
         ext = oracles.casei_extract(P, vp)
         res = oracles.casei_residual(ext, problem)
-        summary["casei_ode_residual"] = res.ode
-        summary["casei_transport1_residual"] = res.transport1
-        summary["casei_transport2_residual"] = res.transport2
-        summary["casei_boundary_residual"] = res.boundary
+        summary.update({f"casei_{k}_residual": v for k, v in vars(res).items()})
     elif preset == "state-delay":
         ext = oracles.caseii_extract(P, vp)
         res = oracles.caseii_residual(ext, problem)
-        summary["caseii_ode_late"] = res.ode_late
-        summary["caseii_ode_early"] = res.ode_early
-        summary["caseii_transport_late"] = res.transport_late
-        summary["caseii_transport_early"] = res.transport_early
-        summary["caseii_diagonal"] = res.diagonal
+        summary.update({f"caseii_{k}": v for k, v in vars(res).items()})
     else:
         print(f"case reductions undefined for preset {preset!r}; skipping",
               file=sys.stderr)
@@ -310,8 +300,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """One-line usage errors with the validation exit code (subparsers too)."""
+
+    def error(self, message):
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delaylq",
         description="Stochastic LQ control with delays: solve the lifted "
                     "Riccati system, synthesize feedback, simulate, verify.")
@@ -340,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    violations = _argument_violations(args)
-    if violations:
-        for violation in violations:
-            print(f"validation: {violation}", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
+        args = build_parser().parse_args(argv)
+        violations = _argument_violations(args)
+        if violations:
+            for violation in violations:
+                print(f"validation: {violation}", file=sys.stderr)
+            return EXIT_VALIDATION
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK

@@ -1,10 +1,10 @@
 """Backward-in-time solver for the lifted Riccati system.
 
-The primary sweep works in the star-product form, which only touches the
-regular lifted kernels.  The averaged-selector evaluators (pi_matrix,
-g1/g2/g3) reproduce the same quantities through the singular-looking
-regrouped form; with the shared quadrature conventions the two routes
-agree to roundoff, which the tests pin at 1e-10.
+The sweep works in the star-product form, which only touches the
+regular lifted kernels.  The averaged-selector evaluators in
+``oracles`` (pi_matrix, g1/g2/g3) reproduce the same quantities through the
+singular-looking regrouped form; with the shared quadrature conventions
+the two routes agree to roundoff, which the tests pin at 1e-10.
 
 Sweep at node t_l (l = N..0):
   (i)   advance every interior pair one explicit Euler step with the
@@ -174,7 +174,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     # terminal node: empty future, sandwich vanishes
     p1[N] = _sym(vp.Q[N])
     factor_rcal(N, vp.R[N])
-    corner = _sym(p1[N] @ vp.A[N, N])
+    corner = _sym(p1[N] @ vp.a_column(N)[0])
     cur = corner[None, None]
     frontier[N, N] = corner
     pb[N, N] = p1[N] @ vp.B[N, N]
@@ -211,7 +211,8 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
 
         cur = _bordered(interior, bnd)
         row0 = cur[0, 1:]                        # (N-l, d, d) = p2(l, r, l)
-        pa_corner = p1[l] @ vp.A[l, l] + np.einsum("rab,rbc->ac", row0, vp.A[l + 1:, l]) * dt
+        acol = vp.a_column(l)                    # (N-l+1, d, d) = A(r, l)
+        pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
         pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
         cur[0, 0] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
         if not np.isfinite(cur).all():
@@ -227,117 +228,6 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, pb=pb, pfree=pfree,
         lambda_floor=float(lambda_floor),
     )
-
-
-# ----------------------------------------------------------------------
-# Star products over replayed slices (quadrature: right nodes {t+1..N})
-# ----------------------------------------------------------------------
-
-def star_left(M1: np.ndarray, P: RiccatiSolution, vp: VolterraProblem,
-              s: int, t: int) -> np.ndarray:
-    """M1(s,t) p1(s) + int_t^T M1(r,t) p2(r,s,t) dr for t < s."""
-    if t >= s:
-        raise ValueError(f"star_left needs t < s, got t={t}, s={s}")
-    dt = vp.grid.dt
-    sl = P.p2_slice(t)
-    acc = M1[s, t] @ P.p1[s]
-    acc = acc + np.einsum("rab,rbc->ac", M1[t + 1:, t], sl[1:, s - t]) * dt
-    return acc
-
-
-def star_right(P: RiccatiSolution, M2: np.ndarray, vp: VolterraProblem,
-               s: int, t: int) -> np.ndarray:
-    """p1(s) M2(s,t) + int_t^T p2(s,r,t) M2(r,t) dr for t < s."""
-    if t >= s:
-        raise ValueError(f"star_right needs t < s, got t={t}, s={s}")
-    dt = vp.grid.dt
-    sl = P.p2_slice(t)
-    acc = P.p1[s] @ M2[s, t]
-    acc = acc + np.einsum("rab,rbc->ac", sl[s - t, 1:], M2[t + 1:, t]) * dt
-    return acc
-
-
-def star_sandwich(M1: np.ndarray, P: RiccatiSolution, M2: np.ndarray,
-                  vp: VolterraProblem, t: int) -> np.ndarray:
-    """Double star product over (t, T)^2 with right-node weights."""
-    dt = vp.grid.dt
-    sl = P.p2_slice(t)
-    M1f, M2f = M1[t + 1:, t], M2[t + 1:, t]
-    single = np.einsum("sab,sbc,scd->ad", M1f, P.p1[t + 1:], M2f,
-                       optimize=True) * dt
-    inner = np.einsum("stab,tbc->sac", sl[1:, 1:], M2f, optimize=True) * dt
-    double = np.einsum("sab,sbc->ac", M1f, inner) * dt
-    return single + double
-
-
-# ----------------------------------------------------------------------
-# Regrouped evaluators
-# ----------------------------------------------------------------------
-
-def g1(P: RiccatiSolution, t: int) -> np.ndarray:
-    """Selector sandwich at node t (n x n), as stored by the sweep."""
-    return P.g1_table[t]
-
-
-def g2(P: RiccatiSolution, vp: VolterraProblem, sbar: int, t: int) -> np.ndarray:
-    """p1(sbar) U(sbar,t) + int_t^T p2(sbar,r,t) U(r,t) dr  (3n x n)."""
-    if sbar < t:
-        raise ValueError(f"g2 needs sbar >= t, got sbar={sbar}, t={t}")
-    dt = vp.grid.dt
-    sl = P.p2_slice(t)
-    acc = P.p1[sbar] @ vp.U[sbar, t]
-    acc = acc + np.einsum("rab,rbj->aj", sl[sbar - t, 1:], vp.U[t + 1:, t]) * dt
-    return acc
-
-
-def pi_matrix(vp: VolterraProblem, s: int, t: int, theta: int) -> np.ndarray:
-    """Averaged selector block matrix (3n x 3n); requires s > t.
-
-    The 1/(s-t) entries are exact averages over the theta nodes
-    {t+1..s}; they are never evaluated at s = t.
-    """
-    if s <= t:
-        raise ValueError(f"pi_matrix needs s > t, got s={s}, t={t}")
-    g = vp.grid
-    n, k, N = vp.n, g.delay_steps, g.N
-    inv = 1.0 / ((s - t) * g.dt)
-    eye = np.eye(n)
-    out = np.zeros((3 * n, 3 * n))
-    i1 = 1.0 if s - t > k else 0.0
-    i2 = 1.0 if s - t > 2 * k else 0.0
-    i3 = 1.0 if s - theta > k else 0.0
-    out[:n, :n] = inv * eye
-    out[:n, n:2 * n] = inv * i1 * eye
-    out[:n, 2 * n:] = eye
-    out[n:2 * n, :n] = inv * i1 * eye
-    out[n:2 * n, n:2 * n] = inv * i2 * eye
-    out[n:2 * n, 2 * n:] = i3 * eye
-    out[2 * n:, :n] = inv * vp.E[s, t]
-    out[2 * n:, n:2 * n] = inv * (vp.E[s, t + k] if t + k <= N else 0.0)
-    out[2 * n:, 2 * n:] = vp.E[s, theta]
-    return out
-
-
-def g3(P: RiccatiSolution, vp: VolterraProblem, s: int, t: int,
-       theta: int) -> np.ndarray:
-    """Regrouped two-time evaluator (3n x 3n) at theta in {t+1..N}.
-
-    The pointwise term is active for theta <= s; the tail integral runs
-    over r in {theta..N} so that pairing with the theta nodes {t+1..s}
-    reconstructs the control kernel exactly.
-    """
-    if not (t < theta <= vp.grid.N):
-        raise ValueError(f"g3 needs t < theta <= N, got t={t}, theta={theta}")
-    if s <= t:
-        raise ValueError(f"g3 needs s > t, got s={s}, t={t}")
-    dt = vp.grid.dt
-    sl = P.p2_slice(t)
-    acc = np.zeros((3 * vp.n, 3 * vp.n))
-    if theta <= s:
-        acc += P.p1[s] @ pi_matrix(vp, s, t, theta)
-    for r in range(theta, vp.grid.N + 1):
-        acc += sl[s - t, r - t] @ pi_matrix(vp, r, t, theta) * dt
-    return acc
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,16 @@
 
 One scheme everywhere: explicit Euler with left-point (Ito) evaluation
 of every integrand, matching the left-rectangle quadrature used by the
-lifting and cost modules.  Paths are vectorized; the per-step history
-quadratures are recomputed in full because the memory kernels depend on
-both time arguments.
+lifting and cost modules.  Paths are vectorized, and one stepping loop
+serves the open and the closed loop.  Each step forms its history
+quadratures once, in full, because the memory kernels depend on both
+time arguments; the running cost reuses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -80,11 +81,11 @@ def _delayed_control(problem: DelayLQProblem, u: np.ndarray, j: int) -> np.ndarr
 
 def _memory_terms(problem: DelayLQProblem, x: np.ndarray, u: np.ndarray,
                   j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distributed-delay integrals z_j, mu_j by left-rectangle quadrature."""
+    """Distributed-delay integrals z_j, mu_j by left-rectangle quadrature.
+
+    At j = 0 the sums are empty and both are exact zeros.
+    """
     dt = problem.grid.dt
-    if j == 0:
-        P = x.shape[0]
-        return np.zeros((P, problem.n)), np.zeros((P, problem.n))
     z = np.einsum("lab,plb->pa", problem.F[j, :j], x[:, :j]) * dt
     mu = np.einsum("lab,plb->pa", problem.Ftilde[j, :j], u[:, :j]) * dt
     return z, mu
@@ -109,22 +110,40 @@ def _euler_step(problem: DelayLQProblem, j: int, x: np.ndarray,
     return x + drift * problem.grid.dt + diff * dw[:, None]
 
 
-def path_costs(problem: DelayLQProblem, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-path left-rectangle quadrature of the running quadratic cost."""
+def _simulate(problem: DelayLQProblem, batch: BrownianBatch,
+              control: Callable[..., np.ndarray]) -> SimulationBatch:
+    """The Euler-Maruyama loop shared by the open and closed loops.
+
+    ``control(j, x, u, y)`` returns u(t_j) for every path from the state
+    history ``x``, the control history ``u`` (filled up to node j-1) and
+    the delayed state ``y``.  The running cost is the left-rectangle
+    quadrature of the quadratic integrand at nodes 0..N-1, accumulated
+    from the same terms the step uses.
+    """
     g = problem.grid
-    N, dt, k = g.N, g.dt, g.delay_steps
-    P = x.shape[0]
-    total = np.zeros(P)
-    for j in range(N):
+    N, n, m, P, dt = g.N, problem.n, problem.m, batch.n_paths, g.dt
+    x = np.zeros((P, N + 1, n))
+    u = np.zeros((P, N + 1, m))
+    costs = np.zeros(P)
+    x[:, 0] = problem.xi[g.delay_steps]
+    for j in range(N + 1):
         y = _delayed_state(problem, x, j)
+        u[:, j] = u_j = control(j, x, u, y)
+        if j == N:
+            break
         nu = _delayed_control(problem, u, j)
-        z, _ = _memory_terms(problem, x, u, j)
-        total += (np.einsum("pa,ab,pb->p", x[:, j], problem.Q1[j], x[:, j])
+        z, mu = _memory_terms(problem, x, u, j)
+        costs += (np.einsum("pa,ab,pb->p", x[:, j], problem.Q1[j], x[:, j])
                   + np.einsum("pa,ab,pb->p", y, problem.Q2[j], y)
                   + np.einsum("pa,ab,pb->p", z, problem.Q3[j], z)
                   + np.einsum("pa,ab,pb->p", u[:, j], problem.R1[j], u[:, j])
                   + np.einsum("pa,ab,pb->p", nu, problem.R2[j], nu)) * dt
-    return total
+        x[:, j + 1] = _euler_step(problem, j, x[:, j], y, z, u_j, nu, mu,
+                                  batch.increments[:, j])
+
+    flagged = (np.abs(x).max(axis=(1, 2)) > BLOWUP_THRESHOLD) | ~np.isfinite(
+        x.reshape(P, -1)).all(axis=1)
+    return SimulationBatch(x=x, u=u, cost_samples=costs, flagged=flagged)
 
 
 def simulate_open_loop(problem: DelayLQProblem, u_paths: np.ndarray,
@@ -133,58 +152,30 @@ def simulate_open_loop(problem: DelayLQProblem, u_paths: np.ndarray,
 
     ``u_paths`` is (n_paths, N+1, m) or (N+1, m) broadcast to all paths.
     """
-    g = problem.grid
-    N, n, m, P = g.N, problem.n, problem.m, batch.n_paths
+    N, m, P = problem.grid.N, problem.m, batch.n_paths
     u_paths = np.asarray(u_paths, dtype=float)
     if u_paths.ndim == 2:
         u_paths = np.broadcast_to(u_paths, (P, N + 1, m))
     if u_paths.shape != (P, N + 1, m):
         raise ValueError(f"u_paths must be ({P},{N + 1},{m}), got {u_paths.shape}")
-
-    x = np.zeros((P, N + 1, n))
-    x[:, 0] = problem.xi[g.delay_steps]
-    for j in range(N):
-        y = _delayed_state(problem, x, j)
-        nu = _delayed_control(problem, u_paths, j)
-        z, mu = _memory_terms(problem, x, u_paths, j)
-        x[:, j + 1] = _euler_step(problem, j, x[:, j], y, z,
-                                  u_paths[:, j], nu, mu, batch.increments[:, j])
-
-    flagged = (np.abs(x).max(axis=(1, 2)) > BLOWUP_THRESHOLD) | ~np.isfinite(
-        x.reshape(P, -1)).all(axis=1)
-    costs = path_costs(problem, x, np.asarray(u_paths))
-    return SimulationBatch(x=x, u=np.array(u_paths), cost_samples=costs,
-                           flagged=flagged)
+    return _simulate(problem, batch, lambda j, x, u, y: u_paths[:, j])
 
 
 def simulate_closed_loop(problem: DelayLQProblem, strategy: FeedbackStrategy,
                          batch: BrownianBatch) -> SimulationBatch:
     """Run the feedback loop; u(t_j) uses only information up to t_j."""
-    g = problem.grid
-    N, n, m, P, dt = g.N, problem.n, problem.m, batch.n_paths, g.dt
-    x = np.zeros((P, N + 1, n))
-    u = np.zeros((P, N + 1, m))
-    x[:, 0] = problem.xi[g.delay_steps]
-    for j in range(N + 1):
-        y = _delayed_state(problem, x, j)
+    dt = problem.grid.dt
+
+    def feedback(j, x, u, y):
         u_j = (np.einsum("ma,pa->pm", strategy.k1[j], x[:, j])
                + np.einsum("ma,pa->pm", strategy.k3[j], y)
                + strategy.v[j])
         if j > 0:
             u_j += np.einsum("sma,psa->pm", strategy.k2[j, :j], x[:, :j]) * dt
             u_j += np.einsum("smq,psq->pm", strategy.k4[j, :j], u[:, :j]) * dt
-        u[:, j] = u_j
-        if j == N:
-            break
-        nu = _delayed_control(problem, u, j)
-        z, mu = _memory_terms(problem, x, u, j)
-        x[:, j + 1] = _euler_step(problem, j, x[:, j], y, z, u_j, nu, mu,
-                                  batch.increments[:, j])
+        return u_j
 
-    flagged = (np.abs(x).max(axis=(1, 2)) > BLOWUP_THRESHOLD) | ~np.isfinite(
-        x.reshape(P, -1)).all(axis=1)
-    costs = path_costs(problem, x, u)
-    return SimulationBatch(x=x, u=u, cost_samples=costs, flagged=flagged)
+    return _simulate(problem, batch, feedback)
 
 
 def estimate_cost(problem: DelayLQProblem, sim: SimulationBatch) -> CostEstimate:

@@ -20,17 +20,6 @@ from .grid import TimeGrid
 from .problem import DelayLQProblem, validate
 
 
-def script_e(F: np.ndarray, grid: TimeGrid, i: int, j: int) -> np.ndarray:
-    """Running integral of the kernel row: int_{t_j}^{t_i} F(t_i, r) dr.
-
-    Left-rectangle rule; zero matrix when j >= i.
-    """
-    d1, d2 = F.shape[2], F.shape[3]
-    if j >= i:
-        return np.zeros((d1, d2))
-    return F[i, j:i].sum(axis=0) * grid.dt
-
-
 def _running_integral_table(F: np.ndarray, dt: float) -> np.ndarray:
     """E[i, j] = sum_{l=j..i-1} F[i, l] dt for j < i, else zero."""
     nn = F.shape[0]
@@ -51,17 +40,17 @@ class VolterraProblem:
     Kernel arrays are (N+1, N+1, ...) with entries for second index <=
     first; the diagonal holds the limiting values used by the backward
     solver's corner handling (indicators off, running integrals empty).
+
+    Only the control kernel ``B`` is stored whole.  The others are the
+    selector times a row, A = U Acal, C = U Ccal, D = U D1 (btilde and
+    sigtilde likewise from b and sigma); the solver reads A one column at
+    a time (``a_column``) and ``lifted_kernel`` rebuilds a whole table.
     """
 
     grid: TimeGrid
     n: int
     m: int
-    A: np.ndarray        # (N+1, N+1, 3n, 3n)
     B: np.ndarray        # (N+1, N+1, 3n, m)
-    C: np.ndarray        # (N+1, N+1, 3n, 3n)
-    D: np.ndarray        # (N+1, N+1, 3n, m)
-    btilde: np.ndarray   # (N+1, N+1, 3n)
-    sigtilde: np.ndarray  # (N+1, N+1, 3n)
     phi: np.ndarray      # (N+1, 3n)
     Q: np.ndarray        # (N+1, 3n, 3n)
     R: np.ndarray        # (N+1, m, m)
@@ -72,17 +61,21 @@ class VolterraProblem:
     Ccal: np.ndarray     # (N+1, n, 3n) row (C1, C2, C3)
     source: DelayLQProblem
 
-    def bcal(self, theta: int, t: int) -> np.ndarray:
-        """Stacked control column (B1(t); B2(t+delta); B3(theta)Ftilde(theta,t))."""
-        p, g = self.source, self.grid
-        n, m, k = self.n, self.m, g.delay_steps
-        out = np.zeros((3 * n, m))
-        out[:n] = p.B1[t]
-        if t + k <= g.N:
-            out[n:2 * n] = p.B2[t + k]
-        if theta > t:
-            out[2 * n:] = p.B3[theta] @ p.Ftilde[theta, t]
-        return out
+    def a_column(self, l: int) -> np.ndarray:
+        """State kernel column A(t_r, t_l) = U(t_r, t_l) Acal(t_l), r >= l."""
+        return np.einsum("rab,bc->rac", self.U[l:, l], self.Acal[l])
+
+
+def lifted_kernel(U: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Dense table U(t_i, t_j) row(t_j) for j <= i, zero above the diagonal.
+
+    ``row`` is a coefficient row (N+1, n, c), giving a kernel such as
+    A from Acal, or a free-term row (N+1, n), giving btilde from b.
+    """
+    sub = "ijab,jb->ija" if row.ndim == 2 else "ijab,jbc->ijac"
+    out = np.einsum(sub, U, row)
+    out[np.triu_indices(U.shape[0], 1)] = 0.0
+    return out
 
 
 def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
@@ -108,27 +101,14 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
     Acal = np.concatenate([problem.A1, problem.A2, problem.A3], axis=2)
     Ccal = np.concatenate([problem.C1, problem.C2, problem.C3], axis=2)
 
-    # selector-factored kernels; only second index <= first is meaningful
-    A = np.einsum("ijab,jbc->ijac", U, Acal)
-    C = np.einsum("ijab,jbc->ijac", U, Ccal)
-    D = np.einsum("ijab,jbc->ijac", U, problem.D1)
-    btilde = np.einsum("ijab,jb->ija", U, problem.b)
-    sigtilde = np.einsum("ijab,jb->ija", U, problem.sigma)
-    tri = idx_j <= idx_i
-    for arr in (A, C, D):
-        arr[~tri] = 0.0
-    btilde[~tri] = 0.0
-    sigtilde[~tri] = 0.0
-
     # control kernel rows; B2 shifted by the delay, B3 routed through Ftilde
     B = np.zeros((nn, nn, 3 * n, m))
-    ind1 = (idx_i - idx_j) > k
     ind2 = (idx_i - idx_j) > 2 * k
     B2s = np.zeros((nn, n, m))
     B2s[: max(nn - k, 0)] = problem.B2[k:]
-    B[:, :, :n, :] = problem.B1[None, :, :, :] + ind1[:, :, None, None] * B2s[None]
+    B[:, :, :n, :] = problem.B1[None, :, :, :] + delayed[:, :, None, None] * B2s[None]
     B[:, :, n:2 * n, :] = (
-        ind1[:, :, None, None] * problem.B1[None]
+        delayed[:, :, None, None] * problem.B1[None]
         + ind2[:, :, None, None] * B2s[None]
     )
     E2 = np.zeros((nn, nn, n, n))
@@ -150,7 +130,7 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
             B[j + 1:, j, 2 * n:, :] += np.einsum(
                 "itab,tbm->iam", E[j + 1:, j + 1:], W
             ) * dt
-    B[~tri] = 0.0
+    B[idx_j > idx_i] = 0.0
 
     # free term: initial trajectories pushed through the lifting
     x0 = problem.xi[k]
@@ -183,8 +163,7 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
         legacy += float(problem.varsigma[j] @ problem.R2[j] @ problem.varsigma[j]) * dt
 
     return VolterraProblem(
-        grid=g, n=n, m=m, A=A, B=B, C=C, D=D,
-        btilde=btilde, sigtilde=sigtilde, phi=phi, Q=Q, R=R,
+        grid=g, n=n, m=m, B=B, phi=phi, Q=Q, R=R,
         legacy_cost=legacy, E=E, U=U, Acal=Acal, Ccal=Ccal,
         source=problem,
     )

@@ -1,5 +1,6 @@
 """Command-line front end: artifacts, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,55 @@ from delaylq.cli import main
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_interpreter(argv, tmp_path):
+    """Run the CLI in a separate interpreter, so an escaping exception
+    shows up on stderr as it does for a user."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dl.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, "-m", "delaylq.cli", *argv,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+# sha256 of kernel_{A,B,C,D}.csv from `solve --dump-kernels --n-steps 16`,
+# pinned from the solver that still stored the dense lifted tables
+KERNEL16_SHA256 = {
+    "tanh": (
+        "c21fcd478baf5ac25b0e3a4494b45d1fd3a94bf99e11df81d4c40f729424b919",
+        "9bd2d3b4365b3ad7c223fb8319e33069d5e27c2ac9ca393c7e0a55a48fa0374d",
+        "c21fcd478baf5ac25b0e3a4494b45d1fd3a94bf99e11df81d4c40f729424b919",
+        "e46eb73acada1a1b80d265d9aef426ffa37067a51be0bdffbb18255a7702df9c"),
+    "input-delay": (
+        "c21fcd478baf5ac25b0e3a4494b45d1fd3a94bf99e11df81d4c40f729424b919",
+        "705ddc957dd81a00814eb559bd3d2c66e1b30ec70c85f9f1b979f58b1de26b83",
+        "c21fcd478baf5ac25b0e3a4494b45d1fd3a94bf99e11df81d4c40f729424b919",
+        "e46eb73acada1a1b80d265d9aef426ffa37067a51be0bdffbb18255a7702df9c"),
+    "state-delay": (
+        "6573bf09384a5a03578f9c652c9c7457ecc40becd9660145cae36848cf62f54e",
+        "9bd2d3b4365b3ad7c223fb8319e33069d5e27c2ac9ca393c7e0a55a48fa0374d",
+        "c21fcd478baf5ac25b0e3a4494b45d1fd3a94bf99e11df81d4c40f729424b919",
+        "e46eb73acada1a1b80d265d9aef426ffa37067a51be0bdffbb18255a7702df9c"),
+    "pointwise": (
+        "2f89554276a6eb46e47d0746d6cb8cb4995c6dbea61dcc3cb3bcc3fe894776b5",
+        "dee637e139beeab657cd3a451be6dc07a6868b7f927c94e3ffb78a8902c50e5e",
+        "e3631c16fd095dcb793f81ad31b41ed56015789bc4019d59f492a3627ead36d1",
+        "456f3c013304a9384534383f8e726d0d6d12d50a9444c38b78b352b81cf45f86"),
+    "distributed": (
+        "e505097a967e642e4a974099ee2275f3002d67aeb3f8430f35d28d37081de5fb",
+        "1ab478f82d632dff21ff9d614564f723cf38db48e105dc2f731cd3b02ad9d799",
+        "e262d7fa0eebc016559d5972deefea2dff49eec2481aaa401ba7757d0cbcdf21",
+        "17f901720a991e06a2a817d8ad418b8038044c0a33312233376f29e3803355eb"),
+    "full": (
+        "8ecf0df9bb29dc0a1eb6ca5d86219cd6eab1b0f57906d4ce69d0947dcdc95cc1",
+        "337205bdf0c15c8aae70e5dfb05a3291af18686899afcd900e47bc2ad5cb6a47",
+        "a92f8adbf1e7e2abdced36694a0d17756c9a3036111876843ea4c7a8a0299941",
+        "ded0376890109e11b617c4f5bed527dd1b9c68d256af905a8b5a37bc6c976547"),
+}
 
 
 class TestSolve:
@@ -57,12 +107,14 @@ class TestSolve:
         assert run(["solve", "--problem", path, "--out", tmp_path / "o"]) == 1
         assert "coercivity" in capsys.readouterr().err
 
-    def test_kernel_dump_flag(self, tmp_path):
+    @pytest.mark.parametrize("preset", sorted(KERNEL16_SHA256))
+    def test_kernel_dump_flag(self, preset, tmp_path):
         out = tmp_path / "run"
-        assert run(["solve", "--preset", "distributed", "--n-steps", "16",
+        assert run(["solve", "--preset", preset, "--n-steps", "16",
                     "--out", out, "--dump-kernels"]) == 0
-        for name in ("A", "B", "C", "D"):
-            assert (out / f"kernel_{name}.csv").exists()
+        for name, want in zip("ABCD", KERNEL16_SHA256[preset]):
+            data = (out / f"kernel_{name}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == want, name
 
 
 class TestSimulate:
@@ -128,22 +180,29 @@ class TestArgumentChecks:
         ["solve", "--preset", "full", "--n-steps", "0"],
         ["solve", "--n-steps", "-4"],
         ["simulate", "--preset", "full", "--n-steps", "8", "--n-paths", "0"],
+        ["verify", "--preset", "input-delay", "--n-steps", "8",
+         "--verify", "stationarity", "--n-paths", "4", "--eps", "0"],
+        ["verify", "--preset", "input-delay", "--n-steps", "8",
+         "--verify", "stationarity", "--n-paths", "4", "--eps", "nan"],
     ])
     def test_bad_arguments_exit_one_without_traceback(self, argv, tmp_path):
-        # a separate interpreter, so an escaping exception would show up
-        # on stderr as it does for a user
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(dl.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-m", "delaylq.cli", *argv,
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_interpreter(argv, tmp_path)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("validation: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "full", "--n-steps", "abc"],
+        ["solve", "--preset", "full", "--no-such-flag"],
+    ])
+    def test_usage_errors_exit_one_on_one_line(self, argv, tmp_path):
+        proc = run_interpreter(argv, tmp_path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "error: " in lines[0]
         assert not (tmp_path / "o").exists()
 
 

@@ -133,8 +133,12 @@ class TestExtendedSddeReduction:
         direct.R1[:] = 1.0
         direct.xi[:] = 2.0
         vr, vd = dl.build_volterra(reduced), dl.build_volterra(direct)
-        for name in ("A", "B", "C", "D", "phi", "Q", "R"):
+        for name in ("B", "phi", "Q", "R"):
             np.testing.assert_array_equal(getattr(vr, name), getattr(vd, name))
+        for row in (lambda vp: vp.Acal, lambda vp: vp.Ccal,
+                    lambda vp: vp.source.D1):
+            np.testing.assert_array_equal(dl.lifted_kernel(vr.U, row(vr)),
+                                          dl.lifted_kernel(vd.U, row(vd)))
 
 
 class TestSerialization:

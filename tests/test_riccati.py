@@ -7,8 +7,9 @@ import pytest
 
 import delaylq as dl
 from delaylq.cli import main as cli_main
-from delaylq.riccati import (RiccatiSolution, g1, g2, g3, star_left,
-                             star_right, star_sandwich)
+from delaylq.oracles import (bcal, g1, g2, g3, star_left, star_right,
+                             star_sandwich)
+from delaylq.riccati import RiccatiSolution
 
 
 def zero_weight_solution(N=16):
@@ -169,11 +170,12 @@ class TestClosedFormAnchor:
 class TestStarProducts:
     def test_zero_solution_annihilates(self):
         vp, P = zero_weight_solution()
+        D = dl.lifted_kernel(vp.U, vp.source.D1)
         assert np.abs(star_left(np.transpose(vp.B, (0, 1, 3, 2)), P, vp,
                                 8, 3)).max() == 0.0
         assert np.abs(star_right(P, vp.B, vp, 8, 3)).max() == 0.0
-        assert np.abs(star_sandwich(np.transpose(vp.D, (0, 1, 3, 2)), P,
-                                    vp.D, vp, 3)).max() == 0.0
+        assert np.abs(star_sandwich(np.transpose(D, (0, 1, 3, 2)), P,
+                                    D, vp, 3)).max() == 0.0
 
     def test_zero_kernel_annihilates(self, solve_preset):
         s = solve_preset("full", 16)
@@ -211,8 +213,9 @@ class TestStarProducts:
 
     def test_star_right_with_state_kernel_matches_g2_regrouping(self, solve_preset):
         s = solve_preset("full", 16)
+        A = dl.lifted_kernel(s.vp.U, s.vp.Acal)
         for (sb, t) in [(8, 3), (16, 0), (5, 4)]:
-            lhs = star_right(s.P, s.vp.A, s.vp, sb, t)
+            lhs = star_right(s.P, A, s.vp, sb, t)
             rhs = g2(s.P, s.vp, sb, t) @ s.vp.Acal[t]
             np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
@@ -224,10 +227,11 @@ class TestStarProducts:
 
     def test_domain_errors(self, solve_preset):
         s = solve_preset("tanh", 16)
+        A = dl.lifted_kernel(s.vp.U, s.vp.Acal)
         with pytest.raises(ValueError):
-            star_left(s.vp.A, s.P, s.vp, 3, 3)
+            star_left(A, s.P, s.vp, 3, 3)
         with pytest.raises(ValueError):
-            star_right(s.P, s.vp.A, s.vp, 2, 7)
+            star_right(s.P, A, s.vp, 2, 7)
 
 
 class TestEvaluators:
@@ -239,9 +243,10 @@ class TestEvaluators:
 
     def test_sandwich_definitional_identity(self, solve_preset):
         s = solve_preset("full", 16)
-        DT = np.transpose(s.vp.D, (0, 1, 3, 2))
+        D = dl.lifted_kernel(s.vp.U, s.problem.D1)
+        DT = np.transpose(D, (0, 1, 3, 2))
         for t in (0, 5, 12):
-            sw = star_sandwich(DT, s.P, s.vp.D, s.vp, t)
+            sw = star_sandwich(DT, s.P, D, s.vp, t)
             direct = s.problem.D1[t].T @ g1(s.P, t) @ s.problem.D1[t]
             np.testing.assert_allclose(sw, direct, atol=1e-14)
 
@@ -261,7 +266,7 @@ class TestEvaluators:
         for (sb, t) in [(5, 2), (16, 0), (10, 9)]:
             acc = np.zeros((s.problem.m, 3 * s.problem.n))
             for th in range(t + 1, N + 1):
-                acc += s.vp.bcal(th, t).T @ g3(s.P, s.vp, sb, t, th).T * dt
+                acc += bcal(s.vp, th, t).T @ g3(s.P, s.vp, sb, t, th).T * dt
             ref = s.P.pb[sb, t].T
             scale = max(np.abs(ref).max(), 1e-30)
             assert np.abs(acc - ref).max() / scale < 1e-10

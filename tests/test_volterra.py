@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delaylq as dl
-from delaylq.riccati import pi_matrix
+from delaylq.oracles import bcal, pi_matrix, script_e
 
 
 def scalar_grid(N=20):
@@ -20,7 +20,7 @@ class TestScriptE:
         for i in range(1, g.N + 1):
             p.F[i, :i] = np.eye(1)
         # t - s = 0.3 spans 6 steps of 0.05
-        val = dl.script_e(p.F, g, 10, 4)
+        val = script_e(p.F, g, 10, 4)
         assert val[0, 0] == pytest.approx(0.3, abs=1e-14)
 
     def test_empty_and_reversed_ranges_are_zero(self):
@@ -28,8 +28,8 @@ class TestScriptE:
         p = dl.empty_problem(g, 1, 1)
         for i in range(1, g.N + 1):
             p.F[i, :i] = 1.0
-        assert np.all(dl.script_e(p.F, g, 5, 5) == 0.0)
-        assert np.all(dl.script_e(p.F, g, 3, 9) == 0.0)
+        assert np.all(script_e(p.F, g, 5, 5) == 0.0)
+        assert np.all(script_e(p.F, g, 3, 9) == 0.0)
 
     def test_table_matches_pointwise_rule(self):
         p = dl.preset_problem("distributed", 16)
@@ -37,7 +37,7 @@ class TestScriptE:
         for i in range(0, 17, 3):
             for j in range(0, 17, 2):
                 np.testing.assert_allclose(
-                    vp.E[i, j], dl.script_e(p.F, p.grid, i, j), atol=1e-15)
+                    vp.E[i, j], script_e(p.F, p.grid, i, j), atol=1e-15)
 
 
 class TestFreeTerm:
@@ -85,23 +85,43 @@ class TestKernelStructure:
     def test_rows_of_state_kernel_follow_selector(self):
         p = dl.preset_problem("full", 16)
         vp = dl.build_volterra(p)
+        A = dl.lifted_kernel(vp.U, vp.Acal)
         n, k = p.n, p.grid.delay_steps
         for i in range(1, 17, 3):
             for j in range(i):
-                row1 = vp.A[i, j, :n, :]
+                row1 = A[i, j, :n, :]
                 ind = 1.0 if i - j > k else 0.0
-                np.testing.assert_allclose(vp.A[i, j, n:2 * n, :], ind * row1,
+                np.testing.assert_allclose(A[i, j, n:2 * n, :], ind * row1,
                                            atol=1e-15)
-                np.testing.assert_allclose(vp.A[i, j, 2 * n:, :],
+                np.testing.assert_allclose(A[i, j, 2 * n:, :],
                                            vp.E[i, j] @ row1, atol=1e-15)
+
+    def test_state_kernel_column_is_the_dense_table_column(self):
+        # the sweep and the adjoint read A one column at a time; the
+        # column must equal the dense table bit for bit, n = 2 included
+        grid = scalar_grid(12)
+        planar = dl.empty_problem(grid, 2, 2)
+        planar.A1[:] = [[-0.4, 0.2], [0.1, -0.5]]
+        planar.A2[:] = [[0.2, 0.0], [0.1, 0.1]]
+        planar.A3[:] = [[0.1, 0.05], [0.0, 0.2]]
+        planar.R1[:] = np.eye(2)
+        for i in range(1, 13):
+            planar.F[i, :i] = [[0.4, 0.1], [0.0, 0.3]]
+        problems = [dl.preset_problem(name, 16) for name in dl.PRESET_NAMES]
+        for p in problems + [planar]:
+            vp = dl.build_volterra(p)
+            A = dl.lifted_kernel(vp.U, vp.Acal)
+            for l in range(p.grid.N + 1):
+                np.testing.assert_array_equal(vp.a_column(l), A[l:, l])
 
     def test_delay_indicator_boundary_is_strict(self):
         p = dl.preset_problem("full", 16)
         vp = dl.build_volterra(p)
+        A = dl.lifted_kernel(vp.U, vp.Acal)
         n, k = p.n, p.grid.delay_steps
         i = 2 * k  # i - j = k exactly at j = k
-        assert np.abs(vp.A[i, k, n:2 * n, :]).max() == 0.0
-        assert np.abs(vp.A[i, k - 1, n:2 * n, :]).max() > 0.0
+        assert np.abs(A[i, k, n:2 * n, :]).max() == 0.0
+        assert np.abs(A[i, k - 1, n:2 * n, :]).max() > 0.0
 
     def test_control_kernel_reconstructs_from_selector_blocks(self):
         # the averaged-selector pairing must rebuild B exactly; this is
@@ -114,7 +134,7 @@ class TestKernelStructure:
             for s in range(t + 1, N + 1):
                 acc = np.zeros((3 * p.n, p.m))
                 for th in range(t + 1, s + 1):
-                    acc += pi_matrix(vp, s, t, th) @ vp.bcal(th, t) * dt
+                    acc += pi_matrix(vp, s, t, th) @ bcal(vp, th, t) * dt
                 worst = max(worst, np.abs(acc - vp.B[s, t]).max())
         assert worst < 1e-13
 
@@ -130,12 +150,13 @@ class TestKernelStructure:
     def test_diagonal_carries_limiting_values(self):
         p = dl.preset_problem("full", 16)
         vp = dl.build_volterra(p)
+        A = dl.lifted_kernel(vp.U, vp.Acal)
         n = p.n
         for i in (0, 5, 16):
             np.testing.assert_allclose(vp.B[i, i, :n, :], p.B1[i], atol=1e-15)
             assert np.abs(vp.B[i, i, n:, :]).max() == 0.0
-            np.testing.assert_allclose(vp.A[i, i, :n, :], vp.Acal[i], atol=1e-15)
-            assert np.abs(vp.A[i, i, n:, :]).max() == 0.0
+            np.testing.assert_allclose(A[i, i, :n, :], vp.Acal[i], atol=1e-15)
+            assert np.abs(A[i, i, n:, :]).max() == 0.0
 
 
 class TestLiftAndCost:
@@ -206,9 +227,14 @@ class TestLiftAndCost:
             xi=2 * base.xi, varsigma=2 * base.varsigma)
         vp2 = dl.build_volterra(doubled)
         np.testing.assert_allclose(vp2.phi, 2 * vp0.phi, atol=1e-13)
-        np.testing.assert_allclose(vp2.btilde, 2 * vp0.btilde, atol=1e-13)
-        np.testing.assert_allclose(vp2.sigtilde, 2 * vp0.sigtilde, atol=1e-13)
-        np.testing.assert_array_equal(vp2.A, vp0.A)
+        np.testing.assert_allclose(dl.lifted_kernel(vp2.U, doubled.b),
+                                   2 * dl.lifted_kernel(vp0.U, base.b),
+                                   atol=1e-13)
+        np.testing.assert_allclose(dl.lifted_kernel(vp2.U, doubled.sigma),
+                                   2 * dl.lifted_kernel(vp0.U, base.sigma),
+                                   atol=1e-13)
+        np.testing.assert_array_equal(dl.lifted_kernel(vp2.U, vp2.Acal),
+                                      dl.lifted_kernel(vp0.U, vp0.Acal))
 
     def test_invalid_problem_rejected(self):
         p = dl.preset_problem("tanh", 16)
