@@ -336,15 +336,17 @@ def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
                               optimize=True) * dt
             pw = pw + np.einsum("sab,sbc->ac", sel, inner) * dt
             P2c[l] = pw
-        for q in range(l, min(l + k, N) + 1):
-            acc = P.p1[q][:n, n:2 * n].copy()
-            for r in range(l + 1, N + 1):
-                pair = sl[q - l, r - l]
-                # ((pair)^T)[:n, n:2n] = (pair[n:2n, :n])^T
-                acc = acc + pair[n:2 * n, :n].T * dt
-                if r - l > k:
-                    acc = acc + pair[n:2 * n, n:2 * n].T * dt
-            P3c[l, q] = acc
+        # P3c[l, q], q = l..l+k: p1(q)[:n, n:2n] plus, for each r > l,
+        # ((pair)^T)[:n, n:2n] = (pair[n:2n, :n])^T and, when r - l > k,
+        # the lagged block; the terms are interleaved in r and summed in
+        # that order (cumsum is sequential), as a running sum would
+        Q = min(k, N - l) + 1
+        terms = np.zeros((Q, 2 * (N - l) + 1, n, n))
+        terms[:, 0] = P.p1[l:l + Q, :n, n:2 * n]
+        terms[:, 1::2] = sl[:Q, 1:, n:2 * n, :n].swapaxes(-1, -2) * dt
+        terms[:, 2 * k + 2::2] = (sl[:Q, k + 1:, n:2 * n, n:2 * n]
+                                  .swapaxes(-1, -2) * dt)
+        P3c[l, l:l + Q] = np.cumsum(terms, axis=1)[:, -1]
     return CaseIIExtraction(P2c=P2c, P3c=P3c)
 
 
@@ -435,10 +437,19 @@ def caseii_control(ext: CaseIIExtraction, problem: DelayLQProblem,
 
 @dataclass(frozen=True)
 class CaseIExtraction:
+    """First-block window sums of the solution at each base node l.
+
+    With p1script(l, a, b) the (1,1)-block window sum for a, b >= l (the
+    first kernel over s > max(a, b) plus the pair kernel over
+    {s > b} x {alpha > a} at base node l), ``S0``, ``S1`` and ``S2`` are
+    its contractions with the control columns B2 and B3 Ftilde, and
+    ``p1row`` keeps the one part the boundary residual reads again.
+    """
+
     S0: np.ndarray      # (N+1, n, n)
     S1: np.ndarray      # (N+1, k+1, m, n); lag index q: theta = (q-k)dt
     S2: np.ndarray      # (N+1, k+1, k+1, m, m)
-    p1script: object    # callable (l, a, b) -> n x n window sum
+    p1row: np.ndarray   # (N+1, N+1, n, n); [l, theta] = p1script(l, theta, l)
 
 
 @dataclass(frozen=True)
@@ -449,7 +460,38 @@ class CaseIResiduals:
     boundary: float     # lag-edge relation
 
 
+def _has_memory(problem: DelayLQProblem) -> bool:
+    """Whether the control memory channel B3 Ftilde is active."""
+    return bool(np.abs(problem.B3).max() > 0
+                and np.abs(problem.Ftilde).max() > 0)
+
+
+def _shifted_memory_kernel(problem: DelayLQProblem) -> np.ndarray:
+    """G[theta, s + k] = B3(theta) Ftilde(theta, s), zero for s < 0."""
+    k = problem.grid.delay_steps
+    G = np.einsum("tab,tsbm->tsam", problem.B3, problem.Ftilde)
+    return np.pad(G, ((0, 0), (k, 0), (0, 0), (0, 0)))
+
+
+def _masked_max(err: np.ndarray, mask: np.ndarray) -> float:
+    """Largest |entry| of the blocks selected by ``mask``; 0 if none.
+
+    Works in place: ``err`` is overwritten.
+    """
+    err[~mask] = 0.0
+    return float(np.abs(err, out=err).max(initial=0.0))
+
+
 def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
+    """Control-delay extraction, one replayed (1,1)-block slice at a time.
+
+    At node l the table tab[i, j] = p1script(l, l+i, l+j) comes from the
+    slice's 2-D suffix sums; S0, S1 and S2 contract its k+1 window with
+    B2, and with the memory channel active its first column (the row
+    p1script(l, theta, l)), its window columns and the whole table are
+    contracted with G = B3 Ftilde over theta, then over beta.  Time is
+    O(N^3 k); besides S1 and S2 it keeps the O(N^2) table ``p1row``.
+    """
     problem = vp.source
     _require_zero(problem, ("A2", "A3", "C2", "C3", "Q2", "Q3", "R2",
                             "b", "sigma", "F"))
@@ -459,77 +501,51 @@ def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
     g = vp.grid
     N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
     first = slice(0, n)
+    memory = _has_memory(problem)
+    if memory:
+        G = _shifted_memory_kernel(problem)
 
     sufp1 = np.zeros((N + 2, n, n))
     sufp1[:N + 1] = P.p1[:, first, first]
     sufp1 = np.cumsum(sufp1[::-1], axis=0)[::-1] * dt   # sum over s >= index
-    suf2 = [None] * (N + 1)
+    B2 = np.zeros((N + 1 + k, n, m))                     # zero past t_N
+    B2[:N + 1] = problem.B2
+
+    S0 = np.zeros((N + 1, n, n))
+    S1 = np.zeros((N + 1, k + 1, m, n))
+    S2 = np.zeros((N + 1, k + 1, k + 1, m, m))
+    p1row = np.zeros((N + 1, N + 1, n, n))
     for l, sl in P.replay(first):
         M = sl.shape[0]
         ss = np.zeros((M + 1, M + 1, n, n))
         ss[:M, :M] = sl
         ss = np.cumsum(np.cumsum(ss[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-        suf2[l] = ss
-
-    def p1script(l: int, a: int, b: int) -> np.ndarray:
-        """(1,1)-block window sum: first kernel over s > max(a,b) plus
-        the pair kernel over {s > b} x {alpha > a} at base node l."""
-        out = sufp1[min(max(a, b) + 1, N + 1)].copy()
-        ss = suf2[l]
-        ib, ia = b - l + 1, a - l + 1
-        if 0 <= ib < ss.shape[0] and 0 <= ia < ss.shape[1]:
-            out = out + ss[ib, ia] * dt * dt
-        return out
-
-    has_memory = np.abs(problem.B3).max() > 0 and np.abs(problem.Ftilde).max() > 0
-    S0 = np.zeros((N + 1, n, n))
-    S1 = np.zeros((N + 1, k + 1, m, n))
-    S2 = np.zeros((N + 1, k + 1, k + 1, m, m))
-    for l in range(N + 1):
-        S0[l] = p1script(l, l, l)
-        for q in range(k + 1):
-            sq = l + q
-            val = np.zeros((m, n))
-            if sq <= N:
-                val += problem.B2[sq].T @ p1script(l, l, sq)
-            if has_memory and l + q - k >= 0:
-                sarg = l + q - k
-                for th in range(max(l, sarg) + 1, N + 1):
-                    val += (problem.Ftilde[th, sarg].T @ problem.B3[th].T
-                            @ p1script(l, th, l).T) * dt
-            S1[l, q] = val
-        for q in range(k + 1):
-            for p in range(k + 1):
-                sq, sp = l + q, l + p
-                val = np.zeros((m, m))
-                if sq <= N and sp <= N:
-                    val += (problem.B2[sq].T @ p1script(l, sq, sp).T
-                            @ problem.B2[sp])
-                if has_memory:
-                    if sq <= N and l + p - k >= 0:
-                        sargp = l + p - k
-                        inner = np.zeros((n, m))
-                        for th in range(max(l, sargp) + 1, N + 1):
-                            inner += (p1script(l, th, sq) @ problem.B3[th].T
-                                      @ problem.Ftilde[th, sargp]) * dt
-                        val += problem.B2[sq].T @ inner
-                    if l + q - k >= 0:
-                        sargq = l + q - k
-                        for th in range(max(l, sargq) + 1, N + 1):
-                            row = problem.Ftilde[th, sargq].T @ problem.B3[th].T
-                            if sp <= N:
-                                val += (row @ p1script(l, th, sp).T
-                                        @ problem.B2[sp]) * dt
-                            if l + p - k >= 0:
-                                sargp = l + p - k
-                                inner = np.zeros((n, m))
-                                for be in range(max(l, sargp) + 1, N + 1):
-                                    inner += (p1script(l, th, be).T
-                                              @ problem.B3[be].T
-                                              @ problem.Ftilde[be, sargp]) * dt
-                                val += row @ inner * dt
-                S2[l, q, p] = val
-    return CaseIExtraction(S0=S0, S1=S1, S2=S2, p1script=p1script)
+        off = np.arange(M)
+        tab = (sufp1[l + 1 + np.maximum.outer(off, off)]
+               + ss[1:, 1:].swapaxes(0, 1) * dt * dt)
+        cols = np.zeros((M + k, k + 1, n, n))  # lag columns; past T stay zero
+        cols[:M, :min(M, k + 1)] = tab[:, :k + 1]
+        Bw = B2[l:l + k + 1]
+        p1row[l, l:] = tab[:, 0]
+        S0[l] = tab[0, 0]
+        S1[l] = np.einsum("qam,qab->qmb", Bw, cols[0])
+        left = np.einsum("qam,qpba->qpmb", Bw, cols[:k + 1])
+        S2[l] = np.einsum("qpmb,pbc->qpmc", left, Bw)
+        if memory:
+            Gw = G[l + 1:, l:l + k + 1]    # [theta, q] = G(theta, l+q-k)
+            S1[l] += np.einsum("tqac,tba->qcb", Gw, tab[1:, 0]) * dt
+            # sum over theta > l of p1script(l, theta, l+q) G(theta, l+p-k)
+            col_g = np.einsum("tqab,tpbc->qpac", cols[1:M], Gw,
+                              optimize=True) * dt
+            cross = np.einsum("qam,qpac->qpmc", Bw, col_g)
+            # sum over theta > l of p1script(l, theta, beta)^T G(theta, l+q-k),
+            # then over beta > l against G(beta, l+p-k)
+            tab_g = np.einsum("tbxa,tqxc->bqac", tab[1:, 1:], Gw,
+                              optimize=True) * dt
+            double = np.einsum("bqac,bpad->qpcd", tab_g, Gw,
+                               optimize=True) * dt
+            S2[l] += cross + cross.transpose(1, 0, 3, 2) + double
+    return CaseIExtraction(S0=S0, S1=S1, S2=S2, p1row=p1row)
 
 
 def casei_residual(ext: CaseIExtraction,
@@ -539,75 +555,62 @@ def casei_residual(ext: CaseIExtraction,
     Transport residuals are evaluated along characteristics on interior
     lag nodes; when the memory channel is active the zero-lag row is
     skipped because its drift references the kernel diagonal, which has
-    no discrete value.
+    no discrete value.  All nodes and lags are evaluated at once; each
+    maximum runs over the (l, q) or (l, q, p) with l + q - k >= 0
+    (and l + p - k >= 0).  Terms are combined in the order of the
+    per-node formulas, so without the memory channel a scalar problem
+    gets the same bits as a node-by-node evaluation.
     """
     g = problem.grid
-    N, dt, n, k = g.N, g.dt, problem.n, g.delay_steps
-    has_memory = np.abs(problem.B3).max() > 0 and np.abs(problem.Ftilde).max() > 0
-    q_hi = k if not has_memory else k - 1
+    N, dt, k = g.N, g.dt, g.delay_steps
+    memory = _has_memory(problem)
+    q_hi = k if not memory else k - 1
+    S0, S1, S2 = ext.S0, ext.S1, ext.S2
+    A1, B1, C1, D1 = problem.A1, problem.B1, problem.C1, problem.D1
 
-    def gain_parts(l: int):
-        S0 = ext.S0[l]
-        D1, B1, C1 = problem.D1[l], problem.B1[l], problem.C1[l]
-        rc = problem.R1[l] + D1.T @ S0 @ D1
-        rci = np.linalg.inv(rc)
-        brace = B1.T @ S0 + ext.S1[l, k] + D1.T @ S0 @ C1
-        return S0, rci, brace
+    def tr(M):
+        return M.swapaxes(-1, -2)
 
-    ode = tr1 = tr2 = bnd = 0.0
-    for l in range(1, N + 1):
-        S0l, rci, brace = gain_parts(l)
-        fd = (ext.S0[l] - ext.S0[l - 1]) / dt
-        rhs = (problem.A1[l].T @ S0l + S0l @ problem.A1[l] + problem.Q1[l]
-               + problem.C1[l].T @ S0l @ problem.C1[l] - brace.T @ rci @ brace)
-        ode = max(ode, float(np.abs(fd + rhs).max()))
+    rci = np.linalg.inv(problem.R1 + tr(D1) @ S0 @ D1)
+    brace = tr(B1) @ S0 + S1[:, k] + tr(D1) @ S0 @ C1
 
-    for l in range(N):
-        S0l, rci, brace = gain_parts(l)
-        for q in range(1, q_hi + 1):
-            if l + q - k < 0:
-                continue
-            fd = (ext.S1[l + 1, q - 1] - ext.S1[l, q]) / dt
-            memory = np.zeros((problem.m, n))
-            if has_memory and l > l + q - k >= 0:
-                memory = problem.Ftilde[l, l + q - k].T @ problem.B3[l].T @ S0l
-            rhs = (memory + ext.S1[l, q] @ problem.A1[l]
-                   - (ext.S1[l, q] @ problem.B1[l] + ext.S2[l, q, k])
-                   @ rci @ brace)
-            tr1 = max(tr1, float(np.abs(fd + rhs).max()))
+    fd = (S0[1:] - S0[:-1]) / dt
+    rhs = (tr(A1) @ S0 + S0 @ A1 + problem.Q1 + tr(C1) @ S0 @ C1
+           - tr(brace) @ rci @ brace)
+    ode = float(np.abs(fd + rhs[1:]).max())
 
-    for l in range(N):
-        S0l, rci, brace = gain_parts(l)
-        for q in range(1, q_hi + 1):
-            for p in range(1, q_hi + 1):
-                if l + q - k < 0 or l + p - k < 0:
-                    continue
-                fd = (ext.S2[l + 1, q - 1, p - 1] - ext.S2[l, q, p]) / dt
-                mem1 = np.zeros((problem.m, problem.m))
-                mem2 = np.zeros((problem.m, problem.m))
-                if has_memory:
-                    if l > l + q - k:
-                        mem1 = (problem.Ftilde[l, l + q - k].T
-                                @ problem.B3[l].T @ ext.S1[l, p].T)
-                    if l > l + p - k:
-                        mem2 = (ext.S1[l, q] @ problem.B3[l].T
-                                @ problem.Ftilde[l, l + p - k])
-                rhs = (mem1 + mem2
-                       - (ext.S1[l, q] @ problem.B1[l] + ext.S2[l, q, k])
-                       @ rci
-                       @ (problem.B1[l].T @ ext.S1[l, p].T + ext.S2[l, k, p]))
-                tr2 = max(tr2, float(np.abs(fd + rhs).max()))
+    # transports at l = 0..N-1 over lags q, p = 1..q_hi
+    lag, ahead = slice(1, q_hi + 1), slice(0, q_hi)
+    valid = np.arange(N)[:, None] + np.arange(1, q_hi + 1) - k >= 0
+    S1q = S1[:-1, lag]
+    near = (S1q @ B1[:-1, None] + S2[:-1, lag, k]) @ rci[:-1, None]
+    far = tr(B1[:-1, None]) @ tr(S1q) + S2[:-1, k, lag]
+    err1 = (S1[1:, ahead] - S1q) / dt
+    rhs = S1q @ A1[:-1, None]
+    err2 = S2[1:, ahead, ahead] - S2[:-1, lag, lag]   # (N, q_hi, q_hi) blocks
+    err2 /= dt
+    prod = near[:, :, None] @ far[:, None, :]
+    if memory:
+        G = _shifted_memory_kernel(problem)
+        nodes = np.arange(N)[:, None]
+        Gl = G[nodes, nodes + np.arange(1, q_hi + 1)]
+        rhs = tr(Gl) @ S0[:-1, None] + rhs
+        mem = tr(Gl)[:, :, None] @ tr(S1q)[:, None, :]
+        err2 += (mem + tr(mem).swapaxes(1, 2)) - prod
+    else:
+        err2 -= prod
+    rhs = rhs - near @ brace[:-1, None]
+    tr1 = _masked_max(err1 + rhs, valid)
+    tr2 = _masked_max(err2, valid[:, :, None] & valid[:, None, :])
 
-    for l in range(N + 1):
-        S0l, _, _ = gain_parts(l)
-        if has_memory and l - k < 0:
-            continue
-        edge = problem.B2[l].T @ S0l
-        if has_memory:
-            for th in range(max(l, l - k) + 1, N + 1):
-                edge += (problem.Ftilde[th, l - k].T @ problem.B3[th].T
-                         @ ext.p1script(l, th, l).T) * dt
-        bnd = max(bnd, float(np.abs(ext.S1[l, 0] - edge).max()))
+    edge = tr(problem.B2) @ S0
+    edge_nodes = np.arange(N + 1) >= (k if memory else 0)
+    if memory:
+        # G(theta, l-k) against p1script(l, theta, l) over theta > l
+        later = np.triu(np.ones((N + 1, N + 1), dtype=bool), 1)
+        edge = edge + np.einsum("ltac,ltba->lcb", G[:, :N + 1].swapaxes(0, 1),
+                                ext.p1row * later[:, :, None, None]) * dt
+    bnd = _masked_max(S1[:, 0] - edge, edge_nodes)
 
     return CaseIResiduals(ode=ode, transport1=tr1, transport2=tr2, boundary=bnd)
 
@@ -620,7 +623,7 @@ def casei_control(ext: CaseIExtraction, problem: DelayLQProblem,
     the general memory correction term is exercised through the primary
     synthesis path instead.
     """
-    if np.abs(problem.B3).max() > 0 and np.abs(problem.Ftilde).max() > 0:
+    if _has_memory(problem):
         raise ProblemValidationError(
             ["specialized control-delay law implemented for B3*Ftilde = 0"])
     g = problem.grid

@@ -121,20 +121,25 @@ def test_planar_control_delay_reduction_residuals_halve():
     assert res[80].boundary < 1e-12
 
 
+def planar_state_delay_problem(N):
+    g = dl.TimeGrid(0.0, 1.0, N, 0.25)
+    p = dl.empty_problem(g, 2, 2)
+    p.A1[:] = [[-0.3, 0.2], [0.0, -0.4]]
+    p.A2[:] = [[0.3, 0.1], [0.0, 0.2]]
+    p.B1[:] = [[1.0, 0.0], [0.3, 0.8]]
+    p.C1[:] = [[0.2, 0.0], [0.1, 0.1]]
+    p.C2[:] = [[0.1, 0.05], [0.0, 0.1]]
+    p.D1[:] = [[0.15, 0.0], [0.0, 0.1]]
+    p.Q1[:] = [[1.0, 0.2], [0.2, 0.7]]
+    p.R1[:] = np.eye(2)
+    p.xi[:] = [1.0, -0.5]
+    return p
+
+
 def test_planar_state_delay_reduction_residuals_halve():
     res = {}
     for N in (40, 80):
-        g = dl.TimeGrid(0.0, 1.0, N, 0.25)
-        p = dl.empty_problem(g, 2, 2)
-        p.A1[:] = [[-0.3, 0.2], [0.0, -0.4]]
-        p.A2[:] = [[0.3, 0.1], [0.0, 0.2]]
-        p.B1[:] = [[1.0, 0.0], [0.3, 0.8]]
-        p.C1[:] = [[0.2, 0.0], [0.1, 0.1]]
-        p.C2[:] = [[0.1, 0.05], [0.0, 0.1]]
-        p.D1[:] = [[0.15, 0.0], [0.0, 0.1]]
-        p.Q1[:] = [[1.0, 0.2], [0.2, 0.7]]
-        p.R1[:] = np.eye(2)
-        p.xi[:] = [1.0, -0.5]
+        p = planar_state_delay_problem(N)
         vp, P, adj, strat = pipeline(p)
         res[N] = oracles.caseii_residual(oracles.caseii_extract(P, vp), p)
     for field in ("ode_late", "ode_early", "transport_early"):
