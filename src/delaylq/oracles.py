@@ -336,17 +336,14 @@ def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
                               optimize=True) * dt
             pw = pw + np.einsum("sab,sbc->ac", sel, inner) * dt
             P2c[l] = pw
-        # P3c[l, q], q = l..l+k: p1(q)[:n, n:2n] plus, for each r > l,
-        # ((pair)^T)[:n, n:2n] = (pair[n:2n, :n])^T and, when r - l > k,
-        # the lagged block; the terms are interleaved in r and summed in
-        # that order (cumsum is sequential), as a running sum would
+        # P3c[l, q], q = l..l+k: p1(q)[:n, n:2n] plus, over r > l,
+        # ((pair)^T)[:n, n:2n] = (pair[n:2n, :n])^T and, over r - l > k,
+        # the lagged block
         Q = min(k, N - l) + 1
-        terms = np.zeros((Q, 2 * (N - l) + 1, n, n))
-        terms[:, 0] = P.p1[l:l + Q, :n, n:2 * n]
-        terms[:, 1::2] = sl[:Q, 1:, n:2 * n, :n].swapaxes(-1, -2) * dt
-        terms[:, 2 * k + 2::2] = (sl[:Q, k + 1:, n:2 * n, n:2 * n]
-                                  .swapaxes(-1, -2) * dt)
-        P3c[l, l:l + Q] = np.cumsum(terms, axis=1)[:, -1]
+        P3c[l, l:l + Q] = (
+            P.p1[l:l + Q, :n, n:2 * n]
+            + sl[:Q, 1:, n:2 * n, :n].swapaxes(-1, -2).sum(axis=1) * dt
+            + sl[:Q, k + 1:, n:2 * n, n:2 * n].swapaxes(-1, -2).sum(axis=1) * dt)
     return CaseIIExtraction(P2c=P2c, P3c=P3c)
 
 
@@ -538,9 +535,9 @@ def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
             col_g = np.einsum("tqab,tpbc->qpac", cols[1:M], Gw,
                               optimize=True) * dt
             cross = np.einsum("qam,qpac->qpmc", Bw, col_g)
-            # sum over theta > l of p1script(l, theta, beta)^T G(theta, l+q-k),
-            # then over beta > l against G(beta, l+p-k)
-            tab_g = np.einsum("tbxa,tqxc->bqac", tab[1:, 1:], Gw,
+            # sum over theta > l of p1script(l, theta, beta) G(theta, l+q-k),
+            # then over beta > l of its transpose against G(beta, l+p-k)
+            tab_g = np.einsum("tbax,tqxc->bqac", tab[1:, 1:], Gw,
                               optimize=True) * dt
             double = np.einsum("bqac,bpad->qpcd", tab_g, Gw,
                                optimize=True) * dt

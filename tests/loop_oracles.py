@@ -1,4 +1,4 @@
-"""Loop forms of the case I and case II extractions, kept as a reference.
+"""Loop forms of the case I oracle and the case II P3c, kept as a reference.
 
 These are the original per-node, per-lag Python loops that
 ``delaylq.oracles`` replaced with array code.  They are slow (the case I
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delaylq.oracles import (CaseIIExtraction, CaseIResiduals,
-                             _require_time_invariant, _require_zero)
+from delaylq.oracles import CaseIResiduals, _require_zero
 from delaylq.exceptions import ProblemValidationError
 
 
@@ -32,29 +31,12 @@ class LoopCaseIExtraction:
     p1script: object    # callable (l, a, b) -> n x n window sum
 
 
-def caseii_extract(P, vp) -> CaseIIExtraction:
-    problem = vp.source
-    _require_zero(problem, ("A3", "B2", "B3", "C3", "Q2", "Q3", "R2",
-                            "b", "sigma", "F", "Ftilde"))
-    _require_time_invariant(problem, ("A1", "A2", "B1", "C1", "C2",
-                                      "D1", "Q1", "R1"))
+def loop_p3c(P, vp) -> np.ndarray:
+    """P3c of the case II extraction, one (q, r) pair at a time."""
     g = vp.grid
     N, dt, n, k = g.N, g.dt, vp.n, g.delay_steps
-
-    P2c = np.zeros((N + 1, n, n))
     P3c = np.zeros((N + 1, N + 1, n, n))
     for l, sl in P.replay():
-        M = N - l
-        if M > 0:
-            sel = np.zeros((M, n, 3 * n))
-            sel[:, :, :n] = np.eye(n)
-            lag = np.arange(l + 1, N + 1) - l > k
-            sel[lag, :, n:2 * n] = np.eye(n)
-            pw = np.einsum("sab,sbc,sdc->ad", sel, P.p1[l + 1:], sel) * dt
-            inner = np.einsum("stab,tcb->sac", sl[1:, 1:], sel,
-                              optimize=True) * dt
-            pw = pw + np.einsum("sab,sbc->ac", sel, inner) * dt
-            P2c[l] = pw
         for q in range(l, min(l + k, N) + 1):
             acc = P.p1[q][:n, n:2 * n].copy()
             for r in range(l + 1, N + 1):
@@ -64,7 +46,7 @@ def caseii_extract(P, vp) -> CaseIIExtraction:
                 if r - l > k:
                     acc = acc + pair[n:2 * n, n:2 * n].T * dt
             P3c[l, q] = acc
-    return CaseIIExtraction(P2c=P2c, P3c=P3c)
+    return P3c
 
 
 def casei_extract(P, vp) -> LoopCaseIExtraction:
