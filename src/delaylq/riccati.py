@@ -92,10 +92,12 @@ class RiccatiSolution:
         cur = frontier[N, N][None, None].copy()
         yield N, cur
         for l in range(N - 1, -1, -1):
-            interior = _advance(cur, pb[l + 1:, l + 1], self.rcal_inv[l + 1],
-                                self.dt)
-            cur = _bordered(interior, frontier[l + 1:, l])
-            cur[0, 0] = frontier[l, l]
+            nxt = np.empty((N + 1 - l,) * 2 + cur.shape[2:])
+            _advance(cur, pb[l + 1:, l + 1], self.rcal_inv[l + 1], self.dt,
+                     np.empty_like(cur), nxt)
+            _border(nxt, frontier[l + 1:, l])
+            nxt[0, 0] = frontier[l, l]
+            cur = nxt
             yield l, cur
 
     def p2_slice(self, l: int) -> np.ndarray:
@@ -115,24 +117,33 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _advance(prev: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
-             dt: float) -> np.ndarray:
-    """Interior of slice l from slice l+1: one Euler step of the rank-m drift."""
-    gain_next = pb_next @ rinv_next
-    interior = prev - dt * np.einsum(
-        "iaq,jbq->ijab", gain_next, pb_next, optimize=True
-    )
+             dt: float, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Interior of slice l from slice l+1: one Euler step of the rank-m drift.
+
+    The interior is written into ``out[1:, 1:]`` and returned; ``work`` has
+    the shape of ``prev`` and is scratch.  ``prev`` is read in full before
+    ``out`` is written, so the two may share memory.
+    """
+    np.einsum("iaq,jbq->ijab", pb_next @ rinv_next, pb_next, out=work,
+              optimize=True)
+    work *= dt
+    np.subtract(prev, work, out=work)
+    interior = out[1:, 1:]
     # elementwise averaging keeps the swap-transpose symmetry exact
-    return 0.5 * (interior + interior.transpose(1, 0, 3, 2))
+    np.add(work, work.transpose(1, 0, 3, 2), out=interior)
+    interior *= 0.5
+    return interior
 
 
-def _bordered(interior: np.ndarray, bnd: np.ndarray) -> np.ndarray:
-    """Slice l from its interior and boundary column; the corner is unset."""
-    M = interior.shape[0]
-    cur = np.empty((M + 1, M + 1) + interior.shape[2:])
-    cur[1:, 1:] = interior
+def _border(cur: np.ndarray, bnd: np.ndarray) -> None:
+    """Write the boundary column of slice l and its transposed row."""
     cur[1:, 0] = bnd
     cur[0, 1:] = bnd.transpose(0, 2, 1)
-    return cur
+
+
+def _leading(buf: np.ndarray, M: int, d: int) -> np.ndarray:
+    """The first M^2 d^2 entries of ``buf`` as an (M, M, d, d) slice."""
+    return buf[:M * M * d * d].reshape(M, M, d, d)
 
 
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
@@ -180,9 +191,18 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     pb[N, N] = p1[N] @ vp.B[N, N]
     free_term(N, cur)
 
+    # The running slice and the scratch of its Euler step live in two
+    # buffers of the final slice's size, allocated once: slices that grow
+    # by a row and a column per node, allocated afresh, left the peak RSS
+    # to the heap's fragmentation, which moved by several MB between runs.
+    slice_buf = np.empty((N + 1) ** 2 * d * d)
+    work_buf = np.empty_like(slice_buf)
     for l in range(N - 1, -1, -1):
         # the running slice over {l+1..N}^2 is advanced, not kept
-        interior = _advance(cur, pb[l + 1:, l + 1], rcal_inv[l + 1], dt)
+        M = N - l
+        nxt = _leading(slice_buf, M + 1, d)
+        interior = _advance(cur, pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
+                            _leading(work_buf, M, d), nxt)
 
         ups = vp.U[l + 1:, l]                    # (N-l, d, n)
         p1_fut = p1[l + 1:]
@@ -209,7 +229,8 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
                   + np.einsum("srab,rbm->sam", interior, bcol, optimize=True) * dt)
         bnd = pa_col - np.einsum("sam,mq,qc->sac", pb_col, rcal_inv[l], dgc)
 
-        cur = _bordered(interior, bnd)
+        cur = nxt
+        _border(cur, bnd)
         row0 = cur[0, 1:]                        # (N-l, d, d) = p2(l, r, l)
         acol = vp.a_column(l)                    # (N-l+1, d, d) = A(r, l)
         pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
