@@ -217,5 +217,8 @@ def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     N, dt = vp.grid.N, vp.grid.dt
     phi = vp.phi[:N]
     single = np.einsum("ja,jab,jb->", phi, P.p1[:N], phi) * dt
-    double = np.einsum("ia,ijab,jb->", phi, P.slice0[:N, :N], phi) * dt * dt
+    # slice0 is a strided view and einsum sums in memory order: a C-ordered
+    # copy keeps the value the same to the last bit whatever the layout
+    s0 = np.ascontiguousarray(P.slice0[:N, :N])
+    double = np.einsum("ia,ijab,jb->", phi, s0, phi) * dt * dt
     return float(single + double)

@@ -48,19 +48,26 @@ def write_summary(path: str, summary: dict) -> None:
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
+def _row_format(lead: str, width: int) -> str:
+    """One CSV row: the ``lead`` fields, then ``width`` floats at 17 digits."""
+    return lead + ",".join(["%.17g"] * width) + "\n"
+
+
 def _write_node_table(path: str, grid, table: np.ndarray) -> None:
+    rows = table.reshape(table.shape[0], -1)
+    fmt = _row_format("%d,%.17g,", rows.shape[1])
     with open(path, "w") as fh:
-        for j in range(table.shape[0]):
-            entries = ",".join(f"{v:.17g}" for v in table[j].ravel())
-            fh.write(f"{j},{grid.time(j):.17g},{entries}\n")
+        fh.writelines(fmt % (j, grid.time(j), *row)
+                      for j, row in enumerate(rows.tolist()))
 
 
 def _write_pair_table(path: str, table: np.ndarray) -> None:
+    rows = table.reshape(table.shape[:2] + (-1,))
+    fmt = _row_format("%d,%d,", rows.shape[2])
     with open(path, "w") as fh:
-        for i in range(table.shape[0]):
-            for j in range(i):
-                entries = ",".join(f"{v:.17g}" for v in table[i, j].ravel())
-                fh.write(f"{i},{j},{entries}\n")
+        for i in range(rows.shape[0]):
+            fh.writelines(fmt % (i, j, *row)
+                          for j, row in enumerate(rows[i, :i].tolist()))
 
 
 def _write_riccati_dump(path: str, P) -> None:
@@ -73,12 +80,11 @@ def _write_riccati_dump(path: str, P) -> None:
     chunks = []
     with tempfile.TemporaryFile(dir=os.path.dirname(path) or None) as spool:
         for l, sl in P.replay():
-            lines = []
-            for a in range(sl.shape[0]):
-                for b in range(sl.shape[1]):
-                    entries = ",".join(f"{v:.17g}" for v in sl[a, b].ravel())
-                    lines.append(f"{l + a},{l + b},{l},{entries}\n")
-            data = "".join(lines).encode()
+            M = sl.shape[0]
+            fmt = _row_format("%d,%d,%d,", sl[0, 0].size)
+            rows = sl.reshape(M * M, -1).tolist()
+            data = "".join(fmt % (l + a // M, l + a % M, l, *row)
+                           for a, row in enumerate(rows)).encode()
             chunks.append((spool.tell(), len(data)))
             spool.write(data)
         with open(path, "wb") as fh:

@@ -13,8 +13,12 @@ Sweep at node t_l (l = N..0):
   (iii) set the effective control weight and the pointwise kernel;
   (iv)  fill the boundary column/row and the symmetrized corner;
   (v)   record the frontier column and the adjoint's free-term product.
-Only the running slice is held, so storage is O(N^2 (3n)^2); time is
-O(N^3 (3n)^2).
+The running slice p2(., ., l) is one flat symmetric block matrix in a
+((N+1) d)^2 buffer indexed by global node, d = 3n: entry [(i, a), (j, b)]
+holds p2(i, j, l)[a, b], slice l is the view buf[l d:, l d:], and its
+interior is slice l+1, which step (i) updates in place.  The
+swap-transpose symmetry is the matrix transpose, and the sums against the
+slice are BLAS products on views.  Storage is O(N^2 d^2); time O(N^3 d^2).
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ class RiccatiSolution:
     p2(r, l, l) for r >= l (the boundary column and the corner the sweep
     writes at node l; p2(l, r, l) is its transpose).  Readers that need
     whole slices get them from ``replay``, which re-runs the sweep's own
-    recurrence backwards from the terminal corner and reproduces the
-    sweep's slices bit for bit.  ``slice0`` is the slice at node 0.
+    recurrence backwards from the terminal corner on the same flat layout
+    and reproduces the sweep's slices bit for bit.  ``slice0`` is the
+    slice at node 0, an (N+1, N+1, d, d) view of the sweep's buffer.
 
     ``pb[s, t]`` holds the control-kernel star product (P*B)(t_s, t_t)
     for s >= t (the diagonal carries the limiting corner value), and
@@ -83,22 +88,12 @@ class RiccatiSolution:
         ``slice_l`` covers grid pairs (i, j) with i, j >= l (local index
         0 is global l) and the lifted components ``block`` on both sides.
         The recurrence is blockwise, so a block replay costs its share
-        of the full one.  Only the current slice is held, and it seeds
-        the next step, so callers must not modify it in place.
+        of the full one.  Each slice is an (M, M, d, d) view into one flat
+        buffer that the next step updates in place: copy it to keep it
+        past the step, and do not modify it.
         """
-        N = self.N
-        frontier = self.frontier[:, :, block, block]
-        pb = self.pb[:, :, block, :]
-        cur = frontier[N, N][None, None].copy()
-        yield N, cur
-        for l in range(N - 1, -1, -1):
-            nxt = np.empty((N + 1 - l,) * 2 + cur.shape[2:])
-            _advance(cur, pb[l + 1:, l + 1], self.rcal_inv[l + 1], self.dt,
-                     np.empty_like(cur), nxt)
-            _border(nxt, frontier[l + 1:, l])
-            nxt[0, 0] = frontier[l, l]
-            cur = nxt
-            yield l, cur
+        for l, X in _replay(self, block):
+            yield l, _blocks(X, self.N + 1 - l)
 
     def p2_slice(self, l: int) -> np.ndarray:
         """The whole slice at node l, replayed from the terminal node."""
@@ -116,41 +111,68 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _advance(prev: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
-             dt: float, work: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Interior of slice l from slice l+1: one Euler step of the rank-m drift.
+def _blocks(X: np.ndarray, M: int) -> np.ndarray:
+    """The flat slice X over M nodes as an (M, M, d, d) view."""
+    d = X.shape[0] // M
+    return X.reshape(M, d, M, d).transpose(0, 2, 1, 3)
 
-    The interior is written into ``out[1:, 1:]`` and returned; ``work`` has
-    the shape of ``prev`` and is scratch.  ``prev`` is read in full before
-    ``out`` is written, so the two may share memory.
-    """
-    np.einsum("iaq,jbq->ijab", pb_next @ rinv_next, pb_next, out=work,
-              optimize=True)
+
+def _apply(u: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_{t,b} X[(s,a), (t,b)] u[t, b, :] as an (M, d, k) array.  X is
+    exactly symmetric, so the row product u^T X serves; it sums in the
+    order of einsum's ``stab,tbj->saj`` plan, bit for bit, and X @ u not."""
+    M, d, k = u.shape
+    return (u.reshape(M * d, k).T @ X).T.reshape(M, d, k)
+
+
+def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
+             dt: float, work: np.ndarray) -> None:
+    """Slice l+1 becomes the interior of slice l, in place: one Euler step
+    of the rank-m drift.  ``work`` is contiguous scratch of X's shape."""
+    pbf = pb_next.reshape(X.shape[0], -1)
+    np.matmul((pb_next @ rinv_next).reshape(pbf.shape), pbf.T, out=work)
     work *= dt
-    np.subtract(prev, work, out=work)
-    interior = out[1:, 1:]
-    # elementwise averaging keeps the swap-transpose symmetry exact
-    np.add(work, work.transpose(1, 0, 3, 2), out=interior)
-    interior *= 0.5
-    return interior
+    np.subtract(X, work, out=work)
+    # averaging with the transpose keeps the swap-transpose symmetry exact
+    np.add(work, work.T, out=X)
+    X *= 0.5
 
 
-def _border(cur: np.ndarray, bnd: np.ndarray) -> None:
-    """Write the boundary column of slice l and its transposed row."""
-    cur[1:, 0] = bnd
-    cur[0, 1:] = bnd.transpose(0, 2, 1)
+def _border(X: np.ndarray, bnd: np.ndarray) -> None:
+    """Write the boundary column (M, d, d) of slice X and its transposed row."""
+    d = X.shape[0] // (bnd.shape[0] + 1)
+    X[d:, :d] = bnd.reshape(-1, d)
+    X[:d, d:] = X[d:, :d].T
 
 
-def _leading(buf: np.ndarray, M: int, d: int) -> np.ndarray:
-    """The first M^2 d^2 entries of ``buf`` as an (M, M, d, d) slice."""
-    return buf[:M * M * d * d].reshape(M, M, d, d)
+def _sweep(N: int, d: int, pb: np.ndarray, rcal_inv: np.ndarray, dt: float):
+    """Yield (l, X_l), l = N..0, with X_l the flat slice l and its interior
+    advanced.  The caller writes X_l's border and corner, and pb[l:, l] and
+    rcal_inv[l], before resuming.  Slice and scratch are allocated once:
+    arrays grown per node left the peak RSS to the heap's fragmentation."""
+    buf = np.empty(((N + 1) * d,) * 2)
+    work = np.empty(N * N * d * d)
+    yield N, buf[N * d:, N * d:]
+    for l in range(N - 1, -1, -1):
+        X, Md = buf[l * d:, l * d:], (N - l) * d
+        _advance(X[d:, d:], pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
+                 work[:Md * Md].reshape(Md, Md))
+        yield l, X
+
+
+def _replay(P: "RiccatiSolution", block: slice):
+    """Flat slices of ``P.replay(block)``, rebuilt from the frontier."""
+    frontier = P.frontier[:, :, block, block]
+    d = frontier.shape[-1]
+    for l, X in _sweep(P.N, d, P.pb[:, :, block, :], P.rcal_inv, P.dt):
+        _border(X, frontier[l + 1:, l])
+        X[:d, :d] = frontier[l, l]
+        yield l, X
 
 
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
-    g = vp.grid
-    N, dt, n, m = g.N, g.dt, vp.n, vp.m
+    N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
     d = 3 * n
-    b = vp.source.b
 
     p1 = np.zeros((N + 1, d, d))
     g1_table = np.zeros((N + 1, n, n))
@@ -172,43 +194,30 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         if w.min() <= 0.0:
             raise NumericalError(
                 f"effective control weight lost positive definiteness at node {l} "
-                f"(min eigenvalue {w.min():.6e})"
-            )
+                f"(min eigenvalue {w.min():.6e})")
         rcal[l] = mat
         rcal_inv[l] = cho_solve(cho_factor(mat, lower=True), eye_m)
 
-    def free_term(l: int, sl: np.ndarray) -> None:
-        ub = np.einsum("rab,b->ra", vp.U[l:, l], b[l])
+    def free_term(l: int, X: np.ndarray) -> None:
+        ub = np.einsum("rab,b->ra", vp.U[l:, l], vp.source.b[l])
         w_free = np.einsum("rab,rb->ra", p1[l:], ub)
-        pfree[l:, l] = w_free + np.einsum("rqab,qb->ra", sl[:, 1:], ub[1:]) * dt
+        pfree[l:, l] = w_free + (ub[1:].ravel() @ X[d:]).reshape(-1, d) * dt
 
-    # terminal node: empty future, sandwich vanishes
-    p1[N] = _sym(vp.Q[N])
-    factor_rcal(N, vp.R[N])
-    corner = _sym(p1[N] @ vp.a_column(N)[0])
-    cur = corner[None, None]
-    frontier[N, N] = corner
-    pb[N, N] = p1[N] @ vp.B[N, N]
-    free_term(N, cur)
-
-    # The running slice and the scratch of its Euler step live in two
-    # buffers of the final slice's size, allocated once: slices that grow
-    # by a row and a column per node, allocated afresh, left the peak RSS
-    # to the heap's fragmentation, which moved by several MB between runs.
-    slice_buf = np.empty((N + 1) ** 2 * d * d)
-    work_buf = np.empty_like(slice_buf)
-    for l in range(N - 1, -1, -1):
-        # the running slice over {l+1..N}^2 is advanced, not kept
-        M = N - l
-        nxt = _leading(slice_buf, M + 1, d)
-        interior = _advance(cur, pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
-                            _leading(work_buf, M, d), nxt)
-
+    for l, X in _sweep(N, d, pb, rcal_inv, dt):
+        if l == N:                               # empty future
+            p1[N] = _sym(vp.Q[N])
+            factor_rcal(N, vp.R[N])
+            X[:] = _sym(p1[N] @ vp.a_column(N)[0])
+            frontier[N, N] = X
+            pb[N, N] = p1[N] @ vp.B[N, N]
+            free_term(N, X)
+            continue
+        M, interior = N - l, X[d:, d:]
         ups = vp.U[l + 1:, l]                    # (N-l, d, n)
         p1_fut = p1[l + 1:]
         pu = np.einsum("sab,sbj->saj", p1_fut, ups)
         g1_val = np.einsum("sai,saj->ij", ups, pu) * dt
-        v_in = np.einsum("stab,tbj->saj", interior, ups, optimize=True) * dt
+        v_in = _apply(ups, interior) * dt
         g1_val += np.einsum("sai,saj->ij", ups, v_in) * dt
         g1_val = _sym(g1_val)
         g1_table[l] = g1_val
@@ -226,26 +235,26 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         g2col = pu + v_in                        # (N-l, d, n), selector-weighted
         pa_col = np.einsum("saj,jc->sac", g2col, vp.Acal[l])
         pb_col = (np.einsum("sab,sbm->sam", p1_fut, bcol)
-                  + np.einsum("srab,rbm->sam", interior, bcol, optimize=True) * dt)
+                  + _apply(bcol, interior) * dt)
         bnd = pa_col - np.einsum("sam,mq,qc->sac", pb_col, rcal_inv[l], dgc)
 
-        cur = nxt
-        _border(cur, bnd)
-        row0 = cur[0, 1:]                        # (N-l, d, d) = p2(l, r, l)
+        _border(X, bnd)
+        # p2(l, r, l), C-contiguous: einsum's summation order follows strides
+        row0 = np.ascontiguousarray(bnd.transpose(0, 2, 1))
         acol = vp.a_column(l)                    # (N-l+1, d, d) = A(r, l)
         pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
         pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
-        cur[0, 0] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
-        if not np.isfinite(cur).all():
+        X[:d, :d] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
+        if not np.isfinite(X).all():
             raise NumericalError(f"two-time kernel non-finite at node {l}")
-        frontier[l:, l] = cur[:, 0]
-        free_term(l, cur)
+        frontier[l:, l] = X[:, :d].reshape(M + 1, d, d)
+        free_term(l, X)
 
         pb[l + 1:, l] = pb_col
         pb[l, l] = pb_corner
 
     return RiccatiSolution(
-        n=n, m=m, dt=dt, p1=p1, frontier=frontier, slice0=cur,
+        n=n, m=m, dt=dt, p1=p1, frontier=frontier, slice0=_blocks(X, N + 1),
         g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, pb=pb, pfree=pfree,
         lambda_floor=float(lambda_floor),
     )
@@ -277,9 +286,8 @@ class RiccatiResiduals:
 
 
 def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResiduals:
-    g = vp.grid
-    N, dt, n = g.N, g.dt, vp.n
-    src = vp.source
+    g, src, d = vp.grid, vp.source, 3 * vp.n
+    N, dt, k = g.N, g.dt, g.delay_steps
 
     res_rcal = 0.0
     for l in range(N + 1):
@@ -288,25 +296,20 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
             P.rcal[l] - vp.R[l] - D1l.T @ P.g1_table[l] @ D1l).max()))
 
     prof_point = np.zeros(N + 1)
-    prof_bound = np.zeros(N)
-    prof_evol = np.zeros(N)
-    k = g.delay_steps
-    nxt = None                                    # slice l+1 of the replay
-    for l, sl in P.replay():
-        w = np.full(N + 1 - l, dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        if l == N:
-            w[:] = 0.0
+    prof_bound, prof_evol = np.zeros(N), np.zeros(N)
+    prev = None                                   # copy of flat slice l+1
+    for l, X in _replay(P, slice(None)):
+        M = N - l
+        w = np.full(M + 1, dt if l < N else 0.0)
+        w[[0, -1]] *= 0.5
         ups = vp.U[l:, l]
         pu = np.einsum("sab,sbj->saj", P.p1[l:], ups)
         g1t = np.einsum("s,sai,saj->ij", w, ups, pu)
-        v_in = np.einsum("t,stab,tbj->saj", w, sl, ups, optimize=True)
+        v_in = _apply(w[:, None, None] * ups, X)
         g1t += np.einsum("s,sai,saj->ij", w, ups, v_in)
         g1t = _sym(g1t)
         D1l = src.D1[l]
-        rct = vp.R[l] + D1l.T @ g1t @ D1l
-        rct_inv = np.linalg.inv(rct)
+        rct_inv = np.linalg.inv(vp.R[l] + D1l.T @ g1t @ D1l)
         cgd = vp.Ccal[l].T @ g1t @ D1l
         dgc = D1l.T @ g1t @ vp.Ccal[l]
         lhs1 = P.p1[l] - (vp.Q[l] + vp.Ccal[l].T @ g1t @ vp.Ccal[l]
@@ -318,31 +321,27 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
             pa = np.einsum("saj,jc->sac", g2t[1:], vp.Acal[l])
             bker = vp.B[l:, l]
             pbt = (np.einsum("sab,sbm->sam", P.p1[l:], bker)
-                   + np.einsum("t,stab,tbm->sam", w, sl, bker, optimize=True))
-            lhs3 = sl[1:, 0] - (pa - np.einsum(
+                   + _apply(w[:, None, None] * bker, X))
+            lhs3 = X[d:, :d].reshape(M, d, d) - (pa - np.einsum(
                 "sam,mq,qc->sac", pbt[1:], rct_inv, dgc))
             prof_bound[l] = float(np.abs(lhs3).max())
 
             # effective weight jumps one delay before the horizon
             if not (l == N - k - 1 and np.abs(src.R2).max() > 0):
-                fd = (nxt - sl[1:, 1:]) / dt
-                pb_rows = P.pb[l + 1:, l]
-                drift = np.einsum("iam,mq,jbq->ijab", pb_rows, P.rcal_inv[l],
-                                  pb_rows, optimize=True)
-                idx = np.arange(l + 1, N + 1) - l
+                fd = np.subtract(prev, X[d:, d:], out=prev)
+                fd /= dt
+                pb_rows = P.pb[l + 1:, l].reshape(M * d, -1)
+                fd -= (pb_rows @ P.rcal_inv[l]) @ pb_rows.T
+                idx = np.arange(1, M + 1)
                 smooth = (np.abs(idx - k) > 1) & (np.abs(idx - 2 * k) > 1)
-                mask = smooth[:, None] & smooth[None, :]
-                if mask.any():
-                    per_pair = np.abs(fd - drift).max(axis=(2, 3))
-                    prof_evol[l] = float(per_pair[mask].max())
-        nxt = sl
+                if smooth.any():                  # pairs with both nodes smooth
+                    rows = np.repeat(smooth, d)
+                    prof_evol[l] = float(np.abs(fd[rows][:, rows]).max())
+        prev = X.copy() if l > 0 else None
 
     return RiccatiResiduals(
         pointwise=float(prof_point.max()),
         evolution=float(prof_evol.max()) if N > 0 else 0.0,
         boundary=float(prof_bound.max()) if N > 0 else 0.0,
-        rcal_identity=res_rcal,
-        pointwise_profile=prof_point,
-        evolution_profile=prof_evol,
-        boundary_profile=prof_bound,
-    )
+        rcal_identity=res_rcal, pointwise_profile=prof_point,
+        evolution_profile=prof_evol, boundary_profile=prof_bound)

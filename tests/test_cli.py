@@ -215,3 +215,24 @@ class TestReproducibility:
                         "--n-paths", "64", "--seed", "99", "--out", out]) == 0
             outs.append((out / "summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the sweep's sums against the slice are BLAS products, which may
+        # split work across threads; the outputs must not change with that
+        tables = ("riccati_p2.csv", "riccati_p1.csv", "feedback_v.csv")
+        src = os.path.dirname(os.path.dirname(dl.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+            out = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "delaylq.cli", "solve", "--preset",
+                 "full", "--n-steps", "48", "--dump-riccati", "--out",
+                 str(out)], capture_output=True, text=True, env=env,
+                timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append([(out / name).read_bytes() for name in tables])
+        for name, one, two in zip(tables, *outs):
+            assert one == two, name

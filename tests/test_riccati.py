@@ -1,6 +1,8 @@
 """Backward solver: fixed points, symmetry, star products, evaluators."""
 
 import hashlib
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from delaylq.cli import main as cli_main
 from delaylq.oracles import (bcal, g1, g2, g3, star_left, star_right,
                              star_sandwich)
 from delaylq.riccati import RiccatiSolution
+from test_multidim import planar_problem, planar_state_delay_problem
 
 
 def zero_weight_solution(N=16):
@@ -76,10 +79,20 @@ DUMP16_SHA256 = {
 }
 
 
+@lru_cache(maxsize=1)
+def planar_solutions():
+    """The n = 2 problems of test_multidim: d = 6 blocks in the flat slice."""
+    problems = {"planar-m1": planar_problem(16, m=1),
+                "planar-m2": planar_problem(16, m=2),
+                "planar-state-delay": planar_state_delay_problem(16)}
+    return tuple((name, dl.solve_riccati(dl.build_volterra(p)))
+                 for name, p in problems.items())
+
+
 class TestFactoredKernel:
     def test_closed_form_matches_replay_on_all_presets(self, solve_preset):
-        for name in dl.PRESET_NAMES:
-            P = solve_preset(name, 24).P
+        presets = [(name, solve_preset(name, 24).P) for name in dl.PRESET_NAMES]
+        for name, P in presets + list(planar_solutions()):
             worst = 0.0
             for l, sl in P.replay():
                 for i in range(l, P.N + 1):
@@ -89,8 +102,8 @@ class TestFactoredKernel:
             assert worst <= 1e-12, (name, worst)
 
     def test_replay_reproduces_stored_tables_exactly(self, solve_preset):
-        for name in dl.PRESET_NAMES:
-            P = solve_preset(name, 24).P
+        presets = [solve_preset(name, 24).P for name in dl.PRESET_NAMES]
+        for P in presets + [P for _, P in planar_solutions()]:
             for l, sl in P.replay():
                 assert sl.shape == (P.N + 1 - l,) * 2 + (3 * P.n,) * 2
                 np.testing.assert_array_equal(sl[:, 0], P.frontier[l:, l])
@@ -122,6 +135,23 @@ class TestFactoredKernel:
         arrays = [v for v in vars(P).values() if isinstance(v, np.ndarray)]
         assert max(a.size for a in arrays) <= nn * nn * d * d
         assert sum(a.nbytes for a in arrays) <= 4 * nn * nn * d * d * 8
+
+    def test_sweep_allocates_no_hidden_slice_sized_temporary(self):
+        # the stored tables besides slice0, plus the running slice (kept as
+        # slice0), the Euler step's scratch and half a slice of slack for
+        # numpy's iteration buffers (about 0.13 slice here) and small
+        # temporaries; one more slice-sized temporary in the loop exceeds it
+        vp = dl.build_volterra(dl.preset_problem("full", 120))
+        tracemalloc.start()
+        try:
+            P = dl.solve_riccati(vp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(a.nbytes for name, a in vars(P).items()
+                     if isinstance(a, np.ndarray) and name != "slice0")
+        slice_bytes = (P.N + 1) ** 2 * (3 * P.n) ** 2 * 8
+        assert peak <= stored + 2.5 * slice_bytes, (peak - stored) / slice_bytes
 
     def test_domain_errors(self, solve_preset):
         P = solve_preset("tanh", 16).P
