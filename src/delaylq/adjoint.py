@@ -6,7 +6,10 @@ the offset control follows from the same regrouped star products the
 Riccati sweep stores.  The closed-loop gains come from the causal pair
 (pointwise gain on the lifted state, history gain on its forward
 representation) by collecting the history kernel against the lifted
-state's reconstruction in terms of the original trajectories.
+state's reconstruction in terms of the original trajectories.  The
+history gain's sums over future nodes are suffix tables built once; the
+delay-shifted and memory channels of the control gain and the offset's
+initial windows are contractions against them, with no loop over nodes.
 """
 
 from __future__ import annotations
@@ -131,8 +134,7 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     ii, jj = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
     strict = (ii > jj).astype(float)
     gam_strict = gains.Gamma * strict[:, :, None, None]
-    gam1 = gam_strict[..., :n]          # [s, t] blocks of the history gain
-    gam2 = gam_strict[..., n:2 * n]
+    gam2 = gam_strict[..., n:2 * n]     # [s, t] blocks of the history gain
     gam3 = gam_strict[..., 2 * n:]
 
     # current-state gain: pointwise part plus the history gain summed
@@ -141,9 +143,8 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
         "stab,stbc->tac", gam_strict, vp.U, optimize=True) * dt
     k3 = gains.Xi[:, :, n:2 * n].copy()
 
-    # gf[t, beta] = sum_{alpha>t} gam3[alpha, t] F[alpha, beta] dt; this
-    # is both the distributed-state history term and the kernel that
-    # collects the memory channel inside k4
+    # gf[t, beta] = sum_{alpha>t} gam3[alpha, t] F[alpha, beta] dt, the
+    # distributed-state history term
     gf = np.einsum("atmx,abxy->tbmy", gam3, src.F, optimize=True) * dt
 
     # distributed-state gain
@@ -155,22 +156,21 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
         k2[ts, ss] += gains.Gamma[ss + k, ts][:, :, n:2 * n]
     k2 *= strict[:, :, None, None]
 
-    # suffix sums of the history gain over its first (future) index:
-    # suf*[q, t] = sum_{r >= q} gam*[r, t] dt, with suf*[nn] = 0
-    def suffix(blocks: np.ndarray) -> np.ndarray:
-        out = np.zeros((nn + 1,) + blocks.shape[1:])
-        out[:nn] = blocks
-        return np.cumsum(out[::-1], axis=0)[::-1] * dt
-
-    suf1 = suffix(gam1)
-    suf2 = suffix(gam2)
+    # suffix sums of the first two history-gain blocks over the future
+    # index, suf*[q, t] = sum_{r >= q} gam*[r, t] dt with suf*[nn] = 0,
+    # and s3[t, p] = sum_{beta >= p} gf[t, beta] dt (F vanishes on and
+    # above its diagonal)
+    suf = np.zeros((nn + 1, nn, m, 2 * n))
+    suf[:nn] = gam_strict[..., :2 * n]
+    suf = np.cumsum(suf[::-1], axis=0)[::-1] * dt
+    suf1, suf2 = suf[..., :n], suf[..., n:]
     s3 = np.einsum("rtmx,rpxy->tpmy", gam3, vp.E, optimize=True) * dt
 
     # i1grid[t, p]: future history gain seen by a control impulse that
     # enters through the delay-shifted channel at node p >= t
+    nodes = np.arange(nn)
     i1grid = suf1[1:nn + 1].transpose(1, 0, 2, 3).copy()
-    shifted = np.stack([suf2[min(p + k + 1, nn)] for p in range(nn)], axis=0)
-    i1grid += shifted.transpose(1, 0, 2, 3)
+    i1grid += suf2[np.minimum(nodes + k + 1, nn)].transpose(1, 0, 2, 3)
     i1grid += s3
 
     # distributed-control gain: shifted channel plus the memory channel
@@ -182,28 +182,27 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
                                 src.B2[ss + k])
     has_memory = np.abs(src.B3).max() > 0 and np.abs(src.Ftilde).max() > 0
     if has_memory:
+        # u(s) reaches the state at theta > t through B3(theta)
+        # Ftilde(theta, s); w[t, theta] is the history gain seen there
         bf = np.einsum("tab,tsbm->tsam", src.B3, src.Ftilde)  # (theta, s, n, m)
-        for t in range(N):
-            cf = np.cumsum(bf[t + 1:], axis=0) * dt   # cumulative from t+1
-            cf_shift = np.zeros_like(cf)
-            if cf.shape[0] > k:
-                cf_shift[k:] = cf[:-k]
-            term = np.einsum("amx,asxq->smq", gam1[t + 1:, t], cf) * dt
-            term += np.einsum("amx,asxq->smq", gam2[t + 1:, t], cf_shift) * dt
-            term += np.einsum("bmx,bsxq->smq", gf[t, t + 1:], cf) * dt
-            k4[t] += term
+        w = (suf1[:nn] + suf2[np.minimum(nodes + k, nn)]).transpose(1, 0, 2, 3)
+        w += s3
+        w *= strict.T[:, :, None, None]
+        k4 += np.tensordot(w, bf, axes=([1, 3], [0, 2])).transpose(
+            0, 2, 1, 3) * dt
     k4 *= strict[:, :, None, None]
 
-    # offset: adjoint part, initial-state window, initial-control window
-    v = adjoint.omega.copy()
+    # offset: adjoint part, initial-state window (t < a <= lim) and
+    # initial-control window (t <= p < lim; shifted-channel nodes beyond
+    # the horizon contribute nothing).  The stack is summed along its
+    # leading axis, which numpy does term by term in this order.
     lim = min(k, N)
-    for t in range(nn):
-        for a in range(t + 1, lim + 1):
-            v[t] += gains.Gamma[a, t][:, n:2 * n] @ src.xi[a] * dt
-        if t <= k:
-            # shifted-channel nodes beyond the horizon contribute nothing
-            for p in range(t, min(k, N)):
-                v[t] += i1grid[t, p] @ src.B2[p] @ src.varsigma[p] * dt
+    init = np.einsum("atmx,ax->atm", gam2[1:lim + 1], src.xi[1:lim + 1]) * dt
+    ctrl = np.einsum("ptmq,pq->ptm", np.einsum(
+        "tpmx,pxq->ptmq", i1grid[:, :lim], src.B2[:lim]),
+        src.varsigma[:lim]) * dt
+    ctrl *= (jj[:lim] <= ii[:lim])[:, :, None]
+    v = np.concatenate([adjoint.omega[None], init, ctrl]).sum(axis=0)
 
     return FeedbackStrategy(k1=k1, k2=k2, k3=k3, k4=k4, v=v)
 

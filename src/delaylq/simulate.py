@@ -212,13 +212,15 @@ def default_direction_scale(u: np.ndarray) -> float:
 
 
 def stationarity_test(problem: DelayLQProblem, strategy: FeedbackStrategy,
-                      direction: np.ndarray, eps: Optional[float],
-                      batch: BrownianBatch) -> DerivativeEstimate:
-    """First-order optimality certificate along one deterministic direction.
+                      directions: np.ndarray, eps: Optional[float],
+                      batch: BrownianBatch) -> list[DerivativeEstimate]:
+    """First-order optimality certificates along deterministic directions.
 
-    Records the closed-loop control path per realization, re-simulates
+    Records the closed-loop control path per realization once, then for
+    each direction in the stack ``directions`` (D, N+1, m) re-simulates
     open loop with u* +/- eps*direction on the same noise, and returns
-    the pathwise central-difference derivative estimate.
+    the pathwise central-difference derivative estimates, one per
+    direction.
 
     When ``eps`` is None it defaults to 1e-3 times the control scale:
     larger steps trade the O(eps^2) curvature bias against Monte-Carlo
@@ -226,19 +228,23 @@ def stationarity_test(problem: DelayLQProblem, strategy: FeedbackStrategy,
     suppress to O(eps) per path.
     """
     g = problem.grid
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (g.N + 1, problem.m):
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 3 or directions.shape[1:] != (g.N + 1, problem.m):
         raise ValueError(
-            f"direction must be ({g.N + 1},{problem.m}), got {direction.shape}")
+            f"directions must be (D,{g.N + 1},{problem.m}), "
+            f"got {directions.shape}")
     base = simulate_closed_loop(problem, strategy, batch)
     if eps is None:
         eps = 1e-3 * default_direction_scale(base.u)
-    up = simulate_open_loop(problem, base.u + eps * direction, batch)
-    dn = simulate_open_loop(problem, base.u - eps * direction, batch)
-    good = ~(base.flagged | up.flagged | dn.flagged)
-    diffs = (up.cost_samples[good] - dn.cost_samples[good]) / (2.0 * eps)
-    n_good = int(good.sum())
-    est = float(diffs.mean())
-    stderr = float(diffs.std(ddof=1) / np.sqrt(n_good)) if n_good > 1 else 0.0
-    return DerivativeEstimate(estimate=est, stderr=stderr, eps=float(eps),
-                              n_paths=n_good)
+    out = []
+    for direction in directions:
+        up = simulate_open_loop(problem, base.u + eps * direction, batch)
+        dn = simulate_open_loop(problem, base.u - eps * direction, batch)
+        good = ~(base.flagged | up.flagged | dn.flagged)
+        diffs = (up.cost_samples[good] - dn.cost_samples[good]) / (2.0 * eps)
+        n_good = int(good.sum())
+        est = float(diffs.mean())
+        stderr = float(diffs.std(ddof=1) / np.sqrt(n_good)) if n_good > 1 else 0.0
+        out.append(DerivativeEstimate(estimate=est, stderr=stderr,
+                                      eps=float(eps), n_paths=n_good))
+    return out

@@ -1,9 +1,11 @@
-"""Loop forms of the case I oracle and the case II P3c, kept as a reference.
+"""Loop forms of the case I oracle, the case II P3c and the feedback
+synthesis's memory channel and offset, kept as a reference.
 
 These are the original per-node, per-lag Python loops that
-``delaylq.oracles`` replaced with array code.  They are slow (the case I
-extraction is O(N^3 k^2) Python iterations with the memory channel
-active) and serve only to pin the vectorized oracles to 1e-12.
+``delaylq.oracles`` and ``delaylq.adjoint.synthesize_feedback`` replaced
+with array code.  They are slow (the case I extraction is O(N^3 k^2)
+Python iterations with the memory channel active) and serve only to pin
+the array forms to 1e-12.
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from delaylq.adjoint import causal_gains
 from delaylq.oracles import CaseIResiduals, _require_zero
 from delaylq.exceptions import ProblemValidationError
 
@@ -209,3 +212,64 @@ def casei_residual(ext: LoopCaseIExtraction, problem) -> CaseIResiduals:
         bnd = max(bnd, float(np.abs(ext.S1[l, 0] - edge).max()))
 
     return CaseIResiduals(ode=ode, transport1=tr1, transport2=tr2, boundary=bnd)
+
+
+def synthesis_k4_v(P, adjoint, vp, problem):
+    """k4 and v of the feedback synthesis: the memory channel one node at
+    a time, with its cumulative sums rebuilt per node, and the offset's
+    double loop over (t, a) and (t, p)."""
+    g = vp.grid
+    N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
+    nn = N + 1
+    src = problem
+    gains = causal_gains(P, vp)
+    ii, jj = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
+    strict = (ii > jj).astype(float)
+    gam_strict = gains.Gamma * strict[:, :, None, None]
+    gam1 = gam_strict[..., :n]
+    gam2 = gam_strict[..., n:2 * n]
+    gam3 = gam_strict[..., 2 * n:]
+    gf = np.einsum("atmx,abxy->tbmy", gam3, src.F, optimize=True) * dt
+
+    def suffix(blocks: np.ndarray) -> np.ndarray:
+        out = np.zeros((nn + 1,) + blocks.shape[1:])
+        out[:nn] = blocks
+        return np.cumsum(out[::-1], axis=0)[::-1] * dt
+
+    suf1 = suffix(gam1)
+    suf2 = suffix(gam2)
+    s3 = np.einsum("rtmx,rpxy->tpmy", gam3, vp.E, optimize=True) * dt
+    i1grid = suf1[1:nn + 1].transpose(1, 0, 2, 3).copy()
+    shifted = np.stack([suf2[min(p + k + 1, nn)] for p in range(nn)], axis=0)
+    i1grid += shifted.transpose(1, 0, 2, 3)
+    i1grid += s3
+
+    k4 = np.zeros((nn, nn, m, m))
+    mask_b2 = (jj >= ii - k) & (jj <= N - k) & (jj < ii)
+    ts, ss = np.nonzero(mask_b2)
+    if ts.size:
+        k4[ts, ss] += np.einsum("pmx,pxq->pmq", i1grid[ts, ss + k],
+                                src.B2[ss + k])
+    has_memory = np.abs(src.B3).max() > 0 and np.abs(src.Ftilde).max() > 0
+    if has_memory:
+        bf = np.einsum("tab,tsbm->tsam", src.B3, src.Ftilde)
+        for t in range(N):
+            cf = np.cumsum(bf[t + 1:], axis=0) * dt
+            cf_shift = np.zeros_like(cf)
+            if cf.shape[0] > k:
+                cf_shift[k:] = cf[:-k]
+            term = np.einsum("amx,asxq->smq", gam1[t + 1:, t], cf) * dt
+            term += np.einsum("amx,asxq->smq", gam2[t + 1:, t], cf_shift) * dt
+            term += np.einsum("bmx,bsxq->smq", gf[t, t + 1:], cf) * dt
+            k4[t] += term
+    k4 *= strict[:, :, None, None]
+
+    v = adjoint.omega.copy()
+    lim = min(k, N)
+    for t in range(nn):
+        for a in range(t + 1, lim + 1):
+            v[t] += gains.Gamma[a, t][:, n:2 * n] @ src.xi[a] * dt
+        if t <= k:
+            for p in range(t, min(k, N)):
+                v[t] += i1grid[t, p] @ src.B2[p] @ src.varsigma[p] * dt
+    return k4, v

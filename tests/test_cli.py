@@ -196,6 +196,8 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("argv", [
         ["solve", "--preset", "full", "--n-steps", "abc"],
         ["solve", "--preset", "full", "--no-such-flag"],
+        ["solve", "--preset", "full", "--n-paths", "5"],
+        ["simulate", "--preset", "full", "--dump-riccati"],
     ])
     def test_usage_errors_exit_one_on_one_line(self, argv, tmp_path):
         proc = run_interpreter(argv, tmp_path)

@@ -198,7 +198,7 @@ class TestStationarity:
             v=np.zeros((nn, 1)))
         batch = dl.gen_brownian(p.grid, 8, seed=2)
         w = np.ones((nn, 1))
-        der = dl.stationarity_test(p, strat, w, 1e-3, batch)
+        [der] = dl.stationarity_test(p, strat, w[None], 1e-3, batch)
         assert der.estimate == 0.0
         assert der.stderr == 0.0
 
@@ -209,17 +209,18 @@ class TestStationarity:
         rng = np.random.default_rng(17)
         slack = 10.0 * g.dt
         detuned = s.strategy.scaled(1.5)
-        n_pass = n_fail = 0
+        ws = []
         for _ in range(6):
             w = rng.standard_normal((g.N + 1, 1))
             w[g.N] = 0.0
             w /= np.sqrt((w[:g.N] ** 2).sum() * g.dt)
-            if dl.stationarity_test(s.problem, s.strategy, w, None,
-                                    batch).passes(slack):
-                n_pass += 1
-            if not dl.stationarity_test(s.problem, detuned, w, None,
-                                        batch).passes(slack):
-                n_fail += 1
+            ws.append(w)
+        n_pass = sum(der.passes(slack) for der in
+                     dl.stationarity_test(s.problem, s.strategy, ws, None,
+                                          batch))
+        n_fail = sum(not der.passes(slack) for der in
+                     dl.stationarity_test(s.problem, detuned, ws, None,
+                                          batch))
         assert n_pass >= 5
         assert n_fail >= 1
 

@@ -1,4 +1,5 @@
-"""The array forms of the case I and case II oracles against their loops."""
+"""The array forms of the case I and case II oracles and of the feedback
+synthesis against their loops."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import delaylq as dl
 from delaylq import oracles
 import loop_oracles
-from test_multidim import planar_state_delay_problem
+from test_multidim import planar_problem, planar_state_delay_problem
 from test_oracles import control_delay_preset
 
 
@@ -91,3 +92,47 @@ def test_double_lag_swap_symmetry_with_non_symmetric_memory_input():
     S2 = oracles.casei_extract(P, vp).S2
     assert np.abs(S2 - S2.transpose(0, 2, 1, 4, 3)).max() < 1e-12
 
+
+
+def scalar_all_channels_problem(delay):
+    """Every coefficient, kernel and initial window nonzero on N = 8 with
+    a delay at or beyond the horizon, so k >= N clamps every shifted
+    index."""
+    g = dl.TimeGrid(0.0, 1.0, 8, delay)
+    p = dl.empty_problem(g, 1, 1)
+    for name, value in (("A1", -0.4), ("A2", 0.3), ("A3", 0.2), ("B1", 1.0),
+                        ("B2", 0.5), ("B3", 0.4), ("C1", 0.2), ("C2", 0.1),
+                        ("C3", 0.1), ("D1", 0.2), ("Q1", 1.0), ("Q2", 0.3),
+                        ("Q3", 0.2), ("R1", 1.0), ("R2", 0.3), ("b", 0.1),
+                        ("sigma", 0.2)):
+        getattr(p, name)[:] = value
+    nodes = g.nodes()
+    for i in range(1, g.N + 1):
+        gap = nodes[i] - nodes[:i]
+        p.F[i, :i] = (0.5 * np.exp(-gap))[:, None, None]
+        p.Ftilde[i, :i] = (0.3 / (1.0 + gap))[:, None, None]
+    p.xi[:] = np.linspace(1.0, 1.4, g.delay_steps + 1)[:, None]
+    p.varsigma[:] = np.linspace(0.2, -0.1, g.delay_steps)[:, None]
+    return p
+
+
+SYNTHESIS = {
+    **{name: (lambda name=name: dl.preset_problem(name, 24))
+       for name in dl.PRESET_NAMES},
+    "planar-memory": lambda: planar_memory_problem(16),
+    "planar-m1": lambda: planar_problem(24, m=1),
+    "planar-m2": lambda: planar_problem(24, m=2),
+    "delay-at-horizon": lambda: scalar_all_channels_problem(1.0),
+    "delay-past-horizon": lambda: scalar_all_channels_problem(1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHESIS))
+def test_synthesis_matches_loops(case):
+    p = SYNTHESIS[case]()
+    vp, P = solved(p)
+    adj = dl.solve_adjoint(P, vp, p)
+    strat = dl.synthesize_feedback(P, adj, vp, p)
+    k4, v = loop_oracles.synthesis_k4_v(P, adj, vp, p)
+    np.testing.assert_allclose(strat.k4, k4, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(strat.v, v, rtol=0, atol=1e-12)
