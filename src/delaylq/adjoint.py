@@ -180,8 +180,7 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     if ts.size:
         k4[ts, ss] += np.einsum("pmx,pxq->pmq", i1grid[ts, ss + k],
                                 src.B2[ss + k])
-    has_memory = np.abs(src.B3).max() > 0 and np.abs(src.Ftilde).max() > 0
-    if has_memory:
+    if src.has_memory:
         # u(s) reaches the state at theta > t through B3(theta)
         # Ftilde(theta, s); w[t, theta] is the history gain seen there
         bf = np.einsum("tab,tsbm->tsam", src.B3, src.Ftilde)  # (theta, s, n, m)
@@ -210,7 +209,7 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
 def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     """Quadratic form of the free term; homogeneous problems only."""
     src = vp.source
-    if np.abs(src.b).max() > 0 or np.abs(src.sigma).max() > 0:
+    if not src.homogeneous:
         raise ProblemValidationError(
             ["value_function applies to homogeneous problems (b = sigma = 0)"])
     N, dt = vp.grid.N, vp.grid.dt

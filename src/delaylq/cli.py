@@ -20,7 +20,7 @@ from . import oracles
 from .adjoint import solve_adjoint, synthesize_feedback, value_function
 from .exceptions import NumericalError, ProblemValidationError
 from .presets import PRESET_NAMES, STEP_MULTIPLE, preset_problem
-from .problem import load_problem, validate
+from .problem import load_problem
 from .riccati import riccati_residual, solve_riccati
 from .simulate import (estimate_cost, gen_brownian, simulate_closed_loop,
                        stationarity_test)
@@ -126,12 +126,7 @@ def _load_problem_from_args(args):
 
 
 def _solve_pipeline(problem):
-    report = validate(problem)
-    if not report.ok:
-        for violation in report.violations:
-            print(f"validation: {violation}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
-    vp = build_volterra(problem)
+    vp = build_volterra(problem)          # validates; main reports violations
     P = solve_riccati(vp)
     adj = solve_adjoint(P, vp, problem)
     strategy = synthesize_feedback(P, adj, vp, problem)
@@ -152,9 +147,7 @@ def cmd_solve(args) -> int:
         "rcal_min_eigenvalue": P.lambda_floor,
         "seed": args.seed,
     }
-    homogeneous = (np.abs(problem.b).max() == 0
-                   and np.abs(problem.sigma).max() == 0)
-    if homogeneous:
+    if problem.homogeneous:
         summary["value_function"] = value_function(P, vp)
 
     _write_node_table(os.path.join(args.out, "feedback_k1.csv"), g, strategy.k1)
@@ -187,11 +180,11 @@ def cmd_simulate(args) -> int:
 
     n_show = min(args.n_paths, 5)
     for name, paths in (("paths_x.csv", sim.x), ("paths_u.csv", sim.u)):
+        rows = paths[:n_show].transpose(1, 0, 2).reshape(g.N + 1, -1)
+        fmt = _row_format("%.17g,", rows.shape[1])
         with open(os.path.join(args.out, name), "w") as fh:
-            for j in range(g.N + 1):
-                cols = ",".join(f"{v:.17g}" for p in range(n_show)
-                                for v in paths[p, j])
-                fh.write(f"{g.time(j):.17g},{cols}\n")
+            fh.writelines(fmt % (g.time(j), *row)
+                          for j, row in enumerate(rows.tolist()))
 
     summary = {
         "preset": preset or "custom",
@@ -207,35 +200,36 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_residuals(problem, vp, P, summary, out_dir) -> None:
+def _verify_residuals(vp, P, summary, out_dir) -> None:
     res = riccati_residual(P, vp)
     for line in ("pointwise", "evolution", "boundary", "rcal_identity"):
         summary[f"residual_{line}"] = getattr(res, line)
+    rows = np.stack([res.pointwise_profile,
+                     np.append(res.evolution_profile, 0.0),
+                     np.append(res.boundary_profile, 0.0)], axis=1)
+    fmt = _row_format("%d,", 3)
     with open(os.path.join(out_dir, "residuals.csv"), "w") as fh:
         fh.write("node,pointwise,evolution,boundary\n")
-        for l in range(problem.grid.N + 1):
-            ev = res.evolution_profile[l] if l < problem.grid.N else 0.0
-            bd = res.boundary_profile[l] if l < problem.grid.N else 0.0
-            fh.write(f"{l},{res.pointwise_profile[l]:.17g},"
-                     f"{ev:.17g},{bd:.17g}\n")
+        fh.writelines(fmt % (l, *row) for l, row in enumerate(rows.tolist()))
 
 
-def _verify_cases(problem, vp, P, adj, strategy, preset, summary) -> None:
-    if preset == "tanh":
+def _verify_cases(problem, vp, P, adj, strategy, summary) -> None:
+    case = oracles.reduced_case(problem)
+    if case == "V":
         oracle = oracles.classical_riccati(problem)
         rep = oracles.casev_consistency(P, adj, strategy, oracle, vp)
         summary.update({f"casev_{k}": v for k, v in vars(rep).items()})
-    elif preset == "input-delay":
+    elif case == "I":
         ext = oracles.casei_extract(P, vp)
         res = oracles.casei_residual(ext, problem)
         summary.update({f"casei_{k}_residual": v for k, v in vars(res).items()})
-    elif preset == "state-delay":
+    elif case == "II":
         ext = oracles.caseii_extract(P, vp)
         res = oracles.caseii_residual(ext, problem)
         summary.update({f"caseii_{k}": v for k, v in vars(res).items()})
     else:
-        print(f"case reductions undefined for preset {preset!r}; skipping",
-              file=sys.stderr)
+        print("case reductions: the problem meets none of cases V, I, II; "
+              "skipping", file=sys.stderr)
 
 
 def _verify_stationarity(problem, strategy, args, summary) -> None:
@@ -265,21 +259,16 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_VALIDATION
     if "qp-oracle" in checks:
-        diffusion = max(np.abs(problem.C1).max(), np.abs(problem.C2).max(),
-                        np.abs(problem.C3).max(), np.abs(problem.D1).max(),
-                        np.abs(problem.sigma).max())
-        if diffusion > 0:
-            print("oracle requires zero diffusion", file=sys.stderr)
-            return EXIT_VALIDATION
+        oracles.QP_ORACLE.enforce(problem)
 
     vp, P, adj, strategy = _solve_pipeline(problem)
     g = problem.grid
     summary = {"preset": preset or "custom", "n_steps": g.N, "seed": args.seed}
 
     if "residuals" in checks:
-        _verify_residuals(problem, vp, P, summary, args.out)
+        _verify_residuals(vp, P, summary, args.out)
     if "cases" in checks:
-        _verify_cases(problem, vp, P, adj, strategy, preset, summary)
+        _verify_cases(problem, vp, P, adj, strategy, summary)
     if "qp-oracle" in checks:
         oracle = oracles.deterministic_qp_oracle(problem)
         batch = gen_brownian(g, 1, args.seed)

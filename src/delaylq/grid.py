@@ -43,29 +43,9 @@ class TimeGrid:
         object.__setattr__(self, "delay_steps", k)
         object.__setattr__(self, "delay_is_grid_multiple", exact)
 
-    @property
-    def k(self) -> int:
-        return self.delay_steps
-
     def nodes(self) -> np.ndarray:
         """All N+1 grid nodes."""
         return self.t0 + self.dt * np.arange(self.N + 1)
 
     def time(self, j: int) -> float:
         return self.t0 + j * self.dt
-
-    # Indicator conventions shared by every module: pointwise-delay
-    # indicators are strict in the index difference, the horizon
-    # indicator 1_{[0, T-delay)} is half-open.
-
-    def past_delay(self, i: int, j: int) -> bool:
-        """True iff t_i - t_j lies strictly beyond one delay."""
-        return i - j > self.delay_steps
-
-    def past_two_delays(self, i: int, j: int) -> bool:
-        """True iff t_i - t_j lies strictly beyond two delays."""
-        return i - j > 2 * self.delay_steps
-
-    def before_horizon_delay(self, j: int) -> bool:
-        """True iff t_j < T - delay (shifted weights/controls still act)."""
-        return j < self.N - self.delay_steps

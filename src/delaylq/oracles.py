@@ -5,7 +5,9 @@ with fixed-step RK4 (fourth order, so its error is negligible next to
 the first-order primary scheme); block extractions of the two-time
 solution that must satisfy the specialized coupled Riccati equations of
 the control-delay-only and state-delay-only models; and an exact convex
-QP solve of the discretized deterministic problem.
+QP solve of the discretized deterministic problem.  Each oracle declares
+what it needs of the data once (``CASES``, ``QP_ORACLE``), and
+``reduced_case`` picks the special case a problem meets from its data.
 
 Also here: the pointwise reference forms the solver's tables are checked
 against (``script_e``, ``bcal``), the star products over replayed slices
@@ -21,10 +23,59 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import NumericalError, ProblemValidationError
 from .grid import TimeGrid
-from .problem import DelayLQProblem
+from .problem import FREE_TERMS, DelayLQProblem
 from .riccati import RiccatiSolution
-from .simulate import BrownianBatch, simulate_open_loop
+from .simulate import (BrownianBatch, _delayed_control, _delayed_state,
+                       _memory_terms, simulate_open_loop)
 from .volterra import VolterraProblem
+
+
+# ----------------------------------------------------------------------
+# What each oracle needs of the data
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Requirement:
+    """Fields that must vanish and fields that must not vary in time."""
+
+    label: str
+    zero: tuple[str, ...]
+    constant: tuple[str, ...] = ()
+
+    def violations(self, problem: DelayLQProblem) -> list[str]:
+        varying = [nm for nm in self.constant
+                   if np.any(getattr(problem, nm) != getattr(problem, nm)[0])]
+        return [f"{self.label}: expected {kind} {', '.join(names)}"
+                for kind, names in (("zero", problem.nonzero(*self.zero)),
+                                    ("time-invariant", varying)) if names]
+
+    def enforce(self, problem: DelayLQProblem) -> None:
+        if violations := self.violations(problem):
+            raise ProblemValidationError(violations)
+
+
+#: The special cases of the Riccati system, most specific first: no delay,
+#: control delay only, state delay only with time-invariant coefficients.
+CASES = {
+    "V": Requirement("case V (no delay)", zero=(
+        "A2", "A3", "B2", "B3", "C2", "C3", "Q2", "Q3", "R2", "F", "Ftilde")),
+    "I": Requirement("case I (control delay only)", zero=(
+        "A2", "A3", "C2", "C3", "Q2", "Q3", "R2", "F", "varsigma",
+        *FREE_TERMS)),
+    "II": Requirement("case II (state delay only)", zero=(
+        "A3", "B2", "B3", "C3", "Q2", "Q3", "R2", "F", "Ftilde", *FREE_TERMS),
+        constant=("A1", "A2", "B1", "C1", "C2", "D1", "Q1", "R1")),
+}
+
+#: The QP oracle solves the deterministic problem.
+QP_ORACLE = Requirement("QP oracle (zero diffusion)",
+                        zero=("C1", "C2", "C3", "D1", "sigma"))
+
+
+def reduced_case(problem: DelayLQProblem) -> str | None:
+    """The first key of ``CASES`` whose requirement the data meet."""
+    return next((name for name, case in CASES.items()
+                 if not case.violations(problem)), None)
 
 
 # ----------------------------------------------------------------------
@@ -176,17 +227,9 @@ class ClassicalRiccatiPath:
     eta_t: np.ndarray    # (N+1, n)
 
 
-def _require_zero(problem: DelayLQProblem, names) -> None:
-    bad = [nm for nm in names if np.abs(getattr(problem, nm)).max() > 0]
-    if bad:
-        raise ProblemValidationError(
-            [f"preset mismatch: expected zero {', '.join(bad)}"])
-
-
 def classical_riccati(problem: DelayLQProblem) -> ClassicalRiccatiPath:
     """RK4 backward integration of the no-delay Riccati/adjoint pair."""
-    _require_zero(problem, ("A2", "A3", "B2", "B3", "C2", "C3",
-                            "Q2", "Q3", "R2", "F", "Ftilde"))
+    CASES["V"].enforce(problem)
     g = problem.grid
     N, dt, n = g.N, g.dt, problem.n
 
@@ -305,20 +348,9 @@ class CaseIIResiduals:
     diagonal: float         # boundary relation at the diagonal
 
 
-def _require_time_invariant(problem: DelayLQProblem, names) -> None:
-    bad = [nm for nm in names
-           if np.abs(getattr(problem, nm) - getattr(problem, nm)[0]).max() > 0]
-    if bad:
-        raise ProblemValidationError(
-            [f"preset mismatch: expected time-invariant {', '.join(bad)}"])
-
-
 def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
     problem = vp.source
-    _require_zero(problem, ("A3", "B2", "B3", "C3", "Q2", "Q3", "R2",
-                            "b", "sigma", "F", "Ftilde"))
-    _require_time_invariant(problem, ("A1", "A2", "B1", "C1", "C2",
-                                      "D1", "Q1", "R1"))
+    CASES["II"].enforce(problem)
     g = vp.grid
     N, dt, n, k = g.N, g.dt, vp.n, g.delay_steps
 
@@ -457,12 +489,6 @@ class CaseIResiduals:
     boundary: float     # lag-edge relation
 
 
-def _has_memory(problem: DelayLQProblem) -> bool:
-    """Whether the control memory channel B3 Ftilde is active."""
-    return bool(np.abs(problem.B3).max() > 0
-                and np.abs(problem.Ftilde).max() > 0)
-
-
 def _shifted_memory_kernel(problem: DelayLQProblem) -> np.ndarray:
     """G[theta, s + k] = B3(theta) Ftilde(theta, s), zero for s < 0."""
     k = problem.grid.delay_steps
@@ -490,15 +516,11 @@ def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
     O(N^3 k); besides S1 and S2 it keeps the O(N^2) table ``p1row``.
     """
     problem = vp.source
-    _require_zero(problem, ("A2", "A3", "C2", "C3", "Q2", "Q3", "R2",
-                            "b", "sigma", "F"))
-    if np.abs(problem.varsigma).max() > 0:
-        raise ProblemValidationError(
-            ["preset mismatch: control-delay-only check needs zero varsigma"])
+    CASES["I"].enforce(problem)
     g = vp.grid
     N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
     first = slice(0, n)
-    memory = _has_memory(problem)
+    memory = problem.has_memory
     if memory:
         G = _shifted_memory_kernel(problem)
 
@@ -560,7 +582,7 @@ def casei_residual(ext: CaseIExtraction,
     """
     g = problem.grid
     N, dt, k = g.N, g.dt, g.delay_steps
-    memory = _has_memory(problem)
+    memory = problem.has_memory
     q_hi = k if not memory else k - 1
     S0, S1, S2 = ext.S0, ext.S1, ext.S2
     A1, B1, C1, D1 = problem.A1, problem.B1, problem.C1, problem.D1
@@ -620,7 +642,7 @@ def casei_control(ext: CaseIExtraction, problem: DelayLQProblem,
     the general memory correction term is exercised through the primary
     synthesis path instead.
     """
-    if _has_memory(problem):
+    if problem.has_memory:
         raise ProblemValidationError(
             ["specialized control-delay law implemented for B3*Ftilde = 0"])
     g = problem.grid
@@ -650,23 +672,14 @@ class QpOracleResult:
 
 
 def _extended_cost_paths(problem: DelayLQProblem, x: np.ndarray,
-                         u: np.ndarray, homogeneous: bool):
-    """Per-path trajectories entering the cost at nodes 0..N-1."""
-    g = problem.grid
-    N, k, dt = g.N, g.delay_steps, g.dt
-    P = x.shape[0]
-    y = np.zeros((P, N, problem.n))
-    nu = np.zeros((P, N, problem.m))
-    z = np.zeros((P, N, problem.n))
-    for j in range(N):
-        if j >= k:
-            y[:, j] = x[:, j - k]
-            nu[:, j] = u[:, j - k]
-        elif not homogeneous:
-            y[:, j] = problem.xi[j]
-            nu[:, j] = problem.varsigma[j]
-        if j > 0:
-            z[:, j] = np.einsum("lab,plb->pa", problem.F[j, :j], x[:, :j]) * dt
+                         u: np.ndarray):
+    """Per-path trajectories entering the cost at nodes 0..N-1, formed as
+    the simulator forms them."""
+    N = problem.grid.N
+    y = np.stack([_delayed_state(problem, x, j) for j in range(N)], axis=1)
+    nu = np.stack([_delayed_control(problem, u, j) for j in range(N)], axis=1)
+    z = np.stack([_memory_terms(problem, x, u, j)[0] for j in range(N)],
+                 axis=1)
     return x[:, :N], y, z, u[:, :N], nu
 
 
@@ -677,7 +690,7 @@ def deterministic_qp_oracle(problem: DelayLQProblem) -> QpOracleResult:
     control; the Hessian is assembled from unit-impulse responses of
     the linear dynamics and factorized directly.
     """
-    _require_zero(problem, ("C1", "C2", "C3", "D1", "sigma"))
+    QP_ORACLE.enforce(problem)
     g = problem.grid
     N, m, dt = g.N, problem.m, g.dt
     nb = N * m
@@ -693,12 +706,11 @@ def deterministic_qp_oracle(problem: DelayLQProblem) -> QpOracleResult:
                   xi=np.zeros_like(problem.xi),
                   varsigma=np.zeros_like(problem.varsigma))
     basis = simulate_open_loop(hom, impulses, zero_noise)
-    tb = _extended_cost_paths(hom, basis.x, impulses, True)
+    tb = _extended_cost_paths(hom, basis.x, impulses)
 
     one_path = BrownianBatch(seed=0, n_paths=1, increments=np.zeros((1, N)))
     affine = simulate_open_loop(problem, np.zeros((N + 1, m)), one_path)
-    ta = _extended_cost_paths(problem, affine.x,
-                              np.zeros((1, N + 1, m)), False)
+    ta = _extended_cost_paths(problem, affine.x, np.zeros((1, N + 1, m)))
 
     def bilinear(t1, t2):
         x1, y1, z1, u1, nu1 = t1

@@ -18,6 +18,9 @@ from .grid import TimeGrid
 _PSD_TOL = 1e-10
 _SYM_TOL = 1e-12
 
+#: The deterministic free terms of the drift and the diffusion.
+FREE_TERMS = ("b", "sigma")
+
 
 def constant_table(value, n_nodes: int) -> np.ndarray:
     """Replicate one matrix/vector across all grid nodes."""
@@ -86,6 +89,20 @@ class DelayLQProblem:
     xi: np.ndarray
     varsigma: np.ndarray
     lam: float
+
+    def nonzero(self, *names: str) -> tuple[str, ...]:
+        """The fields among ``names`` that hold a nonzero entry, in order."""
+        return tuple(nm for nm in names if np.any(getattr(self, nm)))
+
+    @property
+    def homogeneous(self) -> bool:
+        """Whether the free terms vanish."""
+        return not self.nonzero(*FREE_TERMS)
+
+    @property
+    def has_memory(self) -> bool:
+        """Whether the control memory channel B3 Ftilde is live."""
+        return len(self.nonzero("B3", "Ftilde")) == 2
 
     def with_scaled_weights(self, c: float) -> "DelayLQProblem":
         """Multiply every cost weight by c > 0 (dynamics untouched)."""

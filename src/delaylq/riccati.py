@@ -245,7 +245,9 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
         pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
         X[:d, :d] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
-        if not np.isfinite(X).all():
+        # the interior (slice l+1 less dt W) reached factor_rcal through
+        # v_in; only the border column and the corner are new
+        if not np.isfinite(X[:, :d]).all():
             raise NumericalError(f"two-time kernel non-finite at node {l}")
         frontier[l:, l] = X[:, :d].reshape(M + 1, d, d)
         free_term(l, X)
@@ -327,7 +329,7 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
             prof_bound[l] = float(np.abs(lhs3).max())
 
             # effective weight jumps one delay before the horizon
-            if not (l == N - k - 1 and np.abs(src.R2).max() > 0):
+            if not (l == N - k - 1 and src.nonzero("R2")):
                 fd = np.subtract(prev, X[d:, d:], out=prev)
                 fd /= dt
                 pb_rows = P.pb[l + 1:, l].reshape(M * d, -1)

@@ -118,8 +118,7 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
         np.einsum("ijab,jbm->ijam", E, problem.B1)
         + np.einsum("ijab,jbm->ijam", E2, B2s)
     )
-    has_b3 = np.abs(problem.B3).max() > 0 and np.abs(problem.Ftilde).max() > 0
-    if has_b3:
+    if problem.has_memory:
         for j in range(nn - 1):
             W = np.einsum("tab,tbm->tam", problem.B3[j + 1:], problem.Ftilde[j + 1:, j])
             CW = np.cumsum(W, axis=0) * dt  # CW[p] = sum over theta = j+1 .. j+1+p

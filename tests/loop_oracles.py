@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from delaylq.adjoint import causal_gains
-from delaylq.oracles import CaseIResiduals, _require_zero
-from delaylq.exceptions import ProblemValidationError
+from delaylq.oracles import CASES, CaseIResiduals
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,7 @@ def loop_p3c(P, vp) -> np.ndarray:
 
 def casei_extract(P, vp) -> LoopCaseIExtraction:
     problem = vp.source
-    _require_zero(problem, ("A2", "A3", "C2", "C3", "Q2", "Q3", "R2",
-                            "b", "sigma", "F"))
-    if np.abs(problem.varsigma).max() > 0:
-        raise ProblemValidationError(
-            ["preset mismatch: control-delay-only check needs zero varsigma"])
+    CASES["I"].enforce(problem)
     g = vp.grid
     N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
     first = slice(0, n)

@@ -169,6 +169,33 @@ class TestVerify:
         assert lines[0] == "node,pointwise,evolution,boundary"
         assert len(lines) == 26
 
+    @pytest.mark.parametrize("name", ["tanh", "input-delay", "state-delay"])
+    def test_problem_file_gets_the_preset_case_checks(self, name, tmp_path):
+        path = tmp_path / "problem.json"
+        dl.save_problem(dl.preset_problem(name, 24), path)
+        docs = []
+        for source in (["--preset", name, "--n-steps", "24"],
+                       ["--problem", path]):
+            out = tmp_path / source[0].lstrip("-")
+            assert run(["verify", *source, "--verify", "residuals,cases",
+                        "--out", out]) == 0
+            doc = json.loads((out / "summary.json").read_text())
+            docs.append({k: v for k, v in doc.items()
+                         if k.startswith("case")})
+        assert docs[0] and docs[0] == docs[1]
+
+    def test_problem_file_outside_every_case_skips_once(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "problem.json"
+        dl.save_problem(dl.preset_problem("full", 24), path)
+        capsys.readouterr()
+        assert run(["verify", "--problem", path, "--verify",
+                    "residuals,cases", "--out", tmp_path / "o"]) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "skipping" in err[0]
+        doc = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert not [k for k in doc if k.startswith("case")]
+
     def test_unknown_toggle_rejected(self, tmp_path, capsys):
         assert run(["verify", "--preset", "tanh", "--verify", "bogus",
                     "--out", tmp_path / "o"]) == 1

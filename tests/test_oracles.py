@@ -229,6 +229,31 @@ class TestCaseI:
             oracles.casei_extract(s.P, s.vp)
 
 
+class TestReducedCase:
+    @pytest.mark.parametrize("name, case", [
+        ("tanh", "V"), ("input-delay", "I"), ("state-delay", "II"),
+        ("distributed", None), ("pointwise", None), ("full", None)])
+    def test_presets_meet_the_most_specific_case(self, name, case):
+        assert oracles.reduced_case(dl.preset_problem(name, 16)) == case
+
+    def test_structure_not_name_decides(self):
+        p = dl.preset_problem("tanh", 16)
+        p.B2[:] = 0.5                     # a control delay: no longer case V
+        assert oracles.reduced_case(p) == "I"
+        p.A1[:] = np.linspace(0, 1, 17)[:, None, None]
+        assert oracles.reduced_case(p) == "I"   # case I allows time variation
+        p.varsigma[:] = 0.1               # initial control window: none
+        assert oracles.reduced_case(p) is None
+
+    def test_violations_name_the_offending_fields(self):
+        p = dl.preset_problem("state-delay", 16)
+        p.A1[:] = np.linspace(0, 1, 17)[:, None, None]
+        assert oracles.CASES["II"].violations(p) == [
+            "case II (state delay only): expected time-invariant A1"]
+        assert oracles.CASES["V"].violations(p) == [
+            "case V (no delay): expected zero A2"]
+
+
 class TestQpOracle:
     def test_zero_weights_give_zero_control(self):
         g = dl.TimeGrid(0.0, 1.0, 16, 0.25)

@@ -184,6 +184,31 @@ class TestSerialization:
             dl.problem_from_dict(doc)
 
 
+class TestStructure:
+    def test_nonzero_names_fields_in_order(self):
+        p = dl.preset_problem("full", 8)
+        assert p.nonzero("Ftilde", "B3", "A2") == ("Ftilde", "B3", "A2")
+        q = dl.preset_problem("input-delay", 8)
+        assert q.nonzero("A2", "B2", "F", "xi") == ("B2", "xi")
+        assert q.nonzero() == ()
+
+    def test_memory_channel_needs_both_factors(self):
+        p = dl.preset_problem("distributed", 8)
+        assert p.has_memory
+        p.B3[:] = 0.0
+        assert not p.has_memory
+        q = dl.preset_problem("tanh", 8)
+        q.B3[:] = 1.0
+        assert not q.has_memory
+
+    def test_homogeneous_means_zero_free_terms(self):
+        assert dl.preset_problem("pointwise", 8).homogeneous
+        assert not dl.preset_problem("full", 8).homogeneous
+        p = dl.preset_problem("tanh", 8)
+        p.sigma[3] = -1e-300
+        assert not p.homogeneous
+
+
 class TestTimeGrid:
     def test_nodes_and_steps(self):
         g = scalar_grid()
@@ -199,13 +224,3 @@ class TestTimeGrid:
             dl.TimeGrid(t0=0.0, T=1.0, N=1, delay=0.1)
         with pytest.raises(ValueError):
             dl.TimeGrid(t0=0.0, T=1.0, N=10, delay=-0.1)
-
-    def test_indicator_conventions_are_strict(self):
-        g = scalar_grid()
-        k = g.delay_steps
-        assert not g.past_delay(k, 0)         # exactly one delay: excluded
-        assert g.past_delay(k + 1, 0)
-        assert not g.past_two_delays(2 * k, 0)
-        assert g.past_two_delays(2 * k + 1, 0)
-        assert g.before_horizon_delay(g.N - k - 1)
-        assert not g.before_horizon_delay(g.N - k)

@@ -66,6 +66,14 @@ class TestFixedPointsAndSymmetry:
         with pytest.raises(dl.NumericalError, match="node 16"):
             dl.solve_riccati(vp)
 
+    @pytest.mark.parametrize("name", ["full", "tanh"])
+    def test_overflowing_kernel_aborts_at_its_node(self, name):
+        vp = dl.build_volterra(dl.preset_problem(name, 16))
+        vp.Acal[9] = 1e308  # bypass validation: the border overflows at 9
+        with np.errstate(all="ignore"), pytest.raises(
+                dl.NumericalError, match="two-time kernel non-finite at node 9"):
+            dl.solve_riccati(vp)
+
 
 #: sha256 of ``solve --dump-riccati --n-steps 16`` per preset, taken from
 #: the solver that stored every slice of the two-time kernel.
