@@ -6,10 +6,9 @@ from .adjoint import (AdjointSolution, CausalGains, FeedbackStrategy,
                       value_function)
 from .exceptions import DelayLQError, NumericalError, ProblemValidationError
 from .grid import TimeGrid
-from .problem import (DelayLQProblem, ExtendedSddeSpec, ValidationReport,
-                      constant_table, empty_problem, from_extended_sdde,
-                      load_problem, problem_from_dict, problem_to_dict,
-                      save_problem, validate)
+from .problem import (DelayLQProblem, ValidationReport, empty_problem,
+                      from_extended_sdde, load_problem, problem_from_dict,
+                      problem_to_dict, save_problem, validate)
 from .presets import PRESET_NAMES, preset_problem
 from .riccati import (RiccatiResiduals, RiccatiSolution, riccati_residual,
                       solve_riccati)
@@ -23,10 +22,10 @@ from .volterra import (VolterraProblem, build_volterra, cost_volterra,
 __all__ = [
     "AdjointSolution", "BrownianBatch", "CausalGains", "CostEstimate",
     "DelayLQError", "DelayLQProblem", "DerivativeEstimate",
-    "ExtendedSddeSpec", "FeedbackStrategy", "NumericalError", "PRESET_NAMES",
+    "FeedbackStrategy", "NumericalError", "PRESET_NAMES",
     "ProblemValidationError", "RiccatiResiduals", "RiccatiSolution",
     "SimulationBatch", "TimeGrid", "ValidationReport", "VolterraProblem",
-    "build_volterra", "causal_gains", "constant_table", "cost_volterra",
+    "build_volterra", "causal_gains", "cost_volterra",
     "empty_problem", "estimate_cost", "from_extended_sdde", "gen_brownian",
     "lift_state", "lifted_kernel", "load_problem", "preset_problem",
     "problem_from_dict", "problem_to_dict", "riccati_residual",

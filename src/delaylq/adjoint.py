@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ProblemValidationError
-from .problem import DelayLQProblem
 from .riccati import RiccatiSolution
 from .volterra import VolterraProblem
 
@@ -85,9 +84,9 @@ def causal_gains(P: RiccatiSolution, vp: VolterraProblem) -> CausalGains:
     return CausalGains(Xi=Xi, Gamma=Gamma)
 
 
-def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem,
-                  problem: DelayLQProblem) -> AdjointSolution:
+def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem) -> AdjointSolution:
     g = vp.grid
+    problem = vp.source
     N, dt, n, m = g.N, g.dt, vp.n, vp.m
     d = 3 * n
     Xi = _pointwise_gain(P, vp)
@@ -124,12 +123,11 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem,
 
 
 def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
-                        vp: VolterraProblem,
-                        problem: DelayLQProblem) -> FeedbackStrategy:
+                        vp: VolterraProblem) -> FeedbackStrategy:
     g = vp.grid
     N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
     nn = N + 1
-    src = problem
+    src = vp.source
     gains = causal_gains(P, vp)
     ii, jj = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
     strict = (ii > jj).astype(float)

@@ -96,7 +96,14 @@ def _write_riccati_dump(path: str, P) -> None:
 def _argument_violations(args) -> list:
     """Flag values the commands cannot run with, before any work."""
     out = []
-    if args.n_steps is not None and args.problem is None:
+    if args.problem is not None:
+        given = [flag for flag, value in (("--preset", args.preset),
+                                          ("--n-steps", args.n_steps))
+                 if value is not None]
+        if given:
+            out.append(f"--problem fixes the problem and its grid; drop "
+                       f"{' and '.join(given)}")
+    elif args.n_steps is not None:
         if args.n_steps < 1:
             out.append(f"--n-steps must be a positive integer, "
                        f"got {args.n_steps}")
@@ -128,8 +135,8 @@ def _load_problem_from_args(args):
 def _solve_pipeline(problem):
     vp = build_volterra(problem)          # validates; main reports violations
     P = solve_riccati(vp)
-    adj = solve_adjoint(P, vp, problem)
-    strategy = synthesize_feedback(P, adj, vp, problem)
+    adj = solve_adjoint(P, vp)
+    strategy = synthesize_feedback(P, adj, vp)
     return vp, P, adj, strategy
 
 
@@ -176,7 +183,7 @@ def cmd_simulate(args) -> int:
     g = problem.grid
     batch = gen_brownian(g, args.n_paths, args.seed)
     sim = simulate_closed_loop(problem, strategy, batch)
-    est = estimate_cost(problem, sim)
+    est = estimate_cost(sim)
 
     n_show = min(args.n_paths, 5)
     for name, paths in (("paths_x.csv", sim.x), ("paths_u.csv", sim.u)):
@@ -273,7 +280,7 @@ def cmd_verify(args) -> int:
         oracle = oracles.deterministic_qp_oracle(problem)
         batch = gen_brownian(g, 1, args.seed)
         sim = simulate_closed_loop(problem, strategy, batch)
-        cost_cl = estimate_cost(problem, sim).mean
+        cost_cl = estimate_cost(sim).mean
         gap = abs(cost_cl - oracle.cost_opt) / max(abs(oracle.cost_opt), 1e-30)
         summary["qp_cost"] = oracle.cost_opt
         summary["qp_closed_loop_cost"] = cost_cl

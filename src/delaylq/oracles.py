@@ -26,7 +26,7 @@ from .grid import TimeGrid
 from .problem import FREE_TERMS, DelayLQProblem
 from .riccati import RiccatiSolution
 from .simulate import (BrownianBatch, _delayed_control, _delayed_state,
-                       _memory_terms, simulate_open_loop)
+                       _memory_integral, simulate_open_loop)
 from .volterra import VolterraProblem
 
 
@@ -411,9 +411,7 @@ def caseii_residual(ext: CaseIIExtraction,
 
     for l in range(1, N + 1):
         P2l, rci, lhs = gain_parts(l)
-        for q in range(l + 1, min(l + k, N) + 1):
-            if q > (l - 1) + k:
-                continue
+        for q in range(l + 1, min(l + k - 1, N) + 1):
             fd = -(ext.P3c[l, q] - ext.P3c[l - 1, q]) / dt
             rhs = A1.T @ ext.P3c[l, q] - lhs.T @ rci @ (B1.T @ ext.P3c[l, q])
             if l >= N - k + 2:
@@ -675,10 +673,10 @@ def _extended_cost_paths(problem: DelayLQProblem, x: np.ndarray,
                          u: np.ndarray):
     """Per-path trajectories entering the cost at nodes 0..N-1, formed as
     the simulator forms them."""
-    N = problem.grid.N
+    N, dt = problem.grid.N, problem.grid.dt
     y = np.stack([_delayed_state(problem, x, j) for j in range(N)], axis=1)
     nu = np.stack([_delayed_control(problem, u, j) for j in range(N)], axis=1)
-    z = np.stack([_memory_terms(problem, x, u, j)[0] for j in range(N)],
+    z = np.stack([_memory_integral(problem.F, x, j, dt) for j in range(N)],
                  axis=1)
     return x[:, :N], y, z, u[:, :N], nu
 

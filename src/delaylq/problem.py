@@ -21,15 +21,23 @@ _SYM_TOL = 1e-12
 #: The deterministic free terms of the drift and the diffusion.
 FREE_TERMS = ("b", "sigma")
 
-
-def constant_table(value, n_nodes: int) -> np.ndarray:
-    """Replicate one matrix/vector across all grid nodes."""
-    v = np.asarray(value, dtype=float)
-    return np.broadcast_to(v, (n_nodes,) + v.shape).copy()
+#: The two-time kernels, meaningful only strictly below the diagonal.
+KERNELS = ("F", "Ftilde")
 
 
-def zero_kernel(n_nodes: int, d1: int, d2: int) -> np.ndarray:
-    return np.zeros((n_nodes, n_nodes, d1, d2))
+def field_shapes(n: int, m: int, nn: int, k: int) -> dict:
+    """Every array field of DelayLQProblem with its shape, in declaration
+    order, for state dimension n, control dimension m, nn = N+1 grid
+    nodes and k delay steps."""
+    sq, mix, ctrl = (nn, n, n), (nn, n, m), (nn, m, m)
+    return {
+        "A1": sq, "A2": sq, "A3": sq, "B1": mix, "B2": mix, "B3": sq,
+        "C1": sq, "C2": sq, "C3": sq, "D1": mix,
+        "Q1": sq, "Q2": sq, "Q3": sq, "R1": ctrl, "R2": ctrl,
+        "b": (nn, n), "sigma": (nn, n),
+        "F": (nn, nn, n, n), "Ftilde": (nn, nn, n, m),
+        "xi": (k + 1, n), "varsigma": (k, m),
+    }
 
 
 @dataclass(frozen=True)
@@ -115,31 +123,10 @@ class DelayLQProblem:
 
 def empty_problem(grid: TimeGrid, n: int, m: int, lam: float = 1.0) -> DelayLQProblem:
     """Problem with every coefficient, kernel, and trajectory zero."""
-    nn = grid.N + 1
-    k = grid.delay_steps
-    zn = np.zeros((nn, n, n))
-    znm = np.zeros((nn, n, m))
-    zm = np.zeros((nn, m, m))
-    return DelayLQProblem(
-        grid=grid, n=n, m=m,
-        A1=zn.copy(), A2=zn.copy(), A3=zn.copy(),
-        B1=znm.copy(), B2=znm.copy(), B3=zn.copy(),
-        C1=zn.copy(), C2=zn.copy(), C3=zn.copy(), D1=znm.copy(),
-        Q1=zn.copy(), Q2=zn.copy(), Q3=zn.copy(),
-        R1=zm.copy(), R2=zm.copy(),
-        b=np.zeros((nn, n)), sigma=np.zeros((nn, n)),
-        F=zero_kernel(nn, n, n), Ftilde=zero_kernel(nn, n, m),
-        xi=np.zeros((k + 1, n)), varsigma=np.zeros((k, m)),
-        lam=lam,
-    )
-
-
-def _check_shape(violations, name, arr, shape):
-    arr = np.asarray(arr)
-    if arr.shape != shape:
-        violations.append(f"{name}: expected shape {shape}, got {arr.shape}")
-        return False
-    return True
+    shapes = field_shapes(n, m, grid.N + 1, grid.delay_steps)
+    return DelayLQProblem(grid=grid, n=n, m=m, lam=lam,
+                          **{name: np.zeros(shape)
+                             for name, shape in shapes.items()})
 
 
 def validate(problem: DelayLQProblem) -> ValidationReport:
@@ -156,31 +143,22 @@ def validate(problem: DelayLQProblem) -> ValidationReport:
     if problem.lam <= 0:
         v.append(f"coercivity constant must be positive, got lam={problem.lam}")
 
-    shapes_ok = True
-    for name, shape in [
-        ("A1", (nn, n, n)), ("A2", (nn, n, n)), ("A3", (nn, n, n)),
-        ("B1", (nn, n, m)), ("B2", (nn, n, m)), ("B3", (nn, n, n)),
-        ("C1", (nn, n, n)), ("C2", (nn, n, n)), ("C3", (nn, n, n)),
-        ("D1", (nn, n, m)),
-        ("Q1", (nn, n, n)), ("Q2", (nn, n, n)), ("Q3", (nn, n, n)),
-        ("R1", (nn, m, m)), ("R2", (nn, m, m)),
-        ("b", (nn, n)), ("sigma", (nn, n)),
-        ("F", (nn, nn, n, n)), ("Ftilde", (nn, nn, n, m)),
-        ("xi", (k + 1, n)), ("varsigma", (k, m)),
-    ]:
-        shapes_ok &= _check_shape(v, name, getattr(problem, name), shape)
-    if not shapes_ok:
-        return ValidationReport(tuple(v))
+    shapes = field_shapes(n, m, nn, k)
+    bad_shapes = [
+        f"{name}: expected shape {shape}, got {np.shape(getattr(problem, name))}"
+        for name, shape in shapes.items()
+        if np.shape(getattr(problem, name)) != shape
+    ]
+    if bad_shapes:
+        return ValidationReport(tuple(v + bad_shapes))
 
-    for name in ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "D1",
-                 "Q1", "Q2", "Q3", "R1", "R2", "b", "sigma", "F", "Ftilde",
-                 "xi", "varsigma"):
+    for name in shapes:
         if not np.isfinite(getattr(problem, name)).all():
             v.append(f"{name}: non-finite entries")
 
     # two-time kernels live strictly below the diagonal
     triu = np.triu_indices(nn)
-    for name in ("F", "Ftilde"):
+    for name in KERNELS:
         kern = getattr(problem, name)
         if np.abs(kern[triu]).max() > 0:
             v.append(f"{name}: nonzero entries on or above the diagonal "
@@ -223,54 +201,32 @@ def validate(problem: DelayLQProblem) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-@dataclass(frozen=True)
-class ExtendedSddeSpec:
-    """Bounded-window form: kernels G1, G2 act on the moving window
-    [t-delay, t] and are stored lag-indexed: G1[i, d] multiplies the
-    state at t_i - d*dt, d = 0..k (second argument may precede t0).
-    """
-
-    grid: TimeGrid
-    n: int
-    m: int
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray
-    B1: np.ndarray
-    B2: np.ndarray
-    B3: np.ndarray
-    C1: np.ndarray
-    C2: np.ndarray
-    C3: np.ndarray
-    D1: np.ndarray
-    Q1: np.ndarray
-    Q2: np.ndarray
-    Q3: np.ndarray
-    R1: np.ndarray
-    R2: np.ndarray
-    btilde: np.ndarray
-    sigtilde: np.ndarray
-    G1: np.ndarray  # (N+1, k+1, n, n)
-    G2: np.ndarray  # (N+1, k+1, n, m)
-    xi: np.ndarray
-    varsigma: np.ndarray
-    lam: float
-
-
-def from_extended_sdde(spec: ExtendedSddeSpec) -> DelayLQProblem:
+def from_extended_sdde(base: DelayLQProblem, G1, G2) -> DelayLQProblem:
     """Reduce the moving-window form to the canonical delayed problem.
+
+    The window kernels G1 (N+1, k+1, n, n) and G2 (N+1, k+1, n, m) act on
+    [t-delay, t] and are stored lag-indexed: G1[i, d] multiplies the
+    state at t_i - d*dt, d = 0..k (the second argument may precede t0).
+    ``base`` holds every other coefficient; its free terms b and sigma
+    stand for the window form's btilde and sigtilde, and its own kernels
+    F and Ftilde must be zero.
 
     The window integrals over the initial segment are absorbed into the
     free terms by left-rectangle quadrature; the kernels are restricted
     to second arguments in [t0, t) intersected with the window.
     """
-    g = spec.grid
-    n, m, nn, k, dt = spec.n, spec.m, g.N + 1, g.delay_steps, g.dt
-    if spec.G1.shape != (nn, k + 1, n, n) or spec.G2.shape != (nn, k + 1, n, m):
-        raise ProblemValidationError(
-            [f"window kernels must be ({nn},{k + 1},dims); got "
-             f"G1 {spec.G1.shape}, G2 {spec.G2.shape}"]
-        )
+    g = base.grid
+    n, m, nn, k, dt = base.n, base.m, g.N + 1, g.delay_steps, g.dt
+    problems = [f"{name}: the base problem's kernel must be zero (the "
+                f"window kernels G1, G2 replace it)"
+                for name in base.nonzero(*KERNELS)]
+    for name, window, shape in (("G1", G1, (nn, k + 1, n, n)),
+                                ("G2", G2, (nn, k + 1, n, m))):
+        if np.shape(window) != shape:
+            problems.append(f"{name}: expected shape {shape}, "
+                            f"got {np.shape(window)}")
+    if problems:
+        raise ProblemValidationError(problems)
 
     # initial-window integrals: gw1[i] = sum_{p=i..k-1} G1(t_i, t0+(p-k)dt) xi[p] dt
     gw1 = np.zeros((nn, n))
@@ -280,32 +236,23 @@ def from_extended_sdde(spec: ExtendedSddeSpec) -> DelayLQProblem:
         acc2 = np.zeros(n)
         for p in range(i, k):
             d = i - (p - k)  # lag steps of the sample at t0+(p-k)dt behind t_i
-            if d <= k:
-                acc1 += spec.G1[i, d] @ spec.xi[p] * dt
-                acc2 += spec.G2[i, d] @ spec.varsigma[p] * dt
+            acc1 += G1[i, d] @ base.xi[p] * dt
+            acc2 += G2[i, d] @ base.varsigma[p] * dt
         gw1[i] = acc1
         gw2[i] = acc2
 
-    b = spec.btilde + np.einsum("jab,jb->ja", spec.A3, gw1) \
-        + np.einsum("jab,jb->ja", spec.B3, gw2)
-    sigma = spec.sigtilde + np.einsum("jab,jb->ja", spec.C3, gw1)
+    b = base.b + np.einsum("jab,jb->ja", base.A3, gw1) \
+        + np.einsum("jab,jb->ja", base.B3, gw2)
+    sigma = base.sigma + np.einsum("jab,jb->ja", base.C3, gw1)
 
-    F = zero_kernel(nn, n, n)
-    Ftilde = zero_kernel(nn, n, m)
+    F = np.zeros((nn, nn, n, n))
+    Ftilde = np.zeros((nn, nn, n, m))
     for i in range(nn):
         for j in range(max(0, i - k), i):
-            F[i, j] = spec.G1[i, i - j]
-            Ftilde[i, j] = spec.G2[i, i - j]
+            F[i, j] = G1[i, i - j]
+            Ftilde[i, j] = G2[i, i - j]
 
-    return DelayLQProblem(
-        grid=g, n=n, m=m,
-        A1=spec.A1, A2=spec.A2, A3=spec.A3,
-        B1=spec.B1, B2=spec.B2, B3=spec.B3,
-        C1=spec.C1, C2=spec.C2, C3=spec.C3, D1=spec.D1,
-        Q1=spec.Q1, Q2=spec.Q2, Q3=spec.Q3, R1=spec.R1, R2=spec.R2,
-        b=b, sigma=sigma, F=F, Ftilde=Ftilde,
-        xi=spec.xi, varsigma=spec.varsigma, lam=spec.lam,
-    )
+    return replace(base, b=b, sigma=sigma, F=F, Ftilde=Ftilde)
 
 
 # ----------------------------------------------------------------------
@@ -313,20 +260,16 @@ def from_extended_sdde(spec: ExtendedSddeSpec) -> DelayLQProblem:
 # matrices, kernels as triangular arrays, trajectories as arrays.
 # ----------------------------------------------------------------------
 
-_TABLE_FIELDS = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3", "D1",
-                 "Q1", "Q2", "Q3", "R1", "R2")
-
-
 def _kernel_to_triangular(kern: np.ndarray) -> list:
     return [[kern[i, j].tolist() for j in range(i)] for i in range(kern.shape[0])]
 
 
-def _kernel_from_triangular(name: str, rows: list, nn: int, d1: int,
-                            d2: int) -> np.ndarray:
+def _kernel_from_triangular(name: str, rows: list, shape: tuple) -> np.ndarray:
+    nn = shape[0]
     if len(rows) > nn:
         raise ValueError(f"{name}: {len(rows)} rows, more than the {nn} "
                          f"grid nodes")
-    kern = np.zeros((nn, nn, d1, d2))
+    kern = np.zeros(shape)
     for i, row in enumerate(rows):
         if len(row) > nn:
             raise ValueError(f"{name}: row {i} has {len(row)} entries, more "
@@ -342,14 +285,10 @@ def problem_to_dict(problem: DelayLQProblem) -> dict:
         "t0": g.t0, "T": g.T, "N": g.N, "delay_steps": g.delay_steps,
         "n": problem.n, "m": problem.m, "lambda": problem.lam,
     }
-    for name in _TABLE_FIELDS:
-        doc[name] = getattr(problem, name).tolist()
-    doc["b"] = problem.b.tolist()
-    doc["sigma"] = problem.sigma.tolist()
-    doc["F"] = _kernel_to_triangular(problem.F)
-    doc["Ftilde"] = _kernel_to_triangular(problem.Ftilde)
-    doc["xi"] = problem.xi.tolist()
-    doc["varsigma"] = problem.varsigma.tolist()
+    for name in field_shapes(problem.n, problem.m, g.N + 1, g.delay_steps):
+        arr = getattr(problem, name)
+        doc[name] = (_kernel_to_triangular(arr) if name in KERNELS
+                     else arr.tolist())
     return doc
 
 
@@ -359,21 +298,14 @@ def problem_from_dict(doc: dict) -> DelayLQProblem:
     t0, T = float(doc["t0"]), float(doc["T"])
     dt = (T - t0) / N
     grid = TimeGrid(t0=t0, T=T, N=N, delay=k * dt)
-    n, m, nn = int(doc["n"]), int(doc["m"]), N + 1
-    kwargs = {}
-    for name in _TABLE_FIELDS:
-        kwargs[name] = np.asarray(doc[name], dtype=float)
-    return DelayLQProblem(
-        grid=grid, n=n, m=m,
-        b=np.asarray(doc["b"], dtype=float),
-        sigma=np.asarray(doc["sigma"], dtype=float),
-        F=_kernel_from_triangular("F", doc["F"], nn, n, n),
-        Ftilde=_kernel_from_triangular("Ftilde", doc["Ftilde"], nn, n, m),
-        xi=np.asarray(doc["xi"], dtype=float),
-        varsigma=np.asarray(doc["varsigma"], dtype=float),
-        lam=float(doc["lambda"]),
-        **kwargs,
-    )
+    n, m = int(doc["n"]), int(doc["m"])
+    arrays = {
+        name: (_kernel_from_triangular(name, doc[name], shape)
+               if name in KERNELS else np.asarray(doc[name], dtype=float))
+        for name, shape in field_shapes(n, m, N + 1, k).items()
+    }
+    return DelayLQProblem(grid=grid, n=n, m=m, lam=float(doc["lambda"]),
+                          **arrays)
 
 
 def save_problem(problem: DelayLQProblem, path) -> None:

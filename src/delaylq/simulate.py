@@ -79,16 +79,15 @@ def _delayed_control(problem: DelayLQProblem, u: np.ndarray, j: int) -> np.ndarr
     return u[:, j - k]
 
 
-def _memory_terms(problem: DelayLQProblem, x: np.ndarray, u: np.ndarray,
-                  j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distributed-delay integrals z_j, mu_j by left-rectangle quadrature.
+def _memory_integral(kernel: np.ndarray, history: np.ndarray, j: int,
+                     dt: float) -> np.ndarray:
+    """Distributed-delay integral of ``history`` (paths, nodes, dim) against
+    the kernel row j, by left-rectangle quadrature: z_j for the state and
+    F, mu_j for the control and Ftilde.
 
-    At j = 0 the sums are empty and both are exact zeros.
+    At j = 0 the sum is empty and the integral an exact zero.
     """
-    dt = problem.grid.dt
-    z = np.einsum("lab,plb->pa", problem.F[j, :j], x[:, :j]) * dt
-    mu = np.einsum("lab,plb->pa", problem.Ftilde[j, :j], u[:, :j]) * dt
-    return z, mu
+    return np.einsum("lab,plb->pa", kernel[j, :j], history[:, :j]) * dt
 
 
 def _euler_step(problem: DelayLQProblem, j: int, x: np.ndarray,
@@ -132,7 +131,8 @@ def _simulate(problem: DelayLQProblem, batch: BrownianBatch,
         if j == N:
             break
         nu = _delayed_control(problem, u, j)
-        z, mu = _memory_terms(problem, x, u, j)
+        z = _memory_integral(problem.F, x, j, dt)
+        mu = _memory_integral(problem.Ftilde, u, j, dt)
         costs += (np.einsum("pa,ab,pb->p", x[:, j], problem.Q1[j], x[:, j])
                   + np.einsum("pa,ab,pb->p", y, problem.Q2[j], y)
                   + np.einsum("pa,ab,pb->p", z, problem.Q3[j], z)
@@ -178,7 +178,7 @@ def simulate_closed_loop(problem: DelayLQProblem, strategy: FeedbackStrategy,
     return _simulate(problem, batch, feedback)
 
 
-def estimate_cost(problem: DelayLQProblem, sim: SimulationBatch) -> CostEstimate:
+def estimate_cost(sim: SimulationBatch) -> CostEstimate:
     """Mean and standard error over unflagged paths."""
     good = ~sim.flagged
     samples = sim.cost_samples[good]

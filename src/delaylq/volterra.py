@@ -168,21 +168,17 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
     )
 
 
-def lift_state(x_path: np.ndarray, u_path: np.ndarray,
-               problem: DelayLQProblem) -> np.ndarray:
+def lift_state(x_path: np.ndarray, problem: DelayLQProblem) -> np.ndarray:
     """Stack (state, delayed state, distributed-delay integral) per node.
 
     ``x_path`` has shape (N+1, n); the initial window comes from the
-    problem's xi samples.  ``u_path`` is accepted for interface symmetry
-    and only shape-checked.
+    problem's xi samples.
     """
     g = problem.grid
     n, nn, k, dt = problem.n, g.N + 1, g.delay_steps, g.dt
     x_path = np.asarray(x_path, dtype=float)
     if x_path.shape != (nn, n):
         raise ValueError(f"x_path must be ({nn},{n}), got {x_path.shape}")
-    if u_path is not None and np.asarray(u_path).shape[0] != nn:
-        raise ValueError("u_path length does not match the grid")
 
     X = np.zeros((nn, 3 * n))
     X[:, :n] = x_path

@@ -27,8 +27,8 @@ def _solve_preset(name: str, n_steps: int, weight_scale: float = 1.0) -> Solved:
         problem = problem.with_scaled_weights(weight_scale)
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp, problem)
-    strategy = dl.synthesize_feedback(P, adj, vp, problem)
+    adj = dl.solve_adjoint(P, vp)
+    strategy = dl.synthesize_feedback(P, adj, vp)
     return Solved(problem=problem, vp=vp, P=P, adj=adj, strategy=strategy)
 
 

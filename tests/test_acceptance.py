@@ -23,8 +23,8 @@ def _report(k: int, ok: bool, detail: str) -> None:
 def _solve(problem):
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp, problem)
-    strat = dl.synthesize_feedback(P, adj, vp, problem)
+    adj = dl.solve_adjoint(P, vp)
+    strat = dl.synthesize_feedback(P, adj, vp)
     return vp, P, adj, strat
 
 
@@ -140,7 +140,7 @@ class TestCriterion5CostBridge:
             u = rng.standard_normal((n_ctrl, p.grid.N + 1, p.m))
             sim = dl.simulate_open_loop(p, u, batch)
             for q in range(n_ctrl):
-                X = dl.lift_state(sim.x[q], sim.u[q], p)
+                X = dl.lift_state(sim.x[q], p)
                 lifted = dl.cost_volterra(X, sim.u[q], vp)
                 original = float(sim.cost_samples[q])
                 rel = abs(lifted - original) / max(abs(original), 1e-30)

@@ -5,10 +5,10 @@ import delaylq as dl
 PUBLIC_NAMES = [
     "AdjointSolution", "BrownianBatch", "CausalGains", "CostEstimate",
     "DelayLQError", "DelayLQProblem", "DerivativeEstimate",
-    "ExtendedSddeSpec", "FeedbackStrategy", "NumericalError", "PRESET_NAMES",
+    "FeedbackStrategy", "NumericalError", "PRESET_NAMES",
     "ProblemValidationError", "RiccatiResiduals", "RiccatiSolution",
     "SimulationBatch", "TimeGrid", "ValidationReport", "VolterraProblem",
-    "build_volterra", "causal_gains", "constant_table", "cost_volterra",
+    "build_volterra", "causal_gains", "cost_volterra",
     "empty_problem", "estimate_cost", "from_extended_sdde", "gen_brownian",
     "lift_state", "lifted_kernel", "load_problem", "preset_problem",
     "problem_from_dict", "problem_to_dict", "riccati_residual",

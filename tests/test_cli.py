@@ -234,6 +234,22 @@ class TestArgumentChecks:
         assert len(lines) == 1 and "error: " in lines[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--n-steps", "7"], ["--preset", "tanh"],
+        ["--preset", "full", "--n-steps", "24"],
+    ])
+    def test_problem_file_takes_no_preset_or_step_count(self, flags, tmp_path,
+                                                        capsys):
+        # the file fixes the problem and its grid; a flag that would pick
+        # another one is refused, not ignored
+        path = tmp_path / "p24.json"
+        dl.save_problem(dl.preset_problem("tanh", 24), path)
+        assert run(["solve", "--problem", path, *flags,
+                    "--out", tmp_path / "o"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation: --problem")
+        assert not (tmp_path / "o").exists()
+
 
 class TestReproducibility:
     def test_identical_config_and_seed_byte_identical_summary(self, tmp_path):

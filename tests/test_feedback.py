@@ -19,8 +19,8 @@ def with_free_terms(name, N, b=0.3, sigma=0.4):
 def solve(problem):
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp, problem)
-    strat = dl.synthesize_feedback(P, adj, vp, problem)
+    adj = dl.solve_adjoint(P, vp)
+    strat = dl.synthesize_feedback(P, adj, vp)
     return vp, P, adj, strat
 
 

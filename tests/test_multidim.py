@@ -41,8 +41,8 @@ def planar_problem(N=24, m=2, diffusive=True):
 def pipeline(p):
     vp = dl.build_volterra(p)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp, p)
-    strat = dl.synthesize_feedback(P, adj, vp, p)
+    adj = dl.solve_adjoint(P, vp)
+    strat = dl.synthesize_feedback(P, adj, vp)
     return vp, P, adj, strat
 
 
@@ -59,7 +59,7 @@ def test_full_pipeline_with_planar_state(m):
     u = np.random.default_rng(1).standard_normal((4, p.grid.N + 1, m))
     sim = dl.simulate_open_loop(p, u, batch)
     for q in range(4):
-        X = dl.lift_state(sim.x[q], sim.u[q], p)
+        X = dl.lift_state(sim.x[q], p)
         assert dl.cost_volterra(X, sim.u[q], vp) == pytest.approx(
             float(sim.cost_samples[q]), rel=1e-10)
 

@@ -10,8 +10,8 @@ from delaylq import oracles
 def solve(problem):
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp, problem)
-    strat = dl.synthesize_feedback(P, adj, vp, problem)
+    adj = dl.solve_adjoint(P, vp)
+    strat = dl.synthesize_feedback(P, adj, vp)
     return vp, P, adj, strat
 
 

@@ -1,15 +1,20 @@
 """Problem model: validation diagnostics, window reduction, serialization."""
 
+import dataclasses
+import hashlib
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import delaylq as dl
 from delaylq.cli import main as cli_main
-from delaylq.problem import ExtendedSddeSpec, from_extended_sdde
+from delaylq.problem import KERNELS, field_shapes, from_extended_sdde
 
 
 def scalar_grid(N=20, delay=0.25):
@@ -77,38 +82,33 @@ class TestValidate:
 
 
 class TestExtendedSddeReduction:
-    def _spec(self, G1=None, G2=None, xi0=2.0):
+    def _base(self):
+        base = dl.empty_problem(scalar_grid(), 1, 1)
+        base.A3[:] = 1.0
+        base.Q1[:] = 1.0
+        base.R1[:] = 1.0
+        base.xi[:] = 2.0
+        return base
+
+    def _window(self, value=0.0):
         g = scalar_grid()
-        k, nn = g.delay_steps, g.N + 1
-        base = dl.empty_problem(g, 1, 1)
-        return ExtendedSddeSpec(
-            grid=g, n=1, m=1,
-            A1=base.A1, A2=base.A2, A3=np.ones((nn, 1, 1)),
-            B1=base.B1, B2=base.B2, B3=base.B3,
-            C1=base.C1, C2=base.C2, C3=base.C3, D1=base.D1,
-            Q1=np.ones((nn, 1, 1)), Q2=base.Q2, Q3=base.Q3,
-            R1=np.ones((nn, 1, 1)), R2=base.R2,
-            btilde=np.zeros((nn, 1)), sigtilde=np.zeros((nn, 1)),
-            G1=G1 if G1 is not None else np.zeros((nn, k + 1, 1, 1)),
-            G2=G2 if G2 is not None else np.zeros((nn, k + 1, 1, 1)),
-            xi=xi0 * np.ones((k + 1, 1)), varsigma=np.zeros((k, 1)),
-            lam=1.0)
+        return np.full((g.N + 1, g.delay_steps + 1, 1, 1), value)
 
     def test_zero_window_kernels_reduce_to_identity(self):
-        spec = self._spec()
-        prob = from_extended_sdde(spec)
+        base = self._base()
+        prob = from_extended_sdde(base, self._window(), self._window())
         assert np.abs(prob.F).max() == 0
         assert np.abs(prob.Ftilde).max() == 0
-        np.testing.assert_array_equal(prob.b, spec.btilde)
-        np.testing.assert_array_equal(prob.sigma, spec.sigtilde)
+        np.testing.assert_array_equal(prob.b, base.b)
+        np.testing.assert_array_equal(prob.sigma, base.sigma)
 
     def test_constant_window_kernel_matches_analytic_integral(self):
         # G1 = I, xi = x0: the drift gains A3(t)(t0 - t + delta)x0 on
         # [t0, t0+delta), the exact value of the left-rectangle sum
         g = scalar_grid()
-        k, nn = g.delay_steps, g.N + 1
-        spec = self._spec(G1=np.ones((nn, k + 1, 1, 1)))
-        prob = from_extended_sdde(spec)
+        k = g.delay_steps
+        prob = from_extended_sdde(self._base(), self._window(1.0),
+                                  self._window())
         for i in range(k):
             expected = (0.25 - i * g.dt) * 2.0
             assert prob.b[i, 0] == pytest.approx(expected, abs=1e-14)
@@ -117,16 +117,16 @@ class TestExtendedSddeReduction:
     def test_window_mask_zeroes_kernel_beyond_one_delay(self):
         g = scalar_grid()
         k, nn = g.delay_steps, g.N + 1
-        spec = self._spec(G1=np.ones((nn, k + 1, 1, 1)))
-        prob = from_extended_sdde(spec)
+        prob = from_extended_sdde(self._base(), self._window(1.0),
+                                  self._window())
         for i in range(1, nn):
             for j in range(i):
                 expected = 1.0 if i - j <= k else 0.0
                 assert prob.F[i, j, 0, 0] == expected
 
     def test_zero_kernels_give_same_lift_as_direct_canonical_problem(self):
-        spec = self._spec()
-        reduced = from_extended_sdde(spec)
+        reduced = from_extended_sdde(self._base(), self._window(),
+                                     self._window())
         direct = dl.empty_problem(scalar_grid(), 1, 1)
         direct.A3[:] = 1.0
         direct.Q1[:] = 1.0
@@ -140,6 +140,53 @@ class TestExtendedSddeReduction:
             np.testing.assert_array_equal(dl.lifted_kernel(vr.U, row(vr)),
                                           dl.lifted_kernel(vd.U, row(vd)))
 
+    def test_base_kernels_and_window_shapes_are_checked_together(self):
+        # a nonzero base kernel is rejected, not added to the window one
+        base = self._base()
+        base.F[3, 1] = 0.5
+        base.Ftilde[2, 0] = -1.0
+        with pytest.raises(dl.ProblemValidationError) as info:
+            from_extended_sdde(base, self._window(), np.zeros((21, 6, 1, 2)))
+        assert [v.split(":")[0] for v in info.value.violations] == [
+            "F", "Ftilde", "G2"]
+        assert info.value.violations[2] == (
+            "G2: expected shape (21, 6, 1, 1), got (21, 6, 1, 2)")
+
+
+# sha256 of save_problem(preset_problem(name, 8)), pinned from the writer
+# that listed every field by hand
+SAVED8_SHA256 = {
+    "tanh": "5bce9c6c35a50582ee718a6df174910c66abc21db2ee20fbce66ae62eff6cbba",
+    "input-delay":
+        "9c5a5c103720870967be7f0cdf98d7bf9fcdb73da6187797bee18282cfa627d6",
+    "state-delay":
+        "104251f883e6b840f89eef601a48b50a4fa04c60a0eaab4d1f2081be55f891bf",
+    "distributed":
+        "c37ce72b07c786535dc374ed7edae4895c22421538597320550c7befd1759eab",
+    "pointwise":
+        "ea29a48e7e1938710e07f84590618d8f42e90d0c6a57daf698ab3d1ce0c4988e",
+    "full": "985aa276a05a6f12713872fa918132d44a1c34941a8ee9d00b27411d6134cb8d",
+}
+
+
+@st.composite
+def random_problems(draw):
+    """Any n, m in {1, 2} on a short grid, every array field drawn from
+    its shape in field_shapes, kernels strictly lower-triangular."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    N = draw(st.integers(2, 5))
+    k = draw(st.integers(1, N))
+    grid = dl.TimeGrid(t0=0.0, T=1.0, N=N, delay=k / N)
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    fields = {}
+    for name, shape in field_shapes(n, m, N + 1, grid.delay_steps).items():
+        arr = draw(arrays(np.float64, shape, elements=values))
+        if name in KERNELS:
+            arr[np.triu_indices(N + 1)] = 0.0
+        fields[name] = arr
+    lam = draw(st.floats(1e-3, 1e3))
+    return dl.DelayLQProblem(grid=grid, n=n, m=m, lam=lam, **fields)
+
 
 class TestSerialization:
     def test_round_trip_preserves_everything(self, tmp_path):
@@ -150,10 +197,36 @@ class TestSerialization:
         assert q.grid.N == p.grid.N
         assert q.grid.delay_steps == p.grid.delay_steps
         assert q.lam == p.lam
-        for name in ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3",
-                     "D1", "Q1", "Q2", "Q3", "R1", "R2", "b", "sigma",
-                     "F", "Ftilde", "xi", "varsigma"):
+        for name in field_shapes(p.n, p.m, p.grid.N + 1, p.grid.delay_steps):
             np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=random_problems())
+    def test_random_problems_round_trip_byte_for_byte(self, p):
+        with tempfile.TemporaryDirectory() as tmp:
+            first = pathlib.Path(tmp, "first.json")
+            second = pathlib.Path(tmp, "second.json")
+            dl.save_problem(p, first)
+            q = dl.load_problem(first)
+            dl.save_problem(q, second)
+            assert second.read_bytes() == first.read_bytes()
+        assert (q.n, q.m, q.grid.N, q.grid.delay_steps, q.lam) == (
+            p.n, p.m, p.grid.N, p.grid.delay_steps, p.lam)
+        for name in field_shapes(p.n, p.m, p.grid.N + 1, p.grid.delay_steps):
+            np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
+
+    def test_shape_table_lists_the_array_fields_in_order(self):
+        declared = [f.name for f in dataclasses.fields(dl.DelayLQProblem)
+                    if f.type == "np.ndarray"]
+        assert list(field_shapes(1, 1, 3, 1)) == declared
+        assert set(KERNELS) <= set(declared)
+
+    @pytest.mark.parametrize("name", dl.PRESET_NAMES)
+    def test_saved_presets_are_pinned(self, tmp_path, name):
+        path = tmp_path / "problem.json"
+        dl.save_problem(dl.preset_problem(name, 8), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            SAVED8_SHA256[name]
 
     def test_field_names_follow_the_interface(self, tmp_path):
         p = dl.preset_problem("tanh", 8)

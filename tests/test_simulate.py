@@ -77,7 +77,7 @@ class TestOpenLoop:
         batch = dl.gen_brownian(p.grid, 3, seed=4)
         sim = dl.simulate_open_loop(p, np.zeros((21, 1)), batch)
         assert sim.flagged.all()
-        est = dl.estimate_cost(p, sim)
+        est = dl.estimate_cost(sim)
         assert est.n_paths == 0
         assert est.n_flagged == 3
 
@@ -127,8 +127,8 @@ class TestClosedLoop:
             p = dl.preset_problem("tanh", N)
             vp = dl.build_volterra(p)
             P = dl.solve_riccati(vp)
-            adj = dl.solve_adjoint(P, vp, p)
-            strat = dl.synthesize_feedback(P, adj, vp, p)
+            adj = dl.solve_adjoint(P, vp)
+            strat = dl.synthesize_feedback(P, adj, vp)
             oracle = oracles.classical_riccati(p)
             k1o, vo = oracles.classical_gains(p, oracle)
             nn = N + 1
@@ -149,7 +149,7 @@ class TestCostEstimate:
         p.R1[:] = 1.0
         batch = dl.gen_brownian(p.grid, 4, seed=5)
         sim = dl.simulate_open_loop(p, np.zeros((21, 1)), batch)
-        est = dl.estimate_cost(p, sim)
+        est = dl.estimate_cost(sim)
         assert est.mean == 0.0
         assert est.stderr == 0.0
 
@@ -160,7 +160,7 @@ class TestCostEstimate:
         p.xi[:] = 1.0
         batch = dl.gen_brownian(p.grid, 2, seed=5)
         sim = dl.simulate_open_loop(p, np.zeros((21, 1)), batch)
-        est = dl.estimate_cost(p, sim)
+        est = dl.estimate_cost(sim)
         assert est.mean == pytest.approx(1.0, abs=1e-13)
         assert est.stderr == 0.0
 
@@ -168,7 +168,7 @@ class TestCostEstimate:
         s = solve_preset("input-delay", 20)
         batch = dl.gen_brownian(s.problem.grid, 16, seed=5)
         sim = dl.simulate_closed_loop(s.problem, s.strategy, batch)
-        est = dl.estimate_cost(s.problem, sim)
+        est = dl.estimate_cost(sim)
         assert est.stderr == 0.0
 
     @settings(max_examples=8, deadline=None)
@@ -180,7 +180,7 @@ class TestCostEstimate:
         u = np.random.default_rng(seed).standard_normal((2, 17, 1))
         sim = dl.simulate_open_loop(p, u, batch)
         for q in range(2):
-            X = dl.lift_state(sim.x[q], sim.u[q], p)
+            X = dl.lift_state(sim.x[q], p)
             assert dl.cost_volterra(X, sim.u[q], vp) == pytest.approx(
                 float(sim.cost_samples[q]), rel=1e-10)
 
@@ -248,17 +248,17 @@ class TestStationarity:
         g = s.problem.grid
         batch = dl.gen_brownian(g, 3000, seed=14)
         cl = dl.simulate_closed_loop(s.problem, s.strategy, batch)
-        est_cl = dl.estimate_cost(s.problem, cl)
+        est_cl = dl.estimate_cost(cl)
         zero = dl.simulate_open_loop(s.problem,
                                      np.zeros((g.N + 1, 1)), batch)
-        est_zero = dl.estimate_cost(s.problem, zero)
+        est_zero = dl.estimate_cost(zero)
         assert est_cl.mean <= est_zero.mean + 3 * (est_cl.stderr
                                                    + est_zero.stderr)
         rng = np.random.default_rng(4)
         for _ in range(3):
             w = 0.2 * rng.standard_normal((g.N + 1, 1))
             pert = dl.simulate_open_loop(s.problem, cl.u + w, batch)
-            est_p = dl.estimate_cost(s.problem, pert)
+            est_p = dl.estimate_cost(pert)
             assert est_cl.mean <= est_p.mean + 3 * (est_cl.stderr
                                                     + est_p.stderr)
 
@@ -268,9 +268,9 @@ class TestStationarity:
         batch = dl.gen_brownian(s.problem.grid, 4000, seed=12)
         zero = dl.simulate_open_loop(
             s.problem, np.zeros((s.problem.grid.N + 1, 1)), batch)
-        est_zero = dl.estimate_cost(s.problem, zero)
+        est_zero = dl.estimate_cost(zero)
         assert v0 <= est_zero.mean + 3 * est_zero.stderr
         detuned = s.strategy.scaled(1.7)
         sub = dl.simulate_closed_loop(s.problem, detuned, batch)
-        est_sub = dl.estimate_cost(s.problem, sub)
+        est_sub = dl.estimate_cost(sub)
         assert v0 <= est_sub.mean + 3 * est_sub.stderr

@@ -131,8 +131,8 @@ SYNTHESIS = {
 def test_synthesis_matches_loops(case):
     p = SYNTHESIS[case]()
     vp, P = solved(p)
-    adj = dl.solve_adjoint(P, vp, p)
-    strat = dl.synthesize_feedback(P, adj, vp, p)
+    adj = dl.solve_adjoint(P, vp)
+    strat = dl.synthesize_feedback(P, adj, vp)
     k4, v = loop_oracles.synthesis_k4_v(P, adj, vp, p)
     np.testing.assert_allclose(strat.k4, k4, rtol=0, atol=1e-12)
     np.testing.assert_allclose(strat.v, v, rtol=0, atol=1e-12)

@@ -163,13 +163,13 @@ class TestLiftAndCost:
     def test_zero_memory_kernel_gives_zero_third_block(self):
         p = dl.preset_problem("pointwise", 16)
         x = np.ones((17, 1))
-        X = dl.lift_state(x, np.zeros((17, 1)), p)
+        X = dl.lift_state(x, p)
         assert np.abs(X[:, 2]).max() == 0.0
 
     def test_window_lookup_matches_initial_trajectory(self):
         p = dl.preset_problem("pointwise", 16)  # ramp window
         x = np.ones((17, 1))
-        X = dl.lift_state(x, np.zeros((17, 1)), p)
+        X = dl.lift_state(x, p)
         k = p.grid.delay_steps
         for j in range(k + 1):
             assert X[j, 1] == p.xi[j, 0]
@@ -183,7 +183,7 @@ class TestLiftAndCost:
         for i in range(1, 17):
             p.F[i, :i] = 1.0
         x = np.ones((17, 1))
-        X = dl.lift_state(x, np.zeros((17, 1)), p)
+        X = dl.lift_state(x, p)
         for j in range(17):
             assert X[j, 2] == pytest.approx(j * g.dt, abs=1e-14)
 
@@ -213,7 +213,7 @@ class TestLiftAndCost:
         u = np.random.default_rng(seed).standard_normal((3, 17, 1))
         sim = dl.simulate_open_loop(p, u, batch)
         for q in range(3):
-            X = dl.lift_state(sim.x[q], sim.u[q], p)
+            X = dl.lift_state(sim.x[q], p)
             lifted = dl.cost_volterra(X, sim.u[q], vp)
             original = float(sim.cost_samples[q])
             assert lifted == pytest.approx(original, rel=1e-10, abs=1e-12)
