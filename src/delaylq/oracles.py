@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import NumericalError, ProblemValidationError
 from .grid import TimeGrid
@@ -227,6 +226,11 @@ class ClassicalRiccatiPath:
     eta_t: np.ndarray    # (N+1, n)
 
 
+def _cho_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (low low^T) x = rhs by two solves against the Cholesky factor."""
+    return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+
+
 def classical_riccati(problem: DelayLQProblem) -> ClassicalRiccatiPath:
     """RK4 backward integration of the no-delay Riccati/adjoint pair."""
     CASES["V"].enforce(problem)
@@ -250,17 +254,20 @@ def classical_riccati(problem: DelayLQProblem) -> ClassicalRiccatiPath:
         c = coeffs(stage_t)
         A1, B1, C1, D1 = c["A1"], c["B1"], c["C1"], c["D1"]
         rc = c["R1"] + D1.T @ P @ D1
+        if not np.isfinite(rc).all():
+            raise NumericalError(
+                f"oracle control weight non-finite near t={stage_t}")
         try:
-            fac = cho_factor(0.5 * (rc + rc.T), lower=True)
+            low = np.linalg.cholesky(0.5 * (rc + rc.T))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"oracle control weight lost positive definiteness near "
                 f"t={stage_t}") from exc
         lhs = P @ B1 + C1.T @ P @ D1                     # (n, m)
         dP = -(P @ A1 + A1.T @ P + C1.T @ P @ C1 + c["Q1"]
-               - lhs @ cho_solve(fac, lhs.T))
-        closed_a = A1.T - lhs @ cho_solve(fac, B1.T)
-        mix = C1.T - lhs @ cho_solve(fac, D1.T)
+               - lhs @ _cho_solve(low, lhs.T))
+        closed_a = A1.T - lhs @ _cho_solve(low, B1.T)
+        mix = C1.T - lhs @ _cho_solve(low, D1.T)
         deta = -(closed_a @ eta + mix @ (P @ c["sigma"]) + P @ c["b"])
         return dP, deta
 
@@ -292,10 +299,10 @@ def classical_gains(problem: DelayLQProblem,
         P = oracle.P[j]
         D1, B1, C1 = problem.D1[j], problem.B1[j], problem.C1[j]
         rc = problem.R1[j] + D1.T @ P @ D1
-        fac = cho_factor(0.5 * (rc + rc.T), lower=True)
-        K1[j] = -cho_solve(fac, B1.T @ P + D1.T @ P @ C1)
-        v[j] = -cho_solve(fac, B1.T @ oracle.eta_t[j]
-                          + D1.T @ P @ problem.sigma[j])
+        low = np.linalg.cholesky(0.5 * (rc + rc.T))
+        K1[j] = -_cho_solve(low, B1.T @ P + D1.T @ P @ C1)
+        v[j] = -_cho_solve(low, B1.T @ oracle.eta_t[j]
+                           + D1.T @ P @ problem.sigma[j])
     return K1, v
 
 
@@ -725,11 +732,13 @@ def deterministic_qp_oracle(problem: DelayLQProblem) -> QpOracleResult:
     gvec = 2.0 * bilinear(tb, ta)[:, 0]
     c0 = float(bilinear(ta, ta)[0, 0])
 
+    if not np.isfinite(H).all():
+        raise NumericalError("QP Hessian is not finite")
     try:
-        fac = cho_factor(H, lower=True)
+        np.linalg.cholesky(H)                  # the convexity check
     except np.linalg.LinAlgError as exc:
         raise NumericalError("QP Hessian is not positive definite") from exc
-    u_flat = cho_solve(fac, -gvec)
+    u_flat = np.linalg.solve(H, -gvec)
     kkt = float(np.linalg.norm(H @ u_flat + gvec))
     cost = float(c0 + gvec @ u_flat + 0.5 * u_flat @ H @ u_flat)
     u_opt = np.zeros((N + 1, m))

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import NumericalError
 from .volterra import VolterraProblem
@@ -181,7 +180,6 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     pb = np.zeros((N + 1, N + 1, d, m))
     frontier = np.zeros((N + 1, N + 1, d, d))
     pfree = np.zeros((N + 1, N + 1, d))
-    eye_m = np.eye(m)
     lambda_floor = np.inf
 
     def factor_rcal(l: int, mat: np.ndarray):
@@ -196,7 +194,8 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
                 f"effective control weight lost positive definiteness at node {l} "
                 f"(min eigenvalue {w.min():.6e})")
         rcal[l] = mat
-        rcal_inv[l] = cho_solve(cho_factor(mat, lower=True), eye_m)
+        linv = np.linalg.inv(np.linalg.cholesky(mat))
+        rcal_inv[l] = linv.T @ linv
 
     def free_term(l: int, X: np.ndarray) -> None:
         ub = np.einsum("rab,b->ra", vp.U[l:, l], vp.source.b[l])

@@ -1,4 +1,8 @@
-"""Public surface: what `import delaylq` re-exports."""
+"""Public surface: what `import delaylq` re-exports and pulls in."""
+
+import os
+import subprocess
+import sys
 
 import delaylq as dl
 
@@ -25,3 +29,29 @@ def test_all_is_pinned_to_the_public_names():
     assert len(set(dl.__all__)) == len(dl.__all__)
     for name in dl.__all__:
         assert hasattr(dl, name), name
+
+
+# Each CLI command runs in a fresh process and pays for every module the
+# package imports; importing scipy.linalg alone takes about 0.25 s.
+NO_SCIPY_SCRIPT = """
+import sys
+import delaylq, delaylq.cli
+for argv in (["solve", "--preset", "full", "--n-steps", "8"],
+             ["verify", "--preset", "input-delay", "--n-steps", "8",
+              "--verify", "residuals,cases,qp-oracle"]):
+    code = delaylq.cli.main([*argv, "--out", sys.argv[1] + "/" + argv[0]])
+    assert code == 0, (argv, code)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dl.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

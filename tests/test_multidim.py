@@ -68,6 +68,13 @@ def test_full_pipeline_with_planar_state(m):
     assert np.abs(replay.x - closed.x).max() < 1e-12
 
 
+def test_planar_control_weight_inverse():
+    P = dl.solve_riccati(dl.build_volterra(planar_problem(m=2)))
+    eye = np.broadcast_to(np.eye(2), P.rcal.shape)
+    assert np.abs(P.rcal @ P.rcal_inv - eye).max() <= 1e-12
+    assert np.abs(P.rcal_inv - P.rcal_inv.transpose(0, 2, 1)).max() <= 1e-15
+
+
 def test_planar_deterministic_qp_gap():
     p = planar_problem(m=2, diffusive=False)
     vp, P, adj, strat = pipeline(p)

@@ -42,6 +42,22 @@ class TestClassicalRiccati:
         with pytest.raises(dl.ProblemValidationError):
             oracles.classical_riccati(p)
 
+    def test_indefinite_control_weight_raises(self):
+        p = dl.preset_problem("tanh", 20)
+        p.R1[:] = -1.0
+        with pytest.raises(dl.NumericalError, match=(
+                r"^oracle control weight lost positive definiteness "
+                r"near t=1\.0$")):
+            oracles.classical_riccati(p)
+
+    def test_overflowing_path_raises(self):
+        p = dl.preset_problem("tanh", 20)
+        p.Q1[:] = 1e308
+        with np.errstate(all="ignore"), pytest.raises(
+                dl.NumericalError,
+                match="^oracle control weight non-finite near t="):
+            oracles.classical_riccati(p)
+
 
 class TestCaseV:
     def test_zero_data_has_zero_errors(self):
@@ -310,4 +326,22 @@ class TestQpOracle:
     def test_requires_zero_diffusion(self, solve_preset):
         p = dl.preset_problem("full", 16)
         with pytest.raises(dl.ProblemValidationError):
+            oracles.deterministic_qp_oracle(p)
+
+    def test_indefinite_hessian_raises(self):
+        g = dl.TimeGrid(0.0, 1.0, 16, 0.25)
+        p = dl.empty_problem(g, 1, 1)
+        p.R1[:] = -1.0
+        p.B1[:] = 1.0
+        p.Q1[:] = 1.0
+        p.xi[:] = 1.0
+        with pytest.raises(dl.NumericalError,
+                           match="^QP Hessian is not positive definite$"):
+            oracles.deterministic_qp_oracle(p)
+
+    def test_overflowing_hessian_raises(self):
+        p = dl.preset_problem("tanh", 16)
+        p.A1[:] = 1e20
+        with np.errstate(all="ignore"), pytest.raises(
+                dl.NumericalError, match="^QP Hessian is not finite$"):
             oracles.deterministic_qp_oracle(p)
