@@ -18,17 +18,30 @@ The running slice p2(., ., l) is one flat symmetric block matrix in a
 holds p2(i, j, l)[a, b], slice l is the view buf[l d:, l d:], and its
 interior is slice l+1, which step (i) updates in place.  The
 swap-transpose symmetry is the matrix transpose, and the sums against the
-slice are BLAS products on views.  Storage is O(N^2 d^2); time O(N^3 d^2).
+slice are BLAS products on views.  Storage is O(N^2 d^2).
+
+Only the lifted blocks the data reads are advanced.  Block 1 (the current
+state) is always live; block 2 (the delayed state) is live iff A2, C2 or
+Q2 has a nonzero entry, block 3 (the memory integral) iff A3, C3 or Q3
+does.  A dead block's rows and columns of p1, p2, pb and pfree are exactly
+zero, so step (i) and the residual's evolution check touch the live
+entries only: the live set is the slice 0:1, 0:2, 0::2 or 0:3 of the block
+axis, a strided view of the flat buffer.  For L live blocks they cost
+O(N^3 (nL)^2); storage, the products against the slice, the border and the
+corner keep the 3n layout and their summation order, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import NumericalError
 from .volterra import VolterraProblem
+
+#: every lifted block live: the Euler step runs on the whole slice
+ALL = slice(0, 3)
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,8 @@ class RiccatiSolution:
     pb: np.ndarray              # (N+1, N+1, 3n, m)
     pfree: np.ndarray           # (N+1, N+1, 3n)
     lambda_floor: float
+    # lifted blocks the replay advances, see ``live_blocks``
+    live: slice = field(default_factory=lambda: ALL)
 
     def p2(self, i: int, j: int, l: int) -> np.ndarray:
         """Two-time kernel at (t_i, t_j, t_l); requires l <= min(i, j)."""
@@ -106,6 +121,26 @@ class RiccatiSolution:
         return self.p1.shape[0] - 1
 
 
+def live_blocks(vp: VolterraProblem) -> slice:
+    """The lifted blocks the data reads, as a slice of the block axis.
+
+    Block 1 is always live; block 2 iff its columns of Acal or Ccal or its
+    rows of Q hold a nonzero entry (A2, C2, Q2), block 3 likewise (A3, C3,
+    Q3).  The result is one of 0:1, 0:2, 0::2 and 0:3.
+    """
+    n = vp.n
+
+    def reads(b: int) -> bool:
+        cols = slice(b * n, (b + 1) * n)
+        return bool(vp.Acal[..., cols].any() or vp.Ccal[..., cols].any()
+                    or vp.Q[:, cols].any())
+
+    delay, memory = reads(1), reads(2)
+    if memory and not delay:
+        return slice(0, 3, 2)
+    return slice(0, 1 + delay + memory)
+
+
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
@@ -124,10 +159,10 @@ def _apply(u: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (u.reshape(M * d, k).T @ X).T.reshape(M, d, k)
 
 
-def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
-             dt: float, work: np.ndarray) -> None:
-    """Slice l+1 becomes the interior of slice l, in place: one Euler step
-    of the rank-m drift.  ``work`` is contiguous scratch of X's shape."""
+def _euler(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
+           dt: float, work: np.ndarray) -> None:
+    """X less dt pb_next rinv_next pb_next^T, symmetrized, in place.
+    ``work`` is contiguous scratch of X's shape."""
     pbf = pb_next.reshape(X.shape[0], -1)
     np.matmul((pb_next @ rinv_next).reshape(pbf.shape), pbf.T, out=work)
     work *= dt
@@ -137,6 +172,37 @@ def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
     X *= 0.5
 
 
+def _live_view(X: np.ndarray, M: int, live: slice) -> np.ndarray:
+    """The live entries of the flat slice X over M nodes, a strided
+    (M, L, n, M, L, n) view."""
+    n = X.shape[0] // (3 * M)
+    return X.reshape(M, 3, n, M, 3, n)[:, live, :, :, live, :]
+
+
+def _live_rows(pb: np.ndarray, live: slice) -> np.ndarray:
+    """The live rows of the control products pb (M, 3n, m), as (M L n, m)."""
+    M, d, m = pb.shape
+    return pb.reshape(M, 3, d // 3, m)[:, live].reshape(-1, m)
+
+
+def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
+             dt: float, work: np.ndarray, live: slice) -> None:
+    """Slice l+1 becomes the interior of slice l, in place: one Euler step
+    of the rank-m drift on the live blocks; dead entries are 0.0 and stay
+    so.  ``work`` is contiguous scratch of X's shape.  A partial live set
+    is gathered into compact scratch carved from ``work`` and scattered
+    back: the arithmetic on the strided view itself is slower."""
+    if live == ALL:
+        _euler(X, pb_next, rinv_next, dt, work)
+        return
+    view = _live_view(X, pb_next.shape[0], live)
+    K = view.shape[0] * view.shape[1] * view.shape[2]
+    xc, wc = work.reshape(-1)[:2 * K * K].reshape(2, K, K)
+    xc.reshape(view.shape)[...] = view
+    _euler(xc, _live_rows(pb_next, live), rinv_next, dt, wc)
+    view[...] = xc.reshape(view.shape)
+
+
 def _border(X: np.ndarray, bnd: np.ndarray) -> None:
     """Write the boundary column (M, d, d) of slice X and its transposed row."""
     d = X.shape[0] // (bnd.shape[0] + 1)
@@ -144,26 +210,30 @@ def _border(X: np.ndarray, bnd: np.ndarray) -> None:
     X[:d, d:] = X[d:, :d].T
 
 
-def _sweep(N: int, d: int, pb: np.ndarray, rcal_inv: np.ndarray, dt: float):
+def _sweep(N: int, d: int, pb: np.ndarray, rcal_inv: np.ndarray, dt: float,
+           live: slice):
     """Yield (l, X_l), l = N..0, with X_l the flat slice l and its interior
-    advanced.  The caller writes X_l's border and corner, and pb[l:, l] and
-    rcal_inv[l], before resuming.  Slice and scratch are allocated once:
-    arrays grown per node left the peak RSS to the heap's fragmentation."""
+    advanced on the ``live`` blocks.  The caller writes X_l's border and
+    corner, and pb[l:, l] and rcal_inv[l], before resuming.  Slice and
+    scratch are allocated once: arrays grown per node left the peak RSS to
+    the heap's fragmentation."""
     buf = np.empty(((N + 1) * d,) * 2)
     work = np.empty(N * N * d * d)
     yield N, buf[N * d:, N * d:]
     for l in range(N - 1, -1, -1):
         X, Md = buf[l * d:, l * d:], (N - l) * d
         _advance(X[d:, d:], pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
-                 work[:Md * Md].reshape(Md, Md))
+                 work[:Md * Md].reshape(Md, Md), live)
         yield l, X
 
 
 def _replay(P: "RiccatiSolution", block: slice):
-    """Flat slices of ``P.replay(block)``, rebuilt from the frontier."""
+    """Flat slices of ``P.replay(block)``, rebuilt from the frontier.  A
+    block replay advances the whole block, the full replay its live part."""
     frontier = P.frontier[:, :, block, block]
     d = frontier.shape[-1]
-    for l, X in _sweep(P.N, d, P.pb[:, :, block, :], P.rcal_inv, P.dt):
+    live = P.live if block == slice(None) else ALL
+    for l, X in _sweep(P.N, d, P.pb[:, :, block, :], P.rcal_inv, P.dt, live):
         _border(X, frontier[l + 1:, l])
         X[:d, :d] = frontier[l, l]
         yield l, X
@@ -171,7 +241,7 @@ def _replay(P: "RiccatiSolution", block: slice):
 
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
-    d = 3 * n
+    d, live = 3 * n, live_blocks(vp)
 
     p1 = np.zeros((N + 1, d, d))
     g1_table = np.zeros((N + 1, n, n))
@@ -202,7 +272,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         w_free = np.einsum("rab,rb->ra", p1[l:], ub)
         pfree[l:, l] = w_free + (ub[1:].ravel() @ X[d:]).reshape(-1, d) * dt
 
-    for l, X in _sweep(N, d, pb, rcal_inv, dt):
+    for l, X in _sweep(N, d, pb, rcal_inv, dt, live):
         if l == N:                               # empty future
             p1[N] = _sym(vp.Q[N])
             factor_rcal(N, vp.R[N])
@@ -257,7 +327,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     return RiccatiSolution(
         n=n, m=m, dt=dt, p1=p1, frontier=frontier, slice0=_blocks(X, N + 1),
         g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, pb=pb, pfree=pfree,
-        lambda_floor=float(lambda_floor),
+        lambda_floor=float(lambda_floor), live=live,
     )
 
 
@@ -329,16 +399,22 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
 
             # effective weight jumps one delay before the horizon
             if not (l == N - k - 1 and src.nonzero("R2")):
-                fd = np.subtract(prev, X[d:, d:], out=prev)
+                # live entries only: the dead ones are 0.0 on both sides
+                # and in the drift
+                pb_rows = _live_rows(P.pb[l + 1:, l], P.live)
+                fd = np.subtract(prev, _live_view(X[d:, d:], M, P.live),
+                                 out=prev).reshape(pb_rows.shape[0], -1)
                 fd /= dt
-                pb_rows = P.pb[l + 1:, l].reshape(M * d, -1)
                 fd -= (pb_rows @ P.rcal_inv[l]) @ pb_rows.T
+                # max over pairs with both nodes smooth: zero the others
                 idx = np.arange(1, M + 1)
-                smooth = (np.abs(idx - k) > 1) & (np.abs(idx - 2 * k) > 1)
-                if smooth.any():                  # pairs with both nodes smooth
-                    rows = np.repeat(smooth, d)
-                    prof_evol[l] = float(np.abs(fd[rows][:, rows]).max())
-        prev = X.copy() if l > 0 else None
+                rough = (np.abs(idx - k) <= 1) | (np.abs(idx - 2 * k) <= 1)
+                rough = np.repeat(rough, fd.shape[0] // M)
+                fd[rough] = 0.0
+                fd[:, rough] = 0.0
+                prof_evol[l] = float(np.abs(fd, out=fd).max())
+        # a copy, not np.ascontiguousarray: a one-entry view is contiguous
+        prev = _live_view(X, M + 1, P.live).copy() if l > 0 else None
 
     return RiccatiResiduals(
         pointwise=float(prof_point.max()),

@@ -1,11 +1,16 @@
 """Loop forms of the case I oracle, the case II P3c and the feedback
-synthesis's memory channel and offset, kept as a reference.
+synthesis's memory channel and offset, kept as a reference, and the
+Riccati sweep's full-width Euler step.
 
 These are the original per-node, per-lag Python loops that
 ``delaylq.oracles`` and ``delaylq.adjoint.synthesize_feedback`` replaced
 with array code.  They are slow (the case I extraction is O(N^3 k^2)
 Python iterations with the memory channel active) and serve only to pin
-the array forms to 1e-12.
+the array forms to 1e-12.  ``advance_full_width`` is the sweep's step as
+it ran before it skipped the dead lifted blocks; swapped in for
+``delaylq.riccati._advance`` it pins the skip bit for bit, and
+``evolution_profile_full_width`` does the same for the residual's
+evolution check.
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -31,6 +36,40 @@ class LoopCaseIExtraction:
     S1: np.ndarray
     S2: np.ndarray
     p1script: object    # callable (l, a, b) -> n x n window sum
+
+
+def advance_full_width(X, pb_next, rinv_next, dt, work, live=None):
+    """One Euler step of the rank-m drift on every entry of slice X."""
+    pbf = pb_next.reshape(X.shape[0], -1)
+    np.matmul((pb_next @ rinv_next).reshape(pbf.shape), pbf.T, out=work)
+    work *= dt
+    np.subtract(X, work, out=work)
+    np.add(work, work.T, out=X)
+    X *= 0.5
+
+
+def evolution_profile_full_width(P, vp) -> np.ndarray:
+    """The evolution line of ``riccati_residual`` over every entry of each
+    slice, the smooth pairs picked by boolean row and column selection."""
+    N, dt, k, d = P.N, P.dt, vp.grid.delay_steps, 3 * P.n
+    prof, prev = np.zeros(N), None
+    # a block replay advances every entry of its block, here all of them
+    for l, sl in P.replay(slice(0, d)):
+        # a copy: the replay updates its buffer in place
+        X = sl.transpose(0, 2, 1, 3).reshape((N + 1 - l) * d, -1).copy()
+        if prev is not None and not (l == N - k - 1
+                                     and vp.source.nonzero("R2")):
+            M = N - l
+            fd = (prev - X[d:, d:]) / dt
+            pb_rows = P.pb[l + 1:, l].reshape(M * d, -1)
+            fd -= (pb_rows @ P.rcal_inv[l]) @ pb_rows.T
+            idx = np.arange(1, M + 1)
+            smooth = (np.abs(idx - k) > 1) & (np.abs(idx - 2 * k) > 1)
+            if smooth.any():
+                rows = np.repeat(smooth, d)
+                prof[l] = np.abs(fd[rows][:, rows]).max()
+        prev = X
+    return prof
 
 
 def loop_p3c(P, vp) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Backward solver: fixed points, symmetry, star products, evaluators."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 from functools import lru_cache
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 import delaylq as dl
+from delaylq import riccati
 from delaylq.cli import main as cli_main
 from delaylq.oracles import (bcal, g1, g2, g3, star_left, star_right,
                              star_sandwich)
-from delaylq.riccati import RiccatiSolution
+from delaylq.riccati import ALL, RiccatiSolution, live_blocks
+from loop_oracles import advance_full_width, evolution_profile_full_width
 from test_multidim import planar_problem, planar_state_delay_problem
 
 
@@ -148,18 +151,22 @@ class TestFactoredKernel:
         # the stored tables besides slice0, plus the running slice (kept as
         # slice0), the Euler step's scratch and half a slice of slack for
         # numpy's iteration buffers (about 0.13 slice here) and small
-        # temporaries; one more slice-sized temporary in the loop exceeds it
-        vp = dl.build_volterra(dl.preset_problem("full", 120))
-        tracemalloc.start()
-        try:
-            P = dl.solve_riccati(vp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        stored = sum(a.nbytes for name, a in vars(P).items()
-                     if isinstance(a, np.ndarray) and name != "slice0")
-        slice_bytes = (P.N + 1) ** 2 * (3 * P.n) ** 2 * 8
-        assert peak <= stored + 2.5 * slice_bytes, (peak - stored) / slice_bytes
+        # temporaries; one more slice-sized temporary in the loop exceeds it.
+        # state-delay advances two of three blocks in compact scratch, the
+        # largest share, which must come out of the Euler step's scratch
+        for name in ("full", "state-delay"):
+            vp = dl.build_volterra(dl.preset_problem(name, 120))
+            tracemalloc.start()
+            try:
+                P = dl.solve_riccati(vp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            stored = sum(a.nbytes for key, a in vars(P).items()
+                         if isinstance(a, np.ndarray) and key != "slice0")
+            slice_bytes = (P.N + 1) ** 2 * (3 * P.n) ** 2 * 8
+            assert peak <= stored + 2.5 * slice_bytes, (
+                name, (peak - stored) / slice_bytes)
 
     def test_domain_errors(self, solve_preset):
         P = solve_preset("tanh", 16).P
@@ -179,6 +186,106 @@ class TestFactoredKernel:
             ["summary.json", "feedback_k1.csv", "feedback_k2.csv",
              "feedback_k3.csv", "feedback_k4.csv", "feedback_v.csv",
              "riccati_p1.csv", "riccati_p2.csv"])
+
+
+#: lifted blocks the data never reads (0 current state, 1 delayed state,
+#: 2 memory integral), per preset
+DEAD_BLOCKS = {"tanh": (1, 2), "input-delay": (1, 2), "state-delay": (2,),
+               "pointwise": (2,), "distributed": (1,), "full": ()}
+
+
+class TestLiveBlocks:
+    def test_live_set_follows_the_data(self, solve_preset):
+        cases = [(name, solve_preset(name, 16).vp) for name in DEAD_BLOCKS]
+        cases.append(("planar-state-delay",
+                      dl.build_volterra(planar_state_delay_problem(16))))
+        for name, vp in cases:
+            dead = DEAD_BLOCKS.get(name, (2,))
+            assert list(range(3)[live_blocks(vp)]) == [
+                b for b in range(3) if b not in dead], name
+
+    def test_dead_blocks_are_exactly_zero(self, solve_preset):
+        cases = [(name, solve_preset(name, 24).P, dead)
+                 for name, dead in DEAD_BLOCKS.items() if dead]
+        cases += [(name, P, (2,)) for name, P in planar_solutions()
+                  if name == "planar-state-delay"]
+        for name, P, dead in cases:
+            for b in dead:
+                blk = slice(b * P.n, (b + 1) * P.n)
+                for label, rows in (("p1", P.p1[:, blk]),
+                                    ("p1", P.p1[:, :, blk]),
+                                    ("frontier", P.frontier[..., blk, :]),
+                                    ("frontier", P.frontier[..., blk]),
+                                    ("pb", P.pb[..., blk, :]),
+                                    ("pfree", P.pfree[..., blk])):
+                    assert not rows.any(), (name, b, label)
+
+    @staticmethod
+    def _live_and_full_width(vp, monkeypatch):
+        """Tables and residual profiles of the live sweep and check, then
+        of the sweep and the evolution check run over every entry."""
+        def tables(P, res):
+            return {**{f: getattr(P, f) for f in (
+                        "p1", "frontier", "slice0", "pb", "pfree", "rcal",
+                        "g1_table")},
+                    **{f: getattr(res, f) for f in (
+                        "pointwise_profile", "evolution_profile",
+                        "boundary_profile")}}
+
+        P = dl.solve_riccati(vp)
+        live = tables(P, dl.riccati_residual(P, vp))
+        with monkeypatch.context() as mp:
+            mp.setattr(riccati, "_advance", advance_full_width)
+            P = dataclasses.replace(dl.solve_riccati(vp), live=ALL)
+            res = dataclasses.replace(
+                dl.riccati_residual(P, vp),
+                evolution_profile=evolution_profile_full_width(P, vp))
+        return live, tables(P, res)
+
+    def test_live_sweep_is_bit_identical_to_full_width(self, monkeypatch):
+        for name in dl.PRESET_NAMES:
+            vp = dl.build_volterra(dl.preset_problem(name, 24))
+            live, full = self._live_and_full_width(vp, monkeypatch)
+            for f in live:
+                np.testing.assert_array_equal(live[f], full[f],
+                                              err_msg=f"{name} {f}")
+
+    def test_planar_live_sweep_moves_at_rounding_level(self, monkeypatch):
+        # n = m = 2: the k = 2 GEMM over the compact rows may group a sum
+        # differently from the one over all rows (N = 40: 2 of 60 516 slice0
+        # entries by 6.9e-18 on OpenBLAS; N = 24: none)
+        for N in (24, 40):
+            vp = dl.build_volterra(planar_state_delay_problem(N))
+            live, full = self._live_and_full_width(vp, monkeypatch)
+            for f in live:
+                gap = np.abs(live[f] - full[f])
+                assert gap.max() <= 1e-15, (N, f, gap.max(),
+                                            np.count_nonzero(gap))
+
+    def test_weak_delay_channel_converges_linearly(self, monkeypatch):
+        # A2 = eps makes the delay block live.  p1 is Q on input-delay
+        # (C1 = D1 = 0), so the gap is read on the first blocks of the
+        # two-time kernel: slice0 and the sandwich g1.  It shrinks tenfold
+        # per decade; the live sweep must match the full-width one there,
+        # which a liveness rule that lost the channel misses by 8-21 %
+        def first_blocks(eps):
+            p = dl.preset_problem("input-delay", 24)
+            p.A2[:] = eps
+            vp = dl.build_volterra(p)
+            assert live_blocks(vp) == (slice(0, 2) if eps else slice(0, 1))
+            live, full = self._live_and_full_width(vp, monkeypatch)
+            for f in ("slice0", "g1_table"):
+                np.testing.assert_array_equal(live[f], full[f],
+                                              err_msg=f"eps={eps} {f}")
+            return live["slice0"][..., :p.n, :p.n], live["g1_table"]
+
+        base = first_blocks(0.0)
+        gaps = np.array([[np.abs(a - b).max()
+                          for a, b in zip(first_blocks(eps), base)]
+                         for eps in (1e-3, 1e-4)])
+        assert (gaps[1] > 0).all(), gaps
+        ratio = gaps[0] / gaps[1]
+        assert ((5.0 <= ratio) & (ratio <= 20.0)).all(), ratio
 
 
 class TestClosedFormAnchor:
