@@ -135,10 +135,6 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     gam2 = gam_strict[..., n:2 * n]     # [s, t] blocks of the history gain
     gam3 = gam_strict[..., 2 * n:]
 
-    # current-state gain: pointwise part plus the history gain summed
-    # against the stacked selector
-    k1 = gains.Xi[:, :, :n] + np.einsum(
-        "stab,stbc->tac", gam_strict, vp.U, optimize=True) * dt
     k3 = gains.Xi[:, :, n:2 * n].copy()
 
     # gf[t, beta] = sum_{alpha>t} gam3[alpha, t] F[alpha, beta] dt, the
@@ -170,6 +166,11 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     i1grid = suf1[1:nn + 1].transpose(1, 0, 2, 3).copy()
     i1grid += suf2[np.minimum(nodes + k + 1, nn)].transpose(1, 0, 2, 3)
     i1grid += s3
+
+    # current-state gain: pointwise part plus the history gain summed over
+    # s > t against the selector U(s, t) = (I; 1{s-t>k} I; E(s, t)),
+    # which is i1grid[t, t]
+    k1 = gains.Xi[:, :, :n] + i1grid[nodes, nodes]
 
     # distributed-control gain: shifted channel plus the memory channel
     k4 = np.zeros((nn, nn, m, m))

@@ -9,7 +9,6 @@ so identical configs and seeds produce byte-identical summaries.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -112,9 +111,6 @@ def _argument_violations(args) -> list:
                        f"a preset (delay 0.25 on [0, 1]), got {args.n_steps}")
     if args.command in ("simulate", "verify") and args.n_paths < 1:
         out.append(f"--n-paths must be at least 1, got {args.n_paths}")
-    if (args.command == "verify" and args.eps is not None
-            and not (math.isfinite(args.eps) and args.eps > 0)):
-        out.append(f"--eps must be a positive finite number, got {args.eps}")
     return out
 
 
@@ -164,9 +160,9 @@ def cmd_solve(args) -> int:
     _write_pair_table(os.path.join(args.out, "feedback_k4.csv"), strategy.k4)
     _write_node_table(os.path.join(args.out, "riccati_p1.csv"), g, P.p1)
     if args.dump_kernels:
-        kernels = {"A": lifted_kernel(vp.U, vp.Acal), "B": vp.B,
-                   "C": lifted_kernel(vp.U, vp.Ccal),
-                   "D": lifted_kernel(vp.U, problem.D1)}
+        kernels = {"A": lifted_kernel(vp, vp.Acal), "B": vp.B,
+                   "C": lifted_kernel(vp, vp.Ccal),
+                   "D": lifted_kernel(vp, problem.D1)}
         for name, table in kernels.items():
             _write_pair_table(os.path.join(args.out, f"kernel_{name}.csv"),
                               table)
@@ -247,7 +243,7 @@ def _verify_stationarity(problem, strategy, args, summary) -> None:
     dirs = rng.standard_normal((n_dirs, g.N + 1, problem.m))
     dirs[:, g.N] = 0.0
     dirs /= np.sqrt((dirs[:, :g.N] ** 2).sum(axis=(1, 2)) * g.dt)[:, None, None]
-    ders = stationarity_test(problem, strategy, dirs, args.eps, batch)
+    ders = stationarity_test(problem, strategy, dirs, batch)
     slack = 10.0 * g.dt
     n_pass = sum(der.passes(slack) for der in ders)
     worst = max([0.0] + [abs(der.estimate) - 3.0 * der.stderr for der in ders])
@@ -329,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--n-paths", type=int, default=1000)
         if name == "verify":
-            sp.add_argument("--eps", type=float, default=None,
-                            help="finite-difference step for stationarity")
             sp.add_argument("--verify", default="residuals",
                             help="comma list: residuals,cases,stationarity,"
                                  "qp-oracle")

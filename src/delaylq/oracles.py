@@ -11,7 +11,8 @@ what it needs of the data once (``CASES``, ``QP_ORACLE``), and
 
 Also here: the pointwise reference forms the solver's tables are checked
 against (``script_e``, ``bcal``), the star products over replayed slices
-and the regrouped evaluators (pi_matrix, g1/g2/g3).
+and the regrouped evaluators (pi_matrix, g2/g3; the selector sandwich g1
+is the solver's ``g1_table``).
 """
 
 from __future__ import annotations
@@ -150,19 +151,14 @@ def star_sandwich(M1: np.ndarray, P: RiccatiSolution, M2: np.ndarray,
 # Regrouped evaluators
 # ----------------------------------------------------------------------
 
-def g1(P: RiccatiSolution, t: int) -> np.ndarray:
-    """Selector sandwich at node t (n x n), as stored by the sweep."""
-    return P.g1_table[t]
-
-
 def g2(P: RiccatiSolution, vp: VolterraProblem, sbar: int, t: int) -> np.ndarray:
     """p1(sbar) U(sbar,t) + int_t^T p2(sbar,r,t) U(r,t) dr  (3n x n)."""
     if sbar < t:
         raise ValueError(f"g2 needs sbar >= t, got sbar={sbar}, t={t}")
     dt = vp.grid.dt
-    sl = P.p2_slice(t)
-    acc = P.p1[sbar] @ vp.U[sbar, t]
-    acc = acc + np.einsum("rab,rbj->aj", sl[sbar - t, 1:], vp.U[t + 1:, t]) * dt
+    sl, sel = P.p2_slice(t), vp.selector(t)
+    acc = P.p1[sbar] @ sel[sbar - t]
+    acc = acc + np.einsum("rab,rbj->aj", sl[sbar - t, 1:], sel[1:]) * dt
     return acc
 
 
@@ -511,7 +507,7 @@ def _masked_max(err: np.ndarray, mask: np.ndarray) -> float:
 
 
 def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
-    """Control-delay extraction, one replayed (1,1)-block slice at a time.
+    """Control-delay extraction, one replayed slice's (1,1) block at a time.
 
     At node l the table tab[i, j] = p1script(l, l+i, l+j) comes from the
     slice's 2-D suffix sums; S0, S1 and S2 contract its k+1 window with
@@ -539,10 +535,11 @@ def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
     S1 = np.zeros((N + 1, k + 1, m, n))
     S2 = np.zeros((N + 1, k + 1, k + 1, m, m))
     p1row = np.zeros((N + 1, N + 1, n, n))
-    for l, sl in P.replay(first):
+    # a case I problem has live blocks 0:1: the replay advances only those
+    for l, sl in P.replay():
         M = sl.shape[0]
         ss = np.zeros((M + 1, M + 1, n, n))
-        ss[:M, :M] = sl
+        ss[:M, :M] = sl[:, :, first, first]
         ss = np.cumsum(np.cumsum(ss[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
         off = np.arange(M)
         tab = (sufp1[l + 1 + np.maximum.outer(off, off)]

@@ -2,14 +2,14 @@
 
 The sweep works in the star-product form, which only touches the
 regular lifted kernels.  The averaged-selector evaluators in
-``oracles`` (pi_matrix, g1/g2/g3) reproduce the same quantities through the
+``oracles`` (pi_matrix, g2/g3) reproduce the same quantities through the
 singular-looking regrouped form; with the shared quadrature conventions
 the two routes agree to roundoff, which the tests pin at 1e-10.
 
 Sweep at node t_l (l = N..0):
   (i)   advance every interior pair one explicit Euler step with the
         drift frozen at t_{l+1};
-  (ii)  form the selector sandwich over future nodes {l+1..N};
+  (ii)  build the selector column U(., t_l) and form the sandwich g1;
   (iii) set the effective control weight and the pointwise kernel;
   (iv)  fill the boundary column/row and the symmetrized corner;
   (v)   record the frontier column and the adjoint's free-term product.
@@ -67,7 +67,7 @@ class RiccatiSolution:
     ``pb[s, t]`` holds the control-kernel star product (P*B)(t_s, t_t)
     for s >= t (the diagonal carries the limiting corner value), and
     ``pfree[r, s]`` the free-term star product
-    p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q) with ub = U[., s] b(s),
+    p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q) with ub = U(., t_s) b(s),
     which drives the adjoint sweep.  Storage is O(N^2 (3n)^2).
     """
 
@@ -96,17 +96,17 @@ class RiccatiSolution:
         return base - self.dt * np.einsum(
             "ram,rmk,rbk->ab", self.pb[i, rs], self.rcal_inv[rs], self.pb[j, rs])
 
-    def replay(self, block: slice = slice(None)):
+    def replay(self):
         """Yield (l, slice_l) for l = N, N-1, ..., 0.
 
         ``slice_l`` covers grid pairs (i, j) with i, j >= l (local index
-        0 is global l) and the lifted components ``block`` on both sides.
-        The recurrence is blockwise, so a block replay costs its share
-        of the full one.  Each slice is an (M, M, d, d) view into one flat
-        buffer that the next step updates in place: copy it to keep it
-        past the step, and do not modify it.
+        0 is global l).  Only the ``live`` blocks are advanced, so a
+        replay of a problem with dead blocks costs their share less.
+        Each slice is an (M, M, d, d) view into one flat buffer that the
+        next step updates in place: copy it to keep it past the step, and
+        do not modify it.
         """
-        for l, X in _replay(self, block):
+        for l, X in _replay(self):
             yield l, _blocks(X, self.N + 1 - l)
 
     def p2_slice(self, l: int) -> np.ndarray:
@@ -227,15 +227,12 @@ def _sweep(N: int, d: int, pb: np.ndarray, rcal_inv: np.ndarray, dt: float,
         yield l, X
 
 
-def _replay(P: "RiccatiSolution", block: slice):
-    """Flat slices of ``P.replay(block)``, rebuilt from the frontier.  A
-    block replay advances the whole block, the full replay its live part."""
-    frontier = P.frontier[:, :, block, block]
-    d = frontier.shape[-1]
-    live = P.live if block == slice(None) else ALL
-    for l, X in _sweep(P.N, d, P.pb[:, :, block, :], P.rcal_inv, P.dt, live):
-        _border(X, frontier[l + 1:, l])
-        X[:d, :d] = frontier[l, l]
+def _replay(P: "RiccatiSolution"):
+    """Flat slices of ``P.replay()``, rebuilt from the frontier."""
+    d = 3 * P.n
+    for l, X in _sweep(P.N, d, P.pb, P.rcal_inv, P.dt, P.live):
+        _border(X, P.frontier[l + 1:, l])
+        X[:d, :d] = P.frontier[l, l]
         yield l, X
 
 
@@ -267,22 +264,23 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         linv = np.linalg.inv(np.linalg.cholesky(mat))
         rcal_inv[l] = linv.T @ linv
 
-    def free_term(l: int, X: np.ndarray) -> None:
-        ub = np.einsum("rab,b->ra", vp.U[l:, l], vp.source.b[l])
-        w_free = np.einsum("rab,rb->ra", p1[l:], ub)
-        pfree[l:, l] = w_free + (ub[1:].ravel() @ X[d:]).reshape(-1, d) * dt
+    def free_term(l: int, X: np.ndarray, sel: np.ndarray) -> None:
+        if vp.source.b[l].any():                 # else pfree[l:, l] stays +0.0
+            ub = np.einsum("rab,b->ra", sel, vp.source.b[l])
+            w_free = np.einsum("rab,rb->ra", p1[l:], ub)
+            pfree[l:, l] = w_free + (ub[1:].ravel() @ X[d:]).reshape(-1, d) * dt
 
     for l, X in _sweep(N, d, pb, rcal_inv, dt, live):
+        sel = vp.selector(l)                     # (N-l+1, d, n) = U(r, l)
         if l == N:                               # empty future
             p1[N] = _sym(vp.Q[N])
             factor_rcal(N, vp.R[N])
-            X[:] = _sym(p1[N] @ vp.a_column(N)[0])
+            X[:] = _sym(p1[N] @ vp.a_column(N, sel)[0])
             frontier[N, N] = X
             pb[N, N] = p1[N] @ vp.B[N, N]
-            free_term(N, X)
+            free_term(N, X, sel)
             continue
-        M, interior = N - l, X[d:, d:]
-        ups = vp.U[l + 1:, l]                    # (N-l, d, n)
+        M, interior, ups = N - l, X[d:, d:], sel[1:]
         p1_fut = p1[l + 1:]
         pu = np.einsum("sab,sbj->saj", p1_fut, ups)
         g1_val = np.einsum("sai,saj->ij", ups, pu) * dt
@@ -310,7 +308,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         _border(X, bnd)
         # p2(l, r, l), C-contiguous: einsum's summation order follows strides
         row0 = np.ascontiguousarray(bnd.transpose(0, 2, 1))
-        acol = vp.a_column(l)                    # (N-l+1, d, d) = A(r, l)
+        acol = vp.a_column(l, sel)               # (N-l+1, d, d) = A(r, l)
         pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
         pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
         X[:d, :d] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
@@ -319,7 +317,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         if not np.isfinite(X[:, :d]).all():
             raise NumericalError(f"two-time kernel non-finite at node {l}")
         frontier[l:, l] = X[:, :d].reshape(M + 1, d, d)
-        free_term(l, X)
+        free_term(l, X, sel)
 
         pb[l + 1:, l] = pb_col
         pb[l, l] = pb_corner
@@ -369,11 +367,11 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
     prev = None                                   # copy of flat slice l+1
-    for l, X in _replay(P, slice(None)):
+    for l, X in _replay(P):
         M = N - l
         w = np.full(M + 1, dt if l < N else 0.0)
         w[[0, -1]] *= 0.5
-        ups = vp.U[l:, l]
+        ups = vp.selector(l)
         pu = np.einsum("sab,sbj->saj", P.p1[l:], ups)
         g1t = np.einsum("s,sai,saj->ij", w, ups, pu)
         v_in = _apply(w[:, None, None] * ups, X)

@@ -42,9 +42,11 @@ class VolterraProblem:
     solver's corner handling (indicators off, running integrals empty).
 
     Only the control kernel ``B`` is stored whole.  The others are the
-    selector times a row, A = U Acal, C = U Ccal, D = U D1 (btilde and
-    sigtilde likewise from b and sigma); the solver reads A one column at
-    a time (``a_column``) and ``lifted_kernel`` rebuilds a whole table.
+    selector U(t, s) = (I; 1{t-s>delay} I; E(t, s)) times a row,
+    A = U Acal, C = U Ccal, D = U D1 (btilde and sigtilde likewise from b
+    and sigma).  The selector is not stored: ``selector`` builds one column
+    of it from ``E`` and the delay, the solver reads A one column at a
+    time (``a_column``) and ``lifted_kernel`` rebuilds a whole table.
     """
 
     grid: TimeGrid
@@ -56,25 +58,39 @@ class VolterraProblem:
     R: np.ndarray        # (N+1, m, m)
     legacy_cost: float
     E: np.ndarray        # (N+1, N+1, n, n) running integral of F
-    U: np.ndarray        # (N+1, N+1, 3n, n) stacked selector
     Acal: np.ndarray     # (N+1, n, 3n) row (A1, A2, A3)
     Ccal: np.ndarray     # (N+1, n, 3n) row (C1, C2, C3)
     source: DelayLQProblem
 
-    def a_column(self, l: int) -> np.ndarray:
-        """State kernel column A(t_r, t_l) = U(t_r, t_l) Acal(t_l), r >= l."""
-        return np.einsum("rab,bc->rac", self.U[l:, l], self.Acal[l])
+    def selector(self, l: int) -> np.ndarray:
+        """Selector column U(t_r, t_l) for r >= l, as (N+1-l, 3n, n)."""
+        n, M = self.n, self.grid.N + 1 - l
+        # node stride twice the block: einsum fuses the axes of a contiguous
+        # column and then sums g1 in another order
+        col = np.zeros((M, 2, 3 * n, n))[:, 0]
+        col[:, :n] = np.eye(n)
+        col[self.grid.delay_steps + 1:, n:2 * n] = np.eye(n)
+        col[:, 2 * n:] = self.E[l:, l]
+        return col
+
+    def a_column(self, l: int, sel: np.ndarray | None = None) -> np.ndarray:
+        """State kernel column A(t_r, t_l) = U(t_r, t_l) Acal(t_l), r >= l;
+        ``sel`` is ``selector(l)`` when the caller has built it."""
+        sel = self.selector(l) if sel is None else sel
+        return np.einsum("rab,bc->rac", sel, self.Acal[l])
 
 
-def lifted_kernel(U: np.ndarray, row: np.ndarray) -> np.ndarray:
+def lifted_kernel(vp: VolterraProblem, row: np.ndarray) -> np.ndarray:
     """Dense table U(t_i, t_j) row(t_j) for j <= i, zero above the diagonal.
 
     ``row`` is a coefficient row (N+1, n, c), giving a kernel such as
     A from Acal, or a free-term row (N+1, n), giving btilde from b.
     """
-    sub = "ijab,jb->ija" if row.ndim == 2 else "ijab,jbc->ijac"
-    out = np.einsum(sub, U, row)
-    out[np.triu_indices(U.shape[0], 1)] = 0.0
+    nn = vp.grid.N + 1
+    sub = "rab,b->ra" if row.ndim == 2 else "rab,bc->rac"
+    out = np.zeros((nn, nn, 3 * vp.n) + row.shape[2:])
+    for j in range(nn):
+        out[j:, j] = np.einsum(sub, vp.selector(j), row[j])
     return out
 
 
@@ -88,15 +104,8 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
     nn, k, dt, N = g.N + 1, g.delay_steps, g.dt, g.N
 
     E = _running_integral_table(problem.F, dt)
-
-    # stacked selector U[i, j] = (I; 1_{i-j>k} I; E[i, j])
-    eye = np.eye(n)
-    U = np.zeros((nn, nn, 3 * n, n))
-    U[:, :, :n, :] = eye
     idx_i, idx_j = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
     delayed = (idx_i - idx_j) > k
-    U[:, :, n:2 * n, :] = delayed[:, :, None, None] * eye
-    U[:, :, 2 * n:, :] = E
 
     Acal = np.concatenate([problem.A1, problem.A2, problem.A3], axis=2)
     Ccal = np.concatenate([problem.C1, problem.C2, problem.C3], axis=2)
@@ -163,7 +172,7 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
 
     return VolterraProblem(
         grid=g, n=n, m=m, B=B, phi=phi, Q=Q, R=R,
-        legacy_cost=legacy, E=E, U=U, Acal=Acal, Ccal=Ccal,
+        legacy_cost=legacy, E=E, Acal=Acal, Ccal=Ccal,
         source=problem,
     )
 

@@ -1,6 +1,7 @@
 """Loop forms of the case I oracle, the case II P3c and the feedback
-synthesis's memory channel and offset, kept as a reference, and the
-Riccati sweep's full-width Euler step.
+synthesis's memory channel and offset, kept as a reference, the Riccati
+sweep's full-width Euler step, and the dense selector table with the
+products the lifting once formed against it.
 
 These are the original per-node, per-lag Python loops that
 ``delaylq.oracles`` and ``delaylq.adjoint.synthesize_feedback`` replaced
@@ -10,7 +11,10 @@ the array forms to 1e-12.  ``advance_full_width`` is the sweep's step as
 it ran before it skipped the dead lifted blocks; swapped in for
 ``delaylq.riccati._advance`` it pins the skip bit for bit, and
 ``evolution_profile_full_width`` does the same for the residual's
-evolution check.
+evolution check.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the
+lifting stored before it built one selector column at a time;
+``dense_lifted_kernel`` and ``dense_k1`` are the kernel tables and the
+current-state gain summed against it.
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -22,12 +26,13 @@ original S2 lost its swap symmetry.  Both forms here use B3 Ftilde.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from delaylq.adjoint import causal_gains
 from delaylq.oracles import CASES, CaseIResiduals
+from delaylq.riccati import ALL
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,8 @@ def evolution_profile_full_width(P, vp) -> np.ndarray:
     slice, the smooth pairs picked by boolean row and column selection."""
     N, dt, k, d = P.N, P.dt, vp.grid.delay_steps, 3 * P.n
     prof, prev = np.zeros(N), None
-    # a block replay advances every entry of its block, here all of them
-    for l, sl in P.replay(slice(0, d)):
+    # every block live: the replay advances every entry
+    for l, sl in replace(P, live=ALL).replay():
         # a copy: the replay updates its buffer in place
         X = sl.transpose(0, 2, 1, 3).reshape((N + 1 - l) * d, -1).copy()
         if prev is not None and not (l == N - k - 1
@@ -101,10 +106,10 @@ def casei_extract(P, vp) -> LoopCaseIExtraction:
     sufp1[:N + 1] = P.p1[:, first, first]
     sufp1 = np.cumsum(sufp1[::-1], axis=0)[::-1] * dt   # sum over s >= index
     suf2 = [None] * (N + 1)
-    for l, sl in P.replay(first):
+    for l, sl in P.replay():
         M = sl.shape[0]
         ss = np.zeros((M + 1, M + 1, n, n))
-        ss[:M, :M] = sl
+        ss[:M, :M] = sl[:, :, first, first]
         ss = np.cumsum(np.cumsum(ss[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
         suf2[l] = ss
 
@@ -307,3 +312,36 @@ def synthesis_k4_v(P, adjoint, vp, problem):
             for p in range(t, min(k, N)):
                 v[t] += i1grid[t, p] @ src.B2[p] @ src.varsigma[p] * dt
     return k4, v
+
+
+def dense_selector(vp) -> np.ndarray:
+    """U[i, j] = (I; 1{i-j>k} I; E[i, j]) for every pair, above the
+    diagonal included."""
+    n, nn, k = vp.n, vp.grid.N + 1, vp.grid.delay_steps
+    eye = np.eye(n)
+    U = np.zeros((nn, nn, 3 * n, n))
+    U[:, :, :n, :] = eye
+    idx_i, idx_j = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
+    U[:, :, n:2 * n, :] = ((idx_i - idx_j) > k)[:, :, None, None] * eye
+    U[:, :, 2 * n:, :] = vp.E
+    return U
+
+
+def dense_lifted_kernel(U, row) -> np.ndarray:
+    """U(t_i, t_j) row(t_j) for j <= i from the dense selector, zero above
+    the diagonal."""
+    sub = "ijab,jb->ija" if row.ndim == 2 else "ijab,jbc->ijac"
+    out = np.einsum(sub, U, row)
+    out[np.triu_indices(U.shape[0], 1)] = 0.0
+    return out
+
+
+def dense_k1(P, vp) -> np.ndarray:
+    """Current-state gain: the pointwise gain plus the history gain summed
+    against the dense selector over s > t."""
+    gains = causal_gains(P, vp)
+    nn, n, dt = vp.grid.N + 1, vp.n, vp.grid.dt
+    strict = np.tril(np.ones((nn, nn)), -1)
+    gam_strict = gains.Gamma * strict[:, :, None, None]
+    return gains.Xi[:, :, :n] + np.einsum(
+        "stab,stbc->tac", gam_strict, dense_selector(vp), optimize=True) * dt

@@ -92,9 +92,9 @@ class TestCriterion3StochasticStationarity:
             w /= np.sqrt((w[:g.N] ** 2).sum() * g.dt)
             ws.append(w)
         n_pass = sum(der.passes(slack) for der in
-                     dl.stationarity_test(p, strat, ws, None, batch))
+                     dl.stationarity_test(p, strat, ws, batch))
         n_fail = sum(not der.passes(slack) for der in
-                     dl.stationarity_test(p, detuned, ws, None, batch))
+                     dl.stationarity_test(p, detuned, ws, batch))
         elapsed = time.time() - start
         ok = n_pass >= 18 and n_fail >= 1 and elapsed <= 300.0
         _report(3, ok, f"optimum passes {n_pass}/20, detuned fails "

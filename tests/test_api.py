@@ -1,5 +1,7 @@
 """Public surface: what `import delaylq` re-exports and pulls in."""
 
+import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -29,6 +31,40 @@ def test_all_is_pinned_to_the_public_names():
     assert len(set(dl.__all__)) == len(dl.__all__)
     for name in dl.__all__:
         assert hasattr(dl, name), name
+
+
+#: The lifted problem keeps the control kernel whole and every other
+#: kernel as a coefficient row for the selector; a new stored table shows
+#: up here.
+VOLTERRA_FIELDS = ["grid", "n", "m", "B", "phi", "Q", "R", "legacy_cost",
+                   "E", "Acal", "Ccal", "source"]
+
+
+def test_volterra_problem_fields_are_pinned():
+    fields = [f.name for f in dataclasses.fields(dl.VolterraProblem)]
+    assert fields == VOLTERRA_FIELDS
+
+
+def test_no_package_module_imports_from_tests():
+    # reference forms live beside the tests; the package must not need them
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    test_modules = {"tests"} | {name[:-3] for name in os.listdir(tests_dir)
+                                if name.endswith(".py")}
+    package_dir = os.path.dirname(dl.__file__)
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in test_modules, (name, module)
 
 
 # Each CLI command runs in a fresh process and pays for every module the

@@ -207,10 +207,6 @@ class TestArgumentChecks:
         ["solve", "--preset", "full", "--n-steps", "0"],
         ["solve", "--n-steps", "-4"],
         ["simulate", "--preset", "full", "--n-steps", "8", "--n-paths", "0"],
-        ["verify", "--preset", "input-delay", "--n-steps", "8",
-         "--verify", "stationarity", "--n-paths", "4", "--eps", "0"],
-        ["verify", "--preset", "input-delay", "--n-steps", "8",
-         "--verify", "stationarity", "--n-paths", "4", "--eps", "nan"],
     ])
     def test_bad_arguments_exit_one_without_traceback(self, argv, tmp_path):
         proc = run_interpreter(argv, tmp_path)
@@ -225,6 +221,11 @@ class TestArgumentChecks:
         ["solve", "--preset", "full", "--no-such-flag"],
         ["solve", "--preset", "full", "--n-paths", "5"],
         ["simulate", "--preset", "full", "--dump-riccati"],
+        # no --eps: the stationarity step is fixed, the difference exact
+        ["verify", "--preset", "input-delay", "--n-steps", "8",
+         "--verify", "stationarity", "--n-paths", "4", "--eps", "0"],
+        ["verify", "--preset", "input-delay", "--n-steps", "8",
+         "--verify", "stationarity", "--n-paths", "4", "--eps", "nan"],
     ])
     def test_usage_errors_exit_one_on_one_line(self, argv, tmp_path):
         proc = run_interpreter(argv, tmp_path)

@@ -152,7 +152,7 @@ class TestSynthesis:
                 for al in range(t + 1, N + 1):
                     acc = acc + (bcal(vp, th, t).T
                                  @ g3(P, vp, al, t, th).T
-                                 @ vp.U[al, t]) * dt * dt
+                                 @ vp.selector(t)[al - t]) * dt * dt
             k1_form = -P.rcal_inv[t] @ acc
             scale = max(np.abs(s.strategy.k1[t]).max(), 1e-12)
             assert np.abs(k1_form - s.strategy.k1[t]).max() / scale < 1e-10

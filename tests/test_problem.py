@@ -137,8 +137,8 @@ class TestExtendedSddeReduction:
             np.testing.assert_array_equal(getattr(vr, name), getattr(vd, name))
         for row in (lambda vp: vp.Acal, lambda vp: vp.Ccal,
                     lambda vp: vp.source.D1):
-            np.testing.assert_array_equal(dl.lifted_kernel(vr.U, row(vr)),
-                                          dl.lifted_kernel(vd.U, row(vd)))
+            np.testing.assert_array_equal(dl.lifted_kernel(vr, row(vr)),
+                                          dl.lifted_kernel(vd, row(vd)))
 
     def test_base_kernels_and_window_shapes_are_checked_together(self):
         # a nonzero base kernel is rejected, not added to the window one

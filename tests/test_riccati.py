@@ -11,7 +11,7 @@ import pytest
 import delaylq as dl
 from delaylq import riccati
 from delaylq.cli import main as cli_main
-from delaylq.oracles import (bcal, g1, g2, g3, star_left, star_right,
+from delaylq.oracles import (bcal, g2, g3, star_left, star_right,
                              star_sandwich)
 from delaylq.riccati import ALL, RiccatiSolution, live_blocks
 from loop_oracles import advance_full_width, evolution_profile_full_width
@@ -120,22 +120,15 @@ class TestFactoredKernel:
                 np.testing.assert_array_equal(sl[:, 0], P.frontier[l:, l])
             np.testing.assert_array_equal(sl, P.slice0)
 
-    def test_block_replay_matches_full_replay(self, solve_preset):
-        P = solve_preset("full", 24).P
-        first = slice(0, P.n)
-        for (l, full), (lb, block) in zip(P.replay(), P.replay(first)):
-            assert l == lb
-            np.testing.assert_array_equal(block, full[:, :, first, first])
-
     def test_free_term_table_is_the_star_product(self, solve_preset):
         s = solve_preset("full", 24)
         P, vp, b = s.P, s.vp, s.problem.b
         dt, N = vp.grid.dt, vp.grid.N
         for sn in (0, 5, 17, N):
-            ub = np.einsum("rab,b->ra", vp.U[:, sn], b[sn])
+            ub = np.einsum("rab,b->ra", vp.selector(sn), b[sn])
             for r in range(sn, N + 1):
-                want = P.p1[r] @ ub[r] + sum(
-                    (P.p2(r, q, sn) @ ub[q] for q in range(sn + 1, N + 1)),
+                want = P.p1[r] @ ub[r - sn] + sum(
+                    (P.p2(r, q, sn) @ ub[q - sn] for q in range(sn + 1, N + 1)),
                     np.zeros(3 * P.n)) * dt
                 np.testing.assert_allclose(P.pfree[r, sn], want,
                                            rtol=0, atol=1e-12)
@@ -315,7 +308,7 @@ class TestClosedFormAnchor:
 class TestStarProducts:
     def test_zero_solution_annihilates(self):
         vp, P = zero_weight_solution()
-        D = dl.lifted_kernel(vp.U, vp.source.D1)
+        D = dl.lifted_kernel(vp, vp.source.D1)
         assert np.abs(star_left(np.transpose(vp.B, (0, 1, 3, 2)), P, vp,
                                 8, 3)).max() == 0.0
         assert np.abs(star_right(P, vp.B, vp, 8, 3)).max() == 0.0
@@ -358,7 +351,7 @@ class TestStarProducts:
 
     def test_star_right_with_state_kernel_matches_g2_regrouping(self, solve_preset):
         s = solve_preset("full", 16)
-        A = dl.lifted_kernel(s.vp.U, s.vp.Acal)
+        A = dl.lifted_kernel(s.vp, s.vp.Acal)
         for (sb, t) in [(8, 3), (16, 0), (5, 4)]:
             lhs = star_right(s.P, A, s.vp, sb, t)
             rhs = g2(s.P, s.vp, sb, t) @ s.vp.Acal[t]
@@ -372,7 +365,7 @@ class TestStarProducts:
 
     def test_domain_errors(self, solve_preset):
         s = solve_preset("tanh", 16)
-        A = dl.lifted_kernel(s.vp.U, s.vp.Acal)
+        A = dl.lifted_kernel(s.vp, s.vp.Acal)
         with pytest.raises(ValueError):
             star_left(A, s.P, s.vp, 3, 3)
         with pytest.raises(ValueError):
@@ -382,17 +375,17 @@ class TestStarProducts:
 class TestEvaluators:
     def test_zero_solution_evaluators_vanish(self):
         vp, P = zero_weight_solution()
-        assert np.abs(g1(P, 3)).max() == 0.0
+        assert np.abs(P.g1_table[3]).max() == 0.0
         assert np.abs(g2(P, vp, 8, 3)).max() == 0.0
         assert np.abs(g3(P, vp, 8, 3, 5)).max() == 0.0
 
     def test_sandwich_definitional_identity(self, solve_preset):
         s = solve_preset("full", 16)
-        D = dl.lifted_kernel(s.vp.U, s.problem.D1)
+        D = dl.lifted_kernel(s.vp, s.problem.D1)
         DT = np.transpose(D, (0, 1, 3, 2))
         for t in (0, 5, 12):
             sw = star_sandwich(DT, s.P, D, s.vp, t)
-            direct = s.problem.D1[t].T @ g1(s.P, t) @ s.problem.D1[t]
+            direct = s.problem.D1[t].T @ s.P.g1_table[t] @ s.problem.D1[t]
             np.testing.assert_allclose(sw, direct, atol=1e-14)
 
     def test_no_delay_g1_embeds_classical_kernel(self, solve_preset):
@@ -401,7 +394,7 @@ class TestEvaluators:
         for l in (0, 10, 30):
             emb = (s.P.p1[l + 1:, 0, 0].sum() * dt
                    + s.P.p2_slice(l)[1:, 1:, 0, 0].sum() * dt * dt)
-            assert g1(s.P, l)[0, 0] == pytest.approx(emb, abs=1e-13)
+            assert s.P.g1_table[l, 0, 0] == pytest.approx(emb, abs=1e-13)
 
     def test_g3_regrouping_matches_star_product(self, solve_preset):
         # summing the control column against the two-time evaluator must

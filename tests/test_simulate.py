@@ -198,7 +198,7 @@ class TestStationarity:
             v=np.zeros((nn, 1)))
         batch = dl.gen_brownian(p.grid, 8, seed=2)
         w = np.ones((nn, 1))
-        [der] = dl.stationarity_test(p, strat, w[None], 1e-3, batch)
+        [der] = dl.stationarity_test(p, strat, w[None], batch)
         assert der.estimate == 0.0
         assert der.stderr == 0.0
 
@@ -216,11 +216,9 @@ class TestStationarity:
             w /= np.sqrt((w[:g.N] ** 2).sum() * g.dt)
             ws.append(w)
         n_pass = sum(der.passes(slack) for der in
-                     dl.stationarity_test(s.problem, s.strategy, ws, None,
-                                          batch))
+                     dl.stationarity_test(s.problem, s.strategy, ws, batch))
         n_fail = sum(not der.passes(slack) for der in
-                     dl.stationarity_test(s.problem, detuned, ws, None,
-                                          batch))
+                     dl.stationarity_test(s.problem, detuned, ws, batch))
         assert n_pass >= 5
         assert n_fail >= 1
 

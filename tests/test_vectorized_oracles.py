@@ -136,3 +136,35 @@ def test_synthesis_matches_loops(case):
     k4, v = loop_oracles.synthesis_k4_v(P, adj, vp, p)
     np.testing.assert_allclose(strat.k4, k4, rtol=0, atol=1e-12)
     np.testing.assert_allclose(strat.v, v, rtol=0, atol=1e-12)
+
+
+#: the presets and the three planar problems the selector is pinned on
+SELECTOR = {
+    **{name: (lambda name=name: dl.preset_problem(name, 16))
+       for name in dl.PRESET_NAMES},
+    "planar-m1": lambda: planar_problem(16, m=1),
+    "planar-m2": lambda: planar_problem(16, m=2),
+    "planar-state-delay": lambda: planar_state_delay_problem(16),
+    "delay-past-horizon": lambda: scalar_all_channels_problem(1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECTOR))
+def test_selector_columns_and_kernels_match_dense_table(case):
+    p = SELECTOR[case]()
+    vp = dl.build_volterra(p)
+    U = loop_oracles.dense_selector(vp)
+    for l in range(p.grid.N + 1):
+        np.testing.assert_array_equal(vp.selector(l), U[l:, l], err_msg=l)
+    for row in (vp.Acal, vp.Ccal, p.D1, p.b, p.sigma):
+        np.testing.assert_array_equal(dl.lifted_kernel(vp, row),
+                                      loop_oracles.dense_lifted_kernel(U, row))
+
+
+@pytest.mark.parametrize("case", sorted(SYNTHESIS))
+def test_k1_closed_form_matches_selector_sum(case):
+    # the closed form sums the same terms in another order
+    vp, P = solved(SYNTHESIS[case]())
+    strat = dl.synthesize_feedback(P, dl.solve_adjoint(P, vp), vp)
+    ref = loop_oracles.dense_k1(P, vp)
+    assert np.abs(strat.k1 - ref).max() <= 1e-15 * np.abs(ref).max()

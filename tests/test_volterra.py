@@ -85,7 +85,7 @@ class TestKernelStructure:
     def test_rows_of_state_kernel_follow_selector(self):
         p = dl.preset_problem("full", 16)
         vp = dl.build_volterra(p)
-        A = dl.lifted_kernel(vp.U, vp.Acal)
+        A = dl.lifted_kernel(vp, vp.Acal)
         n, k = p.n, p.grid.delay_steps
         for i in range(1, 17, 3):
             for j in range(i):
@@ -110,14 +110,14 @@ class TestKernelStructure:
         problems = [dl.preset_problem(name, 16) for name in dl.PRESET_NAMES]
         for p in problems + [planar]:
             vp = dl.build_volterra(p)
-            A = dl.lifted_kernel(vp.U, vp.Acal)
+            A = dl.lifted_kernel(vp, vp.Acal)
             for l in range(p.grid.N + 1):
                 np.testing.assert_array_equal(vp.a_column(l), A[l:, l])
 
     def test_delay_indicator_boundary_is_strict(self):
         p = dl.preset_problem("full", 16)
         vp = dl.build_volterra(p)
-        A = dl.lifted_kernel(vp.U, vp.Acal)
+        A = dl.lifted_kernel(vp, vp.Acal)
         n, k = p.n, p.grid.delay_steps
         i = 2 * k  # i - j = k exactly at j = k
         assert np.abs(A[i, k, n:2 * n, :]).max() == 0.0
@@ -143,14 +143,14 @@ class TestKernelStructure:
         vp = dl.build_volterra(p)
         n = p.n
         eye = np.eye(n)
-        for i in range(17):
-            for j in range(17):
-                np.testing.assert_array_equal(vp.U[i, j, :n, :], eye)
+        for j in range(17):
+            for col in vp.selector(j):
+                np.testing.assert_array_equal(col[:n, :], eye)
 
     def test_diagonal_carries_limiting_values(self):
         p = dl.preset_problem("full", 16)
         vp = dl.build_volterra(p)
-        A = dl.lifted_kernel(vp.U, vp.Acal)
+        A = dl.lifted_kernel(vp, vp.Acal)
         n = p.n
         for i in (0, 5, 16):
             np.testing.assert_allclose(vp.B[i, i, :n, :], p.B1[i], atol=1e-15)
@@ -227,14 +227,14 @@ class TestLiftAndCost:
             xi=2 * base.xi, varsigma=2 * base.varsigma)
         vp2 = dl.build_volterra(doubled)
         np.testing.assert_allclose(vp2.phi, 2 * vp0.phi, atol=1e-13)
-        np.testing.assert_allclose(dl.lifted_kernel(vp2.U, doubled.b),
-                                   2 * dl.lifted_kernel(vp0.U, base.b),
+        np.testing.assert_allclose(dl.lifted_kernel(vp2, doubled.b),
+                                   2 * dl.lifted_kernel(vp0, base.b),
                                    atol=1e-13)
-        np.testing.assert_allclose(dl.lifted_kernel(vp2.U, doubled.sigma),
-                                   2 * dl.lifted_kernel(vp0.U, base.sigma),
+        np.testing.assert_allclose(dl.lifted_kernel(vp2, doubled.sigma),
+                                   2 * dl.lifted_kernel(vp0, base.sigma),
                                    atol=1e-13)
-        np.testing.assert_array_equal(dl.lifted_kernel(vp2.U, vp2.Acal),
-                                      dl.lifted_kernel(vp0.U, vp0.Acal))
+        np.testing.assert_array_equal(dl.lifted_kernel(vp2, vp2.Acal),
+                                      dl.lifted_kernel(vp0, vp0.Acal))
 
     def test_invalid_problem_rejected(self):
         p = dl.preset_problem("tanh", 16)
