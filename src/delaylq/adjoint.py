@@ -101,7 +101,7 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem) -> AdjointSolution:
         diag = mix.T @ g1sig
         kv = problem.D1[l].T @ g1sig
         if l < N:
-            closed = vp.a_column(l)[1:] + np.einsum(
+            closed = vp.a_column(l, vp.selector(l))[1:] + np.einsum(
                 "rbm,mc->rbc", vp.B[l + 1:, l], Xi[l])
             diag = diag + np.einsum("rba,rb->a", closed, eta[l + 1:, l]) * dt
             kv = kv + np.einsum("rbm,rb->m", vp.B[l + 1:, l], eta[l + 1:, l]) * dt
@@ -135,6 +135,16 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     gam2 = gam_strict[..., n:2 * n]     # [s, t] blocks of the history gain
     gam3 = gam_strict[..., 2 * n:]
 
+    # current-state gain: pointwise part plus the history gain against the
+    # selector column U(., t), one BLAS product per node over every s (rows
+    # s < t zero), which sums as the dense (s, t) contraction did
+    col_t = np.zeros((n, nn, 3 * n))        # U(., t)^T; rows s < t stay zero
+    hist = np.empty((nn, n, m))
+    for t in range(N, -1, -1):
+        col_t[:, t:] = vp.selector(t).transpose(2, 0, 1)
+        hist[t] = (col_t.reshape(n, -1)
+                   @ gam_strict[:, t].transpose(0, 2, 1).reshape(-1, m))
+    k1 = gains.Xi[:, :, :n] + hist.transpose(0, 2, 1) * dt
     k3 = gains.Xi[:, :, n:2 * n].copy()
 
     # gf[t, beta] = sum_{alpha>t} gam3[alpha, t] F[alpha, beta] dt, the
@@ -166,11 +176,6 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     i1grid = suf1[1:nn + 1].transpose(1, 0, 2, 3).copy()
     i1grid += suf2[np.minimum(nodes + k + 1, nn)].transpose(1, 0, 2, 3)
     i1grid += s3
-
-    # current-state gain: pointwise part plus the history gain summed over
-    # s > t against the selector U(s, t) = (I; 1{s-t>k} I; E(s, t)),
-    # which is i1grid[t, t]
-    k1 = gains.Xi[:, :, :n] + i1grid[nodes, nodes]
 
     # distributed-control gain: shifted channel plus the memory channel
     k4 = np.zeros((nn, nn, m, m))

@@ -73,10 +73,8 @@ class VolterraProblem:
         col[:, 2 * n:] = self.E[l:, l]
         return col
 
-    def a_column(self, l: int, sel: np.ndarray | None = None) -> np.ndarray:
-        """State kernel column A(t_r, t_l) = U(t_r, t_l) Acal(t_l), r >= l;
-        ``sel`` is ``selector(l)`` when the caller has built it."""
-        sel = self.selector(l) if sel is None else sel
+    def a_column(self, l: int, sel: np.ndarray) -> np.ndarray:
+        """State kernel column U(., t_l) Acal(t_l) from sel = selector(l)."""
         return np.einsum("rab,bc->rac", sel, self.Acal[l])
 
 

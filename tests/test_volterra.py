@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delaylq as dl
+import loop_oracles
 from delaylq.oracles import bcal, pi_matrix, script_e
 
 
@@ -110,9 +111,11 @@ class TestKernelStructure:
         problems = [dl.preset_problem(name, 16) for name in dl.PRESET_NAMES]
         for p in problems + [planar]:
             vp = dl.build_volterra(p)
-            A = dl.lifted_kernel(vp, vp.Acal)
+            A = loop_oracles.dense_lifted_kernel(
+                loop_oracles.dense_selector(vp), vp.Acal)
             for l in range(p.grid.N + 1):
-                np.testing.assert_array_equal(vp.a_column(l), A[l:, l])
+                np.testing.assert_array_equal(
+                    vp.a_column(l, vp.selector(l)), A[l:, l])
 
     def test_delay_indicator_boundary_is_strict(self):
         p = dl.preset_problem("full", 16)
