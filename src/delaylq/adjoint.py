@@ -77,10 +77,11 @@ def _pointwise_gain(P: RiccatiSolution, vp: VolterraProblem) -> np.ndarray:
 
 def causal_gains(P: RiccatiSolution, vp: VolterraProblem) -> CausalGains:
     Xi = _pointwise_gain(P, vp)
-    Gamma = -np.einsum("tiq,stjq->stij", P.rcal_inv, P.pb)
-    nn = vp.grid.N + 1
-    ii, jj = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
-    Gamma[ii < jj] = 0.0
+    # C order: pb is a transposed view, and the history gain's sums
+    # follow the layout of what they read
+    Gamma = np.einsum("tiq,stjq->stij", P.rcal_inv, P.pb, order="C")
+    np.negative(Gamma, out=Gamma)
+    Gamma[~np.tri(vp.grid.N + 1, dtype=bool)] = 0.0      # s < t
     return CausalGains(Xi=Xi, Gamma=Gamma)
 
 
@@ -129,11 +130,21 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     nn = N + 1
     src = vp.source
     gains = causal_gains(P, vp)
-    ii, jj = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
-    strict = (ii > jj).astype(float)
-    gam_strict = gains.Gamma * strict[:, :, None, None]
-    gam2 = gam_strict[..., n:2 * n]     # [s, t] blocks of the history gain
-    gam3 = gam_strict[..., 2 * n:]
+    nodes = np.arange(nn)
+    later = np.tri(nn, k=-1, dtype=bool)    # [s, t]: s > t
+    # pairs t > s within one delay of each other, where the delay-shifted
+    # channel of the state and control gains reads the node s + k
+    ts, ss = np.nonzero((nodes[None, :] + k >= nodes[:, None])
+                        & (nodes[None, :] + k <= N) & later)
+    # the state gain reads Gamma[s + k, t] on the diagonal too: take it
+    # before the history gain loses its diagonal
+    shifted = gains.Gamma[ss + k, ts][:, :, n:2 * n]
+    # the history gain on s > t; the diagonal is scaled by 0.0, which keeps
+    # the sign of its zeros, as the masked copy it replaces did
+    gam = gains.Gamma
+    gam[nodes, nodes] *= 0.0
+    gam2 = gam[..., n:2 * n]            # [s, t] blocks of the history gain
+    gam3 = gam[..., 2 * n:]
 
     # current-state gain: pointwise part plus the history gain against the
     # selector column U(., t), one BLAS product per node over every s (rows
@@ -143,44 +154,36 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     for t in range(N, -1, -1):
         col_t[:, t:] = vp.selector(t).transpose(2, 0, 1)
         hist[t] = (col_t.reshape(n, -1)
-                   @ gam_strict[:, t].transpose(0, 2, 1).reshape(-1, m))
+                   @ gam[:, t].transpose(0, 2, 1).reshape(-1, m))
     k1 = gains.Xi[:, :, :n] + hist.transpose(0, 2, 1) * dt
     k3 = gains.Xi[:, :, n:2 * n].copy()
 
-    # gf[t, beta] = sum_{alpha>t} gam3[alpha, t] F[alpha, beta] dt, the
-    # distributed-state history term
-    gf = np.einsum("atmx,abxy->tbmy", gam3, src.F, optimize=True) * dt
-
-    # distributed-state gain
+    # distributed-state gain, with the history term
+    # sum_{alpha>t} gam3[alpha, t] F[alpha, beta] dt
     k2 = np.einsum("tmx,tsxy->tsmy", gains.Xi[:, :, 2 * n:], src.F)
-    k2 += gf
-    shift_ok = (jj + k >= ii) & (jj + k <= N) & (jj < ii)
-    ts, ss = np.nonzero(shift_ok)
+    k2 += np.einsum("atmx,abxy->tbmy", gam3, src.F, optimize=True) * dt
     if ts.size:
-        k2[ts, ss] += gains.Gamma[ss + k, ts][:, :, n:2 * n]
-    k2 *= strict[:, :, None, None]
+        k2[ts, ss] += shifted
+    k2 *= later[:, :, None, None]
 
     # suffix sums of the first two history-gain blocks over the future
     # index, suf*[q, t] = sum_{r >= q} gam*[r, t] dt with suf*[nn] = 0,
-    # and s3[t, p] = sum_{beta >= p} gf[t, beta] dt (F vanishes on and
-    # above its diagonal)
+    # and s3[t, p] = sum_{r > t} gam3[r, t] E[r, p] dt
     suf = np.zeros((nn + 1, nn, m, 2 * n))
-    suf[:nn] = gam_strict[..., :2 * n]
-    suf = np.cumsum(suf[::-1], axis=0)[::-1] * dt
+    suf[:nn] = gam[..., :2 * n]
+    np.cumsum(suf[::-1], axis=0, out=suf[::-1])
+    suf *= dt
     suf1, suf2 = suf[..., :n], suf[..., n:]
     s3 = np.einsum("rtmx,rpxy->tpmy", gam3, vp.E, optimize=True) * dt
 
     # i1grid[t, p]: future history gain seen by a control impulse that
     # enters through the delay-shifted channel at node p >= t
-    nodes = np.arange(nn)
     i1grid = suf1[1:nn + 1].transpose(1, 0, 2, 3).copy()
     i1grid += suf2[np.minimum(nodes + k + 1, nn)].transpose(1, 0, 2, 3)
     i1grid += s3
 
     # distributed-control gain: shifted channel plus the memory channel
     k4 = np.zeros((nn, nn, m, m))
-    mask_b2 = (jj >= ii - k) & (jj <= N - k) & (jj < ii)
-    ts, ss = np.nonzero(mask_b2)
     if ts.size:
         k4[ts, ss] += np.einsum("pmx,pxq->pmq", i1grid[ts, ss + k],
                                 src.B2[ss + k])
@@ -190,10 +193,10 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
         bf = np.einsum("tab,tsbm->tsam", src.B3, src.Ftilde)  # (theta, s, n, m)
         w = (suf1[:nn] + suf2[np.minimum(nodes + k, nn)]).transpose(1, 0, 2, 3)
         w += s3
-        w *= strict.T[:, :, None, None]
+        w *= later.T[:, :, None, None]
         k4 += np.tensordot(w, bf, axes=([1, 3], [0, 2])).transpose(
             0, 2, 1, 3) * dt
-    k4 *= strict[:, :, None, None]
+    k4 *= later[:, :, None, None]
 
     # offset: adjoint part, initial-state window (t < a <= lim) and
     # initial-control window (t <= p < lim; shifted-channel nodes beyond
@@ -204,7 +207,7 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     ctrl = np.einsum("ptmq,pq->ptm", np.einsum(
         "tpmx,pxq->ptmq", i1grid[:, :lim], src.B2[:lim]),
         src.varsigma[:lim]) * dt
-    ctrl *= (jj[:lim] <= ii[:lim])[:, :, None]
+    ctrl *= (nodes[None, :] <= nodes[:lim, None])[:, :, None]
     v = np.concatenate([adjoint.omega[None], init, ctrl]).sum(axis=0)
 
     return FeedbackStrategy(k1=k1, k2=k2, k3=k3, k4=k4, v=v)
@@ -219,8 +222,9 @@ def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     N, dt = vp.grid.N, vp.grid.dt
     phi = vp.phi[:N]
     single = np.einsum("ja,jab,jb->", phi, P.p1[:N], phi) * dt
-    # slice0 is a strided view and einsum sums in memory order: a C-ordered
-    # copy keeps the value the same to the last bit whatever the layout
-    s0 = np.ascontiguousarray(P.slice0[:N, :N])
-    double = np.einsum("ia,ijab,jb->", phi, s0, phi) * dt * dt
-    return float(single + double)
+    # p2(i, j, 0) is the frontier less the rank-m updates of nodes 1..N:
+    # phi^T F phi - dt sum_r y_r^T rcal_inv(r) y_r, y_r = sum_j pb(j, r)^T phi_j
+    quad = np.einsum("ia,ijab,jb->", phi, P.frontier[:N, :N], phi)
+    y = np.einsum("jram,ja->rm", P.pb[:N, 1:], phi)
+    quad -= np.einsum("rm,rmq,rq->", y, P.rcal_inv[1:], y) * dt
+    return float(single + quad * dt * dt)

@@ -6,29 +6,39 @@ regular lifted kernels.  The averaged-selector evaluators in
 singular-looking regrouped form; with the shared quadrature conventions
 the two routes agree to roundoff, which the tests pin at 1e-10.
 
-Sweep at node t_l (l = N..0):
-  (i)   advance every interior pair one explicit Euler step with the
-        drift frozen at t_{l+1};
-  (ii)  build the selector column U(., t_l) and form the sandwich g1;
-  (iii) set the effective control weight and the pointwise kernel;
-  (iv)  fill the boundary column/row and the symmetrized corner;
-  (v)   record the frontier column and the adjoint's free-term product.
-The running slice p2(., ., l) is one flat symmetric block matrix in a
+The two-time kernel is held as the frontier matrix F, one flat symmetric
 ((N+1) d)^2 buffer indexed by global node, d = 3n: entry [(i, a), (j, b)]
-holds p2(i, j, l)[a, b], slice l is the view buf[l d:, l d:], and its
-interior is slice l+1, which step (i) updates in place.  The
-swap-transpose symmetry is the matrix transpose, and the sums against the
-slice are BLAS products on views.  Storage is O(N^2 d^2).
+holds p2(i, j, min(i, j))[a, b], the value written when the sweep reached
+the earlier of the two nodes.  Between that node and node l the interior
+moves by the rank-m Euler drift only, so
 
-Only the lifted blocks the data reads are advanced.  Block 1 (the current
+    p2(i, j, l) = F(i, j) - dt sum_{r=l+1}^{min(i,j)} pb(i, r) rcal_inv(r) pb(j, r)^T
+
+and the sweep never forms a slice.  Sweep at node t_l (l = N..0):
+  (i)   build the selector column U(., t_l) and stack it with the control
+        column B(., t_l) and, where b(l) != 0, the free-term column;
+  (ii)  apply the interior to that stack, F u - dt P^T (rcal_inv (P u)),
+        with P the control products pb(., r), r > l, in the [r, m, (s, a)]
+        layout: one pass over F and two thin products;
+  (iii) form the sandwich g1, the effective control weight and the
+        pointwise kernel;
+  (iv)  fill the boundary column/row and the symmetrized corner of F;
+  (v)   record the control products and the adjoint's free-term product.
+Each product runs as BLAS calls over whole node blocks of rows, each
+small enough for one thread: a single product over the whole interior is
+split across threads from side ~500 on, and its sums then change with the
+thread count.  Storage is O(N^2 d^2); the sweep allocates nothing of a
+slice's size besides F.
+
+Whole slices come only from ``RiccatiSolution.replay``, which re-runs the
+explicit Euler recurrence from the terminal corner with F's borders.  It
+advances only the lifted blocks the data reads.  Block 1 (the current
 state) is always live; block 2 (the delayed state) is live iff A2, C2 or
 Q2 has a nonzero entry, block 3 (the memory integral) iff A3, C3 or Q3
 does.  A dead block's rows and columns of p1, p2, pb and pfree are exactly
-zero, so step (i) and the residual's evolution check touch the live
-entries only: the live set is the slice 0:1, 0:2, 0::2 or 0:3 of the block
-axis, a strided view of the flat buffer.  For L live blocks they cost
-O(N^3 (nL)^2); storage, the products against the slice, the border and the
-corner keep the 3n layout and their summation order, bit for bit.
+zero, so the replay's step and the residual's evolution check touch the
+live entries only: the live set is the slice 0:1, 0:2, 0::2 or 0:3 of the
+block axis, a strided view of the replay's flat buffer.
 """
 
 from __future__ import annotations
@@ -38,9 +48,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalError
-from .volterra import VolterraProblem
+from .volterra import VolterraProblem, _by_node_rows
 
-#: every lifted block live: the Euler step runs on the whole slice
+#: every lifted block live: the replay's Euler step runs on the whole slice
 ALL = slice(0, 3)
 
 
@@ -49,34 +59,34 @@ class RiccatiSolution:
     """Pointwise kernel p1, factored two-time kernel, derived tables.
 
     The two-time kernel p2(i, j, l) (i, j >= l) is not stored slice by
-    slice.  The sweep advances the interior of each slice by a rank-m
-    update, so every entry is its frontier value minus a sum of those
-    updates:
+    slice.  Each slice's interior is the next slice less a rank-m update,
+    so every entry is its frontier value minus a sum of those updates:
 
         p2(i, j, l) = p2(i, j, q) - dt sum_{r=l+1}^{q} pb(i, r) rcal_inv(r) pb(j, r)^T,
         q = min(i, j),
 
-    and ``p2`` evaluates that closed form.  ``frontier[r, l]`` holds
-    p2(r, l, l) for r >= l (the boundary column and the corner the sweep
-    writes at node l; p2(l, r, l) is its transpose).  Readers that need
-    whole slices get them from ``replay``, which re-runs the sweep's own
-    recurrence backwards from the terminal corner on the same flat layout
-    and reproduces the sweep's slices bit for bit.  ``slice0`` is the
-    slice at node 0, an (N+1, N+1, d, d) view of the sweep's buffer.
+    and ``p2`` evaluates that closed form.  ``frontier[i, j]`` holds
+    p2(i, j, min(i, j)): for i >= j the boundary column and the corner the
+    sweep wrote at node j, above the diagonal their transposes.  It is an
+    (N+1, N+1, d, d) view of the sweep's frontier matrix F, the flat
+    buffer with entry [(i, a), (j, b)] = frontier[i, j][a, b].  Readers that
+    need whole slices get them from ``replay``, which re-runs the explicit
+    Euler recurrence backwards from the terminal corner on the same flat
+    layout.
 
     ``pb[s, t]`` holds the control-kernel star product (P*B)(t_s, t_t)
-    for s >= t (the diagonal carries the limiting corner value), and
-    ``pfree[r, s]`` the free-term star product
-    p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q) with ub = U(., t_s) b(s),
-    which drives the adjoint sweep.  Storage is O(N^2 (3n)^2).
+    for s >= t (the diagonal carries the limiting corner value); it is a
+    view of the sweep's [t, m, (s, a)] buffer.  ``pfree[r, s]`` holds the
+    free-term star product p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q)
+    with ub = U(., t_s) b(s), which drives the adjoint sweep.  Storage is
+    O(N^2 (3n)^2).
     """
 
     n: int
     m: int
     dt: float
     p1: np.ndarray              # (N+1, 3n, 3n)
-    frontier: np.ndarray        # (N+1, N+1, 3n, 3n); [r, l] = p2(r, l, l)
-    slice0: np.ndarray          # (N+1, N+1, 3n, 3n); [i, j] = p2(i, j, 0)
+    frontier: np.ndarray        # (N+1, N+1, 3n, 3n); [i, j] = p2(i, j, min(i, j))
     g1_table: np.ndarray        # (N+1, n, n)
     rcal: np.ndarray            # (N+1, m, m)
     rcal_inv: np.ndarray        # (N+1, m, m)
@@ -159,6 +169,21 @@ def _apply(u: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (u.reshape(M * d, k).T @ X).T.reshape(M, d, k)
 
 
+def _interior(F: np.ndarray, pb_rows: np.ndarray, rcal_inv: np.ndarray,
+              lo: int, u: np.ndarray, dt: float) -> np.ndarray:
+    """The slice at node lo - 1 on pairs i, j >= lo, applied to the stacked
+    columns u (M, d, k) over nodes lo..N: F u - dt P^T (rcal_inv (P u)),
+    with P = pb_rows[lo:] the control products pb(., r), r >= lo."""
+    M, d, k = u.shape
+    m, i0 = pb_rows.shape[1], lo * d
+    u2 = u.reshape(M * d, k)
+    out = _by_node_rows(F[i0:, i0:], u2, d).reshape(M, d, k)
+    P = pb_rows[lo:, :, i0:].reshape(M * m, M * d)
+    z = rcal_inv[lo:] @ _by_node_rows(P, u2, m).reshape(M, m, k)
+    out -= dt * _by_node_rows(P.T, z.reshape(M * m, k), d).reshape(M, d, k)
+    return out
+
+
 def _euler(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
            dt: float, work: np.ndarray) -> None:
     """X less dt pb_next rinv_next pb_next^T, symmetrized, in place.
@@ -210,43 +235,35 @@ def _border(X: np.ndarray, bnd: np.ndarray) -> None:
     X[:d, d:] = X[d:, :d].T
 
 
-def _sweep(N: int, d: int, pb: np.ndarray, rcal_inv: np.ndarray, dt: float,
-           live: slice):
-    """Yield (l, X_l), l = N..0, with X_l the flat slice l and its interior
-    advanced on the ``live`` blocks.  The caller writes X_l's border and
-    corner, and pb[l:, l] and rcal_inv[l], before resuming.  Slice and
-    scratch are allocated once: arrays grown per node left the peak RSS to
-    the heap's fragmentation."""
+def _replay(P: "RiccatiSolution"):
+    """Flat slices of ``P.replay()``: yield (l, X_l), l = N..0, the interior
+    of X_l advanced from X_{l+1} on the ``live`` blocks, its border and
+    corner copied from the frontier.  Slice and scratch are allocated once:
+    arrays grown per node left the peak RSS to the heap's fragmentation."""
+    N, d = P.N, 3 * P.n
     buf = np.empty(((N + 1) * d,) * 2)
     work = np.empty(N * N * d * d)
-    yield N, buf[N * d:, N * d:]
-    for l in range(N - 1, -1, -1):
+    for l in range(N, -1, -1):
         X, Md = buf[l * d:, l * d:], (N - l) * d
-        _advance(X[d:, d:], pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
-                 work[:Md * Md].reshape(Md, Md), live)
-        yield l, X
-
-
-def _replay(P: "RiccatiSolution"):
-    """Flat slices of ``P.replay()``, rebuilt from the frontier."""
-    d = 3 * P.n
-    for l, X in _sweep(P.N, d, P.pb, P.rcal_inv, P.dt, P.live):
-        _border(X, P.frontier[l + 1:, l])
+        if l < N:
+            _advance(X[d:, d:], P.pb[l + 1:, l + 1], P.rcal_inv[l + 1], P.dt,
+                     work[:Md * Md].reshape(Md, Md), P.live)
+            _border(X, P.frontier[l + 1:, l])
         X[:d, :d] = P.frontier[l, l]
         yield l, X
 
 
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
-    d, live = 3 * n, live_blocks(vp)
+    nn, d = N + 1, 3 * n
 
-    p1 = np.zeros((N + 1, d, d))
-    g1_table = np.zeros((N + 1, n, n))
-    rcal = np.zeros((N + 1, m, m))
-    rcal_inv = np.zeros((N + 1, m, m))
-    pb = np.zeros((N + 1, N + 1, d, m))
-    frontier = np.zeros((N + 1, N + 1, d, d))
-    pfree = np.zeros((N + 1, N + 1, d))
+    p1 = np.zeros((nn, d, d))
+    g1_table = np.zeros((nn, n, n))
+    rcal = np.zeros((nn, m, m))
+    rcal_inv = np.zeros((nn, m, m))
+    pfree = np.zeros((nn, nn, d))
+    F = np.zeros((nn * d, nn * d))        # frontier matrix
+    pb_rows = np.zeros((nn, m, nn * d))   # pb in the [t, m, (s, a)] layout
     lambda_floor = np.inf
 
     def factor_rcal(l: int, mat: np.ndarray):
@@ -264,27 +281,29 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         linv = np.linalg.inv(np.linalg.cholesky(mat))
         rcal_inv[l] = linv.T @ linv
 
-    def free_term(l: int, X: np.ndarray, sel: np.ndarray) -> None:
-        if vp.source.b[l].any():                 # else pfree[l:, l] stays +0.0
-            ub = np.einsum("rab,b->ra", sel, vp.source.b[l])
-            w_free = np.einsum("rab,rb->ra", p1[l:], ub)
-            pfree[l:, l] = w_free + (ub[1:].ravel() @ X[d:]).reshape(-1, d) * dt
-
-    for l, X in _sweep(N, d, pb, rcal_inv, dt, live):
+    for l in range(N, -1, -1):
+        X = F[l * d:, l * d:]                    # frontier block of node l
         sel = vp.selector(l)                     # (N-l+1, d, n) = U(r, l)
+        b_l = vp.source.b[l]
+        # free-term column; where b(l) = 0, pfree[l:, l] stays +0.0
+        ub = np.einsum("rab,b->ra", sel, b_l) if b_l.any() else None
         if l == N:                               # empty future
             p1[N] = _sym(vp.Q[N])
             factor_rcal(N, vp.R[N])
             X[:] = _sym(p1[N] @ vp.a_column(N, sel)[0])
-            frontier[N, N] = X
-            pb[N, N] = p1[N] @ vp.B[N, N]
-            free_term(N, X, sel)
+            pb_rows[N, :, N * d:] = (p1[N] @ vp.B[N, N]).T
+            if ub is not None:
+                pfree[N, N] = p1[N] @ ub[0]
             continue
-        M, interior, ups = N - l, X[d:, d:], sel[1:]
+        ups, bcol = sel[1:], vp.B[l + 1:, l]
+        stack = [ups, bcol] + ([ub[1:, :, None]] if ub is not None else [])
+        applied = _interior(F, pb_rows, rcal_inv, l + 1,
+                            np.concatenate(stack, axis=2), dt) * dt
+        v_in, pb_in = applied[..., :n], applied[..., n:n + m]
+
         p1_fut = p1[l + 1:]
         pu = np.einsum("sab,sbj->saj", p1_fut, ups)
         g1_val = np.einsum("sai,saj->ij", ups, pu) * dt
-        v_in = _apply(ups, interior) * dt
         g1_val += np.einsum("sai,saj->ij", ups, v_in) * dt
         g1_val = _sym(g1_val)
         g1_table[l] = g1_val
@@ -298,11 +317,9 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
                      - cgd @ rcal_inv[l] @ dgc)
 
         # boundary column (i, l, l) for i > l, then the symmetrized corner
-        bcol = vp.B[l + 1:, l]                   # (N-l, d, m)
         g2col = pu + v_in                        # (N-l, d, n), selector-weighted
         pa_col = np.einsum("saj,jc->sac", g2col, vp.Acal[l])
-        pb_col = (np.einsum("sab,sbm->sam", p1_fut, bcol)
-                  + _apply(bcol, interior) * dt)
+        pb_col = np.einsum("sab,sbm->sam", p1_fut, bcol) + pb_in
         bnd = pa_col - np.einsum("sam,mq,qc->sac", pb_col, rcal_inv[l], dgc)
 
         _border(X, bnd)
@@ -312,20 +329,23 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
         pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
         X[:d, :d] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
-        # the interior (slice l+1 less dt W) reached factor_rcal through
-        # v_in; only the border column and the corner are new
+        # the interior reached factor_rcal through v_in; only the border
+        # column and the corner are new
         if not np.isfinite(X[:, :d]).all():
             raise NumericalError(f"two-time kernel non-finite at node {l}")
-        frontier[l:, l] = X[:, :d].reshape(M + 1, d, d)
-        free_term(l, X, sel)
+        if ub is not None:
+            w_free = np.einsum("rab,rb->ra", p1[l:], ub)
+            pfree[l, l] = w_free[0] + np.einsum("rab,ra->b", bnd, ub[1:]) * dt
+            pfree[l + 1:, l] = w_free[1:] + applied[..., -1]
 
-        pb[l + 1:, l] = pb_col
-        pb[l, l] = pb_corner
+        pb_rows[l, :, (l + 1) * d:] = pb_col.transpose(2, 0, 1).reshape(m, -1)
+        pb_rows[l, :, l * d:(l + 1) * d] = pb_corner.T
 
     return RiccatiSolution(
-        n=n, m=m, dt=dt, p1=p1, frontier=frontier, slice0=_blocks(X, N + 1),
-        g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, pb=pb, pfree=pfree,
-        lambda_floor=float(lambda_floor), live=live,
+        n=n, m=m, dt=dt, p1=p1, frontier=_blocks(F, nn), g1_table=g1_table,
+        rcal=rcal, rcal_inv=rcal_inv,
+        pb=pb_rows.reshape(nn, m, nn, d).transpose(2, 0, 3, 1), pfree=pfree,
+        lambda_floor=float(lambda_floor), live=live_blocks(vp),
     )
 
 

@@ -20,6 +20,30 @@ from .grid import TimeGrid
 from .problem import DelayLQProblem, validate
 
 
+#: multiply-adds per BLAS call in ``_by_node_rows``; OpenBLAS runs a GEMM
+#: of up to 2^18 of them on one thread
+_CALL_MACS = 2 ** 17
+
+
+def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int) -> np.ndarray:
+    """A @ B for A (R, K) with rows in node blocks of w, as BLAS calls over
+    whole node blocks of at most _CALL_MACS multiply-adds each (one block
+    if B alone exceeds that).  A single product over a matrix of side
+    ~500 or more is split across threads, and its sums then change with
+    the thread count; these calls run on one."""
+    R, K = A.shape
+    M, k = R // w, B.shape[1]
+    g = max(1, _CALL_MACS // (w * K * k))        # node blocks per call
+    full = M - M % g
+    out = np.empty((R, k))
+    if full:
+        np.matmul(A[:full * w].reshape(full // g, g * w, K), B,
+                  out=out[:full * w].reshape(full // g, g * w, k))
+    if full < M:
+        np.matmul(A[full * w:], B, out=out[full * w:])
+    return out
+
+
 def _running_integral_table(F: np.ndarray, dt: float) -> np.ndarray:
     """E[i, j] = sum_{l=j..i-1} F[i, l] dt for j < i, else zero."""
     nn = F.shape[0]
@@ -126,16 +150,29 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
         + np.einsum("ijab,jbm->ijam", E2, B2s)
     )
     if problem.has_memory:
-        for j in range(nn - 1):
-            W = np.einsum("tab,tbm->tam", problem.B3[j + 1:], problem.Ftilde[j + 1:, j])
-            CW = np.cumsum(W, axis=0) * dt  # CW[p] = sum over theta = j+1 .. j+1+p
-            B[j + 1:, j, :n, :] += CW
-            # second row stops one delay short of the evaluation time
-            if j + k + 2 < nn:
-                B[j + k + 2:, j, n:2 * n, :] += CW[: nn - (j + k + 2)]
-            B[j + 1:, j, 2 * n:, :] += np.einsum(
-                "itab,tbm->iam", E[j + 1:, j + 1:], W
-            ) * dt
+        # W[t, j] = B3(t) Ftilde(t, j) for t > j, and its running sums
+        # CW[i, j] = sum_{theta=j+1}^{i} W[theta, j] dt, added where i > j
+        later = idx_i > idx_j
+        W = np.einsum("tab,tjbm->tjam", problem.B3, problem.Ftilde)
+        W[~later] = 0.0
+        CW = np.cumsum(W, axis=0) * dt
+        blk = B[:, :, :n, :]
+        np.add(blk, CW, out=blk, where=later[:, :, None, None])
+        # second row stops one delay short of the evaluation time
+        if k + 1 < nn:
+            blk = B[k + 1:, :, n:2 * n, :]
+            np.add(blk, CW[:nn - k - 1], out=blk,
+                   where=later[:nn - k - 1, :, None, None])
+        # third row: sum_{t>j} E[i, t] W[t, j] dt, one product taken in
+        # column blocks (h / m nodes j) small enough for bounded BLAS calls
+        Em = E.transpose(0, 2, 1, 3).reshape(nn * n, nn * n)
+        Wm = W.transpose(0, 2, 1, 3).reshape(nn * n, nn * m)
+        h = max(1, _CALL_MACS // (nn * n * n * m)) * m
+        EW = np.concatenate([_by_node_rows(Em, Wm[:, c:c + h], n)
+                             for c in range(0, nn * m, h)], axis=1)
+        EW = EW.reshape(nn, n, nn, m).transpose(0, 2, 1, 3) * dt
+        blk = B[:, :, 2 * n:, :]
+        np.add(blk, EW, out=blk, where=later[:, :, None, None])
     B[idx_j > idx_i] = 0.0
 
     # free term: initial trajectories pushed through the lifting

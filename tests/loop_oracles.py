@@ -1,20 +1,26 @@
 """Loop forms of the case I oracle, the case II P3c and the feedback
 synthesis's memory channel and offset, kept as a reference, the Riccati
-sweep's full-width Euler step, and the dense selector table with the
-products the lifting once formed against it.
+sweep that advanced every slice and its full-width Euler step, and the
+dense selector table with the products the lifting once formed against
+it, and the lifting's per-node loop over the memory channel of the
+control kernel.
 
 These are the original per-node, per-lag Python loops that
 ``delaylq.oracles`` and ``delaylq.adjoint.synthesize_feedback`` replaced
 with array code.  They are slow (the case I extraction is O(N^3 k^2)
 Python iterations with the memory channel active) and serve only to pin
-the array forms to 1e-12.  ``advance_full_width`` is the sweep's step as
-it ran before it skipped the dead lifted blocks; swapped in for
-``delaylq.riccati._advance`` it pins the skip bit for bit, and
-``evolution_profile_full_width`` does the same for the residual's
-evolution check.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the
+the array forms to 1e-12.  ``euler_sweep`` is the Riccati sweep as it
+ran before it applied the two-time kernel through its frontier and the
+control products: it advanced the interior of every slice by one
+explicit Euler step per node and formed its products against the slice.
+``advance_full_width`` is the replay's step as it ran before it skipped
+the dead lifted blocks; swapped in for ``delaylq.riccati._advance`` it
+pins the skip bit for bit, and ``evolution_profile_full_width`` does the
+same for the residual's evolution check.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the
 lifting stored before it built one selector column at a time;
 ``dense_lifted_kernel`` and ``dense_k1`` are the kernel tables and the
-current-state gain summed against it.
+current-state gain summed against it.  ``memory_control_kernel`` is the
+B3 part of the control kernel, built one column at a time.
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -30,9 +36,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from delaylq import riccati
 from delaylq.adjoint import causal_gains
 from delaylq.oracles import CASES, CaseIResiduals
-from delaylq.riccati import ALL
+from delaylq.riccati import ALL, _apply, _border, _sym, live_blocks
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,80 @@ def advance_full_width(X, pb_next, rinv_next, dt, work, live=None):
     np.subtract(X, work, out=work)
     np.add(work, work.T, out=X)
     X *= 0.5
+
+
+def euler_sweep(vp) -> dict:
+    """The tables of the sweep that advanced every slice: p1, the
+    frontier (lower triangle, zero above), pb, pfree, g1_table and
+    rcal."""
+    N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
+    d, live = 3 * n, live_blocks(vp)
+    p1 = np.zeros((N + 1, d, d))
+    g1_table = np.zeros((N + 1, n, n))
+    rcal = np.zeros((N + 1, m, m))
+    rcal_inv = np.zeros((N + 1, m, m))
+    pb = np.zeros((N + 1, N + 1, d, m))
+    frontier = np.zeros((N + 1, N + 1, d, d))
+    pfree = np.zeros((N + 1, N + 1, d))
+
+    def factor_rcal(l, mat):
+        mat = _sym(mat)
+        rcal[l] = mat
+        linv = np.linalg.inv(np.linalg.cholesky(mat))
+        rcal_inv[l] = linv.T @ linv
+
+    def free_term(l, X, sel):
+        if vp.source.b[l].any():
+            ub = np.einsum("rab,b->ra", sel, vp.source.b[l])
+            w_free = np.einsum("rab,rb->ra", p1[l:], ub)
+            pfree[l:, l] = w_free + (ub[1:].ravel() @ X[d:]).reshape(-1, d) * dt
+
+    buf = np.empty(((N + 1) * d,) * 2)
+    work = np.empty(N * N * d * d)
+    for l in range(N, -1, -1):
+        X, M = buf[l * d:, l * d:], N - l
+        sel = vp.selector(l)
+        if l == N:
+            p1[N] = _sym(vp.Q[N])
+            factor_rcal(N, vp.R[N])
+            X[:] = _sym(p1[N] @ vp.a_column(N, sel)[0])
+            frontier[N, N] = X
+            pb[N, N] = p1[N] @ vp.B[N, N]
+            free_term(N, X, sel)
+            continue
+        riccati._advance(X[d:, d:], pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
+                         work[:(M * d) ** 2].reshape(M * d, M * d), live)
+        interior, ups = X[d:, d:], sel[1:]
+        p1_fut = p1[l + 1:]
+        pu = np.einsum("sab,sbj->saj", p1_fut, ups)
+        g1_val = np.einsum("sai,saj->ij", ups, pu) * dt
+        v_in = _apply(ups, interior) * dt
+        g1_val += np.einsum("sai,saj->ij", ups, v_in) * dt
+        g1_val = _sym(g1_val)
+        g1_table[l] = g1_val
+        D1l = vp.source.D1[l]
+        factor_rcal(l, vp.R[l] + D1l.T @ g1_val @ D1l)
+        cgd = vp.Ccal[l].T @ g1_val @ D1l
+        dgc = D1l.T @ g1_val @ vp.Ccal[l]
+        p1[l] = _sym(vp.Q[l] + vp.Ccal[l].T @ g1_val @ vp.Ccal[l]
+                     - cgd @ rcal_inv[l] @ dgc)
+        bcol = vp.B[l + 1:, l]
+        pa_col = np.einsum("saj,jc->sac", pu + v_in, vp.Acal[l])
+        pb_col = (np.einsum("sab,sbm->sam", p1_fut, bcol)
+                  + _apply(bcol, interior) * dt)
+        bnd = pa_col - np.einsum("sam,mq,qc->sac", pb_col, rcal_inv[l], dgc)
+        _border(X, bnd)
+        row0 = np.ascontiguousarray(bnd.transpose(0, 2, 1))
+        acol = vp.a_column(l, sel)
+        pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
+        pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
+        X[:d, :d] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
+        frontier[l:, l] = X[:, :d].reshape(M + 1, d, d)
+        free_term(l, X, sel)
+        pb[l + 1:, l] = pb_col
+        pb[l, l] = pb_corner
+    return dict(p1=p1, frontier=frontier, pb=pb, pfree=pfree,
+                g1_table=g1_table, rcal=rcal)
 
 
 def evolution_profile_full_width(P, vp) -> np.ndarray:
@@ -345,3 +426,23 @@ def dense_k1(P, vp) -> np.ndarray:
     gam_strict = gains.Gamma * strict[:, :, None, None]
     return gains.Xi[:, :, :n] + np.einsum(
         "stab,stbc->tac", gam_strict, dense_selector(vp), optimize=True) * dt
+
+
+def memory_control_kernel(problem, E) -> np.ndarray:
+    """The B3 Ftilde part of the control kernel, column j at a time: the
+    running sums of B3(theta) Ftilde(theta, j) dt in the first row, the
+    same one delay short in the second, and their E-weighted sum in the
+    third."""
+    g = problem.grid
+    nn, n, m, k, dt = g.N + 1, problem.n, problem.m, g.delay_steps, g.dt
+    out = np.zeros((nn, nn, 3 * n, m))
+    for j in range(nn - 1):
+        W = np.einsum("tab,tbm->tam", problem.B3[j + 1:],
+                      problem.Ftilde[j + 1:, j])
+        CW = np.cumsum(W, axis=0) * dt
+        out[j + 1:, j, :n] += CW
+        if j + k + 2 < nn:
+            out[j + k + 2:, j, n:2 * n] += CW[:nn - (j + k + 2)]
+        out[j + 1:, j, 2 * n:] += np.einsum(
+            "itab,tbm->iam", E[j + 1:, j + 1:], W) * dt
+    return out

@@ -31,7 +31,7 @@ def _solve(problem):
 def _embedded_value_kernel_at_start(P, vp):
     dt = vp.grid.dt
     return (P.p1[1:, 0, 0].sum() * dt
-            + P.slice0[1:, 1:, 0, 0].sum() * dt * dt)
+            + P.p2_slice(0)[1:, 1:, 0, 0].sum() * dt * dt)
 
 
 class TestCriterion1DelayFreeConsistency:

@@ -1,6 +1,8 @@
 """The array forms of the case I and case II oracles and of the feedback
 synthesis against their loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,51 @@ def test_k1_matches_dense_selector_sum(case):
     vp, P = solved(SYNTHESIS[case]())
     strat = dl.synthesize_feedback(P, dl.solve_adjoint(P, vp), vp)
     np.testing.assert_array_equal(strat.k1, loop_oracles.dense_k1(P, vp))
+
+
+#: the problems the sweep is pinned to the Euler sweep on
+SWEEP = {
+    **{f"{name}-{N}": (lambda name=name, N=N: dl.preset_problem(name, N))
+       for name in dl.PRESET_NAMES for N in (24, 120)},
+    "planar-m1": lambda: planar_problem(24, m=1),
+    "planar-m2": lambda: planar_problem(24, m=2),
+    "planar-state-delay": lambda: planar_state_delay_problem(24),
+    "delay-at-horizon": lambda: scalar_all_channels_problem(1.0),
+    "delay-past-horizon": lambda: scalar_all_channels_problem(1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP))
+def test_sweep_matches_euler_sweep(case):
+    # the frontier and the control products against the sweep that
+    # advanced every slice; above the diagonal the old frontier held zeros
+    vp, P = solved(SWEEP[case]())
+    ref = loop_oracles.euler_sweep(vp)
+    for f in ("p1", "pb", "pfree", "g1_table", "rcal"):
+        np.testing.assert_allclose(getattr(P, f), ref[f], rtol=0, atol=1e-12,
+                                   err_msg=f)
+    low = np.tril_indices(P.N + 1)
+    np.testing.assert_allclose(P.frontier[low], ref["frontier"][low],
+                               rtol=0, atol=1e-12)
+
+
+#: problems with the memory channel B3 Ftilde of the control kernel
+MEMORY = {
+    "distributed": lambda: dl.preset_problem("distributed", 24),
+    "full": lambda: dl.preset_problem("full", 24),
+    "planar-m2": lambda: planar_problem(24, m=2),
+    "planar-memory": lambda: planar_memory_problem(16),
+    "delay-at-horizon": lambda: scalar_all_channels_problem(1.0),
+    "delay-past-horizon": lambda: scalar_all_channels_problem(1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY))
+def test_memory_control_kernel_matches_loop(case):
+    p = MEMORY[case]()
+    assert p.has_memory
+    vp = dl.build_volterra(p)
+    rest = dl.build_volterra(dataclasses.replace(p, B3=np.zeros_like(p.B3)))
+    np.testing.assert_allclose(vp.B - rest.B,
+                               loop_oracles.memory_control_kernel(p, vp.E),
+                               rtol=0, atol=1e-12)
