@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import ProblemValidationError
 from .riccati import RiccatiSolution
-from .volterra import VolterraProblem
+from .volterra import VolterraProblem, _by_node_rows
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,19 @@ class FeedbackStrategy:
                                 k3=self.k3, k4=self.k4, v=self.v)
 
 
+def _node_product(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """scale sum_{r, x} a[t, i, r, x] b[r, x, s, j] as (t, s, i, j), in
+    the bounded BLAS calls of ``_by_node_rows``: one product over every
+    node is split across threads from N ~ 480 on, and its sums then change
+    with the thread count."""
+    nt, i, nr, x = a.shape
+    ns, j = b.shape[2:]
+    out = _by_node_rows(a.reshape(nt * i, nr * x),
+                        b.reshape(nr * x, ns * j), i)
+    out *= scale
+    return out.reshape(nt, i, ns, j).transpose(0, 2, 1, 3)
+
+
 def _pointwise_gain(P: RiccatiSolution, vp: VolterraProblem) -> np.ndarray:
     """Xi: the causal feedback's gain on the current lifted state."""
     dgc = np.einsum("tam,tab,tbc->tmc", vp.source.D1, P.g1_table, vp.Ccal)
@@ -94,31 +107,35 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem) -> AdjointSolution:
 
     eta = np.zeros((N + 1, N + 1, d))
     omega = np.zeros((N + 1, m))
-    kvec = np.zeros((N + 1, m))
+    # the diagonal and kvec less their sums over eta, every node at once
+    g1sig = P.g1_table @ problem.sigma[:, :, None]              # (N+1, n, 1)
+    mix = vp.Ccal + problem.D1 @ Xi                             # (N+1, n, 3n)
+    diag = (mix.transpose(0, 2, 1) @ g1sig)[..., 0]
+    kvec = (problem.D1.transpose(0, 2, 1) @ g1sig)[..., 0]
+    # the selector and control columns U(., t_l), B(., t_l) at offsets 0..N-l
+    stack = vp.selector_stack(n + m)
 
-    def diagonal_and_kvec(l: int) -> None:
-        g1sig = P.g1_table[l] @ problem.sigma[l]
-        mix = vp.Ccal[l] + problem.D1[l] @ Xi[l]     # (n, 3n)
-        diag = mix.T @ g1sig
-        kv = problem.D1[l].T @ g1sig
+    y = np.zeros(m)                              # rcal_inv kvec at node l + 1
+    for l in range(N, -1, -1):
         if l < N:
-            closed = vp.a_column(l, vp.selector(l))[1:] + np.einsum(
-                "rbm,mc->rbc", vp.B[l + 1:, l], Xi[l])
-            diag = diag + np.einsum("rba,rb->a", closed, eta[l + 1:, l]) * dt
-            kv = kv + np.einsum("rbm,rb->m", vp.B[l + 1:, l], eta[l + 1:, l]) * dt
-        eta[l, l] = diag
-        kvec[l] = kv
-        omega[l] = -P.rcal_inv[l] @ kv
-
-    diagonal_and_kvec(N)
-    for l in range(N - 1, -1, -1):
-        s = l + 1
-        # drift of eta(., second argument) frozen at the known node s; the
-        # free-term star product comes from the Riccati sweep
-        y = P.rcal_inv[s] @ kvec[s]
-        drift = P.pfree[s:, s] - np.einsum("ram,m->ra", P.pb[s:, s], y)
-        eta[l + 1:, l] = eta[l + 1:, l + 1] + dt * drift
-        diagonal_and_kvec(l)
+            s, M = l + 1, N - l
+            # drift of eta(., second argument) frozen at the known node s;
+            # the free-term star product comes from the Riccati sweep
+            drift = P.pfree[s:, s] - (P.pb[s:, s].reshape(-1, m)
+                                      @ y).reshape(M, d)
+            col = eta[s:, l]
+            np.add(eta[s:, s], dt * drift, out=col)
+            u = stack[1:M + 1]
+            u[:, 2 * n:, :n] = vp.E[s:, l]
+            u[:, :, n:] = vp.B[s:, l]
+            # sum_r U(r, l)^T eta(r, l) and sum_r B(r, l)^T eta(r, l): the
+            # state kernel's column is U(., l) Acal(l), closed by Xi(l)
+            c = (u.reshape(M * d, n + m).T @ col.reshape(-1)) * dt
+            diag[l] += vp.Acal[l].T @ c[:n] + Xi[l].T @ c[n:]
+            kvec[l] += c[n:]
+        eta[l, l] = diag[l]
+        y = P.rcal_inv[l] @ kvec[l]
+        omega[l] = -y
 
     return AdjointSolution(eta=eta, omega=omega)
 
@@ -150,9 +167,15 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     # selector column U(., t), one BLAS product per node over every s (rows
     # s < t zero), which sums as the dense (s, t) contraction did
     col_t = np.zeros((n, nn, 3 * n))        # U(., t)^T; rows s < t stay zero
+    eye = np.eye(n)
     hist = np.empty((nn, n, m))
     for t in range(N, -1, -1):
-        col_t[:, t:] = vp.selector(t).transpose(2, 0, 1)
+        # U(s, t) differs from U(s, t + 1) only in its memory block and in
+        # the identity blocks that switch on at s = t and s = t + delay + 1
+        col_t[:, t, :n] = eye
+        if t + k + 1 <= N:
+            col_t[:, t + k + 1, n:2 * n] = eye
+        col_t[:, t:, 2 * n:] = vp.E[t:, t].transpose(2, 0, 1)
         hist[t] = (col_t.reshape(n, -1)
                    @ gam[:, t].transpose(0, 2, 1).reshape(-1, m))
     k1 = gains.Xi[:, :, :n] + hist.transpose(0, 2, 1) * dt
@@ -161,7 +184,8 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     # distributed-state gain, with the history term
     # sum_{alpha>t} gam3[alpha, t] F[alpha, beta] dt
     k2 = np.einsum("tmx,tsxy->tsmy", gains.Xi[:, :, 2 * n:], src.F)
-    k2 += np.einsum("atmx,abxy->tbmy", gam3, src.F, optimize=True) * dt
+    k2 += _node_product(gam3.transpose(1, 2, 0, 3),
+                        src.F.transpose(0, 2, 1, 3), dt)
     if ts.size:
         k2[ts, ss] += shifted
     k2 *= later[:, :, None, None]
@@ -174,7 +198,8 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
     np.cumsum(suf[::-1], axis=0, out=suf[::-1])
     suf *= dt
     suf1, suf2 = suf[..., :n], suf[..., n:]
-    s3 = np.einsum("rtmx,rpxy->tpmy", gam3, vp.E, optimize=True) * dt
+    s3 = _node_product(gam3.transpose(1, 2, 0, 3),
+                       vp.E.transpose(0, 2, 1, 3), dt)
 
     # i1grid[t, p]: future history gain seen by a control impulse that
     # enters through the delay-shifted channel at node p >= t
@@ -194,8 +219,8 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
         w = (suf1[:nn] + suf2[np.minimum(nodes + k, nn)]).transpose(1, 0, 2, 3)
         w += s3
         w *= later.T[:, :, None, None]
-        k4 += np.tensordot(w, bf, axes=([1, 3], [0, 2])).transpose(
-            0, 2, 1, 3) * dt
+        k4 += _node_product(w.transpose(0, 2, 1, 3),
+                            bf.transpose(0, 2, 1, 3), dt)
     k4 *= later[:, :, None, None]
 
     # offset: adjoint part, initial-state window (t < a <= lim) and

@@ -21,8 +21,8 @@ from .exceptions import NumericalError, ProblemValidationError
 from .presets import PRESET_NAMES, STEP_MULTIPLE, preset_problem
 from .problem import load_problem
 from .riccati import riccati_residual, solve_riccati
-from .simulate import (estimate_cost, gen_brownian, simulate_closed_loop,
-                       stationarity_test)
+from .simulate import (BrownianBatch, estimate_cost, gen_brownian,
+                       simulate_closed_loop, stationarity_test)
 from .volterra import build_volterra, lifted_kernel
 
 EXIT_OK = 0
@@ -60,32 +60,48 @@ def _write_node_table(path: str, grid, table: np.ndarray) -> None:
                       for j, row in enumerate(rows.tolist()))
 
 
-def _write_pair_table(path: str, table: np.ndarray) -> None:
+def _leads(nn: int) -> list:
+    """The "i," lead of each node of a grid, built once and shared by every
+    pair table written on it."""
+    return [f"{i}," for i in range(nn)]
+
+
+def _pair_block(lead: str, tails: list) -> str:
+    """One row block's format: ``lead`` before each of ``tails``."""
+    return lead + lead.join(tails)
+
+
+def _write_pair_table(path: str, table: np.ndarray, leads: list) -> None:
+    """Rows "i,j,<floats>" for j < i.  Each row block i is formatted in one
+    step from the grid's ``leads`` and written at once, so the transient
+    strings stay one block long."""
     rows = table.reshape(table.shape[:2] + (-1,))
-    fmt = _row_format("%d,%d,", rows.shape[2])
+    fields = ",".join(["%.17g"] * rows.shape[2]) + "\n"
+    tails = [lead + fields for lead in leads]
     with open(path, "w") as fh:
-        for i in range(rows.shape[0]):
-            fh.writelines(fmt % (i, j, *row)
-                          for j, row in enumerate(rows[i, :i].tolist()))
+        for i in range(1, rows.shape[0]):
+            fh.write(_pair_block(leads[i], tails[:i])
+                     % tuple(rows[i, :i].ravel().tolist()))
 
 
-def _write_riccati_dump(path: str, P) -> None:
+def _write_riccati_dump(path: str, P, leads: list) -> None:
     """Every slice of the two-time kernel, base nodes in ascending order.
 
     One replay yields the slices from the last node back to the first;
-    each is formatted once into a spool file, and the spooled chunks are
-    then copied out in ascending order, so only one slice is held.
+    each is formatted once into a spool file, one row block i at a time,
+    and the spooled slices are then copied out in ascending order, so only
+    one slice is held.
     """
     chunks = []
     with tempfile.TemporaryFile(dir=os.path.dirname(path) or None) as spool:
         for l, sl in P.replay():
-            M = sl.shape[0]
-            fmt = _row_format("%d,%d,%d,", sl[0, 0].size)
-            rows = sl.reshape(M * M, -1).tolist()
-            data = "".join(fmt % (l + a // M, l + a % M, l, *row)
-                           for a, row in enumerate(rows)).encode()
-            chunks.append((spool.tell(), len(data)))
-            spool.write(data)
+            fields = ",".join(["%.17g"] * sl[0, 0].size) + "\n"
+            tails = [lead + leads[l] + fields for lead in leads[l:]]
+            start = spool.tell()
+            for i, lead in enumerate(leads[l:]):
+                spool.write((_pair_block(lead, tails)
+                             % tuple(sl[i].ravel().tolist())).encode())
+            chunks.append((start, spool.tell() - start))
         with open(path, "wb") as fh:
             for offset, size in reversed(chunks):
                 spool.seek(offset)
@@ -156,8 +172,11 @@ def cmd_solve(args) -> int:
     _write_node_table(os.path.join(args.out, "feedback_k1.csv"), g, strategy.k1)
     _write_node_table(os.path.join(args.out, "feedback_k3.csv"), g, strategy.k3)
     _write_node_table(os.path.join(args.out, "feedback_v.csv"), g, strategy.v)
-    _write_pair_table(os.path.join(args.out, "feedback_k2.csv"), strategy.k2)
-    _write_pair_table(os.path.join(args.out, "feedback_k4.csv"), strategy.k4)
+    leads = _leads(g.N + 1)
+    _write_pair_table(os.path.join(args.out, "feedback_k2.csv"), strategy.k2,
+                      leads)
+    _write_pair_table(os.path.join(args.out, "feedback_k4.csv"), strategy.k4,
+                      leads)
     _write_node_table(os.path.join(args.out, "riccati_p1.csv"), g, P.p1)
     if args.dump_kernels:
         kernels = {"A": lifted_kernel(vp, vp.Acal), "B": vp.B,
@@ -165,9 +184,10 @@ def cmd_solve(args) -> int:
                    "D": lifted_kernel(vp, problem.D1)}
         for name, table in kernels.items():
             _write_pair_table(os.path.join(args.out, f"kernel_{name}.csv"),
-                              table)
+                              table, leads)
     if args.dump_riccati:
-        _write_riccati_dump(os.path.join(args.out, "riccati_p2.csv"), P)
+        _write_riccati_dump(os.path.join(args.out, "riccati_p2.csv"), P,
+                            leads)
     write_summary(os.path.join(args.out, "summary.json"), summary)
     return EXIT_OK
 
@@ -274,7 +294,10 @@ def cmd_verify(args) -> int:
         _verify_cases(problem, vp, P, adj, strategy, summary)
     if "qp-oracle" in checks:
         oracle = oracles.deterministic_qp_oracle(problem)
-        batch = gen_brownian(g, 1, args.seed)
+        # the oracle's problems carry no diffusion: the noise never
+        # reaches the state, so the closed loop runs on zero increments
+        batch = BrownianBatch(seed=args.seed, n_paths=1,
+                              increments=np.zeros((1, g.N)))
         sim = simulate_closed_loop(problem, strategy, batch)
         cost_cl = estimate_cost(sim).mean
         gap = abs(cost_cl - oracle.cost_opt) / max(abs(oracle.cost_opt), 1e-30)

@@ -15,20 +15,31 @@ moves by the rank-m Euler drift only, so
     p2(i, j, l) = F(i, j) - dt sum_{r=l+1}^{min(i,j)} pb(i, r) rcal_inv(r) pb(j, r)^T
 
 and the sweep never forms a slice.  Sweep at node t_l (l = N..0):
-  (i)   build the selector column U(., t_l) and stack it with the control
-        column B(., t_l) and, where b(l) != 0, the free-term column;
-  (ii)  apply the interior to that stack, F u - dt P^T (rcal_inv (P u)),
-        with P the control products pb(., r), r > l, in the [r, m, (s, a)]
-        layout: one pass over F and two thin products;
-  (iii) form the sandwich g1, the effective control weight and the
-        pointwise kernel;
-  (iv)  fill the boundary column/row and the symmetrized corner of F;
-  (v)   record the control products and the adjoint's free-term product.
-Each product runs as BLAS calls over whole node blocks of rows, each
-small enough for one thread: a single product over the whole interior is
-split across threads from side ~500 on, and its sums then change with the
-thread count.  Storage is O(N^2 d^2); the sweep allocates nothing of a
-slice's size besides F.
+  (i)   write the selector column U(., t_l) into a template built once per
+        solve (its identity blocks do not move with l), beside the control
+        column B(., t_l) and, where b(l) != 0, the free-term column
+        U(., t_l) b(l);
+  (ii)  apply the slice at node l over the future nodes to that stack:
+        p1 u + dt (F u - dt P^T (rcal_inv (P u))), with P the control
+        products pb(., r), r > l, in the [r, m, (s, a)] layout; one pass
+        over F and two thin products give the selector-weighted column
+        g2, the control products and the free-term products together;
+  (iii) form g1 as one product of the selector against g2, factor the
+        effective control weight (a Cholesky factor and its inverse) and
+        form the pointwise kernel;
+  (iv)  write the boundary column g2 Acal - pb rcal_inv dgc (two products)
+        and its transposed row, then each corner sum as one product of
+        that row against the stack;
+  (v)   record the control products and the adjoint's free-term products.
+The weight's eigenvalue floor comes from one call over every node after
+the sweep.  Each product over the future nodes runs as BLAS calls over
+whole node blocks of rows, each small enough for one thread: a single
+product over the whole interior is split across threads from side ~500
+on, and its sums then change with the thread count.  The corner's
+products are single calls of d (N - l) d k multiply-adds, k <= n + m + 1
+columns, on one thread while that stays under 2^18 (N up to ~9700 at
+n = m = 1, ~1450 at n = m = 2).  Storage is O(N^2 d^2); the sweep
+allocates nothing of a slice's size besides F.
 
 Whole slices come only from ``RiccatiSolution.replay``, which re-runs the
 explicit Euler recurrence from the terminal corner with F's borders.  It
@@ -151,6 +162,12 @@ def live_blocks(vp: VolterraProblem) -> slice:
     return slice(0, 1 + delay + memory)
 
 
+def _lost_definiteness(l: int, eigenvalues: np.ndarray) -> NumericalError:
+    return NumericalError(
+        f"effective control weight lost positive definiteness at node {l} "
+        f"(min eigenvalue {eigenvalues.min():.6e})")
+
+
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
@@ -264,48 +281,53 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     pfree = np.zeros((nn, nn, d))
     F = np.zeros((nn * d, nn * d))        # frontier matrix
     pb_rows = np.zeros((nn, m, nn * d))   # pb in the [t, m, (s, a)] layout
-    lambda_floor = np.inf
+    # columns over nodes l..N at offsets 0..N-l: the selector U(., t_l),
+    # the control column B(., t_l) and the free-term column U(., t_l) b(l)
+    stack = vp.selector_stack(n + m + 1)
 
     def factor_rcal(l: int, mat: np.ndarray):
-        nonlocal lambda_floor
         mat = _sym(mat)
         if not np.isfinite(mat).all():
             raise NumericalError(f"effective control weight non-finite at node {l}")
-        w = np.linalg.eigvalsh(mat)
-        lambda_floor = min(lambda_floor, float(w.min()))
-        if w.min() <= 0.0:
-            raise NumericalError(
-                f"effective control weight lost positive definiteness at node {l} "
-                f"(min eigenvalue {w.min():.6e})")
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(mat))
+        except np.linalg.LinAlgError:
+            raise _lost_definiteness(l, np.linalg.eigvalsh(mat)) from None
         rcal[l] = mat
-        linv = np.linalg.inv(np.linalg.cholesky(mat))
         rcal_inv[l] = linv.T @ linv
 
+    # where b(l) = 0 the free-term column is left out and pfree[l:, l]
+    # stays +0.0
+    free = vp.source.b.any(axis=1).tolist()
+
     for l in range(N, -1, -1):
-        X = F[l * d:, l * d:]                    # frontier block of node l
-        sel = vp.selector(l)                     # (N-l+1, d, n) = U(r, l)
-        b_l = vp.source.b[l]
-        # free-term column; where b(l) = 0, pfree[l:, l] stays +0.0
-        ub = np.einsum("rab,b->ra", sel, b_l) if b_l.any() else None
+        X, M = F[l * d:, l * d:], N - l          # frontier block of node l
+        k = n + m + free[l]
+        u = stack[:M + 1, :, :k]
+        u[:, 2 * n:, :n] = vp.E[l:, l]
+        u[:, :, n:n + m] = vp.B[l:, l]
+        if free[l]:
+            u[:, :, -1] = (u[:, :, :n].reshape(-1, n)
+                           @ vp.source.b[l]).reshape(M + 1, d)
         if l == N:                               # empty future
             p1[N] = _sym(vp.Q[N])
             factor_rcal(N, vp.R[N])
-            X[:] = _sym(p1[N] @ vp.a_column(N, sel)[0])
-            pb_rows[N, :, N * d:] = (p1[N] @ vp.B[N, N]).T
-            if ub is not None:
-                pfree[N, N] = p1[N] @ ub[0]
+            head = p1[N] @ u[0]
+            X[:] = _sym(head[:, :n] @ vp.Acal[N])
+            pb_rows[N, :, N * d:] = head[:, n:n + m].T
+            if free[N]:
+                pfree[N, N] = head[:, -1]
             continue
-        ups, bcol = sel[1:], vp.B[l + 1:, l]
-        stack = [ups, bcol] + ([ub[1:, :, None]] if ub is not None else [])
-        applied = _interior(F, pb_rows, rcal_inv, l + 1,
-                            np.concatenate(stack, axis=2), dt) * dt
-        v_in, pb_in = applied[..., :n], applied[..., n:n + m]
+        # the columns against the slice at node l over pairs r, s > l: the
+        # selector-weighted g2 (:n), the control products (n:n+m) and the
+        # free-term products (n+m)
+        v = u[1:].reshape(M * d, k)
+        G = _interior(F, pb_rows, rcal_inv, l + 1, u[1:], dt)
+        G *= dt
+        G += p1[l + 1:] @ u[1:]
+        G2 = G.reshape(M * d, k)
 
-        p1_fut = p1[l + 1:]
-        pu = np.einsum("sab,sbj->saj", p1_fut, ups)
-        g1_val = np.einsum("sai,saj->ij", ups, pu) * dt
-        g1_val += np.einsum("sai,saj->ij", ups, v_in) * dt
-        g1_val = _sym(g1_val)
+        g1_val = _sym((v[:, :n].T @ G2[:, :n]) * dt)
         g1_table[l] = g1_val
 
         D1l = vp.source.D1[l]
@@ -313,39 +335,42 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
 
         cgd = vp.Ccal[l].T @ g1_val @ D1l        # (3n, m)
         dgc = D1l.T @ g1_val @ vp.Ccal[l]        # (m, 3n)
+        rdgc = rcal_inv[l] @ dgc
         p1[l] = _sym(vp.Q[l] + vp.Ccal[l].T @ g1_val @ vp.Ccal[l]
-                     - cgd @ rcal_inv[l] @ dgc)
+                     - cgd @ rdgc)
 
-        # boundary column (i, l, l) for i > l, then the symmetrized corner
-        g2col = pu + v_in                        # (N-l, d, n), selector-weighted
-        pa_col = np.einsum("saj,jc->sac", g2col, vp.Acal[l])
-        pb_col = np.einsum("sab,sbm->sam", p1_fut, bcol) + pb_in
-        bnd = pa_col - np.einsum("sam,mq,qc->sac", pb_col, rcal_inv[l], dgc)
-
-        _border(X, bnd)
-        # p2(l, r, l), C-contiguous: einsum's summation order follows strides
-        row0 = np.ascontiguousarray(bnd.transpose(0, 2, 1))
-        acol = vp.a_column(l, sel)               # (N-l+1, d, d) = A(r, l)
-        pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
-        pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
-        X[:d, :d] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
-        # the interior reached factor_rcal through v_in; only the border
+        # boundary column p2(i, l, l), i > l, and its transposed row
+        bnd = X[d:, :d]
+        bnd[:] = _by_node_rows(G2[:, :n], vp.Acal[l], d)
+        bnd -= _by_node_rows(G2[:, n:n + m], rdgc, d)
+        X[:d, d:] = bnd.T
+        # the corner sums as one product of the row just written against
+        # the stack (see the module docstring for its thread bound)
+        head = p1[l] @ u[0] + (X[:d, d:] @ v) * dt
+        X[:d, :d] = _sym(head[:, :n] @ vp.Acal[l] - head[:, n:n + m] @ rdgc)
+        # the interior reached factor_rcal through G; only the border
         # column and the corner are new
         if not np.isfinite(X[:, :d]).all():
             raise NumericalError(f"two-time kernel non-finite at node {l}")
-        if ub is not None:
-            w_free = np.einsum("rab,rb->ra", p1[l:], ub)
-            pfree[l, l] = w_free[0] + np.einsum("rab,ra->b", bnd, ub[1:]) * dt
-            pfree[l + 1:, l] = w_free[1:] + applied[..., -1]
+        if free[l]:
+            pfree[l, l] = head[:, -1]
+            pfree[l + 1:, l] = G[..., -1]
 
-        pb_rows[l, :, (l + 1) * d:] = pb_col.transpose(2, 0, 1).reshape(m, -1)
-        pb_rows[l, :, l * d:(l + 1) * d] = pb_corner.T
+        pb_rows[l, :, (l + 1) * d:] = G2[:, n:n + m].T
+        pb_rows[l, :, l * d:(l + 1) * d] = head[:, n:n + m].T
+
+    # the weight's eigenvalue floor in one call: a node whose factorization
+    # succeeded may still hold an eigenvalue <= 0 at rounding level
+    floors = np.linalg.eigvalsh(rcal).min(axis=1)
+    if (floors <= 0.0).any():
+        l = int(np.nonzero(floors <= 0.0)[0][-1])
+        raise _lost_definiteness(l, floors[l:l + 1])
 
     return RiccatiSolution(
         n=n, m=m, dt=dt, p1=p1, frontier=_blocks(F, nn), g1_table=g1_table,
         rcal=rcal, rcal_inv=rcal_inv,
         pb=pb_rows.reshape(nn, m, nn, d).transpose(2, 0, 3, 1), pfree=pfree,
-        lambda_floor=float(lambda_floor), live=live_blocks(vp),
+        lambda_floor=float(floors.min()), live=live_blocks(vp),
     )
 
 

@@ -28,19 +28,25 @@ _CALL_MACS = 2 ** 17
 def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int) -> np.ndarray:
     """A @ B for A (R, K) with rows in node blocks of w, as BLAS calls over
     whole node blocks of at most _CALL_MACS multiply-adds each (one block
-    if B alone exceeds that).  A single product over a matrix of side
-    ~500 or more is split across threads, and its sums then change with
-    the thread count; these calls run on one."""
+    if B alone exceeds that).  Where one block against all of B would pass
+    the one-thread limit 2 _CALL_MACS, B's columns are split as well; a
+    split moves sums by an ulp, so it is made only there.  A single product
+    over a matrix of side ~500 or more is split across threads, and its
+    sums then change with the thread count; these calls run on one."""
     R, K = A.shape
     M, k = R // w, B.shape[1]
-    g = max(1, _CALL_MACS // (w * K * k))        # node blocks per call
+    kc = (k if w * K * k <= 2 * _CALL_MACS      # columns per call
+          else max(1, _CALL_MACS // (w * K)))
+    g = max(1, _CALL_MACS // (w * K * kc))       # node blocks per call
     full = M - M % g
     out = np.empty((R, k))
-    if full:
-        np.matmul(A[:full * w].reshape(full // g, g * w, K), B,
-                  out=out[:full * w].reshape(full // g, g * w, k))
-    if full < M:
-        np.matmul(A[full * w:], B, out=out[full * w:])
+    for c in range(0, k, kc):
+        Bc, cols = B[:, c:c + kc], slice(c, c + kc)
+        if full:
+            np.matmul(A[:full * w].reshape(full // g, g * w, K), Bc,
+                      out=out[:full * w, cols].reshape(full // g, g * w, -1))
+        if full < M:
+            np.matmul(A[full * w:], Bc, out=out[full * w:, cols])
     return out
 
 
@@ -69,8 +75,9 @@ class VolterraProblem:
     selector U(t, s) = (I; 1{t-s>delay} I; E(t, s)) times a row,
     A = U Acal, C = U Ccal, D = U D1 (btilde and sigtilde likewise from b
     and sigma).  The selector is not stored: ``selector`` builds one column
-    of it from ``E`` and the delay, the solver reads A one column at a
-    time (``a_column``) and ``lifted_kernel`` rebuilds a whole table.
+    of it from ``E`` and the delay, ``lifted_kernel`` rebuilds a whole
+    table, and the sweeps write each column into the template of
+    ``selector_stack`` and apply Acal to sums over it.
     """
 
     grid: TimeGrid
@@ -97,9 +104,17 @@ class VolterraProblem:
         col[:, 2 * n:] = self.E[l:, l]
         return col
 
-    def a_column(self, l: int, sel: np.ndarray) -> np.ndarray:
-        """State kernel column U(., t_l) Acal(t_l) from sel = selector(l)."""
-        return np.einsum("rab,bc->rac", sel, self.Acal[l])
+    def selector_stack(self, width: int) -> np.ndarray:
+        """Zeros (N+1, 3n, width) whose first n columns hold the selector
+        at offset j = r - l from its base node, less the memory block:
+        (I; 1{j > delay} I; 0), the same for every l.  A sweep writes
+        E(., t_l) into rows 2n: of those columns to get U(., t_l) and
+        stacks further columns beside it."""
+        n = self.n
+        out = np.zeros((self.grid.N + 1, 3 * n, width))
+        out[:, :n, :n] = np.eye(n)
+        out[self.grid.delay_steps + 1:, n:2 * n, :n] = np.eye(n)
+        return out
 
 
 def lifted_kernel(vp: VolterraProblem, row: np.ndarray) -> np.ndarray:

@@ -21,6 +21,9 @@ lifting stored before it built one selector column at a time;
 ``dense_lifted_kernel`` and ``dense_k1`` are the kernel tables and the
 current-state gain summed against it.  ``memory_control_kernel`` is the
 B3 part of the control kernel, built one column at a time.
+``a_column`` is the column of the state kernel that the sweep formed at
+each node, and ``write_pair_table_rows`` is the CLI's pair-table writer
+as it formatted one row at a time.
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -60,6 +63,11 @@ def advance_full_width(X, pb_next, rinv_next, dt, work, live=None):
     X *= 0.5
 
 
+def a_column(vp, l, sel):
+    """State kernel column U(., t_l) Acal(t_l) from sel = vp.selector(l)."""
+    return np.einsum("rab,bc->rac", sel, vp.Acal[l])
+
+
 def euler_sweep(vp) -> dict:
     """The tables of the sweep that advanced every slice: p1, the
     frontier (lower triangle, zero above), pb, pfree, g1_table and
@@ -94,7 +102,7 @@ def euler_sweep(vp) -> dict:
         if l == N:
             p1[N] = _sym(vp.Q[N])
             factor_rcal(N, vp.R[N])
-            X[:] = _sym(p1[N] @ vp.a_column(N, sel)[0])
+            X[:] = _sym(p1[N] @ a_column(vp, N, sel)[0])
             frontier[N, N] = X
             pb[N, N] = p1[N] @ vp.B[N, N]
             free_term(N, X, sel)
@@ -122,7 +130,7 @@ def euler_sweep(vp) -> dict:
         bnd = pa_col - np.einsum("sam,mq,qc->sac", pb_col, rcal_inv[l], dgc)
         _border(X, bnd)
         row0 = np.ascontiguousarray(bnd.transpose(0, 2, 1))
-        acol = vp.a_column(l, sel)
+        acol = a_column(vp, l, sel)
         pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
         pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
         X[:d, :d] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
@@ -446,3 +454,14 @@ def memory_control_kernel(problem, E) -> np.ndarray:
         out[j + 1:, j, 2 * n:] += np.einsum(
             "itab,tbm->iam", E[j + 1:, j + 1:], W) * dt
     return out
+
+
+def write_pair_table_rows(path, table) -> None:
+    """The pair-table writer as it formatted one row at a time: rows
+    "i,j,<floats at 17 digits>" for j < i."""
+    rows = table.reshape(table.shape[:2] + (-1,))
+    fmt = "%d,%d," + ",".join(["%.17g"] * rows.shape[2]) + "\n"
+    with open(path, "w") as fh:
+        for i in range(rows.shape[0]):
+            fh.writelines(fmt % (i, j, *row)
+                          for j, row in enumerate(rows[i, :i].tolist()))

@@ -5,12 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import delaylq as dl
-from delaylq.cli import main
+from delaylq.cli import _leads, _write_pair_table, main
+from loop_oracles import write_pair_table_rows
+from test_multidim import planar_problem
 
 
 def run(args):
@@ -115,6 +121,59 @@ class TestSolve:
         assert run(["solve", "--preset", preset, "--n-steps", "16",
                     "--out", out, "--dump-kernels"]) == 0
         for name, want in zip("ABCD", KERNEL16_SHA256[preset]):
+            data = (out / f"kernel_{name}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == want, name
+
+
+# sha256 of kernel_{A,B,C,D}.csv from `solve --dump-kernels` on the planar
+# n = m = 2 problem at N = 8, pinned from the writer that formatted one row
+# at a time
+PLANAR8_KERNEL_SHA256 = (
+    "d89845ce03284b36b28458ea695cd60ecfa6f49484f4c1e5920dbccfdc6204d7",
+    "202db9d0b4718e4c7deb115af72cd94bf310103d426517aab8f3d8dd10dbd7ab",
+    "cfd1d42dfd4cf3a6e47aee4b5fbb8cccf1f6c6a019e42954191a0f92ef07b0b9",
+    "3cd4e14abb5a5ca3783735531ed2346f346506d24378b71a9832b25218e8af2f")
+
+#: finite doubles the %.17g format must carry through: signed zeros,
+#: subnormals, the smallest normal and the largest magnitudes
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.5e-320, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+class TestPairTables:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 17)).flatmap(
+        lambda N: st.sampled_from((1, 2, 4)).flatmap(
+            lambda w: arrays(np.float64, (N + 1, N + 1, w), elements=st.one_of(
+                st.sampled_from(EDGE_FLOATS),
+                st.floats(allow_nan=False, allow_infinity=False))))))
+    def test_writer_matches_the_row_by_row_reference(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = (os.path.join(tmp, name) for name in ("new", "ref"))
+            _write_pair_table(got, table, _leads(table.shape[0]))
+            write_pair_table_rows(want, table)
+            with open(got, "rb") as fa, open(want, "rb") as fb:
+                assert fa.read() == fb.read()
+
+    def test_feedback_tables_match_the_reference_writer(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["solve", "--preset", "full", "--n-steps", "24",
+                    "--out", out]) == 0
+        vp = dl.build_volterra(dl.preset_problem("full", 24))
+        P = dl.solve_riccati(vp)
+        s = dl.synthesize_feedback(P, dl.solve_adjoint(P, vp), vp)
+        for name, table in (("feedback_k2.csv", s.k2),
+                            ("feedback_k4.csv", s.k4)):
+            write_pair_table_rows(tmp_path / name, table)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_planar_kernel_dump_is_pinned(self, tmp_path):
+        path = tmp_path / "planar.json"
+        dl.save_problem(planar_problem(8, m=2), path)
+        out = tmp_path / "run"
+        assert run(["solve", "--problem", path, "--dump-kernels",
+                    "--out", out]) == 0
+        for name, want in zip("ABCD", PLANAR8_KERNEL_SHA256):
             data = (out / f"kernel_{name}.csv").read_bytes()
             assert hashlib.sha256(data).hexdigest() == want, name
 
@@ -265,9 +324,10 @@ class TestReproducibility:
         assert outs[0] == outs[1]
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # the sweep's sums against the frontier and the lifting's products
-        # are BLAS calls, which may split work across threads; the outputs
-        # must not change with that, at the benchmark's N = 240 too
+        # the sweep's sums against the frontier, the lifting's products and
+        # the synthesis's are BLAS calls, which may split work across
+        # threads; the outputs must not change with that, at the
+        # benchmark's N = 240 and at N = 480 too
         feedback = tuple(f"feedback_{g}.csv" for g in
                          ("k1", "k2", "k3", "k4", "v"))
         runs = (
@@ -275,6 +335,8 @@ class TestReproducibility:
              ("riccati_p2.csv", "riccati_p1.csv", "feedback_v.csv")),
             (("--n-steps", "240"),
              feedback + ("riccati_p1.csv", "summary.json")),
+            # the synthesis's history products span every node pair
+            (("--n-steps", "480"), ("feedback_k2.csv", "feedback_k4.csv")),
         )
         src = os.path.dirname(os.path.dirname(dl.__file__))
         for flags, tables in runs:

@@ -69,6 +69,18 @@ class TestFixedPointsAndSymmetry:
         with pytest.raises(dl.NumericalError, match="node 16"):
             dl.solve_riccati(vp)
 
+    def test_singular_weight_with_a_cholesky_factor_aborts_at_its_node(self):
+        # this weight factors, but its smallest eigenvalue comes out 0.0:
+        # the floor taken over every node after the sweep names the node
+        vp = dl.build_volterra(planar_problem(16, m=2, diffusive=False))
+        vp.R[5] = [[0.1153417500028081, 0.14392123035159224],
+                   [0.14392123035159224, 0.17958215949915615]]
+        np.linalg.cholesky(vp.R[5])
+        with pytest.raises(dl.NumericalError, match=(
+                r"lost positive definiteness at node 5 \(min eigenvalue "
+                r"0.000000e\+00\)")):
+            dl.solve_riccati(vp)
+
     @pytest.mark.parametrize("name", ["full", "tanh"])
     def test_overflowing_kernel_aborts_at_its_node(self, name):
         vp = dl.build_volterra(dl.preset_problem(name, 16))
@@ -81,13 +93,17 @@ class TestFixedPointsAndSymmetry:
 #: sha256 of ``solve --dump-riccati --n-steps 16`` per preset, re-made when
 #: the sweep stopped advancing slices: against the solver that stored every
 #: slice, each moved by at most 2.4e-16 relative to its largest entry.
+#: distributed, full, pointwise and state-delay re-made again when the sweep
+#: formed g1 from one product against g2 and each corner sum from one
+#: product over the border row: moves of at most 1.3e-16 relative to the
+#: largest entry.
 DUMP16_SHA256 = {
     "tanh": "bed8ecd126b410eac25725d3fc042f962afec90ca37956e9c8a32e2862affc62",
     "input-delay": "8c0758e612275c015c783d708cf1af976f018276026fcbc7c0f304cc8a17f499",
-    "state-delay": "35c1da132d8f29acdb3bb42cb5b9b40cfc5b89fec1dd78fd0c0650b042a0c1c2",
-    "distributed": "d6bd47c3f77940287189e42b2ee2474682bf26350d5b98bc49fea4c2e9f8c13c",
-    "pointwise": "5e1d0679340385776c74d05281c3b3cd8f32d04141dfc9c462f74df9f30a32b7",
-    "full": "ae226a9048f7bfe5d9439529cc81e3caff07b717be718210d5dc4be1756fccb3",
+    "state-delay": "396c2640e75122b3b664c05d47435e84df1d78a17cf524e4a168811bff92e2ec",
+    "distributed": "d1c2ecda7b14b8427b46209695a00af766a0a4c493bab7c98646179dd2fc33ca",
+    "pointwise": "d61de06c6108e58ec1b76f01ea5d0a1cc83746194aecb53886fcbcecd3a92d92",
+    "full": "87ef7f4d726b6215287aa2a690b61e2682dd73fb518e290b3c8f5dff00fcf04d",
 }
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import delaylq as dl
 import loop_oracles
+from delaylq import volterra
 from delaylq.oracles import bcal, pi_matrix, script_e
 
 
@@ -98,8 +99,9 @@ class TestKernelStructure:
                                            vp.E[i, j] @ row1, atol=1e-15)
 
     def test_state_kernel_column_is_the_dense_table_column(self):
-        # the sweep and the adjoint read A one column at a time; the
-        # column must equal the dense table bit for bit, n = 2 included
+        # the sweep and the adjoint write the selector column into one
+        # template per solve; with Acal it must give the dense table's
+        # column bit for bit, n = 2 included
         grid = scalar_grid(12)
         planar = dl.empty_problem(grid, 2, 2)
         planar.A1[:] = [[-0.4, 0.2], [0.1, -0.5]]
@@ -113,9 +115,13 @@ class TestKernelStructure:
             vp = dl.build_volterra(p)
             A = loop_oracles.dense_lifted_kernel(
                 loop_oracles.dense_selector(vp), vp.Acal)
+            stack = vp.selector_stack(p.n + 1)
             for l in range(p.grid.N + 1):
+                col = stack[:p.grid.N + 1 - l, :, :p.n]
+                col[:, 2 * p.n:] = vp.E[l:, l]
+                np.testing.assert_array_equal(col, vp.selector(l))
                 np.testing.assert_array_equal(
-                    vp.a_column(l, vp.selector(l)), A[l:, l])
+                    np.einsum("rab,bc->rac", col, vp.Acal[l]), A[l:, l])
 
     def test_delay_indicator_boundary_is_strict(self):
         p = dl.preset_problem("full", 16)
@@ -160,6 +166,19 @@ class TestKernelStructure:
             assert np.abs(vp.B[i, i, n:, :]).max() == 0.0
             np.testing.assert_allclose(A[i, i, :n, :], vp.Acal[i], atol=1e-15)
             assert np.abs(A[i, i, n:, :]).max() == 0.0
+
+
+@pytest.mark.parametrize("macs", [2 ** 17, 420, 200, 64, 16])
+def test_node_row_products_cover_every_call_split(monkeypatch, macs):
+    # 5 node blocks of 3 rows against 7 columns (210 multiply-adds a
+    # block): the tail call alone, node blocks in pairs plus a tail, one
+    # block a call, and past twice the bound B's columns in chunks of 2
+    # (the last one short) and of 1
+    rng = np.random.default_rng(7)
+    A, B = rng.standard_normal((15, 10)), rng.standard_normal((10, 7))
+    monkeypatch.setattr(volterra, "_CALL_MACS", macs)
+    np.testing.assert_allclose(volterra._by_node_rows(A, B, 3), A @ B,
+                               rtol=1e-13, atol=1e-13)
 
 
 class TestLiftAndCost:
