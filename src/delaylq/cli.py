@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 validation failure (usage errors included),
 2 numerical failure, 3 I/O failure.  The run summary is a flat JSON
-document with sorted keys and floats printed to 17 significant digits,
-so identical configs and seeds produce byte-identical summaries.
+document with sorted keys and floats printed to 17 significant digits
+(null where a float is not finite, say the cost of a batch whose every
+path was flagged), so identical configs and seeds produce byte-identical
+summaries.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return f"{value:.17g}" if np.isfinite(value) else "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return '"' + str(value) + '"'
@@ -266,7 +268,10 @@ def _verify_stationarity(problem, strategy, args, summary) -> None:
     ders = stationarity_test(problem, strategy, dirs, batch)
     slack = 10.0 * g.dt
     n_pass = sum(der.passes(slack) for der in ders)
-    worst = max([0.0] + [abs(der.estimate) - 3.0 * der.stderr for der in ders])
+    # np.max, not max: a NaN estimate must show in the summary, not lose
+    # every comparison
+    worst = float(np.max([0.0] + [abs(der.estimate) - 3.0 * der.stderr
+                                  for der in ders]))
     summary["stationarity_pass_fraction"] = n_pass / n_dirs
     summary["stationarity_worst_excess"] = worst
 
@@ -363,7 +368,10 @@ def main(argv=None) -> int:
             for violation in violations:
                 print(f"validation: {violation}", file=sys.stderr)
             return EXIT_VALIDATION
-        return args.func(args)
+        # overflow and NaN end in a NumericalError's one line or show as
+        # null in the summary, not as a stream of numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     except ProblemValidationError as exc:

@@ -292,13 +292,24 @@ def problem_to_dict(problem: DelayLQProblem) -> dict:
     return doc
 
 
+def _whole(doc: dict, key: str) -> int:
+    """The header field ``key`` as an int; a JSON number that is not a
+    whole number is an error, not truncated."""
+    value = doc[key]
+    whole = (isinstance(value, int) and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer())
+    if not whole:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def problem_from_dict(doc: dict) -> DelayLQProblem:
-    N = int(doc["N"])
-    k = int(doc["delay_steps"])
+    N = _whole(doc, "N")
+    k = _whole(doc, "delay_steps")
     t0, T = float(doc["t0"]), float(doc["T"])
     dt = (T - t0) / N
     grid = TimeGrid(t0=t0, T=T, N=N, delay=k * dt)
-    n, m = int(doc["n"]), int(doc["m"])
+    n, m = _whole(doc, "n"), _whole(doc, "m")
     arrays = {
         name: (_kernel_from_triangular(name, doc[name], shape)
                if name in KERNELS else np.asarray(doc[name], dtype=float))

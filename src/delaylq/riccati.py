@@ -1,10 +1,11 @@
 """Backward-in-time solver for the lifted Riccati system.
 
 The sweep works in the star-product form, which only touches the
-regular lifted kernels.  The averaged-selector evaluators in
-``oracles`` (pi_matrix, g2/g3) reproduce the same quantities through the
-singular-looking regrouped form; with the shared quadrature conventions
-the two routes agree to roundoff, which the tests pin at 1e-10.
+regular lifted kernels.  The paper's averaged-selector evaluators
+(pi_matrix, g2/g3) reproduce the same quantities through the
+singular-looking regrouped form; they live beside the tests, and with
+the shared quadrature conventions the two routes agree to roundoff,
+which the tests pin at 1e-10.
 
 The two-time kernel is held as the frontier matrix F, one flat symmetric
 ((N+1) d)^2 buffer indexed by global node, d = 3n: entry [(i, a), (j, b)]
@@ -43,13 +44,15 @@ allocates nothing of a slice's size besides F.
 
 Whole slices come only from ``RiccatiSolution.replay``, which re-runs the
 explicit Euler recurrence from the terminal corner with F's borders.  It
-advances only the lifted blocks the data reads.  Block 1 (the current
-state) is always live; block 2 (the delayed state) is live iff A2, C2 or
-Q2 has a nonzero entry, block 3 (the memory integral) iff A3, C3 or Q3
-does.  A dead block's rows and columns of p1, p2, pb and pfree are exactly
-zero, so the replay's step and the residual's evolution check touch the
-live entries only: the live set is the slice 0:1, 0:2, 0::2 or 0:3 of the
-block axis, a strided view of the replay's flat buffer.
+advances only the live lifted blocks, which ``RiccatiSolution`` reads off
+its own tables: block 1 (the current state) always, block 2 (the delayed
+state) or 3 (the memory integral) iff its rows of the frontier or of the
+control products hold a nonzero entry.  A block with neither stays
+exactly zero under the Euler step; on the solver's output that is a
+block the data never reads (A2, C2 and Q2 zero for block 2; A3, C3 and Q3
+for block 3).  The replay's step and the residual's evolution check
+touch the live entries only: the live set is the slice 0:1, 0:2, 0::2 or
+0:3 of the block axis, a strided view of the replay's flat buffer.
 """
 
 from __future__ import annotations
@@ -74,23 +77,23 @@ class RiccatiSolution:
     so every entry is its frontier value minus a sum of those updates:
 
         p2(i, j, l) = p2(i, j, q) - dt sum_{r=l+1}^{q} pb(i, r) rcal_inv(r) pb(j, r)^T,
-        q = min(i, j),
+        q = min(i, j).
 
-    and ``p2`` evaluates that closed form.  ``frontier[i, j]`` holds
-    p2(i, j, min(i, j)): for i >= j the boundary column and the corner the
-    sweep wrote at node j, above the diagonal their transposes.  It is an
-    (N+1, N+1, d, d) view of the sweep's frontier matrix F, the flat
-    buffer with entry [(i, a), (j, b)] = frontier[i, j][a, b].  Readers that
-    need whole slices get them from ``replay``, which re-runs the explicit
-    Euler recurrence backwards from the terminal corner on the same flat
-    layout.
+    ``frontier[i, j]`` holds p2(i, j, min(i, j)): for i >= j the boundary
+    column and the corner the sweep wrote at node j, above the diagonal
+    their transposes.  It is an (N+1, N+1, d, d) view of the sweep's
+    frontier matrix F, the flat buffer with entry [(i, a), (j, b)] =
+    frontier[i, j][a, b].  Readers that need whole slices get them from
+    ``replay``, which re-runs the explicit Euler recurrence backwards from
+    the terminal corner on the same flat layout.
 
     ``pb[s, t]`` holds the control-kernel star product (P*B)(t_s, t_t)
     for s >= t (the diagonal carries the limiting corner value); it is a
     view of the sweep's [t, m, (s, a)] buffer.  ``pfree[r, s]`` holds the
     free-term star product p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q)
     with ub = U(., t_s) b(s), which drives the adjoint sweep.  Storage is
-    O(N^2 (3n)^2).
+    O(N^2 (3n)^2).  ``live``, the blocks the replay advances, is derived
+    from ``frontier`` and ``pb`` once per solution and cannot be set.
     """
 
     n: int
@@ -104,18 +107,12 @@ class RiccatiSolution:
     pb: np.ndarray              # (N+1, N+1, 3n, m)
     pfree: np.ndarray           # (N+1, N+1, 3n)
     lambda_floor: float
-    # lifted blocks the replay advances, see ``live_blocks``
-    live: slice = field(default_factory=lambda: ALL)
+    # lifted blocks the replay advances, read off the tables, see
+    # ``_live_blocks``
+    live: slice = field(init=False)
 
-    def p2(self, i: int, j: int, l: int) -> np.ndarray:
-        """Two-time kernel at (t_i, t_j, t_l); requires l <= min(i, j)."""
-        if l > min(i, j):
-            raise ValueError(f"p2 needs l <= min(i, j), got ({i},{j},{l})")
-        q = min(i, j)
-        base = self.frontier[i, j] if i >= j else self.frontier[j, i].T
-        rs = slice(l + 1, q + 1)
-        return base - self.dt * np.einsum(
-            "ram,rmk,rbk->ab", self.pb[i, rs], self.rcal_inv[rs], self.pb[j, rs])
+    def __post_init__(self):
+        object.__setattr__(self, "live", _live_blocks(self.frontier, self.pb))
 
     def replay(self):
         """Yield (l, slice_l) for l = N, N-1, ..., 0.
@@ -130,33 +127,27 @@ class RiccatiSolution:
         for l, X in _replay(self):
             yield l, _blocks(X, self.N + 1 - l)
 
-    def p2_slice(self, l: int) -> np.ndarray:
-        """The whole slice at node l, replayed from the terminal node."""
-        for node, sl in self.replay():
-            if node == l:
-                return sl
-        raise ValueError(f"p2_slice needs 0 <= l <= N, got l={l}")
-
     @property
     def N(self) -> int:
         return self.p1.shape[0] - 1
 
 
-def live_blocks(vp: VolterraProblem) -> slice:
-    """The lifted blocks the data reads, as a slice of the block axis.
+def _live_blocks(frontier: np.ndarray, pb: np.ndarray) -> slice:
+    """The lifted blocks the replay advances, as a slice of the block axis.
 
-    Block 1 is always live; block 2 iff its columns of Acal or Ccal or its
-    rows of Q hold a nonzero entry (A2, C2, Q2), block 3 likewise (A3, C3,
-    Q3).  The result is one of 0:1, 0:2, 0::2 and 0:3.
+    Block 1 (the current state) always; block 2 or 3 iff its rows of the
+    frontier or of the control products hold a nonzero entry.  Every
+    slice is the frontier less products of the control rows, so a block
+    with neither stays exactly zero under the Euler step, and skipping it
+    is exact.  The result is one of 0:1, 0:2, 0::2 and 0:3.
     """
-    n = vp.n
+    n = frontier.shape[-1] // 3
 
-    def reads(b: int) -> bool:
-        cols = slice(b * n, (b + 1) * n)
-        return bool(vp.Acal[..., cols].any() or vp.Ccal[..., cols].any()
-                    or vp.Q[:, cols].any())
+    def holds(b: int) -> bool:
+        rows = slice(b * n, (b + 1) * n)
+        return bool(frontier[:, :, rows].any() or pb[:, :, rows].any())
 
-    delay, memory = reads(1), reads(2)
+    delay, memory = holds(1), holds(2)
     if memory and not delay:
         return slice(0, 3, 2)
     return slice(0, 1 + delay + memory)
@@ -314,6 +305,8 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
             factor_rcal(N, vp.R[N])
             head = p1[N] @ u[0]
             X[:] = _sym(head[:, :n] @ vp.Acal[N])
+            if not np.isfinite(X).all():
+                raise NumericalError(f"two-time kernel non-finite at node {N}")
             pb_rows[N, :, N * d:] = head[:, n:n + m].T
             if free[N]:
                 pfree[N, N] = head[:, -1]
@@ -370,7 +363,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         n=n, m=m, dt=dt, p1=p1, frontier=_blocks(F, nn), g1_table=g1_table,
         rcal=rcal, rcal_inv=rcal_inv,
         pb=pb_rows.reshape(nn, m, nn, d).transpose(2, 0, 3, 1), pfree=pfree,
-        lambda_floor=float(floors.min()), live=live_blocks(vp),
+        lambda_floor=float(floors.min()),
     )
 
 

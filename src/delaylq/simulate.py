@@ -241,7 +241,7 @@ def stationarity_test(problem: DelayLQProblem, strategy: FeedbackStrategy,
         good = ~(base.flagged | up.flagged | dn.flagged)
         diffs = (up.cost_samples[good] - dn.cost_samples[good]) / (2.0 * eps)
         n_good = int(good.sum())
-        est = float(diffs.mean())
+        est = float(diffs.mean()) if n_good else float("nan")
         stderr = float(diffs.std(ddof=1) / np.sqrt(n_good)) if n_good > 1 else 0.0
         out.append(DerivativeEstimate(estimate=est, stderr=stderr,
                                       eps=float(eps), n_paths=n_good))

@@ -192,23 +192,14 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
         np.add(blk, EW, out=blk, where=later[:, :, None, None])
     B[idx_j > idx_i] = 0.0
 
-    # free term: initial trajectories pushed through the lifting
+    # free term: the lifted state of the initial trajectory, x0 plus the
+    # running integral of B2 varsigma over the initial window
     x0 = problem.xi[k]
     bw = np.einsum("jam,jm->ja", problem.B2[: min(k, nn)],
                    problem.varsigma[: min(k, nn)]) * dt
     cum_bw = np.concatenate([np.zeros((1, n)), np.cumsum(bw, axis=0)])
-    phi = np.zeros((nn, 3 * n))
-    for i in range(nn):
-        comp1 = x0 + cum_bw[min(i, k, len(cum_bw) - 1)]
-        if i <= k:
-            comp2 = problem.xi[i]
-        else:
-            comp2 = x0 + cum_bw[min(k, i - k, len(cum_bw) - 1)]
-        inner = x0[None, :] + cum_bw[np.minimum(np.arange(i), k)]
-        comp3 = np.einsum("jab,jb->a", problem.F[i, :i], inner) * dt
-        phi[i, :n] = comp1
-        phi[i, n:2 * n] = comp2
-        phi[i, 2 * n:] = comp3
+    phi = lift_state(x0 + cum_bw[np.minimum(np.arange(nn), len(cum_bw) - 1)],
+                     problem)
 
     Q = np.zeros((nn, 3 * n, 3 * n))
     Q[:, :n, :n] = problem.Q1

@@ -16,8 +16,10 @@ explicit Euler step per node and formed its products against the slice.
 ``advance_full_width`` is the replay's step as it ran before it skipped
 the dead lifted blocks; swapped in for ``delaylq.riccati._advance`` it
 pins the skip bit for bit, and ``evolution_profile_full_width`` does the
-same for the residual's evolution check.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the
-lifting stored before it built one selector column at a time;
+same for the residual's evolution check.  ``live_blocks`` is the rule on
+the data that the live set ``RiccatiSolution`` reads off its tables must
+follow.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the lifting
+stored before it built one selector column at a time;
 ``dense_lifted_kernel`` and ``dense_k1`` are the kernel tables and the
 current-state gain summed against it.  ``memory_control_kernel`` is the
 B3 part of the control kernel, built one column at a time.
@@ -35,14 +37,14 @@ original S2 lost its swap symmetry.  Both forms here use B3 Ftilde.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from delaylq import riccati
 from delaylq.adjoint import causal_gains
 from delaylq.oracles import CASES, CaseIResiduals
-from delaylq.riccati import ALL, _apply, _border, _sym, live_blocks
+from delaylq.riccati import _apply, _border, _sym
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,27 @@ class LoopCaseIExtraction:
     S1: np.ndarray
     S2: np.ndarray
     p1script: object    # callable (l, a, b) -> n x n window sum
+
+
+def live_blocks(vp) -> slice:
+    """The lifted blocks the data reads, as a slice of the block axis: the
+    live set ``RiccatiSolution`` should read off the solver's tables.
+
+    Block 1 is always live; block 2 iff its columns of Acal or Ccal or its
+    rows of Q hold a nonzero entry (A2, C2, Q2), block 3 likewise (A3, C3,
+    Q3).  The result is one of 0:1, 0:2, 0::2 and 0:3.
+    """
+    n = vp.n
+
+    def reads(b: int) -> bool:
+        cols = slice(b * n, (b + 1) * n)
+        return bool(vp.Acal[..., cols].any() or vp.Ccal[..., cols].any()
+                    or vp.Q[:, cols].any())
+
+    delay, memory = reads(1), reads(2)
+    if memory and not delay:
+        return slice(0, 3, 2)
+    return slice(0, 1 + delay + memory)
 
 
 def advance_full_width(X, pb_next, rinv_next, dt, work, live=None):
@@ -144,11 +167,12 @@ def euler_sweep(vp) -> dict:
 
 def evolution_profile_full_width(P, vp) -> np.ndarray:
     """The evolution line of ``riccati_residual`` over every entry of each
-    slice, the smooth pairs picked by boolean row and column selection."""
+    slice, the smooth pairs picked by boolean row and column selection.
+    With ``advance_full_width`` swapped in for ``delaylq.riccati._advance``
+    the replay it reads advances every entry too."""
     N, dt, k, d = P.N, P.dt, vp.grid.delay_steps, 3 * P.n
     prof, prev = np.zeros(N), None
-    # every block live: the replay advances every entry
-    for l, sl in replace(P, live=ALL).replay():
+    for l, sl in P.replay():
         # a copy: the replay updates its buffer in place
         X = sl.transpose(0, 2, 1, 3).reshape((N + 1 - l) * d, -1).copy()
         if prev is not None and not (l == N - k - 1

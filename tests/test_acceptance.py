@@ -11,6 +11,7 @@ import numpy as np
 import delaylq as dl
 from delaylq import oracles
 from delaylq.cli import main as cli_main
+from evaluators import casei_control, caseii_control, p2_slice
 
 TANH1 = float(np.tanh(1.0))
 
@@ -31,7 +32,7 @@ def _solve(problem):
 def _embedded_value_kernel_at_start(P, vp):
     dt = vp.grid.dt
     return (P.p1[1:, 0, 0].sum() * dt
-            + P.p2_slice(0)[1:, 1:, 0, 0].sum() * dt * dt)
+            + p2_slice(P, 0)[1:, 1:, 0, 0].sum() * dt * dt)
 
 
 class TestCriterion1DelayFreeConsistency:
@@ -164,7 +165,7 @@ class TestCriterion6CaseReductions:
             batch = dl.gen_brownian(p.grid, 4, seed=11)
             sim = dl.simulate_closed_loop(p, strat, batch)
             worst = max(
-                np.abs(oracles.casei_control(ext, p, sim.x, sim.u, l)
+                np.abs(casei_control(ext, p, sim.x, sim.u, l)
                        - sim.u[:, l]).max()
                 for l in range(p.grid.N))
             match_i[p.grid.N] = worst
@@ -178,7 +179,7 @@ class TestCriterion6CaseReductions:
             batch = dl.gen_brownian(p.grid, 4, seed=11)
             sim = dl.simulate_closed_loop(p, strat, batch)
             worst = max(
-                np.abs(oracles.caseii_control(ext, p, sim.x, sim.u, l)
+                np.abs(caseii_control(ext, p, sim.x, sim.u, l)
                        - sim.u[:, l]).max()
                 for l in range(p.grid.N))
             match_ii[N] = worst

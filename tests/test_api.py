@@ -25,8 +25,9 @@ PUBLIC_NAMES = [
 
 
 def test_all_is_pinned_to_the_public_names():
-    # verification helpers (star products, regrouped evaluators, pointwise
-    # reference forms) live in delaylq.oracles and are not re-exported
+    # the oracles `verify` runs live in delaylq.oracles and are not
+    # re-exported; the test-only evaluators (star products, regrouped
+    # evaluators, pointwise reference forms) live in tests/evaluators.py
     assert sorted(dl.__all__) == sorted(PUBLIC_NAMES)
     assert len(set(dl.__all__)) == len(dl.__all__)
     for name in dl.__all__:
@@ -65,6 +66,53 @@ def test_no_package_module_imports_from_tests():
                 continue
             for module in modules:
                 assert module.split(".")[0] not in test_modules, (name, module)
+
+
+def _package_references():
+    """Each module-level definition of the package (function, class or
+    assigned name), keyed by (module, name), with the identifiers its
+    code refers to: names and attribute names.  Docstrings are string
+    constants, so a name mentioned only there refers to nothing."""
+    package_dir = os.path.dirname(dl.__file__)
+    refs = {}
+    for fname in sorted(os.listdir(package_dir)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign):
+                names = [stmt.target.id]
+            else:
+                continue
+            used = {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(stmt)
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+            for name in names:
+                refs[(fname[:-3], name)] = (stmt, used)
+    return refs
+
+
+def test_every_package_function_is_reachable_from_the_api_or_the_cli():
+    # code that only the tests call belongs beside them; a name reached
+    # through any definition of that name counts, so this over-approximates
+    refs = _package_references()
+    uses = {}
+    for (_, name), (_, used) in refs.items():
+        uses.setdefault(name, set()).update(used)
+    seen, todo = set(), set(dl.__all__) | {"main"}
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        todo |= uses.get(name, set()) - seen
+    unreachable = sorted(
+        f"{module}.{name}" for (module, name), (stmt, _) in refs.items()
+        if isinstance(stmt, ast.FunctionDef) and name not in seen)
+    assert unreachable == []
 
 
 # Each CLI command runs in a fresh process and pays for every module the

@@ -36,6 +36,16 @@ def run_interpreter(argv, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
 
 
+def unstable_problem_file(tmp_path):
+    """tanh at N = 40 with B1 = 0 and A1 = 40: every path is flagged."""
+    p = dl.preset_problem("tanh", 40)
+    p.B1[:] = 0.0
+    p.A1[:] = 40.0
+    path = tmp_path / "unstable.json"
+    dl.save_problem(p, path)
+    return path
+
+
 # sha256 of kernel_{A,B,C,D}.csv from `solve --dump-kernels --n-steps 16`,
 # pinned from the solver that still stored the dense lifted tables; B of
 # distributed and full re-made when the lifting summed its memory channel
@@ -103,6 +113,45 @@ class TestSolve:
         assert run(["solve", "--problem", bad, "--out", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert "line" in err
+
+    @pytest.mark.parametrize("field", ["N", "delay_steps", "n", "m"])
+    def test_fractional_header_field_exits_one_on_one_line(self, field,
+                                                           tmp_path):
+        # "N": 8.7 must not run as N = 8
+        doc = dl.problem_to_dict(dl.preset_problem("tanh", 8))
+        doc[field] += 0.7
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps(doc))
+        proc = run_interpreter(["solve", "--problem", str(path)], tmp_path)
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("failed to parse problem JSON: ")
+        assert field in lines[0]
+
+    def test_whole_float_header_fields_are_accepted(self, tmp_path):
+        doc = dl.problem_to_dict(dl.preset_problem("tanh", 8))
+        runs = {}
+        for kind, cast in (("int", int), ("float", float)):
+            doc.update({f: cast(doc[f]) for f in ("N", "delay_steps", "n", "m")})
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / kind
+            assert run(["solve", "--problem", path, "--out", out]) == 0
+            runs[kind] = (out / "summary.json").read_bytes()
+        assert runs["int"] == runs["float"]
+
+    def test_overflow_is_reported_on_one_line(self, tmp_path):
+        # Q1 = 1e308 overflows the terminal corner: one diagnostic naming
+        # its node, no numpy warnings before it
+        p = dl.preset_problem("tanh", 8)
+        p.Q1[:] = 1e308
+        path = tmp_path / "huge.json"
+        dl.save_problem(p, path)
+        proc = run_interpreter(["solve", "--problem", str(path)], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "numerical failure: two-time kernel non-finite at node 8"]
 
     def test_missing_file_is_io_failure(self, tmp_path):
         assert run(["solve", "--problem", tmp_path / "nope.json",
@@ -191,7 +240,28 @@ class TestSimulate:
         assert x.shape[0] == 25
 
 
+    def test_all_flagged_batch_writes_null_costs(self, tmp_path):
+        # every path blows up, so the cost estimates are NaN: the summary
+        # writes them as null and stays JSON
+        path = unstable_problem_file(tmp_path)
+        out = tmp_path / "run"
+        assert run(["simulate", "--problem", path, "--n-paths", "8",
+                    "--out", out]) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["cost_mean"] is None and doc["cost_stderr"] is None
+        assert doc["flagged_paths"] == doc["n_paths"] == 8
+
+
 class TestVerify:
+    def test_stationarity_on_an_all_flagged_batch_is_null(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["verify", "--problem", unstable_problem_file(tmp_path),
+                    "--verify", "stationarity", "--n-paths", "8",
+                    "--out", out]) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["stationarity_worst_excess"] is None
+        assert doc["stationarity_pass_fraction"] == 0.0
+
     def test_residuals_on_zero_weight_problem_are_zero(self, tmp_path):
         p = dl.empty_problem(dl.TimeGrid(0.0, 1.0, 12, 0.25), 1, 1)
         p.R1[:] = 1.0

@@ -6,7 +6,7 @@ import pytest
 import delaylq as dl
 from delaylq import oracles
 from delaylq.adjoint import causal_gains
-from delaylq.oracles import bcal, g3
+from evaluators import bcal, g3
 
 
 def with_free_terms(name, N, b=0.3, sigma=0.4):

@@ -5,6 +5,7 @@ import pytest
 
 import delaylq as dl
 from delaylq import oracles
+from evaluators import casei_control, caseii_control
 
 
 def solve(problem):
@@ -125,7 +126,7 @@ class TestCaseII:
             ext = oracles.caseii_extract(P, vp)
             worst = 0.0
             for l in range(p.grid.N):
-                u_spec = oracles.caseii_control(ext, p, sim.x, sim.u, l)
+                u_spec = caseii_control(ext, p, sim.x, sim.u, l)
                 worst = max(worst, np.abs(u_spec - sim.u[:, l]).max())
             errs[N] = worst
         assert errs[40] < 5.0 / 40
@@ -214,7 +215,7 @@ class TestCaseI:
             ext = oracles.casei_extract(P, vp)
             worst = 0.0
             for l in range(p.grid.N):
-                u_spec = oracles.casei_control(ext, p, sim.x, sim.u, l)
+                u_spec = casei_control(ext, p, sim.x, sim.u, l)
                 worst = max(worst, np.abs(u_spec - sim.u[:, l]).max())
             errs[N] = worst
         assert errs[40] < 5.0 / 40

@@ -11,10 +11,11 @@ import pytest
 import delaylq as dl
 from delaylq import riccati
 from delaylq.cli import main as cli_main
-from delaylq.oracles import (bcal, g2, g3, star_left, star_right,
-                             star_sandwich)
-from delaylq.riccati import ALL, RiccatiSolution, live_blocks
-from loop_oracles import advance_full_width, evolution_profile_full_width
+from delaylq.riccati import RiccatiSolution
+from evaluators import (bcal, g2, g3, p2, p2_slice, star_left, star_right,
+                        star_sandwich)
+from loop_oracles import (advance_full_width, evolution_profile_full_width,
+                          live_blocks)
 from test_multidim import planar_problem, planar_state_delay_problem
 
 
@@ -83,11 +84,15 @@ class TestFixedPointsAndSymmetry:
 
     @pytest.mark.parametrize("name", ["full", "tanh"])
     def test_overflowing_kernel_aborts_at_its_node(self, name):
-        vp = dl.build_volterra(dl.preset_problem(name, 16))
-        vp.Acal[9] = 1e308  # bypass validation: the border overflows at 9
-        with np.errstate(all="ignore"), pytest.raises(
-                dl.NumericalError, match="two-time kernel non-finite at node 9"):
-            dl.solve_riccati(vp)
+        # bypass validation: the border overflows at 9, the terminal
+        # corner at 16
+        for table, node in (("Acal", 9), ("Acal", 16), ("Q", 16)):
+            vp = dl.build_volterra(dl.preset_problem(name, 16))
+            getattr(vp, table)[node] = 1e308
+            with np.errstate(all="ignore"), pytest.raises(
+                    dl.NumericalError,
+                    match=f"two-time kernel non-finite at node {node}$"):
+                dl.solve_riccati(vp)
 
 
 #: sha256 of ``solve --dump-riccati --n-steps 16`` per preset, re-made when
@@ -126,7 +131,7 @@ class TestFactoredKernel:
                 for i in range(l, P.N + 1):
                     for j in range(l, P.N + 1):
                         worst = max(worst, float(np.abs(
-                            P.p2(i, j, l) - sl[i - l, j - l]).max()))
+                            p2(P, i, j, l) - sl[i - l, j - l]).max()))
             assert worst <= 1e-12, (name, worst)
 
     def test_replay_reproduces_stored_tables_exactly(self, solve_preset):
@@ -144,7 +149,7 @@ class TestFactoredKernel:
             ub = np.einsum("rab,b->ra", vp.selector(sn), b[sn])
             for r in range(sn, N + 1):
                 want = P.p1[r] @ ub[r - sn] + sum(
-                    (P.p2(r, q, sn) @ ub[q - sn] for q in range(sn + 1, N + 1)),
+                    (p2(P, r, q, sn) @ ub[q - sn] for q in range(sn + 1, N + 1)),
                     np.zeros(3 * P.n)) * dt
                 np.testing.assert_allclose(P.pfree[r, sn], want,
                                            rtol=0, atol=1e-12)
@@ -182,7 +187,7 @@ class TestFactoredKernel:
         cases.append((vp, dl.solve_riccati(vp)))
         for vp, P in cases:
             N, dt, phi = P.N, P.dt, vp.phi[:P.N]
-            s0 = P.p2_slice(0)[:N, :N]
+            s0 = p2_slice(P, 0)[:N, :N]
             want = (np.einsum("ja,jab,jb->", phi, P.p1[:N], phi) * dt
                     + np.einsum("ia,ijab,jb->", phi, s0, phi) * dt * dt)
             assert abs(dl.value_function(P, vp) - want) <= 1e-12
@@ -190,9 +195,9 @@ class TestFactoredKernel:
     def test_domain_errors(self, solve_preset):
         P = solve_preset("tanh", 16).P
         with pytest.raises(ValueError):
-            P.p2(3, 5, 4)
+            p2(P, 3, 5, 4)
         with pytest.raises(ValueError):
-            P.p2_slice(17)
+            p2_slice(P, 17)
 
     @pytest.mark.parametrize("name", sorted(DUMP16_SHA256))
     def test_dump_riccati_output_is_pinned(self, name, tmp_path):
@@ -215,13 +220,31 @@ DEAD_BLOCKS = {"tanh": (1, 2), "input-delay": (1, 2), "state-delay": (2,),
 
 class TestLiveBlocks:
     def test_live_set_follows_the_data(self, solve_preset):
-        cases = [(name, solve_preset(name, 16).vp) for name in DEAD_BLOCKS]
-        cases.append(("planar-state-delay",
-                      dl.build_volterra(planar_state_delay_problem(16))))
-        for name, vp in cases:
+        solved = {name: solve_preset(name, 16) for name in DEAD_BLOCKS}
+        cases = [(name, s.vp, s.P) for name, s in solved.items()]
+        vp = dl.build_volterra(planar_state_delay_problem(16))
+        cases.append(("planar-state-delay", vp, dl.solve_riccati(vp)))
+        for name, vp, P in cases:
             dead = DEAD_BLOCKS.get(name, (2,))
             assert list(range(3)[live_blocks(vp)]) == [
                 b for b in range(3) if b not in dead], name
+            assert P.live == live_blocks(vp), name
+
+    def test_live_set_is_read_off_the_tables(self, solve_preset):
+        P = solve_preset("state-delay", 16).P
+        with pytest.raises(ValueError, match="live"):
+            dataclasses.replace(P, live=slice(0, 1))
+        assert dataclasses.replace(P).live == P.live == slice(0, 2)
+        # a hand-built solution: a block is live iff its rows of the
+        # frontier or of the control products hold a nonzero entry
+        _, Z = zero_weight_solution(8)
+        assert Z.live == slice(0, 1)
+        for table, label in ((Z.frontier, "frontier"), (Z.pb, "pb")):
+            for b, want in ((1, slice(0, 2)), (2, slice(0, 3, 2))):
+                hot = table.copy()
+                hot[5, 3, b] = 1e-300      # n = 1: row b is block b
+                assert dataclasses.replace(Z, **{label: hot}).live == want, (
+                    label, b)
 
     def test_dead_blocks_are_exactly_zero(self, solve_preset):
         cases = [(name, solve_preset(name, 24).P, dead)
@@ -245,7 +268,7 @@ class TestLiveBlocks:
         replay and check, then of the replay and the evolution check run
         over every entry."""
         def tables(P, res):
-            return {"slice0": P.p2_slice(0).copy(),
+            return {"slice0": p2_slice(P, 0).copy(),
                     **{f: getattr(res, f) for f in (
                         "pointwise_profile", "evolution_profile",
                         "boundary_profile")}}
@@ -253,7 +276,6 @@ class TestLiveBlocks:
         live = tables(P, dl.riccati_residual(P, vp))
         with monkeypatch.context() as mp:
             mp.setattr(riccati, "_advance", advance_full_width)
-            P = dataclasses.replace(P, live=ALL)
             res = dataclasses.replace(
                 dl.riccati_residual(P, vp),
                 evolution_profile=evolution_profile_full_width(P, vp))
@@ -293,6 +315,7 @@ class TestLiveBlocks:
             vp = dl.build_volterra(p)
             assert live_blocks(vp) == (slice(0, 2) if eps else slice(0, 1))
             P = dl.solve_riccati(vp)
+            assert P.live == live_blocks(vp)
             live, full = self._live_and_full_width(P, vp, monkeypatch)
             for f in live:
                 np.testing.assert_array_equal(live[f], full[f],
@@ -317,7 +340,7 @@ class TestClosedFormAnchor:
             P = dl.solve_riccati(vp)
             dt = p.grid.dt
             emb = (P.p1[1:, 0, 0].sum() * dt
-                   + P.p2_slice(0)[1:, 1:, 0, 0].sum() * dt * dt)
+                   + p2_slice(P, 0)[1:, 1:, 0, 0].sum() * dt * dt)
             errs[N] = abs(emb - np.tanh(1.0))
         assert errs[40] < 0.02
         ratio = errs[40] / errs[80]
@@ -420,7 +443,7 @@ class TestEvaluators:
         dt = s.problem.grid.dt
         for l in (0, 10, 30):
             emb = (s.P.p1[l + 1:, 0, 0].sum() * dt
-                   + s.P.p2_slice(l)[1:, 1:, 0, 0].sum() * dt * dt)
+                   + p2_slice(s.P, l)[1:, 1:, 0, 0].sum() * dt * dt)
             assert s.P.g1_table[l, 0, 0] == pytest.approx(emb, abs=1e-13)
 
     def test_g3_regrouping_matches_star_product(self, solve_preset):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import delaylq as dl
 import loop_oracles
 from delaylq import volterra
-from delaylq.oracles import bcal, pi_matrix, script_e
+from evaluators import bcal, pi_matrix, script_e
 
 
 def scalar_grid(N=20):
