@@ -8,6 +8,8 @@ the control-delay-only and state-delay-only models; and an exact convex
 QP solve of the discretized deterministic problem.  Each oracle declares
 what it needs of the data once (``CASES``, ``QP_ORACLE``), and
 ``reduced_case`` picks the special case a problem meets from its data.
+The case V and II checks read the sweep's g1 (``g1_table``); the case I
+window sums and case II's P3c replay the two-time kernel's slices once.
 
 Everything here runs under ``delaylq verify``.  The paper's other forms
 of the solver's quantities (star products, regrouped evaluators,
@@ -181,13 +183,12 @@ class CaseVReport:
 def casev_consistency(P: RiccatiSolution, adjoint, strategy,
                       oracle: ClassicalRiccatiPath,
                       vp: VolterraProblem) -> CaseVReport:
-    g = vp.grid
-    N, dt, n = g.N, g.dt, vp.n
-    p_err = eta_err = 0.0
-    for l, sl in P.replay():
-        emb = P.p1[l + 1:, :n, :n].sum(axis=0) * dt
-        emb = emb + sl[1:, 1:, :n, :n].sum(axis=(0, 1)) * dt * dt
-        p_err = max(p_err, float(np.abs(emb - oracle.P[l]).max()))
+    N, dt, n = vp.grid.N, vp.grid.dt, vp.n
+    # with the delay block dead and E = 0, the embedding of the two-time
+    # kernel on the first block is the selector sandwich g1
+    p_err = float(np.abs(P.g1_table - oracle.P).max())
+    eta_err = 0.0
+    for l in range(N + 1):
         eta_emb = adjoint.eta[l + 1:, l, :n].sum(axis=0) * dt
         eta_err = max(eta_err, float(np.abs(eta_emb - oracle.eta_t[l]).max()))
     k1o, vo = classical_gains(vp.source, oracle)
@@ -222,20 +223,8 @@ def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
     g = vp.grid
     N, dt, n, k = g.N, g.dt, vp.n, g.delay_steps
 
-    P2c = np.zeros((N + 1, n, n))
     P3c = np.zeros((N + 1, N + 1, n, n))
     for l, sl in P.replay():
-        M = N - l
-        if M > 0:
-            sel = np.zeros((M, n, 3 * n))
-            sel[:, :, :n] = np.eye(n)
-            lag = np.arange(l + 1, N + 1) - l > k
-            sel[lag, :, n:2 * n] = np.eye(n)
-            pw = np.einsum("sab,sbc,sdc->ad", sel, P.p1[l + 1:], sel) * dt
-            inner = np.einsum("stab,tcb->sac", sl[1:, 1:], sel,
-                              optimize=True) * dt
-            pw = pw + np.einsum("sab,sbc->ac", sel, inner) * dt
-            P2c[l] = pw
         # P3c[l, q], q = l..l+k: p1(q)[:n, n:2n] plus, over r > l,
         # ((pair)^T)[:n, n:2n] = (pair[n:2n, :n])^T and, over r - l > k,
         # the lagged block
@@ -244,61 +233,59 @@ def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
             P.p1[l:l + Q, :n, n:2 * n]
             + sl[:Q, 1:, n:2 * n, :n].swapaxes(-1, -2).sum(axis=1) * dt
             + sl[:Q, k + 1:, n:2 * n, n:2 * n].swapaxes(-1, -2).sum(axis=1) * dt)
-    return CaseIIExtraction(P2c=P2c, P3c=P3c)
+    # P2c, the selector sandwich with E = 0, is the sweep's g1
+    return CaseIIExtraction(P2c=P.g1_table, P3c=P3c)
 
 
 def caseii_residual(ext: CaseIIExtraction,
                     problem: DelayLQProblem) -> CaseIIResiduals:
     g = problem.grid
-    N, dt, n, k = g.N, g.dt, problem.n, g.delay_steps
+    N, dt, k = g.N, g.dt, g.delay_steps
     A1, A2 = problem.A1[0], problem.A2[0]
     B1, C1, C2, D1 = problem.B1[0], problem.C1[0], problem.C2[0], problem.D1[0]
     Q1, R1 = problem.Q1[0], problem.R1[0]
+    P2, P3 = ext.P2c, ext.P3c
 
-    def gain_parts(l: int):
-        P2 = ext.P2c[l]
-        rc = R1 + D1.T @ P2 @ D1
-        rci = np.linalg.inv(rc)
-        lhs = B1.T @ P2 + D1.T @ P2 @ C1
-        return P2, rci, lhs
+    rci = np.linalg.inv(R1 + D1.T @ P2 @ D1)
+    lhs = B1.T @ P2 + D1.T @ P2 @ C1
+    dpc = D1.T @ P2 @ C2
+    bp3 = B1.T @ P3                             # [s, q] = B1^T P3c(s, q)
 
-    ode_late = ode_early = tr_late = tr_early = diag = 0.0
+    ode_late = ode_early = tr_late = tr_early = 0.0
     for l in range(1, N + 1):
-        P2l, rci, lhs = gain_parts(l)
-        fd = -(ext.P2c[l] - ext.P2c[l - 1]) / dt
-        rhs = (P2l @ A1 + A1.T @ P2l + C1.T @ P2l @ C1 + Q1
-               - lhs.T @ rci @ lhs)
-        if l >= N - k + 2:
+        late, early = l >= N - k + 2, l <= N - k
+        fd = -(P2[l] - P2[l - 1]) / dt
+        rhs = (P2[l] @ A1 + A1.T @ P2[l] + C1.T @ P2[l] @ C1 + Q1
+               - lhs[l].T @ rci[l] @ lhs[l])
+        if late:
             ode_late = max(ode_late, float(np.abs(fd - rhs).max()))
-        elif l <= N - k:
-            P2d = ext.P2c[l + k]
-            cross = D1.T @ P2d @ C2
-            rhs = rhs + (C2.T @ P2d @ C2 + ext.P3c[l, l + k]
-                         + ext.P3c[l, l + k].T - cross.T @ rci @ cross)
+        elif early:
+            cross = D1.T @ P2[l + k] @ C2
+            rhs = rhs + (C2.T @ P2[l + k] @ C2 + P3[l, l + k]
+                         + P3[l, l + k].T - cross.T @ rci[l] @ cross)
             ode_early = max(ode_early, float(np.abs(fd - rhs).max()))
 
-    for l in range(1, N + 1):
-        P2l, rci, lhs = gain_parts(l)
-        for q in range(l + 1, min(l + k - 1, N) + 1):
-            fd = -(ext.P3c[l, q] - ext.P3c[l - 1, q]) / dt
-            rhs = A1.T @ ext.P3c[l, q] - lhs.T @ rci @ (B1.T @ ext.P3c[l, q])
-            if l >= N - k + 2:
+        hi = min(l + k - 1, N) + 1                # transport over q = l+1..hi-1
+        if early and hi > l + 1:
+            # [s, q] = (B1^T P3c(s, l+k))^T rci (B1^T P3c(s, q)) dt, s and q
+            # in l+1..hi-1; its running sums over s add in a loop's order
+            lead = bp3[l + 1:hi, l + k].swapaxes(-1, -2) @ rci[l]
+            s_sums = np.cumsum((lead[:, None] @ bp3[l + 1:hi, l + 1:hi]) * dt,
+                               axis=0)
+        for q in range(l + 1, hi):
+            fd = -(P3[l, q] - P3[l - 1, q]) / dt
+            rhs = A1.T @ P3[l, q] - lhs[l].T @ rci[l] @ bp3[l, q]
+            if late:
                 tr_late = max(tr_late, float(np.abs(fd - rhs).max()))
-            elif l <= N - k:
-                extra = (ext.P3c[q, l + k].T @ A2
-                         - (B1.T @ ext.P3c[q, l + k]).T @ rci
-                         @ (D1.T @ P2l @ C2))
-                s_sum = np.zeros((n, n))
-                for s in range(l + 1, q + 1):
-                    s_sum += ((B1.T @ ext.P3c[s, l + k]).T @ rci
-                              @ (B1.T @ ext.P3c[s, q])) * dt
-                rhs = rhs + extra - s_sum
+            elif early:
+                extra = (P3[q, l + k].T @ A2
+                         - bp3[q, l + k].T @ rci[l] @ dpc[l])
+                rhs = rhs + extra - s_sums[q - l - 1, q - l - 1]
                 tr_early = max(tr_early, float(np.abs(fd - rhs).max()))
 
-    for l in range(N + 1):
-        P2l, rci, lhs = gain_parts(l)
-        rel = P2l @ A2 + C1.T @ P2l @ C2 - lhs.T @ rci @ (D1.T @ P2l @ C2)
-        diag = max(diag, float(np.abs(ext.P3c[l, l] - rel).max()))
+    rel = (P2 @ A2 + C1.T @ P2 @ C2
+           - lhs.swapaxes(-1, -2) @ rci @ dpc)
+    diag = float(np.abs(P3[np.arange(N + 1), np.arange(N + 1)] - rel).max())
 
     return CaseIIResiduals(ode_late=ode_late, ode_early=ode_early,
                            transport_late=tr_late, transport_early=tr_early,

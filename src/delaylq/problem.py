@@ -304,17 +304,27 @@ def _whole(doc: dict, key: str) -> int:
 
 
 def problem_from_dict(doc: dict) -> DelayLQProblem:
+    """The problem a document describes; shape errors other than a header
+    its tables contradict are left to ``validate``."""
     N = _whole(doc, "N")
     k = _whole(doc, "delay_steps")
+    n, m = _whole(doc, "n"), _whole(doc, "m")
+    for key, value in (("N", N), ("n", n), ("m", m)):
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
     t0, T = float(doc["t0"]), float(doc["T"])
     dt = (T - t0) / N
     grid = TimeGrid(t0=t0, T=T, N=N, delay=k * dt)
-    n, m = _whole(doc, "n"), _whole(doc, "m")
-    arrays = {
-        name: (_kernel_from_triangular(name, doc[name], shape)
-               if name in KERNELS else np.asarray(doc[name], dtype=float))
-        for name, shape in field_shapes(n, m, N + 1, k).items()
-    }
+    # the tables' row counts must match the header before it sizes the kernels
+    shapes = field_shapes(n, m, N + 1, k)
+    arrays = {name: np.asarray(doc[name], dtype=float)
+              for name in shapes if name not in KERNELS}
+    for name, arr in arrays.items():
+        if arr.shape[:1] != shapes[name][:1]:
+            raise ValueError(f"{name}: the header declares {shapes[name][0]} "
+                             f"rows, the table has shape {arr.shape}")
+    for name in KERNELS:
+        arrays[name] = _kernel_from_triangular(name, doc[name], shapes[name])
     return DelayLQProblem(grid=grid, n=n, m=m, lam=float(doc["lambda"]),
                           **arrays)
 

@@ -42,17 +42,21 @@ columns, on one thread while that stays under 2^18 (N up to ~9700 at
 n = m = 1, ~1450 at n = m = 2).  Storage is O(N^2 d^2); the sweep
 allocates nothing of a slice's size besides F.
 
-Whole slices come only from ``RiccatiSolution.replay``, which re-runs the
-explicit Euler recurrence from the terminal corner with F's borders.  It
-advances only the live lifted blocks, which ``RiccatiSolution`` reads off
-its own tables: block 1 (the current state) always, block 2 (the delayed
-state) or 3 (the memory integral) iff its rows of the frontier or of the
+``riccati_residual`` re-checks the three lines from the same tables: it
+applies each slice to the selector and control columns through F and
+the control products as step (ii) does, and takes the evolution line's
+increment as the drift itself.  Whole slices come only from
+``RiccatiSolution.replay``, for the readers that need them (the case I
+window sums, case II's P3c, the CLI's dump).  It re-runs the explicit
+Euler recurrence from the terminal corner with F's borders and advances
+only the live lifted blocks, which ``RiccatiSolution`` reads off its own
+tables: block 1 (the current state) always, block 2 (the delayed state)
+or 3 (the memory integral) iff its rows of the frontier or of the
 control products hold a nonzero entry.  A block with neither stays
 exactly zero under the Euler step; on the solver's output that is a
 block the data never reads (A2, C2 and Q2 zero for block 2; A3, C3 and Q3
-for block 3).  The replay's step and the residual's evolution check
-touch the live entries only: the live set is the slice 0:1, 0:2, 0::2 or
-0:3 of the block axis, a strided view of the replay's flat buffer.
+for block 3).  The live set is the slice 0:1, 0:2, 0::2 or 0:3 of the
+block axis.
 """
 
 from __future__ import annotations
@@ -63,10 +67,6 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .volterra import VolterraProblem, _by_node_rows
-
-#: every lifted block live: the replay's Euler step runs on the whole slice
-ALL = slice(0, 3)
-
 
 @dataclass(frozen=True)
 class RiccatiSolution:
@@ -118,14 +118,28 @@ class RiccatiSolution:
         """Yield (l, slice_l) for l = N, N-1, ..., 0.
 
         ``slice_l`` covers grid pairs (i, j) with i, j >= l (local index
-        0 is global l).  Only the ``live`` blocks are advanced, so a
+        0 is global l): its interior is slice l+1 advanced by one Euler
+        step of the rank-m drift, its border column, row and corner come
+        from the frontier.  Only the ``live`` blocks are advanced, so a
         replay of a problem with dead blocks costs their share less.
         Each slice is an (M, M, d, d) view into one flat buffer that the
         next step updates in place: copy it to keep it past the step, and
         do not modify it.
         """
-        for l, X in _replay(self):
-            yield l, _blocks(X, self.N + 1 - l)
+        N, d = self.N, 3 * self.n
+        # slice and scratch are allocated once: arrays grown per node left
+        # the peak RSS to the heap's fragmentation
+        buf = np.empty(((N + 1) * d,) * 2)
+        work = np.empty(N * N * d * d)
+        for l in range(N, -1, -1):
+            X, Md = buf[l * d:, l * d:], (N - l) * d
+            if l < N:
+                _advance(X[d:, d:], self.pb[l + 1:, l + 1], self.rcal_inv[l + 1],
+                         self.dt, work[:Md * Md].reshape(Md, Md), self.live)
+                X[d:, :d] = self.frontier[l + 1:, l].reshape(-1, d)
+                X[:d, d:] = X[d:, :d].T
+            X[:d, :d] = self.frontier[l, l]
+            yield l, _blocks(X, N + 1 - l)
 
     @property
     def N(self) -> int:
@@ -169,14 +183,6 @@ def _blocks(X: np.ndarray, M: int) -> np.ndarray:
     return X.reshape(M, d, M, d).transpose(0, 2, 1, 3)
 
 
-def _apply(u: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sum_{t,b} X[(s,a), (t,b)] u[t, b, :] as an (M, d, k) array.  X is
-    exactly symmetric, so the row product u^T X serves; it sums in the
-    order of einsum's ``stab,tbj->saj`` plan, bit for bit, and X @ u not."""
-    M, d, k = u.shape
-    return (u.reshape(M * d, k).T @ X).T.reshape(M, d, k)
-
-
 def _interior(F: np.ndarray, pb_rows: np.ndarray, rcal_inv: np.ndarray,
               lo: int, u: np.ndarray, dt: float) -> np.ndarray:
     """The slice at node lo - 1 on pairs i, j >= lo, applied to the stacked
@@ -205,13 +211,6 @@ def _euler(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
     X *= 0.5
 
 
-def _live_view(X: np.ndarray, M: int, live: slice) -> np.ndarray:
-    """The live entries of the flat slice X over M nodes, a strided
-    (M, L, n, M, L, n) view."""
-    n = X.shape[0] // (3 * M)
-    return X.reshape(M, 3, n, M, 3, n)[:, live, :, :, live, :]
-
-
 def _live_rows(pb: np.ndarray, live: slice) -> np.ndarray:
     """The live rows of the control products pb (M, 3n, m), as (M L n, m)."""
     M, d, m = pb.shape
@@ -224,41 +223,19 @@ def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
     of the rank-m drift on the live blocks; dead entries are 0.0 and stay
     so.  ``work`` is contiguous scratch of X's shape.  A partial live set
     is gathered into compact scratch carved from ``work`` and scattered
-    back: the arithmetic on the strided view itself is slower."""
-    if live == ALL:
+    back: the arithmetic on the strided (M, L, n, M, L, n) view of the
+    live entries itself is slower."""
+    if live == slice(0, 3):                 # every block live
         _euler(X, pb_next, rinv_next, dt, work)
         return
-    view = _live_view(X, pb_next.shape[0], live)
+    M = pb_next.shape[0]
+    n = X.shape[0] // (3 * M)
+    view = X.reshape(M, 3, n, M, 3, n)[:, live, :, :, live, :]
     K = view.shape[0] * view.shape[1] * view.shape[2]
     xc, wc = work.reshape(-1)[:2 * K * K].reshape(2, K, K)
     xc.reshape(view.shape)[...] = view
     _euler(xc, _live_rows(pb_next, live), rinv_next, dt, wc)
     view[...] = xc.reshape(view.shape)
-
-
-def _border(X: np.ndarray, bnd: np.ndarray) -> None:
-    """Write the boundary column (M, d, d) of slice X and its transposed row."""
-    d = X.shape[0] // (bnd.shape[0] + 1)
-    X[d:, :d] = bnd.reshape(-1, d)
-    X[:d, d:] = X[d:, :d].T
-
-
-def _replay(P: "RiccatiSolution"):
-    """Flat slices of ``P.replay()``: yield (l, X_l), l = N..0, the interior
-    of X_l advanced from X_{l+1} on the ``live`` blocks, its border and
-    corner copied from the frontier.  Slice and scratch are allocated once:
-    arrays grown per node left the peak RSS to the heap's fragmentation."""
-    N, d = P.N, 3 * P.n
-    buf = np.empty(((N + 1) * d,) * 2)
-    work = np.empty(N * N * d * d)
-    for l in range(N, -1, -1):
-        X, Md = buf[l * d:, l * d:], (N - l) * d
-        if l < N:
-            _advance(X[d:, d:], P.pb[l + 1:, l + 1], P.rcal_inv[l + 1], P.dt,
-                     work[:Md * Md].reshape(Md, Md), P.live)
-            _border(X, P.frontier[l + 1:, l])
-        X[:d, :d] = P.frontier[l, l]
-        yield l, X
 
 
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
@@ -393,64 +370,68 @@ class RiccatiResiduals:
 
 
 def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResiduals:
-    g, src, d = vp.grid, vp.source, 3 * vp.n
-    N, dt, k = g.N, g.dt, g.delay_steps
+    """The three lines from the sweep's tables, no slice replayed.  The
+    replay's Euler step subtracts dt D(l+1), D(r) = pb(., r) rcal_inv(r)
+    pb(., r)^T, and symmetrizes: the evolution line compares sym(D(l+1))
+    with D(l) on the live rows."""
+    g, src, n = vp.grid, vp.source, vp.n
+    N, dt, k, d = g.N, g.dt, g.delay_steps, 3 * n
 
-    res_rcal = 0.0
-    for l in range(N + 1):
-        D1l = src.D1[l]
-        res_rcal = max(res_rcal, float(np.abs(
-            P.rcal[l] - vp.R[l] - D1l.T @ P.g1_table[l] @ D1l).max()))
+    D1 = src.D1
+    res_rcal = float(np.abs(
+        P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
+
+    # the sweep's flat buffers behind frontier and pb (views of them)
+    F = P.frontier.transpose(0, 2, 1, 3).reshape((N + 1) * d, -1)
+    pb_rows = P.pb.transpose(1, 3, 0, 2).reshape(N + 1, P.m, -1)
+    stack = vp.selector_stack(n + P.m)
 
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
-    prev = None                                   # copy of flat slice l+1
-    for l, X in _replay(P):
+    for l in range(N, -1, -1):
         M = N - l
         w = np.full(M + 1, dt if l < N else 0.0)
         w[[0, -1]] *= 0.5
-        ups = vp.selector(l)
-        pu = np.einsum("sab,sbj->saj", P.p1[l:], ups)
-        g1t = np.einsum("s,sai,saj->ij", w, ups, pu)
-        v_in = _apply(w[:, None, None] * ups, X)
-        g1t += np.einsum("s,sai,saj->ij", w, ups, v_in)
-        g1t = _sym(g1t)
-        D1l = src.D1[l]
+        u = stack[:M + 1]
+        u[:, 2 * n:, :n] = vp.E[l:, l]
+        u[:, :, n:] = vp.B[l:, l]
+        wu = w[:, None, None] * u
+        # p1 u plus slice l against the weighted stack: g2 (:n) and the
+        # control products (n:), trapezoid-weighted
+        G = P.p1[l:] @ u
+        G += (F[l * d:, l * d:(l + 1) * d] @ wu[0]).reshape(M + 1, d, -1)
+        if M:
+            G[0] += F[l * d:(l + 1) * d, (l + 1) * d:] @ wu[1:].reshape(M * d, -1)
+            G[1:] += _interior(F, pb_rows, P.rcal_inv, l + 1, wu[1:], dt)
+        g1t = _sym(wu[..., :n].reshape(-1, n).T @ G[..., :n].reshape(-1, n))
+        D1l = D1[l]
         rct_inv = np.linalg.inv(vp.R[l] + D1l.T @ g1t @ D1l)
         cgd = vp.Ccal[l].T @ g1t @ D1l
         dgc = D1l.T @ g1t @ vp.Ccal[l]
         lhs1 = P.p1[l] - (vp.Q[l] + vp.Ccal[l].T @ g1t @ vp.Ccal[l]
                           - cgd @ rct_inv @ dgc)
         prof_point[l] = float(np.abs(lhs1).max())
+        if l == N:
+            continue
 
-        if l < N:
-            g2t = pu + v_in                       # trapezoid-weighted
-            pa = np.einsum("saj,jc->sac", g2t[1:], vp.Acal[l])
-            bker = vp.B[l:, l]
-            pbt = (np.einsum("sab,sbm->sam", P.p1[l:], bker)
-                   + _apply(w[:, None, None] * bker, X))
-            lhs3 = X[d:, :d].reshape(M, d, d) - (pa - np.einsum(
-                "sam,mq,qc->sac", pbt[1:], rct_inv, dgc))
-            prof_bound[l] = float(np.abs(lhs3).max())
+        lhs3 = P.frontier[l + 1:, l] - (G[1:, :, :n] @ vp.Acal[l]
+                                        - G[1:, :, n:] @ (rct_inv @ dgc))
+        prof_bound[l] = float(np.abs(lhs3).max())
 
-            # effective weight jumps one delay before the horizon
-            if not (l == N - k - 1 and src.nonzero("R2")):
-                # live entries only: the dead ones are 0.0 on both sides
-                # and in the drift
-                pb_rows = _live_rows(P.pb[l + 1:, l], P.live)
-                fd = np.subtract(prev, _live_view(X[d:, d:], M, P.live),
-                                 out=prev).reshape(pb_rows.shape[0], -1)
-                fd /= dt
-                fd -= (pb_rows @ P.rcal_inv[l]) @ pb_rows.T
-                # max over pairs with both nodes smooth: zero the others
-                idx = np.arange(1, M + 1)
-                rough = (np.abs(idx - k) <= 1) | (np.abs(idx - 2 * k) <= 1)
-                rough = np.repeat(rough, fd.shape[0] // M)
-                fd[rough] = 0.0
-                fd[:, rough] = 0.0
-                prof_evol[l] = float(np.abs(fd, out=fd).max())
-        # a copy, not np.ascontiguousarray: a one-entry view is contiguous
-        prev = _live_view(X, M + 1, P.live).copy() if l > 0 else None
+        # effective weight jumps one delay before the horizon
+        if not (l == N - k - 1 and src.nonzero("R2")):
+            # live rows only: the dead ones are 0.0 in both drifts
+            nxt = _live_rows(P.pb[l + 1:, l + 1], P.live)
+            cur = _live_rows(P.pb[l + 1:, l], P.live)
+            fd = _sym((nxt @ P.rcal_inv[l + 1]) @ nxt.T)
+            fd -= (cur @ P.rcal_inv[l]) @ cur.T
+            # max over pairs with both nodes smooth: zero the others
+            idx = np.arange(1, M + 1)
+            rough = (np.abs(idx - k) <= 1) | (np.abs(idx - 2 * k) <= 1)
+            rough = np.repeat(rough, fd.shape[0] // M)
+            fd[rough] = 0.0
+            fd[:, rough] = 0.0
+            prof_evol[l] = float(np.abs(fd, out=fd).max())
 
     return RiccatiResiduals(
         pointwise=float(prof_point.max()),

@@ -76,10 +76,10 @@ class VolterraProblem:
     Only the control kernel ``B`` is stored whole.  The others are the
     selector U(t, s) = (I; 1{t-s>delay} I; E(t, s)) times a row,
     A = U Acal, C = U Ccal, D = U D1 (btilde and sigtilde likewise from b
-    and sigma).  The selector is not stored: ``selector`` builds one column
-    of it from ``E`` and the delay, ``lifted_kernel`` rebuilds a whole
-    table, and the sweeps write each column into the template of
-    ``selector_stack`` and apply Acal to sums over it.
+    and sigma).  The selector is not stored: ``lifted_kernel``, the sweeps
+    and the residual write one column of it at a time, from ``E``, into the
+    template of ``selector_stack``; the sweeps and the residual apply Acal
+    to sums over the column.
     """
 
     grid: TimeGrid
@@ -95,21 +95,10 @@ class VolterraProblem:
     Ccal: np.ndarray     # (N+1, n, 3n) row (C1, C2, C3)
     source: DelayLQProblem
 
-    def selector(self, l: int) -> np.ndarray:
-        """Selector column U(t_r, t_l) for r >= l, as (N+1-l, 3n, n)."""
-        n, M = self.n, self.grid.N + 1 - l
-        # node stride twice the block: einsum fuses the axes of a contiguous
-        # column and then sums g1 in another order
-        col = np.zeros((M, 2, 3 * n, n))[:, 0]
-        col[:, :n] = np.eye(n)
-        col[self.grid.delay_steps + 1:, n:2 * n] = np.eye(n)
-        col[:, 2 * n:] = self.E[l:, l]
-        return col
-
     def selector_stack(self, width: int) -> np.ndarray:
         """Zeros (N+1, 3n, width) whose first n columns hold the selector
         at offset j = r - l from its base node, less the memory block:
-        (I; 1{j > delay} I; 0), the same for every l.  A sweep writes
+        (I; 1{j > delay} I; 0), the same for every l.  A reader writes
         E(., t_l) into rows 2n: of those columns to get U(., t_l) and
         stacks further columns beside it."""
         n = self.n
@@ -125,11 +114,14 @@ def lifted_kernel(vp: VolterraProblem, row: np.ndarray) -> np.ndarray:
     ``row`` is a coefficient row (N+1, n, c), giving a kernel such as
     A from Acal, or a free-term row (N+1, n), giving btilde from b.
     """
-    nn = vp.grid.N + 1
+    nn, n = vp.grid.N + 1, vp.n
     sub = "rab,b->ra" if row.ndim == 2 else "rab,bc->rac"
-    out = np.zeros((nn, nn, 3 * vp.n) + row.shape[2:])
+    out = np.zeros((nn, nn, 3 * n) + row.shape[2:])
+    stack = vp.selector_stack(n)
     for j in range(nn):
-        out[j:, j] = np.einsum(sub, vp.selector(j), row[j])
+        u = stack[:nn - j]
+        u[:, 2 * n:] = vp.E[j:, j]
+        out[j:, j] = np.einsum(sub, u, row[j])
     return out
 
 

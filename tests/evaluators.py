@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from delaylq.exceptions import ProblemValidationError
+from loop_oracles import selector
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +129,7 @@ def g2(P, vp, sbar: int, t: int) -> np.ndarray:
     if sbar < t:
         raise ValueError(f"g2 needs sbar >= t, got sbar={sbar}, t={t}")
     dt = vp.grid.dt
-    sl, sel = p2_slice(P, t), vp.selector(t)
+    sl, sel = p2_slice(P, t), selector(vp, t)
     acc = P.p1[sbar] @ sel[sbar - t]
     acc = acc + np.einsum("rab,rbj->aj", sl[sbar - t, 1:], sel[1:]) * dt
     return acc

@@ -1,9 +1,10 @@
-"""Loop forms of the case I oracle, the case II P3c and the feedback
-synthesis's memory channel and offset, kept as a reference, the Riccati
-sweep that advanced every slice and its full-width Euler step, and the
-dense selector table with the products the lifting once formed against
-it, and the lifting's per-node loop over the memory channel of the
-control kernel.
+"""Loop forms of the case I oracle, the case II P3c and residual and the
+feedback synthesis's memory channel and offset, kept as a reference, the
+Riccati sweep that advanced every slice and its full-width Euler step,
+the Riccati residual and the case V/II sandwich as they read the replayed
+slices, the dense selector table with the products the lifting once
+formed against it, and the lifting's per-node loop over the memory
+channel of the control kernel.
 
 These are the original per-node, per-lag Python loops that
 ``delaylq.oracles`` and ``delaylq.adjoint.synthesize_feedback`` replaced
@@ -15,8 +16,15 @@ control products: it advanced the interior of every slice by one
 explicit Euler step per node and formed its products against the slice.
 ``advance_full_width`` is the replay's step as it ran before it skipped
 the dead lifted blocks; swapped in for ``delaylq.riccati._advance`` it
-pins the skip bit for bit, and ``evolution_profile_full_width`` does the
-same for the residual's evolution check.  ``live_blocks`` is the rule on
+pins the skip bit for bit, and ``evolution_profile_full_width``, the
+residual's evolution check over every row of the control products, does
+the same for the check's live rows.  ``riccati_residual`` is the
+residual as it ran on the replayed slices, with the selector column
+``selector`` and the slice product ``apply_slice``; ``replayed_g1`` is
+the selector sandwich the case V and II checks summed from the slices,
+and ``caseii_residual`` the state-delay residual with its gain parts
+formed per use and its sums over s accumulated term by term.
+``live_blocks`` is the rule on
 the data that the live set ``RiccatiSolution`` reads off its tables must
 follow.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the lifting
 stored before it built one selector column at a time;
@@ -43,8 +51,8 @@ import numpy as np
 
 from delaylq import riccati
 from delaylq.adjoint import causal_gains
-from delaylq.oracles import CASES, CaseIResiduals
-from delaylq.riccati import _apply, _border, _sym
+from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
+from delaylq.riccati import RiccatiResiduals, _live_rows, _sym
 
 
 @dataclass(frozen=True)
@@ -86,8 +94,28 @@ def advance_full_width(X, pb_next, rinv_next, dt, work, live=None):
     X *= 0.5
 
 
+def selector(vp, l: int) -> np.ndarray:
+    """Selector column U(t_r, t_l) for r >= l, as (N+1-l, 3n, n)."""
+    n, M = vp.n, vp.grid.N + 1 - l
+    # node stride twice the block: einsum fuses the axes of a contiguous
+    # column and then sums g1 in another order
+    col = np.zeros((M, 2, 3 * n, n))[:, 0]
+    col[:, :n] = np.eye(n)
+    col[vp.grid.delay_steps + 1:, n:2 * n] = np.eye(n)
+    col[:, 2 * n:] = vp.E[l:, l]
+    return col
+
+
+def apply_slice(u, X):
+    """sum_{t,b} X[(s,a), (t,b)] u[t, b, :] as an (M, d, k) array.  X is
+    exactly symmetric, so the row product u^T X serves; it sums in the
+    order of einsum's ``stab,tbj->saj`` plan, bit for bit, and X @ u not."""
+    M, d, k = u.shape
+    return (u.reshape(M * d, k).T @ X).T.reshape(M, d, k)
+
+
 def a_column(vp, l, sel):
-    """State kernel column U(., t_l) Acal(t_l) from sel = vp.selector(l)."""
+    """State kernel column U(., t_l) Acal(t_l) from sel = selector(vp, l)."""
     return np.einsum("rab,bc->rac", sel, vp.Acal[l])
 
 
@@ -121,7 +149,7 @@ def euler_sweep(vp) -> dict:
     work = np.empty(N * N * d * d)
     for l in range(N, -1, -1):
         X, M = buf[l * d:, l * d:], N - l
-        sel = vp.selector(l)
+        sel = selector(vp, l)
         if l == N:
             p1[N] = _sym(vp.Q[N])
             factor_rcal(N, vp.R[N])
@@ -136,7 +164,7 @@ def euler_sweep(vp) -> dict:
         p1_fut = p1[l + 1:]
         pu = np.einsum("sab,sbj->saj", p1_fut, ups)
         g1_val = np.einsum("sai,saj->ij", ups, pu) * dt
-        v_in = _apply(ups, interior) * dt
+        v_in = apply_slice(ups, interior) * dt
         g1_val += np.einsum("sai,saj->ij", ups, v_in) * dt
         g1_val = _sym(g1_val)
         g1_table[l] = g1_val
@@ -149,9 +177,10 @@ def euler_sweep(vp) -> dict:
         bcol = vp.B[l + 1:, l]
         pa_col = np.einsum("saj,jc->sac", pu + v_in, vp.Acal[l])
         pb_col = (np.einsum("sab,sbm->sam", p1_fut, bcol)
-                  + _apply(bcol, interior) * dt)
+                  + apply_slice(bcol, interior) * dt)
         bnd = pa_col - np.einsum("sam,mq,qc->sac", pb_col, rcal_inv[l], dgc)
-        _border(X, bnd)
+        X[d:, :d] = bnd.reshape(-1, d)
+        X[:d, d:] = X[d:, :d].T
         row0 = np.ascontiguousarray(bnd.transpose(0, 2, 1))
         acol = a_column(vp, l, sel)
         pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
@@ -166,28 +195,119 @@ def euler_sweep(vp) -> dict:
 
 
 def evolution_profile_full_width(P, vp) -> np.ndarray:
-    """The evolution line of ``riccati_residual`` over every entry of each
-    slice, the smooth pairs picked by boolean row and column selection.
-    With ``advance_full_width`` swapped in for ``delaylq.riccati._advance``
-    the replay it reads advances every entry too."""
-    N, dt, k, d = P.N, P.dt, vp.grid.delay_steps, 3 * P.n
-    prof, prev = np.zeros(N), None
-    for l, sl in P.replay():
-        # a copy: the replay updates its buffer in place
-        X = sl.transpose(0, 2, 1, 3).reshape((N + 1 - l) * d, -1).copy()
-        if prev is not None and not (l == N - k - 1
-                                     and vp.source.nonzero("R2")):
-            M = N - l
-            fd = (prev - X[d:, d:]) / dt
-            pb_rows = P.pb[l + 1:, l].reshape(M * d, -1)
-            fd -= (pb_rows @ P.rcal_inv[l]) @ pb_rows.T
-            idx = np.arange(1, M + 1)
-            smooth = (np.abs(idx - k) > 1) & (np.abs(idx - 2 * k) > 1)
-            if smooth.any():
-                rows = np.repeat(smooth, d)
-                prof[l] = np.abs(fd[rows][:, rows]).max()
-        prev = X
+    """The evolution line of ``riccati_residual`` over every row of the
+    control products, the smooth pairs picked by boolean row and column
+    selection."""
+    N, k, d = P.N, vp.grid.delay_steps, 3 * P.n
+    prof = np.zeros(N)
+    for l in range(N - 1, -1, -1):
+        if l == N - k - 1 and vp.source.nonzero("R2"):
+            continue
+        M = N - l
+        nxt = P.pb[l + 1:, l + 1].reshape(M * d, -1)
+        cur = P.pb[l + 1:, l].reshape(M * d, -1)
+        fd = (_sym((nxt @ P.rcal_inv[l + 1]) @ nxt.T)
+              - (cur @ P.rcal_inv[l]) @ cur.T)
+        idx = np.arange(1, M + 1)
+        smooth = (np.abs(idx - k) > 1) & (np.abs(idx - 2 * k) > 1)
+        if smooth.any():
+            rows = np.repeat(smooth, d)
+            prof[l] = np.abs(fd[rows][:, rows]).max()
     return prof
+
+
+def live_view(X, M: int, live: slice):
+    """The live entries of the flat slice X over M nodes, a strided
+    (M, L, n, M, L, n) view."""
+    n = X.shape[0] // (3 * M)
+    return X.reshape(M, 3, n, M, 3, n)[:, live, :, :, live, :]
+
+
+def riccati_residual(P, vp) -> RiccatiResiduals:
+    """The three-line residual as it ran on the replayed slices: the
+    selector sandwich and the control column applied to each whole slice
+    with six einsums and two slice products, and the evolution line as
+    the finite difference of consecutive slices."""
+    g, src, d = vp.grid, vp.source, 3 * vp.n
+    N, dt, k = g.N, g.dt, g.delay_steps
+
+    res_rcal = 0.0
+    for l in range(N + 1):
+        D1l = src.D1[l]
+        res_rcal = max(res_rcal, float(np.abs(
+            P.rcal[l] - vp.R[l] - D1l.T @ P.g1_table[l] @ D1l).max()))
+
+    prof_point = np.zeros(N + 1)
+    prof_bound, prof_evol = np.zeros(N), np.zeros(N)
+    prev = None                                   # copy of flat slice l+1
+    for l, sl in P.replay():
+        M = N - l
+        # the flat slice behind the replay's view
+        X = sl.transpose(0, 2, 1, 3).reshape((M + 1) * d, (M + 1) * d)
+        w = np.full(M + 1, dt if l < N else 0.0)
+        w[[0, -1]] *= 0.5
+        ups = selector(vp, l)
+        pu = np.einsum("sab,sbj->saj", P.p1[l:], ups)
+        g1t = np.einsum("s,sai,saj->ij", w, ups, pu)
+        v_in = apply_slice(w[:, None, None] * ups, X)
+        g1t += np.einsum("s,sai,saj->ij", w, ups, v_in)
+        g1t = _sym(g1t)
+        D1l = src.D1[l]
+        rct_inv = np.linalg.inv(vp.R[l] + D1l.T @ g1t @ D1l)
+        cgd = vp.Ccal[l].T @ g1t @ D1l
+        dgc = D1l.T @ g1t @ vp.Ccal[l]
+        lhs1 = P.p1[l] - (vp.Q[l] + vp.Ccal[l].T @ g1t @ vp.Ccal[l]
+                          - cgd @ rct_inv @ dgc)
+        prof_point[l] = float(np.abs(lhs1).max())
+
+        if l < N:
+            g2t = pu + v_in                       # trapezoid-weighted
+            pa = np.einsum("saj,jc->sac", g2t[1:], vp.Acal[l])
+            bker = vp.B[l:, l]
+            pbt = (np.einsum("sab,sbm->sam", P.p1[l:], bker)
+                   + apply_slice(w[:, None, None] * bker, X))
+            lhs3 = X[d:, :d].reshape(M, d, d) - (pa - np.einsum(
+                "sam,mq,qc->sac", pbt[1:], rct_inv, dgc))
+            prof_bound[l] = float(np.abs(lhs3).max())
+
+            if not (l == N - k - 1 and src.nonzero("R2")):
+                pb_rows = _live_rows(P.pb[l + 1:, l], P.live)
+                fd = np.subtract(prev, live_view(X[d:, d:], M, P.live),
+                                 out=prev).reshape(pb_rows.shape[0], -1)
+                fd /= dt
+                fd -= (pb_rows @ P.rcal_inv[l]) @ pb_rows.T
+                idx = np.arange(1, M + 1)
+                rough = (np.abs(idx - k) <= 1) | (np.abs(idx - 2 * k) <= 1)
+                rough = np.repeat(rough, fd.shape[0] // M)
+                fd[rough] = 0.0
+                fd[:, rough] = 0.0
+                prof_evol[l] = float(np.abs(fd, out=fd).max())
+        # a copy, not np.ascontiguousarray: a one-entry view is contiguous
+        prev = live_view(X, M + 1, P.live).copy() if l > 0 else None
+
+    return RiccatiResiduals(
+        pointwise=float(prof_point.max()),
+        evolution=float(prof_evol.max()) if N > 0 else 0.0,
+        boundary=float(prof_bound.max()) if N > 0 else 0.0,
+        rcal_identity=res_rcal, pointwise_profile=prof_point,
+        evolution_profile=prof_evol, boundary_profile=prof_bound)
+
+
+def replayed_g1(P, vp) -> np.ndarray:
+    """The selector sandwich summed over the replayed slices, as the case V
+    embedding and the case II extraction summed it: at node l, over
+    s, t > l, sum_s U^T p1(s) U dt + sum_{s,t} U(s)^T p2(s, t, l) U(t) dt^2,
+    U = U(., t_l)."""
+    N, dt = P.N, P.dt
+    out = np.zeros((N + 1, P.n, P.n))
+    for l, sl in P.replay():
+        if l < N:
+            sel = selector(vp, l)[1:].swapaxes(-1, -2)
+            pw = np.einsum("sab,sbc,sdc->ad", sel, P.p1[l + 1:], sel) * dt
+            inner = np.einsum("stab,tcb->sac", sl[1:, 1:], sel,
+                              optimize=True) * dt
+            out[l] = pw + np.einsum("sab,sbc->ac", sel, inner) * dt
+    return out
 
 
 def loop_p3c(P, vp) -> np.ndarray:
@@ -364,6 +484,65 @@ def casei_residual(ext: LoopCaseIExtraction, problem) -> CaseIResiduals:
         bnd = max(bnd, float(np.abs(ext.S1[l, 0] - edge).max()))
 
     return CaseIResiduals(ode=ode, transport1=tr1, transport2=tr2, boundary=bnd)
+
+
+def caseii_residual(ext, problem) -> CaseIIResiduals:
+    """The state-delay residuals with the gain parts formed per use and the
+    transport's sums over s accumulated one term at a time."""
+    g = problem.grid
+    N, dt, n, k = g.N, g.dt, problem.n, g.delay_steps
+    A1, A2 = problem.A1[0], problem.A2[0]
+    B1, C1, C2, D1 = problem.B1[0], problem.C1[0], problem.C2[0], problem.D1[0]
+    Q1, R1 = problem.Q1[0], problem.R1[0]
+
+    def gain_parts(l: int):
+        P2 = ext.P2c[l]
+        rc = R1 + D1.T @ P2 @ D1
+        rci = np.linalg.inv(rc)
+        lhs = B1.T @ P2 + D1.T @ P2 @ C1
+        return P2, rci, lhs
+
+    ode_late = ode_early = tr_late = tr_early = diag = 0.0
+    for l in range(1, N + 1):
+        P2l, rci, lhs = gain_parts(l)
+        fd = -(ext.P2c[l] - ext.P2c[l - 1]) / dt
+        rhs = (P2l @ A1 + A1.T @ P2l + C1.T @ P2l @ C1 + Q1
+               - lhs.T @ rci @ lhs)
+        if l >= N - k + 2:
+            ode_late = max(ode_late, float(np.abs(fd - rhs).max()))
+        elif l <= N - k:
+            P2d = ext.P2c[l + k]
+            cross = D1.T @ P2d @ C2
+            rhs = rhs + (C2.T @ P2d @ C2 + ext.P3c[l, l + k]
+                         + ext.P3c[l, l + k].T - cross.T @ rci @ cross)
+            ode_early = max(ode_early, float(np.abs(fd - rhs).max()))
+
+    for l in range(1, N + 1):
+        P2l, rci, lhs = gain_parts(l)
+        for q in range(l + 1, min(l + k - 1, N) + 1):
+            fd = -(ext.P3c[l, q] - ext.P3c[l - 1, q]) / dt
+            rhs = A1.T @ ext.P3c[l, q] - lhs.T @ rci @ (B1.T @ ext.P3c[l, q])
+            if l >= N - k + 2:
+                tr_late = max(tr_late, float(np.abs(fd - rhs).max()))
+            elif l <= N - k:
+                extra = (ext.P3c[q, l + k].T @ A2
+                         - (B1.T @ ext.P3c[q, l + k]).T @ rci
+                         @ (D1.T @ P2l @ C2))
+                s_sum = np.zeros((n, n))
+                for s in range(l + 1, q + 1):
+                    s_sum += ((B1.T @ ext.P3c[s, l + k]).T @ rci
+                              @ (B1.T @ ext.P3c[s, q])) * dt
+                rhs = rhs + extra - s_sum
+                tr_early = max(tr_early, float(np.abs(fd - rhs).max()))
+
+    for l in range(N + 1):
+        P2l, rci, lhs = gain_parts(l)
+        rel = P2l @ A2 + C1.T @ P2l @ C2 - lhs.T @ rci @ (D1.T @ P2l @ C2)
+        diag = max(diag, float(np.abs(ext.P3c[l, l] - rel).max()))
+
+    return CaseIIResiduals(ode_late=ode_late, ode_early=ode_early,
+                           transport_late=tr_late, transport_early=tr_early,
+                           diagonal=diag)
 
 
 def synthesis_k4_v(P, adjoint, vp, problem):

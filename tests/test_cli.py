@@ -129,6 +129,22 @@ class TestSolve:
         assert lines[0].startswith("failed to parse problem JSON: ")
         assert field in lines[0]
 
+    @pytest.mark.parametrize("field, value", [
+        ("N", 1_000_000_000), ("N", 0), ("n", 0), ("m", 0)])
+    def test_header_its_tables_contradict_exits_one_on_one_line(
+            self, field, value, tmp_path):
+        # "N": 1e9 allocated the kernels from the header before any table
+        # was compared with it; "n": 0 printed a validation line per field
+        doc = dl.problem_to_dict(dl.preset_problem("tanh", 8))
+        doc[field] = value
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(doc))
+        proc = run_interpreter(["solve", "--problem", str(path)], tmp_path)
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("failed to parse problem JSON: ")
+
     def test_whole_float_header_fields_are_accepted(self, tmp_path):
         doc = dl.problem_to_dict(dl.preset_problem("tanh", 8))
         runs = {}

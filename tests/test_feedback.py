@@ -7,6 +7,7 @@ import delaylq as dl
 from delaylq import oracles
 from delaylq.adjoint import causal_gains
 from evaluators import bcal, g3
+from loop_oracles import selector
 
 
 def with_free_terms(name, N, b=0.3, sigma=0.4):
@@ -152,7 +153,7 @@ class TestSynthesis:
                 for al in range(t + 1, N + 1):
                     acc = acc + (bcal(vp, th, t).T
                                  @ g3(P, vp, al, t, th).T
-                                 @ vp.selector(t)[al - t]) * dt * dt
+                                 @ selector(vp, t)[al - t]) * dt * dt
             k1_form = -P.rcal_inv[t] @ acc
             scale = max(np.abs(s.strategy.k1[t]).max(), 1e-12)
             assert np.abs(k1_form - s.strategy.k1[t]).max() / scale < 1e-10

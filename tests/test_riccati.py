@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import delaylq as dl
-from delaylq import riccati
+from delaylq import oracles, riccati
 from delaylq.cli import main as cli_main
 from delaylq.riccati import RiccatiSolution
 from evaluators import (bcal, g2, g3, p2, p2_slice, star_left, star_right,
                         star_sandwich)
 from loop_oracles import (advance_full_width, evolution_profile_full_width,
-                          live_blocks)
+                          live_blocks, selector)
 from test_multidim import planar_problem, planar_state_delay_problem
 
 
@@ -146,7 +146,7 @@ class TestFactoredKernel:
         P, vp, b = s.P, s.vp, s.problem.b
         dt, N = vp.grid.dt, vp.grid.N
         for sn in (0, 5, 17, N):
-            ub = np.einsum("rab,b->ra", vp.selector(sn), b[sn])
+            ub = np.einsum("rab,b->ra", selector(vp, sn), b[sn])
             for r in range(sn, N + 1):
                 want = P.p1[r] @ ub[r - sn] + sum(
                     (p2(P, r, q, sn) @ ub[q - sn] for q in range(sn + 1, N + 1)),
@@ -477,6 +477,21 @@ class TestResiduals:
         assert res.evolution == 0.0
         assert res.boundary == 0.0
         assert res.rcal_identity == 0.0
+
+    def test_residual_and_case_v_check_replay_no_slice(self, solve_preset,
+                                                       monkeypatch):
+        # both read the sweep's tables: a replay, or its Euler step, fails
+        def refuse(*args, **kwargs):
+            raise AssertionError("a slice was replayed")
+
+        solved = {name: solve_preset(name, 24) for name in dl.PRESET_NAMES}
+        monkeypatch.setattr(RiccatiSolution, "replay", refuse)
+        monkeypatch.setattr(riccati, "_advance", refuse)
+        for s in solved.values():
+            dl.riccati_residual(s.P, s.vp)
+        s = solved["tanh"]
+        oracles.casev_consistency(s.P, s.adj, s.strategy,
+                                  oracles.classical_riccati(s.problem), s.vp)
 
     def test_rcal_identity_exact_on_presets(self, solve_preset):
         for name in dl.PRESET_NAMES:

@@ -1,15 +1,18 @@
 """The array forms of the case I and case II oracles and of the feedback
-synthesis against their loops."""
+synthesis against their loops, and the Riccati residual and the case
+V/II sandwich read off the sweep's tables against their replays."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import delaylq as dl
 from delaylq import oracles
 import loop_oracles
 from test_multidim import planar_problem, planar_state_delay_problem
+from strategies import admissible_problems
 from test_oracles import control_delay_preset
 
 
@@ -86,6 +89,43 @@ def test_case_ii_matches_loops(case):
                                rtol=0, atol=1e-12)
 
 
+#: the case II problems the residual is pinned to its loop on, with the
+#: relative gap allowed: n = 2 may group a product's sums differently
+CASE_II_RESIDUAL = {
+    "state-delay-40": (lambda: dl.preset_problem("state-delay", 40), 0.0),
+    "state-delay-120": (lambda: dl.preset_problem("state-delay", 120), 0.0),
+    "planar": (lambda: planar_state_delay_problem(24), 1e-15),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASE_II_RESIDUAL))
+def test_case_ii_residual_matches_loop(case):
+    make, rtol = CASE_II_RESIDUAL[case]
+    p = make()
+    vp, P = solved(p)
+    ext = oracles.caseii_extract(P, vp)
+    res = oracles.caseii_residual(ext, p)
+    ref = loop_oracles.caseii_residual(ext, p)
+    for field, want in vars(ref).items():
+        assert abs(getattr(res, field) - want) <= rtol * abs(want), field
+
+
+#: case V (tanh) and case II problems: the sandwich their checks once
+#: summed from the replayed slices is the sweep's g1
+CASE_G1 = {
+    "tanh": lambda: dl.preset_problem("tanh", 24),
+    "state-delay": lambda: dl.preset_problem("state-delay", 24),
+    "planar-state-delay": lambda: planar_state_delay_problem(16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASE_G1))
+def test_case_sandwich_is_the_stored_g1(case):
+    vp, P = solved(CASE_G1[case]())
+    np.testing.assert_allclose(P.g1_table, loop_oracles.replayed_g1(P, vp),
+                               rtol=0, atol=1e-14)
+
+
 def test_double_lag_swap_symmetry_with_non_symmetric_memory_input():
     # the control column is B3 Ftilde; reading B3^T Ftilde on one side
     # of S2 breaks this symmetry by about 1e-2 here
@@ -156,8 +196,11 @@ def test_selector_columns_and_kernels_match_dense_table(case):
     p = SELECTOR[case]()
     vp = dl.build_volterra(p)
     U = loop_oracles.dense_selector(vp)
+    stack = vp.selector_stack(p.n)
     for l in range(p.grid.N + 1):
-        np.testing.assert_array_equal(vp.selector(l), U[l:, l], err_msg=l)
+        col = stack[:p.grid.N + 1 - l]
+        col[:, 2 * p.n:] = vp.E[l:, l]
+        np.testing.assert_array_equal(col, U[l:, l], err_msg=l)
     for row in (vp.Acal, vp.Ccal, p.D1, p.b, p.sigma):
         np.testing.assert_array_equal(dl.lifted_kernel(vp, row),
                                       loop_oracles.dense_lifted_kernel(U, row))
@@ -216,4 +259,40 @@ def test_memory_control_kernel_matches_loop(case):
     rest = dl.build_volterra(dataclasses.replace(p, B3=np.zeros_like(p.B3)))
     np.testing.assert_allclose(vp.B - rest.B,
                                loop_oracles.memory_control_kernel(p, vp.E),
+                               rtol=0, atol=1e-12)
+
+
+RESIDUAL_PROFILES = ("pointwise_profile", "evolution_profile",
+                     "boundary_profile")
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP))
+def test_residual_matches_replay(case):
+    # tanh and input-delay have Acal = Ccal = 0: their pointwise and
+    # boundary lines are exact zeros, and the evolution line's maxima
+    # fall on entries both forms compute alike
+    vp, P = solved(SWEEP[case]())
+    res = dl.riccati_residual(P, vp)
+    ref = loop_oracles.riccati_residual(P, vp)
+    exact = case.startswith(("tanh-", "input-delay-"))
+    for field in RESIDUAL_PROFILES + ("rcal_identity",):
+        got, want = getattr(res, field), getattr(ref, field)
+        if exact:
+            np.testing.assert_array_equal(got, want, err_msg=field)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                       err_msg=field)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=admissible_problems())
+def test_tables_match_replay_on_admissible_draws(p):
+    vp, P = solved(p)
+    res = dl.riccati_residual(P, vp)
+    ref = loop_oracles.riccati_residual(P, vp)
+    for field in RESIDUAL_PROFILES:
+        got, want = getattr(res, field), getattr(ref, field)
+        assert (np.abs(got - want)
+                <= 1e-12 * np.maximum(1.0, np.abs(want))).all(), field
+    np.testing.assert_allclose(P.g1_table, loop_oracles.replayed_g1(P, vp),
                                rtol=0, atol=1e-12)

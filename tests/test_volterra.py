@@ -113,13 +113,13 @@ class TestKernelStructure:
         problems = [dl.preset_problem(name, 16) for name in dl.PRESET_NAMES]
         for p in problems + [planar]:
             vp = dl.build_volterra(p)
-            A = loop_oracles.dense_lifted_kernel(
-                loop_oracles.dense_selector(vp), vp.Acal)
+            U = loop_oracles.dense_selector(vp)
+            A = loop_oracles.dense_lifted_kernel(U, vp.Acal)
             stack = vp.selector_stack(p.n + 1)
             for l in range(p.grid.N + 1):
                 col = stack[:p.grid.N + 1 - l, :, :p.n]
                 col[:, 2 * p.n:] = vp.E[l:, l]
-                np.testing.assert_array_equal(col, vp.selector(l))
+                np.testing.assert_array_equal(col, U[l:, l])
                 np.testing.assert_array_equal(
                     np.einsum("rab,bc->rac", col, vp.Acal[l]), A[l:, l])
 
@@ -153,7 +153,7 @@ class TestKernelStructure:
         n = p.n
         eye = np.eye(n)
         for j in range(17):
-            for col in vp.selector(j):
+            for col in loop_oracles.selector(vp, j):
                 np.testing.assert_array_equal(col[:n, :], eye)
 
     def test_diagonal_carries_limiting_values(self):
