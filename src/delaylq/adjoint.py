@@ -84,20 +84,13 @@ def _node_product(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     return out.reshape(nt, i, ns, j).transpose(0, 2, 1, 3)
 
 
-def _pointwise_gain(P: RiccatiSolution, vp: VolterraProblem) -> np.ndarray:
-    """Xi: the causal feedback's gain on the current lifted state."""
-    dgc = np.einsum("tam,tab,tbc->tmc", vp.source.D1, P.g1_table, vp.Ccal)
-    return -np.einsum("tmq,tqc->tmc", P.rcal_inv, dgc)
-
-
 def causal_gains(P: RiccatiSolution, vp: VolterraProblem) -> CausalGains:
-    Xi = _pointwise_gain(P, vp)
     # C order: pb is a transposed view, and the history gain's sums
     # follow the layout of what they read
     Gamma = np.einsum("tiq,stjq->stij", P.rcal_inv, P.pb, order="C")
     np.negative(Gamma, out=Gamma)
     Gamma[~np.tri(vp.grid.N + 1, dtype=bool)] = 0.0      # s < t
-    return CausalGains(Xi=Xi, Gamma=Gamma)
+    return CausalGains(Xi=P.W[:, P.n:], Gamma=Gamma)
 
 
 def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem) -> AdjointSolution:
@@ -105,13 +98,12 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem) -> AdjointSolution:
     problem = vp.source
     N, dt, n, m = g.N, g.dt, vp.n, vp.m
     d = 3 * n
-    Xi = _pointwise_gain(P, vp)
 
     eta = np.zeros((N + 1, N + 1, d))
     omega = np.zeros((N + 1, m))
     # the diagonal and kvec less their sums over eta, every node at once
     g1sig = P.g1_table @ problem.sigma[:, :, None]              # (N+1, n, 1)
-    mix = vp.Ccal + problem.D1 @ Xi                             # (N+1, n, 3n)
+    mix = vp.Ccal + problem.D1 @ P.W[:, n:]                     # (N+1, n, 3n)
     diag = (mix.transpose(0, 2, 1) @ g1sig)[..., 0]
     kvec = (problem.D1.transpose(0, 2, 1) @ g1sig)[..., 0]
     # the selector and control columns U(., t_l), B(., t_l) at offsets 0..N-l
@@ -131,9 +123,9 @@ def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem) -> AdjointSolution:
             u[:, 2 * n:, :n] = vp.E[s:, l]
             u[:, :, n:] = vp.B[s:, l]
             # sum_r U(r, l)^T eta(r, l) and sum_r B(r, l)^T eta(r, l): the
-            # state kernel's column is U(., l) Acal(l), closed by Xi(l)
+            # state kernel's column is U(., l) Acal(l), closed by Xi(l): W(l)
             c = (u.reshape(M * d, n + m).T @ col.reshape(-1)) * dt
-            diag[l] += vp.Acal[l].T @ c[:n] + Xi[l].T @ c[n:]
+            diag[l] += P.W[l].T @ c
             kvec[l] += c[n:]
         eta[l, l] = diag[l]
         y = P.rcal_inv[l] @ kvec[l]
@@ -249,9 +241,16 @@ def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     N, dt = vp.grid.N, vp.grid.dt
     phi = vp.phi[:N]
     single = np.einsum("ja,jab,jb->", phi, P.p1[:N], phi) * dt
-    # p2(i, j, 0) is the frontier less the rank-m updates of nodes 1..N:
-    # phi^T F phi - dt sum_r y_r^T rcal_inv(r) y_r, y_r = sum_j pb(j, r)^T phi_j
-    quad = np.einsum("ia,ijab,jb->", phi, P.frontier[:N, :N], phi)
-    y = np.einsum("jram,ja->rm", P.pb[:N, 1:], phi)
-    quad -= np.einsum("rm,rmq,rq->", y, P.rcal_inv[1:], y) * dt
+    # p2(i, j, 0) is F less the rank-m updates of nodes 1..N, and
+    # F(i, j) = H(i, j) W(j) below the diagonal, sym(H(j, j) W(j)) on it:
+    # phi^T F phi = sum_j (2 h_j - c_j)^T W(j) phi_j, h_j = sum_{i >= j}
+    # H(i, j)^T phi_i, c_j its i = j term; less dt sum_r y_r^T rcal_inv(r) y_r,
+    # y_r = sum_i pb(i, r)^T phi_i the control rows of h_r (y_N = 0)
+    nn, d, n = N + 1, 3 * vp.n, vp.n
+    H = P.H.reshape(nn, -1, nn, d)[:N, :, :N]
+    h = np.einsum("jcia,ia->jc", H, phi)
+    c = np.einsum("jcja,ja->jc", H, phi)
+    quad = np.einsum("jc,jca,ja->", 2.0 * h - c, P.W[:N], phi)
+    y = h[1:, n:]
+    quad -= np.einsum("rm,rmq,rq->", y, P.rcal_inv[1:N], y) * dt
     return float(single + quad * dt * dt)

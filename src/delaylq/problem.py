@@ -304,8 +304,8 @@ def _whole(doc: dict, key: str) -> int:
 
 
 def problem_from_dict(doc: dict) -> DelayLQProblem:
-    """The problem a document describes; shape errors other than a header
-    its tables contradict are left to ``validate``."""
+    """The problem a document describes; a non-kernel table whose shape the
+    header contradicts is a parse error, raised before the kernels are sized."""
     N = _whole(doc, "N")
     k = _whole(doc, "delay_steps")
     n, m = _whole(doc, "n"), _whole(doc, "m")
@@ -315,14 +315,14 @@ def problem_from_dict(doc: dict) -> DelayLQProblem:
     t0, T = float(doc["t0"]), float(doc["T"])
     dt = (T - t0) / N
     grid = TimeGrid(t0=t0, T=T, N=N, delay=k * dt)
-    # the tables' row counts must match the header before it sizes the kernels
+    # the tables' shapes must match the header before it sizes the kernels
     shapes = field_shapes(n, m, N + 1, k)
     arrays = {name: np.asarray(doc[name], dtype=float)
               for name in shapes if name not in KERNELS}
     for name, arr in arrays.items():
-        if arr.shape[:1] != shapes[name][:1]:
-            raise ValueError(f"{name}: the header declares {shapes[name][0]} "
-                             f"rows, the table has shape {arr.shape}")
+        if arr.shape != shapes[name]:
+            raise ValueError(f"{name}: the header declares shape "
+                             f"{shapes[name]}, the table has shape {arr.shape}")
     for name in KERNELS:
         arrays[name] = _kernel_from_triangular(name, doc[name], shapes[name])
     return DelayLQProblem(grid=grid, n=n, m=m, lam=float(doc["lambda"]),

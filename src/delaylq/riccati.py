@@ -7,56 +7,48 @@ singular-looking regrouped form; they live beside the tests, and with
 the shared quadrature conventions the two routes agree to roundoff,
 which the tests pin at 1e-10.
 
-The two-time kernel is held as the frontier matrix F, one flat symmetric
-((N+1) d)^2 buffer indexed by global node, d = 3n: entry [(i, a), (j, b)]
-holds p2(i, j, min(i, j))[a, b], the value written when the sweep reached
-the earlier of the two nodes.  Between that node and node l the interior
-moves by the rank-m Euler drift only, so
-
-    p2(i, j, l) = F(i, j) - dt sum_{r=l+1}^{min(i,j)} pb(i, r) rcal_inv(r) pb(j, r)^T
-
-and the sweep never forms a slice.  Sweep at node t_l (l = N..0):
+The two-time kernel is held as the factors of its border values (see
+``RiccatiSolution``): p2(i, l, l) = H(i, l) W(l) for i > l, with
+H(i, l) = [g2 | pb](i, l) the columns the sweep forms at node l and
+W(l) = [Acal(l); Xi(l)], and the corner C(l) = sym(H(l, l) W(l)).  An
+entry moves from its border value only by the rank-m Euler drift, so the
+sweep forms neither a slice nor the border matrix F.  Sweep at node t_l
+(l = N..0):
   (i)   write the selector column U(., t_l) into a template built once per
         solve (its identity blocks do not move with l), beside the control
         column B(., t_l) and, where b(l) != 0, the free-term column
         U(., t_l) b(l);
-  (ii)  apply the slice at node l over the future nodes to that stack:
-        p1 u + dt (F u - dt P^T (rcal_inv (P u))), with P the control
-        products pb(., r), r > l, in the [r, m, (s, a)] layout; one pass
-        over F and two thin products give the selector-weighted column
-        g2, the control products and the free-term products together;
+  (ii)  apply the slice at node l over the future nodes to that stack u:
+        p1 u + dt (H^T x + W^T (H u) - C u), x = W u - dt [0; rcal_inv P u],
+        with P u the control rows of H u: two products against H give g2,
+        the control products and the free-term products together;
   (iii) form g1 as one product of the selector against g2, factor the
         effective control weight (a Cholesky factor and its inverse) and
-        form the pointwise kernel;
-  (iv)  write the boundary column g2 Acal - pb rcal_inv dgc (two products)
-        and its transposed row, then each corner sum as one product of
-        that row against the stack;
-  (v)   record the control products and the adjoint's free-term products.
+        form the pointwise kernel and Xi(l);
+  (iv)  write [g2 | pb] into H's row block l, then each corner sum as
+        W(l)^T times one product of that block against the stack;
+  (v)   record the adjoint's free-term products.
 The weight's eigenvalue floor comes from one call over every node after
 the sweep.  Each product over the future nodes runs as BLAS calls over
 whole node blocks of rows, each small enough for one thread: a single
 product over the whole interior is split across threads from side ~500
-on, and its sums then change with the thread count.  The corner's
-products are single calls of d (N - l) d k multiply-adds, k <= n + m + 1
-columns, on one thread while that stays under 2^18 (N up to ~9700 at
-n = m = 1, ~1450 at n = m = 2).  Storage is O(N^2 d^2); the sweep
-allocates nothing of a slice's size besides F.
+on, and its sums then change with the thread count.  The products
+against H halve the node range recursively and skip its zero quarter.
+The corner's product is a single call of (n + m) (N - l) 3n k
+multiply-adds, k <= n + m + 1 columns, on one thread while that stays
+under 2^18 (N up to ~14500 at n = m = 1, ~2180 at n = m = 2).  Storage
+is H and pfree, (N+1)^2 3n (n+m+1) numbers, plus per-node tables.
 
 ``riccati_residual`` re-checks the three lines from the same tables: it
-applies each slice to the selector and control columns through F and
-the control products as step (ii) does, and takes the evolution line's
-increment as the drift itself.  Whole slices come only from
+applies each slice to the selector and control columns through the
+factors as step (ii) does, and takes the evolution line's increment as
+the drift itself.  Whole slices come only from
 ``RiccatiSolution.replay``, for the readers that need them (the case I
 window sums, case II's P3c, the CLI's dump).  It re-runs the explicit
-Euler recurrence from the terminal corner with F's borders and advances
-only the live lifted blocks, which ``RiccatiSolution`` reads off its own
-tables: block 1 (the current state) always, block 2 (the delayed state)
-or 3 (the memory integral) iff its rows of the frontier or of the
-control products hold a nonzero entry.  A block with neither stays
-exactly zero under the Euler step; on the solver's output that is a
-block the data never reads (A2, C2 and Q2 zero for block 2; A3, C3 and Q3
-for block 3).  The live set is the slice 0:1, 0:2, 0::2 or 0:3 of the
-block axis.
+Euler recurrence from the terminal corner with the border columns H W
+and advances only the live lifted blocks (see ``_live_blocks``); on the
+solver's output a dead block is one the data never reads (A2, C2 and Q2
+zero for block 2; A3, C3 and Q3 for block 3).
 """
 
 from __future__ import annotations
@@ -66,7 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalError
-from .volterra import VolterraProblem, _by_node_rows
+from .volterra import VolterraProblem, _by_triangle
+
 
 @dataclass(frozen=True)
 class RiccatiSolution:
@@ -74,45 +67,61 @@ class RiccatiSolution:
 
     The two-time kernel p2(i, j, l) (i, j >= l) is not stored slice by
     slice.  Each slice's interior is the next slice less a rank-m update,
-    so every entry is its frontier value minus a sum of those updates:
+    so every entry is its border value less a sum of those updates:
 
         p2(i, j, l) = p2(i, j, q) - dt sum_{r=l+1}^{q} pb(i, r) rcal_inv(r) pb(j, r)^T,
         q = min(i, j).
 
-    ``frontier[i, j]`` holds p2(i, j, min(i, j)): for i >= j the boundary
-    column and the corner the sweep wrote at node j, above the diagonal
-    their transposes.  It is an (N+1, N+1, d, d) view of the sweep's
-    frontier matrix F, the flat buffer with entry [(i, a), (j, b)] =
-    frontier[i, j][a, b].  Readers that need whole slices get them from
-    ``replay``, which re-runs the explicit Euler recurrence backwards from
-    the terminal corner on the same flat layout.
-
-    ``pb[s, t]`` holds the control-kernel star product (P*B)(t_s, t_t)
-    for s >= t (the diagonal carries the limiting corner value); it is a
-    view of the sweep's [t, m, (s, a)] buffer.  ``pfree[r, s]`` holds the
-    free-term star product p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q)
-    with ub = U(., t_s) b(s), which drives the adjoint sweep.  Storage is
-    O(N^2 (3n)^2).  ``live``, the blocks the replay advances, is derived
-    from ``frontier`` and ``pb`` once per solution and cannot be set.
+    Only the factors of the border values are stored: p2(i, j, j) =
+    H(i, j) W(j) for i > j, the corner p2(j, j, j) = sym(H(j, j) W(j)).
+    ``H[t, :, s*3n:(s+1)*3n]`` holds H(s, t)^T = [g2 | pb](s, t)^T for
+    s >= t (zero for s < t), the selector-weighted column g2 and the
+    control products (P*B)(t_s, t_t) the sweep formed at node t; ``pb`` is
+    a view of its last m rows.  ``W[t]`` = [Acal(t); Xi(t)], Xi the causal
+    feedback's pointwise gain.  ``border(l)`` forms the column at node l,
+    ``replay`` whole slices.  ``pfree[r, s]`` holds the free-term star
+    product p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q) with
+    ub = U(., t_s) b(s), which drives the adjoint sweep.  ``live``, the
+    blocks the replay advances, is derived from ``H`` and ``W`` once per
+    solution and cannot be set.
     """
 
     n: int
     m: int
     dt: float
     p1: np.ndarray              # (N+1, 3n, 3n)
-    frontier: np.ndarray        # (N+1, N+1, 3n, 3n); [i, j] = p2(i, j, min(i, j))
+    H: np.ndarray               # (N+1, n+m, (N+1) 3n); [t, :, (s, a)] = H(s, t)[a]
+    W: np.ndarray               # (N+1, n+m, 3n); [Acal; Xi]
     g1_table: np.ndarray        # (N+1, n, n)
     rcal: np.ndarray            # (N+1, m, m)
     rcal_inv: np.ndarray        # (N+1, m, m)
-    pb: np.ndarray              # (N+1, N+1, 3n, m)
     pfree: np.ndarray           # (N+1, N+1, 3n)
     lambda_floor: float
-    # lifted blocks the replay advances, read off the tables, see
+    # lifted blocks the replay advances, read off the factors, see
     # ``_live_blocks``
     live: slice = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "live", _live_blocks(self.frontier, self.pb))
+        object.__setattr__(self, "live", _live_blocks(self.H, self.W))
+
+    @property
+    def N(self) -> int:
+        return self.p1.shape[0] - 1
+
+    @property
+    def pb(self) -> np.ndarray:
+        """(N+1, N+1, 3n, m): pb[s, t] = (P*B)(t_s, t_t), a view of H."""
+        nn, d = self.N + 1, 3 * self.n
+        return self.H[:, self.n:].reshape(nn, self.m, nn, d).transpose(
+            2, 0, 3, 1)
+
+    def border(self, l: int) -> np.ndarray:
+        """p2(i, l, l) for i >= l as one flat ((N+1-l) 3n, 3n) column:
+        H(i, l) W(l), the corner symmetrized."""
+        d = 3 * self.n
+        col = self.H[l, :, l * d:].T @ self.W[l]
+        col[:d] = _sym(col[:d])
+        return col
 
     def replay(self):
         """Yield (l, slice_l) for l = N, N-1, ..., 0.
@@ -120,7 +129,7 @@ class RiccatiSolution:
         ``slice_l`` covers grid pairs (i, j) with i, j >= l (local index
         0 is global l): its interior is slice l+1 advanced by one Euler
         step of the rank-m drift, its border column, row and corner come
-        from the frontier.  Only the ``live`` blocks are advanced, so a
+        from ``border(l)``.  Only the ``live`` blocks are advanced, so a
         replay of a problem with dead blocks costs their share less.
         Each slice is an (M, M, d, d) view into one flat buffer that the
         next step updates in place: copy it to keep it past the step, and
@@ -136,30 +145,26 @@ class RiccatiSolution:
             if l < N:
                 _advance(X[d:, d:], self.pb[l + 1:, l + 1], self.rcal_inv[l + 1],
                          self.dt, work[:Md * Md].reshape(Md, Md), self.live)
-                X[d:, :d] = self.frontier[l + 1:, l].reshape(-1, d)
-                X[:d, d:] = X[d:, :d].T
-            X[:d, :d] = self.frontier[l, l]
+            X[:, :d] = self.border(l)
+            X[:d, d:] = X[d:, :d].T
             yield l, _blocks(X, N + 1 - l)
 
-    @property
-    def N(self) -> int:
-        return self.p1.shape[0] - 1
 
-
-def _live_blocks(frontier: np.ndarray, pb: np.ndarray) -> slice:
+def _live_blocks(H: np.ndarray, W: np.ndarray) -> slice:
     """The lifted blocks the replay advances, as a slice of the block axis.
 
     Block 1 (the current state) always; block 2 or 3 iff its rows of the
-    frontier or of the control products hold a nonzero entry.  Every
-    slice is the frontier less products of the control rows, so a block
-    with neither stays exactly zero under the Euler step, and skipping it
-    is exact.  The result is one of 0:1, 0:2, 0::2 and 0:3.
+    factor table H or its columns of the closed-loop row W hold a nonzero
+    entry.  A block with neither has zero rows and columns in every
+    border H W and zero rows in the control products, so it stays
+    exactly zero under the Euler step, and skipping it is exact.  The
+    result is one of 0:1, 0:2, 0::2 and 0:3.
     """
-    n = frontier.shape[-1] // 3
+    n = W.shape[-1] // 3
+    rows = H.reshape(H.shape[:2] + (-1, 3, n))
 
     def holds(b: int) -> bool:
-        rows = slice(b * n, (b + 1) * n)
-        return bool(frontier[:, :, rows].any() or pb[:, :, rows].any())
+        return bool(rows[..., b, :].any() or W[..., b * n:(b + 1) * n].any())
 
     delay, memory = holds(1), holds(2)
     if memory and not delay:
@@ -183,18 +188,24 @@ def _blocks(X: np.ndarray, M: int) -> np.ndarray:
     return X.reshape(M, d, M, d).transpose(0, 2, 1, 3)
 
 
-def _interior(F: np.ndarray, pb_rows: np.ndarray, rcal_inv: np.ndarray,
+def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
               lo: int, u: np.ndarray, dt: float) -> np.ndarray:
     """The slice at node lo - 1 on pairs i, j >= lo, applied to the stacked
     columns u (M, d, k) over nodes lo..N: F u - dt P^T (rcal_inv (P u)),
-    with P = pb_rows[lo:] the control products pb(., r), r >= lo."""
+    P the control products pb(., r), r >= lo, as H^T x + W^T (H u) - C u,
+    x = W u - dt [0; rcal_inv (P u)], C the corners.  (H u)(t) holds P u in
+    its last m rows; H^T x and W^T (H u) each hold the diagonal term
+    H(i, i) W(i) u(i) or its transpose, so one corner C(i) u(i) comes off."""
     M, d, k = u.shape
-    m, i0 = pb_rows.shape[1], lo * d
-    u2 = u.reshape(M * d, k)
-    out = _by_node_rows(F[i0:, i0:], u2, d).reshape(M, d, k)
-    P = pb_rows[lo:, :, i0:].reshape(M * m, M * d)
-    z = rcal_inv[lo:] @ _by_node_rows(P, u2, m).reshape(M, m, k)
-    out -= dt * _by_node_rows(P.T, z.reshape(M * m, k), d).reshape(M, d, k)
+    w, m = W.shape[1], rcal_inv.shape[-1]
+    Hl = H[lo:, :, lo * d:].reshape(M * w, M * d)
+    Wl = W[lo:]
+    hu = _by_triangle(Hl, u.reshape(M * d, k), w, d, True).reshape(M, w, k)
+    x = Wl @ u
+    x[:, w - m:] -= dt * (rcal_inv[lo:] @ hu[:, w - m:])
+    out = _by_triangle(Hl.T, x.reshape(M * w, k), d, w, False).reshape(M, d, k)
+    out += Wl.transpose(0, 2, 1) @ hu
+    out -= C[lo:] @ u
     return out
 
 
@@ -240,15 +251,17 @@ def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
 
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
-    nn, d = N + 1, 3 * n
+    nn, d, w = N + 1, 3 * n, n + m
 
     p1 = np.zeros((nn, d, d))
     g1_table = np.zeros((nn, n, n))
     rcal = np.zeros((nn, m, m))
     rcal_inv = np.zeros((nn, m, m))
     pfree = np.zeros((nn, nn, d))
-    F = np.zeros((nn * d, nn * d))        # frontier matrix
-    pb_rows = np.zeros((nn, m, nn * d))   # pb in the [t, m, (s, a)] layout
+    H = np.zeros((nn, w, nn * d))         # [g2 | pb] in the [t, n+m, (s, a)] layout
+    W = np.zeros((nn, w, d))              # [Acal; Xi]
+    W[:, :n] = vp.Acal
+    corner = np.empty((nn, d, d))         # sym(H(l, l) W(l)), kept for _interior
     # columns over nodes l..N at offsets 0..N-l: the selector U(., t_l),
     # the control column B(., t_l) and the free-term column U(., t_l) b(l)
     stack = vp.selector_stack(n + m + 1)
@@ -269,7 +282,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     free = vp.source.b.any(axis=1).tolist()
 
     for l in range(N, -1, -1):
-        X, M = F[l * d:, l * d:], N - l          # frontier block of node l
+        M = N - l
         k = n + m + free[l]
         u = stack[:M + 1, :, :k]
         u[:, 2 * n:, :n] = vp.E[l:, l]
@@ -277,28 +290,17 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         if free[l]:
             u[:, :, -1] = (u[:, :, :n].reshape(-1, n)
                            @ vp.source.b[l]).reshape(M + 1, d)
-        if l == N:                               # empty future
-            p1[N] = _sym(vp.Q[N])
-            factor_rcal(N, vp.R[N])
-            head = p1[N] @ u[0]
-            X[:] = _sym(head[:, :n] @ vp.Acal[N])
-            if not np.isfinite(X).all():
-                raise NumericalError(f"two-time kernel non-finite at node {N}")
-            pb_rows[N, :, N * d:] = head[:, n:n + m].T
-            if free[N]:
-                pfree[N, N] = head[:, -1]
-            continue
-        # the columns against the slice at node l over pairs r, s > l: the
-        # selector-weighted g2 (:n), the control products (n:n+m) and the
-        # free-term products (n+m)
-        v = u[1:].reshape(M * d, k)
-        G = _interior(F, pb_rows, rcal_inv, l + 1, u[1:], dt)
-        G *= dt
-        G += p1[l + 1:] @ u[1:]
-        G2 = G.reshape(M * d, k)
-
-        g1_val = _sym((v[:, :n].T @ G2[:, :n]) * dt)
-        g1_table[l] = g1_val
+        if l < N:
+            # the columns against the slice at node l over pairs r, s > l:
+            # the selector-weighted g2 (:n), the control products (n:n+m)
+            # and the free-term products (n+m)
+            v = u[1:].reshape(M * d, k)
+            G = _interior(H, W, corner, rcal_inv, l + 1, u[1:], dt)
+            G *= dt
+            G += p1[l + 1:] @ u[1:]
+            G2 = G.reshape(M * d, k)
+            g1_table[l] = _sym((v[:, :n].T @ G2[:, :n]) * dt)
+        g1_val = g1_table[l]                     # zero at node N
 
         D1l = vp.source.D1[l]
         factor_rcal(l, vp.R[l] + D1l.T @ g1_val @ D1l)
@@ -306,28 +308,28 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         cgd = vp.Ccal[l].T @ g1_val @ D1l        # (3n, m)
         dgc = D1l.T @ g1_val @ vp.Ccal[l]        # (m, 3n)
         rdgc = rcal_inv[l] @ dgc
+        np.negative(rdgc, out=W[l, n:])          # Xi(l)
         p1[l] = _sym(vp.Q[l] + vp.Ccal[l].T @ g1_val @ vp.Ccal[l]
                      - cgd @ rdgc)
 
-        # boundary column p2(i, l, l), i > l, and its transposed row
-        bnd = X[d:, :d]
-        bnd[:] = _by_node_rows(G2[:, :n], vp.Acal[l], d)
-        bnd -= _by_node_rows(G2[:, n:n + m], rdgc, d)
-        X[:d, d:] = bnd.T
-        # the corner sums as one product of the row just written against
-        # the stack (see the module docstring for its thread bound)
-        head = p1[l] @ u[0] + (X[:d, d:] @ v) * dt
-        X[:d, :d] = _sym(head[:, :n] @ vp.Acal[l] - head[:, n:n + m] @ rdgc)
-        # the interior reached factor_rcal through G; only the border
-        # column and the corner are new
-        if not np.isfinite(X[:, :d]).all():
-            raise NumericalError(f"two-time kernel non-finite at node {l}")
+        head = p1[l] @ u[0]
+        if l < N:
+            H[l, :, (l + 1) * d:] = G2[:, :w].T
+            # the corner sums: W(l)^T against one product of the column
+            # just written with the stack (see the module docstring for
+            # its thread bound)
+            head += (W[l].T @ (G2[:, :w].T @ v)) * dt
+            if free[l]:
+                pfree[l + 1:, l] = G[..., -1]
+        H[l, :, l * d:(l + 1) * d] = head[:, :w].T
+        corner[l] = _sym(head[:, :w] @ W[l])
         if free[l]:
             pfree[l, l] = head[:, -1]
-            pfree[l + 1:, l] = G[..., -1]
-
-        pb_rows[l, :, (l + 1) * d:] = G2[:, n:n + m].T
-        pb_rows[l, :, l * d:(l + 1) * d] = head[:, n:n + m].T
+        # the interior reached factor_rcal through G; only the column
+        # and the corner are new
+        if not (np.isfinite(H[l, :, l * d:]).all()
+                and np.isfinite(corner[l]).all()):
+            raise NumericalError(f"two-time kernel non-finite at node {l}")
 
     # the weight's eigenvalue floor in one call: a node whose factorization
     # succeeded may still hold an eigenvalue <= 0 at rounding level
@@ -337,9 +339,8 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         raise _lost_definiteness(l, floors[l:l + 1])
 
     return RiccatiSolution(
-        n=n, m=m, dt=dt, p1=p1, frontier=_blocks(F, nn), g1_table=g1_table,
-        rcal=rcal, rcal_inv=rcal_inv,
-        pb=pb_rows.reshape(nn, m, nn, d).transpose(2, 0, 3, 1), pfree=pfree,
+        n=n, m=m, dt=dt, p1=p1, H=H, W=W, g1_table=g1_table,
+        rcal=rcal, rcal_inv=rcal_inv, pfree=pfree,
         lambda_floor=float(floors.min()),
     )
 
@@ -381,10 +382,8 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     res_rcal = float(np.abs(
         P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
 
-    # the sweep's flat buffers behind frontier and pb (views of them)
-    F = P.frontier.transpose(0, 2, 1, 3).reshape((N + 1) * d, -1)
-    pb_rows = P.pb.transpose(1, 3, 0, 2).reshape(N + 1, P.m, -1)
     stack = vp.selector_stack(n + P.m)
+    corner, pb = np.empty((N + 1, d, d)), P.pb
 
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
@@ -397,12 +396,16 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
         u[:, :, n:] = vp.B[l:, l]
         wu = w[:, None, None] * u
         # p1 u plus slice l against the weighted stack: g2 (:n) and the
-        # control products (n:), trapezoid-weighted
+        # control products (n:), trapezoid-weighted; the slice's border
+        # column at l is the stored left-rectangle H(., l) W(l)
+        col = P.border(l)
+        corner[l] = col[:d]
         G = P.p1[l:] @ u
-        G += (F[l * d:, l * d:(l + 1) * d] @ wu[0]).reshape(M + 1, d, -1)
+        G += (col @ wu[0]).reshape(M + 1, d, -1)
         if M:
-            G[0] += F[l * d:(l + 1) * d, (l + 1) * d:] @ wu[1:].reshape(M * d, -1)
-            G[1:] += _interior(F, pb_rows, P.rcal_inv, l + 1, wu[1:], dt)
+            G[0] += P.W[l].T @ (P.H[l, :, (l + 1) * d:]
+                                @ wu[1:].reshape(M * d, -1))
+            G[1:] += _interior(P.H, P.W, corner, P.rcal_inv, l + 1, wu[1:], dt)
         g1t = _sym(wu[..., :n].reshape(-1, n).T @ G[..., :n].reshape(-1, n))
         D1l = D1[l]
         rct_inv = np.linalg.inv(vp.R[l] + D1l.T @ g1t @ D1l)
@@ -414,15 +417,15 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
         if l == N:
             continue
 
-        lhs3 = P.frontier[l + 1:, l] - (G[1:, :, :n] @ vp.Acal[l]
-                                        - G[1:, :, n:] @ (rct_inv @ dgc))
+        lhs3 = col[d:].reshape(M, d, d) - (G[1:, :, :n] @ vp.Acal[l]
+                                           - G[1:, :, n:] @ (rct_inv @ dgc))
         prof_bound[l] = float(np.abs(lhs3).max())
 
         # effective weight jumps one delay before the horizon
         if not (l == N - k - 1 and src.nonzero("R2")):
             # live rows only: the dead ones are 0.0 in both drifts
-            nxt = _live_rows(P.pb[l + 1:, l + 1], P.live)
-            cur = _live_rows(P.pb[l + 1:, l], P.live)
+            nxt = _live_rows(pb[l + 1:, l + 1], P.live)
+            cur = _live_rows(pb[l + 1:, l], P.live)
             fd = _sym((nxt @ P.rcal_inv[l + 1]) @ nxt.T)
             fd -= (cur @ P.rcal_inv[l]) @ cur.T
             # max over pairs with both nodes smooth: zero the others

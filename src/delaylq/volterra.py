@@ -52,6 +52,28 @@ def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
+def _by_triangle(A: np.ndarray, B: np.ndarray, w: int, v: int,
+                 upper: bool) -> np.ndarray:
+    """A @ B for A (M w, M v) in node blocks of w x v that vanish below
+    the block diagonal if ``upper``, above it if not.  The node range is
+    halved recursively: the two diagonal halves recurse, the one nonzero
+    off-diagonal quarter is a product of ``_by_node_rows``, and a range of
+    one node or a product within one thread's share, 2 _CALL_MACS
+    multiply-adds, goes to ``_by_node_rows`` whole."""
+    if A.shape[0] <= w or A.size * B.shape[1] <= 2 * _CALL_MACS:
+        return _by_node_rows(A, B, w)
+    h = A.shape[0] // w // 2
+    r, c = h * w, h * v
+    out = np.empty((A.shape[0], B.shape[1]))
+    out[:r] = _by_triangle(A[:r, :c], B[:c], w, v, upper)
+    out[r:] = _by_triangle(A[r:, c:], B[c:], w, v, upper)
+    if upper:
+        out[:r] += _by_node_rows(A[:r, c:], B[c:], w)
+    else:
+        out[r:] += _by_node_rows(A[r:, :c], B[:c], w)
+    return out
+
+
 def _running_integral_table(F: np.ndarray, dt: float) -> np.ndarray:
     """E[i, j] = sum_{l=j..i-1} F[i, l] dt for j < i, else zero."""
     nn = F.shape[0]

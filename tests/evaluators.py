@@ -1,9 +1,11 @@
 """Reference evaluators the tests check the solver's tables against.
 
 The solver works in the star-product form and stores the two-time kernel
-through its frontier and the control products.  These are the paper's
-other forms of the same quantities, which no solver path reads:
+through the factor table H and the closed-loop row W.  These are the
+paper's other forms of the same quantities, which no solver path reads:
 
+- the border values p2(i, j, min(i, j)) as one dense table
+  (``frontier``), the matrix the sweep once stored;
 - the pointwise reference forms of the lifted kernels (``script_e``,
   ``bcal``);
 - the two-time kernel at one triple in closed form (``p2``) and a whole
@@ -57,18 +59,34 @@ def bcal(vp, theta: int, t: int) -> np.ndarray:
 # The two-time kernel
 # ----------------------------------------------------------------------
 
+def frontier(P) -> np.ndarray:
+    """(N+1, N+1, 3n, 3n): [i, j] = p2(i, j, min(i, j)), the border column
+    ``P.border(j)`` for i >= j and its transpose above the diagonal."""
+    N, d = P.N, 3 * P.n
+    out = np.zeros((N + 1, N + 1, d, d))
+    for j in range(N + 1):
+        out[j:, j] = P.border(j).reshape(-1, d, d)
+        out[j, j + 1:] = out[j + 1:, j].transpose(0, 2, 1)
+    return out
+
+
 def p2(P, i: int, j: int, l: int) -> np.ndarray:
     """Two-time kernel at (t_i, t_j, t_l); requires l <= min(i, j).
 
-    The frontier value at q = min(i, j) less the rank-m updates of the
-    nodes l+1..q:
+    The border value at q = min(i, j), H(max, q) W(q) (symmetrized on the
+    diagonal), less the rank-m updates of the nodes l+1..q:
 
         p2(i, j, l) = p2(i, j, q) - dt sum_{r=l+1}^{q} pb(i, r) rcal_inv(r) pb(j, r)^T
     """
     if l > min(i, j):
         raise ValueError(f"p2 needs l <= min(i, j), got ({i},{j},{l})")
-    q = min(i, j)
-    base = P.frontier[i, j] if i >= j else P.frontier[j, i].T
+    q, d = min(i, j), 3 * P.n
+    far = max(i, j)
+    base = P.H[q, :, far * d:(far + 1) * d].T @ P.W[q]
+    if i == j:
+        base = 0.5 * (base + base.T)
+    elif i < j:
+        base = base.T
     rs = slice(l + 1, q + 1)
     return base - P.dt * np.einsum(
         "ram,rmk,rbk->ab", P.pb[i, rs], P.rcal_inv[rs], P.pb[j, rs])

@@ -130,11 +130,13 @@ class TestSolve:
         assert field in lines[0]
 
     @pytest.mark.parametrize("field, value", [
-        ("N", 1_000_000_000), ("N", 0), ("n", 0), ("m", 0)])
+        ("N", 1_000_000_000), ("N", 0), ("n", 0), ("m", 0),
+        ("n", 100_000), ("n", 2), ("m", 100_000), ("m", 2)])
     def test_header_its_tables_contradict_exits_one_on_one_line(
             self, field, value, tmp_path):
-        # "N": 1e9 allocated the kernels from the header before any table
-        # was compared with it; "n": 0 printed a validation line per field
+        # "N": 1e9, or "n": 1e5 against tables of n = 1, allocated the
+        # kernels from the header before any table was compared with it;
+        # "n": 0 or 2 printed a validation line per field
         doc = dl.problem_to_dict(dl.preset_problem("tanh", 8))
         doc[field] = value
         path = tmp_path / "header.json"

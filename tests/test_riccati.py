@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import delaylq as dl
-from delaylq import oracles, riccati
+from delaylq import oracles, riccati, volterra
 from delaylq.cli import main as cli_main
 from delaylq.riccati import RiccatiSolution
-from evaluators import (bcal, g2, g3, p2, p2_slice, star_left, star_right,
-                        star_sandwich)
+from evaluators import (bcal, frontier, g2, g3, p2, p2_slice, star_left,
+                        star_right, star_sandwich)
 from loop_oracles import (advance_full_width, evolution_profile_full_width,
                           live_blocks, selector)
 from test_multidim import planar_problem, planar_state_delay_problem
@@ -101,14 +101,16 @@ class TestFixedPointsAndSymmetry:
 #: distributed, full, pointwise and state-delay re-made again when the sweep
 #: formed g1 from one product against g2 and each corner sum from one
 #: product over the border row: moves of at most 1.3e-16 relative to the
-#: largest entry.
+#: largest entry.  The same four re-made again when the sweep stored the
+#: border as the factors H and W and applied the slice through them:
+#: moves of at most 2.2e-16 relative to the largest entry.
 DUMP16_SHA256 = {
     "tanh": "bed8ecd126b410eac25725d3fc042f962afec90ca37956e9c8a32e2862affc62",
     "input-delay": "8c0758e612275c015c783d708cf1af976f018276026fcbc7c0f304cc8a17f499",
-    "state-delay": "396c2640e75122b3b664c05d47435e84df1d78a17cf524e4a168811bff92e2ec",
-    "distributed": "d1c2ecda7b14b8427b46209695a00af766a0a4c493bab7c98646179dd2fc33ca",
-    "pointwise": "d61de06c6108e58ec1b76f01ea5d0a1cc83746194aecb53886fcbcecd3a92d92",
-    "full": "87ef7f4d726b6215287aa2a690b61e2682dd73fb518e290b3c8f5dff00fcf04d",
+    "state-delay": "48792916693f8c9224f145bcd5b274de0fc7721fd38f0b107b483643a6353642",
+    "distributed": "268fd0650f21fd5d66d3a0b463f2c1432b81cc76567585702a84ec472bf3bc33",
+    "pointwise": "999bd4c5fbc4e24bde40360ea11bee927057d21698f4586f9e9cd3b9b39be4bf",
+    "full": "42b9f214ef90d665400bfadf79b6e29c20c60c9c5e4bedffe29808a5963d4683",
 }
 
 
@@ -137,9 +139,10 @@ class TestFactoredKernel:
     def test_replay_reproduces_stored_tables_exactly(self, solve_preset):
         presets = [solve_preset(name, 24).P for name in dl.PRESET_NAMES]
         for P in presets + [P for _, P in planar_solutions()]:
+            F = frontier(P)
             for l, sl in P.replay():
                 assert sl.shape == (P.N + 1 - l,) * 2 + (3 * P.n,) * 2
-                np.testing.assert_array_equal(sl[:, 0], P.frontier[l:, l])
+                np.testing.assert_array_equal(sl[:, 0], F[l:, l])
 
     def test_free_term_table_is_the_star_product(self, solve_preset):
         s = solve_preset("full", 24)
@@ -155,15 +158,17 @@ class TestFactoredKernel:
                                            rtol=0, atol=1e-12)
 
     def test_stored_tables_are_quadratic_in_the_horizon(self, solve_preset):
+        # the pair tables are the factors H and the free-term products:
+        # (N+1)^2 3n (n+m+1) numbers; the rest is O(N (3n)^2)
         P = solve_preset("full", 48).P
-        d, nn = 3 * P.n, P.N + 1
+        d, nn, w = 3 * P.n, P.N + 1, P.n + P.m
         arrays = [v for v in vars(P).values() if isinstance(v, np.ndarray)]
-        assert max(a.size for a in arrays) <= nn * nn * d * d
-        assert sum(a.nbytes for a in arrays) <= 4 * nn * nn * d * d * 8
+        assert max(a.size for a in arrays) <= nn * nn * d * w
+        assert sum(a.nbytes for a in arrays) <= (
+            nn * nn * d * (w + 1) + 4 * nn * d * d) * 8
 
     def test_sweep_allocates_no_hidden_slice_sized_temporary(self):
-        # the stored tables (the frontier is a view of the sweep's one
-        # slice-sized buffer) plus half a slice of slack for small
+        # the stored tables plus half a slice of slack for small
         # temporaries; one slice-sized temporary in the loop exceeds it
         for name in ("full", "state-delay"):
             vp = dl.build_volterra(dl.preset_problem(name, 120))
@@ -178,6 +183,25 @@ class TestFactoredKernel:
             slice_bytes = (P.N + 1) ** 2 * (3 * P.n) ** 2 * 8
             assert peak <= stored + 0.5 * slice_bytes, (
                 name, (peak - stored) / slice_bytes)
+
+    def test_sweep_splits_a_node_past_the_call_bound(self, monkeypatch):
+        # at a bound of 8 multiply-adds one node's block of H against the
+        # sweep's columns exceeds a call's share: the products against H
+        # go to single nodes and split them, and the sweep and the
+        # residual agree with the whole calls at rounding level
+        vp = dl.build_volterra(dl.preset_problem("full", 8))
+        P = dl.solve_riccati(vp)
+        res = dl.riccati_residual(P, vp)
+        monkeypatch.setattr(volterra, "_CALL_MACS", 8)
+        Ps = dl.solve_riccati(vp)
+        for table in ("p1", "H", "W", "pfree"):
+            a, b = getattr(Ps, table), getattr(P, table)
+            np.testing.assert_allclose(a, b, rtol=0,
+                                       atol=1e-13 * np.abs(b).max())
+        res_s = dl.riccati_residual(Ps, vp)
+        for line in ("pointwise", "evolution", "boundary"):
+            assert getattr(res_s, line) == pytest.approx(
+                getattr(res, line), rel=1e-12)
 
     def test_value_function_is_the_quadratic_form_on_slice0(self,
                                                            solve_preset):
@@ -235,16 +259,19 @@ class TestLiveBlocks:
         with pytest.raises(ValueError, match="live"):
             dataclasses.replace(P, live=slice(0, 1))
         assert dataclasses.replace(P).live == P.live == slice(0, 2)
-        # a hand-built solution: a block is live iff its rows of the
-        # frontier or of the control products hold a nonzero entry
+        # a hand-built solution: a block is live iff its rows of the factor
+        # table H (g2 or the control products) or its columns of the
+        # closed-loop row W hold a nonzero entry
         _, Z = zero_weight_solution(8)
         assert Z.live == slice(0, 1)
-        for table, label in ((Z.frontier, "frontier"), (Z.pb, "pb")):
+        # n = 1: row or column b is block b; H[3, :, 15 + b] is H(5, 3)[b]
+        for label, at in (("H", (3, 0, 15)), ("H", (3, 1, 15)),
+                          ("W", (3, 0, 0))):
             for b, want in ((1, slice(0, 2)), (2, slice(0, 3, 2))):
-                hot = table.copy()
-                hot[5, 3, b] = 1e-300      # n = 1: row b is block b
+                hot = getattr(Z, label).copy()
+                hot[at[:2] + (at[2] + b,)] = 1e-300
                 assert dataclasses.replace(Z, **{label: hot}).live == want, (
-                    label, b)
+                    label, at, b)
 
     def test_dead_blocks_are_exactly_zero(self, solve_preset):
         cases = [(name, solve_preset(name, 24).P, dead)
@@ -252,12 +279,13 @@ class TestLiveBlocks:
         cases += [(name, P, (2,)) for name, P in planar_solutions()
                   if name == "planar-state-delay"]
         for name, P, dead in cases:
+            F = frontier(P)
             for b in dead:
                 blk = slice(b * P.n, (b + 1) * P.n)
                 for label, rows in (("p1", P.p1[:, blk]),
                                     ("p1", P.p1[:, :, blk]),
-                                    ("frontier", P.frontier[..., blk, :]),
-                                    ("frontier", P.frontier[..., blk]),
+                                    ("frontier", F[..., blk, :]),
+                                    ("frontier", F[..., blk]),
                                     ("pb", P.pb[..., blk, :]),
                                     ("pfree", P.pfree[..., blk])):
                     assert not rows.any(), (name, b, label)
@@ -378,12 +406,12 @@ class TestStarProducts:
         vp = dl.build_volterra(p)
         d = 3
         p1 = np.tile(np.diag([2.0, 3.0, 4.0]), (9, 1, 1))
-        zero_p2 = np.zeros((9, 9, d, d))
-        P = RiccatiSolution(n=1, m=1, dt=g.dt, p1=p1, frontier=zero_p2,
+        # zero factors: p2 = 0 and pb = 0
+        zero_h, zero_w = np.zeros((9, 2, 9 * d)), np.zeros((9, 2, d))
+        P = RiccatiSolution(n=1, m=1, dt=g.dt, p1=p1, H=zero_h, W=zero_w,
                             g1_table=np.zeros((9, 1, 1)),
                             rcal=np.tile(np.eye(1), (9, 1, 1)),
                             rcal_inv=np.tile(np.eye(1), (9, 1, 1)),
-                            pb=np.zeros((9, 9, d, 1)),
                             pfree=np.zeros((9, 9, d)), lambda_floor=1.0)
         ident = np.tile(np.eye(d), (9, 9, 1, 1))
         np.testing.assert_array_equal(star_left(ident, P, vp, 5, 2), p1[5])
@@ -391,10 +419,10 @@ class TestStarProducts:
         # sandwich of the identity against constant p1 integrates exactly
         const = RiccatiSolution(n=1, m=1, dt=g.dt,
                                 p1=np.tile(np.eye(d), (9, 1, 1)),
-                                frontier=zero_p2,
+                                H=zero_h, W=zero_w,
                                 g1_table=np.zeros((9, 1, 1)),
                                 rcal=P.rcal, rcal_inv=P.rcal_inv,
-                                pb=P.pb, pfree=P.pfree, lambda_floor=1.0)
+                                pfree=P.pfree, lambda_floor=1.0)
         val = star_sandwich(ident, const, ident, vp, 2)
         np.testing.assert_allclose(val, (1.0 - g.time(2)) * np.eye(d),
                                    atol=1e-14)
@@ -492,6 +520,24 @@ class TestResiduals:
         s = solved["tanh"]
         oracles.casev_consistency(s.P, s.adj, s.strategy,
                                   oracles.classical_riccati(s.problem), s.vp)
+
+    def test_boundary_line_checks_the_stored_factors(self, solve_preset):
+        # one stored g2 entry of node l moved by delta moves the boundary
+        # line at l by about |delta Acal(l)|: the line compares the stored
+        # left-rectangle factors with its trapezoid recomputation, not
+        # with themselves.  Later nodes do not read node l's column
+        s = solve_preset("full", 24)
+        P, vp = s.P, s.vp
+        base = dl.riccati_residual(P, vp).boundary_profile
+        d, l, delta = 3 * P.n, 10, 100.0
+        H = P.H.copy()
+        H[l, 0, (l + 5) * d] += delta           # g2(l + 5, l)[0, 0]
+        moved = dl.riccati_residual(dataclasses.replace(P, H=H),
+                                    vp).boundary_profile
+        want = abs(delta) * np.abs(vp.Acal[l][0]).max()
+        assert abs(moved[l] - base[l] - want) <= 0.1 * want, (
+            moved[l], base[l], want)
+        np.testing.assert_array_equal(moved[l + 1:], base[l + 1:])
 
     def test_rcal_identity_exact_on_presets(self, solve_preset):
         for name in dl.PRESET_NAMES:

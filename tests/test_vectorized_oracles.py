@@ -11,6 +11,7 @@ from hypothesis import given, settings
 import delaylq as dl
 from delaylq import oracles
 import loop_oracles
+from evaluators import frontier
 from test_multidim import planar_problem, planar_state_delay_problem
 from strategies import admissible_problems
 from test_oracles import control_delay_preset
@@ -228,15 +229,15 @@ SWEEP = {
 
 @pytest.mark.parametrize("case", sorted(SWEEP))
 def test_sweep_matches_euler_sweep(case):
-    # the frontier and the control products against the sweep that
-    # advanced every slice; above the diagonal the old frontier held zeros
+    # the border values H W and the control products against the sweep
+    # that advanced every slice; above the diagonal its frontier held zeros
     vp, P = solved(SWEEP[case]())
     ref = loop_oracles.euler_sweep(vp)
     for f in ("p1", "pb", "pfree", "g1_table", "rcal"):
         np.testing.assert_allclose(getattr(P, f), ref[f], rtol=0, atol=1e-12,
                                    err_msg=f)
     low = np.tril_indices(P.N + 1)
-    np.testing.assert_allclose(P.frontier[low], ref["frontier"][low],
+    np.testing.assert_allclose(frontier(P)[low], ref["frontier"][low],
                                rtol=0, atol=1e-12)
 
 

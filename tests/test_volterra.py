@@ -181,6 +181,24 @@ def test_node_row_products_cover_every_call_split(monkeypatch, macs):
                                rtol=1e-13, atol=1e-13)
 
 
+
+@pytest.mark.parametrize("upper", [True, False])
+@pytest.mark.parametrize("macs", [2 ** 17, 60, 12, 8])
+def test_triangle_products_cover_every_split(monkeypatch, macs, upper):
+    # 5 nodes of 3 x 2 blocks, zero on one side of the block diagonal,
+    # against 4 columns (24 multiply-adds a node block): one whole call,
+    # halving down to ranges of 2 or 3 nodes, down to single nodes that
+    # fit the bound, and single nodes past it, which go whole
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, 5, 3, 2))
+    i, j = np.indices((5, 5))
+    A[(i > j) if upper else (i < j)] = 0.0
+    A = A.transpose(0, 2, 1, 3).reshape(15, 10)
+    B = rng.standard_normal((10, 4))
+    monkeypatch.setattr(volterra, "_CALL_MACS", macs)
+    np.testing.assert_allclose(volterra._by_triangle(A, B, 3, 2, upper),
+                               A @ B, rtol=1e-13, atol=1e-13)
+
 class TestLiftAndCost:
     def test_zero_memory_kernel_gives_zero_third_block(self):
         p = dl.preset_problem("pointwise", 16)
