@@ -1,9 +1,8 @@
 """Stochastic linear-quadratic optimal control with state and control
 delays, solved through a delay-free stochastic Volterra lifting."""
 
-from .adjoint import (AdjointSolution, CausalGains, FeedbackStrategy,
-                      causal_gains, solve_adjoint, synthesize_feedback,
-                      value_function)
+from .adjoint import (CausalGains, FeedbackStrategy, causal_gains,
+                      synthesize_feedback, value_function)
 from .exceptions import DelayLQError, NumericalError, ProblemValidationError
 from .grid import TimeGrid
 from .problem import (DelayLQProblem, ValidationReport, empty_problem,
@@ -20,7 +19,7 @@ from .volterra import (VolterraProblem, build_volterra, cost_volterra,
                        lift_state, lifted_kernel)
 
 __all__ = [
-    "AdjointSolution", "BrownianBatch", "CausalGains", "CostEstimate",
+    "BrownianBatch", "CausalGains", "CostEstimate",
     "DelayLQError", "DelayLQProblem", "DerivativeEstimate",
     "FeedbackStrategy", "NumericalError", "PRESET_NAMES",
     "ProblemValidationError", "RiccatiResiduals", "RiccatiSolution",
@@ -30,7 +29,7 @@ __all__ = [
     "lift_state", "lifted_kernel", "load_problem", "preset_problem",
     "problem_from_dict", "problem_to_dict", "riccati_residual",
     "save_problem", "simulate_closed_loop", "simulate_open_loop",
-    "solve_adjoint", "solve_riccati", "stationarity_test",
+    "solve_riccati", "stationarity_test",
     "synthesize_feedback", "validate", "value_function",
 ]
 

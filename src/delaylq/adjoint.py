@@ -1,15 +1,16 @@
-"""Deterministic-data adjoint sweep and closed-loop gain synthesis.
+"""Closed-loop gain synthesis and the value function.
 
 With deterministic free terms the backward pair system reduces to a
-deterministic recursion (the martingale part is identically zero), and
-the offset control follows from the same regrouped star products the
-Riccati sweep stores.  The closed-loop gains come from the causal pair
-(pointwise gain on the lifted state, history gain on its forward
-representation) by collecting the history kernel against the lifted
-state's reconstruction in terms of the original trajectories.  The
-history gain's sums over future nodes are suffix tables built once; the
-delay-shifted and memory channels of the control gain and the offset's
-initial windows are contractions against them, with no loop over nodes.
+deterministic recursion (the martingale part is identically zero); the
+Riccati sweep runs it node by node and stores the pair table ``eta`` and
+the offset ``omega`` of the causal feedback.  The closed-loop gains come
+from the causal pair (pointwise gain on the lifted state, history gain
+on its forward representation) by collecting the history kernel against
+the lifted state's reconstruction in terms of the original trajectories.
+The history gain's sums over future nodes are suffix tables built once;
+the delay-shifted and memory channels of the control gain and the
+offset's initial windows are contractions against them, with no loop
+over nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .exceptions import ProblemValidationError
 from .riccati import RiccatiSolution
-from .volterra import VolterraProblem, _by_node_rows
+from .volterra import VolterraProblem, _node_product
 
 
 @dataclass(frozen=True)
@@ -34,20 +35,6 @@ class CausalGains:
 
     Xi: np.ndarray      # (N+1, m, 3n)
     Gamma: np.ndarray   # (N+1, N+1, m, 3n)
-
-
-@dataclass(frozen=True)
-class AdjointSolution:
-    """Backward pair table and the optimal offset.
-
-    ``eta[i, j]`` approximates the pair solution at (t_i, t_j), j <= i,
-    diagonal included; the martingale component is identically zero
-    under the deterministic-data restriction and is not stored, and
-    ``omega`` is the offset of the causal feedback.
-    """
-
-    eta: np.ndarray     # (N+1, N+1, 3n)
-    omega: np.ndarray   # (N+1, m)
 
 
 @dataclass(frozen=True)
@@ -69,21 +56,6 @@ class FeedbackStrategy:
                                 k3=self.k3, k4=self.k4, v=self.v)
 
 
-def _node_product(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    """scale sum_{r, x} a[t, i, r, x] b[r, x, s, j] as (t, s, i, j), in
-    the bounded BLAS calls of ``_by_node_rows``: one product over every
-    node is split across threads from N ~ 480 on, and its sums then change
-    with the thread count."""
-    nt, i, nr, x = a.shape
-    ns, j = b.shape[2:]
-    # contiguous operands: a strided view (reshape returns one where it
-    # can) falls back to numpy's loop in place of BLAS, ~6x slower
-    out = _by_node_rows(np.ascontiguousarray(a.reshape(nt * i, nr * x)),
-                        np.ascontiguousarray(b.reshape(nr * x, ns * j)), i)
-    out *= scale
-    return out.reshape(nt, i, ns, j).transpose(0, 2, 1, 3)
-
-
 def causal_gains(P: RiccatiSolution, vp: VolterraProblem) -> CausalGains:
     # C order: pb is a transposed view, and the history gain's sums
     # follow the layout of what they read
@@ -93,48 +65,7 @@ def causal_gains(P: RiccatiSolution, vp: VolterraProblem) -> CausalGains:
     return CausalGains(Xi=P.W[:, P.n:], Gamma=Gamma)
 
 
-def solve_adjoint(P: RiccatiSolution, vp: VolterraProblem) -> AdjointSolution:
-    g = vp.grid
-    problem = vp.source
-    N, dt, n, m = g.N, g.dt, vp.n, vp.m
-    d = 3 * n
-
-    eta = np.zeros((N + 1, N + 1, d))
-    omega = np.zeros((N + 1, m))
-    # the diagonal and kvec less their sums over eta, every node at once
-    g1sig = P.g1_table @ problem.sigma[:, :, None]              # (N+1, n, 1)
-    mix = vp.Ccal + problem.D1 @ P.W[:, n:]                     # (N+1, n, 3n)
-    diag = (mix.transpose(0, 2, 1) @ g1sig)[..., 0]
-    kvec = (problem.D1.transpose(0, 2, 1) @ g1sig)[..., 0]
-    # the selector and control columns U(., t_l), B(., t_l) at offsets 0..N-l
-    stack = vp.selector_stack(n + m)
-
-    y = np.zeros(m)                              # rcal_inv kvec at node l + 1
-    for l in range(N, -1, -1):
-        if l < N:
-            s, M = l + 1, N - l
-            # drift of eta(., second argument) frozen at the known node s;
-            # the free-term star product comes from the Riccati sweep
-            drift = P.pfree[s:, s] - (P.pb[s:, s].reshape(-1, m)
-                                      @ y).reshape(M, d)
-            col = eta[s:, l]
-            np.add(eta[s:, s], dt * drift, out=col)
-            u = stack[1:M + 1]
-            u[:, 2 * n:, :n] = vp.E[s:, l]
-            u[:, :, n:] = vp.B[s:, l]
-            # sum_r U(r, l)^T eta(r, l) and sum_r B(r, l)^T eta(r, l): the
-            # state kernel's column is U(., l) Acal(l), closed by Xi(l): W(l)
-            c = (u.reshape(M * d, n + m).T @ col.reshape(-1)) * dt
-            diag[l] += P.W[l].T @ c
-            kvec[l] += c[n:]
-        eta[l, l] = diag[l]
-        y = P.rcal_inv[l] @ kvec[l]
-        omega[l] = -y
-
-    return AdjointSolution(eta=eta, omega=omega)
-
-
-def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
+def synthesize_feedback(P: RiccatiSolution,
                         vp: VolterraProblem) -> FeedbackStrategy:
     g = vp.grid
     N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
@@ -227,7 +158,7 @@ def synthesize_feedback(P: RiccatiSolution, adjoint: AdjointSolution,
         "tpmx,pxq->ptmq", i1grid[:, :lim], src.B2[:lim]),
         src.varsigma[:lim]) * dt
     ctrl *= (nodes[None, :] <= nodes[:lim, None])[:, :, None]
-    v = np.concatenate([adjoint.omega[None], init, ctrl]).sum(axis=0)
+    v = np.concatenate([P.omega[None], init, ctrl]).sum(axis=0)
 
     return FeedbackStrategy(k1=k1, k2=k2, k3=k3, k4=k4, v=v)
 

@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import oracles
-from .adjoint import solve_adjoint, synthesize_feedback, value_function
+from .adjoint import synthesize_feedback, value_function
 from .exceptions import NumericalError, ProblemValidationError
 from .presets import PRESET_NAMES, STEP_MULTIPLE, preset_problem
 from .problem import load_problem
@@ -148,16 +148,15 @@ def _load_problem_from_args(args):
 
 def _solve_pipeline(problem):
     vp = build_volterra(problem)          # validates; main reports violations
-    P = solve_riccati(vp)
-    adj = solve_adjoint(P, vp)
-    strategy = synthesize_feedback(P, adj, vp)
-    return vp, P, adj, strategy
+    P = solve_riccati(vp)                 # the adjoint's eta and omega too
+    strategy = synthesize_feedback(P, vp)
+    return vp, P, strategy
 
 
 def cmd_solve(args) -> int:
     problem, preset = _load_problem_from_args(args)
     os.makedirs(args.out, exist_ok=True)
-    vp, P, adj, strategy = _solve_pipeline(problem)
+    vp, P, strategy = _solve_pipeline(problem)
     g = problem.grid
 
     summary = {
@@ -197,7 +196,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     problem, preset = _load_problem_from_args(args)
     os.makedirs(args.out, exist_ok=True)
-    vp, P, adj, strategy = _solve_pipeline(problem)
+    vp, P, strategy = _solve_pipeline(problem)
     g = problem.grid
     batch = gen_brownian(g, args.n_paths, args.seed)
     sim = simulate_closed_loop(problem, strategy, batch)
@@ -238,11 +237,11 @@ def _verify_residuals(vp, P, summary, out_dir) -> None:
         fh.writelines(fmt % (l, *row) for l, row in enumerate(rows.tolist()))
 
 
-def _verify_cases(problem, vp, P, adj, strategy, summary) -> None:
+def _verify_cases(problem, vp, P, strategy, summary) -> None:
     case = oracles.reduced_case(problem)
     if case == "V":
         oracle = oracles.classical_riccati(problem)
-        rep = oracles.casev_consistency(P, adj, strategy, oracle, vp)
+        rep = oracles.casev_consistency(P, strategy, oracle, vp)
         summary.update({f"casev_{k}": v for k, v in vars(rep).items()})
     elif case == "I":
         ext = oracles.casei_extract(P, vp)
@@ -289,14 +288,14 @@ def cmd_verify(args) -> int:
     if "qp-oracle" in checks:
         oracles.QP_ORACLE.enforce(problem)
 
-    vp, P, adj, strategy = _solve_pipeline(problem)
+    vp, P, strategy = _solve_pipeline(problem)
     g = problem.grid
     summary = {"preset": preset or "custom", "n_steps": g.N, "seed": args.seed}
 
     if "residuals" in checks:
         _verify_residuals(vp, P, summary, args.out)
     if "cases" in checks:
-        _verify_cases(problem, vp, P, adj, strategy, summary)
+        _verify_cases(problem, vp, P, strategy, summary)
     if "qp-oracle" in checks:
         oracle = oracles.deterministic_qp_oracle(problem)
         # the oracle's problems carry no diffusion: the noise never

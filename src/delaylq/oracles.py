@@ -8,8 +8,9 @@ the control-delay-only and state-delay-only models; and an exact convex
 QP solve of the discretized deterministic problem.  Each oracle declares
 what it needs of the data once (``CASES``, ``QP_ORACLE``), and
 ``reduced_case`` picks the special case a problem meets from its data.
-The case V and II checks read the sweep's g1 (``g1_table``); the case I
-window sums and case II's P3c replay the two-time kernel's slices once.
+The case V and II checks read the sweep's tables: g1 (``g1_table``),
+the adjoint's ``eta`` and, for case II's P3c, the g2 columns of ``H``;
+only the case I window sums replay the two-time kernel's slices.
 
 Everything here runs under ``delaylq verify``.  The paper's other forms
 of the solver's quantities (star products, regrouped evaluators,
@@ -180,7 +181,7 @@ class CaseVReport:
     v_error: float
 
 
-def casev_consistency(P: RiccatiSolution, adjoint, strategy,
+def casev_consistency(P: RiccatiSolution, strategy,
                       oracle: ClassicalRiccatiPath,
                       vp: VolterraProblem) -> CaseVReport:
     N, dt, n = vp.grid.N, vp.grid.dt, vp.n
@@ -189,7 +190,7 @@ def casev_consistency(P: RiccatiSolution, adjoint, strategy,
     p_err = float(np.abs(P.g1_table - oracle.P).max())
     eta_err = 0.0
     for l in range(N + 1):
-        eta_emb = adjoint.eta[l + 1:, l, :n].sum(axis=0) * dt
+        eta_emb = P.eta[l + 1:, l, :n].sum(axis=0) * dt
         eta_err = max(eta_err, float(np.abs(eta_emb - oracle.eta_t[l]).max()))
     k1o, vo = classical_gains(vp.source, oracle)
     k1_err = float(np.abs(strategy.k1 - k1o).max())
@@ -223,16 +224,16 @@ def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
     g = vp.grid
     N, dt, n, k = g.N, g.dt, vp.n, g.delay_steps
 
+    # P3c[l, q] for q = l..l+k is block (1, 2) of p1(q) U(q, l) plus the
+    # slice at node l summed against the selector column U(., l): with
+    # E = 0 that is the transpose of rows n:2n of g2(q, l), which the sweep
+    # stored in H
+    d = 3 * n
     P3c = np.zeros((N + 1, N + 1, n, n))
-    for l, sl in P.replay():
-        # P3c[l, q], q = l..l+k: p1(q)[:n, n:2n] plus, over r > l,
-        # ((pair)^T)[:n, n:2n] = (pair[n:2n, :n])^T and, over r - l > k,
-        # the lagged block
+    for l in range(N + 1):
         Q = min(k, N - l) + 1
-        P3c[l, l:l + Q] = (
-            P.p1[l:l + Q, :n, n:2 * n]
-            + sl[:Q, 1:, n:2 * n, :n].swapaxes(-1, -2).sum(axis=1) * dt
-            + sl[:Q, k + 1:, n:2 * n, n:2 * n].swapaxes(-1, -2).sum(axis=1) * dt)
+        g2 = P.H[l, :n, l * d:(l + Q) * d].reshape(n, Q, d)
+        P3c[l, l:l + Q] = g2[..., n:2 * n].transpose(1, 0, 2)
     # P2c, the selector sandwich with E = 0, is the sweep's g1
     return CaseIIExtraction(P2c=P.g1_table, P3c=P3c)
 

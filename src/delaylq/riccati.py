@@ -1,4 +1,4 @@
-"""Backward-in-time solver for the lifted Riccati system.
+"""Backward-in-time solver for the lifted Riccati system and its adjoint.
 
 The sweep works in the star-product form, which only touches the
 regular lifted kernels.  The paper's averaged-selector evaluators
@@ -25,11 +25,18 @@ sweep forms neither a slice nor the border matrix F.  Sweep at node t_l
   (iii) form g1 as one product of the selector against g2, factor the
         effective control weight (a Cholesky factor and its inverse) and
         form the pointwise kernel and Xi(l);
-  (iv)  write [g2 | pb] into H's row block l, then each corner sum as
-        W(l)^T times one product of that block against the stack;
-  (v)   record the adjoint's free-term products.
-The weight's eigenvalue floor comes from one call over every node after
-the sweep.  Each product over the future nodes runs as BLAS calls over
+  (iv)  take the adjoint's step: eta(., l) is eta(., l+1) plus dt times
+        the drift frozen at node l+1, that node's free column less
+        pb(., l+1) rcal_inv(l+1) kvec(l+1); its sums against the stack's
+        selector and control columns, closed by W(l), complete the
+        diagonal eta(l, l), kvec(l) and the offset omega(l);
+  (v)   write [g2 | pb] into H's row block l, then each corner sum as
+        W(l)^T times one product of that block against the stack, and
+        keep node l's free column for the next node's step.
+With deterministic free terms the martingale part of the adjoint pair is
+identically zero, so the pair is this one backward recursion.  The
+weight's eigenvalue floor comes from one call over every node after the
+sweep.  Each product over the future nodes runs as BLAS calls over
 whole node blocks of rows, each small enough for one thread: a single
 product over the whole interior is split across threads from side ~500
 on, and its sums then change with the thread count.  The products
@@ -37,14 +44,15 @@ against H halve the node range recursively and skip its zero quarter.
 The corner's product is a single call of (n + m) (N - l) 3n k
 multiply-adds, k <= n + m + 1 columns, on one thread while that stays
 under 2^18 (N up to ~14500 at n = m = 1, ~2180 at n = m = 2).  Storage
-is H and pfree, (N+1)^2 3n (n+m+1) numbers, plus per-node tables.
+is H and eta, (N+1)^2 3n (n+m+1) numbers, plus per-node tables; the free
+column passes from one node to the next in one (N+1, 3n) buffer.
 
 ``riccati_residual`` re-checks the three lines from the same tables: it
 applies each slice to the selector and control columns through the
 factors as step (ii) does, and takes the evolution line's increment as
 the drift itself.  Whole slices come only from
 ``RiccatiSolution.replay``, for the readers that need them (the case I
-window sums, case II's P3c, the CLI's dump).  It re-runs the explicit
+window sums and the CLI's dump).  It re-runs the explicit
 Euler recurrence from the terminal corner with the border columns H W
 and advances only the live lifted blocks (see ``_live_blocks``); on the
 solver's output a dead block is one the data never reads (A2, C2 and Q2
@@ -63,7 +71,8 @@ from .volterra import VolterraProblem, _by_triangle
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Pointwise kernel p1, factored two-time kernel, derived tables.
+    """Pointwise kernel p1, factored two-time kernel, adjoint, derived
+    tables.
 
     The two-time kernel p2(i, j, l) (i, j >= l) is not stored slice by
     slice.  Each slice's interior is the next slice less a rank-m update,
@@ -79,11 +88,13 @@ class RiccatiSolution:
     control products (P*B)(t_s, t_t) the sweep formed at node t; ``pb`` is
     a view of its last m rows.  ``W[t]`` = [Acal(t); Xi(t)], Xi the causal
     feedback's pointwise gain.  ``border(l)`` forms the column at node l,
-    ``replay`` whole slices.  ``pfree[r, s]`` holds the free-term star
-    product p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q) with
-    ub = U(., t_s) b(s), which drives the adjoint sweep.  ``live``, the
-    blocks the replay advances, is derived from ``H`` and ``W`` once per
-    solution and cannot be set.
+    ``replay`` whole slices.  ``eta[i, j]`` (j <= i, diagonal included)
+    is the adjoint pair at (t_i, t_j), and ``omega`` the offset of the
+    causal feedback; the pair's drift at node s reads the free-term star
+    product p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q), ub = U(., t_s)
+    b(s), which the sweep forms at node s and does not keep.  ``live``,
+    the blocks the replay advances, is derived from ``H`` and ``W`` once
+    per solution and cannot be set.
     """
 
     n: int
@@ -95,7 +106,8 @@ class RiccatiSolution:
     g1_table: np.ndarray        # (N+1, n, n)
     rcal: np.ndarray            # (N+1, m, m)
     rcal_inv: np.ndarray        # (N+1, m, m)
-    pfree: np.ndarray           # (N+1, N+1, 3n)
+    eta: np.ndarray             # (N+1, N+1, 3n)
+    omega: np.ndarray           # (N+1, m)
     lambda_floor: float
     # lifted blocks the replay advances, read off the factors, see
     # ``_live_blocks``
@@ -257,7 +269,6 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     g1_table = np.zeros((nn, n, n))
     rcal = np.zeros((nn, m, m))
     rcal_inv = np.zeros((nn, m, m))
-    pfree = np.zeros((nn, nn, d))
     H = np.zeros((nn, w, nn * d))         # [g2 | pb] in the [t, n+m, (s, a)] layout
     W = np.zeros((nn, w, d))              # [Acal; Xi]
     W[:, :n] = vp.Acal
@@ -277,9 +288,15 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         rcal[l] = mat
         rcal_inv[l] = linv.T @ linv
 
-    # where b(l) = 0 the free-term column is left out and pfree[l:, l]
-    # stays +0.0
+    # where b(l) = 0 the free-term column is left out and node l's free
+    # column stays +0.0
     free = vp.source.b.any(axis=1).tolist()
+    eta = np.zeros((nn, nn, d))
+    omega = np.zeros((nn, m))
+    # node l+1's free column over nodes l+1..N and rcal_inv kvec there,
+    # which the adjoint's step at node l reads
+    fcol = np.zeros((nn, d))
+    y = np.zeros(m)
 
     for l in range(N, -1, -1):
         M = N - l
@@ -312,6 +329,26 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         p1[l] = _sym(vp.Q[l] + vp.Ccal[l].T @ g1_val @ vp.Ccal[l]
                      - cgd @ rdgc)
 
+        # the adjoint's step (iv): the diagonal and kvec start from their
+        # sigma terms; pb(., l+1) and the stack's selector and control
+        # columns enter as contiguous (M d, m) and (M d, n+m) operands,
+        # so the sums do not depend on the stack's width
+        g1sig = g1_val @ vp.source.sigma[l][:, None]
+        diag = ((vp.Ccal[l] + D1l @ W[l, n:]).T @ g1sig)[:, 0]
+        kvec = (D1l.T @ g1sig)[:, 0]
+        if l < N:
+            s = l + 1
+            pbs = np.ascontiguousarray(H[s, n:, s * d:].T)
+            col = eta[s:, l]
+            np.add(eta[s:, s], dt * (fcol[s:] - (pbs @ y).reshape(M, d)),
+                   out=col)
+            c = (np.ascontiguousarray(v[:, :n + m]).T @ col.reshape(-1)) * dt
+            diag += W[l].T @ c
+            kvec += c[n:]
+        eta[l, l] = diag
+        y = rcal_inv[l] @ kvec
+        omega[l] = -y
+
         head = p1[l] @ u[0]
         if l < N:
             H[l, :, (l + 1) * d:] = G2[:, :w].T
@@ -319,12 +356,10 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
             # just written with the stack (see the module docstring for
             # its thread bound)
             head += (W[l].T @ (G2[:, :w].T @ v)) * dt
-            if free[l]:
-                pfree[l + 1:, l] = G[..., -1]
+            fcol[l + 1:] = G[..., -1] if free[l] else 0.0
         H[l, :, l * d:(l + 1) * d] = head[:, :w].T
         corner[l] = _sym(head[:, :w] @ W[l])
-        if free[l]:
-            pfree[l, l] = head[:, -1]
+        fcol[l] = head[:, -1] if free[l] else 0.0
         # the interior reached factor_rcal through G; only the column
         # and the corner are new
         if not (np.isfinite(H[l, :, l * d:]).all()
@@ -340,7 +375,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
 
     return RiccatiSolution(
         n=n, m=m, dt=dt, p1=p1, H=H, W=W, g1_table=g1_table,
-        rcal=rcal, rcal_inv=rcal_inv, pfree=pfree,
+        rcal=rcal, rcal_inv=rcal_inv, eta=eta, omega=omega,
         lambda_floor=float(floors.min()),
     )
 

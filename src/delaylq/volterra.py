@@ -74,16 +74,31 @@ def _by_triangle(A: np.ndarray, B: np.ndarray, w: int, v: int,
     return out
 
 
+def _node_product(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """scale sum_{r, x} a[t, i, r, x] b[r, x, s, j] as (t, s, i, j), in
+    the bounded BLAS calls of ``_by_node_rows``: one product over every
+    node is split across threads from N ~ 480 on, and its sums then change
+    with the thread count."""
+    nt, i, nr, x = a.shape
+    ns, j = b.shape[2:]
+    # contiguous operands: a strided view (reshape returns one where it
+    # can) falls back to numpy's loop in place of BLAS, ~6x slower
+    out = _by_node_rows(np.ascontiguousarray(a.reshape(nt * i, nr * x)),
+                        np.ascontiguousarray(b.reshape(nr * x, ns * j)), i)
+    out *= scale
+    return out.reshape(nt, i, ns, j).transpose(0, 2, 1, 3)
+
+
 def _running_integral_table(F: np.ndarray, dt: float) -> np.ndarray:
     """E[i, j] = sum_{l=j..i-1} F[i, l] dt for j < i, else zero."""
     nn = F.shape[0]
-    E = np.zeros_like(F)
-    # suffix sums along the second index: E[i, j] = row_total[i] - prefix[i, j]
+    # suffix sums along the second index: E[i, j] = prefix[i, i] - prefix[i, j]
     prefix = np.concatenate(
         [np.zeros_like(F[:, :1]), np.cumsum(F, axis=1)], axis=1
     )
-    for i in range(1, nn):
-        E[i, :i] = (prefix[i, i] - prefix[i, :i]) * dt
+    nodes = np.arange(nn)
+    E = (prefix[nodes, nodes][:, None] - prefix[:, :nn]) * dt
+    E[~np.tri(nn, k=-1, dtype=bool)] = 0.0
     return E
 
 
@@ -194,14 +209,9 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
             blk = B[k + 1:, :, n:2 * n, :]
             np.add(blk, CW[:nn - k - 1], out=blk,
                    where=later[:nn - k - 1, :, None, None])
-        # third row: sum_{t>j} E[i, t] W[t, j] dt, one product taken in
-        # column blocks (h / m nodes j) small enough for bounded BLAS calls
-        Em = E.transpose(0, 2, 1, 3).reshape(nn * n, nn * n)
-        Wm = W.transpose(0, 2, 1, 3).reshape(nn * n, nn * m)
-        h = max(1, _CALL_MACS // (nn * n * n * m)) * m
-        EW = np.concatenate([_by_node_rows(Em, Wm[:, c:c + h], n)
-                             for c in range(0, nn * m, h)], axis=1)
-        EW = EW.reshape(nn, n, nn, m).transpose(0, 2, 1, 3) * dt
+        # third row: sum_{t>j} E[i, t] W[t, j] dt
+        EW = _node_product(E.transpose(0, 2, 1, 3), W.transpose(0, 2, 1, 3),
+                           dt)
         blk = B[:, :, 2 * n:, :]
         np.add(blk, EW, out=blk, where=later[:, :, None, None])
     B[idx_j > idx_i] = 0.0

@@ -16,7 +16,6 @@ class Solved:
     problem: dl.DelayLQProblem
     vp: dl.VolterraProblem
     P: dl.RiccatiSolution
-    adj: dl.AdjointSolution
     strategy: dl.FeedbackStrategy
 
 
@@ -27,9 +26,8 @@ def _solve_preset(name: str, n_steps: int, weight_scale: float = 1.0) -> Solved:
         problem = problem.with_scaled_weights(weight_scale)
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp)
-    strategy = dl.synthesize_feedback(P, adj, vp)
-    return Solved(problem=problem, vp=vp, P=P, adj=adj, strategy=strategy)
+    strategy = dl.synthesize_feedback(P, vp)
+    return Solved(problem=problem, vp=vp, P=P, strategy=strategy)
 
 
 @pytest.fixture(scope="session")

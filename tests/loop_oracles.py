@@ -14,6 +14,9 @@ the array forms to 1e-12.  ``euler_sweep`` is the Riccati sweep as it
 ran before it applied the two-time kernel through its frontier and the
 control products: it advanced the interior of every slice by one
 explicit Euler step per node and formed its products against the slice.
+``adjoint_sweep`` is the adjoint's backward loop as it ran after the
+Riccati sweep, reading the free-term products that sweep stored; fed by
+``euler_sweep``'s tables it pins the adjoint the sweep now carries.
 ``advance_full_width`` is the replay's step as it ran before it skipped
 the dead lifted blocks; swapped in for ``delaylq.riccati._advance`` it
 pins the skip bit for bit, and ``evolution_profile_full_width``, the
@@ -121,8 +124,8 @@ def a_column(vp, l, sel):
 
 def euler_sweep(vp) -> dict:
     """The tables of the sweep that advanced every slice: p1, the
-    frontier (lower triangle, zero above), pb, pfree, g1_table and
-    rcal."""
+    frontier (lower triangle, zero above), pb, the free-term products
+    pfree, g1_table, rcal, rcal_inv and the pointwise gain Xi."""
     N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
     d, live = 3 * n, live_blocks(vp)
     p1 = np.zeros((N + 1, d, d))
@@ -132,6 +135,7 @@ def euler_sweep(vp) -> dict:
     pb = np.zeros((N + 1, N + 1, d, m))
     frontier = np.zeros((N + 1, N + 1, d, d))
     pfree = np.zeros((N + 1, N + 1, d))
+    Xi = np.zeros((N + 1, m, d))
 
     def factor_rcal(l, mat):
         mat = _sym(mat)
@@ -174,6 +178,7 @@ def euler_sweep(vp) -> dict:
         dgc = D1l.T @ g1_val @ vp.Ccal[l]
         p1[l] = _sym(vp.Q[l] + vp.Ccal[l].T @ g1_val @ vp.Ccal[l]
                      - cgd @ rcal_inv[l] @ dgc)
+        Xi[l] = -rcal_inv[l] @ dgc
         bcol = vp.B[l + 1:, l]
         pa_col = np.einsum("saj,jc->sac", pu + v_in, vp.Acal[l])
         pb_col = (np.einsum("sab,sbm->sam", p1_fut, bcol)
@@ -191,7 +196,50 @@ def euler_sweep(vp) -> dict:
         pb[l + 1:, l] = pb_col
         pb[l, l] = pb_corner
     return dict(p1=p1, frontier=frontier, pb=pb, pfree=pfree,
-                g1_table=g1_table, rcal=rcal)
+                g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, Xi=Xi)
+
+
+def adjoint_sweep(vp, ref) -> tuple:
+    """The adjoint's pair table eta and offset omega by the separate
+    backward loop that read the stored free-term products, fed by the
+    tables of ``euler_sweep``."""
+    g = vp.grid
+    problem = vp.source
+    N, dt, n, m = g.N, g.dt, vp.n, vp.m
+    d = 3 * n
+    W = np.concatenate([vp.Acal, ref["Xi"]], axis=1)     # [Acal; Xi]
+
+    eta = np.zeros((N + 1, N + 1, d))
+    omega = np.zeros((N + 1, m))
+    # the diagonal and kvec less their sums over eta, every node at once
+    g1sig = ref["g1_table"] @ problem.sigma[:, :, None]         # (N+1, n, 1)
+    mix = vp.Ccal + problem.D1 @ ref["Xi"]                      # (N+1, n, 3n)
+    diag = (mix.transpose(0, 2, 1) @ g1sig)[..., 0]
+    kvec = (problem.D1.transpose(0, 2, 1) @ g1sig)[..., 0]
+    # the selector and control columns U(., t_l), B(., t_l) at offsets 0..N-l
+    stack = vp.selector_stack(n + m)
+
+    y = np.zeros(m)                              # rcal_inv kvec at node l + 1
+    for l in range(N, -1, -1):
+        if l < N:
+            s, M = l + 1, N - l
+            # drift of eta(., second argument) frozen at the known node s
+            drift = ref["pfree"][s:, s] - (ref["pb"][s:, s].reshape(-1, m)
+                                           @ y).reshape(M, d)
+            col = eta[s:, l]
+            np.add(eta[s:, s], dt * drift, out=col)
+            u = stack[1:M + 1]
+            u[:, 2 * n:, :n] = vp.E[s:, l]
+            u[:, :, n:] = vp.B[s:, l]
+            # sum_r U(r, l)^T eta(r, l) and sum_r B(r, l)^T eta(r, l): the
+            # state kernel's column is U(., l) Acal(l), closed by Xi(l): W(l)
+            c = (u.reshape(M * d, n + m).T @ col.reshape(-1)) * dt
+            diag[l] += W[l].T @ c
+            kvec[l] += c[n:]
+        eta[l, l] = diag[l]
+        y = ref["rcal_inv"][l] @ kvec[l]
+        omega[l] = -y
+    return eta, omega
 
 
 def evolution_profile_full_width(P, vp) -> np.ndarray:
@@ -545,7 +593,7 @@ def caseii_residual(ext, problem) -> CaseIIResiduals:
                            diagonal=diag)
 
 
-def synthesis_k4_v(P, adjoint, vp, problem):
+def synthesis_k4_v(P, vp, problem):
     """k4 and v of the feedback synthesis: the memory channel one node at
     a time, with its cumulative sums rebuilt per node, and the offset's
     double loop over (t, a) and (t, p)."""
@@ -595,7 +643,7 @@ def synthesis_k4_v(P, adjoint, vp, problem):
             k4[t] += term
     k4 *= strict[:, :, None, None]
 
-    v = adjoint.omega.copy()
+    v = P.omega.copy()
     lim = min(k, N)
     for t in range(nn):
         for a in range(t + 1, lim + 1):

@@ -24,9 +24,8 @@ def _report(k: int, ok: bool, detail: str) -> None:
 def _solve(problem):
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp)
-    strat = dl.synthesize_feedback(P, adj, vp)
-    return vp, P, adj, strat
+    strat = dl.synthesize_feedback(P, vp)
+    return vp, P, strat
 
 
 def _embedded_value_kernel_at_start(P, vp):
@@ -63,7 +62,7 @@ class TestCriterion2DeterministicOptimality:
         gaps = {}
         for N in (80, 160):
             p = dl.preset_problem("input-delay", N)
-            _, P, adj, strat = _solve(p)
+            _, P, strat = _solve(p)
             qp = oracles.deterministic_qp_oracle(p)
             batch = dl.gen_brownian(p.grid, 1, seed=1)
             sim = dl.simulate_closed_loop(p, strat, batch)
@@ -80,7 +79,7 @@ class TestCriterion3StochasticStationarity:
     def test_directional_derivatives_at_optimum_and_detuned(self):
         start = time.time()
         p = dl.preset_problem("full", 60)
-        _, P, adj, strat = _solve(p)
+        _, P, strat = _solve(p)
         g = p.grid
         batch = dl.gen_brownian(g, 10_000, seed=42)
         rng = np.random.Generator(np.random.Philox(key=[42, 2 ** 32]))
@@ -159,7 +158,7 @@ class TestCriterion6CaseReductions:
         res_i = {}
         match_i = {}
         for p in (p40, p80):
-            vp, P, adj, strat = _solve(p)
+            vp, P, strat = _solve(p)
             ext = oracles.casei_extract(P, vp)
             res_i[p.grid.N] = oracles.casei_residual(ext, p)
             batch = dl.gen_brownian(p.grid, 4, seed=11)
@@ -173,7 +172,7 @@ class TestCriterion6CaseReductions:
         match_ii = {}
         for N in (40, 80):
             p = dl.preset_problem("state-delay", N)
-            vp, P, adj, strat = _solve(p)
+            vp, P, strat = _solve(p)
             ext = oracles.caseii_extract(P, vp)
             res_ii[N] = oracles.caseii_residual(ext, p)
             batch = dl.gen_brownian(p.grid, 4, seed=11)
@@ -206,9 +205,9 @@ class TestCriterion7ScaleInvariance:
         value_ok = True
         for name in ("pointwise", "full"):
             p = dl.preset_problem(name, 32)
-            vp, P, adj, strat = _solve(p)
+            vp, P, strat = _solve(p)
             p3 = p.with_scaled_weights(3.0)
-            vp3, P3, adj3, strat3 = _solve(p3)
+            vp3, P3, strat3 = _solve(p3)
             for field in ("k1", "k2", "k3", "k4", "v"):
                 a, b = getattr(strat, field), getattr(strat3, field)
                 scale = max(np.abs(a).max(), 1e-30)

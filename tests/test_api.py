@@ -9,7 +9,7 @@ import sys
 import delaylq as dl
 
 PUBLIC_NAMES = [
-    "AdjointSolution", "BrownianBatch", "CausalGains", "CostEstimate",
+    "BrownianBatch", "CausalGains", "CostEstimate",
     "DelayLQError", "DelayLQProblem", "DerivativeEstimate",
     "FeedbackStrategy", "NumericalError", "PRESET_NAMES",
     "ProblemValidationError", "RiccatiResiduals", "RiccatiSolution",
@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "lift_state", "lifted_kernel", "load_problem", "preset_problem",
     "problem_from_dict", "problem_to_dict", "riccati_residual",
     "save_problem", "simulate_closed_loop", "simulate_open_loop",
-    "solve_adjoint", "solve_riccati", "stationarity_test",
+    "solve_riccati", "stationarity_test",
     "synthesize_feedback", "validate", "value_function",
 ]
 

@@ -228,7 +228,7 @@ class TestPairTables:
                     "--out", out]) == 0
         vp = dl.build_volterra(dl.preset_problem("full", 24))
         P = dl.solve_riccati(vp)
-        s = dl.synthesize_feedback(P, dl.solve_adjoint(P, vp), vp)
+        s = dl.synthesize_feedback(P, vp)
         for name, table in (("feedback_k2.csv", s.k2),
                             ("feedback_k4.csv", s.k4)):
             write_pair_table_rows(tmp_path / name, table)

@@ -20,9 +20,8 @@ def with_free_terms(name, N, b=0.3, sigma=0.4):
 def solve(problem):
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp)
-    strat = dl.synthesize_feedback(P, adj, vp)
-    return vp, P, adj, strat
+    strat = dl.synthesize_feedback(P, vp)
+    return vp, P, strat
 
 
 class TestCausalGains:
@@ -66,14 +65,14 @@ class TestCausalGains:
 class TestAdjoint:
     def test_zero_free_terms_give_zero_adjoint(self, solve_preset):
         s = solve_preset("pointwise", 16)
-        assert np.abs(s.adj.eta).max() == 0.0
-        assert np.abs(s.adj.omega).max() == 0.0
+        assert np.abs(s.P.eta).max() == 0.0
+        assert np.abs(s.P.omega).max() == 0.0
 
     def test_adjoint_is_linear_in_free_terms(self):
         p1 = with_free_terms("pointwise", 16, b=0.3, sigma=0.4)
         p2 = with_free_terms("pointwise", 16, b=0.6, sigma=0.8)
-        _, _, a1, _ = solve(p1)
-        _, _, a2, _ = solve(p2)
+        _, a1, _ = solve(p1)
+        _, a2, _ = solve(p2)
         np.testing.assert_allclose(a2.eta, 2.0 * a1.eta, atol=1e-13)
         np.testing.assert_allclose(a2.omega, 2.0 * a1.omega, atol=1e-13)
 
@@ -85,7 +84,7 @@ class TestAdjoint:
             p = with_free_terms("tanh", N)
             p.C1[:] = 0.3
             p.D1[:] = 0.2
-            _, _, _, strat = solve(p)
+            _, _, strat = solve(p)
             oracle = oracles.classical_riccati(p)
             _, v_oracle = oracles.classical_gains(p, oracle)
             errs[N] = np.abs(strat.v - v_oracle).max()
@@ -100,7 +99,7 @@ class TestSynthesis:
         p.R1[:] = 1.0
         p.A1[:] = 0.4
         p.B1[:] = 1.0
-        _, _, _, strat = solve(p)
+        _, _, strat = solve(p)
         for arr in (strat.k1, strat.k2, strat.k3, strat.k4, strat.v):
             assert np.abs(arr).max() == 0.0
 
@@ -117,7 +116,7 @@ class TestSynthesis:
         errs = {}
         for N in (40, 80):
             p = dl.preset_problem("tanh", N)
-            _, _, _, strat = solve(p)
+            _, _, strat = solve(p)
             oracle = oracles.classical_riccati(p)
             k1o, _ = oracles.classical_gains(p, oracle)
             errs[N] = np.abs(strat.k1 - k1o).max()
@@ -223,6 +222,6 @@ class TestValueFunction:
 
     def test_rejects_inhomogeneous_problems(self):
         p = with_free_terms("tanh", 12)
-        vp, P, _, _ = solve(p)
+        vp, P, _ = solve(p)
         with pytest.raises(dl.ProblemValidationError):
             dl.value_function(P, vp)

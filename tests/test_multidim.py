@@ -41,16 +41,15 @@ def planar_problem(N=24, m=2, diffusive=True):
 def pipeline(p):
     vp = dl.build_volterra(p)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp)
-    strat = dl.synthesize_feedback(P, adj, vp)
-    return vp, P, adj, strat
+    strat = dl.synthesize_feedback(P, vp)
+    return vp, P, strat
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_full_pipeline_with_planar_state(m):
     p = planar_problem(m=m)
     assert dl.validate(p).ok
-    vp, P, adj, strat = pipeline(p)
+    vp, P, strat = pipeline(p)
     assert P.lambda_floor >= 0.5 * p.lam
     assert max(np.abs(sl - sl.transpose(1, 0, 3, 2)).max()
                for _, sl in P.replay()) == 0.0
@@ -77,7 +76,7 @@ def test_planar_control_weight_inverse():
 
 def test_planar_deterministic_qp_gap():
     p = planar_problem(m=2, diffusive=False)
-    vp, P, adj, strat = pipeline(p)
+    vp, P, strat = pipeline(p)
     qp = oracles.deterministic_qp_oracle(p)
     batch = dl.gen_brownian(p.grid, 1, seed=1)
     cl = float(dl.simulate_closed_loop(p, strat, batch).cost_samples[0])
@@ -97,7 +96,7 @@ def test_planar_delay_free_matches_classical_oracle():
     p.xi[:] = [1.0, -1.0]
     p.sigma[:] = [0.1, 0.2]
     p.b[:] = [0.05, 0.0]
-    vp, P, adj, strat = pipeline(p)
+    vp, P, strat = pipeline(p)
     oracle = oracles.classical_riccati(p)
     k1o, vo = oracles.classical_gains(p, oracle)
     assert np.abs(strat.k1 - k1o).max() < 2.0 / g.N
@@ -120,7 +119,7 @@ def test_planar_control_delay_reduction_residuals_halve():
         p.Q1[:] = [[1.0, 0.3], [0.3, 0.8]]
         p.R1[:] = 1.0
         p.xi[:] = [1.0, -0.5]
-        vp, P, adj, strat = pipeline(p)
+        vp, P, strat = pipeline(p)
         res[N] = oracles.casei_residual(oracles.casei_extract(P, vp), p)
     for field in ("ode", "transport1", "transport2"):
         ratio = getattr(res[40], field) / getattr(res[80], field)
@@ -147,7 +146,7 @@ def test_planar_state_delay_reduction_residuals_halve():
     res = {}
     for N in (40, 80):
         p = planar_state_delay_problem(N)
-        vp, P, adj, strat = pipeline(p)
+        vp, P, strat = pipeline(p)
         res[N] = oracles.caseii_residual(oracles.caseii_extract(P, vp), p)
     for field in ("ode_late", "ode_early", "transport_early"):
         ratio = getattr(res[40], field) / getattr(res[80], field)

@@ -45,8 +45,7 @@ def windowed_deterministic(N):
 def closed_loop_gap(p):
     vp = dl.build_volterra(p)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp)
-    strat = dl.synthesize_feedback(P, adj, vp)
+    strat = dl.synthesize_feedback(P, vp)
     qp = oracles.deterministic_qp_oracle(p)
     batch = dl.BrownianBatch(seed=0, n_paths=1,
                              increments=np.zeros((1, p.grid.N)))

@@ -11,9 +11,8 @@ from evaluators import casei_control, caseii_control
 def solve(problem):
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
-    adj = dl.solve_adjoint(P, vp)
-    strat = dl.synthesize_feedback(P, adj, vp)
-    return vp, P, adj, strat
+    strat = dl.synthesize_feedback(P, vp)
+    return vp, P, strat
 
 
 class TestClassicalRiccati:
@@ -66,9 +65,9 @@ class TestCaseV:
         p = dl.empty_problem(g, 1, 1)
         p.R1[:] = 1.0
         p.B1[:] = 1.0
-        vp, P, adj, strat = solve(p)
+        vp, P, strat = solve(p)
         oracle = oracles.classical_riccati(p)
-        rep = oracles.casev_consistency(P, adj, strat, oracle, vp)
+        rep = oracles.casev_consistency(P, strat, oracle, vp)
         assert rep.p_error == 0.0
         assert rep.eta_error == 0.0
         assert rep.k1_error == 0.0
@@ -78,9 +77,9 @@ class TestCaseV:
         reports = {}
         for N in (48, 96):
             p = dl.preset_problem("tanh", N)
-            vp, P, adj, strat = solve(p)
+            vp, P, strat = solve(p)
             oracle = oracles.classical_riccati(p)
-            reports[N] = oracles.casev_consistency(P, adj, strat, oracle, vp)
+            reports[N] = oracles.casev_consistency(P, strat, oracle, vp)
         ratio = reports[48].p_error / reports[96].p_error
         assert 1.4 < ratio < 2.6
         gain_ratio = reports[48].k1_error / reports[96].k1_error
@@ -91,7 +90,7 @@ class TestCaseII:
     def test_zero_state_weight_gives_zero_extraction(self):
         p = dl.preset_problem("state-delay", 20)
         p.Q1[:] = 0.0
-        vp, P, _, _ = solve(p)
+        vp, P, _ = solve(p)
         ext = oracles.caseii_extract(P, vp)
         assert np.abs(ext.P2c).max() == 0.0
         assert np.abs(ext.P3c).max() == 0.0
@@ -109,7 +108,7 @@ class TestCaseII:
         res = {}
         for N in (40, 80):
             p = dl.preset_problem("state-delay", N)
-            vp, P, _, _ = solve(p)
+            vp, P, _ = solve(p)
             res[N] = oracles.caseii_residual(oracles.caseii_extract(P, vp), p)
         for field in ("ode_late", "ode_early", "transport_early"):
             ratio = getattr(res[40], field) / getattr(res[80], field)
@@ -120,7 +119,7 @@ class TestCaseII:
         errs = {}
         for N in (40, 80):
             p = dl.preset_problem("state-delay", N)
-            vp, P, adj, strat = solve(p)
+            vp, P, strat = solve(p)
             batch = dl.gen_brownian(p.grid, 4, seed=11)
             sim = dl.simulate_closed_loop(p, strat, batch)
             ext = oracles.caseii_extract(P, vp)
@@ -139,7 +138,7 @@ class TestCaseII:
         # time-varying coefficients also rejected
         p = dl.preset_problem("state-delay", 16)
         p.A1[:] = np.linspace(0, 1, 17)[:, None, None]
-        vp, P, _, _ = solve(p)
+        vp, P, _ = solve(p)
         with pytest.raises(dl.ProblemValidationError):
             oracles.caseii_extract(P, vp)
 
@@ -160,7 +159,7 @@ class TestCaseI:
     def test_zero_state_weight_gives_zero_extraction(self):
         p = control_delay_preset(20)
         p.Q1[:] = 0.0
-        vp, P, _, _ = solve(p)
+        vp, P, _ = solve(p)
         ext = oracles.casei_extract(P, vp)
         assert np.abs(ext.S0).max() == 0.0
         assert np.abs(ext.S1).max() == 0.0
@@ -170,7 +169,7 @@ class TestCaseI:
 
     def test_terminal_values_are_zero_exactly(self):
         p = control_delay_preset(20)
-        vp, P, _, _ = solve(p)
+        vp, P, _ = solve(p)
         ext = oracles.casei_extract(P, vp)
         assert np.abs(ext.S0[-1]).max() == 0.0
         assert np.abs(ext.S1[-1]).max() == 0.0
@@ -180,7 +179,7 @@ class TestCaseI:
         # in the control-delay-only regime the solution concentrates on
         # the first block, so the extraction equals the stored sandwich
         p = control_delay_preset(20)
-        vp, P, _, _ = solve(p)
+        vp, P, _ = solve(p)
         ext = oracles.casei_extract(P, vp)
         np.testing.assert_allclose(ext.S0, P.g1_table, atol=1e-13)
 
@@ -188,7 +187,7 @@ class TestCaseI:
         res = {}
         for N in (40, 80):
             p = control_delay_preset(N)
-            vp, P, _, _ = solve(p)
+            vp, P, _ = solve(p)
             res[N] = oracles.casei_residual(oracles.casei_extract(P, vp), p)
         for field in ("ode", "transport1", "transport2"):
             ratio = getattr(res[40], field) / getattr(res[80], field)
@@ -199,7 +198,7 @@ class TestCaseI:
         res = {}
         for N in (24, 48):
             p = control_delay_preset(N, with_memory=True)
-            vp, P, _, _ = solve(p)
+            vp, P, _ = solve(p)
             res[N] = oracles.casei_residual(oracles.casei_extract(P, vp), p)
         for field in ("ode", "transport1"):
             ratio = getattr(res[24], field) / getattr(res[48], field)
@@ -209,7 +208,7 @@ class TestCaseI:
         errs = {}
         for N in (40, 80):
             p = control_delay_preset(N)
-            vp, P, adj, strat = solve(p)
+            vp, P, strat = solve(p)
             batch = dl.gen_brownian(p.grid, 4, seed=11)
             sim = dl.simulate_closed_loop(p, strat, batch)
             ext = oracles.casei_extract(P, vp)
@@ -224,17 +223,17 @@ class TestCaseI:
     def test_double_lag_extraction_swap_symmetry(self):
         for with_memory in (False, True):
             p = control_delay_preset(24, with_memory=with_memory)
-            vp, P, _, _ = solve(p)
+            vp, P, _ = solve(p)
             ext = oracles.casei_extract(P, vp)
             swapped = ext.S2.transpose(0, 2, 1, 4, 3)
             assert np.abs(ext.S2 - swapped).max() < 1e-12
 
     def test_extraction_is_linear_in_solution(self):
         p = control_delay_preset(16)
-        vp, P, _, _ = solve(p)
+        vp, P, _ = solve(p)
         ext1 = oracles.casei_extract(P, vp)
         p3 = p.with_scaled_weights(3.0)
-        vp3, P3, _, _ = solve(p3)
+        vp3, P3, _ = solve(p3)
         ext3 = oracles.casei_extract(P3, vp3)
         np.testing.assert_allclose(ext3.S0, 3.0 * ext1.S0, atol=1e-12)
         np.testing.assert_allclose(ext3.S1, 3.0 * ext1.S1, atol=1e-12)
@@ -314,7 +313,7 @@ class TestQpOracle:
         gaps = {}
         for N in (40, 80):
             p = dl.preset_problem("input-delay", N)
-            vp, P, adj, strat = solve(p)
+            vp, P, strat = solve(p)
             qp = oracles.deterministic_qp_oracle(p)
             batch = dl.gen_brownian(p.grid, 1, seed=1)
             sim = dl.simulate_closed_loop(p, strat, batch)

@@ -148,17 +148,22 @@ class TestFactoredKernel:
         s = solve_preset("full", 24)
         P, vp, b = s.P, s.vp, s.problem.b
         dt, N = vp.grid.dt, vp.grid.N
-        for sn in (0, 5, 17, N):
+        # eta's step from node sn to sn - 1 adds dt (free - pb(., sn) y)
+        # with y = -omega(sn): each increment gives back node sn's free
+        # column, p1 ub + dt sum p2 ub, ub = U(., t_sn) b(sn)
+        for sn in (5, 17, N):
             ub = np.einsum("rab,b->ra", selector(vp, sn), b[sn])
+            free = ((P.eta[sn:, sn - 1] - P.eta[sn:, sn]) / dt
+                    - P.pb[sn:, sn] @ P.omega[sn])
             for r in range(sn, N + 1):
                 want = P.p1[r] @ ub[r - sn] + sum(
                     (p2(P, r, q, sn) @ ub[q - sn] for q in range(sn + 1, N + 1)),
                     np.zeros(3 * P.n)) * dt
-                np.testing.assert_allclose(P.pfree[r, sn], want,
+                np.testing.assert_allclose(free[r - sn], want,
                                            rtol=0, atol=1e-12)
 
     def test_stored_tables_are_quadratic_in_the_horizon(self, solve_preset):
-        # the pair tables are the factors H and the free-term products:
+        # the pair tables are the factors H and the adjoint's eta:
         # (N+1)^2 3n (n+m+1) numbers; the rest is O(N (3n)^2)
         P = solve_preset("full", 48).P
         d, nn, w = 3 * P.n, P.N + 1, P.n + P.m
@@ -194,7 +199,7 @@ class TestFactoredKernel:
         res = dl.riccati_residual(P, vp)
         monkeypatch.setattr(volterra, "_CALL_MACS", 8)
         Ps = dl.solve_riccati(vp)
-        for table in ("p1", "H", "W", "pfree"):
+        for table in ("p1", "H", "W", "eta", "omega"):
             a, b = getattr(Ps, table), getattr(P, table)
             np.testing.assert_allclose(a, b, rtol=0,
                                        atol=1e-13 * np.abs(b).max())
@@ -287,7 +292,7 @@ class TestLiveBlocks:
                                     ("frontier", F[..., blk, :]),
                                     ("frontier", F[..., blk]),
                                     ("pb", P.pb[..., blk, :]),
-                                    ("pfree", P.pfree[..., blk])):
+                                    ("eta", P.eta[..., blk])):
                     assert not rows.any(), (name, b, label)
 
     @staticmethod
@@ -412,7 +417,8 @@ class TestStarProducts:
                             g1_table=np.zeros((9, 1, 1)),
                             rcal=np.tile(np.eye(1), (9, 1, 1)),
                             rcal_inv=np.tile(np.eye(1), (9, 1, 1)),
-                            pfree=np.zeros((9, 9, d)), lambda_floor=1.0)
+                            eta=np.zeros((9, 9, d)), omega=np.zeros((9, 1)),
+                            lambda_floor=1.0)
         ident = np.tile(np.eye(d), (9, 9, 1, 1))
         np.testing.assert_array_equal(star_left(ident, P, vp, 5, 2), p1[5])
         np.testing.assert_array_equal(star_right(P, ident, vp, 5, 2), p1[5])
@@ -422,7 +428,7 @@ class TestStarProducts:
                                 H=zero_h, W=zero_w,
                                 g1_table=np.zeros((9, 1, 1)),
                                 rcal=P.rcal, rcal_inv=P.rcal_inv,
-                                pfree=P.pfree, lambda_floor=1.0)
+                                eta=P.eta, omega=P.omega, lambda_floor=1.0)
         val = star_sandwich(ident, const, ident, vp, 2)
         np.testing.assert_allclose(val, (1.0 - g.time(2)) * np.eye(d),
                                    atol=1e-14)
@@ -518,7 +524,7 @@ class TestResiduals:
         for s in solved.values():
             dl.riccati_residual(s.P, s.vp)
         s = solved["tanh"]
-        oracles.casev_consistency(s.P, s.adj, s.strategy,
+        oracles.casev_consistency(s.P, s.strategy,
                                   oracles.classical_riccati(s.problem), s.vp)
 
     def test_boundary_line_checks_the_stored_factors(self, solve_preset):

@@ -127,8 +127,7 @@ class TestClosedLoop:
             p = dl.preset_problem("tanh", N)
             vp = dl.build_volterra(p)
             P = dl.solve_riccati(vp)
-            adj = dl.solve_adjoint(P, vp)
-            strat = dl.synthesize_feedback(P, adj, vp)
+            strat = dl.synthesize_feedback(P, vp)
             oracle = oracles.classical_riccati(p)
             k1o, vo = oracles.classical_gains(p, oracle)
             nn = N + 1

@@ -174,9 +174,8 @@ SYNTHESIS = {
 def test_synthesis_matches_loops(case):
     p = SYNTHESIS[case]()
     vp, P = solved(p)
-    adj = dl.solve_adjoint(P, vp)
-    strat = dl.synthesize_feedback(P, adj, vp)
-    k4, v = loop_oracles.synthesis_k4_v(P, adj, vp, p)
+    strat = dl.synthesize_feedback(P, vp)
+    k4, v = loop_oracles.synthesis_k4_v(P, vp, p)
     np.testing.assert_allclose(strat.k4, k4, rtol=0, atol=1e-12)
     np.testing.assert_allclose(strat.v, v, rtol=0, atol=1e-12)
 
@@ -211,7 +210,7 @@ def test_selector_columns_and_kernels_match_dense_table(case):
 def test_k1_matches_dense_selector_sum(case):
     # one selector column at a time, in the dense contraction's order
     vp, P = solved(SYNTHESIS[case]())
-    strat = dl.synthesize_feedback(P, dl.solve_adjoint(P, vp), vp)
+    strat = dl.synthesize_feedback(P, vp)
     np.testing.assert_array_equal(strat.k1, loop_oracles.dense_k1(P, vp))
 
 
@@ -233,7 +232,8 @@ def test_sweep_matches_euler_sweep(case):
     # that advanced every slice; above the diagonal its frontier held zeros
     vp, P = solved(SWEEP[case]())
     ref = loop_oracles.euler_sweep(vp)
-    for f in ("p1", "pb", "pfree", "g1_table", "rcal"):
+    ref["eta"], ref["omega"] = loop_oracles.adjoint_sweep(vp, ref)
+    for f in ("p1", "pb", "eta", "omega", "g1_table", "rcal"):
         np.testing.assert_allclose(getattr(P, f), ref[f], rtol=0, atol=1e-12,
                                    err_msg=f)
     low = np.tril_indices(P.N + 1)
