@@ -2,11 +2,12 @@
 
 With deterministic free terms the backward pair system reduces to a
 deterministic recursion (the martingale part is identically zero); the
-Riccati sweep runs it node by node and stores the pair table ``eta`` and
-the offset ``omega`` of the causal feedback.  The closed-loop gains come
-from the causal pair (pointwise gain on the lifted state, history gain
-on its forward representation) by collecting the history kernel against
-the lifted state's reconstruction in terms of the original trajectories.
+Riccati sweep runs it one column of the pair at a time and stores the
+pair's selector sum ``eta1`` and the offset ``omega`` of the causal
+feedback.  The closed-loop gains come from the causal pair (pointwise
+gain on the lifted state, history gain on its forward representation)
+by collecting the history kernel against the lifted state's
+reconstruction in terms of the original trajectories.
 The history gain's sums over future nodes are suffix tables built once;
 the delay-shifted and memory channels of the control gain and the
 offset's initial windows are contractions against them, with no loop

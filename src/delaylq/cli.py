@@ -148,7 +148,7 @@ def _load_problem_from_args(args):
 
 def _solve_pipeline(problem):
     vp = build_volterra(problem)          # validates; main reports violations
-    P = solve_riccati(vp)                 # the adjoint's eta and omega too
+    P = solve_riccati(vp)                 # the adjoint's eta1 and omega too
     strategy = synthesize_feedback(P, vp)
     return vp, P, strategy
 

@@ -9,7 +9,7 @@ QP solve of the discretized deterministic problem.  Each oracle declares
 what it needs of the data once (``CASES``, ``QP_ORACLE``), and
 ``reduced_case`` picks the special case a problem meets from its data.
 The case V and II checks read the sweep's tables: g1 (``g1_table``),
-the adjoint's ``eta`` and, for case II's P3c, the g2 columns of ``H``;
+the adjoint's ``eta1`` and, for case II's P3c, the g2 columns of ``H``;
 only the case I window sums replay the two-time kernel's slices.
 
 Everything here runs under ``delaylq verify``.  The paper's other forms
@@ -184,14 +184,10 @@ class CaseVReport:
 def casev_consistency(P: RiccatiSolution, strategy,
                       oracle: ClassicalRiccatiPath,
                       vp: VolterraProblem) -> CaseVReport:
-    N, dt, n = vp.grid.N, vp.grid.dt, vp.n
-    # with the delay block dead and E = 0, the embedding of the two-time
-    # kernel on the first block is the selector sandwich g1
+    # with the delay block dead and E = 0, the no-delay embeddings are the
+    # selector sums g1 and eta1: U(r, l)^T eta(r, l) = eta(r, l)[:n]
     p_err = float(np.abs(P.g1_table - oracle.P).max())
-    eta_err = 0.0
-    for l in range(N + 1):
-        eta_emb = P.eta[l + 1:, l, :n].sum(axis=0) * dt
-        eta_err = max(eta_err, float(np.abs(eta_emb - oracle.eta_t[l]).max()))
+    eta_err = float(np.abs(P.eta1 - oracle.eta_t).max())
     k1o, vo = classical_gains(vp.source, oracle)
     k1_err = float(np.abs(strategy.k1 - k1o).max())
     v_err = float(np.abs(strategy.v - vo).max())

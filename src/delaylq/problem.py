@@ -245,12 +245,12 @@ def from_extended_sdde(base: DelayLQProblem, G1, G2) -> DelayLQProblem:
         + np.einsum("jab,jb->ja", base.B3, gw2)
     sigma = base.sigma + np.einsum("jab,jb->ja", base.C3, gw1)
 
+    i, j = np.tril_indices(nn, -1)
+    i, j = i[i - j <= k], j[i - j <= k]
     F = np.zeros((nn, nn, n, n))
     Ftilde = np.zeros((nn, nn, n, m))
-    for i in range(nn):
-        for j in range(max(0, i - k), i):
-            F[i, j] = G1[i, i - j]
-            Ftilde[i, j] = G2[i, i - j]
+    F[i, j] = G1[i, i - j]
+    Ftilde[i, j] = G2[i, i - j]
 
     return replace(base, b=b, sigma=sigma, F=F, Ftilde=Ftilde)
 

@@ -25,11 +25,11 @@ sweep forms neither a slice nor the border matrix F.  Sweep at node t_l
   (iii) form g1 as one product of the selector against g2, factor the
         effective control weight (a Cholesky factor and its inverse) and
         form the pointwise kernel and Xi(l);
-  (iv)  take the adjoint's step: eta(., l) is eta(., l+1) plus dt times
-        the drift frozen at node l+1, that node's free column less
-        pb(., l+1) rcal_inv(l+1) kvec(l+1); its sums against the stack's
-        selector and control columns, closed by W(l), complete the
-        diagonal eta(l, l), kvec(l) and the offset omega(l);
+  (iv)  take the adjoint's step in one (N+1, 3n) column: eta(., l+1) plus
+        dt times the drift frozen at node l+1 (its free column less
+        pb(., l+1) rcal_inv(l+1) kvec(l+1)) is eta(., l) on rows l+1..N;
+        its sums against the stack's selector and control columns, closed
+        by W(l), give eta1(l), eta(l, l) (row l), kvec(l) and omega(l);
   (v)   write [g2 | pb] into H's row block l, then each corner sum as
         W(l)^T times one product of that block against the stack, and
         keep node l's free column for the next node's step.
@@ -44,8 +44,8 @@ against H halve the node range recursively and skip its zero quarter.
 The corner's product is a single call of (n + m) (N - l) 3n k
 multiply-adds, k <= n + m + 1 columns, on one thread while that stays
 under 2^18 (N up to ~14500 at n = m = 1, ~2180 at n = m = 2).  Storage
-is H and eta, (N+1)^2 3n (n+m+1) numbers, plus per-node tables; the free
-column passes from one node to the next in one (N+1, 3n) buffer.
+is H, (N+1)^2 3n (n+m) numbers, plus per-node tables; the free and
+pair columns pass from one node to the next in (N+1, 3n) buffers.
 
 ``riccati_residual`` re-checks the three lines from the same tables: it
 applies each slice to the selector and control columns through the
@@ -88,13 +88,13 @@ class RiccatiSolution:
     control products (P*B)(t_s, t_t) the sweep formed at node t; ``pb`` is
     a view of its last m rows.  ``W[t]`` = [Acal(t); Xi(t)], Xi the causal
     feedback's pointwise gain.  ``border(l)`` forms the column at node l,
-    ``replay`` whole slices.  ``eta[i, j]`` (j <= i, diagonal included)
-    is the adjoint pair at (t_i, t_j), and ``omega`` the offset of the
-    causal feedback; the pair's drift at node s reads the free-term star
-    product p1(r) ub(r) + dt sum_{q>s} p2(r, q, s) ub(q), ub = U(., t_s)
-    b(s), which the sweep forms at node s and does not keep.  ``live``,
-    the blocks the replay advances, is derived from ``H`` and ``W`` once
-    per solution and cannot be set.
+    ``replay`` whole slices.  The adjoint pair eta(i, j), j <= i, is not
+    stored, only ``eta1[l]`` = dt sum_{r>l} U(r, l)^T eta(r, l), its g1
+    (0 at l = N), and ``omega``, the causal feedback's offset.  Its drift
+    at node s reads the free-term star product p1(r) ub(r) + dt sum_{q>s}
+    p2(r, q, s) ub(q), ub = U(., t_s) b(s), formed at node s and not
+    kept.  ``live``, the blocks the replay advances, is derived from ``H``
+    and ``W`` once per solution and cannot be set.
     """
 
     n: int
@@ -106,7 +106,7 @@ class RiccatiSolution:
     g1_table: np.ndarray        # (N+1, n, n)
     rcal: np.ndarray            # (N+1, m, m)
     rcal_inv: np.ndarray        # (N+1, m, m)
-    eta: np.ndarray             # (N+1, N+1, 3n)
+    eta1: np.ndarray            # (N+1, n)
     omega: np.ndarray           # (N+1, m)
     lambda_floor: float
     # lifted blocks the replay advances, read off the factors, see
@@ -291,11 +291,12 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     # where b(l) = 0 the free-term column is left out and node l's free
     # column stays +0.0
     free = vp.source.b.any(axis=1).tolist()
-    eta = np.zeros((nn, nn, d))
+    eta1 = np.zeros((nn, n))
     omega = np.zeros((nn, m))
-    # node l+1's free column over nodes l+1..N and rcal_inv kvec there,
-    # which the adjoint's step at node l reads
+    # node l+1's free column, the pair's column eta(., l+1) and rcal_inv
+    # kvec there, which the adjoint's step at node l reads
     fcol = np.zeros((nn, d))
+    eta = np.zeros((nn, d))
     y = np.zeros(m)
 
     for l in range(N, -1, -1):
@@ -339,13 +340,13 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         if l < N:
             s = l + 1
             pbs = np.ascontiguousarray(H[s, n:, s * d:].T)
-            col = eta[s:, l]
-            np.add(eta[s:, s], dt * (fcol[s:] - (pbs @ y).reshape(M, d)),
-                   out=col)
+            col = eta[s:]
+            col += dt * (fcol[s:] - (pbs @ y).reshape(M, d))
             c = (np.ascontiguousarray(v[:, :n + m]).T @ col.reshape(-1)) * dt
+            eta1[l] = c[:n]
             diag += W[l].T @ c
             kvec += c[n:]
-        eta[l, l] = diag
+        eta[l] = diag
         y = rcal_inv[l] @ kvec
         omega[l] = -y
 
@@ -375,7 +376,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
 
     return RiccatiSolution(
         n=n, m=m, dt=dt, p1=p1, H=H, W=W, g1_table=g1_table,
-        rcal=rcal, rcal_inv=rcal_inv, eta=eta, omega=omega,
+        rcal=rcal, rcal_inv=rcal_inv, eta1=eta1, omega=omega,
         lambda_floor=float(floors.min()),
     )
 
@@ -409,7 +410,7 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     """The three lines from the sweep's tables, no slice replayed.  The
     replay's Euler step subtracts dt D(l+1), D(r) = pb(., r) rcal_inv(r)
     pb(., r)^T, and symmetrizes: the evolution line compares sym(D(l+1))
-    with D(l) on the live rows."""
+    with D(l) on the live rows, each D formed once and kept a node."""
     g, src, n = vp.grid, vp.source, vp.n
     N, dt, k, d = g.N, g.dt, g.delay_steps, 3 * n
 
@@ -422,6 +423,7 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
 
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
+    D = None
     for l in range(N, -1, -1):
         M = N - l
         w = np.full(M + 1, dt if l < N else 0.0)
@@ -449,6 +451,9 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
         lhs1 = P.p1[l] - (vp.Q[l] + vp.Ccal[l].T @ g1t @ vp.Ccal[l]
                           - cgd @ rct_inv @ dgc)
         prof_point[l] = float(np.abs(lhs1).max())
+        # live rows only: the dead ones are 0.0 in both drifts
+        cur = _live_rows(pb[l:, l], P.live)
+        nxt, D = D, (cur @ P.rcal_inv[l]) @ cur.T
         if l == N:
             continue
 
@@ -458,15 +463,13 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
 
         # effective weight jumps one delay before the horizon
         if not (l == N - k - 1 and src.nonzero("R2")):
-            # live rows only: the dead ones are 0.0 in both drifts
-            nxt = _live_rows(pb[l + 1:, l + 1], P.live)
-            cur = _live_rows(pb[l + 1:, l], P.live)
-            fd = _sym((nxt @ P.rcal_inv[l + 1]) @ nxt.T)
-            fd -= (cur @ P.rcal_inv[l]) @ cur.T
+            ln = D.shape[0] // (M + 1)          # live rows per node
+            fd = _sym(nxt)
+            fd -= D[ln:, ln:]
             # max over pairs with both nodes smooth: zero the others
             idx = np.arange(1, M + 1)
             rough = (np.abs(idx - k) <= 1) | (np.abs(idx - 2 * k) <= 1)
-            rough = np.repeat(rough, fd.shape[0] // M)
+            rough = np.repeat(rough, ln)
             fd[rough] = 0.0
             fd[:, rough] = 0.0
             prof_evol[l] = float(np.abs(fd, out=fd).max())

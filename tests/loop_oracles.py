@@ -15,8 +15,10 @@ ran before it applied the two-time kernel through its frontier and the
 control products: it advanced the interior of every slice by one
 explicit Euler step per node and formed its products against the slice.
 ``adjoint_sweep`` is the adjoint's backward loop as it ran after the
-Riccati sweep, reading the free-term products that sweep stored; fed by
-``euler_sweep``'s tables it pins the adjoint the sweep now carries.
+Riccati sweep, reading the free-term products that sweep stored, and
+keeping the whole pair table; fed by ``euler_sweep``'s tables it pins
+the adjoint the sweep now carries, whose selector sums
+``pair_selector_sums`` forms from that table.
 ``advance_full_width`` is the replay's step as it ran before it skipped
 the dead lifted blocks; swapped in for ``delaylq.riccati._advance`` it
 pins the skip bit for bit, and ``evolution_profile_full_width``, the
@@ -240,6 +242,17 @@ def adjoint_sweep(vp, ref) -> tuple:
         y = ref["rcal_inv"][l] @ kvec[l]
         omega[l] = -y
     return eta, omega
+
+
+def pair_selector_sums(vp, eta) -> np.ndarray:
+    """eta1(l) = dt sum_{r>l} U(r, l)^T eta(r, l) from the pair table,
+    one selector column at a time; row N is 0."""
+    N, dt = vp.grid.N, vp.grid.dt
+    out = np.zeros((N + 1, vp.n))
+    for l in range(N):
+        out[l] = np.einsum("rab,ra->b", selector(vp, l)[1:],
+                           eta[l + 1:, l]) * dt
+    return out
 
 
 def evolution_profile_full_width(P, vp) -> np.ndarray:

@@ -65,7 +65,7 @@ class TestCausalGains:
 class TestAdjoint:
     def test_zero_free_terms_give_zero_adjoint(self, solve_preset):
         s = solve_preset("pointwise", 16)
-        assert np.abs(s.P.eta).max() == 0.0
+        assert np.abs(s.P.eta1).max() == 0.0
         assert np.abs(s.P.omega).max() == 0.0
 
     def test_adjoint_is_linear_in_free_terms(self):
@@ -73,7 +73,7 @@ class TestAdjoint:
         p2 = with_free_terms("pointwise", 16, b=0.6, sigma=0.8)
         _, a1, _ = solve(p1)
         _, a2, _ = solve(p2)
-        np.testing.assert_allclose(a2.eta, 2.0 * a1.eta, atol=1e-13)
+        np.testing.assert_allclose(a2.eta1, 2.0 * a1.eta1, atol=1e-13)
         np.testing.assert_allclose(a2.omega, 2.0 * a1.omega, atol=1e-13)
 
     def test_delay_free_offset_matches_classical_pair(self):

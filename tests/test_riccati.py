@@ -14,8 +14,9 @@ from delaylq.cli import main as cli_main
 from delaylq.riccati import RiccatiSolution
 from evaluators import (bcal, frontier, g2, g3, p2, p2_slice, star_left,
                         star_right, star_sandwich)
-from loop_oracles import (advance_full_width, evolution_profile_full_width,
-                          live_blocks, selector)
+from loop_oracles import (adjoint_sweep, advance_full_width,
+                          evolution_profile_full_width, live_blocks,
+                          pair_selector_sums)
 from test_multidim import planar_problem, planar_state_delay_problem
 
 
@@ -145,32 +146,33 @@ class TestFactoredKernel:
                 np.testing.assert_array_equal(sl[:, 0], F[l:, l])
 
     def test_free_term_table_is_the_star_product(self, solve_preset):
+        # node s's free column is p1 ub + dt sum p2 ub, ub = U(., t_s) b(s),
+        # the regrouped star product g2(., s) b(s): the separate adjoint
+        # loop fed that table and the sweep's own factors gives back the
+        # sweep's offset and the pair's selector sums
         s = solve_preset("full", 24)
         P, vp, b = s.P, s.vp, s.problem.b
-        dt, N = vp.grid.dt, vp.grid.N
-        # eta's step from node sn to sn - 1 adds dt (free - pb(., sn) y)
-        # with y = -omega(sn): each increment gives back node sn's free
-        # column, p1 ub + dt sum p2 ub, ub = U(., t_sn) b(sn)
-        for sn in (5, 17, N):
-            ub = np.einsum("rab,b->ra", selector(vp, sn), b[sn])
-            free = ((P.eta[sn:, sn - 1] - P.eta[sn:, sn]) / dt
-                    - P.pb[sn:, sn] @ P.omega[sn])
+        N, n = P.N, P.n
+        pfree = np.zeros((N + 1, N + 1, 3 * n))
+        for sn in range(N + 1):
             for r in range(sn, N + 1):
-                want = P.p1[r] @ ub[r - sn] + sum(
-                    (p2(P, r, q, sn) @ ub[q - sn] for q in range(sn + 1, N + 1)),
-                    np.zeros(3 * P.n)) * dt
-                np.testing.assert_allclose(free[r - sn], want,
-                                           rtol=0, atol=1e-12)
+                pfree[r, sn] = g2(P, vp, r, sn) @ b[sn]
+        ref = dict(pfree=pfree, pb=P.pb, g1_table=P.g1_table,
+                   Xi=P.W[:, n:], rcal_inv=P.rcal_inv)
+        eta, omega = adjoint_sweep(vp, ref)
+        np.testing.assert_allclose(P.omega, omega, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(P.eta1, pair_selector_sums(vp, eta),
+                                   rtol=0, atol=1e-12)
 
     def test_stored_tables_are_quadratic_in_the_horizon(self, solve_preset):
-        # the pair tables are the factors H and the adjoint's eta:
-        # (N+1)^2 3n (n+m+1) numbers; the rest is O(N (3n)^2)
+        # the one pair table is the factor H: (N+1)^2 3n (n+m) numbers;
+        # the rest is O(N (3n)^2)
         P = solve_preset("full", 48).P
         d, nn, w = 3 * P.n, P.N + 1, P.n + P.m
         arrays = [v for v in vars(P).values() if isinstance(v, np.ndarray)]
         assert max(a.size for a in arrays) <= nn * nn * d * w
         assert sum(a.nbytes for a in arrays) <= (
-            nn * nn * d * (w + 1) + 4 * nn * d * d) * 8
+            nn * nn * d * w + 4 * nn * d * d) * 8
 
     def test_sweep_allocates_no_hidden_slice_sized_temporary(self):
         # the stored tables plus half a slice of slack for small
@@ -199,7 +201,7 @@ class TestFactoredKernel:
         res = dl.riccati_residual(P, vp)
         monkeypatch.setattr(volterra, "_CALL_MACS", 8)
         Ps = dl.solve_riccati(vp)
-        for table in ("p1", "H", "W", "eta", "omega"):
+        for table in ("p1", "H", "W", "eta1", "omega"):
             a, b = getattr(Ps, table), getattr(P, table)
             np.testing.assert_allclose(a, b, rtol=0,
                                        atol=1e-13 * np.abs(b).max())
@@ -291,8 +293,7 @@ class TestLiveBlocks:
                                     ("p1", P.p1[:, :, blk]),
                                     ("frontier", F[..., blk, :]),
                                     ("frontier", F[..., blk]),
-                                    ("pb", P.pb[..., blk, :]),
-                                    ("eta", P.eta[..., blk])):
+                                    ("pb", P.pb[..., blk, :])):
                     assert not rows.any(), (name, b, label)
 
     @staticmethod
@@ -417,7 +418,7 @@ class TestStarProducts:
                             g1_table=np.zeros((9, 1, 1)),
                             rcal=np.tile(np.eye(1), (9, 1, 1)),
                             rcal_inv=np.tile(np.eye(1), (9, 1, 1)),
-                            eta=np.zeros((9, 9, d)), omega=np.zeros((9, 1)),
+                            eta1=np.zeros((9, 1)), omega=np.zeros((9, 1)),
                             lambda_floor=1.0)
         ident = np.tile(np.eye(d), (9, 9, 1, 1))
         np.testing.assert_array_equal(star_left(ident, P, vp, 5, 2), p1[5])
@@ -428,7 +429,7 @@ class TestStarProducts:
                                 H=zero_h, W=zero_w,
                                 g1_table=np.zeros((9, 1, 1)),
                                 rcal=P.rcal, rcal_inv=P.rcal_inv,
-                                eta=P.eta, omega=P.omega, lambda_floor=1.0)
+                                eta1=P.eta1, omega=P.omega, lambda_floor=1.0)
         val = star_sandwich(ident, const, ident, vp, 2)
         np.testing.assert_allclose(val, (1.0 - g.time(2)) * np.eye(d),
                                    atol=1e-14)

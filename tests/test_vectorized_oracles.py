@@ -232,8 +232,9 @@ def test_sweep_matches_euler_sweep(case):
     # that advanced every slice; above the diagonal its frontier held zeros
     vp, P = solved(SWEEP[case]())
     ref = loop_oracles.euler_sweep(vp)
-    ref["eta"], ref["omega"] = loop_oracles.adjoint_sweep(vp, ref)
-    for f in ("p1", "pb", "eta", "omega", "g1_table", "rcal"):
+    eta, ref["omega"] = loop_oracles.adjoint_sweep(vp, ref)
+    ref["eta1"] = loop_oracles.pair_selector_sums(vp, eta)
+    for f in ("p1", "pb", "eta1", "omega", "g1_table", "rcal"):
         np.testing.assert_allclose(getattr(P, f), ref[f], rtol=0, atol=1e-12,
                                    err_msg=f)
     low = np.tril_indices(P.N + 1)
