@@ -27,8 +27,8 @@ import numpy as np
 from .exceptions import NumericalError, ProblemValidationError
 from .problem import FREE_TERMS, DelayLQProblem
 from .riccati import RiccatiSolution
-from .simulate import (BrownianBatch, _delayed_control, _delayed_state,
-                       _memory_integral, simulate_open_loop)
+from .simulate import (BrownianBatch, _cost_weight, _history_rows,
+                       simulate_open_loop)
 from .volterra import VolterraProblem
 
 
@@ -476,16 +476,44 @@ class QpOracleResult:
     gradient_norm: float   # norm of the affine part, for relative checks
 
 
-def _extended_cost_paths(problem: DelayLQProblem, x: np.ndarray,
-                         u: np.ndarray):
-    """Per-path trajectories entering the cost at nodes 0..N-1, formed as
-    the simulator forms them."""
-    N, dt = problem.grid.N, problem.grid.dt
-    y = np.stack([_delayed_state(problem, x, j) for j in range(N)], axis=1)
-    nu = np.stack([_delayed_control(problem, u, j) for j in range(N)], axis=1)
-    z = np.stack([_memory_integral(problem.F, x, j, dt) for j in range(N)],
-                 axis=1)
-    return x[:, :N], y, z, u[:, :N], nu
+def _cost_integrand(problem: DelayLQProblem, u: np.ndarray) -> np.ndarray:
+    """[x y z u nu] at nodes 0..N-1 of the noise-free open loops that the
+    controls u (P, N+1, m) drive, (P, N, 3n+2m): y and nu are shifts of
+    x and u behind the initial windows, z one product against F."""
+    g = problem.grid
+    N, n, m, k, P = g.N, problem.n, problem.m, g.delay_steps, u.shape[0]
+    x = simulate_open_loop(problem, u, BrownianBatch(
+        seed=0, n_paths=P, increments=np.zeros((P, N)))).x
+    F = _history_rows(problem.F)[:N].transpose(1, 0, 2).reshape(-1, N * n)
+    w = np.empty((P, N, 3 * n + 2 * m))
+    head = min(k + 1, N)                      # y(t_j) = xi(t_j) for j <= k
+    w[:, :head, n:2 * n] = problem.xi[:head]
+    w[:, head:, n:2 * n] = x[:, 1:max(N - k, 1)]
+    w[..., :n], w[..., 3 * n:3 * n + m] = x[:, :N], u[:, :N]
+    w[..., 2 * n:3 * n] = (x.reshape(P, -1) @ F).reshape(P, N, n) * g.dt
+    head = min(k, N)                          # nu(t_j) = varsigma(t_j), j < k
+    w[:, :head, 3 * n + m:] = problem.varsigma[:head]
+    w[:, head:, 3 * n + m:] = u[:, :max(N - k, 0)]
+    return w
+
+
+def _qp_terms(problem: DelayLQProblem):
+    """The discrete cost as c0 + gvec.u + u.H.u/2 in the stacked control
+    u = (u(t_0), .., u(t_{N-1})): H from the unit-impulse responses of the
+    homogeneous dynamics, gvec and c0 from the zero-control response, all
+    from one product of (w Qblk) against w."""
+    N, m, dt = problem.grid.N, problem.m, problem.grid.dt
+    nb = N * m
+    impulses = np.zeros((nb, N + 1, m))
+    impulses[:, :N] = np.eye(nb).reshape(nb, N, m)
+    hom = replace(problem, b=np.zeros_like(problem.b),
+                  xi=np.zeros_like(problem.xi),
+                  varsigma=np.zeros_like(problem.varsigma))
+    w = np.concatenate([_cost_integrand(hom, impulses),
+                        _cost_integrand(problem, np.zeros((1, N + 1, m)))])
+    q = w[:, :, None] @ _cost_weight(problem)[:N]
+    G = (q.reshape(nb + 1, -1) @ w.reshape(nb + 1, -1).T) * dt
+    return G[:nb, :nb] + G[:nb, :nb].T, 2.0 * G[:nb, nb], float(G[nb, nb])
 
 
 def deterministic_qp_oracle(problem: DelayLQProblem) -> QpOracleResult:
@@ -496,41 +524,8 @@ def deterministic_qp_oracle(problem: DelayLQProblem) -> QpOracleResult:
     the linear dynamics and factorized directly.
     """
     QP_ORACLE.enforce(problem)
-    g = problem.grid
-    N, m, dt = g.N, problem.m, g.dt
-    nb = N * m
-
-    zero_noise = BrownianBatch(seed=0, n_paths=nb,
-                               increments=np.zeros((nb, N)))
-    impulses = np.zeros((nb, N + 1, m))
-    for j in range(N):
-        for c in range(m):
-            impulses[j * m + c, j, c] = 1.0
-    hom = replace(problem,
-                  b=np.zeros_like(problem.b),
-                  xi=np.zeros_like(problem.xi),
-                  varsigma=np.zeros_like(problem.varsigma))
-    basis = simulate_open_loop(hom, impulses, zero_noise)
-    tb = _extended_cost_paths(hom, basis.x, impulses)
-
-    one_path = BrownianBatch(seed=0, n_paths=1, increments=np.zeros((1, N)))
-    affine = simulate_open_loop(problem, np.zeros((N + 1, m)), one_path)
-    ta = _extended_cost_paths(problem, affine.x, np.zeros((1, N + 1, m)))
-
-    def bilinear(t1, t2):
-        x1, y1, z1, u1, nu1 = t1
-        x2, y2, z2, u2, nu2 = t2
-        return ((np.einsum("ija,jab,kjb->ik", x1, problem.Q1[:N], x2)
-                 + np.einsum("ija,jab,kjb->ik", y1, problem.Q2[:N], y2)
-                 + np.einsum("ija,jab,kjb->ik", z1, problem.Q3[:N], z2)
-                 + np.einsum("ija,jab,kjb->ik", u1, problem.R1[:N], u2)
-                 + np.einsum("ija,jab,kjb->ik", nu1, problem.R2[:N], nu2))
-                * dt)
-
-    H = 2.0 * bilinear(tb, tb)
-    H = 0.5 * (H + H.T)
-    gvec = 2.0 * bilinear(tb, ta)[:, 0]
-    c0 = float(bilinear(ta, ta)[0, 0])
+    N, m = problem.grid.N, problem.m
+    H, gvec, c0 = _qp_terms(problem)
 
     if not np.isfinite(H).all():
         raise NumericalError("QP Hessian is not finite")

@@ -3,9 +3,11 @@
 One scheme everywhere: explicit Euler with left-point (Ito) evaluation
 of every integrand, matching the left-rectangle quadrature used by the
 lifting and cost modules.  Paths are vectorized, and one stepping loop
-serves the open and the closed loop.  Each step forms its history
-quadratures once, in full, because the memory kernels depend on both
-time arguments; the running cost reuses them.
+serves the open and the closed loop.  Each step fills one row v = [x y z
+u nu mu] per path and forms drift and diffusion as one product against
+the coefficients stacked once per call, and the running cost as one
+quadratic form.  The memory kernels depend on both time arguments, so z
+and mu are one product each of the whole history against a kernel row.
 """
 
 from __future__ import annotations
@@ -65,85 +67,82 @@ class CostEstimate:
     n_flagged: int = 0
 
 
-def _delayed_state(problem: DelayLQProblem, x: np.ndarray, j: int) -> np.ndarray:
-    k = problem.grid.delay_steps
-    if j <= k:
-        return np.broadcast_to(problem.xi[j], x.shape[0:1] + (problem.n,))
-    return x[:, j - k]
+def _history_rows(kernel: np.ndarray) -> np.ndarray:
+    """A two-time kernel (N+1, N+1, a, b) as (N+1, (N+1)*b, a): row j
+    against a path-major history h, (P, (N+1)*b), gives the sum over l of
+    kernel(j, l) h_l, and its first j*b rows the sum over l < j."""
+    rows, cols, a, b = kernel.shape
+    return kernel.transpose(0, 1, 3, 2).reshape(rows, cols * b, a)
 
 
-def _delayed_control(problem: DelayLQProblem, u: np.ndarray, j: int) -> np.ndarray:
-    k = problem.grid.delay_steps
-    if j < k:
-        return np.broadcast_to(problem.varsigma[j], u.shape[0:1] + (problem.m,))
-    return u[:, j - k]
+def _cost_weight(problem: DelayLQProblem) -> np.ndarray:
+    """diag(Q1, Q2, Q3, R1, R2) at every node, against [x y z u nu]."""
+    blocks = [problem.Q1, problem.Q2, problem.Q3, problem.R1, problem.R2]
+    edges = np.cumsum([0] + [blk.shape[-1] for blk in blocks])
+    weight = np.zeros((problem.grid.N + 1, edges[-1], edges[-1]))
+    for blk, lo, hi in zip(blocks, edges, edges[1:]):
+        weight[:, lo:hi, lo:hi] = blk
+    return weight
 
 
-def _memory_integral(kernel: np.ndarray, history: np.ndarray, j: int,
-                     dt: float) -> np.ndarray:
-    """Distributed-delay integral of ``history`` (paths, nodes, dim) against
-    the kernel row j, by left-rectangle quadrature: z_j for the state and
-    F, mu_j for the control and Ftilde.
-
-    At j = 0 the sum is empty and the integral an exact zero.
-    """
-    return np.einsum("lab,plb->pa", kernel[j, :j], history[:, :j]) * dt
-
-
-def _euler_step(problem: DelayLQProblem, j: int, x: np.ndarray,
-                y: np.ndarray, z: np.ndarray, u_j: np.ndarray,
-                nu: np.ndarray, mu: np.ndarray, dw: np.ndarray) -> np.ndarray:
+def _step_tables(problem: DelayLQProblem) -> tuple:
+    """Row j of the first table maps v = [x y z u nu mu] to [drift,
+    diffusion]: it is the transpose of [A1 A2 A3 B1 B2 B3; C1 C2 C3 D1 0 0]
+    at t_j, beside the free row [b; sigma].  Then the cost weight, and F
+    and Ftilde as ``_history_rows``."""
     p = problem
-    drift = (np.einsum("ab,pb->pa", p.A1[j], x)
-             + np.einsum("ab,pb->pa", p.A2[j], y)
-             + np.einsum("ab,pb->pa", p.A3[j], z)
-             + np.einsum("am,pm->pa", p.B1[j], u_j)
-             + np.einsum("am,pm->pa", p.B2[j], nu)
-             + np.einsum("ab,pb->pa", p.B3[j], mu)
-             + p.b[j])
-    diff = (np.einsum("ab,pb->pa", p.C1[j], x)
-            + np.einsum("ab,pb->pa", p.C2[j], y)
-            + np.einsum("ab,pb->pa", p.C3[j], z)
-            + np.einsum("am,pm->pa", p.D1[j], u_j)
-            + p.sigma[j])
-    return x + drift * problem.grid.dt + diff * dw[:, None]
+    rows = np.block([[p.A1, p.A2, p.A3, p.B1, p.B2, p.B3],
+                     [p.C1, p.C2, p.C3, p.D1, np.zeros_like(p.B1),
+                      np.zeros_like(p.A1)]])
+    return (rows.transpose(0, 2, 1), np.concatenate([p.b, p.sigma], axis=1),
+            _cost_weight(p), _history_rows(p.F), _history_rows(p.Ftilde))
 
 
-def _simulate(problem: DelayLQProblem, batch: BrownianBatch,
+def _simulate(problem: DelayLQProblem, tables: tuple, batch: BrownianBatch,
               control: Callable[..., np.ndarray]) -> SimulationBatch:
     """The Euler-Maruyama loop shared by the open and closed loops.
 
-    ``control(j, x, u, y)`` returns u(t_j) for every path from the state
-    history ``x``, the control history ``u`` (filled up to node j-1) and
-    the delayed state ``y``.  The running cost is the left-rectangle
-    quadrature of the quadratic integrand at nodes 0..N-1, accumulated
-    from the same terms the step uses.
+    ``control(j, v, xh, uh)`` returns u(t_j) for every path from the row
+    v, whose first 2n entries hold [x(t_j) y(t_j)], and the path-major
+    histories ``xh`` (P, (N+1)n) and ``uh`` (P, (N+1)m), filled up to
+    node j and j-1.  The running cost is the left-rectangle quadrature of
+    the quadratic integrand at nodes 0..N-1, formed from the step's row.
     """
     g = problem.grid
-    N, n, m, P, dt = g.N, problem.n, problem.m, batch.n_paths, g.dt
+    N, n, m, k, P, dt = (g.N, problem.n, problem.m, g.delay_steps,
+                         batch.n_paths, g.dt)
+    coef, free, weight, F, Ftilde = tables
     x = np.zeros((P, N + 1, n))
     u = np.zeros((P, N + 1, m))
+    xh, uh = x.reshape(P, -1), u.reshape(P, -1)
+    v = np.zeros((P, 4 * n + 2 * m))
+    xv, yv, zv, uv, nuv, muv = np.split(v, np.cumsum([n, n, n, m, m]), axis=1)
+    w = v[:, :3 * n + 2 * m]                  # the cost's [x y z u nu]
+    dw = batch.increments[:, :, None]
     costs = np.zeros(P)
-    x[:, 0] = problem.xi[g.delay_steps]
+    x[:, 0] = problem.xi[k]
     for j in range(N + 1):
-        y = _delayed_state(problem, x, j)
-        u[:, j] = u_j = control(j, x, u, y)
+        xv[:] = x[:, j]
+        yv[:] = problem.xi[j] if j <= k else x[:, j - k]
+        u[:, j] = uv[:] = control(j, v, xh, uh)
         if j == N:
             break
-        nu = _delayed_control(problem, u, j)
-        z = _memory_integral(problem.F, x, j, dt)
-        mu = _memory_integral(problem.Ftilde, u, j, dt)
-        costs += (np.einsum("pa,ab,pb->p", x[:, j], problem.Q1[j], x[:, j])
-                  + np.einsum("pa,ab,pb->p", y, problem.Q2[j], y)
-                  + np.einsum("pa,ab,pb->p", z, problem.Q3[j], z)
-                  + np.einsum("pa,ab,pb->p", u[:, j], problem.R1[j], u[:, j])
-                  + np.einsum("pa,ab,pb->p", nu, problem.R2[j], nu)) * dt
-        x[:, j + 1] = _euler_step(problem, j, x[:, j], y, z, u_j, nu, mu,
-                                  batch.increments[:, j])
+        nuv[:] = problem.varsigma[j] if j < k else u[:, j - k]
+        np.multiply(xh[:, :j * n] @ F[j, :j * n], dt, out=zv)
+        np.multiply(uh[:, :j * m] @ Ftilde[j, :j * m], dt, out=muv)
+        costs += np.einsum("pa,pa->p", w @ weight[j], w) * dt
+        step = v @ coef[j]
+        step += free[j]
+        x[:, j + 1] = x[:, j] + step[:, :n] * dt + step[:, n:] * dw[:, j]
 
     flagged = (np.abs(x).max(axis=(1, 2)) > BLOWUP_THRESHOLD) | ~np.isfinite(
         x.reshape(P, -1)).all(axis=1)
     return SimulationBatch(x=x, u=u, cost_samples=costs, flagged=flagged)
+
+
+def _replay(u_paths: np.ndarray) -> Callable[..., np.ndarray]:
+    """The open loop's control: node j of the given paths."""
+    return lambda j, v, xh, uh: u_paths[:, j]
 
 
 def simulate_open_loop(problem: DelayLQProblem, u_paths: np.ndarray,
@@ -158,24 +157,27 @@ def simulate_open_loop(problem: DelayLQProblem, u_paths: np.ndarray,
         u_paths = np.broadcast_to(u_paths, (P, N + 1, m))
     if u_paths.shape != (P, N + 1, m):
         raise ValueError(f"u_paths must be ({P},{N + 1},{m}), got {u_paths.shape}")
-    return _simulate(problem, batch, lambda j, x, u, y: u_paths[:, j])
+    return _simulate(problem, _step_tables(problem), batch, _replay(u_paths))
 
 
 def simulate_closed_loop(problem: DelayLQProblem, strategy: FeedbackStrategy,
                          batch: BrownianBatch) -> SimulationBatch:
-    """Run the feedback loop; u(t_j) uses only information up to t_j."""
-    dt = problem.grid.dt
+    """Run the feedback loop; u(t_j) uses only information up to t_j.
 
-    def feedback(j, x, u, y):
-        u_j = (np.einsum("ma,pa->pm", strategy.k1[j], x[:, j])
-               + np.einsum("ma,pa->pm", strategy.k3[j], y)
-               + strategy.v[j])
+    [k1 k3](t_j) acts on [x(t_j) y(t_j)], and the k2 and k4 history
+    integrals are one product each, as ``_history_rows``."""
+    dt, n, m = problem.grid.dt, problem.n, problem.m
+    k13 = np.concatenate([strategy.k1, strategy.k3], axis=2).transpose(0, 2, 1)
+    k2, k4 = _history_rows(strategy.k2), _history_rows(strategy.k4)
+
+    def feedback(j, v, xh, uh):
+        u_j = v[:, :2 * n] @ k13[j] + strategy.v[j]
         if j > 0:
-            u_j += np.einsum("sma,psa->pm", strategy.k2[j, :j], x[:, :j]) * dt
-            u_j += np.einsum("smq,psq->pm", strategy.k4[j, :j], u[:, :j]) * dt
+            u_j += (xh[:, :j * n] @ k2[j, :j * n]) * dt
+            u_j += (uh[:, :j * m] @ k4[j, :j * m]) * dt
         return u_j
 
-    return _simulate(problem, batch, feedback)
+    return _simulate(problem, _step_tables(problem), batch, feedback)
 
 
 def estimate_cost(sim: SimulationBatch) -> CostEstimate:
@@ -206,8 +208,9 @@ class DerivativeEstimate:
 
 
 def default_direction_scale(u: np.ndarray) -> float:
-    """Control scale for the finite-difference step size."""
-    rms = float(np.sqrt(np.mean(u ** 2)))
+    """Control scale for the finite-difference step size: the RMS of u,
+    at least 1, and 1 when u is empty."""
+    rms = float(np.sqrt(np.mean(u ** 2))) if u.size else 0.0
     return max(rms, 1.0)
 
 
@@ -224,7 +227,8 @@ def stationarity_test(problem: DelayLQProblem, strategy: FeedbackStrategy,
 
     For fixed noise the sample cost is exactly quadratic in the control,
     so the central difference has no step bias; eps, 1e-3 times the
-    control scale, only sets the rounding.
+    control scale of the unflagged base paths, only sets the rounding.
+    The open-loop runs share one set of step tables.
     """
     g = problem.grid
     directions = np.asarray(directions, dtype=float)
@@ -233,11 +237,12 @@ def stationarity_test(problem: DelayLQProblem, strategy: FeedbackStrategy,
             f"directions must be (D,{g.N + 1},{problem.m}), "
             f"got {directions.shape}")
     base = simulate_closed_loop(problem, strategy, batch)
-    eps = 1e-3 * default_direction_scale(base.u)
+    eps = 1e-3 * default_direction_scale(base.u[~base.flagged])
+    tables = _step_tables(problem)
     out = []
     for direction in directions:
-        up = simulate_open_loop(problem, base.u + eps * direction, batch)
-        dn = simulate_open_loop(problem, base.u - eps * direction, batch)
+        up, dn = (_simulate(problem, tables, batch, _replay(u)) for u in
+                  (base.u + eps * direction, base.u - eps * direction))
         good = ~(base.flagged | up.flagged | dn.flagged)
         diffs = (up.cost_samples[good] - dn.cost_samples[good]) / (2.0 * eps)
         n_good = int(good.sum())

@@ -38,7 +38,13 @@ current-state gain summed against it.  ``memory_control_kernel`` is the
 B3 part of the control kernel, built one column at a time.
 ``a_column`` is the column of the state kernel that the sweep formed at
 each node, and ``write_pair_table_rows`` is the CLI's pair-table writer
-as it formatted one row at a time.
+as it formatted one row at a time.  ``simulate`` is the Euler-Maruyama
+loop as it stepped before it stacked the coefficients: ``euler_step``
+forms drift and diffusion one einsum per coefficient,
+``memory_integral`` sums z and mu per node, and the closed loop's
+feedback applies one einsum per gain.  ``qp_terms`` is the QP oracle's
+Hessian, gradient and constant as ``extended_cost_paths`` and
+``bilinear`` assembled them from that stepper's runs.
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -50,7 +56,8 @@ original S2 lost its swap symmetry.  Both forms here use B3 Ftilde.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +65,7 @@ from delaylq import riccati
 from delaylq.adjoint import causal_gains
 from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
 from delaylq.riccati import RiccatiResiduals, _live_rows, _sym
+from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
 
 
 @dataclass(frozen=True)
@@ -729,3 +737,169 @@ def write_pair_table_rows(path, table) -> None:
         for i in range(rows.shape[0]):
             fh.writelines(fmt % (i, j, *row)
                           for j, row in enumerate(rows[i, :i].tolist()))
+
+
+# ----------------------------------------------------------------------
+# The Euler-Maruyama step one coefficient at a time, and the QP assembly
+# ----------------------------------------------------------------------
+
+def delayed_state(problem, x: np.ndarray, j: int) -> np.ndarray:
+    k = problem.grid.delay_steps
+    if j <= k:
+        return np.broadcast_to(problem.xi[j], x.shape[0:1] + (problem.n,))
+    return x[:, j - k]
+
+
+def delayed_control(problem, u: np.ndarray, j: int) -> np.ndarray:
+    k = problem.grid.delay_steps
+    if j < k:
+        return np.broadcast_to(problem.varsigma[j], u.shape[0:1] + (problem.m,))
+    return u[:, j - k]
+
+
+def memory_integral(kernel: np.ndarray, history: np.ndarray, j: int,
+                    dt: float) -> np.ndarray:
+    """Distributed-delay integral of ``history`` (paths, nodes, dim) against
+    the kernel row j, by left-rectangle quadrature: z_j for the state and
+    F, mu_j for the control and Ftilde.
+
+    At j = 0 the sum is empty and the integral an exact zero.
+    """
+    return np.einsum("lab,plb->pa", kernel[j, :j], history[:, :j]) * dt
+
+
+def euler_step(problem, j: int, x: np.ndarray,
+               y: np.ndarray, z: np.ndarray, u_j: np.ndarray,
+               nu: np.ndarray, mu: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    p = problem
+    drift = (np.einsum("ab,pb->pa", p.A1[j], x)
+             + np.einsum("ab,pb->pa", p.A2[j], y)
+             + np.einsum("ab,pb->pa", p.A3[j], z)
+             + np.einsum("am,pm->pa", p.B1[j], u_j)
+             + np.einsum("am,pm->pa", p.B2[j], nu)
+             + np.einsum("ab,pb->pa", p.B3[j], mu)
+             + p.b[j])
+    diff = (np.einsum("ab,pb->pa", p.C1[j], x)
+            + np.einsum("ab,pb->pa", p.C2[j], y)
+            + np.einsum("ab,pb->pa", p.C3[j], z)
+            + np.einsum("am,pm->pa", p.D1[j], u_j)
+            + p.sigma[j])
+    return x + drift * problem.grid.dt + diff * dw[:, None]
+
+
+def simulate(problem, batch: BrownianBatch,
+             control: Callable[..., np.ndarray]) -> SimulationBatch:
+    """The Euler-Maruyama loop shared by the open and closed loops.
+
+    ``control(j, x, u, y)`` returns u(t_j) for every path from the state
+    history ``x``, the control history ``u`` (filled up to node j-1) and
+    the delayed state ``y``.  The running cost is the left-rectangle
+    quadrature of the quadratic integrand at nodes 0..N-1, accumulated
+    from the same terms the step uses.
+    """
+    g = problem.grid
+    N, n, m, P, dt = g.N, problem.n, problem.m, batch.n_paths, g.dt
+    x = np.zeros((P, N + 1, n))
+    u = np.zeros((P, N + 1, m))
+    costs = np.zeros(P)
+    x[:, 0] = problem.xi[g.delay_steps]
+    for j in range(N + 1):
+        y = delayed_state(problem, x, j)
+        u[:, j] = u_j = control(j, x, u, y)
+        if j == N:
+            break
+        nu = delayed_control(problem, u, j)
+        z = memory_integral(problem.F, x, j, dt)
+        mu = memory_integral(problem.Ftilde, u, j, dt)
+        costs += (np.einsum("pa,ab,pb->p", x[:, j], problem.Q1[j], x[:, j])
+                  + np.einsum("pa,ab,pb->p", y, problem.Q2[j], y)
+                  + np.einsum("pa,ab,pb->p", z, problem.Q3[j], z)
+                  + np.einsum("pa,ab,pb->p", u[:, j], problem.R1[j], u[:, j])
+                  + np.einsum("pa,ab,pb->p", nu, problem.R2[j], nu)) * dt
+        x[:, j + 1] = euler_step(problem, j, x[:, j], y, z, u_j, nu, mu,
+                                 batch.increments[:, j])
+
+    flagged = (np.abs(x).max(axis=(1, 2)) > BLOWUP_THRESHOLD) | ~np.isfinite(
+        x.reshape(P, -1)).all(axis=1)
+    return SimulationBatch(x=x, u=u, cost_samples=costs, flagged=flagged)
+
+
+def simulate_open_loop(problem, u_paths: np.ndarray,
+                       batch: BrownianBatch) -> SimulationBatch:
+    """The reference stepper driven by the given controls, (n_paths, N+1,
+    m) or (N+1, m) broadcast to all paths."""
+    N, m, P = problem.grid.N, problem.m, batch.n_paths
+    u_paths = np.broadcast_to(np.asarray(u_paths, dtype=float), (P, N + 1, m))
+    return simulate(problem, batch, lambda j, x, u, y: u_paths[:, j])
+
+
+def simulate_closed_loop(problem, strategy, batch: BrownianBatch
+                         ) -> SimulationBatch:
+    """The reference stepper under the feedback, one einsum per gain."""
+    dt = problem.grid.dt
+
+    def feedback(j, x, u, y):
+        u_j = (np.einsum("ma,pa->pm", strategy.k1[j], x[:, j])
+               + np.einsum("ma,pa->pm", strategy.k3[j], y)
+               + strategy.v[j])
+        if j > 0:
+            u_j += np.einsum("sma,psa->pm", strategy.k2[j, :j], x[:, :j]) * dt
+            u_j += np.einsum("smq,psq->pm", strategy.k4[j, :j], u[:, :j]) * dt
+        return u_j
+
+    return simulate(problem, batch, feedback)
+
+
+def extended_cost_paths(problem, x: np.ndarray, u: np.ndarray):
+    """Per-path trajectories entering the cost at nodes 0..N-1, formed as
+    the simulator forms them."""
+    N, dt = problem.grid.N, problem.grid.dt
+    y = np.stack([delayed_state(problem, x, j) for j in range(N)], axis=1)
+    nu = np.stack([delayed_control(problem, u, j) for j in range(N)], axis=1)
+    z = np.stack([memory_integral(problem.F, x, j, dt) for j in range(N)],
+                 axis=1)
+    return x[:, :N], y, z, u[:, :N], nu
+
+
+def bilinear(problem, t1, t2):
+    """The cost's bilinear form between two sets of extended paths."""
+    N, dt = problem.grid.N, problem.grid.dt
+    x1, y1, z1, u1, nu1 = t1
+    x2, y2, z2, u2, nu2 = t2
+    return ((np.einsum("ija,jab,kjb->ik", x1, problem.Q1[:N], x2)
+             + np.einsum("ija,jab,kjb->ik", y1, problem.Q2[:N], y2)
+             + np.einsum("ija,jab,kjb->ik", z1, problem.Q3[:N], z2)
+             + np.einsum("ija,jab,kjb->ik", u1, problem.R1[:N], u2)
+             + np.einsum("ija,jab,kjb->ik", nu1, problem.R2[:N], nu2))
+            * dt)
+
+
+def qp_terms(problem):
+    """The QP oracle's Hessian, gradient and constant, assembled from the
+    reference stepper's unit-impulse responses by ``bilinear``."""
+    g = problem.grid
+    N, m = g.N, problem.m
+    nb = N * m
+
+    zero_noise = BrownianBatch(seed=0, n_paths=nb,
+                               increments=np.zeros((nb, N)))
+    impulses = np.zeros((nb, N + 1, m))
+    for j in range(N):
+        for c in range(m):
+            impulses[j * m + c, j, c] = 1.0
+    hom = replace(problem,
+                  b=np.zeros_like(problem.b),
+                  xi=np.zeros_like(problem.xi),
+                  varsigma=np.zeros_like(problem.varsigma))
+    basis = simulate_open_loop(hom, impulses, zero_noise)
+    tb = extended_cost_paths(hom, basis.x, impulses)
+
+    one_path = BrownianBatch(seed=0, n_paths=1, increments=np.zeros((1, N)))
+    affine = simulate_open_loop(problem, np.zeros((N + 1, m)), one_path)
+    ta = extended_cost_paths(problem, affine.x, np.zeros((1, N + 1, m)))
+
+    H = 2.0 * bilinear(problem, tb, tb)
+    H = 0.5 * (H + H.T)
+    gvec = 2.0 * bilinear(problem, tb, ta)[:, 0]
+    c0 = float(bilinear(problem, ta, ta)[0, 0])
+    return H, gvec, c0

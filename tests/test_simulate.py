@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delaylq as dl
+from delaylq.simulate import default_direction_scale
 
 
 def scalar_grid(N=20):
@@ -200,6 +201,26 @@ class TestStationarity:
         [der] = dl.stationarity_test(p, strat, w[None], batch)
         assert der.estimate == 0.0
         assert der.stderr == 0.0
+
+    def test_step_is_sized_from_the_unflagged_paths(self, solve_preset):
+        # the tanh feedback under C1 = 25 blows up most paths; their
+        # controls, up to 1e18, once set a step that flagged every run
+        strat = solve_preset("tanh", 40).strategy
+        p = dl.preset_problem("tanh", 40)
+        p.C1[:] = 25.0
+        batch = dl.gen_brownian(p.grid, 200, seed=0)
+        base = dl.simulate_closed_loop(p, strat, batch)
+        good = ~base.flagged
+        assert 0 < good.sum() < 100
+        w = np.zeros((1, p.grid.N + 1, 1))
+        w[0, :p.grid.N] = 1.0
+        [der] = dl.stationarity_test(p, strat, w, batch)
+        assert der.eps == 1e-3 * default_direction_scale(base.u[good])
+        assert der.n_paths > 0
+        assert np.isfinite(der.estimate)
+
+    def test_step_scale_without_paths_is_one(self):
+        assert default_direction_scale(np.zeros((0, 21, 1))) == 1.0
 
     def test_optimum_passes_detuned_fails(self, solve_preset):
         s = solve_preset("full", 32)

@@ -1,6 +1,8 @@
 """The array forms of the case I and case II oracles and of the feedback
-synthesis against their loops, and the Riccati residual and the case
-V/II sandwich read off the sweep's tables against their replays."""
+synthesis against their loops, the Riccati residual and the case V/II
+sandwich read off the sweep's tables against their replays, and the
+stacked Euler-Maruyama step and QP assembly against the step one
+coefficient at a time."""
 
 import dataclasses
 
@@ -298,3 +300,60 @@ def test_tables_match_replay_on_admissible_draws(p):
                 <= 1e-12 * np.maximum(1.0, np.abs(want))).all(), field
     np.testing.assert_allclose(P.g1_table, loop_oracles.replayed_g1(P, vp),
                                rtol=0, atol=1e-12)
+
+
+def without_diffusion(p):
+    """The problem with C1, C2, C3, D1 and sigma zeroed: the QP oracle's."""
+    return dataclasses.replace(p, **{nm: np.zeros_like(getattr(p, nm))
+                                     for nm in oracles.QP_ORACLE.zero})
+
+
+#: the problems the stacked Euler-Maruyama step is pinned to the step one
+#: coefficient at a time on; k >= N clamps every shifted index
+STEPPER = {
+    "full": lambda: dl.preset_problem("full", 24),
+    "input-delay": lambda: dl.preset_problem("input-delay", 24),
+    "planar-m2": lambda: planar_problem(24, m=2),
+    "delay-at-horizon": lambda: scalar_all_channels_problem(1.0),
+    "delay-past-horizon": lambda: scalar_all_channels_problem(1.5),
+}
+
+
+def assert_runs_match(got, want):
+    # relative to each array's max: the stacked products sum in another
+    # order than the per-term einsums
+    for field in ("x", "u", "cost_samples"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), field
+    np.testing.assert_array_equal(got.flagged, want.flagged)
+
+
+def assert_stepper_matches_loop(p, n_paths):
+    vp, P = solved(p)
+    strat = dl.synthesize_feedback(P, vp)
+    batch = dl.gen_brownian(p.grid, n_paths, seed=11)
+    assert_runs_match(dl.simulate_closed_loop(p, strat, batch),
+                      loop_oracles.simulate_closed_loop(p, strat, batch))
+    u = np.random.default_rng(5).standard_normal(
+        (n_paths, p.grid.N + 1, p.m))
+    assert_runs_match(dl.simulate_open_loop(p, u, batch),
+                      loop_oracles.simulate_open_loop(p, u, batch))
+
+
+@pytest.mark.parametrize("case", sorted(STEPPER))
+def test_stepper_matches_loop(case):
+    assert_stepper_matches_loop(STEPPER[case](), 8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(p=admissible_problems())
+def test_stepper_matches_loop_on_admissible_draws(p):
+    assert_stepper_matches_loop(p, 4)
+
+
+@pytest.mark.parametrize("case", sorted(STEPPER))
+def test_qp_terms_match_loop(case):
+    p = without_diffusion(STEPPER[case]())
+    for got, want in zip(oracles._qp_terms(p), loop_oracles.qp_terms(p)):
+        assert np.abs(np.subtract(got, want)).max() <= (
+            1e-12 * np.abs(want).max())
