@@ -1,8 +1,7 @@
 """Stochastic linear-quadratic optimal control with state and control
 delays, solved through a delay-free stochastic Volterra lifting."""
 
-from .adjoint import (CausalGains, FeedbackStrategy, causal_gains,
-                      synthesize_feedback, value_function)
+from .adjoint import FeedbackStrategy, synthesize_feedback, value_function
 from .exceptions import DelayLQError, NumericalError, ProblemValidationError
 from .grid import TimeGrid
 from .problem import (DelayLQProblem, ValidationReport, empty_problem,
@@ -19,12 +18,12 @@ from .volterra import (VolterraProblem, build_volterra, cost_volterra,
                        lift_state, lifted_kernel)
 
 __all__ = [
-    "BrownianBatch", "CausalGains", "CostEstimate",
+    "BrownianBatch", "CostEstimate",
     "DelayLQError", "DelayLQProblem", "DerivativeEstimate",
     "FeedbackStrategy", "NumericalError", "PRESET_NAMES",
     "ProblemValidationError", "RiccatiResiduals", "RiccatiSolution",
     "SimulationBatch", "TimeGrid", "ValidationReport", "VolterraProblem",
-    "build_volterra", "causal_gains", "cost_volterra",
+    "build_volterra", "cost_volterra",
     "empty_problem", "estimate_cost", "from_extended_sdde", "gen_brownian",
     "lift_state", "lifted_kernel", "load_problem", "preset_problem",
     "problem_from_dict", "problem_to_dict", "riccati_residual",

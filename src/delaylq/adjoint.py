@@ -4,14 +4,20 @@ With deterministic free terms the backward pair system reduces to a
 deterministic recursion (the martingale part is identically zero); the
 Riccati sweep runs it one column of the pair at a time and stores the
 pair's selector sum ``eta1`` and the offset ``omega`` of the causal
-feedback.  The closed-loop gains come from the causal pair (pointwise
-gain on the lifted state, history gain on its forward representation)
-by collecting the history kernel against the lifted state's
-reconstruction in terms of the original trajectories.
-The history gain's sums over future nodes are suffix tables built once;
-the delay-shifted and memory channels of the control gain and the
-offset's initial windows are contractions against them, with no loop
-over nodes.
+feedback.  The closed-loop gains come from the causal pair: the
+pointwise gain Xi on the lifted state, the rows of ``W``, and the
+history gain Gamma(s, t) = -rcal_inv(t) (P*B)(s, t)^T, the control rows
+of the factor table ``H`` scaled once per node.  Gamma is formed once,
+in H's own [t, m, s, a] layout, and every table derived from it (its
+suffix sums over the future index s, its products against the memory
+kernel, the control impulse's history gain) keeps that layout.  The
+history kernel is collected against the lifted state's reconstruction
+in terms of the original trajectories.  The current-state gain sums Gamma
+against the selector column U(., t), written from the template of
+``VolterraProblem.selector_stack`` as the sweep writes it, one product
+per node; the delay-shifted and memory channels of the control gain and
+the offset's initial windows are contractions against the suffix
+tables, with no loop over nodes.
 """
 
 from __future__ import annotations
@@ -23,19 +29,6 @@ import numpy as np
 from .exceptions import ProblemValidationError
 from .riccati import RiccatiSolution
 from .volterra import VolterraProblem, _node_product
-
-
-@dataclass(frozen=True)
-class CausalGains:
-    """Feedback on the lifted state: u = Xi X + int Gamma Theta + offset.
-
-    ``Gamma[s, t]`` is meaningful for s >= t; the diagonal holds the
-    limiting value used when shifted indices collide with the current
-    node.  Entries with s < t are zero.
-    """
-
-    Xi: np.ndarray      # (N+1, m, 3n)
-    Gamma: np.ndarray   # (N+1, N+1, m, 3n)
 
 
 @dataclass(frozen=True)
@@ -52,112 +45,99 @@ class FeedbackStrategy:
     k4: np.ndarray      # (N+1, N+1, m, m)
     v: np.ndarray       # (N+1, m)
 
-    def scaled(self, factor: float) -> "FeedbackStrategy":
-        return FeedbackStrategy(k1=factor * self.k1, k2=self.k2,
-                                k3=self.k3, k4=self.k4, v=self.v)
-
-
-def causal_gains(P: RiccatiSolution, vp: VolterraProblem) -> CausalGains:
-    # C order: pb is a transposed view, and the history gain's sums
-    # follow the layout of what they read
-    Gamma = np.einsum("tiq,stjq->stij", P.rcal_inv, P.pb, order="C")
-    np.negative(Gamma, out=Gamma)
-    Gamma[~np.tri(vp.grid.N + 1, dtype=bool)] = 0.0      # s < t
-    return CausalGains(Xi=P.W[:, P.n:], Gamma=Gamma)
-
 
 def synthesize_feedback(P: RiccatiSolution,
                         vp: VolterraProblem) -> FeedbackStrategy:
     g = vp.grid
     N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
-    nn = N + 1
+    nn, d = N + 1, 3 * n
     src = vp.source
-    gains = causal_gains(P, vp)
+    Xi = P.W[:, n:]
     nodes = np.arange(nn)
-    later = np.tri(nn, k=-1, dtype=bool)    # [s, t]: s > t
+    later = np.tri(nn, k=-1, dtype=bool)    # [t, s]: t > s
     # pairs t > s within one delay of each other, where the delay-shifted
     # channel of the state and control gains reads the node s + k
     ts, ss = np.nonzero((nodes[None, :] + k >= nodes[:, None])
                         & (nodes[None, :] + k <= N) & later)
-    # the state gain reads Gamma[s + k, t] on the diagonal too: take it
-    # before the history gain loses its diagonal
-    shifted = gains.Gamma[ss + k, ts][:, :, n:2 * n]
-    # the history gain on s > t; the diagonal is scaled by 0.0, which keeps
-    # the sign of its zeros, as the masked copy it replaces did
-    gam = gains.Gamma
-    gam[nodes, nodes] *= 0.0
-    gam2 = gam[..., n:2 * n]            # [s, t] blocks of the history gain
-    gam3 = gam[..., 2 * n:]
+    # the history gain gam[t, :, s] = Gamma(s, t) from H's control rows,
+    # zero for s < t as they are
+    gam = np.einsum("tiq,tqsa->tisa", P.rcal_inv,
+                    P.H[:, n:].reshape(nn, m, nn, d), order="C")
+    np.negative(gam, out=gam)
+    # the state gain reads Gamma(s + k, t) on the diagonal too: take it
+    # before the history gain loses its diagonal, which is scaled by 0.0
+    # to keep the sign of its zeros
+    shifted = gam[ts, :, ss + k, n:2 * n]
+    gam[nodes, :, nodes] *= 0.0
+    gam2, gam3 = gam[..., n:2 * n], gam[..., 2 * n:]
 
     # current-state gain: pointwise part plus the history gain against the
-    # selector column U(., t), one BLAS product per node over every s (rows
-    # s < t zero), which sums as the dense (s, t) contraction did
-    col_t = np.zeros((n, nn, 3 * n))        # U(., t)^T; rows s < t stay zero
-    eye = np.eye(n)
-    hist = np.empty((nn, n, m))
+    # selector column U(., t), one BLAS product per node over every s
+    # (rows s < t zero).  The column is held as U(., t)^T, contiguous
+    # along (s, a): with m = 1 numpy runs the product as a matrix-vector
+    # product, which sums in the dense contraction's order only over a
+    # contiguous row
+    stack = vp.selector_stack(n)
+    col = np.zeros((n, nn, d))
+    hist = np.empty((nn, m, n))
     for t in range(N, -1, -1):
-        # U(s, t) differs from U(s, t + 1) only in its memory block and in
-        # the identity blocks that switch on at s = t and s = t + delay + 1
-        col_t[:, t, :n] = eye
-        if t + k + 1 <= N:
-            col_t[:, t + k + 1, n:2 * n] = eye
-        col_t[:, t:, 2 * n:] = vp.E[t:, t].transpose(2, 0, 1)
-        hist[t] = (col_t.reshape(n, -1)
-                   @ gam[:, t].transpose(0, 2, 1).reshape(-1, m))
-    k1 = gains.Xi[:, :, :n] + hist.transpose(0, 2, 1) * dt
-    k3 = gains.Xi[:, :, n:2 * n].copy()
+        u = stack[:nn - t]
+        u[:, 2 * n:] = vp.E[t:, t]
+        col[:, t:] = u.transpose(2, 0, 1)
+        hist[t] = gam[t].reshape(m, -1) @ col.reshape(n, -1).T
+    k1 = Xi[:, :, :n] + hist * dt
+    k3 = Xi[:, :, n:2 * n].copy()
 
     # distributed-state gain, with the history term
-    # sum_{alpha>t} gam3[alpha, t] F[alpha, beta] dt
-    k2 = np.einsum("tmx,tsxy->tsmy", gains.Xi[:, :, 2 * n:], src.F)
-    k2 += _node_product(gam3.transpose(1, 2, 0, 3),
-                        src.F.transpose(0, 2, 1, 3), dt)
+    # sum_{alpha>t} Gamma3(alpha, t) F[alpha, beta] dt
+    k2 = np.einsum("tmx,tsxy->tsmy", Xi[:, :, 2 * n:], src.F)
+    k2 += _node_product(gam3, src.F.transpose(0, 2, 1, 3), dt)
     if ts.size:
         k2[ts, ss] += shifted
     k2 *= later[:, :, None, None]
 
     # suffix sums of the first two history-gain blocks over the future
-    # index, suf*[q, t] = sum_{r >= q} gam*[r, t] dt with suf*[nn] = 0,
-    # and s3[t, p] = sum_{r > t} gam3[r, t] E[r, p] dt
-    suf = np.zeros((nn + 1, nn, m, 2 * n))
-    suf[:nn] = gam[..., :2 * n]
-    np.cumsum(suf[::-1], axis=0, out=suf[::-1])
+    # index, suf[t, :, q] = sum_{r >= q} gam[t, :, r] dt with
+    # suf[:, :, nn] = 0, and s3[t, :, p] = sum_{r > t} gam3[t, :, r] E[r, p] dt
+    suf = np.zeros((nn, m, nn + 1, 2 * n))
+    suf[:, :, :nn] = gam[..., :2 * n]
+    np.cumsum(suf[:, :, ::-1], axis=2, out=suf[:, :, ::-1])
     suf *= dt
     suf1, suf2 = suf[..., :n], suf[..., n:]
-    s3 = _node_product(gam3.transpose(1, 2, 0, 3),
-                       vp.E.transpose(0, 2, 1, 3), dt)
+    s3 = _node_product(gam3, vp.E.transpose(0, 2, 1, 3), dt).transpose(
+        0, 2, 1, 3)
 
-    # i1grid[t, p]: future history gain seen by a control impulse that
+    # i1grid[t, :, p]: future history gain seen by a control impulse that
     # enters through the delay-shifted channel at node p >= t
-    i1grid = suf1[1:nn + 1].transpose(1, 0, 2, 3).copy()
-    i1grid += suf2[np.minimum(nodes + k + 1, nn)].transpose(1, 0, 2, 3)
+    i1grid = suf1[:, :, 1:] + suf2[:, :, np.minimum(nodes + k + 1, nn)]
     i1grid += s3
 
     # distributed-control gain: shifted channel plus the memory channel
     k4 = np.zeros((nn, nn, m, m))
     if ts.size:
-        k4[ts, ss] += np.einsum("pmx,pxq->pmq", i1grid[ts, ss + k],
+        k4[ts, ss] += np.einsum("pmx,pxq->pmq", i1grid[ts, :, ss + k],
                                 src.B2[ss + k])
     if src.has_memory:
         # u(s) reaches the state at theta > t through B3(theta)
-        # Ftilde(theta, s); w[t, theta] is the history gain seen there
+        # Ftilde(theta, s); w[t, :, theta] is the history gain seen there
         bf = np.einsum("tab,tsbm->tsam", src.B3, src.Ftilde)  # (theta, s, n, m)
-        w = (suf1[:nn] + suf2[np.minimum(nodes + k, nn)]).transpose(1, 0, 2, 3)
+        w = suf1[:, :, :nn] + suf2[:, :, np.minimum(nodes + k, nn)]
         w += s3
-        w *= later.T[:, :, None, None]
-        k4 += _node_product(w.transpose(0, 2, 1, 3),
-                            bf.transpose(0, 2, 1, 3), dt)
+        w *= later.T[:, None, :, None]
+        k4 += _node_product(w, bf.transpose(0, 2, 1, 3), dt)
     k4 *= later[:, :, None, None]
 
     # offset: adjoint part, initial-state window (t < a <= lim) and
     # initial-control window (t <= p < lim; shifted-channel nodes beyond
     # the horizon contribute nothing).  The stack is summed along its
-    # leading axis, which numpy does term by term in this order.
+    # leading axis, which numpy does term by term in this order, and in
+    # the order of the stack's layout: both windows are C-ordered.
     lim = min(k, N)
-    init = np.einsum("atmx,ax->atm", gam2[1:lim + 1], src.xi[1:lim + 1]) * dt
+    init = np.einsum("tmax,ax->atm", gam2[:, :, 1:lim + 1],
+                     src.xi[1:lim + 1], order="C") * dt
     ctrl = np.einsum("ptmq,pq->ptm", np.einsum(
-        "tpmx,pxq->ptmq", i1grid[:, :lim], src.B2[:lim]),
-        src.varsigma[:lim]) * dt
+        "tmpx,pxq->ptmq", i1grid[:, :, :lim], src.B2[:lim]),
+        src.varsigma[:lim], order="C") * dt
     ctrl *= (nodes[None, :] <= nodes[:lim, None])[:, :, None]
     v = np.concatenate([P.omega[None], init, ctrl]).sum(axis=0)
 

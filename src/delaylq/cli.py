@@ -1,11 +1,13 @@
 """Command-line front end: solve, simulate, verify.
 
 Exit codes: 0 success, 1 validation failure (usage errors included),
-2 numerical failure, 3 I/O failure.  The run summary is a flat JSON
-document with sorted keys and floats printed to 17 significant digits
-(null where a float is not finite, say the cost of a batch whose every
-path was flagged), so identical configs and seeds produce byte-identical
-summaries.
+2 numerical failure, 3 I/O failure.  A run that cannot allocate its
+tables (a grid too fine for the machine's memory) counts as a numerical
+failure: it ends with exit 2 and one "out of memory" line on stderr, not
+a traceback.  The run summary is a flat JSON document with sorted keys
+and floats printed to 17 significant digits (null where a float is not
+finite, say the cost of a batch whose every path was flagged), so
+identical configs and seeds produce byte-identical summaries.
 """
 
 from __future__ import annotations
@@ -379,6 +381,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print("out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)

@@ -112,14 +112,6 @@ class DelayLQProblem:
         """Whether the control memory channel B3 Ftilde is live."""
         return len(self.nonzero("B3", "Ftilde")) == 2
 
-    def with_scaled_weights(self, c: float) -> "DelayLQProblem":
-        """Multiply every cost weight by c > 0 (dynamics untouched)."""
-        return replace(
-            self,
-            Q1=c * self.Q1, Q2=c * self.Q2, Q3=c * self.Q3,
-            R1=c * self.R1, R2=c * self.R2, lam=c * self.lam,
-        )
-
 
 def empty_problem(grid: TimeGrid, n: int, m: int, lam: float = 1.0) -> DelayLQProblem:
     """Problem with every coefficient, kernel, and trajectory zero."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import delaylq as dl
+from evaluators import with_scaled_weights
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,7 @@ class Solved:
 def _solve_preset(name: str, n_steps: int, weight_scale: float = 1.0) -> Solved:
     problem = dl.preset_problem(name, n_steps)
     if weight_scale != 1.0:
-        problem = problem.with_scaled_weights(weight_scale)
+        problem = with_scaled_weights(problem, weight_scale)
     vp = dl.build_volterra(problem)
     P = dl.solve_riccati(vp)
     strategy = dl.synthesize_feedback(P, vp)

@@ -16,15 +16,41 @@ paper's other forms of the same quantities, which no solver path reads:
   ``g2``, ``g3``; the selector sandwich g1 is the solver's ``g1_table``);
 - the specialized feedback laws of the control-delay and state-delay
   cases (``casei_control``, ``caseii_control``), read off the case
-  extractions of ``delaylq.oracles``.
+  extractions of ``delaylq.oracles``;
+- the perturbed inputs the optimality and invariance tests compare
+  against: a problem with every cost weight scaled
+  (``with_scaled_weights``) and a strategy with its current-state gain
+  scaled (``scaled``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from delaylq.adjoint import FeedbackStrategy
 from delaylq.exceptions import ProblemValidationError
+from delaylq.problem import DelayLQProblem
 from loop_oracles import selector
+
+
+# ----------------------------------------------------------------------
+# Perturbed problems and strategies
+# ----------------------------------------------------------------------
+
+def with_scaled_weights(problem: DelayLQProblem, c: float) -> DelayLQProblem:
+    """Multiply every cost weight by c > 0 (dynamics untouched)."""
+    return replace(
+        problem,
+        Q1=c * problem.Q1, Q2=c * problem.Q2, Q3=c * problem.Q3,
+        R1=c * problem.R1, R2=c * problem.R2, lam=c * problem.lam,
+    )
+
+
+def scaled(strategy: FeedbackStrategy, factor: float) -> FeedbackStrategy:
+    """The strategy with its current-state gain k1 scaled by ``factor``."""
+    return replace(strategy, k1=factor * strategy.k1)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Loop forms of the case I oracle, the case II P3c and residual and the
-feedback synthesis's memory channel and offset, kept as a reference, the
-Riccati sweep that advanced every slice and its full-width Euler step,
-the Riccati residual and the case V/II sandwich as they read the replayed
-slices, the dense selector table with the products the lifting once
-formed against it, and the lifting's per-node loop over the memory
-channel of the control kernel.
+feedback synthesis's distributed-state gain, memory channel and offset,
+kept as a reference, the Riccati sweep that advanced every slice and its
+full-width Euler step, the Riccati residual and the case V/II sandwich
+as they read the replayed slices, the dense selector table with the
+products the lifting once formed against it, and the lifting's per-node
+loop over the memory channel of the control kernel.
 
 These are the original per-node, per-lag Python loops that
 ``delaylq.oracles`` and ``delaylq.adjoint.synthesize_feedback`` replaced
@@ -34,7 +34,12 @@ the data that the live set ``RiccatiSolution`` reads off its tables must
 follow.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the lifting
 stored before it built one selector column at a time;
 ``dense_lifted_kernel`` and ``dense_k1`` are the kernel tables and the
-current-state gain summed against it.  ``memory_control_kernel`` is the
+current-state gain summed against it.  ``causal_gains`` is the history
+gain Gamma as the synthesis formed it before it worked in the factor
+table's layout, one (N+1, N+1, m, 3n) table in [s, t] order beside the
+pointwise gain Xi; ``dense_k1``, ``synthesis_k2`` and ``synthesis_k4_v``
+read it, and ``synthesis_k2`` is the distributed-state gain one pair
+(t, s) at a time.  ``memory_control_kernel`` is the
 B3 part of the control kernel, built one column at a time.
 ``a_column`` is the column of the state kernel that the sweep formed at
 each node, and ``write_pair_table_rows`` is the CLI's pair-table writer
@@ -62,7 +67,6 @@ from typing import Callable
 import numpy as np
 
 from delaylq import riccati
-from delaylq.adjoint import causal_gains
 from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
 from delaylq.riccati import RiccatiResiduals, _live_rows, _sym
 from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
@@ -612,6 +616,49 @@ def caseii_residual(ext, problem) -> CaseIIResiduals:
     return CaseIIResiduals(ode_late=ode_late, ode_early=ode_early,
                            transport_late=tr_late, transport_early=tr_early,
                            diagonal=diag)
+
+
+@dataclass(frozen=True)
+class CausalGains:
+    """Feedback on the lifted state: u = Xi X + int Gamma Theta + offset.
+
+    ``Gamma[s, t]`` is meaningful for s >= t; the diagonal holds the
+    limiting value used when shifted indices collide with the current
+    node.  Entries with s < t are zero.
+    """
+
+    Xi: np.ndarray      # (N+1, m, 3n)
+    Gamma: np.ndarray   # (N+1, N+1, m, 3n)
+
+
+def causal_gains(P, vp) -> CausalGains:
+    # C order: pb is a transposed view, and the history gain's sums
+    # follow the layout of what they read
+    Gamma = np.einsum("tiq,stjq->stij", P.rcal_inv, P.pb, order="C")
+    np.negative(Gamma, out=Gamma)
+    Gamma[~np.tri(vp.grid.N + 1, dtype=bool)] = 0.0      # s < t
+    return CausalGains(Xi=P.W[:, P.n:], Gamma=Gamma)
+
+
+def synthesis_k2(P, vp, problem):
+    """k2 of the feedback synthesis one pair t > s at a time: Xi3(t)
+    F(t, s), plus sum_{alpha>t} Gamma3(alpha, t) F(alpha, s) dt, plus the
+    shifted channel Gamma2(s + k, t) on t - k <= s < t, s + k <= N (its
+    diagonal value at s + k = t included)."""
+    g = vp.grid
+    N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
+    gains = causal_gains(P, vp)
+    k2 = np.zeros((N + 1, N + 1, m, n))
+    for t in range(N + 1):
+        for s in range(t):
+            acc = gains.Xi[t][:, 2 * n:] @ problem.F[t, s]
+            for alpha in range(t + 1, N + 1):
+                acc = acc + (gains.Gamma[alpha, t][:, 2 * n:]
+                             @ problem.F[alpha, s]) * dt
+            if s >= t - k and s + k <= N:
+                acc = acc + gains.Gamma[s + k, t][:, n:2 * n]
+            k2[t, s] = acc
+    return k2
 
 
 def synthesis_k4_v(P, vp, problem):

@@ -11,7 +11,8 @@ import numpy as np
 import delaylq as dl
 from delaylq import oracles
 from delaylq.cli import main as cli_main
-from evaluators import casei_control, caseii_control, p2_slice
+from evaluators import (casei_control, caseii_control, p2_slice, scaled,
+                        with_scaled_weights)
 
 TANH1 = float(np.tanh(1.0))
 
@@ -84,7 +85,7 @@ class TestCriterion3StochasticStationarity:
         batch = dl.gen_brownian(g, 10_000, seed=42)
         rng = np.random.Generator(np.random.Philox(key=[42, 2 ** 32]))
         slack = 10.0 * g.dt
-        detuned = strat.scaled(1.5)
+        detuned = scaled(strat, 1.5)
         ws = []
         for _ in range(20):
             w = rng.standard_normal((g.N + 1, p.m))
@@ -206,7 +207,7 @@ class TestCriterion7ScaleInvariance:
         for name in ("pointwise", "full"):
             p = dl.preset_problem(name, 32)
             vp, P, strat = _solve(p)
-            p3 = p.with_scaled_weights(3.0)
+            p3 = with_scaled_weights(p, 3.0)
             vp3, P3, strat3 = _solve(p3)
             for field in ("k1", "k2", "k3", "k4", "v"):
                 a, b = getattr(strat, field), getattr(strat3, field)

@@ -9,12 +9,12 @@ import sys
 import delaylq as dl
 
 PUBLIC_NAMES = [
-    "BrownianBatch", "CausalGains", "CostEstimate",
+    "BrownianBatch", "CostEstimate",
     "DelayLQError", "DelayLQProblem", "DerivativeEstimate",
     "FeedbackStrategy", "NumericalError", "PRESET_NAMES",
     "ProblemValidationError", "RiccatiResiduals", "RiccatiSolution",
     "SimulationBatch", "TimeGrid", "ValidationReport", "VolterraProblem",
-    "build_volterra", "causal_gains", "cost_volterra",
+    "build_volterra", "cost_volterra",
     "empty_problem", "estimate_cost", "from_extended_sdde", "gen_brownian",
     "lift_state", "lifted_kernel", "load_problem", "preset_problem",
     "problem_from_dict", "problem_to_dict", "riccati_residual",

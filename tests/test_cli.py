@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import delaylq as dl
+from delaylq import cli
 from delaylq.cli import _leads, _write_pair_table, main
 from loop_oracles import write_pair_table_rows
 from test_multidim import planar_problem
@@ -81,6 +82,56 @@ KERNEL16_SHA256 = {
         "c68f151fe45aad2a428fddf40a9d3bd4d349a1b8d07c1efabd944cd59606acbd",
         "a92f8adbf1e7e2abdced36694a0d17756c9a3036111876843ea4c7a8a0299941",
         "ded0376890109e11b617c4f5bed527dd1b9c68d256af905a8b5a37bc6c976547"),
+}
+
+
+# sha256 of feedback_{k1,k2,k3,k4,v}.csv from `solve --n-steps 16` on each
+# preset and from `solve --problem` on the planar n = m = 2 problem at
+# N = 16, pinned from the synthesis that formed the history gain in (s, t)
+# order
+FEEDBACK16_SHA256 = {
+    "tanh": (
+        "3e89b1baed6948f6d42028c7afcb948e93a0dad86974d7ae258305dc6aeece24",
+        "1f3e53b0f23b6a84490ef3a98b82a6349f8da3d23a8ec06d6824f0578585c67f",
+        "afea49c1c24712d67f699a072c73392d9b31d29792f9e1825e4c188ed7ffa55c",
+        "1f3e53b0f23b6a84490ef3a98b82a6349f8da3d23a8ec06d6824f0578585c67f",
+        "ad7d31eb8d05697c099d11289adccb1e5b3ca87d84e8b457ae07e53568ba8bf9"),
+    "input-delay": (
+        "f716c29a8e1a64a6933437d838685a66f92ee31062cde27c75ef2b767c4f989e",
+        "1f3e53b0f23b6a84490ef3a98b82a6349f8da3d23a8ec06d6824f0578585c67f",
+        "afea49c1c24712d67f699a072c73392d9b31d29792f9e1825e4c188ed7ffa55c",
+        "6d1e12f42c3659c8b869801716fc63e8e7667da18c18417cc459cb97ee44d16c",
+        "ad7d31eb8d05697c099d11289adccb1e5b3ca87d84e8b457ae07e53568ba8bf9"),
+    "state-delay": (
+        "c00af99673db5b43f1104cd3b4af2d7366f9ebf4430639fd0c85f61f088f34c6",
+        "29d21f8db0974d439e91c472ac8e2df7f2605d60e8a2e361254813717ec13877",
+        "afea49c1c24712d67f699a072c73392d9b31d29792f9e1825e4c188ed7ffa55c",
+        "1f3e53b0f23b6a84490ef3a98b82a6349f8da3d23a8ec06d6824f0578585c67f",
+        "8f2c2f63044c71f4407c68a120654b6eae77f5710f8d95376772ee93a538fffb"),
+    "pointwise": (
+        "f7e09cc9f0369757106ad238cc0ca35979f5286c298be8b3128d550718b9f236",
+        "276bc1b944fb48f511e758dfd617c274162d0ca9ff1278f6815d668786b11525",
+        "ebb6bdc47ba15f28475ee3d3282398eb19dde61846e46a87564ef58a86e52107",
+        "c8fec4c37526b0b9ce6a1bb2af9e9a7941c47e309cedf4176fd22c52052ab5d6",
+        "f803b06fb4599c325e530f81a9293ae7603629cdfc8fd85dda2d8305b8ab65f0"),
+    "distributed": (
+        "daf1d22b823854eb94e45ad2882345466b55dc007d0a8b6dc49b10efbfd8a491",
+        "74c4bddbabce7eafdf767c895116fd399b5d27782d63cb7284f5f91082e9596b",
+        "afea49c1c24712d67f699a072c73392d9b31d29792f9e1825e4c188ed7ffa55c",
+        "bf5defe8746448a6f9feb2d92a57deecafc94d6a7a818b49e5c9ae5cf7ef422b",
+        "ad7d31eb8d05697c099d11289adccb1e5b3ca87d84e8b457ae07e53568ba8bf9"),
+    "full": (
+        "797409fd5179d231c8533a23764cb6203ea81367d716f497e267f66aebbcbeee",
+        "715df555f4b9765e17aed247938f2114e7af9dac1bb10b99389c6ecb66e5d97e",
+        "2005cfd403502278c966087c8c41f678d9a78f9f4f4cd8bddb1d92eac3fabbde",
+        "8db0544caa6be55f090c50ef3266a6bc5939f01ac946348dfe4937dd5f9119e3",
+        "f02fc4efbee3ae03ad1dfc6c817d5981868adbb5932d2bda4ef5d03a1b99c84c"),
+    "planar": (
+        "f61ff2ccd2465e4b372061ba4990e6998da49eb6832e6adf7f78266d74864963",
+        "9177d4f9cbdff614f2d84fd69d52ab8335b5eb9840bb680d351f3c96e197aac5",
+        "cd9401fdc2d0e4dbb627f8db153f6a1ed1229582e5631d0a253baae0a9637f75",
+        "8246bf3e163169310374834db4ca65b97dd93b7e293a20a1d69a91cb81dc42dd",
+        "3e30a482b9cc953ad78347aca20dcfd86bd606353e91d4683dacae33cbe7358f"),
 }
 
 
@@ -190,6 +241,33 @@ class TestSolve:
         for name, want in zip("ABCD", KERNEL16_SHA256[preset]):
             data = (out / f"kernel_{name}.csv").read_bytes()
             assert hashlib.sha256(data).hexdigest() == want, name
+
+    @pytest.mark.parametrize("case", sorted(FEEDBACK16_SHA256))
+    def test_feedback_tables_are_pinned(self, case, tmp_path):
+        if case == "planar":
+            path = tmp_path / "planar.json"
+            dl.save_problem(planar_problem(16, m=2), path)
+            flags = ["--problem", path]
+        else:
+            flags = ["--preset", case, "--n-steps", "16"]
+        out = tmp_path / "run"
+        assert run(["solve", *flags, "--out", out]) == 0
+        for name, want in zip(("k1", "k2", "k3", "k4", "v"),
+                              FEEDBACK16_SHA256[case]):
+            data = (out / f"feedback_{name}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == want, name
+
+    def test_out_of_memory_exits_two_on_one_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def exhausted(problem):
+            raise MemoryError("Unable to allocate 1.16 TiB")
+
+        monkeypatch.setattr(cli, "build_volterra", exhausted)
+        assert run(["solve", "--preset", "tanh", "--n-steps", "8",
+                    "--out", tmp_path / "o"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("out of memory: ")
 
 
 # sha256 of kernel_{A,B,C,D}.csv from `solve --dump-kernels` on the planar

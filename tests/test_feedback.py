@@ -5,9 +5,8 @@ import pytest
 
 import delaylq as dl
 from delaylq import oracles
-from delaylq.adjoint import causal_gains
 from evaluators import bcal, g3
-from loop_oracles import selector
+from loop_oracles import causal_gains, selector
 
 
 def with_free_terms(name, N, b=0.3, sigma=0.4):

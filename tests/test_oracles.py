@@ -5,7 +5,7 @@ import pytest
 
 import delaylq as dl
 from delaylq import oracles
-from evaluators import casei_control, caseii_control
+from evaluators import casei_control, caseii_control, with_scaled_weights
 
 
 def solve(problem):
@@ -232,7 +232,7 @@ class TestCaseI:
         p = control_delay_preset(16)
         vp, P, _ = solve(p)
         ext1 = oracles.casei_extract(P, vp)
-        p3 = p.with_scaled_weights(3.0)
+        p3 = with_scaled_weights(p, 3.0)
         vp3, P3, _ = solve(p3)
         ext3 = oracles.casei_extract(P3, vp3)
         np.testing.assert_allclose(ext3.S0, 3.0 * ext1.S0, atol=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import delaylq as dl
 from delaylq.simulate import default_direction_scale
+from evaluators import scaled
 
 
 def scalar_grid(N=20):
@@ -228,7 +229,7 @@ class TestStationarity:
         batch = dl.gen_brownian(g, 2000, seed=31)
         rng = np.random.default_rng(17)
         slack = 10.0 * g.dt
-        detuned = s.strategy.scaled(1.5)
+        detuned = scaled(s.strategy, 1.5)
         ws = []
         for _ in range(6):
             w = rng.standard_normal((g.N + 1, 1))
@@ -288,7 +289,7 @@ class TestStationarity:
             s.problem, np.zeros((s.problem.grid.N + 1, 1)), batch)
         est_zero = dl.estimate_cost(zero)
         assert v0 <= est_zero.mean + 3 * est_zero.stderr
-        detuned = s.strategy.scaled(1.7)
+        detuned = scaled(s.strategy, 1.7)
         sub = dl.simulate_closed_loop(s.problem, detuned, batch)
         est_sub = dl.estimate_cost(sub)
         assert v0 <= est_sub.mean + 3 * est_sub.stderr

@@ -182,6 +182,15 @@ def test_synthesis_matches_loops(case):
     np.testing.assert_allclose(strat.v, v, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("case", sorted(SYNTHESIS))
+def test_k2_matches_pair_loop(case):
+    p = SYNTHESIS[case]()
+    vp, P = solved(p)
+    strat = dl.synthesize_feedback(P, vp)
+    np.testing.assert_allclose(strat.k2, loop_oracles.synthesis_k2(P, vp, p),
+                               rtol=0, atol=1e-12)
+
+
 #: the presets and the three planar problems the selector is pinned on
 SELECTOR = {
     **{name: (lambda name=name: dl.preset_problem(name, 16))
