@@ -24,7 +24,8 @@ from .adjoint import synthesize_feedback, value_function
 from .exceptions import NumericalError, ProblemValidationError
 from .presets import PRESET_NAMES, STEP_MULTIPLE, preset_problem
 from .problem import load_problem
-from .riccati import riccati_residual, solve_riccati
+from .riccati import (RiccatiSolution, _live_rows, riccati_residual,
+                      solve_riccati)
 from .simulate import (BrownianBatch, estimate_cost, gen_brownian,
                        simulate_closed_loop, stationarity_test)
 from .volterra import build_volterra, lifted_kernel
@@ -88,6 +89,75 @@ def _write_pair_table(path: str, table: np.ndarray, leads: list) -> None:
                      % tuple(rows[i, :i].ravel().tolist()))
 
 
+def replay(P: RiccatiSolution):
+    """Yield (l, slice_l) for l = N, N-1, ..., 0: the whole slices of the
+    two-time kernel, which only the dump writes out.
+
+    ``slice_l`` covers grid pairs (i, j) with i, j >= l (local index 0 is
+    global l): its interior is slice l+1 advanced by one Euler step of the
+    rank-m drift, its border column, row and corner come from
+    ``P.border(l)``.  Only the ``live`` blocks are advanced, so a replay of
+    a problem with dead blocks costs their share less.  Each slice is an
+    (M, M, d, d) view into one flat buffer that the next step updates in
+    place: copy it to keep it past the step, and do not modify it.  Time
+    is O(N^3 (L n)^2 m) for L live blocks; the slice and its scratch are
+    two buffers of about (N+1)^2 d^2 numbers.
+    """
+    N, d = P.N, 3 * P.n
+    # slice and scratch are allocated once: arrays grown per node left
+    # the peak RSS to the heap's fragmentation
+    buf = np.empty(((N + 1) * d,) * 2)
+    work = np.empty(N * N * d * d)
+    for l in range(N, -1, -1):
+        X, Md = buf[l * d:, l * d:], (N - l) * d
+        if l < N:
+            _advance(X[d:, d:], P.pb[l + 1:, l + 1], P.rcal_inv[l + 1],
+                     P.dt, work[:Md * Md].reshape(Md, Md), P.live)
+        X[:, :d] = P.border(l)
+        X[:d, d:] = X[d:, :d].T
+        yield l, _blocks(X, N + 1 - l)
+
+
+def _blocks(X: np.ndarray, M: int) -> np.ndarray:
+    """The flat slice X over M nodes as an (M, M, d, d) view."""
+    d = X.shape[0] // M
+    return X.reshape(M, d, M, d).transpose(0, 2, 1, 3)
+
+
+def _euler(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
+           dt: float, work: np.ndarray) -> None:
+    """X less dt pb_next rinv_next pb_next^T, symmetrized, in place.
+    ``work`` is contiguous scratch of X's shape."""
+    pbf = pb_next.reshape(X.shape[0], -1)
+    np.matmul((pb_next @ rinv_next).reshape(pbf.shape), pbf.T, out=work)
+    work *= dt
+    np.subtract(X, work, out=work)
+    # averaging with the transpose keeps the swap-transpose symmetry exact
+    np.add(work, work.T, out=X)
+    X *= 0.5
+
+
+def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
+             dt: float, work: np.ndarray, live: slice) -> None:
+    """Slice l+1 becomes the interior of slice l, in place: one Euler step
+    of the rank-m drift on the live blocks; dead entries are 0.0 and stay
+    so.  ``work`` is contiguous scratch of X's shape.  A partial live set
+    is gathered into compact scratch carved from ``work`` and scattered
+    back: the arithmetic on the strided (M, L, n, M, L, n) view of the
+    live entries itself is slower."""
+    if live == slice(0, 3):                 # every block live
+        _euler(X, pb_next, rinv_next, dt, work)
+        return
+    M = pb_next.shape[0]
+    n = X.shape[0] // (3 * M)
+    view = X.reshape(M, 3, n, M, 3, n)[:, live, :, :, live, :]
+    K = view.shape[0] * view.shape[1] * view.shape[2]
+    xc, wc = work.reshape(-1)[:2 * K * K].reshape(2, K, K)
+    xc.reshape(view.shape)[...] = view
+    _euler(xc, _live_rows(pb_next, live), rinv_next, dt, wc)
+    view[...] = xc.reshape(view.shape)
+
+
 def _write_riccati_dump(path: str, P, leads: list) -> None:
     """Every slice of the two-time kernel, base nodes in ascending order.
 
@@ -98,7 +168,7 @@ def _write_riccati_dump(path: str, P, leads: list) -> None:
     """
     chunks = []
     with tempfile.TemporaryFile(dir=os.path.dirname(path) or None) as spool:
-        for l, sl in P.replay():
+        for l, sl in replay(P):
             fields = ",".join(["%.17g"] * sl[0, 0].size) + "\n"
             tails = [lead + leads[l] + fields for lead in leads[l:]]
             start = spool.tell()

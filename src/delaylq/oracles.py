@@ -8,9 +8,9 @@ the control-delay-only and state-delay-only models; and an exact convex
 QP solve of the discretized deterministic problem.  Each oracle declares
 what it needs of the data once (``CASES``, ``QP_ORACLE``), and
 ``reduced_case`` picks the special case a problem meets from its data.
-The case V and II checks read the sweep's tables: g1 (``g1_table``),
-the adjoint's ``eta1`` and, for case II's P3c, the g2 columns of ``H``;
-only the case I window sums replay the two-time kernel's slices.
+Every case check reads the sweep's tables and replays no slice: g1
+(``g1_table``), the adjoint's ``eta1``, and the g2 and control columns of
+``H`` (case II's P3c, the case I window sums).
 
 Everything here runs under ``delaylq verify``.  The paper's other forms
 of the solver's quantities (star products, regrouped evaluators,
@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import NumericalError, ProblemValidationError
 from .problem import FREE_TERMS, DelayLQProblem
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, _interior
 from .simulate import (BrownianBatch, _cost_weight, _history_rows,
                        simulate_open_loop)
 from .volterra import VolterraProblem
@@ -262,23 +262,26 @@ def caseii_residual(ext: CaseIIExtraction,
                          + P3[l, l + k].T - cross.T @ rci[l] @ cross)
             ode_early = max(ode_early, float(np.abs(fd - rhs).max()))
 
-        hi = min(l + k - 1, N) + 1                # transport over q = l+1..hi-1
-        if early and hi > l + 1:
-            # [s, q] = (B1^T P3c(s, l+k))^T rci (B1^T P3c(s, q)) dt, s and q
-            # in l+1..hi-1; its running sums over s add in a loop's order
-            lead = bp3[l + 1:hi, l + k].swapaxes(-1, -2) @ rci[l]
-            s_sums = np.cumsum((lead[:, None] @ bp3[l + 1:hi, l + 1:hi]) * dt,
-                               axis=0)
-        for q in range(l + 1, hi):
-            fd = -(P3[l, q] - P3[l - 1, q]) / dt
-            rhs = A1.T @ P3[l, q] - lhs[l].T @ rci[l] @ bp3[l, q]
-            if late:
-                tr_late = max(tr_late, float(np.abs(fd - rhs).max()))
-            elif early:
-                extra = (P3[q, l + k].T @ A2
-                         - bp3[q, l + k].T @ rci[l] @ dpc[l])
-                rhs = rhs + extra - s_sums[q - l - 1, q - l - 1]
-                tr_early = max(tr_early, float(np.abs(fd - rhs).max()))
+        # the transport over q = l+1..hi-1, all q of the node at once
+        hi = min(l + k - 1, N) + 1
+        if hi == l + 1 or not (late or early):
+            continue
+        qs = slice(l + 1, hi)
+        fd = -(P3[l, qs] - P3[l - 1, qs]) / dt
+        rhs = A1.T @ P3[l, qs] - (lhs[l].T @ rci[l]) @ bp3[l, qs]
+        if late:
+            tr_late = max(tr_late, float(np.abs(fd - rhs).max()))
+            continue
+        # [s, q] = (B1^T P3c(s, l+k))^T rci (B1^T P3c(s, q)) dt, s and q
+        # in l+1..hi-1; its running sums over s add in a loop's order, and
+        # the transport at q reads the sum up to s = q
+        lead = bp3[qs, l + k].swapaxes(-1, -2) @ rci[l]
+        s_sums = np.cumsum((lead[:, None] @ bp3[qs, qs]) * dt, axis=0)
+        extra = (P3[qs, l + k].swapaxes(-1, -2) @ A2
+                 - (bp3[qs, l + k].swapaxes(-1, -2) @ rci[l]) @ dpc[l])
+        on = np.arange(hi - l - 1)
+        rhs = rhs + extra - s_sums[on, on]
+        tr_early = max(tr_early, float(np.abs(fd - rhs).max()))
 
     rel = (P2 @ A2 + C1.T @ P2 @ C2
            - lhs.swapaxes(-1, -2) @ rci @ dpc)
@@ -335,66 +338,110 @@ def _masked_max(err: np.ndarray, mask: np.ndarray) -> float:
 
 
 def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
-    """Control-delay extraction, one replayed slice's (1,1) block at a time.
+    """Control-delay extraction from the factor table, no slice replayed.
 
-    At node l the table tab[i, j] = p1script(l, l+i, l+j) comes from the
-    slice's 2-D suffix sums; S0, S1 and S2 contract its k+1 window with
-    B2, and with the memory channel active its first column (the row
-    p1script(l, theta, l)), its window columns and the whole table are
-    contracted with G = B3 Ftilde over theta, then over beta.  Time is
-    O(N^3 k); besides S1 and S2 it keeps the O(N^2) table ``p1row``.
+    A case I problem keeps the solution on the first block, where the
+    selector is the identity, so the g2 columns the sweep stored in H are
+    the window sums' raw material.  p1script(l, a, b) is the sum over
+    {s > b} x {alpha > a} of the kernel dt^2 p2(s, alpha, l) + dt p1(s)
+    [s = alpha] on the first block, and:
+
+    - ``p1row[l, theta]`` = dt sum_{a > theta} g2(a, l)^T, one suffix sum
+      over H's first-block columns; S0 is the sweep's ``g1_table``;
+    - ``S1[l, q]`` = B2(l+q)^T p1row[l, l+q]^T, and S2's lag-0 row and
+      column are S1 times B2(l);
+    - every other entry of S2 is carried along its diagonal: for q, p >= 1
+      the slices differ by the Euler step of node l+1 alone, so
+      S2[l, q, p] = S2[l+1, q-1, p-1] - dt^3 e(q) rcal_inv(l+1) e(p)^T,
+      e(q) = B2(l+q)^T sum_{a > l+q} pb(a, l+1)[:n], the suffix sums of
+      the control products' first rows.
+
+    Time is O(N^2 n (n+m)) for the suffix sums and O(N k^2 m^2) for the
+    window; besides S1 and S2 it keeps the O(N^2) table ``p1row``.  The
+    memory channel adds the terms ``_memory_window_terms`` forms.
     """
     problem = vp.source
     CASES["I"].enforce(problem)
     g = vp.grid
     N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
-    first = slice(0, n)
-    memory = problem.has_memory
-    if memory:
-        G = _shifted_memory_kernel(problem)
+    nn, w = N + 1, n + m
 
-    sufp1 = np.zeros((N + 2, n, n))
-    sufp1[:N + 1] = P.p1[:, first, first]
-    sufp1 = np.cumsum(sufp1[::-1], axis=0)[::-1] * dt   # sum over s >= index
-    B2 = np.zeros((N + 1 + k, n, m))                     # zero past t_N
-    B2[:N + 1] = problem.B2
+    # sums[l, :, j] = sum over a > j of the first-block columns of H's row
+    # block l, [g2 | pb](a, l)^T[:, :n]; zero past the horizon
+    sums = np.zeros((nn, w, nn + k, n))
+    np.cumsum(P.H.reshape(nn, w, nn, 3 * n)[:, :, :0:-1, :n], axis=2,
+              out=sums[:, :, N - 1::-1])
+    p1row = sums[:, :n, :nn].transpose(0, 2, 1, 3) * dt
+    p1row[np.tril_indices(nn, -1)] = 0.0
 
-    S0 = np.zeros((N + 1, n, n))
-    S1 = np.zeros((N + 1, k + 1, m, n))
-    S2 = np.zeros((N + 1, k + 1, k + 1, m, m))
-    p1row = np.zeros((N + 1, N + 1, n, n))
-    # a case I problem has live blocks 0:1: the replay advances only those
-    for l, sl in P.replay():
-        M = sl.shape[0]
-        ss = np.zeros((M + 1, M + 1, n, n))
-        ss[:M, :M] = sl[:, :, first, first]
-        ss = np.cumsum(np.cumsum(ss[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-        off = np.arange(M)
-        tab = (sufp1[l + 1 + np.maximum.outer(off, off)]
-               + ss[1:, 1:].swapaxes(0, 1) * dt * dt)
-        cols = np.zeros((M + k, k + 1, n, n))  # lag columns; past T stay zero
-        cols[:M, :min(M, k + 1)] = tab[:, :k + 1]
-        Bw = B2[l:l + k + 1]
-        p1row[l, l:] = tab[:, 0]
-        S0[l] = tab[0, 0]
-        S1[l] = np.einsum("qam,qab->qmb", Bw, cols[0])
-        left = np.einsum("qam,qpba->qpmb", Bw, cols[:k + 1])
-        S2[l] = np.einsum("qpmb,pbc->qpmc", left, Bw)
-        if memory:
-            Gw = G[l + 1:, l:l + k + 1]    # [theta, q] = G(theta, l+q-k)
-            S1[l] += np.einsum("tqac,tba->qcb", Gw, tab[1:, 0]) * dt
-            # sum over theta > l of p1script(l, theta, l+q) G(theta, l+p-k)
-            col_g = np.einsum("tqab,tpbc->qpac", cols[1:M], Gw,
-                              optimize=True) * dt
-            cross = np.einsum("qam,qpac->qpmc", Bw, col_g)
-            # sum over theta > l of p1script(l, theta, beta) G(theta, l+q-k),
-            # then over beta > l of its transpose against G(beta, l+p-k)
-            tab_g = np.einsum("tbax,tqxc->bqac", tab[1:, 1:], Gw,
-                              optimize=True) * dt
-            double = np.einsum("bqac,bpad->qpcd", tab_g, Gw,
-                               optimize=True) * dt
-            S2[l] += cross + cross.transpose(1, 0, 3, 2) + double
-    return CaseIExtraction(S0=S0, S1=S1, S2=S2, p1row=p1row)
+    B2 = np.zeros((nn + k, n, m))                        # zero past t_N
+    B2[:nn] = problem.B2
+    window = np.arange(nn)[:, None] + np.arange(k + 1)
+    Bw = B2[window]                                      # [l, q] = B2(l+q)
+    # [l, q] = p1row[l, l+q], zero past the horizon
+    lags = sums[np.arange(nn)[:, None], :n, window] * dt
+    S1 = Bw.swapaxes(-1, -2) @ lags.swapaxes(-1, -2)
+
+    S2 = np.zeros((nn, k + 1, k + 1, m, m))
+    S2[:, :, 0] = S1 @ problem.B2[:, None]
+    S2[:, 0, 1:] = S2[:, 1:, 0].swapaxes(-1, -2)
+    for l in range(N - 1, -1, -1):
+        tails = sums[l + 1, n:, l + 1:l + k + 1].transpose(1, 2, 0)
+        e = Bw[l, 1:].swapaxes(-1, -2) @ tails
+        step = ((e @ P.rcal_inv[l + 1]).reshape(k * m, m)
+                @ e.reshape(k * m, m).T) * dt ** 3
+        np.subtract(S2[l + 1, :-1, :-1],
+                    step.reshape(k, m, k, m).transpose(0, 2, 1, 3),
+                    out=S2[l, 1:, 1:])
+    if problem.has_memory:
+        _memory_window_terms(P, problem, p1row, Bw, S1, S2)
+    return CaseIExtraction(S0=P.g1_table, S1=S1, S2=S2, p1row=p1row)
+
+
+def _memory_window_terms(P: RiccatiSolution, problem: DelayLQProblem,
+                         p1row: np.ndarray, Bw: np.ndarray, S1: np.ndarray,
+                         S2: np.ndarray) -> None:
+    """Add the memory channel's terms to S1 and S2 in place.
+
+    At node l, with G_p(theta) = B3(theta) Ftilde(theta, l+p-k) and its
+    prefix sums PG_p(s) = sum_{l < theta < s} G_p(theta), every sum of K
+    against G becomes K applied to PG: Z_p = dt p1 PG_p + dt^2 p2 PG_p,
+    the slice applied by the sweep's ``_interior``.  S1 gains
+    dt sum_theta G_q(theta)^T p1row[l, theta]^T, S2 the cross term
+    B2(l+q)^T dt sum_{s > l+q} Z_p(s), its swap transpose, and
+    dt^2 sum_s Z_q(s)^T PG_p(s).  Each node applies one slice to (k+1) m
+    columns: O(N^3 k) time, O(N k) extra memory.
+    """
+    N, dt, n, m = P.N, P.dt, P.n, P.m
+    k, nn, w = S1.shape[1] - 1, N + 1, P.n + P.m
+    G = _shifted_memory_kernel(problem)
+    # the factors' first-block columns: every term of the slice splits by
+    # blocks, so these apply its (1, 1) block, the only live one
+    H1 = np.ascontiguousarray(
+        P.H.reshape(nn, w, nn, 3 * n)[..., :n]).reshape(nn, w, nn * n)
+    W1 = P.W[:, :, :n]
+    diag = H1.reshape(nn, w, nn, n)[np.arange(nn), :, np.arange(nn)]
+    corner = diag.swapaxes(-1, -2) @ W1                  # H(l, l) W(l)
+    corner = 0.5 * (corner + corner.swapaxes(-1, -2))
+    cols = (k + 1) * m
+    for l in range(N):
+        M = N - l
+        Gw = G[l + 1:, l:l + k + 1]        # [theta, q] = G(theta, l+q-k)
+        S1[l] += np.einsum("tqac,tba->qcb", Gw, p1row[l, l + 1:]) * dt
+        PG = np.zeros((M, n, cols))
+        np.cumsum(Gw[:-1].transpose(0, 2, 1, 3), axis=0,
+                  out=PG[1:].reshape(M - 1, n, k + 1, m))
+        Z = _interior(H1, W1, corner, P.rcal_inv, l + 1, PG, dt)
+        Z *= dt * dt
+        Z += (P.p1[l + 1:, :n, :n] @ PG) * dt
+        tail = np.zeros((max(M, k + 1), n, cols))    # sum over s > l+q
+        np.cumsum(Z[::-1], axis=0, out=tail[M - 1::-1])
+        col_g = tail[:k + 1].reshape(k + 1, n, k + 1, m) * dt
+        cross = np.einsum("qam,qapc->qpmc", Bw[l], col_g)
+        double = (Z.reshape(M * n, cols).T @ PG.reshape(M * n, cols)
+                  ) * (dt * dt)
+        S2[l] += (cross + cross.transpose(1, 0, 3, 2)
+                  + double.reshape(k + 1, m, k + 1, m).transpose(0, 2, 1, 3))
 
 
 def casei_residual(ext: CaseIExtraction,

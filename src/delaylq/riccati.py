@@ -50,13 +50,12 @@ pair columns pass from one node to the next in (N+1, 3n) buffers.
 ``riccati_residual`` re-checks the three lines from the same tables: it
 applies each slice to the selector and control columns through the
 factors as step (ii) does, and takes the evolution line's increment as
-the drift itself.  Whole slices come only from
-``RiccatiSolution.replay``, for the readers that need them (the case I
-window sums and the CLI's dump).  It re-runs the explicit
-Euler recurrence from the terminal corner with the border columns H W
-and advances only the live lifted blocks (see ``_live_blocks``); on the
-solver's output a dead block is one the data never reads (A2, C2 and Q2
-zero for block 2; A3, C3 and Q3 for block 3).
+the drift itself.  No reader in this module forms a whole slice; the
+CLI's ``--dump-riccati`` replays them (``delaylq.cli.replay``), re-running
+the explicit Euler recurrence from the terminal corner with the border
+columns H W on the live lifted blocks only (see ``_live_blocks``).  On
+the solver's output a dead block is one the data never reads (A2, C2 and
+Q2 zero for block 2; A3, C3 and Q3 for block 3).
 """
 
 from __future__ import annotations
@@ -87,14 +86,15 @@ class RiccatiSolution:
     s >= t (zero for s < t), the selector-weighted column g2 and the
     control products (P*B)(t_s, t_t) the sweep formed at node t; ``pb`` is
     a view of its last m rows.  ``W[t]`` = [Acal(t); Xi(t)], Xi the causal
-    feedback's pointwise gain.  ``border(l)`` forms the column at node l,
-    ``replay`` whole slices.  The adjoint pair eta(i, j), j <= i, is not
-    stored, only ``eta1[l]`` = dt sum_{r>l} U(r, l)^T eta(r, l), its g1
-    (0 at l = N), and ``omega``, the causal feedback's offset.  Its drift
+    feedback's pointwise gain.  ``border(l)`` forms the column at node l.
+    The adjoint pair eta(i, j), j <= i, is not stored, only ``eta1[l]`` =
+    dt sum_{r>l} U(r, l)^T eta(r, l), its g1 (0 at l = N), and
+    ``omega``, the causal feedback's offset.  Its drift
     at node s reads the free-term star product p1(r) ub(r) + dt sum_{q>s}
     p2(r, q, s) ub(q), ub = U(., t_s) b(s), formed at node s and not
-    kept.  ``live``, the blocks the replay advances, is derived from ``H``
-    and ``W`` once per solution and cannot be set.
+    kept.  ``live``, the blocks the Euler drift can move (the residual's
+    rows, the replay's advance), is derived from ``H`` and ``W`` once per
+    solution and cannot be set.
     """
 
     n: int
@@ -109,7 +109,7 @@ class RiccatiSolution:
     eta1: np.ndarray            # (N+1, n)
     omega: np.ndarray           # (N+1, m)
     lambda_floor: float
-    # lifted blocks the replay advances, read off the factors, see
+    # lifted blocks the Euler drift moves, read off the factors, see
     # ``_live_blocks``
     live: slice = field(init=False)
 
@@ -135,35 +135,9 @@ class RiccatiSolution:
         col[:d] = _sym(col[:d])
         return col
 
-    def replay(self):
-        """Yield (l, slice_l) for l = N, N-1, ..., 0.
-
-        ``slice_l`` covers grid pairs (i, j) with i, j >= l (local index
-        0 is global l): its interior is slice l+1 advanced by one Euler
-        step of the rank-m drift, its border column, row and corner come
-        from ``border(l)``.  Only the ``live`` blocks are advanced, so a
-        replay of a problem with dead blocks costs their share less.
-        Each slice is an (M, M, d, d) view into one flat buffer that the
-        next step updates in place: copy it to keep it past the step, and
-        do not modify it.
-        """
-        N, d = self.N, 3 * self.n
-        # slice and scratch are allocated once: arrays grown per node left
-        # the peak RSS to the heap's fragmentation
-        buf = np.empty(((N + 1) * d,) * 2)
-        work = np.empty(N * N * d * d)
-        for l in range(N, -1, -1):
-            X, Md = buf[l * d:, l * d:], (N - l) * d
-            if l < N:
-                _advance(X[d:, d:], self.pb[l + 1:, l + 1], self.rcal_inv[l + 1],
-                         self.dt, work[:Md * Md].reshape(Md, Md), self.live)
-            X[:, :d] = self.border(l)
-            X[:d, d:] = X[d:, :d].T
-            yield l, _blocks(X, N + 1 - l)
-
 
 def _live_blocks(H: np.ndarray, W: np.ndarray) -> slice:
-    """The lifted blocks the replay advances, as a slice of the block axis.
+    """The lifted blocks the Euler drift moves, as a slice of the block axis.
 
     Block 1 (the current state) always; block 2 or 3 iff its rows of the
     factor table H or its columns of the closed-loop row W hold a nonzero
@@ -194,12 +168,6 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _blocks(X: np.ndarray, M: int) -> np.ndarray:
-    """The flat slice X over M nodes as an (M, M, d, d) view."""
-    d = X.shape[0] // M
-    return X.reshape(M, d, M, d).transpose(0, 2, 1, 3)
-
-
 def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
               lo: int, u: np.ndarray, dt: float) -> np.ndarray:
     """The slice at node lo - 1 on pairs i, j >= lo, applied to the stacked
@@ -221,44 +189,10 @@ def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     return out
 
 
-def _euler(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
-           dt: float, work: np.ndarray) -> None:
-    """X less dt pb_next rinv_next pb_next^T, symmetrized, in place.
-    ``work`` is contiguous scratch of X's shape."""
-    pbf = pb_next.reshape(X.shape[0], -1)
-    np.matmul((pb_next @ rinv_next).reshape(pbf.shape), pbf.T, out=work)
-    work *= dt
-    np.subtract(X, work, out=work)
-    # averaging with the transpose keeps the swap-transpose symmetry exact
-    np.add(work, work.T, out=X)
-    X *= 0.5
-
-
 def _live_rows(pb: np.ndarray, live: slice) -> np.ndarray:
     """The live rows of the control products pb (M, 3n, m), as (M L n, m)."""
     M, d, m = pb.shape
     return pb.reshape(M, 3, d // 3, m)[:, live].reshape(-1, m)
-
-
-def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
-             dt: float, work: np.ndarray, live: slice) -> None:
-    """Slice l+1 becomes the interior of slice l, in place: one Euler step
-    of the rank-m drift on the live blocks; dead entries are 0.0 and stay
-    so.  ``work`` is contiguous scratch of X's shape.  A partial live set
-    is gathered into compact scratch carved from ``work`` and scattered
-    back: the arithmetic on the strided (M, L, n, M, L, n) view of the
-    live entries itself is slower."""
-    if live == slice(0, 3):                 # every block live
-        _euler(X, pb_next, rinv_next, dt, work)
-        return
-    M = pb_next.shape[0]
-    n = X.shape[0] // (3 * M)
-    view = X.reshape(M, 3, n, M, 3, n)[:, live, :, :, live, :]
-    K = view.shape[0] * view.shape[1] * view.shape[2]
-    xc, wc = work.reshape(-1)[:2 * K * K].reshape(2, K, K)
-    xc.reshape(view.shape)[...] = view
-    _euler(xc, _live_rows(pb_next, live), rinv_next, dt, wc)
-    view[...] = xc.reshape(view.shape)
 
 
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
@@ -406,6 +340,36 @@ class RiccatiResiduals:
     boundary_profile: np.ndarray    # (N,)
 
 
+#: elements per row block of the evolution line's max: the block, its
+#: transpose block and D's rows stay in cache between the passes
+_EVOLUTION_BLOCK = 1 << 15
+
+
+def _evolution_max(nxt: np.ndarray, D: np.ndarray, M: int, k: int) -> float:
+    """max |sym(nxt) - D| over pairs of smooth nodes, D = D(l) on the nodes
+    l+1..N (offsets 1..M) and nxt = D(l+1) there.  A node is rough within
+    one node of offset k or 2k.  Taken over row blocks: each element is
+    0.5 (nxt[i, j] + nxt[j, i]) - D[i, j] as ``_sym`` forms it, and the
+    rough rows and columns of a block are zeroed through slices."""
+    ln = nxt.shape[0] // M                  # live rows per node
+    bands = [(max(c - 2, 0) * ln, min(c + 1, M) * ln) for c in (k, 2 * k)
+             if c - 2 < M]
+    rows = nxt.shape[0]
+    step = max(1, _EVOLUTION_BLOCK // rows)
+    worst = 0.0
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        blk = nxt[r0:r1] + nxt[:, r0:r1].T
+        blk *= 0.5
+        blk -= D[ln + r0:ln + r1, ln:]
+        for a, b in bands:
+            blk[:, a:b] = 0.0
+            if a < r1 and b > r0:
+                blk[max(a - r0, 0):b - r0] = 0.0
+        worst = max(worst, float(np.abs(blk, out=blk).max()))
+    return worst
+
+
 def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResiduals:
     """The three lines from the sweep's tables, no slice replayed.  The
     replay's Euler step subtracts dt D(l+1), D(r) = pb(., r) rcal_inv(r)
@@ -423,7 +387,7 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
 
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
-    D = None
+    D, jump = None, bool(src.nonzero("R2"))
     for l in range(N, -1, -1):
         M = N - l
         w = np.full(M + 1, dt if l < N else 0.0)
@@ -462,17 +426,8 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
         prof_bound[l] = float(np.abs(lhs3).max())
 
         # effective weight jumps one delay before the horizon
-        if not (l == N - k - 1 and src.nonzero("R2")):
-            ln = D.shape[0] // (M + 1)          # live rows per node
-            fd = _sym(nxt)
-            fd -= D[ln:, ln:]
-            # max over pairs with both nodes smooth: zero the others
-            idx = np.arange(1, M + 1)
-            rough = (np.abs(idx - k) <= 1) | (np.abs(idx - 2 * k) <= 1)
-            rough = np.repeat(rough, ln)
-            fd[rough] = 0.0
-            fd[:, rough] = 0.0
-            prof_evol[l] = float(np.abs(fd, out=fd).max())
+        if not (l == N - k - 1 and jump):
+            prof_evol[l] = _evolution_max(nxt, D, M, k)
 
     return RiccatiResiduals(
         pointwise=float(prof_point.max()),

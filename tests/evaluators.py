@@ -30,6 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from delaylq.adjoint import FeedbackStrategy
+from delaylq.cli import replay
 from delaylq.exceptions import ProblemValidationError
 from delaylq.problem import DelayLQProblem
 from loop_oracles import selector
@@ -120,7 +121,7 @@ def p2(P, i: int, j: int, l: int) -> np.ndarray:
 
 def p2_slice(P, l: int) -> np.ndarray:
     """The whole slice at node l, replayed from the terminal node."""
-    for node, sl in P.replay():
+    for node, sl in replay(P):
         if node == l:
             return sl
     raise ValueError(f"p2_slice needs 0 <= l <= N, got l={l}")

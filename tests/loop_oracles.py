@@ -20,7 +20,7 @@ keeping the whole pair table; fed by ``euler_sweep``'s tables it pins
 the adjoint the sweep now carries, whose selector sums
 ``pair_selector_sums`` forms from that table.
 ``advance_full_width`` is the replay's step as it ran before it skipped
-the dead lifted blocks; swapped in for ``delaylq.riccati._advance`` it
+the dead lifted blocks; swapped in for ``delaylq.cli._advance`` it
 pins the skip bit for bit, and ``evolution_profile_full_width``, the
 residual's evolution check over every row of the control products, does
 the same for the check's live rows.  ``riccati_residual`` is the
@@ -66,7 +66,8 @@ from typing import Callable
 
 import numpy as np
 
-from delaylq import riccati
+from delaylq import cli
+from delaylq.cli import replay
 from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
 from delaylq.riccati import RiccatiResiduals, _live_rows, _sym
 from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
@@ -176,8 +177,8 @@ def euler_sweep(vp) -> dict:
             pb[N, N] = p1[N] @ vp.B[N, N]
             free_term(N, X, sel)
             continue
-        riccati._advance(X[d:, d:], pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
-                         work[:(M * d) ** 2].reshape(M * d, M * d), live)
+        cli._advance(X[d:, d:], pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
+                     work[:(M * d) ** 2].reshape(M * d, M * d), live)
         interior, ups = X[d:, d:], sel[1:]
         p1_fut = p1[l + 1:]
         pu = np.einsum("sab,sbj->saj", p1_fut, ups)
@@ -313,7 +314,7 @@ def riccati_residual(P, vp) -> RiccatiResiduals:
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
     prev = None                                   # copy of flat slice l+1
-    for l, sl in P.replay():
+    for l, sl in replay(P):
         M = N - l
         # the flat slice behind the replay's view
         X = sl.transpose(0, 2, 1, 3).reshape((M + 1) * d, (M + 1) * d)
@@ -373,7 +374,7 @@ def replayed_g1(P, vp) -> np.ndarray:
     U = U(., t_l)."""
     N, dt = P.N, P.dt
     out = np.zeros((N + 1, P.n, P.n))
-    for l, sl in P.replay():
+    for l, sl in replay(P):
         if l < N:
             sel = selector(vp, l)[1:].swapaxes(-1, -2)
             pw = np.einsum("sab,sbc,sdc->ad", sel, P.p1[l + 1:], sel) * dt
@@ -388,7 +389,7 @@ def loop_p3c(P, vp) -> np.ndarray:
     g = vp.grid
     N, dt, n, k = g.N, g.dt, vp.n, g.delay_steps
     P3c = np.zeros((N + 1, N + 1, n, n))
-    for l, sl in P.replay():
+    for l, sl in replay(P):
         for q in range(l, min(l + k, N) + 1):
             acc = P.p1[q][:n, n:2 * n].copy()
             for r in range(l + 1, N + 1):
@@ -412,7 +413,7 @@ def casei_extract(P, vp) -> LoopCaseIExtraction:
     sufp1[:N + 1] = P.p1[:, first, first]
     sufp1 = np.cumsum(sufp1[::-1], axis=0)[::-1] * dt   # sum over s >= index
     suf2 = [None] * (N + 1)
-    for l, sl in P.replay():
+    for l, sl in replay(P):
         M = sl.shape[0]
         ss = np.zeros((M + 1, M + 1, n, n))
         ss[:M, :M] = sl[:, :, first, first]

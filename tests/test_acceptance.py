@@ -10,7 +10,7 @@ import numpy as np
 
 import delaylq as dl
 from delaylq import oracles
-from delaylq.cli import main as cli_main
+from delaylq.cli import main as cli_main, replay
 from evaluators import (casei_control, caseii_control, p2_slice, scaled,
                         with_scaled_weights)
 
@@ -114,7 +114,7 @@ class TestCriterion4RiccatiStructuralInvariants:
                          np.abs(P.p1 - P.p1.transpose(0, 2, 1)).max())
             sym_p2 = max(sym_p2,
                          max(np.abs(sl - sl.transpose(1, 0, 3, 2)).max()
-                             for _, sl in P.replay()))
+                             for _, sl in replay(P)))
             floor_ok &= P.lambda_floor >= 0.5 * p.lam
         pz = dl.empty_problem(dl.TimeGrid(0.0, 1.0, 40, 0.25), 1, 1)
         pz.R1[:] = 1.0
@@ -123,7 +123,7 @@ class TestCriterion4RiccatiStructuralInvariants:
         pz.C1[:] = 0.3
         Pz = dl.solve_riccati(dl.build_volterra(pz))
         zero_ok = (np.abs(Pz.p1).max() == 0.0
-                   and max(np.abs(sl).max() for _, sl in Pz.replay()) == 0.0)
+                   and max(np.abs(sl).max() for _, sl in replay(Pz)) == 0.0)
         ok = sym_p1 == 0.0 and sym_p2 == 0.0 and floor_ok and zero_ok
         _report(4, ok, f"p1 asym {sym_p1}, p2 asym {sym_p2}, "
                        f"floor>=0.5lam {floor_ok}, zero fixed point {zero_ok}")

@@ -493,30 +493,37 @@ class TestReproducibility:
         # the sweep's sums against the frontier, the lifting's products and
         # the synthesis's are BLAS calls, which may split work across
         # threads; the outputs must not change with that, at the
-        # benchmark's N = 240 and at N = 480 too
+        # benchmark's N = 240 and at N = 480 too, nor may the residuals and
+        # the case I and II checks that verify reads off the same tables
         feedback = tuple(f"feedback_{g}.csv" for g in
                          ("k1", "k2", "k3", "k4", "v"))
+        checks = ("summary.json", "residuals.csv")
         runs = (
-            (("--n-steps", "48", "--dump-riccati"),
+            (("solve", "full", "48", "--dump-riccati"),
              ("riccati_p2.csv", "riccati_p1.csv", "feedback_v.csv")),
-            (("--n-steps", "240"),
+            (("solve", "full", "240"),
              feedback + ("riccati_p1.csv", "summary.json")),
             # the synthesis's history products span every node pair
-            (("--n-steps", "480"), ("feedback_k2.csv", "feedback_k4.csv")),
+            (("solve", "full", "480"), ("feedback_k2.csv", "feedback_k4.csv")),
+            (("verify", "input-delay", "240", "--verify", "residuals,cases"),
+             checks),
+            (("verify", "state-delay", "240", "--verify", "residuals,cases"),
+             checks),
         )
         src = os.path.dirname(os.path.dirname(dl.__file__))
-        for flags, tables in runs:
+        for run_no, ((command, preset, steps, *flags), tables) in enumerate(
+                runs):
             outs = []
             for threads in ("1", "2"):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
                 env["PYTHONPATH"] = os.pathsep.join(
                     [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-                out = tmp_path / f"{flags[1]}-{threads}"
+                out = tmp_path / f"{run_no}-{threads}"
                 proc = subprocess.run(
-                    [sys.executable, "-m", "delaylq.cli", "solve", "--preset",
-                     "full", *flags, "--out", str(out)],
+                    [sys.executable, "-m", "delaylq.cli", command, "--preset",
+                     preset, "--n-steps", steps, *flags, "--out", str(out)],
                     capture_output=True, text=True, env=env, timeout=120)
                 assert proc.returncode == 0, proc.stderr
                 outs.append([(out / name).read_bytes() for name in tables])
             for name, one, two in zip(tables, *outs):
-                assert one == two, (flags, name)
+                assert one == two, (command, preset, steps, name)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import delaylq as dl
-from delaylq import oracles
+from delaylq import cli, oracles
 
 
 def planar_problem(N=24, m=2, diffusive=True):
@@ -52,7 +52,7 @@ def test_full_pipeline_with_planar_state(m):
     vp, P, strat = pipeline(p)
     assert P.lambda_floor >= 0.5 * p.lam
     assert max(np.abs(sl - sl.transpose(1, 0, 3, 2)).max()
-               for _, sl in P.replay()) == 0.0
+               for _, sl in cli.replay(P)) == 0.0
 
     batch = dl.gen_brownian(p.grid, 4, seed=3)
     u = np.random.default_rng(1).standard_normal((4, p.grid.N + 1, m))

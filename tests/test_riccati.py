@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import delaylq as dl
-from delaylq import oracles, riccati, volterra
-from delaylq.cli import main as cli_main
+from delaylq import cli, oracles, volterra
+from delaylq.cli import main as cli_main, replay
 from delaylq.riccati import RiccatiSolution
 from evaluators import (bcal, frontier, g2, g3, p2, p2_slice, star_left,
                         star_right, star_sandwich)
@@ -43,7 +43,7 @@ class TestFixedPointsAndSymmetry:
     def test_zero_weights_give_zero_solution_exactly(self):
         vp, P = zero_weight_solution()
         assert np.abs(P.p1).max() == 0.0
-        assert max(np.abs(s).max() for _, s in P.replay()) == 0.0
+        assert max(np.abs(s).max() for _, s in replay(P)) == 0.0
         np.testing.assert_array_equal(P.rcal, vp.R)
 
     def test_p1_symmetry_exact(self, solve_preset):
@@ -56,7 +56,7 @@ class TestFixedPointsAndSymmetry:
             P = solve_preset(name, 20).P
             worst = max(
                 np.abs(sl - sl.transpose(1, 0, 3, 2)).max()
-                for _, sl in P.replay())
+                for _, sl in replay(P))
             assert worst == 0.0
 
     def test_weight_floor_holds_on_all_presets(self, solve_preset):
@@ -130,7 +130,7 @@ class TestFactoredKernel:
         presets = [(name, solve_preset(name, 24).P) for name in dl.PRESET_NAMES]
         for name, P in presets + list(planar_solutions()):
             worst = 0.0
-            for l, sl in P.replay():
+            for l, sl in replay(P):
                 for i in range(l, P.N + 1):
                     for j in range(l, P.N + 1):
                         worst = max(worst, float(np.abs(
@@ -141,7 +141,7 @@ class TestFactoredKernel:
         presets = [solve_preset(name, 24).P for name in dl.PRESET_NAMES]
         for P in presets + [P for _, P in planar_solutions()]:
             F = frontier(P)
-            for l, sl in P.replay():
+            for l, sl in replay(P):
                 assert sl.shape == (P.N + 1 - l,) * 2 + (3 * P.n,) * 2
                 np.testing.assert_array_equal(sl[:, 0], F[l:, l])
 
@@ -309,7 +309,7 @@ class TestLiveBlocks:
 
         live = tables(P, dl.riccati_residual(P, vp))
         with monkeypatch.context() as mp:
-            mp.setattr(riccati, "_advance", advance_full_width)
+            mp.setattr(cli, "_advance", advance_full_width)
             res = dataclasses.replace(
                 dl.riccati_residual(P, vp),
                 evolution_profile=evolution_profile_full_width(P, vp))
@@ -385,7 +385,7 @@ class TestClosedFormAnchor:
         scaled = solve_preset("pointwise", 20, 3.0)
         np.testing.assert_allclose(scaled.P.p1, 3.0 * base.P.p1,
                                    rtol=0, atol=1e-12)
-        for (_, a), (_, b) in zip(scaled.P.replay(), base.P.replay()):
+        for (_, a), (_, b) in zip(replay(scaled.P), replay(base.P)):
             np.testing.assert_allclose(a, 3.0 * b, rtol=0, atol=1e-12)
 
 
@@ -520,8 +520,8 @@ class TestResiduals:
             raise AssertionError("a slice was replayed")
 
         solved = {name: solve_preset(name, 24) for name in dl.PRESET_NAMES}
-        monkeypatch.setattr(RiccatiSolution, "replay", refuse)
-        monkeypatch.setattr(riccati, "_advance", refuse)
+        monkeypatch.setattr(cli, "replay", refuse)
+        monkeypatch.setattr(cli, "_advance", refuse)
         for s in solved.values():
             dl.riccati_residual(s.P, s.vp)
         s = solved["tanh"]

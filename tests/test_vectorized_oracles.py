@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import delaylq as dl
-from delaylq import oracles
+from delaylq import cli, oracles
 import loop_oracles
 from evaluators import frontier
 from test_multidim import planar_problem, planar_state_delay_problem
@@ -45,10 +45,29 @@ def planar_memory_problem(N):
     return p
 
 
+def short_control_delay_problem(steps):
+    """A case I problem on N = 8 with C1, D1 and the memory channel live
+    and a delay of ``steps`` nodes: from steps = N - 1 on, the lag window
+    of every node reaches past the horizon."""
+    g = dl.TimeGrid(0.0, 1.0, 8, steps / 8)
+    p = dl.empty_problem(g, 1, 1)
+    for name, value in (("A1", -0.4), ("B1", 1.0), ("B2", 0.5), ("B3", 0.4),
+                        ("C1", 0.2), ("D1", 0.2), ("Q1", 1.0), ("R1", 1.0)):
+        getattr(p, name)[:] = value
+    nodes = g.nodes()
+    for i in range(1, g.N + 1):
+        p.Ftilde[i, :i] = (0.3 / (1.0 + nodes[i] - nodes[:i]))[:, None, None]
+    p.xi[:] = np.linspace(1.0, 1.4, g.delay_steps + 1)[:, None]
+    return p
+
+
 CASE_I = {
     "scalar": lambda: control_delay_preset(24),
     "scalar-memory": lambda: control_delay_preset(24, with_memory=True),
     "planar-memory": lambda: planar_memory_problem(16),
+    **{f"delay-{steps}-of-8": (lambda steps=steps:
+                               short_control_delay_problem(steps))
+       for steps in (7, 8, 10)},
 }
 
 CASE_II = {
@@ -81,6 +100,22 @@ def test_case_i_matches_loops(case):
     res_ref = loop_oracles.casei_residual(ref, p)
     for field in ("ode", "transport1", "transport2", "boundary"):
         assert abs(getattr(res, field) - getattr(res_ref, field)) <= 1e-12, field
+
+
+@pytest.mark.parametrize("case", sorted(CASE_I))
+def test_case_i_replays_no_slice(case, monkeypatch):
+    # the window sums come from the factor table: a replay, or its Euler
+    # step, fails
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slice was replayed")
+
+    p = CASE_I[case]()
+    vp, P = solved(p)
+    monkeypatch.setattr(cli, "replay", refuse)
+    monkeypatch.setattr(cli, "_advance", refuse)
+    ext = oracles.casei_extract(P, vp)
+    res = oracles.casei_residual(ext, p)
+    assert all(np.isfinite(v) for v in vars(res).values())
 
 
 @pytest.mark.parametrize("case", sorted(CASE_II))
