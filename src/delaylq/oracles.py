@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import NumericalError, ProblemValidationError
 from .problem import FREE_TERMS, DelayLQProblem
-from .riccati import RiccatiSolution, _interior
+from .riccati import RiccatiSolution, _applied
 from .simulate import (BrownianBatch, _cost_weight, _history_rows,
                        simulate_open_loop)
 from .volterra import VolterraProblem
@@ -406,11 +406,14 @@ def _memory_window_terms(P: RiccatiSolution, problem: DelayLQProblem,
     At node l, with G_p(theta) = B3(theta) Ftilde(theta, l+p-k) and its
     prefix sums PG_p(s) = sum_{l < theta < s} G_p(theta), every sum of K
     against G becomes K applied to PG: Z_p = dt p1 PG_p + dt^2 p2 PG_p,
-    the slice applied by the sweep's ``_interior``.  S1 gains
+    the slice applied by the sweep's ``_applied``.  S1 gains
     dt sum_theta G_q(theta)^T p1row[l, theta]^T, S2 the cross term
     B2(l+q)^T dt sum_{s > l+q} Z_p(s), its swap transpose, and
     dt^2 sum_s Z_q(s)^T PG_p(s).  Each node applies one slice to (k+1) m
-    columns: O(N^3 k) time, O(N k) extra memory.
+    columns, in blocks of nodes with at most 80 columns together (one node
+    per block from (k+1) m = 41 on, where a node's columns alone fill a
+    GEMM): O(N^3 k) time, O(N (k+1) m n) extra memory per node of a
+    block.
     """
     N, dt, n, m = P.N, P.dt, P.n, P.m
     k, nn, w = S1.shape[1] - 1, N + 1, P.n + P.m
@@ -424,16 +427,22 @@ def _memory_window_terms(P: RiccatiSolution, problem: DelayLQProblem,
     corner = diag.swapaxes(-1, -2) @ W1                  # H(l, l) W(l)
     corner = 0.5 * (corner + corner.swapaxes(-1, -2))
     cols = (k + 1) * m
-    for l in range(N):
-        M = N - l
+
+    def fill(l: int, u: np.ndarray):
+        # PG over nodes l+1..N, zero at l+1; row l is not read
+        if l < N:
+            u[1] = 0.0
+            np.cumsum(G[l + 1:N, l:l + k + 1].transpose(0, 2, 1, 3), axis=0,
+                      out=u[2:].reshape(N - l - 1, n, k + 1, m))
+
+    for l, u, Z in _applied(H1, W1, corner, P.rcal_inv, cols, fill, dt,
+                            P.p1[:, :n, :n]):
+        if l == N:
+            continue
+        M, PG = N - l, u[1:]
         Gw = G[l + 1:, l:l + k + 1]        # [theta, q] = G(theta, l+q-k)
         S1[l] += np.einsum("tqac,tba->qcb", Gw, p1row[l, l + 1:]) * dt
-        PG = np.zeros((M, n, cols))
-        np.cumsum(Gw[:-1].transpose(0, 2, 1, 3), axis=0,
-                  out=PG[1:].reshape(M - 1, n, k + 1, m))
-        Z = _interior(H1, W1, corner, P.rcal_inv, l + 1, PG, dt)
-        Z *= dt * dt
-        Z += (P.p1[l + 1:, :n, :n] @ PG) * dt
+        Z *= dt
         tail = np.zeros((max(M, k + 1), n, cols))    # sum over s > l+q
         np.cumsum(Z[::-1], axis=0, out=tail[M - 1::-1])
         col_g = tail[:k + 1].reshape(k + 1, n, k + 1, m) * dt

@@ -14,14 +14,18 @@ W(l) = [Acal(l); Xi(l)], and the corner C(l) = sym(H(l, l) W(l)).  An
 entry moves from its border value only by the rank-m Euler drift, so the
 sweep forms neither a slice nor the border matrix F.  Sweep at node t_l
 (l = N..0):
-  (i)   write the selector column U(., t_l) into a template built once per
-        solve (its identity blocks do not move with l), beside the control
-        column B(., t_l) and, where b(l) != 0, the free-term column
-        U(., t_l) b(l);
+  (i)   write the selector column U(., t_l) from a template built once
+        per solve (its identity blocks do not move with l), beside the
+        control column B(., t_l) and, where b != 0, the free-term column
+        U(., t_l) b(l), into a buffer shared by a block of nodes;
   (ii)  apply the slice at node l over the future nodes to that stack u:
         p1 u + dt (H^T x + W^T (H u) - C u), x = W u - dt [0; rcal_inv P u],
         with P u the control rows of H u: two products against H give g2,
-        the control products and the free-term products together;
+        the control products and the free-term products together.  Nodes
+        run in blocks of 16 (``_applied``): the part over the rows of H
+        finished before a block is one such product for all of its nodes,
+        their stacks side by side; only the block's own rows are applied
+        node by node;
   (iii) form g1 as one product of the selector against g2, factor the
         effective control weight (a Cholesky factor and its inverse) and
         form the pointwise kernel and Xi(l);
@@ -41,21 +45,25 @@ whole node blocks of rows, each small enough for one thread: a single
 product over the whole interior is split across threads from side ~500
 on, and its sums then change with the thread count.  The products
 against H halve the node range recursively and skip its zero quarter.
-The corner's product is a single call of (n + m) (N - l) 3n k
-multiply-adds, k <= n + m + 1 columns, on one thread while that stays
-under 2^18 (N up to ~14500 at n = m = 1, ~2180 at n = m = 2).  Storage
-is H, (N+1)^2 3n (n+m) numbers, plus per-node tables; the free and
-pair columns pass from one node to the next in (N+1, 3n) buffers.
+Per block of b nodes they read the finished rows of H once against
+b k columns, where a per-node product read them twice per node against
+k: the same O(N^3) multiply-adds, in GEMMs b times as wide.  The
+block's own rows add O(N^2 b) over the sweep.  The corner's product is
+a single call of (n + m) (N - l) 3n k multiply-adds, k <= n + m + 1
+columns, on one thread while that stays under 2^18 (N up to ~14500 at
+n = m = 1, ~2180 at n = m = 2).  Storage is H, (N+1)^2 3n (n+m)
+numbers, plus per-node tables and a block's stacks; the free and pair
+columns pass from one node to the next in (N+1, 3n) buffers.
 
 ``riccati_residual`` re-checks the three lines from the same tables: it
 applies each slice to the selector and control columns through the
-factors as step (ii) does, and takes the evolution line's increment as
-the drift itself.  No reader in this module forms a whole slice; the
-CLI's ``--dump-riccati`` replays them (``delaylq.cli.replay``), re-running
-the explicit Euler recurrence from the terminal corner with the border
-columns H W on the live lifted blocks only (see ``_live_blocks``).  On
-the solver's output a dead block is one the data never reads (A2, C2 and
-Q2 zero for block 2; A3, C3 and Q3 for block 3).
+factors, in blocks as step (ii) does, and takes the evolution line's
+increment as the drift itself.  No reader in this module forms a whole
+slice; the CLI's ``--dump-riccati`` replays them (``delaylq.cli.replay``),
+re-running the explicit Euler recurrence from the terminal corner with
+the border columns H W on the live lifted blocks only (see
+``_live_blocks``).  On the solver's output a dead block is one the data
+never reads (A2, C2 and Q2 zero for block 2; A3, C3 and Q3 for block 3).
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalError
-from .volterra import VolterraProblem, _by_triangle
+from .volterra import VolterraProblem, _by_node_rows, _by_triangle
 
 
 @dataclass(frozen=True)
@@ -169,24 +177,78 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
-              lo: int, u: np.ndarray, dt: float) -> np.ndarray:
+              lo: int, u: np.ndarray, dt: float, hi: int | None = None
+              ) -> np.ndarray:
     """The slice at node lo - 1 on pairs i, j >= lo, applied to the stacked
     columns u (M, d, k) over nodes lo..N: F u - dt P^T (rcal_inv (P u)),
     P the control products pb(., r), r >= lo, as H^T x + W^T (H u) - C u,
     x = W u - dt [0; rcal_inv (P u)], C the corners.  (H u)(t) holds P u in
     its last m rows; H^T x and W^T (H u) each hold the diagonal term
-    H(i, i) W(i) u(i) or its transpose, so one corner C(i) u(i) comes off."""
+    H(i, i) W(i) u(i) or its transpose, so one corner C(i) u(i) comes off.
+    Row t of the tables enters only through row t of H u and of x, so the
+    sum splits by rows: with ``hi`` given it reads rows lo..hi-1 only, a
+    block's own rows in ``_applied``, in ``_by_node_rows`` calls."""
     M, d, k = u.shape
     w, m = W.shape[1], rcal_inv.shape[-1]
-    Hl = H[lo:, :, lo * d:].reshape(M * w, M * d)
-    Wl = W[lo:]
-    hu = _by_triangle(Hl, u.reshape(M * d, k), w, d, True).reshape(M, w, k)
-    x = Wl @ u
-    x[:, w - m:] -= dt * (rcal_inv[lo:] @ hu[:, w - m:])
-    out = _by_triangle(Hl.T, x.reshape(M * w, k), d, w, False).reshape(M, d, k)
-    out += Wl.transpose(0, 2, 1) @ hu
-    out -= C[lo:] @ u
+    t = M if hi is None else hi - lo       # the rows read
+    Hl = H[lo:lo + t, :, lo * d:].reshape(t * w, M * d)
+    Wl = W[lo:lo + t]
+    product = _by_triangle if t == M else (
+        lambda A, B, rows, _, upper: _by_node_rows(A, B, rows))
+    hu = product(Hl, u.reshape(M * d, k), w, d, True).reshape(t, w, k)
+    x = Wl @ u[:t]
+    x[:, w - m:] -= dt * (rcal_inv[lo:lo + t] @ hu[:, w - m:])
+    out = product(Hl.T, x.reshape(t * w, k), d, w, False).reshape(M, d, k)
+    del x                   # before the next temporary: u may be wide
+    out[:t] += Wl.transpose(0, 2, 1) @ hu
+    out[:t] -= C[lo:lo + t] @ u[:t]
     return out
+
+
+#: base nodes and columns per block of ``_applied``, which reads the rows
+#: of H finished before a block once for all of its nodes: 16 sweep stacks
+#: of n + m + 1 <= 5 columns; wider stacks (case I's memory window) take
+#: fewer nodes, and from 41 columns on, where one fills a GEMM, one each
+_BLOCK, _BLOCK_COLUMNS = 16, 80
+
+
+def _applied(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
+             k: int, fill, dt: float, p1: np.ndarray | None = None):
+    """Yield (l, u, out) for l = N..0: u (N+1-l, d, k) node l's stack over
+    nodes l..N, which ``fill(l, u)`` writes, and out (N-l, d, k) the slice
+    at node l applied to u[1:] as ``_interior`` forms it; with p1 given,
+    dt out + p1 u[1:].
+
+    The nodes run in blocks [a, c) from the horizon back, and ``fill`` runs
+    for a whole block before its first node.  Rows c..N of the tables are
+    finished then: their part of every node's product is one ``_interior``
+    call over the block's stacks side by side, which share one buffer.
+    Only rows l+1..c-1 are left per node, so a caller may write row l of
+    H, W, C and rcal_inv after node l's yield, as the sweep does."""
+    N, d = H.shape[0] - 1, W.shape[-1]
+    b = max(1, min(_BLOCK, _BLOCK_COLUMNS // k, N + 1))
+    X = np.zeros((N + 1, d, b, k))
+    for c in range(N + 1, 0, -b):
+        a = max(c - b, 0)
+        for j, l in enumerate(range(c - 1, a - 1, -1)):
+            fill(l, X[l:, :, j])
+        far = None                      # the last block's, freed first
+        if c <= N:
+            U = X[c:, :, :c - a].reshape(N + 1 - c, d, -1)
+            far = _interior(H, W, C, rcal_inv, c, U, dt)
+            if p1 is not None:
+                far *= dt
+                far += p1[c:] @ U
+        for j, l in enumerate(range(c - 1, a - 1, -1)):
+            u, M, t = X[l:, :, j], N - l, c - 1 - l
+            out = (_interior(H, W, C, rcal_inv, l + 1, u[1:], dt, c) if t
+                   else np.zeros((M, d, k)))
+            if p1 is not None:
+                out *= dt
+                out[:t] += p1[l + 1:c] @ u[1:t + 1]
+            if far is not None:
+                out[t:] += far[:, :, j * k:(j + 1) * k]
+            yield l, u, out
 
 
 def _live_rows(pb: np.ndarray, live: slice) -> np.ndarray:
@@ -207,9 +269,20 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     W = np.zeros((nn, w, d))              # [Acal; Xi]
     W[:, :n] = vp.Acal
     corner = np.empty((nn, d, d))         # sym(H(l, l) W(l)), kept for _interior
-    # columns over nodes l..N at offsets 0..N-l: the selector U(., t_l),
-    # the control column B(., t_l) and the free-term column U(., t_l) b(l)
-    stack = vp.selector_stack(n + m + 1)
+    # where b = 0 throughout the free-term column is left out, and where
+    # b(l) = 0 it is zero and node l's free column stays +0.0
+    free = vp.source.b.any(axis=1).tolist()
+    k = w + any(free)
+    sel = vp.selector_stack(n)
+
+    def fill(l: int, u: np.ndarray):
+        # node l's columns over nodes l..N: the selector U(., t_l), the
+        # control column B(., t_l) and the free-term column U(., t_l) b(l)
+        u[:, :, :n] = sel[:N + 1 - l]
+        u[:, 2 * n:, :n] = vp.E[l:, l]
+        u[:, :, n:w] = vp.B[l:, l]
+        if k > w:
+            u[:, :, w] = u[:, :, :n] @ vp.source.b[l]
 
     def factor_rcal(l: int, mat: np.ndarray):
         mat = _sym(mat)
@@ -222,9 +295,6 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         rcal[l] = mat
         rcal_inv[l] = linv.T @ linv
 
-    # where b(l) = 0 the free-term column is left out and node l's free
-    # column stays +0.0
-    free = vp.source.b.any(axis=1).tolist()
     eta1 = np.zeros((nn, n))
     omega = np.zeros((nn, m))
     # node l+1's free column, the pair's column eta(., l+1) and rcal_inv
@@ -233,24 +303,13 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     eta = np.zeros((nn, d))
     y = np.zeros(m)
 
-    for l in range(N, -1, -1):
+    # G: the columns against the slice at node l over pairs r, s > l, the
+    # selector-weighted g2 (:n), the control products (n:n+m) and the
+    # free-term products (n+m)
+    for l, u, G in _applied(H, W, corner, rcal_inv, k, fill, dt, p1):
         M = N - l
-        k = n + m + free[l]
-        u = stack[:M + 1, :, :k]
-        u[:, 2 * n:, :n] = vp.E[l:, l]
-        u[:, :, n:n + m] = vp.B[l:, l]
-        if free[l]:
-            u[:, :, -1] = (u[:, :, :n].reshape(-1, n)
-                           @ vp.source.b[l]).reshape(M + 1, d)
         if l < N:
-            # the columns against the slice at node l over pairs r, s > l:
-            # the selector-weighted g2 (:n), the control products (n:n+m)
-            # and the free-term products (n+m)
-            v = u[1:].reshape(M * d, k)
-            G = _interior(H, W, corner, rcal_inv, l + 1, u[1:], dt)
-            G *= dt
-            G += p1[l + 1:] @ u[1:]
-            G2 = G.reshape(M * d, k)
+            v, G2 = u[1:].reshape(M * d, k), G.reshape(M * d, k)
             g1_table[l] = _sym((v[:, :n].T @ G2[:, :n]) * dt)
         g1_val = g1_table[l]                     # zero at node N
 
@@ -385,28 +444,33 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     stack = vp.selector_stack(n + P.m)
     corner, pb = np.empty((N + 1, d, d)), P.pb
 
+    def column(l: int) -> np.ndarray:
+        u = stack[:N + 1 - l]
+        u[:, 2 * n:, :n] = vp.E[l:, l]
+        u[:, :, n:] = vp.B[l:, l]
+        return u
+
+    def fill(l: int, wu: np.ndarray):        # trapezoid-weighted
+        np.multiply(column(l), dt if l < N else 0.0, out=wu)
+        wu[[0, -1]] *= 0.5
+
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
     D, jump = None, bool(src.nonzero("R2"))
-    for l in range(N, -1, -1):
+    for l, wu, inner in _applied(P.H, P.W, corner, P.rcal_inv, n + P.m, fill,
+                                 dt):
         M = N - l
-        w = np.full(M + 1, dt if l < N else 0.0)
-        w[[0, -1]] *= 0.5
-        u = stack[:M + 1]
-        u[:, 2 * n:, :n] = vp.E[l:, l]
-        u[:, :, n:] = vp.B[l:, l]
-        wu = w[:, None, None] * u
         # p1 u plus slice l against the weighted stack: g2 (:n) and the
         # control products (n:), trapezoid-weighted; the slice's border
         # column at l is the stored left-rectangle H(., l) W(l)
         col = P.border(l)
         corner[l] = col[:d]
-        G = P.p1[l:] @ u
+        G = P.p1[l:] @ column(l)
         G += (col @ wu[0]).reshape(M + 1, d, -1)
         if M:
             G[0] += P.W[l].T @ (P.H[l, :, (l + 1) * d:]
                                 @ wu[1:].reshape(M * d, -1))
-            G[1:] += _interior(P.H, P.W, corner, P.rcal_inv, l + 1, wu[1:], dt)
+            G[1:] += inner
         g1t = _sym(wu[..., :n].reshape(-1, n).T @ G[..., :n].reshape(-1, n))
         D1l = D1[l]
         rct_inv = np.linalg.inv(vp.R[l] + D1l.T @ g1t @ D1l)

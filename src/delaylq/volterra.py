@@ -25,7 +25,8 @@ from .problem import DelayLQProblem, validate
 _CALL_MACS = 2 ** 17
 
 
-def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int) -> np.ndarray:
+def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """A @ B for A (R, K) with rows in node blocks of w, as BLAS calls over
     whole node blocks of at most _CALL_MACS multiply-adds each (one block
     if B alone exceeds that).  Where one block against all of B would pass
@@ -34,14 +35,15 @@ def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int) -> np.ndarray:
     run 2.5x faster than one block against as many columns as fit.  A
     split moves sums by an ulp, so it is made only there.  A single product
     over a matrix of side ~500 or more is split across threads, and its
-    sums then change with the thread count; these calls run on one."""
+    sums then change with the thread count; these calls run on one.  The
+    product goes to ``out`` (R, k) if given."""
     R, K = A.shape
     M, k = R // w, B.shape[1]
     kc = (k if w * K * k <= 2 * _CALL_MACS      # columns per call
           else max(1, min(32, _CALL_MACS // (w * K))))
     g = max(1, _CALL_MACS // (w * K * kc))       # node blocks per call
     full = M - M % g
-    out = np.empty((R, k))
+    out = np.empty((R, k)) if out is None else out
     for c in range(0, k, kc):
         Bc, cols = B[:, c:c + kc], slice(c, c + kc)
         if full:
@@ -53,20 +55,22 @@ def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int) -> np.ndarray:
 
 
 def _by_triangle(A: np.ndarray, B: np.ndarray, w: int, v: int,
-                 upper: bool) -> np.ndarray:
+                 upper: bool, out: np.ndarray | None = None) -> np.ndarray:
     """A @ B for A (M w, M v) in node blocks of w x v that vanish below
     the block diagonal if ``upper``, above it if not.  The node range is
     halved recursively: the two diagonal halves recurse, the one nonzero
     off-diagonal quarter is a product of ``_by_node_rows``, and a range of
     one node or a product within one thread's share, 2 _CALL_MACS
-    multiply-adds, goes to ``_by_node_rows`` whole."""
+    multiply-adds, goes to ``_by_node_rows`` whole.  The halves write
+    into the caller's ``out``, so the recursion holds no copies of it."""
+    if out is None:
+        out = np.empty((A.shape[0], B.shape[1]))
     if A.shape[0] <= w or A.size * B.shape[1] <= 2 * _CALL_MACS:
-        return _by_node_rows(A, B, w)
+        return _by_node_rows(A, B, w, out)
     h = A.shape[0] // w // 2
     r, c = h * w, h * v
-    out = np.empty((A.shape[0], B.shape[1]))
-    out[:r] = _by_triangle(A[:r, :c], B[:c], w, v, upper)
-    out[r:] = _by_triangle(A[r:, c:], B[c:], w, v, upper)
+    _by_triangle(A[:r, :c], B[:c], w, v, upper, out[:r])
+    _by_triangle(A[r:, c:], B[c:], w, v, upper, out[r:])
     if upper:
         out[:r] += _by_node_rows(A[:r, c:], B[c:], w)
     else:

@@ -49,7 +49,10 @@ forms drift and diffusion one einsum per coefficient,
 ``memory_integral`` sums z and mu per node, and the closed loop's
 feedback applies one einsum per gain.  ``qp_terms`` is the QP oracle's
 Hessian, gradient and constant as ``extended_cost_paths`` and
-``bilinear`` assembled them from that stepper's runs.
+``bilinear`` assembled them from that stepper's runs.  ``per_node_sweep``
+and ``per_node_residual`` are the Riccati sweep and residual as they ran
+before they applied the slices to blocks of nodes: one ``_interior``
+call per node over all of its future rows.
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -69,7 +72,9 @@ import numpy as np
 from delaylq import cli
 from delaylq.cli import replay
 from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
-from delaylq.riccati import RiccatiResiduals, _live_rows, _sym
+from delaylq.exceptions import NumericalError
+from delaylq.riccati import (RiccatiResiduals, RiccatiSolution, _evolution_max,
+                             _interior, _live_rows, _lost_definiteness, _sym)
 from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
 
 
@@ -951,3 +956,190 @@ def qp_terms(problem):
     gvec = 2.0 * bilinear(problem, tb, ta)[:, 0]
     c0 = float(bilinear(problem, ta, ta)[0, 0])
     return H, gvec, c0
+
+
+def per_node_sweep(vp) -> RiccatiSolution:
+    """The sweep as it ran before it applied the slice to blocks of nodes:
+    one ``_interior`` call per node over all of its future rows."""
+    N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
+    nn, d, w = N + 1, 3 * n, n + m
+
+    p1 = np.zeros((nn, d, d))
+    g1_table = np.zeros((nn, n, n))
+    rcal = np.zeros((nn, m, m))
+    rcal_inv = np.zeros((nn, m, m))
+    H = np.zeros((nn, w, nn * d))         # [g2 | pb] in the [t, n+m, (s, a)] layout
+    W = np.zeros((nn, w, d))              # [Acal; Xi]
+    W[:, :n] = vp.Acal
+    corner = np.empty((nn, d, d))         # sym(H(l, l) W(l)), kept for _interior
+    # columns over nodes l..N at offsets 0..N-l: the selector U(., t_l),
+    # the control column B(., t_l) and the free-term column U(., t_l) b(l)
+    stack = vp.selector_stack(n + m + 1)
+
+    def factor_rcal(l: int, mat: np.ndarray):
+        mat = _sym(mat)
+        if not np.isfinite(mat).all():
+            raise NumericalError(f"effective control weight non-finite at node {l}")
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(mat))
+        except np.linalg.LinAlgError:
+            raise _lost_definiteness(l, np.linalg.eigvalsh(mat)) from None
+        rcal[l] = mat
+        rcal_inv[l] = linv.T @ linv
+
+    # where b(l) = 0 the free-term column is left out and node l's free
+    # column stays +0.0
+    free = vp.source.b.any(axis=1).tolist()
+    eta1 = np.zeros((nn, n))
+    omega = np.zeros((nn, m))
+    # node l+1's free column, the pair's column eta(., l+1) and rcal_inv
+    # kvec there, which the adjoint's step at node l reads
+    fcol = np.zeros((nn, d))
+    eta = np.zeros((nn, d))
+    y = np.zeros(m)
+
+    for l in range(N, -1, -1):
+        M = N - l
+        k = n + m + free[l]
+        u = stack[:M + 1, :, :k]
+        u[:, 2 * n:, :n] = vp.E[l:, l]
+        u[:, :, n:n + m] = vp.B[l:, l]
+        if free[l]:
+            u[:, :, -1] = (u[:, :, :n].reshape(-1, n)
+                           @ vp.source.b[l]).reshape(M + 1, d)
+        if l < N:
+            # the columns against the slice at node l over pairs r, s > l:
+            # the selector-weighted g2 (:n), the control products (n:n+m)
+            # and the free-term products (n+m)
+            v = u[1:].reshape(M * d, k)
+            G = _interior(H, W, corner, rcal_inv, l + 1, u[1:], dt)
+            G *= dt
+            G += p1[l + 1:] @ u[1:]
+            G2 = G.reshape(M * d, k)
+            g1_table[l] = _sym((v[:, :n].T @ G2[:, :n]) * dt)
+        g1_val = g1_table[l]                     # zero at node N
+
+        D1l = vp.source.D1[l]
+        factor_rcal(l, vp.R[l] + D1l.T @ g1_val @ D1l)
+
+        cgd = vp.Ccal[l].T @ g1_val @ D1l        # (3n, m)
+        dgc = D1l.T @ g1_val @ vp.Ccal[l]        # (m, 3n)
+        rdgc = rcal_inv[l] @ dgc
+        np.negative(rdgc, out=W[l, n:])          # Xi(l)
+        p1[l] = _sym(vp.Q[l] + vp.Ccal[l].T @ g1_val @ vp.Ccal[l]
+                     - cgd @ rdgc)
+
+        # the adjoint's step (iv): the diagonal and kvec start from their
+        # sigma terms; pb(., l+1) and the stack's selector and control
+        # columns enter as contiguous (M d, m) and (M d, n+m) operands,
+        # so the sums do not depend on the stack's width
+        g1sig = g1_val @ vp.source.sigma[l][:, None]
+        diag = ((vp.Ccal[l] + D1l @ W[l, n:]).T @ g1sig)[:, 0]
+        kvec = (D1l.T @ g1sig)[:, 0]
+        if l < N:
+            s = l + 1
+            pbs = np.ascontiguousarray(H[s, n:, s * d:].T)
+            col = eta[s:]
+            col += dt * (fcol[s:] - (pbs @ y).reshape(M, d))
+            c = (np.ascontiguousarray(v[:, :n + m]).T @ col.reshape(-1)) * dt
+            eta1[l] = c[:n]
+            diag += W[l].T @ c
+            kvec += c[n:]
+        eta[l] = diag
+        y = rcal_inv[l] @ kvec
+        omega[l] = -y
+
+        head = p1[l] @ u[0]
+        if l < N:
+            H[l, :, (l + 1) * d:] = G2[:, :w].T
+            # the corner sums: W(l)^T against one product of the column
+            # just written with the stack (see the module docstring for
+            # its thread bound)
+            head += (W[l].T @ (G2[:, :w].T @ v)) * dt
+            fcol[l + 1:] = G[..., -1] if free[l] else 0.0
+        H[l, :, l * d:(l + 1) * d] = head[:, :w].T
+        corner[l] = _sym(head[:, :w] @ W[l])
+        fcol[l] = head[:, -1] if free[l] else 0.0
+        # the interior reached factor_rcal through G; only the column
+        # and the corner are new
+        if not (np.isfinite(H[l, :, l * d:]).all()
+                and np.isfinite(corner[l]).all()):
+            raise NumericalError(f"two-time kernel non-finite at node {l}")
+
+    # the weight's eigenvalue floor in one call: a node whose factorization
+    # succeeded may still hold an eigenvalue <= 0 at rounding level
+    floors = np.linalg.eigvalsh(rcal).min(axis=1)
+    if (floors <= 0.0).any():
+        l = int(np.nonzero(floors <= 0.0)[0][-1])
+        raise _lost_definiteness(l, floors[l:l + 1])
+
+    return RiccatiSolution(
+        n=n, m=m, dt=dt, p1=p1, H=H, W=W, g1_table=g1_table,
+        rcal=rcal, rcal_inv=rcal_inv, eta1=eta1, omega=omega,
+        lambda_floor=float(floors.min()),
+    )
+
+
+def per_node_residual(P, vp) -> RiccatiResiduals:
+    """The residual from the sweep's tables as it ran before it applied
+    the slices to blocks of nodes: one ``_interior`` call per node."""
+    g, src, n = vp.grid, vp.source, vp.n
+    N, dt, k, d = g.N, g.dt, g.delay_steps, 3 * n
+
+    D1 = src.D1
+    res_rcal = float(np.abs(
+        P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
+
+    stack = vp.selector_stack(n + P.m)
+    corner, pb = np.empty((N + 1, d, d)), P.pb
+
+    prof_point = np.zeros(N + 1)
+    prof_bound, prof_evol = np.zeros(N), np.zeros(N)
+    D, jump = None, bool(src.nonzero("R2"))
+    for l in range(N, -1, -1):
+        M = N - l
+        w = np.full(M + 1, dt if l < N else 0.0)
+        w[[0, -1]] *= 0.5
+        u = stack[:M + 1]
+        u[:, 2 * n:, :n] = vp.E[l:, l]
+        u[:, :, n:] = vp.B[l:, l]
+        wu = w[:, None, None] * u
+        # p1 u plus slice l against the weighted stack: g2 (:n) and the
+        # control products (n:), trapezoid-weighted; the slice's border
+        # column at l is the stored left-rectangle H(., l) W(l)
+        col = P.border(l)
+        corner[l] = col[:d]
+        G = P.p1[l:] @ u
+        G += (col @ wu[0]).reshape(M + 1, d, -1)
+        if M:
+            G[0] += P.W[l].T @ (P.H[l, :, (l + 1) * d:]
+                                @ wu[1:].reshape(M * d, -1))
+            G[1:] += _interior(P.H, P.W, corner, P.rcal_inv, l + 1, wu[1:], dt)
+        g1t = _sym(wu[..., :n].reshape(-1, n).T @ G[..., :n].reshape(-1, n))
+        D1l = D1[l]
+        rct_inv = np.linalg.inv(vp.R[l] + D1l.T @ g1t @ D1l)
+        cgd = vp.Ccal[l].T @ g1t @ D1l
+        dgc = D1l.T @ g1t @ vp.Ccal[l]
+        lhs1 = P.p1[l] - (vp.Q[l] + vp.Ccal[l].T @ g1t @ vp.Ccal[l]
+                          - cgd @ rct_inv @ dgc)
+        prof_point[l] = float(np.abs(lhs1).max())
+        # live rows only: the dead ones are 0.0 in both drifts
+        cur = _live_rows(pb[l:, l], P.live)
+        nxt, D = D, (cur @ P.rcal_inv[l]) @ cur.T
+        if l == N:
+            continue
+
+        lhs3 = col[d:].reshape(M, d, d) - (G[1:, :, :n] @ vp.Acal[l]
+                                           - G[1:, :, n:] @ (rct_inv @ dgc))
+        prof_bound[l] = float(np.abs(lhs3).max())
+
+        # effective weight jumps one delay before the horizon
+        if not (l == N - k - 1 and jump):
+            prof_evol[l] = _evolution_max(nxt, D, M, k)
+
+    return RiccatiResiduals(
+        pointwise=float(prof_point.max()),
+        evolution=float(prof_evol.max()) if N > 0 else 0.0,
+        boundary=float(prof_bound.max()) if N > 0 else 0.0,
+        rcal_identity=res_rcal, pointwise_profile=prof_point,
+        evolution_profile=prof_evol, boundary_profile=prof_bound)

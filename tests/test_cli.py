@@ -503,8 +503,11 @@ class TestReproducibility:
              ("riccati_p2.csv", "riccati_p1.csv", "feedback_v.csv")),
             (("solve", "full", "240"),
              feedback + ("riccati_p1.csv", "summary.json")),
-            # the synthesis's history products span every node pair
-            (("solve", "full", "480"), ("feedback_k2.csv", "feedback_k4.csv")),
+            # the synthesis's history products span every node pair, and
+            # the sweep's products over a block of nodes are at their widest
+            (("solve", "full", "480"),
+             ("riccati_p1.csv", "feedback_k1.csv", "feedback_k2.csv",
+              "feedback_k4.csv", "feedback_v.csv")),
             (("verify", "input-delay", "240", "--verify", "residuals,cases"),
              checks),
             (("verify", "state-delay", "240", "--verify", "residuals,cases"),

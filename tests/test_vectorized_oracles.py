@@ -1,17 +1,20 @@
 """The array forms of the case I and case II oracles and of the feedback
 synthesis against their loops, the Riccati residual and the case V/II
-sandwich read off the sweep's tables against their replays, and the
-stacked Euler-Maruyama step and QP assembly against the step one
-coefficient at a time."""
+sandwich read off the sweep's tables against their replays, the stacked
+Euler-Maruyama step and QP assembly against the step one coefficient at
+a time, and the sweep and residual over blocks of nodes against their
+per-node forms."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import delaylq as dl
-from delaylq import cli, oracles
+from delaylq import cli, oracles, riccati
+from delaylq.problem import field_shapes
 import loop_oracles
 from evaluators import frontier
 from test_multidim import planar_problem, planar_state_delay_problem
@@ -401,3 +404,66 @@ def test_qp_terms_match_loop(case):
     for got, want in zip(oracles._qp_terms(p), loop_oracles.qp_terms(p)):
         assert np.abs(np.subtract(got, want)).max() <= (
             1e-12 * np.abs(want).max())
+
+
+def truncated(p, N):
+    """p on its first N steps: the horizon moves to t_N, the step and the
+    delay stay, so any N keeps the delay on the grid."""
+    g = p.grid
+    fields = {name: getattr(p, name)[tuple(slice(0, n) for n in shape)]
+              for name, shape in field_shapes(p.n, p.m, N + 1,
+                                              g.delay_steps).items()}
+    return dl.DelayLQProblem(grid=dl.TimeGrid(g.t0, g.time(N), N, g.delay),
+                             n=p.n, m=p.m, lam=p.lam, **fields)
+
+
+def assert_blocked_matches_per_node(p):
+    vp = dl.build_volterra(p)
+    P, ref = dl.solve_riccati(vp), loop_oracles.per_node_sweep(vp)
+    for table in ("p1", "H", "W", "g1_table", "rcal", "rcal_inv", "eta1",
+                  "omega"):
+        want = getattr(ref, table)
+        np.testing.assert_allclose(
+            getattr(P, table), want, rtol=0,
+            atol=1e-12 * max(1.0, np.abs(want).max()), err_msg=table)
+    res = dl.riccati_residual(P, vp)
+    ref_res = loop_oracles.per_node_residual(P, vp)
+    for field in RESIDUAL_PROFILES:
+        got, want = getattr(res, field), getattr(ref_res, field)
+        assert (np.abs(got - want)
+                <= 1e-12 * np.maximum(1.0, np.abs(want))).all(), field
+
+
+#: the problems the sweep over blocks of nodes is pinned to the per-node
+#: sweep on, each cut to N steps
+BLOCKED = {
+    **{name: (lambda N, name=name: truncated(dl.preset_problem(name, 40), N))
+       for name in dl.PRESET_NAMES},
+    "planar-m2": lambda N: truncated(planar_problem(40, m=2), N),
+    "planar-memory": lambda N: truncated(planar_memory_problem(40), N),
+}
+B = riccati._BLOCK
+
+
+# one node short of a block, one block, one node past it, and two blocks
+# with a part-block of four nodes at the start
+@pytest.mark.parametrize("N", [B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("case", sorted(BLOCKED))
+def test_blocked_sweep_matches_per_node(case, N):
+    assert_blocked_matches_per_node(BLOCKED[case](N))
+
+
+@pytest.mark.parametrize("block", [3, B])
+@pytest.mark.parametrize("steps", [8, 10])
+def test_blocked_sweep_matches_per_node_past_the_horizon(steps, block,
+                                                         monkeypatch):
+    # k >= N: every node's delayed channels reach past the horizon
+    monkeypatch.setattr(riccati, "_BLOCK", block)
+    assert_blocked_matches_per_node(short_control_delay_problem(steps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=admissible_problems(), block=st.integers(1, 9))
+def test_blocked_sweep_matches_per_node_on_admissible_draws(p, block):
+    with mock.patch.object(riccati, "_BLOCK", block):
+        assert_blocked_matches_per_node(p)
