@@ -13,11 +13,10 @@ suffix sums over the future index s, its products against the memory
 kernel, the control impulse's history gain) keeps that layout.  The
 history kernel is collected against the lifted state's reconstruction
 in terms of the original trajectories.  The current-state gain sums Gamma
-against the selector column U(., t), written from the template of
-``VolterraProblem.selector_stack`` as the sweep writes it, one product
-per node; the delay-shifted and memory channels of the control gain and
-the offset's initial windows are contractions against the suffix
-tables, with no loop over nodes.
+against the selector column U(., t) of ``VolterraProblem.lifted_columns``,
+one product per node; the delay-shifted and memory channels of the
+control gain and the offset's initial windows are contractions against
+the suffix tables, with no loop over nodes.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ProblemValidationError
-from .riccati import RiccatiSolution
-from .volterra import VolterraProblem, _node_product
+from .riccati import _BLOCK, RiccatiSolution
+from .volterra import VolterraProblem, _node_product, memory_kernel
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,14 @@ def synthesize_feedback(P: RiccatiSolution,
     # along (s, a): with m = 1 numpy runs the product as a matrix-vector
     # product, which sums in the dense contraction's order only over a
     # contiguous row
-    stack = vp.selector_stack(n)
     col = np.zeros((n, nn, d))
     hist = np.empty((nn, m, n))
-    for t in range(N, -1, -1):
-        u = stack[:nn - t]
-        u[:, 2 * n:] = vp.E[t:, t]
-        col[:, t:] = u.transpose(2, 0, 1)
-        hist[t] = gam[t].reshape(m, -1) @ col.reshape(n, -1).T
+    for c in range(nn, 0, -_BLOCK):
+        a = max(c - _BLOCK, 0)
+        U = vp.lifted_columns(a, c, control=False)
+        for t in range(c - 1, a - 1, -1):
+            col[:, t:] = U[t - a:, t - a].transpose(2, 0, 1)
+            hist[t] = gam[t].reshape(m, -1) @ col.reshape(n, -1).T
     k1 = Xi[:, :, :n] + hist * dt
     k3 = Xi[:, :, n:2 * n].copy()
 
@@ -120,7 +119,7 @@ def synthesize_feedback(P: RiccatiSolution,
     if src.has_memory:
         # u(s) reaches the state at theta > t through B3(theta)
         # Ftilde(theta, s); w[t, :, theta] is the history gain seen there
-        bf = np.einsum("tab,tsbm->tsam", src.B3, src.Ftilde)  # (theta, s, n, m)
+        bf = memory_kernel(src)                       # (theta, s, n, m)
         w = suf1[:, :, :nn] + suf2[:, :, np.minimum(nodes + k, nn)]
         w += s3
         w *= later.T[:, None, :, None]

@@ -24,8 +24,7 @@ from .adjoint import synthesize_feedback, value_function
 from .exceptions import NumericalError, ProblemValidationError
 from .presets import PRESET_NAMES, STEP_MULTIPLE, preset_problem
 from .problem import load_problem
-from .riccati import (RiccatiSolution, _live_rows, riccati_residual,
-                      solve_riccati)
+from .riccati import RiccatiSolution, riccati_residual, solve_riccati
 from .simulate import (BrownianBatch, estimate_cost, gen_brownian,
                        simulate_closed_loop, stationarity_test)
 from .volterra import build_volterra, lifted_kernel
@@ -96,12 +95,12 @@ def replay(P: RiccatiSolution):
     ``slice_l`` covers grid pairs (i, j) with i, j >= l (local index 0 is
     global l): its interior is slice l+1 advanced by one Euler step of the
     rank-m drift, its border column, row and corner come from
-    ``P.border(l)``.  Only the ``live`` blocks are advanced, so a replay of
-    a problem with dead blocks costs their share less.  Each slice is an
-    (M, M, d, d) view into one flat buffer that the next step updates in
-    place: copy it to keep it past the step, and do not modify it.  Time
-    is O(N^3 (L n)^2 m) for L live blocks; the slice and its scratch are
-    two buffers of about (N+1)^2 d^2 numbers.
+    ``P.border(l)``.  Each slice is an (M, M, d, d) view into one flat
+    buffer that the next step updates in place: copy it to keep it past
+    the step, and do not modify it.  Time is O(N^3 d^2 m); the slice and
+    its scratch are two buffers of about (N+1)^2 d^2 numbers.  The step
+    runs on every block: a dead one is 0.0 and stays so, and the dump's
+    cost is its text formatting, not the step.
     """
     N, d = P.N, 3 * P.n
     # slice and scratch are allocated once: arrays grown per node left
@@ -111,8 +110,8 @@ def replay(P: RiccatiSolution):
     for l in range(N, -1, -1):
         X, Md = buf[l * d:, l * d:], (N - l) * d
         if l < N:
-            _advance(X[d:, d:], P.pb[l + 1:, l + 1], P.rcal_inv[l + 1],
-                     P.dt, work[:Md * Md].reshape(Md, Md), P.live)
+            _euler(X[d:, d:], P.pb[l + 1:, l + 1], P.rcal_inv[l + 1], P.dt,
+                   work[:Md * Md].reshape(Md, Md))
         X[:, :d] = P.border(l)
         X[:d, d:] = X[d:, :d].T
         yield l, _blocks(X, N + 1 - l)
@@ -126,8 +125,9 @@ def _blocks(X: np.ndarray, M: int) -> np.ndarray:
 
 def _euler(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
            dt: float, work: np.ndarray) -> None:
-    """X less dt pb_next rinv_next pb_next^T, symmetrized, in place.
-    ``work`` is contiguous scratch of X's shape."""
+    """Slice l+1 becomes the interior of slice l, in place: X less dt
+    pb_next rinv_next pb_next^T, symmetrized.  ``work`` is contiguous
+    scratch of X's shape."""
     pbf = pb_next.reshape(X.shape[0], -1)
     np.matmul((pb_next @ rinv_next).reshape(pbf.shape), pbf.T, out=work)
     work *= dt
@@ -135,27 +135,6 @@ def _euler(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
     # averaging with the transpose keeps the swap-transpose symmetry exact
     np.add(work, work.T, out=X)
     X *= 0.5
-
-
-def _advance(X: np.ndarray, pb_next: np.ndarray, rinv_next: np.ndarray,
-             dt: float, work: np.ndarray, live: slice) -> None:
-    """Slice l+1 becomes the interior of slice l, in place: one Euler step
-    of the rank-m drift on the live blocks; dead entries are 0.0 and stay
-    so.  ``work`` is contiguous scratch of X's shape.  A partial live set
-    is gathered into compact scratch carved from ``work`` and scattered
-    back: the arithmetic on the strided (M, L, n, M, L, n) view of the
-    live entries itself is slower."""
-    if live == slice(0, 3):                 # every block live
-        _euler(X, pb_next, rinv_next, dt, work)
-        return
-    M = pb_next.shape[0]
-    n = X.shape[0] // (3 * M)
-    view = X.reshape(M, 3, n, M, 3, n)[:, live, :, :, live, :]
-    K = view.shape[0] * view.shape[1] * view.shape[2]
-    xc, wc = work.reshape(-1)[:2 * K * K].reshape(2, K, K)
-    xc.reshape(view.shape)[...] = view
-    _euler(xc, _live_rows(pb_next, live), rinv_next, dt, wc)
-    view[...] = xc.reshape(view.shape)
 
 
 def _write_riccati_dump(path: str, P, leads: list) -> None:
@@ -252,7 +231,8 @@ def cmd_solve(args) -> int:
                       leads)
     _write_node_table(os.path.join(args.out, "riccati_p1.csv"), g, P.p1)
     if args.dump_kernels:
-        kernels = {"A": lifted_kernel(vp, vp.Acal), "B": vp.B,
+        kernels = {"A": lifted_kernel(vp, vp.Acal),
+                   "B": vp.lifted_columns()[..., vp.n:],
                    "C": lifted_kernel(vp, vp.Ccal),
                    "D": lifted_kernel(vp, problem.D1)}
         for name, table in kernels.items():

@@ -29,7 +29,7 @@ from .problem import FREE_TERMS, DelayLQProblem
 from .riccati import RiccatiSolution, _applied
 from .simulate import (BrownianBatch, _cost_weight, _history_rows,
                        simulate_open_loop)
-from .volterra import VolterraProblem
+from .volterra import VolterraProblem, memory_kernel
 
 
 # ----------------------------------------------------------------------
@@ -324,8 +324,7 @@ class CaseIResiduals:
 def _shifted_memory_kernel(problem: DelayLQProblem) -> np.ndarray:
     """G[theta, s + k] = B3(theta) Ftilde(theta, s), zero for s < 0."""
     k = problem.grid.delay_steps
-    G = np.einsum("tab,tsbm->tsam", problem.B3, problem.Ftilde)
-    return np.pad(G, ((0, 0), (k, 0), (0, 0), (0, 0)))
+    return np.pad(memory_kernel(problem), ((0, 0), (k, 0), (0, 0), (0, 0)))
 
 
 def _masked_max(err: np.ndarray, mask: np.ndarray) -> float:
@@ -428,9 +427,10 @@ def _memory_window_terms(P: RiccatiSolution, problem: DelayLQProblem,
     corner = 0.5 * (corner + corner.swapaxes(-1, -2))
     cols = (k + 1) * m
 
-    def fill(l: int, u: np.ndarray):
-        # PG over nodes l+1..N, zero at l+1; row l is not read
-        if l < N:
+    def fill(a: int, c: int, U: np.ndarray):
+        # PG over nodes l+1..N, zero at l+1; rows up to l are not read
+        for l in range(a, min(c, N)):
+            u = U[l - a:, :, l - a]
             u[1] = 0.0
             np.cumsum(G[l + 1:N, l:l + k + 1].transpose(0, 2, 1, 3), axis=0,
                       out=u[2:].reshape(N - l - 1, n, k + 1, m))

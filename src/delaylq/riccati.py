@@ -14,10 +14,10 @@ W(l) = [Acal(l); Xi(l)], and the corner C(l) = sym(H(l, l) W(l)).  An
 entry moves from its border value only by the rank-m Euler drift, so the
 sweep forms neither a slice nor the border matrix F.  Sweep at node t_l
 (l = N..0):
-  (i)   write the selector column U(., t_l) from a template built once
-        per solve (its identity blocks do not move with l), beside the
-        control column B(., t_l) and, where b != 0, the free-term column
-        U(., t_l) b(l), into a buffer shared by a block of nodes;
+  (i)   take the selector and control columns [U | B](., t_l) of a block
+        of nodes from ``VolterraProblem.lifted_columns`` and, where b != 0,
+        form the free-term column U(., t_l) b(l), in a buffer shared by the
+        block;
   (ii)  apply the slice at node l over the future nodes to that stack u:
         p1 u + dt (H^T x + W^T (H u) - C u), x = W u - dt [0; rcal_inv P u],
         with P u the control rows of H u: two products against H give g2,
@@ -58,12 +58,13 @@ columns pass from one node to the next in (N+1, 3n) buffers.
 ``riccati_residual`` re-checks the three lines from the same tables: it
 applies each slice to the selector and control columns through the
 factors, in blocks as step (ii) does, and takes the evolution line's
-increment as the drift itself.  No reader in this module forms a whole
-slice; the CLI's ``--dump-riccati`` replays them (``delaylq.cli.replay``),
-re-running the explicit Euler recurrence from the terminal corner with
-the border columns H W on the live lifted blocks only (see
-``_live_blocks``).  On the solver's output a dead block is one the data
+increment as the drift itself, on the live lifted blocks only (see
+``_live_blocks``): on the solver's output a dead block is one the data
 never reads (A2, C2 and Q2 zero for block 2; A3, C3 and Q3 for block 3).
+No reader in this module forms a whole slice; the CLI's
+``--dump-riccati`` replays them (``delaylq.cli.replay``), re-running the
+explicit Euler recurrence from the terminal corner with the border
+columns H W.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ class RiccatiSolution:
     ``omega``, the causal feedback's offset.  Its drift
     at node s reads the free-term star product p1(r) ub(r) + dt sum_{q>s}
     p2(r, q, s) ub(q), ub = U(., t_s) b(s), formed at node s and not
-    kept.  ``live``, the blocks the Euler drift can move (the residual's
-    rows, the replay's advance), is derived from ``H`` and ``W`` once per
-    solution and cannot be set.
+    kept.  ``live``, the blocks the Euler drift can move, is derived from
+    ``H`` and ``W`` once per solution and cannot be set; the residual's
+    evolution line reads only those rows, at under half the cost of all.
     """
 
     n: int
@@ -215,14 +216,15 @@ _BLOCK, _BLOCK_COLUMNS = 16, 80
 def _applied(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
              k: int, fill, dt: float, p1: np.ndarray | None = None):
     """Yield (l, u, out) for l = N..0: u (N+1-l, d, k) node l's stack over
-    nodes l..N, which ``fill(l, u)`` writes, and out (N-l, d, k) the slice
+    nodes l..N, which ``fill`` writes, and out (N-l, d, k) the slice
     at node l applied to u[1:] as ``_interior`` forms it; with p1 given,
     dt out + p1 u[1:].
 
-    The nodes run in blocks [a, c) from the horizon back, and ``fill`` runs
-    for a whole block before its first node.  Rows c..N of the tables are
-    finished then: their part of every node's product is one ``_interior``
-    call over the block's stacks side by side, which share one buffer.
+    The nodes run in blocks [a, c) from the horizon back, and ``fill(a, c,
+    U)`` writes a block's stacks before its first node, node l's over nodes
+    a..N as U[:, :, l - a] (its rows below l are not read).  Rows c..N of
+    the tables are finished then: their part of every node's product is
+    one ``_interior`` call over the block's stacks side by side.
     Only rows l+1..c-1 are left per node, so a caller may write row l of
     H, W, C and rcal_inv after node l's yield, as the sweep does."""
     N, d = H.shape[0] - 1, W.shape[-1]
@@ -230,8 +232,7 @@ def _applied(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     X = np.zeros((N + 1, d, b, k))
     for c in range(N + 1, 0, -b):
         a = max(c - b, 0)
-        for j, l in enumerate(range(c - 1, a - 1, -1)):
-            fill(l, X[l:, :, j])
+        fill(a, c, X[a:, :, c - a - 1::-1])   # node l at column c - 1 - l
         far = None                      # the last block's, freed first
         if c <= N:
             U = X[c:, :, :c - a].reshape(N + 1 - c, d, -1)
@@ -273,16 +274,15 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     # b(l) = 0 it is zero and node l's free column stays +0.0
     free = vp.source.b.any(axis=1).tolist()
     k = w + any(free)
-    sel = vp.selector_stack(n)
 
-    def fill(l: int, u: np.ndarray):
-        # node l's columns over nodes l..N: the selector U(., t_l), the
-        # control column B(., t_l) and the free-term column U(., t_l) b(l)
-        u[:, :, :n] = sel[:N + 1 - l]
-        u[:, 2 * n:, :n] = vp.E[l:, l]
-        u[:, :, n:w] = vp.B[l:, l]
+    def fill(a: int, c: int, u: np.ndarray):
+        # node l's columns: the selector U(., t_l), the control column
+        # B(., t_l) and the free-term column U(., t_l) b(l)
+        u[..., :w] = vp.lifted_columns(a, c).transpose(0, 2, 1, 3)
         if k > w:
-            u[:, :, w] = u[:, :, :n] @ vp.source.b[l]
+            for l in range(a, c):
+                col = u[l - a:, :, l - a]
+                col[:, :, w] = col[:, :, :n] @ vp.source.b[l]
 
     def factor_rcal(l: int, mat: np.ndarray):
         mat = _sym(mat)
@@ -441,18 +441,17 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     res_rcal = float(np.abs(
         P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
 
-    stack = vp.selector_stack(n + P.m)
     corner, pb = np.empty((N + 1, d, d)), P.pb
+    block = [0, None]                        # the block's base, its columns
+    weight = np.full(N + 1, dt)
+    weight[N] = 0.0
 
-    def column(l: int) -> np.ndarray:
-        u = stack[:N + 1 - l]
-        u[:, 2 * n:, :n] = vp.E[l:, l]
-        u[:, :, n:] = vp.B[l:, l]
-        return u
-
-    def fill(l: int, wu: np.ndarray):        # trapezoid-weighted
-        np.multiply(column(l), dt if l < N else 0.0, out=wu)
-        wu[[0, -1]] *= 0.5
+    def fill(a: int, c: int, wu: np.ndarray):   # trapezoid-weighted
+        block[:] = a, vp.lifted_columns(a, c)
+        np.multiply(block[1].transpose(0, 2, 1, 3), weight[a:c, None], out=wu)
+        q = np.arange(c - a)
+        wu[q, :, q] *= 0.5                   # rows l and N of node l
+        wu[-1] *= 0.5
 
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
@@ -465,7 +464,8 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
         # column at l is the stored left-rectangle H(., l) W(l)
         col = P.border(l)
         corner[l] = col[:d]
-        G = P.p1[l:] @ column(l)
+        a, cols = block
+        G = P.p1[l:] @ cols[l - a:, l - a]
         G += (col @ wu[0]).reshape(M + 1, d, -1)
         if M:
             G[0] += P.W[l].T @ (P.H[l, :, (l + 1) * d:]

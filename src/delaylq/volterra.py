@@ -8,6 +8,14 @@ reconstruction integrals of past control through the kernels (the B3
 terms in the control kernel), which use right-endpoint nodes because
 two-time kernels carry no diagonal values; pairing those with the
 solver's quadratures keeps the kernel-reconstruction identities exact.
+
+No two-time kernel is stored whole.  Each is the selector U(t, s) =
+(I; 1{t-s>delay} I; E(t, s)) times node data: A = U Acal, C = U Ccal,
+D = U D1, btilde and sigtilde likewise from b and sigma, and the control
+kernel B places B1(s), B2(s+delay) and running sums of the memory column
+B3 Ftilde by the same indicators.  ``VolterraProblem.lifted_columns``
+writes [U | B] for a block of base nodes; it is the one place that
+knows the layout of a lifted column.
 """
 
 from __future__ import annotations
@@ -102,50 +110,97 @@ def _running_integral_table(F: np.ndarray, dt: float) -> np.ndarray:
     )
     nodes = np.arange(nn)
     E = (prefix[nodes, nodes][:, None] - prefix[:, :nn]) * dt
-    E[~np.tri(nn, k=-1, dtype=bool)] = 0.0
+    for i in range(nn):
+        E[i, i:] = 0.0
     return E
+
+
+def memory_kernel(problem: DelayLQProblem, lo: int = 0,
+                  hi: int | None = None) -> np.ndarray:
+    """B3(theta) Ftilde(theta, s), the memory channel's control column, as
+    [theta - lo, s - lo] blocks for theta >= lo, lo <= s < hi: +0.0 where
+    theta <= s, so its running sums over theta hold only theta > s."""
+    W = np.einsum("tab,tsbm->tsam", problem.B3[lo:],
+                  problem.Ftilde[lo:, lo:hi])
+    for s in range(W.shape[1]):
+        W[:s + 1, s] = 0.0
+    return W
 
 
 @dataclass(frozen=True)
 class VolterraProblem:
     """Kernels, free term, and reduced weights of the lifted problem.
 
-    Kernel arrays are (N+1, N+1, ...) with entries for second index <=
-    first; the diagonal holds the limiting values used by the backward
-    solver's corner handling (indicators off, running integrals empty).
-
-    Only the control kernel ``B`` is stored whole.  The others are the
-    selector U(t, s) = (I; 1{t-s>delay} I; E(t, s)) times a row,
-    A = U Acal, C = U Ccal, D = U D1 (btilde and sigtilde likewise from b
-    and sigma).  The selector is not stored: ``lifted_kernel``, the sweeps
-    and the residual write one column of it at a time, from ``E``, into the
-    template of ``selector_stack``; the sweeps and the residual apply Acal
-    to sums over the column.
+    Kernel entries at (t_i, t_j) exist for j <= i; the diagonal holds the
+    limiting values used by the backward solver's corner handling
+    (indicators off, running integrals empty).  ``lifted_columns`` writes
+    the columns from ``E`` and the source's data; of B only the memory
+    rows' sums over E, ``memory_sums``, are stored: a block's columns read
+    them over every later node, so they are formed once.
     """
 
     grid: TimeGrid
     n: int
     m: int
-    B: np.ndarray        # (N+1, N+1, 3n, m)
     phi: np.ndarray      # (N+1, 3n)
     Q: np.ndarray        # (N+1, 3n, 3n)
     R: np.ndarray        # (N+1, m, m)
     legacy_cost: float
     E: np.ndarray        # (N+1, N+1, n, n) running integral of F
+    # (N+1, N+1, n, m): [i, j] = sum_theta E(i, theta) B3(theta)
+    # Ftilde(theta, j) dt; None without the memory channel
+    memory_sums: np.ndarray | None
     Acal: np.ndarray     # (N+1, n, 3n) row (A1, A2, A3)
     Ccal: np.ndarray     # (N+1, n, 3n) row (C1, C2, C3)
     source: DelayLQProblem
 
-    def selector_stack(self, width: int) -> np.ndarray:
-        """Zeros (N+1, 3n, width) whose first n columns hold the selector
-        at offset j = r - l from its base node, less the memory block:
-        (I; 1{j > delay} I; 0), the same for every l.  A reader writes
-        E(., t_l) into rows 2n: of those columns to get U(., t_l) and
-        stacks further columns beside it."""
-        n = self.n
-        out = np.zeros((self.grid.N + 1, 3 * n, width))
-        out[:, :n, :n] = np.eye(n)
-        out[self.grid.delay_steps + 1:, n:2 * n, :n] = np.eye(n)
+    def lifted_columns(self, a: int = 0, c: int | None = None,
+                       control: bool = True) -> np.ndarray:
+        """[U | B](t_i, t_l) for the base nodes l = a..c-1 (c = N+1 by
+        default) on the rows i = a..N, as [i - a, l - a] blocks (3n, n + m),
+        zero for i < l; U alone, (3n, n) blocks, if not ``control``.  The
+        indicators come from the offsets i - l, so a block costs
+        O((N - a)(c - a)), and each block is the dense table's bit for bit."""
+        g, src, n, m = self.grid, self.source, self.n, self.m
+        nn, k, dt = g.N + 1, g.delay_steps, g.dt
+        c = nn if c is None else c
+        M, w = nn - a, c - a
+        out = np.zeros((M, w, 3 * n, n + m if control else n))
+        lag = np.arange(M)[:, None] - np.arange(w)      # i - l
+        out[lag >= 0, :n, :n] = np.eye(n)
+        out[lag > k, n:2 * n, :n] = np.eye(n)
+        out[:, :, 2 * n:, :n] = self.E[a:, a:c]
+        if not control:
+            return out
+
+        # control kernel rows; B2 shifted by the delay, B3 routed through
+        # Ftilde
+        delayed = (lag > k)[:, :, None, None]
+        B, B1 = out[..., n:], src.B1[a:c]
+        shift = max(nn - k - a, 0)            # columns with l + delay <= N
+        B2s = np.zeros((w, n, m))
+        B2s[:shift] = src.B2[a + k:c + k]
+        B[:, :, :n] = B1[None] + delayed * B2s[None]
+        B[:, :, n:2 * n] = (delayed * B1[None]
+                            + (lag > 2 * k)[:, :, None, None] * B2s[None])
+        E2 = np.zeros((M, w, n, n))
+        E2[:, :shift] = self.E[a:, a + k:c + k]
+        B[:, :, 2 * n:] = (np.einsum("ijab,jbm->ijam", self.E[a:, a:c], B1)
+                           + np.einsum("ijab,jbm->ijam", E2, B2s))
+        if self.memory_sums is not None:
+            # running sums CW[i, l] = sum_{theta=l+1}^{i} W[theta, l] dt of
+            # the memory column, added where i > l
+            later = (lag > 0)[:, :, None, None]
+            CW = np.cumsum(memory_kernel(src, a, c), axis=0) * dt
+            blk = B[:, :, :n]
+            np.add(blk, CW, out=blk, where=later)
+            # second row stops one delay short of the evaluation time
+            if k + 1 < M:
+                blk = B[k + 1:, :, n:2 * n]
+                np.add(blk, CW[:M - k - 1], out=blk, where=later[:M - k - 1])
+            blk = B[:, :, 2 * n:]
+            np.add(blk, self.memory_sums[a:, a:c], out=blk, where=later)
+        B[lag < 0] = 0.0
         return out
 
 
@@ -158,16 +213,14 @@ def lifted_kernel(vp: VolterraProblem, row: np.ndarray) -> np.ndarray:
     nn, n = vp.grid.N + 1, vp.n
     sub = "rab,b->ra" if row.ndim == 2 else "rab,bc->rac"
     out = np.zeros((nn, nn, 3 * n) + row.shape[2:])
-    stack = vp.selector_stack(n)
+    U = vp.lifted_columns(control=False)
     for j in range(nn):
-        u = stack[:nn - j]
-        u[:, 2 * n:] = vp.E[j:, j]
-        out[j:, j] = np.einsum(sub, u, row[j])
+        out[j:, j] = np.einsum(sub, U[j:, j], row[j])
     return out
 
 
 def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
-    """Assemble the lifted kernels, free term, and reduced cost weights."""
+    """Assemble the running integrals, free term, and reduced cost weights."""
     report = validate(problem)
     report.raise_if_invalid()
 
@@ -176,49 +229,16 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
     nn, k, dt, N = g.N + 1, g.delay_steps, g.dt, g.N
 
     E = _running_integral_table(problem.F, dt)
-    idx_i, idx_j = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
-    delayed = (idx_i - idx_j) > k
-
     Acal = np.concatenate([problem.A1, problem.A2, problem.A3], axis=2)
     Ccal = np.concatenate([problem.C1, problem.C2, problem.C3], axis=2)
 
-    # control kernel rows; B2 shifted by the delay, B3 routed through Ftilde
-    B = np.zeros((nn, nn, 3 * n, m))
-    ind2 = (idx_i - idx_j) > 2 * k
-    B2s = np.zeros((nn, n, m))
-    B2s[: max(nn - k, 0)] = problem.B2[k:]
-    B[:, :, :n, :] = problem.B1[None, :, :, :] + delayed[:, :, None, None] * B2s[None]
-    B[:, :, n:2 * n, :] = (
-        delayed[:, :, None, None] * problem.B1[None]
-        + ind2[:, :, None, None] * B2s[None]
-    )
-    E2 = np.zeros((nn, nn, n, n))
-    if k < nn:
-        E2[:, : nn - k] = E[:, k:]
-    B[:, :, 2 * n:, :] = (
-        np.einsum("ijab,jbm->ijam", E, problem.B1)
-        + np.einsum("ijab,jbm->ijam", E2, B2s)
-    )
+    # the control kernel's third row sums the memory column against E,
+    # sum_{theta>j} E[i, theta] W[theta, j] dt, over every node at once
+    memory_sums = None
     if problem.has_memory:
-        # W[t, j] = B3(t) Ftilde(t, j) for t > j, and its running sums
-        # CW[i, j] = sum_{theta=j+1}^{i} W[theta, j] dt, added where i > j
-        later = idx_i > idx_j
-        W = np.einsum("tab,tjbm->tjam", problem.B3, problem.Ftilde)
-        W[~later] = 0.0
-        CW = np.cumsum(W, axis=0) * dt
-        blk = B[:, :, :n, :]
-        np.add(blk, CW, out=blk, where=later[:, :, None, None])
-        # second row stops one delay short of the evaluation time
-        if k + 1 < nn:
-            blk = B[k + 1:, :, n:2 * n, :]
-            np.add(blk, CW[:nn - k - 1], out=blk,
-                   where=later[:nn - k - 1, :, None, None])
-        # third row: sum_{t>j} E[i, t] W[t, j] dt
-        EW = _node_product(E.transpose(0, 2, 1, 3), W.transpose(0, 2, 1, 3),
-                           dt)
-        blk = B[:, :, 2 * n:, :]
-        np.add(blk, EW, out=blk, where=later[:, :, None, None])
-    B[idx_j > idx_i] = 0.0
+        W = memory_kernel(problem)
+        memory_sums = _node_product(E.transpose(0, 2, 1, 3),
+                                    W.transpose(0, 2, 1, 3), dt)
 
     # free term: the lifted state of the initial trajectory, x0 plus the
     # running integral of B2 varsigma over the initial window
@@ -242,8 +262,8 @@ def build_volterra(problem: DelayLQProblem) -> VolterraProblem:
         legacy += float(problem.varsigma[j] @ problem.R2[j] @ problem.varsigma[j]) * dt
 
     return VolterraProblem(
-        grid=g, n=n, m=m, B=B, phi=phi, Q=Q, R=R,
-        legacy_cost=legacy, E=E, Acal=Acal, Ccal=Ccal,
+        grid=g, n=n, m=m, phi=phi, Q=Q, R=R, legacy_cost=legacy, E=E,
+        memory_sums=memory_sums, Acal=Acal, Ccal=Ccal,
         source=problem,
     )
 

@@ -19,9 +19,10 @@ Riccati sweep, reading the free-term products that sweep stored, and
 keeping the whole pair table; fed by ``euler_sweep``'s tables it pins
 the adjoint the sweep now carries, whose selector sums
 ``pair_selector_sums`` forms from that table.
-``advance_full_width`` is the replay's step as it ran before it skipped
-the dead lifted blocks; swapped in for ``delaylq.cli._advance`` it
-pins the skip bit for bit, and ``evolution_profile_full_width``, the
+``advance_full_width`` is the replay's Euler step on every entry, as it
+ran beside the step that skipped the dead lifted blocks; swapped in for
+``delaylq.cli._euler`` it pins that step bit for bit, and
+``evolution_profile_full_width``, the
 residual's evolution check over every row of the control products, does
 the same for the check's live rows.  ``riccati_residual`` is the
 residual as it ran on the replayed slices, with the selector column
@@ -40,7 +41,9 @@ table's layout, one (N+1, N+1, m, 3n) table in [s, t] order beside the
 pointwise gain Xi; ``dense_k1``, ``synthesis_k2`` and ``synthesis_k4_v``
 read it, and ``synthesis_k2`` is the distributed-state gain one pair
 (t, s) at a time.  ``memory_control_kernel`` is the
-B3 part of the control kernel, built one column at a time.
+B3 part of the control kernel, built one column at a time, and
+``dense_control_kernel`` the whole control kernel as the lifting stored
+it before it wrote the columns a block of nodes at a time.
 ``a_column`` is the column of the state kernel that the sweep formed at
 each node, and ``write_pair_table_rows`` is the CLI's pair-table writer
 as it formatted one row at a time.  ``simulate`` is the Euler-Maruyama
@@ -76,6 +79,7 @@ from delaylq.exceptions import NumericalError
 from delaylq.riccati import (RiccatiResiduals, RiccatiSolution, _evolution_max,
                              _interior, _live_rows, _lost_definiteness, _sym)
 from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
+from delaylq.volterra import _node_product
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ def euler_sweep(vp) -> dict:
     frontier (lower triangle, zero above), pb, the free-term products
     pfree, g1_table, rcal, rcal_inv and the pointwise gain Xi."""
     N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
-    d, live = 3 * n, live_blocks(vp)
+    d = 3 * n
     p1 = np.zeros((N + 1, d, d))
     g1_table = np.zeros((N + 1, n, n))
     rcal = np.zeros((N + 1, m, m))
@@ -179,11 +183,11 @@ def euler_sweep(vp) -> dict:
             factor_rcal(N, vp.R[N])
             X[:] = _sym(p1[N] @ a_column(vp, N, sel)[0])
             frontier[N, N] = X
-            pb[N, N] = p1[N] @ vp.B[N, N]
+            pb[N, N] = p1[N] @ vp.lifted_columns(N)[0, 0, :, n:]
             free_term(N, X, sel)
             continue
-        cli._advance(X[d:, d:], pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
-                     work[:(M * d) ** 2].reshape(M * d, M * d), live)
+        cli._euler(X[d:, d:], pb[l + 1:, l + 1], rcal_inv[l + 1], dt,
+                   work[:(M * d) ** 2].reshape(M * d, M * d))
         interior, ups = X[d:, d:], sel[1:]
         p1_fut = p1[l + 1:]
         pu = np.einsum("sab,sbj->saj", p1_fut, ups)
@@ -199,7 +203,7 @@ def euler_sweep(vp) -> dict:
         p1[l] = _sym(vp.Q[l] + vp.Ccal[l].T @ g1_val @ vp.Ccal[l]
                      - cgd @ rcal_inv[l] @ dgc)
         Xi[l] = -rcal_inv[l] @ dgc
-        bcol = vp.B[l + 1:, l]
+        bcol = vp.lifted_columns(l, l + 1)[1:, 0, :, n:]
         pa_col = np.einsum("saj,jc->sac", pu + v_in, vp.Acal[l])
         pb_col = (np.einsum("sab,sbm->sam", p1_fut, bcol)
                   + apply_slice(bcol, interior) * dt)
@@ -209,7 +213,7 @@ def euler_sweep(vp) -> dict:
         row0 = np.ascontiguousarray(bnd.transpose(0, 2, 1))
         acol = a_column(vp, l, sel)
         pa_corner = p1[l] @ acol[0] + np.einsum("rab,rbc->ac", row0, acol[1:]) * dt
-        pb_corner = p1[l] @ vp.B[l, l] + np.einsum("rab,rbm->am", row0, bcol) * dt
+        pb_corner = p1[l] @ vp.lifted_columns(l, l + 1)[0, 0, :, n:] + np.einsum("rab,rbm->am", row0, bcol) * dt
         X[:d, :d] = _sym(pa_corner - pb_corner @ rcal_inv[l] @ dgc)
         frontier[l:, l] = X[:, :d].reshape(M + 1, d, d)
         free_term(l, X, sel)
@@ -236,8 +240,6 @@ def adjoint_sweep(vp, ref) -> tuple:
     mix = vp.Ccal + problem.D1 @ ref["Xi"]                      # (N+1, n, 3n)
     diag = (mix.transpose(0, 2, 1) @ g1sig)[..., 0]
     kvec = (problem.D1.transpose(0, 2, 1) @ g1sig)[..., 0]
-    # the selector and control columns U(., t_l), B(., t_l) at offsets 0..N-l
-    stack = vp.selector_stack(n + m)
 
     y = np.zeros(m)                              # rcal_inv kvec at node l + 1
     for l in range(N, -1, -1):
@@ -248,9 +250,8 @@ def adjoint_sweep(vp, ref) -> tuple:
                                            @ y).reshape(M, d)
             col = eta[s:, l]
             np.add(eta[s:, s], dt * drift, out=col)
-            u = stack[1:M + 1]
-            u[:, 2 * n:, :n] = vp.E[s:, l]
-            u[:, :, n:] = vp.B[s:, l]
+            # the selector and control columns U(., t_l), B(., t_l)
+            u = vp.lifted_columns(l, l + 1)[1:, 0]
             # sum_r U(r, l)^T eta(r, l) and sum_r B(r, l)^T eta(r, l): the
             # state kernel's column is U(., l) Acal(l), closed by Xi(l): W(l)
             c = (u.reshape(M * d, n + m).T @ col.reshape(-1)) * dt
@@ -342,7 +343,7 @@ def riccati_residual(P, vp) -> RiccatiResiduals:
         if l < N:
             g2t = pu + v_in                       # trapezoid-weighted
             pa = np.einsum("saj,jc->sac", g2t[1:], vp.Acal[l])
-            bker = vp.B[l:, l]
+            bker = vp.lifted_columns(l, l + 1)[:, 0, :, vp.n:]
             pbt = (np.einsum("sab,sbm->sam", P.p1[l:], bker)
                    + apply_slice(w[:, None, None] * bker, X))
             lhs3 = X[d:, :d].reshape(M, d, d) - (pa - np.einsum(
@@ -781,6 +782,56 @@ def memory_control_kernel(problem, E) -> np.ndarray:
     return out
 
 
+def dense_control_kernel(problem, E) -> np.ndarray:
+    """The control kernel B as the lifting stored it, one (N+1, N+1, 3n, m)
+    table from (N+1)^2 index grids; E is the running integral table."""
+    g = problem.grid
+    n, m = problem.n, problem.m
+    nn, k, dt = g.N + 1, g.delay_steps, g.dt
+
+    idx_i, idx_j = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
+    delayed = (idx_i - idx_j) > k
+
+    # control kernel rows; B2 shifted by the delay, B3 routed through Ftilde
+    B = np.zeros((nn, nn, 3 * n, m))
+    ind2 = (idx_i - idx_j) > 2 * k
+    B2s = np.zeros((nn, n, m))
+    B2s[: max(nn - k, 0)] = problem.B2[k:]
+    B[:, :, :n, :] = problem.B1[None, :, :, :] + delayed[:, :, None, None] * B2s[None]
+    B[:, :, n:2 * n, :] = (
+        delayed[:, :, None, None] * problem.B1[None]
+        + ind2[:, :, None, None] * B2s[None]
+    )
+    E2 = np.zeros((nn, nn, n, n))
+    if k < nn:
+        E2[:, : nn - k] = E[:, k:]
+    B[:, :, 2 * n:, :] = (
+        np.einsum("ijab,jbm->ijam", E, problem.B1)
+        + np.einsum("ijab,jbm->ijam", E2, B2s)
+    )
+    if problem.has_memory:
+        # W[t, j] = B3(t) Ftilde(t, j) for t > j, and its running sums
+        # CW[i, j] = sum_{theta=j+1}^{i} W[theta, j] dt, added where i > j
+        later = idx_i > idx_j
+        W = np.einsum("tab,tjbm->tjam", problem.B3, problem.Ftilde)
+        W[~later] = 0.0
+        CW = np.cumsum(W, axis=0) * dt
+        blk = B[:, :, :n, :]
+        np.add(blk, CW, out=blk, where=later[:, :, None, None])
+        # second row stops one delay short of the evaluation time
+        if k + 1 < nn:
+            blk = B[k + 1:, :, n:2 * n, :]
+            np.add(blk, CW[:nn - k - 1], out=blk,
+                   where=later[:nn - k - 1, :, None, None])
+        # third row: sum_{t>j} E[i, t] W[t, j] dt
+        EW = _node_product(E.transpose(0, 2, 1, 3), W.transpose(0, 2, 1, 3),
+                           dt)
+        blk = B[:, :, 2 * n:, :]
+        np.add(blk, EW, out=blk, where=later[:, :, None, None])
+    B[idx_j > idx_i] = 0.0
+    return B
+
+
 def write_pair_table_rows(path, table) -> None:
     """The pair-table writer as it formatted one row at a time: rows
     "i,j,<floats at 17 digits>" for j < i."""
@@ -974,7 +1025,7 @@ def per_node_sweep(vp) -> RiccatiSolution:
     corner = np.empty((nn, d, d))         # sym(H(l, l) W(l)), kept for _interior
     # columns over nodes l..N at offsets 0..N-l: the selector U(., t_l),
     # the control column B(., t_l) and the free-term column U(., t_l) b(l)
-    stack = vp.selector_stack(n + m + 1)
+    stack = np.zeros((nn, d, n + m + 1))
 
     def factor_rcal(l: int, mat: np.ndarray):
         mat = _sym(mat)
@@ -1002,8 +1053,7 @@ def per_node_sweep(vp) -> RiccatiSolution:
         M = N - l
         k = n + m + free[l]
         u = stack[:M + 1, :, :k]
-        u[:, 2 * n:, :n] = vp.E[l:, l]
-        u[:, :, n:n + m] = vp.B[l:, l]
+        u[:, :, :n + m] = vp.lifted_columns(l, l + 1)[:, 0]
         if free[l]:
             u[:, :, -1] = (u[:, :, :n].reshape(-1, n)
                            @ vp.source.b[l]).reshape(M + 1, d)
@@ -1090,7 +1140,6 @@ def per_node_residual(P, vp) -> RiccatiResiduals:
     res_rcal = float(np.abs(
         P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
 
-    stack = vp.selector_stack(n + P.m)
     corner, pb = np.empty((N + 1, d, d)), P.pb
 
     prof_point = np.zeros(N + 1)
@@ -1100,9 +1149,7 @@ def per_node_residual(P, vp) -> RiccatiResiduals:
         M = N - l
         w = np.full(M + 1, dt if l < N else 0.0)
         w[[0, -1]] *= 0.5
-        u = stack[:M + 1]
-        u[:, 2 * n:, :n] = vp.E[l:, l]
-        u[:, :, n:] = vp.B[l:, l]
+        u = vp.lifted_columns(l, l + 1)[:, 0]
         wu = w[:, None, None] * u
         # p1 u plus slice l against the weighted stack: g2 (:n) and the
         # control products (n:), trapezoid-weighted; the slice's border

@@ -37,8 +37,8 @@ def test_all_is_pinned_to_the_public_names():
 #: The lifted problem keeps the control kernel whole and every other
 #: kernel as a coefficient row for the selector; a new stored table shows
 #: up here.
-VOLTERRA_FIELDS = ["grid", "n", "m", "B", "phi", "Q", "R", "legacy_cost",
-                   "E", "Acal", "Ccal", "source"]
+VOLTERRA_FIELDS = ["grid", "n", "m", "phi", "Q", "R", "legacy_cost", "E",
+                   "memory_sums", "Acal", "Ccal", "source"]
 
 
 def test_volterra_problem_fields_are_pinned():

@@ -174,6 +174,21 @@ class TestFactoredKernel:
         assert sum(a.nbytes for a in arrays) <= (
             nn * nn * d * w + 4 * nn * d * d) * 8
 
+    def test_lifting_stores_no_control_kernel_table(self):
+        # build_volterra keeps the running integrals E, the memory rows'
+        # sums over E where the memory channel is live, and per-node rows:
+        # no (N+1)^2 3n m table of the control kernel
+        problems = [dl.preset_problem(name, 48)
+                    for name in ("full", "input-delay", "state-delay")]
+        for p in problems + [planar_problem(48, m=2)]:
+            vp = dl.build_volterra(p)
+            nn, d = vp.grid.N + 1, 3 * vp.n
+            arrays = [v for name, v in vars(vp).items()
+                      if name != "source" and isinstance(v, np.ndarray)]
+            sums = nn * nn * vp.n * vp.m if p.has_memory else 0
+            assert sum(a.size for a in arrays) <= (
+                vp.E.size + sums + 4 * nn * d * d), p.grid.N
+
     def test_sweep_allocates_no_hidden_slice_sized_temporary(self):
         # the stored tables plus half a slice of slack for small
         # temporaries; one slice-sized temporary in the loop exceeds it
@@ -309,7 +324,7 @@ class TestLiveBlocks:
 
         live = tables(P, dl.riccati_residual(P, vp))
         with monkeypatch.context() as mp:
-            mp.setattr(cli, "_advance", advance_full_width)
+            mp.setattr(cli, "_euler", advance_full_width)
             res = dataclasses.replace(
                 dl.riccati_residual(P, vp),
                 evolution_profile=evolution_profile_full_width(P, vp))
@@ -393,15 +408,16 @@ class TestStarProducts:
     def test_zero_solution_annihilates(self):
         vp, P = zero_weight_solution()
         D = dl.lifted_kernel(vp, vp.source.D1)
-        assert np.abs(star_left(np.transpose(vp.B, (0, 1, 3, 2)), P, vp,
+        B = vp.lifted_columns()[..., vp.n:]
+        assert np.abs(star_left(np.transpose(B, (0, 1, 3, 2)), P, vp,
                                 8, 3)).max() == 0.0
-        assert np.abs(star_right(P, vp.B, vp, 8, 3)).max() == 0.0
+        assert np.abs(star_right(P, B, vp, 8, 3)).max() == 0.0
         assert np.abs(star_sandwich(np.transpose(D, (0, 1, 3, 2)), P,
                                     D, vp, 3)).max() == 0.0
 
     def test_zero_kernel_annihilates(self, solve_preset):
         s = solve_preset("full", 16)
-        zero = np.zeros_like(s.vp.B)
+        zero = np.zeros_like(s.vp.lifted_columns()[..., s.vp.n:])
         assert np.abs(star_right(s.P, zero, s.vp, 8, 3)).max() == 0.0
 
     def test_degenerate_star_returns_pointwise_kernel(self):
@@ -445,7 +461,8 @@ class TestStarProducts:
     def test_star_product_equals_stored_control_table(self, solve_preset):
         s = solve_preset("full", 16)
         for (sb, t) in [(8, 3), (16, 0), (5, 4)]:
-            np.testing.assert_allclose(star_right(s.P, s.vp.B, s.vp, sb, t),
+            B = s.vp.lifted_columns()[..., s.vp.n:]
+            np.testing.assert_allclose(star_right(s.P, B, s.vp, sb, t),
                                        s.P.pb[sb, t], atol=1e-13)
 
     def test_domain_errors(self, solve_preset):
@@ -521,7 +538,7 @@ class TestResiduals:
 
         solved = {name: solve_preset(name, 24) for name in dl.PRESET_NAMES}
         monkeypatch.setattr(cli, "replay", refuse)
-        monkeypatch.setattr(cli, "_advance", refuse)
+        monkeypatch.setattr(cli, "_euler", refuse)
         for s in solved.values():
             dl.riccati_residual(s.P, s.vp)
         s = solved["tanh"]

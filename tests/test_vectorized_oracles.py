@@ -115,7 +115,7 @@ def test_case_i_replays_no_slice(case, monkeypatch):
     p = CASE_I[case]()
     vp, P = solved(p)
     monkeypatch.setattr(cli, "replay", refuse)
-    monkeypatch.setattr(cli, "_advance", refuse)
+    monkeypatch.setattr(cli, "_euler", refuse)
     ext = oracles.casei_extract(P, vp)
     res = oracles.casei_residual(ext, p)
     assert all(np.isfinite(v) for v in vars(res).values())
@@ -245,10 +245,9 @@ def test_selector_columns_and_kernels_match_dense_table(case):
     p = SELECTOR[case]()
     vp = dl.build_volterra(p)
     U = loop_oracles.dense_selector(vp)
-    stack = vp.selector_stack(p.n)
+    cols = vp.lifted_columns(control=False)
     for l in range(p.grid.N + 1):
-        col = stack[:p.grid.N + 1 - l]
-        col[:, 2 * p.n:] = vp.E[l:, l]
+        col = cols[l:, l]
         np.testing.assert_array_equal(col, U[l:, l], err_msg=l)
     for row in (vp.Acal, vp.Ccal, p.D1, p.b, p.sigma):
         np.testing.assert_array_equal(dl.lifted_kernel(vp, row),
@@ -308,7 +307,8 @@ def test_memory_control_kernel_matches_loop(case):
     assert p.has_memory
     vp = dl.build_volterra(p)
     rest = dl.build_volterra(dataclasses.replace(p, B3=np.zeros_like(p.B3)))
-    np.testing.assert_allclose(vp.B - rest.B,
+    np.testing.assert_allclose(vp.lifted_columns()[..., p.n:]
+                               - rest.lifted_columns()[..., p.n:],
                                loop_oracles.memory_control_kernel(p, vp.E),
                                rtol=0, atol=1e-12)
 
@@ -467,3 +467,46 @@ def test_blocked_sweep_matches_per_node_past_the_horizon(steps, block,
 def test_blocked_sweep_matches_per_node_on_admissible_draws(p, block):
     with mock.patch.object(riccati, "_BLOCK", block):
         assert_blocked_matches_per_node(p)
+
+
+def assert_control_columns_match_dense(p):
+    # every block of the sweep's partition, single columns and the whole
+    # range equal the dense table, the signs of its zeros included
+    vp = dl.build_volterra(p)
+    dense = loop_oracles.dense_control_kernel(p, vp.E)
+    nn = p.grid.N + 1
+    for b in (1, B, nn):
+        for c in range(nn, 0, -b):
+            a = max(c - b, 0)
+            got, want = vp.lifted_columns(a, c)[..., p.n:], dense[a:, a:c]
+            np.testing.assert_array_equal(got, want, err_msg=(a, c))
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want),
+                                          err_msg=(a, c))
+
+
+#: the problems the control columns are pinned to the dense table on
+CONTROL = {
+    **{f"{name}-{N}": (lambda name=name, N=N:
+                       truncated(dl.preset_problem(name, 40), N))
+       for name in dl.PRESET_NAMES for N in (B - 1, B, B + 1, 35)},
+    **{f"{name}-240": (lambda name=name: dl.preset_problem(name, 240))
+       for name in dl.PRESET_NAMES},
+    "planar-m1": lambda: planar_problem(24, m=1),
+    "planar-m2": lambda: planar_problem(40, m=2),
+    "planar-m2-200": lambda: planar_problem(200, m=2),
+    "planar-memory": lambda: planar_memory_problem(40),
+    **{f"delay-{steps}-of-8": (lambda steps=steps:
+                               short_control_delay_problem(steps))
+       for steps in (7, 8, 10)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTROL))
+def test_control_columns_match_dense_table(case):
+    assert_control_columns_match_dense(CONTROL[case]())
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=admissible_problems())
+def test_control_columns_match_dense_table_on_admissible_draws(p):
+    assert_control_columns_match_dense(p)

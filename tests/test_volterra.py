@@ -99,8 +99,8 @@ class TestKernelStructure:
                                            vp.E[i, j] @ row1, atol=1e-15)
 
     def test_state_kernel_column_is_the_dense_table_column(self):
-        # the sweep and the adjoint write the selector column into one
-        # template per solve; with Acal it must give the dense table's
+        # the sweep and the adjoint take the selector column from
+        # ``lifted_columns``; with Acal it must give the dense table's
         # column bit for bit, n = 2 included
         grid = scalar_grid(12)
         planar = dl.empty_problem(grid, 2, 2)
@@ -115,10 +115,9 @@ class TestKernelStructure:
             vp = dl.build_volterra(p)
             U = loop_oracles.dense_selector(vp)
             A = loop_oracles.dense_lifted_kernel(U, vp.Acal)
-            stack = vp.selector_stack(p.n + 1)
+            cols = vp.lifted_columns()
             for l in range(p.grid.N + 1):
-                col = stack[:p.grid.N + 1 - l, :, :p.n]
-                col[:, 2 * p.n:] = vp.E[l:, l]
+                col = cols[l:, l, :, :p.n]
                 np.testing.assert_array_equal(col, U[l:, l])
                 np.testing.assert_array_equal(
                     np.einsum("rab,bc->rac", col, vp.Acal[l]), A[l:, l])
@@ -138,13 +137,14 @@ class TestKernelStructure:
         p = dl.preset_problem("full", 16)
         vp = dl.build_volterra(p)
         dt, N = p.grid.dt, p.grid.N
+        B = vp.lifted_columns()[..., p.n:]
         worst = 0.0
         for t in range(N):
             for s in range(t + 1, N + 1):
                 acc = np.zeros((3 * p.n, p.m))
                 for th in range(t + 1, s + 1):
                     acc += pi_matrix(vp, s, t, th) @ bcal(vp, th, t) * dt
-                worst = max(worst, np.abs(acc - vp.B[s, t]).max())
+                worst = max(worst, np.abs(acc - B[s, t]).max())
         assert worst < 1e-13
 
     def test_selector_first_block_is_identity(self):
@@ -162,8 +162,9 @@ class TestKernelStructure:
         A = dl.lifted_kernel(vp, vp.Acal)
         n = p.n
         for i in (0, 5, 16):
-            np.testing.assert_allclose(vp.B[i, i, :n, :], p.B1[i], atol=1e-15)
-            assert np.abs(vp.B[i, i, n:, :]).max() == 0.0
+            B = vp.lifted_columns(i, i + 1)[0, 0, :, n:]
+            np.testing.assert_allclose(B[:n, :], p.B1[i], atol=1e-15)
+            assert np.abs(B[n:, :]).max() == 0.0
             np.testing.assert_allclose(A[i, i, :n, :], vp.Acal[i], atol=1e-15)
             assert np.abs(A[i, i, n:, :]).max() == 0.0
 
