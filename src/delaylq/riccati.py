@@ -55,16 +55,21 @@ n = m = 1, ~2180 at n = m = 2).  Storage is H, (N+1)^2 3n (n+m)
 numbers, plus per-node tables and a block's stacks; the free and pair
 columns pass from one node to the next in (N+1, 3n) buffers.
 
-``riccati_residual`` re-checks the three lines from the same tables: it
-applies each slice to the selector and control columns through the
-factors, in blocks as step (ii) does, and takes the evolution line's
-increment as the drift itself, on the live lifted blocks only (see
-``_live_blocks``): on the solver's output a dead block is one the data
-never reads (A2, C2 and Q2 zero for block 2; A3, C3 and Q3 for block 3).
-No reader in this module forms a whole slice; the CLI's
-``--dump-riccati`` replays them (``delaylq.cli.replay``), re-running the
-explicit Euler recurrence from the terminal corner with the border
-columns H W.
+``riccati_residual`` re-checks the three lines from the same tables.  It
+runs after the sweep, when every row is final, so nothing in it is
+sequential: it takes the sweep's blocks of nodes one at a time, and one
+``_interior`` product over rows a+1..N applies the slices of all of a
+block's nodes to their selector and control columns, each node's rows
+up to its own zeroed; the rest of the two algebraic lines is batched
+over the block.  It takes the evolution line's increment as the drift
+itself, from the rank-m factors of pb in tiles of at most 2^15 entries,
+on the live lifted blocks only (see ``_live_blocks``): on the solver's
+output a dead block is one the data never reads (A2, C2 and Q2 zero for
+block 2; A3, C3 and Q3 for block 3).  That line is O(N^3 (L n)^2)
+elementwise work for L live blocks, outside BLAS.  No reader in this
+module forms a whole slice; the CLI's ``--dump-riccati`` replays them
+(``delaylq.cli.replay``), re-running the explicit Euler recurrence from
+the terminal corner with the border columns H W.
 """
 
 from __future__ import annotations
@@ -174,12 +179,12 @@ def _lost_definiteness(l: int, eigenvalues: np.ndarray) -> NumericalError:
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
-              lo: int, u: np.ndarray, dt: float, hi: int | None = None
-              ) -> np.ndarray:
+              lo: int, u: np.ndarray, dt: float, hi: int | None = None,
+              first: np.ndarray | None = None) -> np.ndarray:
     """The slice at node lo - 1 on pairs i, j >= lo, applied to the stacked
     columns u (M, d, k) over nodes lo..N: F u - dt P^T (rcal_inv (P u)),
     P the control products pb(., r), r >= lo, as H^T x + W^T (H u) - C u,
@@ -188,7 +193,12 @@ def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     H(i, i) W(i) u(i) or its transpose, so one corner C(i) u(i) comes off.
     Row t of the tables enters only through row t of H u and of x, so the
     sum splits by rows: with ``hi`` given it reads rows lo..hi-1 only, a
-    block's own rows in ``_applied``, in ``_by_node_rows`` calls."""
+    block's own rows in ``_applied``, in ``_by_node_rows`` calls.  With
+    ``first`` (k,) given, column j's rows of H u below first[j] are zeroed
+    before the second product; where u's column is zero there too, those
+    rows add exact zeros, and the column gets the slice at node
+    first[j] - 1 on rows first[j]..N (zeros above): ``riccati_residual``
+    applies a block of nodes' slices in one call."""
     M, d, k = u.shape
     w, m = W.shape[1], rcal_inv.shape[-1]
     t = M if hi is None else hi - lo       # the rows read
@@ -197,6 +207,9 @@ def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     product = _by_triangle if t == M else (
         lambda A, B, rows, _, upper: _by_node_rows(A, B, rows))
     hu = product(Hl, u.reshape(M * d, k), w, d, True).reshape(t, w, k)
+    if first is not None:
+        above = np.arange(lo, lo + t)[:, None] < first
+        np.copyto(hu, 0.0, where=above[:, None])
     x = Wl @ u[:t]
     x[:, w - m:] -= dt * (rcal_inv[lo:lo + t] @ hu[:, w - m:])
     out = product(Hl.T, x.reshape(t * w, k), d, w, False).reshape(M, d, k)
@@ -250,12 +263,6 @@ def _applied(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
             if far is not None:
                 out[t:] += far[:, :, j * k:(j + 1) * k]
             yield l, u, out
-
-
-def _live_rows(pb: np.ndarray, live: slice) -> np.ndarray:
-    """The live rows of the control products pb (M, 3n, m), as (M L n, m)."""
-    M, d, m = pb.shape
-    return pb.reshape(M, 3, d // 3, m)[:, live].reshape(-1, m)
 
 
 def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
@@ -399,99 +406,159 @@ class RiccatiResiduals:
     boundary_profile: np.ndarray    # (N,)
 
 
-#: elements per row block of the evolution line's max: the block, its
-#: transpose block and D's rows stay in cache between the passes
+#: entries per tile of the evolution line: a tile's products and D's
+#: factors stay in cache between the passes
 _EVOLUTION_BLOCK = 1 << 15
 
 
-def _evolution_max(nxt: np.ndarray, D: np.ndarray, M: int, k: int) -> float:
-    """max |sym(nxt) - D| over pairs of smooth nodes, D = D(l) on the nodes
-    l+1..N (offsets 1..M) and nxt = D(l+1) there.  A node is rough within
-    one node of offset k or 2k.  Taken over row blocks: each element is
-    0.5 (nxt[i, j] + nxt[j, i]) - D[i, j] as ``_sym`` forms it, and the
-    rough rows and columns of a block are zeroed through slices."""
-    ln = nxt.shape[0] // M                  # live rows per node
-    bands = [(max(c - 2, 0) * ln, min(c + 1, M) * ln) for c in (k, 2 * k)
-             if c - 2 < M]
-    rows = nxt.shape[0]
-    step = max(1, _EVOLUTION_BLOCK // rows)
-    worst = 0.0
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        blk = nxt[r0:r1] + nxt[:, r0:r1].T
-        blk *= 0.5
-        blk -= D[ln + r0:ln + r1, ln:]
-        for a, b in bands:
-            blk[:, a:b] = 0.0
-            if a < r1 and b > r0:
-                blk[max(a - r0, 0):b - r0] = 0.0
-        worst = max(worst, float(np.abs(blk, out=blk).max()))
-    return worst
+def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
+    """max |sym(D(l+1)) - D(l)| per node l < N over pairs of smooth nodes
+    l+1..N, D(r) = pb(., r) rcal_inv(r) pb(., r)^T on the live rows.  A
+    node is rough within one node of offset k or 2k from l.
+
+    No D is formed.  The nodes go in tiles of at most _EVOLUTION_BLOCK
+    entries over the rows of nodes l0+1..N, l0 the tile's first node:
+    several nodes a tile where the rows are few, several tiles a node
+    where they are many.  Each entry is 0.5 (D(l+1)[i, j] + D(l+1)[j, i])
+    - D(l)[i, j] as ``_sym`` forms it, each D entry a product of the
+    rank-m factors Q = pb rcal_inv and pb.  The factors are zero on node
+    l's rough rows and on rows of nodes up to l, so the pairs left out
+    are exact zeros.  At m = 1 they carry a zero column: numpy's own
+    product of one column is several times slower than a BLAS GEMM of
+    two, and each entry is still the one rounded product."""
+    N, n, m = P.N, P.n, P.m
+    ln = len(range(3)[P.live]) * n          # live rows per node
+    pb = P.pb.reshape(N + 1, N + 1, 3, n, m)[:, :, P.live]
+    prof = np.zeros(N)
+    # every tile and its scratch in one buffer: a fresh one per tile costs
+    # its page faults again
+    buf = np.empty((2, max(_EVOLUTION_BLOCK, N * ln)))
+    l0 = 0
+    while l0 < N:
+        nc = (N - l0) * ln                  # the live rows of nodes l0+1..N
+        rows = max(1, _EVOLUTION_BLOCK // nc)
+        g = min(max(1, rows // nc), N - l0)  # nodes per tile
+        rows = min(rows, nc)
+        # the factors of nodes l0..l0+g on those rows
+        F = np.zeros((g + 1, N - l0, ln // n, n, max(m, 2)))
+        F[..., :m] = pb[l0 + 1:, l0:l0 + g + 1].transpose(1, 0, 2, 3, 4)
+        F = F.reshape(g + 1, nc, -1)
+        Q = np.zeros_like(F)
+        Q[..., :m] = F[..., :m] @ P.rcal_inv[l0:l0 + g + 1]
+        # the rows node l = l0 + i keeps, as 1.0 and 0.0, by their offset
+        off = 1 + np.arange(nc) // ln - np.arange(g)[:, None]
+        keep = ((off > 0) & (np.abs(off - k) > 1)
+                & (np.abs(off - 2 * k) > 1))[..., None].astype(float)
+        # D(l+1)'s half taken on its factor: a power of two, so the sum
+        # of the halved products is 0.5 (D(l+1)[i, j] + D(l+1)[j, i])
+        Qh, F1 = 0.5 * Q[1:] * keep, F[1:] * keep
+        Q0, F0 = Q[:-1] * keep, F[:-1] * keep
+        F1t, Qht, F0t = (np.ascontiguousarray(X.transpose(0, 2, 1))
+                         for X in (F1, Qh, F0))
+        e, t = buf[:, :g * rows * nc].reshape(2, g, rows, nc)
+        worst = np.zeros(g)
+        for r0 in range(0, nc, rows):
+            r1 = min(r0 + rows, nc)
+            if r1 - r0 < rows:
+                e, t = e[:, :r1 - r0], t[:, :r1 - r0]
+            np.matmul(Qh[:, r0:r1], F1t, out=e)
+            e += np.matmul(F1[:, r0:r1], Qht, out=t)
+            e -= np.matmul(Q0[:, r0:r1], F0t, out=t)
+            np.maximum(worst, np.abs(e, out=e).max(axis=(1, 2)), out=worst)
+        prof[l0:l0 + g] = worst
+        l0 += g
+    return prof
 
 
 def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResiduals:
-    """The three lines from the sweep's tables, no slice replayed.  The
-    replay's Euler step subtracts dt D(l+1), D(r) = pb(., r) rcal_inv(r)
-    pb(., r)^T, and symmetrizes: the evolution line compares sym(D(l+1))
-    with D(l) on the live rows, each D formed once and kept a node."""
-    g, src, n = vp.grid, vp.source, vp.n
-    N, dt, k, d = g.N, g.dt, g.delay_steps, 3 * n
+    """The three lines from the sweep's tables, no slice replayed.
+
+    The nodes run in the sweep's blocks [a, c), all of a block at once:
+    every table is final, so nothing is sequential.  Node l's
+    trapezoid-weighted stack u of selector and control columns, zero on
+    rows below l, gives p1 u plus the slice at node l applied to u: its
+    border column H(., l) W(l) against u(l), row l against the rows
+    r > l, and the interior over pairs r, s > l.  The interiors of the
+    whole block are one ``_interior`` call over rows a+1..N, node l's
+    stack and its rows of H u zeroed on rows up to l, so those rows add
+    exact zeros.  The algebraic and boundary lines are batched over the
+    block, one ``np.linalg.inv`` for its weights.  The replay's Euler
+    step subtracts dt D(l+1), D(r) = pb(., r) rcal_inv(r) pb(., r)^T, and
+    symmetrizes: the evolution line compares sym(D(l+1)) with D(l) on the
+    live rows, in tiles from the factors (``_evolution_profile``)."""
+    g, src, n, m = vp.grid, vp.source, vp.n, P.m
+    N, dt, d, w = g.N, g.dt, 3 * n, n + m
+    H, W = P.H, P.W
 
     D1 = src.D1
     res_rcal = float(np.abs(
         P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
 
-    corner, pb = np.empty((N + 1, d, d)), P.pb
-    block = [0, None]                        # the block's base, its columns
+    nodes = np.arange(N + 1)
+    corner = _sym(H.reshape(N + 1, w, N + 1, d)[nodes, :, nodes]
+                  .transpose(0, 2, 1) @ W)
     weight = np.full(N + 1, dt)
     weight[N] = 0.0
 
-    def fill(a: int, c: int, wu: np.ndarray):   # trapezoid-weighted
-        block[:] = a, vp.lifted_columns(a, c)
-        np.multiply(block[1].transpose(0, 2, 1, 3), weight[a:c, None], out=wu)
-        q = np.arange(c - a)
-        wu[q, :, q] *= 0.5                   # rows l and N of node l
+    prof_point, prof_bound = np.zeros(N + 1), np.zeros(N)
+    b = max(1, min(_BLOCK, _BLOCK_COLUMNS // w, N + 1))
+    for c in range(N + 1, 0, -b):
+        a = max(c - b, 0)
+        nb, M, ls, q = c - a, N + 1 - a, slice(a, c), np.arange(c - a)
+        # node l's columns on rows a..N, zero below l, as [r, :, l, :],
+        # and the trapezoid-weighted stack: rows l and N halved
+        u = vp.lifted_columns(a, c).transpose(0, 2, 1, 3)
+        wu = u * weight[ls, None]
+        wu[q, :, q] *= 0.5
         wu[-1] *= 0.5
+        # the border columns H(., l) W(l) on rows a..N, corners symmetrized
+        col = (H[ls, :, a * d:].transpose(0, 2, 1) @ W[ls]).reshape(
+            nb, M, d, d)
+        col[q, q] = corner[ls]
 
-    prof_point = np.zeros(N + 1)
-    prof_bound, prof_evol = np.zeros(N), np.zeros(N)
-    D, jump = None, bool(src.nonzero("R2"))
-    for l, wu, inner in _applied(P.H, P.W, corner, P.rcal_inv, n + P.m, fill,
-                                 dt):
-        M = N - l
-        # p1 u plus slice l against the weighted stack: g2 (:n) and the
-        # control products (n:), trapezoid-weighted; the slice's border
-        # column at l is the stored left-rectangle H(., l) W(l)
-        col = P.border(l)
-        corner[l] = col[:d]
-        a, cols = block
-        G = P.p1[l:] @ cols[l - a:, l - a]
-        G += (col @ wu[0]).reshape(M + 1, d, -1)
-        if M:
-            G[0] += P.W[l].T @ (P.H[l, :, (l + 1) * d:]
-                                @ wu[1:].reshape(M * d, -1))
-            G[1:] += inner
-        g1t = _sym(wu[..., :n].reshape(-1, n).T @ G[..., :n].reshape(-1, n))
-        D1l = D1[l]
-        rct_inv = np.linalg.inv(vp.R[l] + D1l.T @ g1t @ D1l)
-        cgd = vp.Ccal[l].T @ g1t @ D1l
-        dgc = D1l.T @ g1t @ vp.Ccal[l]
-        lhs1 = P.p1[l] - (vp.Q[l] + vp.Ccal[l].T @ g1t @ vp.Ccal[l]
-                          - cgd @ rct_inv @ dgc)
-        prof_point[l] = float(np.abs(lhs1).max())
-        # live rows only: the dead ones are 0.0 in both drifts
-        cur = _live_rows(pb[l:, l], P.live)
-        nxt, D = D, (cur @ P.rcal_inv[l]) @ cur.T
-        if l == N:
-            continue
+        # G = p1 u plus slice l against the weighted stack: g2 (:n) and
+        # the control products (n:), trapezoid-weighted; the border
+        # column, then row l and the interior against rows l+1..N
+        G = (P.p1[a:] @ u.reshape(M, d, nb * w)).reshape(M, d, nb, w)
+        G += (col.reshape(nb, M * d, d) @ wu[q, :, q]).reshape(
+            nb, M, d, w).transpose(1, 2, 0, 3)
+        if M > 1:
+            v = wu[1:].copy()
+            v[q[1:] - 1, :, q[1:]] = 0.0
+            G[q, :, q] += W[ls].transpose(0, 2, 1) @ (
+                H[ls, :, (a + 1) * d:]
+                @ v.transpose(2, 0, 1, 3).reshape(nb, (M - 1) * d, w))
+            G[1:] += _interior(
+                H, W, corner, P.rcal_inv, a + 1, v.reshape(M - 1, d, nb * w),
+                dt, first=np.repeat(np.arange(a + 1, c + 1), w)
+            ).reshape(M - 1, d, nb, w)
+            del v
+        # node by node: G and the stack's selector columns as (nb, M d, .)
+        G = G.transpose(2, 0, 1, 3).reshape(nb, M * d, w)
+        wu = wu[..., :n].transpose(2, 0, 1, 3).reshape(nb, M * d, n)
 
-        lhs3 = col[d:].reshape(M, d, d) - (G[1:, :, :n] @ vp.Acal[l]
-                                           - G[1:, :, n:] @ (rct_inv @ dgc))
-        prof_bound[l] = float(np.abs(lhs3).max())
+        g1t = _sym(wu.transpose(0, 2, 1) @ G[..., :n])
+        D1b, Cb = D1[ls], vp.Ccal[ls]
+        D1bT, CbT = D1b.transpose(0, 2, 1), Cb.transpose(0, 2, 1)
+        rct_inv = np.linalg.inv(vp.R[ls] + D1bT @ g1t @ D1b)
+        cgd = CbT @ g1t @ D1b
+        dgc = D1bT @ g1t @ Cb
+        lhs1 = P.p1[ls] - (vp.Q[ls] + CbT @ g1t @ Cb - cgd @ rct_inv @ dgc)
+        prof_point[ls] = np.abs(lhs1).max(axis=(1, 2))
 
-        # effective weight jumps one delay before the horizon
-        if not (l == N - k - 1 and jump):
-            prof_evol[l] = _evolution_max(nxt, D, M, k)
+        # the boundary line on rows r > l: node l's row is its corner
+        lhs3 = G @ np.concatenate([vp.Acal[ls], -(rct_inv @ dgc)], axis=1)
+        np.subtract(col.reshape(nb, M * d, d), lhs3, out=lhs3)
+        lhs3 = np.abs(lhs3, out=lhs3).reshape(nb, M, d, d)
+        lhs3[q, q] = 0.0
+        if a < N:
+            top = min(c, N)
+            prof_bound[a:top] = lhs3[:top - a].max(axis=(1, 2, 3))
+
+    prof_evol = _evolution_profile(P, g.delay_steps)
+    # effective weight jumps one delay before the horizon
+    if src.nonzero("R2") and 0 <= N - g.delay_steps - 1:
+        prof_evol[N - g.delay_steps - 1] = 0.0
 
     return RiccatiResiduals(
         pointwise=float(prof_point.max()),

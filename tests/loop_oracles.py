@@ -55,7 +55,9 @@ Hessian, gradient and constant as ``extended_cost_paths`` and
 ``bilinear`` assembled them from that stepper's runs.  ``per_node_sweep``
 and ``per_node_residual`` are the Riccati sweep and residual as they ran
 before they applied the slices to blocks of nodes: one ``_interior``
-call per node over all of its future rows.
+call per node over all of its future rows; the residual's evolution line
+forms each node's D whole (``_live_rows``) and takes its max in row
+blocks (``_evolution_max``).
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -76,8 +78,9 @@ from delaylq import cli
 from delaylq.cli import replay
 from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
 from delaylq.exceptions import NumericalError
-from delaylq.riccati import (RiccatiResiduals, RiccatiSolution, _evolution_max,
-                             _interior, _live_rows, _lost_definiteness, _sym)
+from delaylq.riccati import (_EVOLUTION_BLOCK, RiccatiResiduals,
+                             RiccatiSolution, _interior, _lost_definiteness,
+                             _sym)
 from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
 from delaylq.volterra import _node_product
 
@@ -1007,6 +1010,37 @@ def qp_terms(problem):
     gvec = 2.0 * bilinear(problem, tb, ta)[:, 0]
     c0 = float(bilinear(problem, ta, ta)[0, 0])
     return H, gvec, c0
+
+
+def _live_rows(pb: np.ndarray, live: slice) -> np.ndarray:
+    """The live rows of the control products pb (M, 3n, m), as (M L n, m)."""
+    M, d, m = pb.shape
+    return pb.reshape(M, 3, d // 3, m)[:, live].reshape(-1, m)
+
+
+def _evolution_max(nxt: np.ndarray, D: np.ndarray, M: int, k: int) -> float:
+    """max |sym(nxt) - D| over pairs of smooth nodes, D = D(l) on the nodes
+    l+1..N (offsets 1..M) and nxt = D(l+1) there.  A node is rough within
+    one node of offset k or 2k.  Taken over row blocks: each element is
+    0.5 (nxt[i, j] + nxt[j, i]) - D[i, j] as ``_sym`` forms it, and the
+    rough rows and columns of a block are zeroed through slices."""
+    ln = nxt.shape[0] // M                  # live rows per node
+    bands = [(max(c - 2, 0) * ln, min(c + 1, M) * ln) for c in (k, 2 * k)
+             if c - 2 < M]
+    rows = nxt.shape[0]
+    step = max(1, _EVOLUTION_BLOCK // rows)
+    worst = 0.0
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        blk = nxt[r0:r1] + nxt[:, r0:r1].T
+        blk *= 0.5
+        blk -= D[ln + r0:ln + r1, ln:]
+        for a, b in bands:
+            blk[:, a:b] = 0.0
+            if a < r1 and b > r0:
+                blk[max(a - r0, 0):b - r0] = 0.0
+        worst = max(worst, float(np.abs(blk, out=blk).max()))
+    return worst
 
 
 def per_node_sweep(vp) -> RiccatiSolution:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import delaylq as dl
-from delaylq import cli, oracles, volterra
+from delaylq import cli, oracles, riccati, volterra
 from delaylq.cli import main as cli_main, replay
 from delaylq.riccati import RiccatiSolution
 from evaluators import (bcal, frontier, g2, g3, p2, p2_slice, star_left,
@@ -544,6 +544,57 @@ class TestResiduals:
         s = solved["tanh"]
         oracles.casev_consistency(s.P, s.strategy,
                                   oracles.classical_riccati(s.problem), s.vp)
+
+    @pytest.mark.parametrize("name", ["input-delay", "full"])
+    def test_residual_makes_one_slice_product_per_block(self, name,
+                                                        monkeypatch):
+        # every row of the tables is final when the residual runs, so one
+        # product over rows a+1..N applies the slices of a whole block of
+        # nodes [a, c); a node-by-node schedule makes about N of them
+        vp = dl.build_volterra(dl.preset_problem(name, 120))
+        P = dl.solve_riccati(vp)
+        product, calls = riccati._interior, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return product(*args, **kwargs)
+
+        monkeypatch.setattr(riccati, "_interior", counted)
+        dl.riccati_residual(P, vp)
+        assert 0 < len(calls) <= -(-(P.N + 1) // 16), calls
+
+    def test_residual_allocates_a_block_and_a_tile(self):
+        # the bound, in doubles, from what the residual holds at once:
+        # - the evolution line's tile and its scratch, 2 _EVOLUTION_BLOCK;
+        # - a block's arrays of stack size, (N+1) d b w: the lifted
+        #   columns, the weighted stack, G, the stack on rows past l, and
+        #   _interior's H u, x, result and one product temporary, eight;
+        # - of border size, (N+1) b d^2: the border columns, the boundary
+        #   line and the last block's boundary line, three;
+        # - the drift factors: F and Q of a tile's two nodes, the four
+        #   masked factors, three transposes and the mask, twelve rows of
+        #   (N+1) L n max(m, 2).
+        # One drift matrix D(l) is (M L n)^2 doubles: 4.1 MB on full and
+        # 0.46 MB on input-delay at M = N = 240.  Keeping D(l) and D(l+1)
+        # on full, or those of a chunk of 16 nodes on input-delay, exceeds
+        # the bound (about 2.9 MB on both)
+        for name in ("full", "input-delay"):
+            vp = dl.build_volterra(dl.preset_problem(name, 240))
+            P = dl.solve_riccati(vp)
+            N, n, m = P.N, P.n, P.m
+            d, w, b = 3 * n, n + m, riccati._BLOCK
+            L = len(range(3)[P.live])
+            bound = 8 * (2 * riccati._EVOLUTION_BLOCK
+                         + 8 * (N + 1) * d * b * w
+                         + 3 * (N + 1) * b * d * d
+                         + 12 * (N + 1) * L * n * max(m, 2))
+            tracemalloc.start()
+            try:
+                dl.riccati_residual(P, vp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (name, peak, bound)
 
     def test_boundary_line_checks_the_stored_factors(self, solve_preset):
         # one stored g2 entry of node l moved by delta moves the boundary
