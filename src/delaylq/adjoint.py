@@ -12,11 +12,11 @@ in H's own [t, m, s, a] layout, and every table derived from it (its
 suffix sums over the future index s, its products against the memory
 kernel, the control impulse's history gain) keeps that layout.  The
 history kernel is collected against the lifted state's reconstruction
-in terms of the original trajectories.  The current-state gain sums Gamma
-against the selector column U(., t) of ``VolterraProblem.lifted_columns``,
-one product per node; the delay-shifted and memory channels of the
-control gain and the offset's initial windows are contractions against
-the suffix tables, with no loop over nodes.
+in terms of the original trajectories.  The current-state gain, the
+delay-shifted and memory channels of the control gain and the offset's
+initial windows are read off or contracted against the suffix tables,
+with no loop over nodes: Gamma summed against the selector column
+U(., t) is the control impulse's history gain at its own node.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ProblemValidationError
-from .riccati import _BLOCK, RiccatiSolution
+from .riccati import RiccatiSolution
 from .volterra import VolterraProblem, _node_product, memory_kernel
 
 
@@ -70,23 +70,6 @@ def synthesize_feedback(P: RiccatiSolution,
     gam[nodes, :, nodes] *= 0.0
     gam2, gam3 = gam[..., n:2 * n], gam[..., 2 * n:]
 
-    # current-state gain: pointwise part plus the history gain against the
-    # selector column U(., t), one BLAS product per node over every s
-    # (rows s < t zero).  The column is held as U(., t)^T, contiguous
-    # along (s, a): with m = 1 numpy runs the product as a matrix-vector
-    # product, which sums in the dense contraction's order only over a
-    # contiguous row
-    col = np.zeros((n, nn, d))
-    hist = np.empty((nn, m, n))
-    for c in range(nn, 0, -_BLOCK):
-        a = max(c - _BLOCK, 0)
-        U = vp.lifted_columns(a, c, control=False)
-        for t in range(c - 1, a - 1, -1):
-            col[:, t:] = U[t - a:, t - a].transpose(2, 0, 1)
-            hist[t] = gam[t].reshape(m, -1) @ col.reshape(n, -1).T
-    k1 = Xi[:, :, :n] + hist * dt
-    k3 = Xi[:, :, n:2 * n].copy()
-
     # distributed-state gain, with the history term
     # sum_{alpha>t} Gamma3(alpha, t) F[alpha, beta] dt
     k2 = np.einsum("tmx,tsxy->tsmy", Xi[:, :, 2 * n:], src.F)
@@ -106,10 +89,16 @@ def synthesize_feedback(P: RiccatiSolution,
     s3 = _node_product(gam3, vp.E.transpose(0, 2, 1, 3), dt).transpose(
         0, 2, 1, 3)
 
-    # i1grid[t, :, p]: future history gain seen by a control impulse that
-    # enters through the delay-shifted channel at node p >= t
+    # i1grid[t, :, p] = sum_{r > p} Gamma(r, t) U(r, p) dt: future history
+    # gain seen by a control impulse that enters through the delay-shifted
+    # channel at node p >= t
     i1grid = suf1[:, :, 1:] + suf2[:, :, np.minimum(nodes + k + 1, nn)]
     i1grid += s3
+
+    # current-state gain: the pointwise part plus the history gain against
+    # the selector column U(., t), i1grid's diagonal p = t
+    k1 = Xi[:, :, :n] + i1grid[nodes, :, nodes]
+    k3 = Xi[:, :, n:2 * n].copy()
 
     # distributed-control gain: shifted channel plus the memory channel
     k4 = np.zeros((nn, nn, m, m))

@@ -311,7 +311,8 @@ def _verify_cases(problem, vp, P, strategy, summary) -> None:
 def _verify_stationarity(problem, strategy, args, summary) -> None:
     g = problem.grid
     batch = gen_brownian(g, args.n_paths, args.seed)
-    rng = np.random.Generator(np.random.Philox(key=[args.seed, 2 ** 32]))
+    rng = np.random.Generator(np.random.Philox(
+        key=[args.seed & (2 ** 64 - 1), 2 ** 32]))
     n_dirs = 20
     dirs = rng.standard_normal((n_dirs, g.N + 1, problem.m))
     dirs[:, g.N] = 0.0

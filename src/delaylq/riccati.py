@@ -227,11 +227,11 @@ _BLOCK, _BLOCK_COLUMNS = 16, 80
 
 
 def _applied(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
-             k: int, fill, dt: float, p1: np.ndarray | None = None):
+             k: int, fill, dt: float, p1: np.ndarray):
     """Yield (l, u, out) for l = N..0: u (N+1-l, d, k) node l's stack over
-    nodes l..N, which ``fill`` writes, and out (N-l, d, k) the slice
-    at node l applied to u[1:] as ``_interior`` forms it; with p1 given,
-    dt out + p1 u[1:].
+    nodes l..N, which ``fill`` writes, and out (N-l, d, k) dt times the
+    slice at node l applied to u[1:], as ``_interior`` forms it, plus
+    p1 u[1:].
 
     The nodes run in blocks [a, c) from the horizon back, and ``fill(a, c,
     U)`` writes a block's stacks before its first node, node l's over nodes
@@ -250,16 +250,14 @@ def _applied(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
         if c <= N:
             U = X[c:, :, :c - a].reshape(N + 1 - c, d, -1)
             far = _interior(H, W, C, rcal_inv, c, U, dt)
-            if p1 is not None:
-                far *= dt
-                far += p1[c:] @ U
+            far *= dt
+            far += p1[c:] @ U
         for j, l in enumerate(range(c - 1, a - 1, -1)):
             u, M, t = X[l:, :, j], N - l, c - 1 - l
             out = (_interior(H, W, C, rcal_inv, l + 1, u[1:], dt, c) if t
                    else np.zeros((M, d, k)))
-            if p1 is not None:
-                out *= dt
-                out[:t] += p1[l + 1:c] @ u[1:t + 1]
+            out *= dt
+            out[:t] += p1[l + 1:c] @ u[1:t + 1]
             if far is not None:
                 out[t:] += far[:, :, j * k:(j + 1) * k]
             yield l, u, out

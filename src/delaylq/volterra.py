@@ -154,24 +154,21 @@ class VolterraProblem:
     Ccal: np.ndarray     # (N+1, n, 3n) row (C1, C2, C3)
     source: DelayLQProblem
 
-    def lifted_columns(self, a: int = 0, c: int | None = None,
-                       control: bool = True) -> np.ndarray:
+    def lifted_columns(self, a: int = 0, c: int | None = None) -> np.ndarray:
         """[U | B](t_i, t_l) for the base nodes l = a..c-1 (c = N+1 by
         default) on the rows i = a..N, as [i - a, l - a] blocks (3n, n + m),
-        zero for i < l; U alone, (3n, n) blocks, if not ``control``.  The
-        indicators come from the offsets i - l, so a block costs
-        O((N - a)(c - a)), and each block is the dense table's bit for bit."""
+        zero for i < l.  The indicators come from the offsets i - l, so a
+        block costs O((N - a)(c - a)), and each block is the dense table's
+        bit for bit."""
         g, src, n, m = self.grid, self.source, self.n, self.m
         nn, k, dt = g.N + 1, g.delay_steps, g.dt
         c = nn if c is None else c
         M, w = nn - a, c - a
-        out = np.zeros((M, w, 3 * n, n + m if control else n))
+        out = np.zeros((M, w, 3 * n, n + m))
         lag = np.arange(M)[:, None] - np.arange(w)      # i - l
         out[lag >= 0, :n, :n] = np.eye(n)
         out[lag > k, n:2 * n, :n] = np.eye(n)
         out[:, :, 2 * n:, :n] = self.E[a:, a:c]
-        if not control:
-            return out
 
         # control kernel rows; B2 shifted by the delay, B3 routed through
         # Ftilde
@@ -210,13 +207,8 @@ def lifted_kernel(vp: VolterraProblem, row: np.ndarray) -> np.ndarray:
     ``row`` is a coefficient row (N+1, n, c), giving a kernel such as
     A from Acal, or a free-term row (N+1, n), giving btilde from b.
     """
-    nn, n = vp.grid.N + 1, vp.n
-    sub = "rab,b->ra" if row.ndim == 2 else "rab,bc->rac"
-    out = np.zeros((nn, nn, 3 * n) + row.shape[2:])
-    U = vp.lifted_columns(control=False)
-    for j in range(nn):
-        out[j:, j] = np.einsum(sub, U[j:, j], row[j])
-    return out
+    sub = "ijab,jb->ija" if row.ndim == 2 else "ijab,jbc->ijac"
+    return np.einsum(sub, vp.lifted_columns()[..., :vp.n], row)
 
 
 def build_volterra(problem: DelayLQProblem) -> VolterraProblem:

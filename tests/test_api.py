@@ -34,9 +34,9 @@ def test_all_is_pinned_to_the_public_names():
         assert hasattr(dl, name), name
 
 
-#: The lifted problem keeps the control kernel whole and every other
-#: kernel as a coefficient row for the selector; a new stored table shows
-#: up here.
+#: The lifted problem keeps every kernel as node data for the selector,
+#: with only the memory rows' sums of the control kernel stored; a new
+#: stored table shows up here.
 VOLTERRA_FIELDS = ["grid", "n", "m", "phi", "Q", "R", "legacy_cost", "E",
                    "memory_sums", "Acal", "Ccal", "source"]
 

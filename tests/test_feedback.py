@@ -156,6 +156,22 @@ class TestSynthesis:
             scale = max(np.abs(s.strategy.k1[t]).max(), 1e-12)
             assert np.abs(k1_form - s.strategy.k1[t]).max() / scale < 1e-10
 
+    def test_synthesis_builds_no_lifted_columns(self, monkeypatch):
+        # k1 comes from the synthesis' own suffix table, not from the
+        # selector columns; N = 40 spans three blocks of 16 nodes
+        vp = dl.build_volterra(dl.preset_problem("full", 40))
+        P = dl.solve_riccati(vp)
+        calls = []
+        columns = dl.VolterraProblem.lifted_columns
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return columns(self, *args, **kwargs)
+
+        monkeypatch.setattr(dl.VolterraProblem, "lifted_columns", counted)
+        dl.synthesize_feedback(P, vp)
+        assert calls == []
+
     def test_k4_matches_stacked_cumulative_form(self, solve_preset):
         # the distributed-control gain re-derived from the shifted-channel
         # stack and the memory cumulative, paired against the history gain

@@ -245,7 +245,7 @@ def test_selector_columns_and_kernels_match_dense_table(case):
     p = SELECTOR[case]()
     vp = dl.build_volterra(p)
     U = loop_oracles.dense_selector(vp)
-    cols = vp.lifted_columns(control=False)
+    cols = vp.lifted_columns()[..., :p.n]
     for l in range(p.grid.N + 1):
         col = cols[l:, l]
         np.testing.assert_array_equal(col, U[l:, l], err_msg=l)
@@ -254,12 +254,25 @@ def test_selector_columns_and_kernels_match_dense_table(case):
                                       loop_oracles.dense_lifted_kernel(U, row))
 
 
+def assert_k1_matches_dense(p):
+    # k1 is read off the suffix table i1grid, whose sequential sums over
+    # the future index round apart from the dense contraction's
+    vp, P = solved(p)
+    got = dl.synthesize_feedback(P, vp).k1
+    want = loop_oracles.dense_k1(P, vp)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
 @pytest.mark.parametrize("case", sorted(SYNTHESIS))
 def test_k1_matches_dense_selector_sum(case):
-    # one selector column at a time, in the dense contraction's order
-    vp, P = solved(SYNTHESIS[case]())
-    strat = dl.synthesize_feedback(P, vp)
-    np.testing.assert_array_equal(strat.k1, loop_oracles.dense_k1(P, vp))
+    assert_k1_matches_dense(SYNTHESIS[case]())
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=admissible_problems())
+def test_k1_matches_dense_selector_sum_on_admissible_draws(p):
+    assert_k1_matches_dense(p)
 
 
 #: the problems the sweep is pinned to the Euler sweep on
