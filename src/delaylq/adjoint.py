@@ -7,16 +7,13 @@ pair's selector sum ``eta1`` and the offset ``omega`` of the causal
 feedback.  The closed-loop gains come from the causal pair: the
 pointwise gain Xi on the lifted state, the rows of ``W``, and the
 history gain Gamma(s, t) = -rcal_inv(t) (P*B)(s, t)^T, the control rows
-of the factor table ``H`` scaled once per node.  Gamma is formed once,
-in H's own [t, m, s, a] layout, and every table derived from it (its
-suffix sums over the future index s, its products against the memory
-kernel, the control impulse's history gain) keeps that layout.  The
-history kernel is collected against the lifted state's reconstruction
-in terms of the original trajectories.  The current-state gain, the
-delay-shifted and memory channels of the control gain and the offset's
-initial windows are read off or contracted against the suffix tables,
-with no loop over nodes: Gamma summed against the selector column
-U(., t) is the control impulse's history gain at its own node.
+of the factor table ``H`` scaled per node.  The synthesis loops over
+blocks of nodes t: a block forms its rows of Gamma, in H's [t, m, s, a]
+layout, and of every table derived from them (suffix sums over the
+future index s, products against F, E and the memory kernel, the
+control impulse's history gain, whose diagonal gives the current-state
+gain), then writes its rows of the gains and the offset.  Only the
+results and the products' fixed operands span the whole grid.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import riccati
 from .exceptions import ProblemValidationError
 from .riccati import RiccatiSolution
 from .volterra import VolterraProblem, _node_product, memory_kernel
@@ -49,87 +47,89 @@ def synthesize_feedback(P: RiccatiSolution,
                         vp: VolterraProblem) -> FeedbackStrategy:
     g = vp.grid
     N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
-    nn, d = N + 1, 3 * n
-    src = vp.source
-    Xi = P.W[:, n:]
-    nodes = np.arange(nn)
-    later = np.tri(nn, k=-1, dtype=bool)    # [t, s]: t > s
-    # pairs t > s within one delay of each other, where the delay-shifted
-    # channel of the state and control gains reads the node s + k
-    ts, ss = np.nonzero((nodes[None, :] + k >= nodes[:, None])
-                        & (nodes[None, :] + k <= N) & later)
-    # the history gain gam[t, :, s] = Gamma(s, t) from H's control rows,
-    # zero for s < t as they are
-    gam = np.einsum("tiq,tqsa->tisa", P.rcal_inv,
-                    P.H[:, n:].reshape(nn, m, nn, d), order="C")
-    np.negative(gam, out=gam)
-    # the state gain reads Gamma(s + k, t) on the diagonal too: take it
-    # before the history gain loses its diagonal, which is scaled by 0.0
-    # to keep the sign of its zeros
-    shifted = gam[ts, :, ss + k, n:2 * n]
-    gam[nodes, :, nodes] *= 0.0
-    gam2, gam3 = gam[..., n:2 * n], gam[..., 2 * n:]
+    nn, d, lim = N + 1, 3 * n, min(k, N)
+    src, Xi, nodes = vp.source, P.W[:, n:], np.arange(nn)
+    # the products' fixed right-hand operands, contiguous once (views for
+    # n = m = 1): F, E and the memory column B3 Ftilde as [r, x, s, y]
+    Ft, Et = (np.ascontiguousarray(x.transpose(0, 2, 1, 3))
+              for x in (src.F, vp.E))
+    bft = (np.ascontiguousarray(memory_kernel(src).transpose(0, 2, 1, 3))
+           if src.has_memory else None)
+    k1, v = np.empty((nn, m, n)), np.empty((nn, m))
+    k2, k4 = np.empty((nn, nn, m, n)), np.zeros((nn, nn, m, m))
 
-    # distributed-state gain, with the history term
-    # sum_{alpha>t} Gamma3(alpha, t) F[alpha, beta] dt
-    k2 = np.einsum("tmx,tsxy->tsmy", Xi[:, :, 2 * n:], src.F)
-    k2 += _node_product(gam3, src.F.transpose(0, 2, 1, 3), dt)
-    if ts.size:
-        k2[ts, ss] += shifted
-    k2 *= later[:, :, None, None]
+    def history_gain(a, c, cols, out=None):
+        # gam[t, :, s] = Gamma(s, t), t = a..c-1, on the lifted columns
+        # cols, from H's control rows: zero for s < t as they are
+        gam = np.einsum("tiq,tqsa->tisa", P.rcal_inv[a:c], P.H[
+            a:c, n:].reshape(c - a, m, nn, d)[..., cols], out=out, order="C")
+        return np.negative(gam, out=gam)
 
-    # suffix sums of the first two history-gain blocks over the future
-    # index, suf[t, :, q] = sum_{r >= q} gam[t, :, r] dt with
-    # suf[:, :, nn] = 0, and s3[t, :, p] = sum_{r > t} gam3[t, :, r] E[r, p] dt
-    suf = np.zeros((nn, m, nn + 1, 2 * n))
-    suf[:, :, :nn] = gam[..., :2 * n]
-    np.cumsum(suf[:, :, ::-1], axis=2, out=suf[:, :, ::-1])
-    suf *= dt
-    suf1, suf2 = suf[..., :n], suf[..., n:]
-    s3 = _node_product(gam3, vp.E.transpose(0, 2, 1, 3), dt).transpose(
-        0, 2, 1, 3)
+    # a block's numpy calls cost the same at any size, and it reads the
+    # fixed operands whole, which outgrow the cache from N ~ 500 on: it is
+    # at least two _BLOCKs and 1/8 of the grid, in whole _BLOCKs
+    b = riccati._BLOCK * max(2, -(-nn // (8 * riccati._BLOCK)))
+    for a in range(0, nn, b):
+        t = nodes[a:a + b]
+        c, rows = t[-1] + 1, t - a
+        later = t[:, None] > nodes          # [t, s]: t > s
+        # pairs t > s within a delay (ts from a): shifted channel at s + k
+        ts, ss = np.nonzero((nodes + k >= t[:, None]) & (nodes + k <= N)
+                            & later)
 
-    # i1grid[t, :, p] = sum_{r > p} Gamma(r, t) U(r, p) dt: future history
-    # gain seen by a control impulse that enters through the delay-shifted
-    # channel at node p >= t
-    i1grid = suf1[:, :, 1:] + suf2[:, :, np.minimum(nodes + k + 1, nn)]
-    i1grid += s3
+        # k2 = Xi3(t) F(t, s) + sum_{r>t} Gamma3(r, t) F(r, s) dt, and
+        # s3[t, :, p] = sum_{r>t} Gamma3(r, t) E(r, p) dt; Gamma's
+        # diagonal is scaled by 0.0 to keep the sign of its zeros
+        gam3 = history_gain(a, c, slice(2 * n, d))
+        gam3[rows, :, t] *= 0.0
+        k2b, k4b = k2[a:c], k4[a:c]
+        np.einsum("tmx,tsxy->tsmy", Xi[a:c, :, 2 * n:], src.F[a:c], out=k2b)
+        k2b += _node_product(gam3, Ft, dt)
+        s3 = _node_product(gam3, Et, dt).transpose(0, 2, 1, 3)
+        del gam3
+        # suf[t, :, q] = sum_{r >= q} Gamma12(r, t) dt, suf[:, :, nn] = 0,
+        # in place of Gamma12 once k2's shifted channel (Gamma2(s + k, t),
+        # diagonal included) and v's window t < a <= lim have read it
+        suf = np.zeros((c - a, m, nn + 1, 2 * n))
+        gam = history_gain(a, c, slice(0, 2 * n), suf[:, :, :nn])
+        k2b[ts, ss] += gam[ts, :, ss + k, n:]
+        k2b *= later[:, :, None, None]
+        gam[rows, :, t] *= 0.0
+        init = np.einsum("tmax,ax->atm", gam[:, :, 1:lim + 1, n:],
+                         src.xi[1:lim + 1], order="C") * dt
+        np.cumsum(suf[:, :, ::-1], axis=2, out=suf[:, :, ::-1])
+        suf *= dt
+        j = max(nn + 1 - k, 0)      # suf1(q) += suf2(min(q + k, nn))
+        suf[:, :, :j, :n] += suf[:, :, k:, n:]
+        suf[:, :, j:, :n] += suf[:, :, nn:, n:]
+        # i1grid[t, :, p] = sum_{r>p} Gamma(r, t) U(r, p) dt, the history
+        # gain a control impulse entering the shifted channel at p >= t
+        # sees; in place of s3, the one seen where the memory channel
+        # reaches the state at theta > t
+        i1grid = suf[:, :, 1:, :n] + s3
+        if bft is not None:
+            s3 += suf[:, :, :nn, :n]
+            s3 *= (nodes > t[:, None])[:, None, :, None]
+        del gam, suf
+        # current-state gain: i1grid's diagonal p = t is the history gain
+        # against the selector column U(., t)
+        k1[a:c] = Xi[a:c, :, :n] + i1grid[rows, :, t]
+        # distributed-control gain: shifted channel, then the memory
+        # channel, u(s) reaching the state at theta > t
+        k4b[ts, ss] += np.einsum("pmx,pxq->pmq", i1grid[ts, :, ss + k],
+                                 src.B2[ss + k])
+        # offset: adjoint part and the initial windows (t < a <= lim,
+        # t <= p < lim), summed term by term along the stack's first axis
+        ctrl = np.einsum("ptmq,pq->ptm", np.einsum(
+            "tmpx,pxq->ptmq", i1grid[:, :, :lim], src.B2[:lim]),
+            src.varsigma[:lim], order="C") * dt
+        ctrl *= (t <= nodes[:lim, None])[:, :, None]
+        v[a:c] = np.concatenate([P.omega[None, a:c], init, ctrl]).sum(axis=0)
+        if bft is not None:
+            k4b += _node_product(s3, bft, dt)
+        k4b *= later[:, :, None, None]
 
-    # current-state gain: the pointwise part plus the history gain against
-    # the selector column U(., t), i1grid's diagonal p = t
-    k1 = Xi[:, :, :n] + i1grid[nodes, :, nodes]
-    k3 = Xi[:, :, n:2 * n].copy()
-
-    # distributed-control gain: shifted channel plus the memory channel
-    k4 = np.zeros((nn, nn, m, m))
-    if ts.size:
-        k4[ts, ss] += np.einsum("pmx,pxq->pmq", i1grid[ts, :, ss + k],
-                                src.B2[ss + k])
-    if src.has_memory:
-        # u(s) reaches the state at theta > t through B3(theta)
-        # Ftilde(theta, s); w[t, :, theta] is the history gain seen there
-        bf = memory_kernel(src)                       # (theta, s, n, m)
-        w = suf1[:, :, :nn] + suf2[:, :, np.minimum(nodes + k, nn)]
-        w += s3
-        w *= later.T[:, None, :, None]
-        k4 += _node_product(w, bf.transpose(0, 2, 1, 3), dt)
-    k4 *= later[:, :, None, None]
-
-    # offset: adjoint part, initial-state window (t < a <= lim) and
-    # initial-control window (t <= p < lim; shifted-channel nodes beyond
-    # the horizon contribute nothing).  The stack is summed along its
-    # leading axis, which numpy does term by term in this order, and in
-    # the order of the stack's layout: both windows are C-ordered.
-    lim = min(k, N)
-    init = np.einsum("tmax,ax->atm", gam2[:, :, 1:lim + 1],
-                     src.xi[1:lim + 1], order="C") * dt
-    ctrl = np.einsum("ptmq,pq->ptm", np.einsum(
-        "tmpx,pxq->ptmq", i1grid[:, :, :lim], src.B2[:lim]),
-        src.varsigma[:lim], order="C") * dt
-    ctrl *= (nodes[None, :] <= nodes[:lim, None])[:, :, None]
-    v = np.concatenate([P.omega[None], init, ctrl]).sum(axis=0)
-
-    return FeedbackStrategy(k1=k1, k2=k2, k3=k3, k4=k4, v=v)
+    return FeedbackStrategy(k1, k2, Xi[:, :, n:2 * n].copy(), k4, v)
 
 
 def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:

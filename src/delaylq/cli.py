@@ -231,10 +231,11 @@ def cmd_solve(args) -> int:
                       leads)
     _write_node_table(os.path.join(args.out, "riccati_p1.csv"), g, P.p1)
     if args.dump_kernels:
-        kernels = {"A": lifted_kernel(vp, vp.Acal),
-                   "B": vp.lifted_columns()[..., vp.n:],
-                   "C": lifted_kernel(vp, vp.Ccal),
-                   "D": lifted_kernel(vp, problem.D1)}
+        columns = vp.lifted_columns()       # [U | B], formed once
+        kernels = {"A": lifted_kernel(vp, vp.Acal, columns),
+                   "B": columns[..., vp.n:],
+                   "C": lifted_kernel(vp, vp.Ccal, columns),
+                   "D": lifted_kernel(vp, problem.D1, columns)}
         for name, table in kernels.items():
             _write_pair_table(os.path.join(args.out, f"kernel_{name}.csv"),
                               table, leads)

@@ -90,7 +90,9 @@ def _node_product(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     """scale sum_{r, x} a[t, i, r, x] b[r, x, s, j] as (t, s, i, j), in
     the bounded BLAS calls of ``_by_node_rows``: one product over every
     node is split across threads from N ~ 480 on, and its sums then change
-    with the thread count."""
+    with the thread count.  A strided operand is copied contiguous first;
+    a caller that applies one b to many blocks of rows of a passes it
+    contiguous, so that it is copied once."""
     nt, i, nr, x = a.shape
     ns, j = b.shape[2:]
     # contiguous operands: a strided view (reshape returns one where it
@@ -201,14 +203,17 @@ class VolterraProblem:
         return out
 
 
-def lifted_kernel(vp: VolterraProblem, row: np.ndarray) -> np.ndarray:
+def lifted_kernel(vp: VolterraProblem, row: np.ndarray,
+                  columns: np.ndarray | None = None) -> np.ndarray:
     """Dense table U(t_i, t_j) row(t_j) for j <= i, zero above the diagonal.
 
     ``row`` is a coefficient row (N+1, n, c), giving a kernel such as
     A from Acal, or a free-term row (N+1, n), giving btilde from b.
+    ``columns`` is ``vp.lifted_columns()``, formed here if not given.
     """
+    columns = vp.lifted_columns() if columns is None else columns
     sub = "ijab,jb->ija" if row.ndim == 2 else "ijab,jbc->ijac"
-    return np.einsum(sub, vp.lifted_columns()[..., :vp.n], row)
+    return np.einsum(sub, columns[..., :vp.n], row)
 
 
 def build_volterra(problem: DelayLQProblem) -> VolterraProblem:

@@ -40,7 +40,10 @@ gain Gamma as the synthesis formed it before it worked in the factor
 table's layout, one (N+1, N+1, m, 3n) table in [s, t] order beside the
 pointwise gain Xi; ``dense_k1``, ``synthesis_k2`` and ``synthesis_k4_v``
 read it, and ``synthesis_k2`` is the distributed-state gain one pair
-(t, s) at a time.  ``memory_control_kernel`` is the
+(t, s) at a time.  ``whole_grid_synthesis`` is the synthesis as it ran
+before it went a block of nodes at a time: Gamma, its suffix sums and
+every table derived from them formed for all nodes at once, in the
+factor table's layout.  ``memory_control_kernel`` is the
 B3 part of the control kernel, built one column at a time, and
 ``dense_control_kernel`` the whole control kernel as the lifting stored
 it before it wrote the columns a block of nodes at a time.
@@ -75,6 +78,7 @@ from typing import Callable
 import numpy as np
 
 from delaylq import cli
+from delaylq.adjoint import FeedbackStrategy
 from delaylq.cli import replay
 from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
 from delaylq.exceptions import NumericalError
@@ -82,7 +86,7 @@ from delaylq.riccati import (_EVOLUTION_BLOCK, RiccatiResiduals,
                              RiccatiSolution, _interior, _lost_definiteness,
                              _sym)
 from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
-from delaylq.volterra import _node_product
+from delaylq.volterra import _node_product, memory_kernel
 
 
 @dataclass(frozen=True)
@@ -730,6 +734,95 @@ def synthesis_k4_v(P, vp, problem):
             for p in range(t, min(k, N)):
                 v[t] += i1grid[t, p] @ src.B2[p] @ src.varsigma[p] * dt
     return k4, v
+
+
+def whole_grid_synthesis(P, vp) -> FeedbackStrategy:
+    """``synthesize_feedback`` with every table over all nodes at once:
+    the history gain, its suffix sums, s3, i1grid and w, each N^2 sized,
+    alive together."""
+    g = vp.grid
+    N, dt, n, m, k = g.N, g.dt, vp.n, vp.m, g.delay_steps
+    nn, d = N + 1, 3 * n
+    src = vp.source
+    Xi = P.W[:, n:]
+    nodes = np.arange(nn)
+    later = np.tri(nn, k=-1, dtype=bool)    # [t, s]: t > s
+    # pairs t > s within one delay of each other, where the delay-shifted
+    # channel of the state and control gains reads the node s + k
+    ts, ss = np.nonzero((nodes[None, :] + k >= nodes[:, None])
+                        & (nodes[None, :] + k <= N) & later)
+    # the history gain gam[t, :, s] = Gamma(s, t) from H's control rows,
+    # zero for s < t as they are
+    gam = np.einsum("tiq,tqsa->tisa", P.rcal_inv,
+                    P.H[:, n:].reshape(nn, m, nn, d), order="C")
+    np.negative(gam, out=gam)
+    # the state gain reads Gamma(s + k, t) on the diagonal too: take it
+    # before the history gain loses its diagonal, which is scaled by 0.0
+    # to keep the sign of its zeros
+    shifted = gam[ts, :, ss + k, n:2 * n]
+    gam[nodes, :, nodes] *= 0.0
+    gam2, gam3 = gam[..., n:2 * n], gam[..., 2 * n:]
+
+    # distributed-state gain, with the history term
+    # sum_{alpha>t} Gamma3(alpha, t) F[alpha, beta] dt
+    k2 = np.einsum("tmx,tsxy->tsmy", Xi[:, :, 2 * n:], src.F)
+    k2 += _node_product(gam3, src.F.transpose(0, 2, 1, 3), dt)
+    if ts.size:
+        k2[ts, ss] += shifted
+    k2 *= later[:, :, None, None]
+
+    # suffix sums of the first two history-gain blocks over the future
+    # index, suf[t, :, q] = sum_{r >= q} gam[t, :, r] dt with
+    # suf[:, :, nn] = 0, and s3[t, :, p] = sum_{r > t} gam3[t, :, r] E[r, p] dt
+    suf = np.zeros((nn, m, nn + 1, 2 * n))
+    suf[:, :, :nn] = gam[..., :2 * n]
+    np.cumsum(suf[:, :, ::-1], axis=2, out=suf[:, :, ::-1])
+    suf *= dt
+    suf1, suf2 = suf[..., :n], suf[..., n:]
+    s3 = _node_product(gam3, vp.E.transpose(0, 2, 1, 3), dt).transpose(
+        0, 2, 1, 3)
+
+    # i1grid[t, :, p] = sum_{r > p} Gamma(r, t) U(r, p) dt: future history
+    # gain seen by a control impulse that enters through the delay-shifted
+    # channel at node p >= t
+    i1grid = suf1[:, :, 1:] + suf2[:, :, np.minimum(nodes + k + 1, nn)]
+    i1grid += s3
+
+    # current-state gain: the pointwise part plus the history gain against
+    # the selector column U(., t), i1grid's diagonal p = t
+    k1 = Xi[:, :, :n] + i1grid[nodes, :, nodes]
+    k3 = Xi[:, :, n:2 * n].copy()
+
+    # distributed-control gain: shifted channel plus the memory channel
+    k4 = np.zeros((nn, nn, m, m))
+    if ts.size:
+        k4[ts, ss] += np.einsum("pmx,pxq->pmq", i1grid[ts, :, ss + k],
+                                src.B2[ss + k])
+    if src.has_memory:
+        # u(s) reaches the state at theta > t through B3(theta)
+        # Ftilde(theta, s); w[t, :, theta] is the history gain seen there
+        bf = memory_kernel(src)                       # (theta, s, n, m)
+        w = suf1[:, :, :nn] + suf2[:, :, np.minimum(nodes + k, nn)]
+        w += s3
+        w *= later.T[:, None, :, None]
+        k4 += _node_product(w, bf.transpose(0, 2, 1, 3), dt)
+    k4 *= later[:, :, None, None]
+
+    # offset: adjoint part, initial-state window (t < a <= lim) and
+    # initial-control window (t <= p < lim; shifted-channel nodes beyond
+    # the horizon contribute nothing).  The stack is summed along its
+    # leading axis, which numpy does term by term in this order, and in
+    # the order of the stack's layout: both windows are C-ordered.
+    lim = min(k, N)
+    init = np.einsum("tmax,ax->atm", gam2[:, :, 1:lim + 1],
+                     src.xi[1:lim + 1], order="C") * dt
+    ctrl = np.einsum("ptmq,pq->ptm", np.einsum(
+        "tmpx,pxq->ptmq", i1grid[:, :, :lim], src.B2[:lim]),
+        src.varsigma[:lim], order="C") * dt
+    ctrl *= (nodes[None, :] <= nodes[:lim, None])[:, :, None]
+    v = np.concatenate([P.omega[None], init, ctrl]).sum(axis=0)
+
+    return FeedbackStrategy(k1=k1, k2=k2, k3=k3, k4=k4, v=v)
 
 
 def dense_selector(vp) -> np.ndarray:

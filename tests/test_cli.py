@@ -242,6 +242,23 @@ class TestSolve:
             data = (out / f"kernel_{name}.csv").read_bytes()
             assert hashlib.sha256(data).hexdigest() == want, name
 
+    def test_kernel_dump_forms_the_lifted_columns_once(self, tmp_path,
+                                                         monkeypatch):
+        # the three kernels and B are contracted from one [U | B] table:
+        # the dump adds one lifted_columns call to what the solve makes
+        columns, calls = dl.VolterraProblem.lifted_columns, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return columns(self, *args, **kwargs)
+
+        monkeypatch.setattr(dl.VolterraProblem, "lifted_columns", counted)
+        flags = ["solve", "--preset", "full", "--n-steps", "16"]
+        assert run([*flags, "--out", tmp_path / "plain"]) == 0
+        plain = len(calls)
+        assert run([*flags, "--out", tmp_path / "dump", "--dump-kernels"]) == 0
+        assert len(calls) - plain == plain + 1, calls
+
     @pytest.mark.parametrize("case", sorted(FEEDBACK16_SHA256))
     def test_feedback_tables_are_pinned(self, case, tmp_path):
         if case == "planar":

@@ -1,5 +1,7 @@
 """Adjoint sweep, causal gains, strategy synthesis, value function."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,7 +160,7 @@ class TestSynthesis:
 
     def test_synthesis_builds_no_lifted_columns(self, monkeypatch):
         # k1 comes from the synthesis' own suffix table, not from the
-        # selector columns; N = 40 spans three blocks of 16 nodes
+        # selector columns; N = 40 spans two of the synthesis' blocks
         vp = dl.build_volterra(dl.preset_problem("full", 40))
         P = dl.solve_riccati(vp)
         calls = []
@@ -171,6 +173,22 @@ class TestSynthesis:
         monkeypatch.setattr(dl.VolterraProblem, "lifted_columns", counted)
         dl.synthesize_feedback(P, vp)
         assert calls == []
+
+    def test_synthesis_peak_is_a_few_times_its_result(self, solve_preset):
+        # the synthesis works a block of nodes at a time: beside its
+        # results it holds the products' fixed operands (here the memory
+        # column, half a history kernel) and one block's tables.  With
+        # every table over the whole grid at once it peaks at 6.5x
+        s = solve_preset("full", 240)
+        tracemalloc.start()
+        try:
+            strat = dl.synthesize_feedback(s.P, s.vp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(getattr(strat, name).nbytes
+                     for name in ("k1", "k2", "k3", "k4", "v"))
+        assert peak <= 3 * result, (peak, result)
 
     def test_k4_matches_stacked_cumulative_form(self, solve_preset):
         # the distributed-control gain re-derived from the shifted-channel

@@ -275,6 +275,50 @@ def test_k1_matches_dense_selector_sum_on_admissible_draws(p):
     assert_k1_matches_dense(p)
 
 
+def assert_blocked_synthesis_matches_whole_grid(p, exact):
+    # the synthesis a block of nodes at a time against every table over
+    # all nodes at once: bit for bit, zero signs included, where the
+    # blocks' BLAS calls are the whole grid's, else to 1e-12
+    vp, P = solved(p)
+    got = dl.synthesize_feedback(P, vp)
+    want = loop_oracles.whole_grid_synthesis(P, vp)
+    for name in ("k1", "k2", "k3", "k4", "v"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        if exact:
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            np.testing.assert_allclose(
+                a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()),
+                err_msg=name)
+
+
+#: the problems the blocked synthesis is pinned bit for bit on: at N = 40
+#: its blocks are [0, 32) and [32, 41)
+BLOCKED_SYNTHESIS = {
+    **{name: (lambda name=name: dl.preset_problem(name, 40))
+       for name in dl.PRESET_NAMES},
+    "planar-m2": lambda: planar_problem(40, m=2),
+    "planar-memory": lambda: planar_memory_problem(40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_SYNTHESIS))
+def test_blocked_synthesis_is_the_whole_grid_bit_for_bit(case):
+    assert_blocked_synthesis_matches_whole_grid(BLOCKED_SYNTHESIS[case](),
+                                                exact=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=admissible_problems(), block=st.integers(1, 9))
+def test_blocked_synthesis_matches_whole_grid_on_admissible_draws(p, block):
+    # a _BLOCK of 1 to 4 makes blocks of 2 to 8 nodes, most with a short
+    # last one; from 5 on one block holds every node of N <= 8; the draws'
+    # delays reach k = N
+    with mock.patch.object(riccati, "_BLOCK", block):
+        assert_blocked_synthesis_matches_whole_grid(p, exact=False)
+
+
 #: the problems the sweep is pinned to the Euler sweep on
 SWEEP = {
     **{f"{name}-{N}": (lambda name=name, N=N: dl.preset_problem(name, N))
