@@ -9,7 +9,8 @@ pointwise gain Xi on the lifted state, the rows of ``W``, and the
 history gain Gamma(s, t) = -rcal_inv(t) (P*B)(s, t)^T, the control rows
 of the factor table ``H`` scaled per node.  The synthesis loops over
 blocks of nodes t: a block forms its rows of Gamma, in H's [t, m, s, a]
-layout, and of every table derived from them (suffix sums over the
+layout from the stored blocks of H it meets, and of every table derived
+from them (suffix sums over the
 future index s, products against F, E and the memory kernel, the
 control impulse's history gain, whose diagonal gives the current-state
 gain), then writes its rows of the gains and the offset.  Only the
@@ -58,12 +59,16 @@ def synthesize_feedback(P: RiccatiSolution,
     k1, v = np.empty((nn, m, n)), np.empty((nn, m))
     k2, k4 = np.empty((nn, nn, m, n)), np.zeros((nn, nn, m, m))
 
-    def history_gain(a, c, cols, out=None):
+    def history_gain(a, c, cols, out):
         # gam[t, :, s] = Gamma(s, t), t = a..c-1, on the lifted columns
-        # cols, from H's control rows: zero for s < t as they are
-        gam = np.einsum("tiq,tqsa->tisa", P.rcal_inv[a:c], P.H[
-            a:c, n:].reshape(c - a, m, nn, d)[..., cols], out=out, order="C")
-        return np.negative(gam, out=gam)
+        # cols, from H's control rows a stored block at a time into out,
+        # zero for s < t as they are
+        for r, rows in P.rows(a, c):
+            nr, nc = len(rows), nn - r
+            np.einsum("tiq,tqsa->tisa", P.rcal_inv[r:r + nr], rows[:, n:]
+                      .reshape(nr, m, nc, d)[..., cols],
+                      out=out[r - a:r - a + nr, :, r:])
+        return np.negative(out, out=out)
 
     # a block's numpy calls cost the same at any size, and it reads the
     # fixed operands whole, which outgrow the cache from N ~ 500 on: it is
@@ -80,7 +85,8 @@ def synthesize_feedback(P: RiccatiSolution,
         # k2 = Xi3(t) F(t, s) + sum_{r>t} Gamma3(r, t) F(r, s) dt, and
         # s3[t, :, p] = sum_{r>t} Gamma3(r, t) E(r, p) dt; Gamma's
         # diagonal is scaled by 0.0 to keep the sign of its zeros
-        gam3 = history_gain(a, c, slice(2 * n, d))
+        gam3 = history_gain(a, c, slice(2 * n, d),
+                            np.zeros((c - a, m, nn, n)))
         gam3[rows, :, t] *= 0.0
         k2b, k4b = k2[a:c], k4[a:c]
         np.einsum("tmx,tsxy->tsmy", Xi[a:c, :, 2 * n:], src.F[a:c], out=k2b)
@@ -146,10 +152,17 @@ def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     # phi^T F phi = sum_j (2 h_j - c_j)^T W(j) phi_j, h_j = sum_{i >= j}
     # H(i, j)^T phi_i, c_j its i = j term; less dt sum_r y_r^T rcal_inv(r) y_r,
     # y_r = sum_i pb(i, r)^T phi_i the control rows of h_r (y_N = 0)
-    nn, d, n = N + 1, 3 * vp.n, vp.n
-    H = P.H.reshape(nn, -1, nn, d)[:N, :, :N]
-    h = np.einsum("jcia,ia->jc", H, phi)
-    c = np.einsum("jcja,ja->jc", H, phi)
+    d, n, w = 3 * vp.n, vp.n, vp.n + vp.m
+    h, c = np.empty((2, N, w))
+    for r, rows in P.rows(0, N):
+        # a stored block's rows over every column: the sums over i then
+        # run over the same terms, zeros included, at any block size
+        nr = len(rows)
+        H = np.zeros((nr, w, N, d))
+        H[:, :, r:] = rows.reshape(nr, -1, N + 1 - r, d)[:, :, :N - r]
+        h[r:r + nr] = np.einsum("jcia,ia->jc", H, phi)
+        c[r:r + nr] = np.einsum("jcja,ja->jc", H[:, :, r:r + nr],
+                                phi[r:r + nr])
     quad = np.einsum("jc,jca,ja->", 2.0 * h - c, P.W[:N], phi)
     y = h[1:, n:]
     quad -= np.einsum("rm,rmq,rq->", y, P.rcal_inv[1:N], y) * dt

@@ -110,7 +110,7 @@ def replay(P: RiccatiSolution):
     for l in range(N, -1, -1):
         X, Md = buf[l * d:, l * d:], (N - l) * d
         if l < N:
-            _euler(X[d:, d:], P.pb[l + 1:, l + 1], P.rcal_inv[l + 1], P.dt,
+            _euler(X[d:, d:], P.pb_column(l + 1), P.rcal_inv[l + 1], P.dt,
                    work[:Md * Md].reshape(Md, Md))
         X[:, :d] = P.border(l)
         X[:d, d:] = X[d:, :d].T

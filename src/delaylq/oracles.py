@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import NumericalError, ProblemValidationError
 from .problem import FREE_TERMS, DelayLQProblem
-from .riccati import RiccatiSolution, _applied
+from .riccati import RiccatiSolution, _applied, _diagonal
 from .simulate import (BrownianBatch, _cost_weight, _history_rows,
                        simulate_open_loop)
 from .volterra import VolterraProblem, memory_kernel
@@ -228,7 +228,7 @@ def caseii_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIIExtraction:
     P3c = np.zeros((N + 1, N + 1, n, n))
     for l in range(N + 1):
         Q = min(k, N - l) + 1
-        g2 = P.H[l, :n, l * d:(l + Q) * d].reshape(n, Q, d)
+        g2 = P.row(l)[:n, :Q * d].reshape(n, Q, d)
         P3c[l, l:l + Q] = g2[..., n:2 * n].transpose(1, 0, 2)
     # P2c, the selector sandwich with E = 0, is the sweep's g1
     return CaseIIExtraction(P2c=P.g1_table, P3c=P3c)
@@ -366,10 +366,12 @@ def casei_extract(P: RiccatiSolution, vp: VolterraProblem) -> CaseIExtraction:
     nn, w = N + 1, n + m
 
     # sums[l, :, j] = sum over a > j of the first-block columns of H's row
-    # block l, [g2 | pb](a, l)^T[:, :n]; zero past the horizon
+    # l, [g2 | pb](a, l)^T[:, :n], for j >= l; zero past the horizon
     sums = np.zeros((nn, w, nn + k, n))
-    np.cumsum(P.H.reshape(nn, w, nn, 3 * n)[:, :, :0:-1, :n], axis=2,
-              out=sums[:, :, N - 1::-1])
+    for r, rows in P.rows():
+        nr = len(rows)
+        np.cumsum(rows.reshape(nr, w, nn - r, 3 * n)[:, :, :0:-1, :n], axis=2,
+                  out=sums[r:r + nr, :, r:N][:, :, ::-1])
     p1row = sums[:, :n, :nn].transpose(0, 2, 1, 3) * dt
     p1row[np.tril_indices(nn, -1)] = 0.0
 
@@ -415,15 +417,16 @@ def _memory_window_terms(P: RiccatiSolution, problem: DelayLQProblem,
     block.
     """
     N, dt, n, m = P.N, P.dt, P.n, P.m
-    k, nn, w = S1.shape[1] - 1, N + 1, P.n + P.m
+    k = S1.shape[1] - 1
     G = _shifted_memory_kernel(problem)
-    # the factors' first-block columns: every term of the slice splits by
-    # blocks, so these apply its (1, 1) block, the only live one
-    H1 = np.ascontiguousarray(
-        P.H.reshape(nn, w, nn, 3 * n)[..., :n]).reshape(nn, w, nn * n)
+    # the factors' first-block columns, in the stored blocks: every term of
+    # the slice splits by blocks, so these apply its (1, 1) block, the only
+    # live one
+    H1 = tuple(np.ascontiguousarray(
+        blk.reshape(blk.shape[:2] + (-1, 3 * n))[..., :n]).reshape(
+            blk.shape[:2] + (-1,)) for blk in P.H)
     W1 = P.W[:, :, :n]
-    diag = H1.reshape(nn, w, nn, n)[np.arange(nn), :, np.arange(nn)]
-    corner = diag.swapaxes(-1, -2) @ W1                  # H(l, l) W(l)
+    corner = _diagonal(H1, n).swapaxes(-1, -2) @ W1      # H(l, l) W(l)
     corner = 0.5 * (corner + corner.swapaxes(-1, -2))
     cols = (k + 1) * m
 

@@ -43,13 +43,10 @@ def _fill(problem: DelayLQProblem, **constants) -> DelayLQProblem:
 
 def _kernel_fill(problem: DelayLQProblem, name: str, scale: float) -> None:
     """Two-time kernel scale * exp(-(t-s)) * (1 + 0.5 s) on s < t."""
-    g = problem.grid
-    nodes = g.nodes()
-    kern = getattr(problem, name)
-    for i in range(1, g.N + 1):
-        gap = nodes[i] - nodes[:i]
-        vals = scale * np.exp(-gap) * (1.0 + 0.5 * nodes[:i])
-        kern[i, :i] = vals[:, None, None]
+    nodes = problem.grid.nodes()
+    t, s = np.tril_indices(len(nodes), -1)
+    getattr(problem, name)[t, s] = (scale * np.exp(-(nodes[t] - nodes[s]))
+                                    * (1.0 + 0.5 * nodes[s]))[:, None, None]
 
 
 def _ramp_window(problem: DelayLQProblem, lo: float, hi: float) -> None:

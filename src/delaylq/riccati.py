@@ -34,7 +34,7 @@ sweep forms neither a slice nor the border matrix F.  Sweep at node t_l
         pb(., l+1) rcal_inv(l+1) kvec(l+1)) is eta(., l) on rows l+1..N;
         its sums against the stack's selector and control columns, closed
         by W(l), give eta1(l), eta(l, l) (row l), kvec(l) and omega(l);
-  (v)   write [g2 | pb] into H's row block l, then each corner sum as
+  (v)   write [g2 | pb] into H's row l, then each corner sum as
         W(l)^T times one product of that block against the stack, and
         keep node l's free column for the next node's step.
 With deterministic free terms the martingale part of the adjoint pair is
@@ -43,17 +43,22 @@ weight's eigenvalue floor comes from one call over every node after the
 sweep.  Each product over the future nodes runs as BLAS calls over
 whole node blocks of rows, each small enough for one thread: a single
 product over the whole interior is split across threads from side ~500
-on, and its sums then change with the thread count.  The products
-against H halve the node range recursively and skip its zero quarter.
-Per block of b nodes they read the finished rows of H once against
-b k columns, where a per-node product read them twice per node against
-k: the same O(N^3) multiply-adds, in GEMMs b times as wide.  The
-block's own rows add O(N^2 b) over the sweep.  The corner's product is
-a single call of (n + m) (N - l) 3n k multiply-adds, k <= n + m + 1
-columns, on one thread while that stays under 2^18 (N up to ~14500 at
-n = m = 1, ~2180 at n = m = 2).  Storage is H, (N+1)^2 3n (n+m)
-numbers, plus per-node tables and a block's stacks; the free and pair
-columns pass from one node to the next in (N+1, 3n) buffers.
+on, and its sums then change with the thread count.  H is stored as
+its lower half, one array per block [a, c) of the sweep holding rows
+a..c-1 over columns a..N (``_rows``), so the products against H run a
+stored block at a time: its rows against the stack from its first node
+on, and the transpose, one ``_by_node_rows`` product each.  Per block of
+b nodes they read the finished rows of H once against b k columns,
+where a per-node product read them twice per node against k: the same
+O(N^3) multiply-adds, in GEMMs b times as wide.  The block's own rows
+add O(N^2 b) over the sweep.  The corner's product is a single call of
+(n + m) (N - l) 3n k multiply-adds, k <= n + m + 1 columns, on one
+thread while that stays under 2^18 (N up to ~14500 at n = m = 1, ~2180
+at n = m = 2).  Storage is H, sum over blocks of (c-a)(N+1-a) 3n (n+m)
+numbers, about (N+1)(N+1+b)/2 node blocks: the lower half of (N+1)^2
+and each block's diagonal triangle, plus per-node tables and a block's
+stacks; the free and pair columns pass from one node to the next in
+(N+1, 3n) buffers.
 
 ``riccati_residual`` re-checks the three lines from the same tables.  It
 runs after the sweep, when every row is final, so nothing in it is
@@ -79,7 +84,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NumericalError
-from .volterra import VolterraProblem, _by_node_rows, _by_triangle
+from .volterra import VolterraProblem, _by_node_rows
 
 
 @dataclass(frozen=True)
@@ -96,11 +101,16 @@ class RiccatiSolution:
 
     Only the factors of the border values are stored: p2(i, j, j) =
     H(i, j) W(j) for i > j, the corner p2(j, j, j) = sym(H(j, j) W(j)).
-    ``H[t, :, s*3n:(s+1)*3n]`` holds H(s, t)^T = [g2 | pb](s, t)^T for
-    s >= t (zero for s < t), the selector-weighted column g2 and the
-    control products (P*B)(t_s, t_t) the sweep formed at node t; ``pb`` is
-    a view of its last m rows.  ``W[t]`` = [Acal(t); Xi(t)], Xi the causal
-    feedback's pointwise gain.  ``border(l)`` forms the column at node l.
+    Row t of the factor table holds H(s, t)^T = [g2 | pb](s, t)^T for
+    s >= t, the selector-weighted column g2 and the control products
+    (P*B)(t_s, t_t) the sweep formed at node t; s < t is zero and not
+    stored.  ``H`` is a tuple with one array per block [a, c) of the
+    sweep, from node 0 on: ``H[i][t - a, :, (s - a)*3n:(s - a + 1)*3n]`` =
+    H(s, t)^T for rows t = a..c-1 and columns s = a..N, zero for s < t.
+    ``rows`` hands out its rows a stored block at a time, ``row(t)`` one
+    row and ``pb_column(t)`` its last m rows as pb(s, t), views all.
+    ``W[t]`` = [Acal(t); Xi(t)], Xi the causal feedback's pointwise gain.
+    ``border(l)`` forms the column at node l.
     The adjoint pair eta(i, j), j <= i, is not stored, only ``eta1[l]`` =
     dt sum_{r>l} U(r, l)^T eta(r, l), its g1 (0 at l = N), and
     ``omega``, the causal feedback's offset.  Its drift
@@ -115,7 +125,7 @@ class RiccatiSolution:
     m: int
     dt: float
     p1: np.ndarray              # (N+1, 3n, 3n)
-    H: np.ndarray               # (N+1, n+m, (N+1) 3n); [t, :, (s, a)] = H(s, t)[a]
+    H: tuple[np.ndarray, ...]   # per block [a, c): (c-a, n+m, (N+1-a) 3n)
     W: np.ndarray               # (N+1, n+m, 3n); [Acal; Xi]
     g1_table: np.ndarray        # (N+1, n, n)
     rcal: np.ndarray            # (N+1, m, m)
@@ -134,23 +144,66 @@ class RiccatiSolution:
     def N(self) -> int:
         return self.p1.shape[0] - 1
 
-    @property
-    def pb(self) -> np.ndarray:
-        """(N+1, N+1, 3n, m): pb[s, t] = (P*B)(t_s, t_t), a view of H."""
-        nn, d = self.N + 1, 3 * self.n
-        return self.H[:, self.n:].reshape(nn, self.m, nn, d).transpose(
-            2, 0, 3, 1)
+    def rows(self, lo: int = 0, hi: int | None = None):
+        """Rows lo..hi-1 of the factor table, as ``_rows`` lists them."""
+        return _rows(self.H, 3 * self.n, lo, self.N + 1 if hi is None else hi)
+
+    def row(self, t: int) -> np.ndarray:
+        """(n+m, (N+1-t) 3n): H(s, t)^T for s = t..N, a view."""
+        return _row(self.H, 3 * self.n, t)
+
+    def pb_column(self, t: int) -> np.ndarray:
+        """(N+1-t, 3n, m): pb(s, t) = (P*B)(t_s, t_t) for s = t..N, a view."""
+        return self.row(t)[self.n:].reshape(self.m, -1, 3 * self.n).transpose(
+            1, 2, 0)
 
     def border(self, l: int) -> np.ndarray:
         """p2(i, l, l) for i >= l as one flat ((N+1-l) 3n, 3n) column:
         H(i, l) W(l), the corner symmetrized."""
         d = 3 * self.n
-        col = self.H[l, :, l * d:].T @ self.W[l]
+        col = self.row(l).T @ self.W[l]
         col[:d] = _sym(col[:d])
         return col
 
 
-def _live_blocks(H: np.ndarray, W: np.ndarray) -> slice:
+def _rows(H: tuple, d: int, lo: int, hi: int) -> list:
+    """(r, rows) for rows lo..hi-1 of the factor table H, stored as one
+    array per block of b nodes counted from the horizon back (the first
+    one short), from node 0 on: per stored block they meet, its rows r..
+    (up to hi-1) over columns r..N as (rows, n+m, (N+1-r) d), a view.
+    Rows and columns of a block start at its first node, so a row's zero
+    head from there to its diagonal is stored."""
+    nn, b = H[0].shape[2] // d, len(H[-1])
+    out = []
+    for blk in H[len(H) - 1 - (nn - 1 - lo) // b:len(H) - (nn - hi) // b]:
+        a = nn - blk.shape[2] // d
+        r = max(lo, a)
+        out.append((r, blk[r - a:hi - a, :, (r - a) * d:]))
+    return out
+
+
+def _row(H: tuple, d: int, t: int) -> np.ndarray:
+    """Row t of the factor table H over columns t..N, a view.  Indexed
+    directly, not through ``_rows``: the sweep reads one per node."""
+    nn = H[0].shape[2] // d
+    blk = H[len(H) - 1 - (nn - 1 - t) // len(H[-1])]
+    a = nn - blk.shape[2] // d
+    return blk[t - a, :, (t - a) * d:]
+
+
+def _diagonal(H: tuple, d: int) -> np.ndarray:
+    """(N+1, n+m, d): each row's diagonal node block, H(t, t)^T."""
+    return np.concatenate([
+        blk.reshape(len(blk), blk.shape[1], -1, d)[q, :, q]
+        for blk in H for q in [np.arange(len(blk))]])
+
+
+def _block_nodes(k: int, N: int) -> int:
+    """Nodes per block of ``_applied`` for stacks of k columns."""
+    return max(1, min(_BLOCK, _BLOCK_COLUMNS // k, N + 1))
+
+
+def _live_blocks(H: tuple, W: np.ndarray) -> slice:
     """The lifted blocks the Euler drift moves, as a slice of the block axis.
 
     Block 1 (the current state) always; block 2 or 3 iff its rows of the
@@ -161,10 +214,11 @@ def _live_blocks(H: np.ndarray, W: np.ndarray) -> slice:
     result is one of 0:1, 0:2, 0::2 and 0:3.
     """
     n = W.shape[-1] // 3
-    rows = H.reshape(H.shape[:2] + (-1, 3, n))
 
     def holds(b: int) -> bool:
-        return bool(rows[..., b, :].any() or W[..., b * n:(b + 1) * n].any())
+        return bool(W[..., b * n:(b + 1) * n].any() or any(
+            blk.reshape(blk.shape[:2] + (-1, 3, n))[..., b, :].any()
+            for blk in H))
 
     delay, memory = holds(1), holds(2)
     if memory and not delay:
@@ -182,7 +236,7 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
+def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
               lo: int, u: np.ndarray, dt: float, hi: int | None = None,
               first: np.ndarray | None = None) -> np.ndarray:
     """The slice at node lo - 1 on pairs i, j >= lo, applied to the stacked
@@ -193,28 +247,51 @@ def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     H(i, i) W(i) u(i) or its transpose, so one corner C(i) u(i) comes off.
     Row t of the tables enters only through row t of H u and of x, so the
     sum splits by rows: with ``hi`` given it reads rows lo..hi-1 only, a
-    block's own rows in ``_applied``, in ``_by_node_rows`` calls.  With
-    ``first`` (k,) given, column j's rows of H u below first[j] are zeroed
-    before the second product; where u's column is zero there too, those
-    rows add exact zeros, and the column gets the slice at node
-    first[j] - 1 on rows first[j]..N (zeros above): ``riccati_residual``
-    applies a block of nodes' slices in one call."""
+    block's own rows in ``_applied``.  The rows go a stored block at a
+    time (``_rows``): a block's H u is one ``_by_node_rows`` product
+    against u from its first row's node on, its part of H^T x one of the
+    transpose against its rows of x.  The first block's part writes every
+    row of the result, W^T (H u) follows a block's rows at a time, and the
+    later blocks' parts add on once H u is freed, so that their
+    temporaries do not meet it.  With ``first`` (k,) given, column j's
+    rows of H u below first[j] are zeroed before x is formed; where u's
+    column is zero there too, those rows add exact zeros, and the column
+    gets the slice at node first[j] - 1 on rows first[j]..N (zeros above):
+    ``riccati_residual`` applies a block of nodes' slices in one call."""
     M, d, k = u.shape
     w, m = W.shape[1], rcal_inv.shape[-1]
     t = M if hi is None else hi - lo       # the rows read
-    Hl = H[lo:lo + t, :, lo * d:].reshape(t * w, M * d)
-    Wl = W[lo:lo + t]
-    product = _by_triangle if t == M else (
-        lambda A, B, rows, _, upper: _by_node_rows(A, B, rows))
-    hu = product(Hl, u.reshape(M * d, k), w, d, True).reshape(t, w, k)
+    parts = _rows(H, d, lo, lo + t)        # (first row, rows) per block
+    hu = np.empty((t, w, k))
+    for r, rows in parts:
+        q = r - lo
+        _by_node_rows(rows.reshape(-1, rows.shape[-1]), u[q:].reshape(-1, k),
+                      w, hu[q:q + len(rows)].reshape(-1, k))
     if first is not None:
         above = np.arange(lo, lo + t)[:, None] < first
         np.copyto(hu, 0.0, where=above[:, None])
+    Wl = W[lo:lo + t]
     x = Wl @ u[:t]
     x[:, w - m:] -= dt * (rcal_inv[lo:lo + t] @ hu[:, w - m:])
-    out = product(Hl.T, x.reshape(t * w, k), d, w, False).reshape(M, d, k)
+    # the first block's part of H^T x reaches every row; W^T (H u) follows,
+    # a block's rows at a time where more blocks follow, so that H u is
+    # freed before the temporaries of their parts
+    nr = len(parts[0][1])
+    out = _by_node_rows(parts[0][1].reshape(nr * w, -1).T,
+                        x[:nr].reshape(-1, k), d).reshape(M, d, k)
+    if len(parts) == 1:
+        out[:t] += Wl.transpose(0, 2, 1) @ hu
+    else:
+        for r, rows in parts:
+            s = slice(r - lo, r - lo + len(rows))
+            out[s] += Wl[s].transpose(0, 2, 1) @ hu[s]
+    del hu
+    for r, rows in parts[1:]:
+        q, nr = r - lo, len(rows)
+        out[q:] += _by_node_rows(rows.reshape(nr * w, -1).T,
+                                 x[q:q + nr].reshape(-1, k), d).reshape(
+                                     -1, d, k)
     del x                   # before the next temporary: u may be wide
-    out[:t] += Wl.transpose(0, 2, 1) @ hu
     out[:t] -= C[lo:lo + t] @ u[:t]
     return out
 
@@ -226,7 +303,7 @@ def _interior(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
 _BLOCK, _BLOCK_COLUMNS = 16, 80
 
 
-def _applied(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
+def _applied(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
              k: int, fill, dt: float, p1: np.ndarray):
     """Yield (l, u, out) for l = N..0: u (N+1-l, d, k) node l's stack over
     nodes l..N, which ``fill`` writes, and out (N-l, d, k) dt times the
@@ -239,9 +316,12 @@ def _applied(H: np.ndarray, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     the tables are finished then: their part of every node's product is
     one ``_interior`` call over the block's stacks side by side.
     Only rows l+1..c-1 are left per node, so a caller may write row l of
-    H, W, C and rcal_inv after node l's yield, as the sweep does."""
-    N, d = H.shape[0] - 1, W.shape[-1]
-    b = max(1, min(_BLOCK, _BLOCK_COLUMNS // k, N + 1))
+    H, W, C and rcal_inv after node l's yield, as the sweep does.  The
+    blocks are ``_block_nodes(k, N)`` nodes; the sweep stores H in the
+    same blocks, so each far call reads whole stored blocks and each
+    node's rows lie in its own."""
+    N, d = W.shape[0] - 1, W.shape[-1]
+    b = _block_nodes(k, N)
     X = np.zeros((N + 1, d, b, k))
     for c in range(N + 1, 0, -b):
         a = max(c - b, 0)
@@ -271,7 +351,6 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     g1_table = np.zeros((nn, n, n))
     rcal = np.zeros((nn, m, m))
     rcal_inv = np.zeros((nn, m, m))
-    H = np.zeros((nn, w, nn * d))         # [g2 | pb] in the [t, n+m, (s, a)] layout
     W = np.zeros((nn, w, d))              # [Acal; Xi]
     W[:, :n] = vp.Acal
     corner = np.empty((nn, d, d))         # sym(H(l, l) W(l)), kept for _interior
@@ -279,6 +358,10 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     # b(l) = 0 it is zero and node l's free column stays +0.0
     free = vp.source.b.any(axis=1).tolist()
     k = w + any(free)
+    # [g2 | pb], the lower half in _applied's blocks [a, c), from node 0 on
+    b = _block_nodes(k, N)
+    H = tuple(np.zeros((c - a, w, (nn - a) * d))
+              for c in range(nn % b or b, nn + 1, b) for a in [max(c - b, 0)])
 
     def fill(a: int, c: int, u: np.ndarray):
         # node l's columns: the selector U(., t_l), the control column
@@ -337,7 +420,8 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         kvec = (D1l.T @ g1sig)[:, 0]
         if l < N:
             s = l + 1
-            pbs = np.ascontiguousarray(H[s, n:, s * d:].T)
+            # row s of H, written at node s
+            pbs = np.ascontiguousarray(row[n:].T)
             col = eta[s:]
             col += dt * (fcol[s:] - (pbs @ y).reshape(M, d))
             c = (np.ascontiguousarray(v[:, :n + m]).T @ col.reshape(-1)) * dt
@@ -348,20 +432,20 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         y = rcal_inv[l] @ kvec
         omega[l] = -y
 
-        head = p1[l] @ u[0]
+        head, row = p1[l] @ u[0], _row(H, d, l)
         if l < N:
-            H[l, :, (l + 1) * d:] = G2[:, :w].T
+            row[:, d:] = G2[:, :w].T
             # the corner sums: W(l)^T against one product of the column
             # just written with the stack (see the module docstring for
             # its thread bound)
             head += (W[l].T @ (G2[:, :w].T @ v)) * dt
             fcol[l + 1:] = G[..., -1] if free[l] else 0.0
-        H[l, :, l * d:(l + 1) * d] = head[:, :w].T
+        row[:, :d] = head[:, :w].T
         corner[l] = _sym(head[:, :w] @ W[l])
         fcol[l] = head[:, -1] if free[l] else 0.0
         # the interior reached factor_rcal through G; only the column
         # and the corner are new
-        if not (np.isfinite(H[l, :, l * d:]).all()
+        if not (np.isfinite(row).all()
                 and np.isfinite(corner[l]).all()):
             raise NumericalError(f"two-time kernel non-finite at node {l}")
 
@@ -426,7 +510,6 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
     two, and each entry is still the one rounded product."""
     N, n, m = P.N, P.n, P.m
     ln = len(range(3)[P.live]) * n          # live rows per node
-    pb = P.pb.reshape(N + 1, N + 1, 3, n, m)[:, :, P.live]
     prof = np.zeros(N)
     # every tile and its scratch in one buffer: a fresh one per tile costs
     # its page faults again
@@ -437,9 +520,13 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
         rows = max(1, _EVOLUTION_BLOCK // nc)
         g = min(max(1, rows // nc), N - l0)  # nodes per tile
         rows = min(rows, nc)
-        # the factors of nodes l0..l0+g on those rows
+        # the factors of nodes l0..l0+g on those rows, from their rows of
+        # H (zero above each node's own)
         F = np.zeros((g + 1, N - l0, ln // n, n, max(m, 2)))
-        F[..., :m] = pb[l0 + 1:, l0:l0 + g + 1].transpose(1, 0, 2, 3, 4)
+        for r, Hr in P.rows(l0, l0 + g + 1):
+            s, nr = max(r, l0 + 1), len(Hr)
+            F[r - l0:r - l0 + nr, s - l0 - 1:, ..., :m] = Hr[:, n:].reshape(
+                nr, m, -1, 3, n)[:, :, s - r:, P.live].transpose(0, 2, 3, 4, 1)
         F = F.reshape(g + 1, nc, -1)
         Q = np.zeros_like(F)
         Q[..., :m] = F[..., :m] @ P.rcal_inv[l0:l0 + g + 1]
@@ -471,7 +558,7 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
 def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResiduals:
     """The three lines from the sweep's tables, no slice replayed.
 
-    The nodes run in the sweep's blocks [a, c), all of a block at once:
+    The nodes run in the stored blocks [a, c), all of a block at once:
     every table is final, so nothing is sequential.  Node l's
     trapezoid-weighted stack u of selector and control columns, zero on
     rows below l, gives p1 u plus the slice at node l applied to u: its
@@ -492,17 +579,15 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     res_rcal = float(np.abs(
         P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
 
-    nodes = np.arange(N + 1)
-    corner = _sym(H.reshape(N + 1, w, N + 1, d)[nodes, :, nodes]
-                  .transpose(0, 2, 1) @ W)
+    corner = _sym(_diagonal(H, d).transpose(0, 2, 1) @ W)
     weight = np.full(N + 1, dt)
     weight[N] = 0.0
 
     prof_point, prof_bound = np.zeros(N + 1), np.zeros(N)
-    b = max(1, min(_BLOCK, _BLOCK_COLUMNS // w, N + 1))
-    for c in range(N + 1, 0, -b):
-        a = max(c - b, 0)
-        nb, M, ls, q = c - a, N + 1 - a, slice(a, c), np.arange(c - a)
+    for blk in reversed(H):
+        nb, M = len(blk), blk.shape[2] // d
+        a = N + 1 - M
+        c, ls, q = a + nb, slice(a, a + nb), np.arange(nb)
         # node l's columns on rows a..N, zero below l, as [r, :, l, :],
         # and the trapezoid-weighted stack: rows l and N halved
         u = vp.lifted_columns(a, c).transpose(0, 2, 1, 3)
@@ -510,8 +595,7 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
         wu[q, :, q] *= 0.5
         wu[-1] *= 0.5
         # the border columns H(., l) W(l) on rows a..N, corners symmetrized
-        col = (H[ls, :, a * d:].transpose(0, 2, 1) @ W[ls]).reshape(
-            nb, M, d, d)
+        col = (blk.transpose(0, 2, 1) @ W[ls]).reshape(nb, M, d, d)
         col[q, q] = corner[ls]
 
         # G = p1 u plus slice l against the weighted stack: g2 (:n) and
@@ -524,7 +608,7 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
             v = wu[1:].copy()
             v[q[1:] - 1, :, q[1:]] = 0.0
             G[q, :, q] += W[ls].transpose(0, 2, 1) @ (
-                H[ls, :, (a + 1) * d:]
+                blk[:, :, d:]
                 @ v.transpose(2, 0, 1, 3).reshape(nb, (M - 1) * d, w))
             G[1:] += _interior(
                 H, W, corner, P.rcal_inv, a + 1, v.reshape(M - 1, d, nb * w),

@@ -62,30 +62,6 @@ def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int,
     return out
 
 
-def _by_triangle(A: np.ndarray, B: np.ndarray, w: int, v: int,
-                 upper: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """A @ B for A (M w, M v) in node blocks of w x v that vanish below
-    the block diagonal if ``upper``, above it if not.  The node range is
-    halved recursively: the two diagonal halves recurse, the one nonzero
-    off-diagonal quarter is a product of ``_by_node_rows``, and a range of
-    one node or a product within one thread's share, 2 _CALL_MACS
-    multiply-adds, goes to ``_by_node_rows`` whole.  The halves write
-    into the caller's ``out``, so the recursion holds no copies of it."""
-    if out is None:
-        out = np.empty((A.shape[0], B.shape[1]))
-    if A.shape[0] <= w or A.size * B.shape[1] <= 2 * _CALL_MACS:
-        return _by_node_rows(A, B, w, out)
-    h = A.shape[0] // w // 2
-    r, c = h * w, h * v
-    _by_triangle(A[:r, :c], B[:c], w, v, upper, out[:r])
-    _by_triangle(A[r:, c:], B[c:], w, v, upper, out[r:])
-    if upper:
-        out[:r] += _by_node_rows(A[:r, c:], B[c:], w)
-    else:
-        out[r:] += _by_node_rows(A[r:, :c], B[:c], w)
-    return out
-
-
 def _node_product(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     """scale sum_{r, x} a[t, i, r, x] b[r, x, s, j] as (t, s, i, j), in
     the bounded BLAS calls of ``_by_node_rows``: one product over every

@@ -33,7 +33,7 @@ from delaylq.adjoint import FeedbackStrategy
 from delaylq.cli import replay
 from delaylq.exceptions import ProblemValidationError
 from delaylq.problem import DelayLQProblem
-from loop_oracles import selector
+from loop_oracles import dense_factor, selector
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +109,15 @@ def p2(P, i: int, j: int, l: int) -> np.ndarray:
         raise ValueError(f"p2 needs l <= min(i, j), got ({i},{j},{l})")
     q, d = min(i, j), 3 * P.n
     far = max(i, j)
-    base = P.H[q, :, far * d:(far + 1) * d].T @ P.W[q]
+    H, pb = dense_factor(P)
+    base = H[q, :, far * d:(far + 1) * d].T @ P.W[q]
     if i == j:
         base = 0.5 * (base + base.T)
     elif i < j:
         base = base.T
     rs = slice(l + 1, q + 1)
     return base - P.dt * np.einsum(
-        "ram,rmk,rbk->ab", P.pb[i, rs], P.rcal_inv[rs], P.pb[j, rs])
+        "ram,rmk,rbk->ab", pb[i, rs], P.rcal_inv[rs], pb[j, rs])
 
 
 def p2_slice(P, l: int) -> np.ndarray:

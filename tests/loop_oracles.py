@@ -57,10 +57,16 @@ feedback applies one einsum per gain.  ``qp_terms`` is the QP oracle's
 Hessian, gradient and constant as ``extended_cost_paths`` and
 ``bilinear`` assembled them from that stepper's runs.  ``per_node_sweep``
 and ``per_node_residual`` are the Riccati sweep and residual as they ran
-before they applied the slices to blocks of nodes: one ``_interior``
-call per node over all of its future rows; the residual's evolution line
+before they applied the slices to blocks of nodes: one slice product
+per node over all of its future rows; the residual's evolution line
 forms each node's D whole (``_live_rows``) and takes its max in row
-blocks (``_evolution_max``).
+blocks (``_evolution_max``).  They keep the factor table dense, as the
+sweep did before it stored the lower half only: ``dense_factor`` is
+that table (and its control rows pb) read off a solution, the one way
+the tests read the factor table, ``stored_factor`` puts a dense table
+back into the solver's blocks, and ``dense_interior`` is the slice
+product over the dense table, whose products against H halve the node
+range recursively and skip the zero quarter (``by_triangle``).
 
 One correction against the original loops: three memory-channel
 products (the two inner theta/beta sums of S2 and ``mem2`` of the
@@ -83,10 +89,11 @@ from delaylq.cli import replay
 from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
 from delaylq.exceptions import NumericalError
 from delaylq.riccati import (_EVOLUTION_BLOCK, RiccatiResiduals,
-                             RiccatiSolution, _interior, _lost_definiteness,
-                             _sym)
+                             RiccatiSolution, _block_nodes,
+                             _lost_definiteness, _sym)
 from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
-from delaylq.volterra import _node_product, memory_kernel
+from delaylq import volterra
+from delaylq.volterra import _by_node_rows, _node_product, memory_kernel
 
 
 @dataclass(frozen=True)
@@ -286,13 +293,13 @@ def evolution_profile_full_width(P, vp) -> np.ndarray:
     control products, the smooth pairs picked by boolean row and column
     selection."""
     N, k, d = P.N, vp.grid.delay_steps, 3 * P.n
-    prof = np.zeros(N)
+    prof, pb = np.zeros(N), dense_factor(P)[1]
     for l in range(N - 1, -1, -1):
         if l == N - k - 1 and vp.source.nonzero("R2"):
             continue
         M = N - l
-        nxt = P.pb[l + 1:, l + 1].reshape(M * d, -1)
-        cur = P.pb[l + 1:, l].reshape(M * d, -1)
+        nxt = pb[l + 1:, l + 1].reshape(M * d, -1)
+        cur = pb[l + 1:, l].reshape(M * d, -1)
         fd = (_sym((nxt @ P.rcal_inv[l + 1]) @ nxt.T)
               - (cur @ P.rcal_inv[l]) @ cur.T)
         idx = np.arange(1, M + 1)
@@ -317,6 +324,7 @@ def riccati_residual(P, vp) -> RiccatiResiduals:
     the finite difference of consecutive slices."""
     g, src, d = vp.grid, vp.source, 3 * vp.n
     N, dt, k = g.N, g.dt, g.delay_steps
+    pb = dense_factor(P)[1]
 
     res_rcal = 0.0
     for l in range(N + 1):
@@ -358,7 +366,7 @@ def riccati_residual(P, vp) -> RiccatiResiduals:
             prof_bound[l] = float(np.abs(lhs3).max())
 
             if not (l == N - k - 1 and src.nonzero("R2")):
-                pb_rows = _live_rows(P.pb[l + 1:, l], P.live)
+                pb_rows = _live_rows(pb[l + 1:, l], P.live)
                 fd = np.subtract(prev, live_view(X[d:, d:], M, P.live),
                                  out=prev).reshape(pb_rows.shape[0], -1)
                 fd /= dt
@@ -648,7 +656,8 @@ class CausalGains:
 def causal_gains(P, vp) -> CausalGains:
     # C order: pb is a transposed view, and the history gain's sums
     # follow the layout of what they read
-    Gamma = np.einsum("tiq,stjq->stij", P.rcal_inv, P.pb, order="C")
+    Gamma = np.einsum("tiq,stjq->stij", P.rcal_inv, dense_factor(P)[1],
+                      order="C")
     np.negative(Gamma, out=Gamma)
     Gamma[~np.tri(vp.grid.N + 1, dtype=bool)] = 0.0      # s < t
     return CausalGains(Xi=P.W[:, P.n:], Gamma=Gamma)
@@ -754,7 +763,8 @@ def whole_grid_synthesis(P, vp) -> FeedbackStrategy:
     # the history gain gam[t, :, s] = Gamma(s, t) from H's control rows,
     # zero for s < t as they are
     gam = np.einsum("tiq,tqsa->tisa", P.rcal_inv,
-                    P.H[:, n:].reshape(nn, m, nn, d), order="C")
+                    dense_factor(P)[0][:, n:].reshape(nn, m, nn, d),
+                    order="C")
     np.negative(gam, out=gam)
     # the state gain reads Gamma(s + k, t) on the diagonal too: take it
     # before the history gain loses its diagonal, which is scaled by 0.0
@@ -1138,7 +1148,8 @@ def _evolution_max(nxt: np.ndarray, D: np.ndarray, M: int, k: int) -> float:
 
 def per_node_sweep(vp) -> RiccatiSolution:
     """The sweep as it ran before it applied the slice to blocks of nodes:
-    one ``_interior`` call per node over all of its future rows."""
+    one ``dense_interior`` call per node over all of its future rows, on
+    the dense factor table, stored by blocks at the end."""
     N, dt, n, m = vp.grid.N, vp.grid.dt, vp.n, vp.m
     nn, d, w = N + 1, 3 * n, n + m
 
@@ -1189,7 +1200,7 @@ def per_node_sweep(vp) -> RiccatiSolution:
             # the selector-weighted g2 (:n), the control products (n:n+m)
             # and the free-term products (n+m)
             v = u[1:].reshape(M * d, k)
-            G = _interior(H, W, corner, rcal_inv, l + 1, u[1:], dt)
+            G = dense_interior(H, W, corner, rcal_inv, l + 1, u[1:], dt)
             G *= dt
             G += p1[l + 1:] @ u[1:]
             G2 = G.reshape(M * d, k)
@@ -1251,15 +1262,17 @@ def per_node_sweep(vp) -> RiccatiSolution:
         raise _lost_definiteness(l, floors[l:l + 1])
 
     return RiccatiSolution(
-        n=n, m=m, dt=dt, p1=p1, H=H, W=W, g1_table=g1_table,
-        rcal=rcal, rcal_inv=rcal_inv, eta1=eta1, omega=omega,
-        lambda_floor=float(floors.min()),
+        n=n, m=m, dt=dt, p1=p1,
+        H=stored_factor(H, d, _block_nodes(n + m + any(free), N)), W=W,
+        g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, eta1=eta1,
+        omega=omega, lambda_floor=float(floors.min()),
     )
 
 
 def per_node_residual(P, vp) -> RiccatiResiduals:
     """The residual from the sweep's tables as it ran before it applied
-    the slices to blocks of nodes: one ``_interior`` call per node."""
+    the slices to blocks of nodes: one ``dense_interior`` call per node,
+    on the dense factor table."""
     g, src, n = vp.grid, vp.source, vp.n
     N, dt, k, d = g.N, g.dt, g.delay_steps, 3 * n
 
@@ -1267,7 +1280,8 @@ def per_node_residual(P, vp) -> RiccatiResiduals:
     res_rcal = float(np.abs(
         P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
 
-    corner, pb = np.empty((N + 1, d, d)), P.pb
+    corner = np.empty((N + 1, d, d))
+    H, pb = dense_factor(P)
 
     prof_point = np.zeros(N + 1)
     prof_bound, prof_evol = np.zeros(N), np.zeros(N)
@@ -1286,9 +1300,10 @@ def per_node_residual(P, vp) -> RiccatiResiduals:
         G = P.p1[l:] @ u
         G += (col @ wu[0]).reshape(M + 1, d, -1)
         if M:
-            G[0] += P.W[l].T @ (P.H[l, :, (l + 1) * d:]
+            G[0] += P.W[l].T @ (H[l, :, (l + 1) * d:]
                                 @ wu[1:].reshape(M * d, -1))
-            G[1:] += _interior(P.H, P.W, corner, P.rcal_inv, l + 1, wu[1:], dt)
+            G[1:] += dense_interior(H, P.W, corner, P.rcal_inv, l + 1,
+                                    wu[1:], dt)
         g1t = _sym(wu[..., :n].reshape(-1, n).T @ G[..., :n].reshape(-1, n))
         D1l = D1[l]
         rct_inv = np.linalg.inv(vp.R[l] + D1l.T @ g1t @ D1l)
@@ -1317,3 +1332,75 @@ def per_node_residual(P, vp) -> RiccatiResiduals:
         boundary=float(prof_bound.max()) if N > 0 else 0.0,
         rcal_identity=res_rcal, pointwise_profile=prof_point,
         evolution_profile=prof_evol, boundary_profile=prof_bound)
+
+
+# ----------------------------------------------------------------------
+# The factor table in its dense layout
+# ----------------------------------------------------------------------
+
+def dense_factor(P) -> tuple[np.ndarray, np.ndarray]:
+    """The factor table as the sweep stored it before it kept the lower
+    half only: H (N+1, n+m, (N+1) 3n), [t, :, (s, x)] = H(s, t)[x], zero
+    for s < t, and its last m rows as pb (N+1, N+1, 3n, m), pb[s, t] =
+    (P*B)(t_s, t_t), a view.  Every test reads the table through this."""
+    nn, d = P.N + 1, 3 * P.n
+    H = np.zeros((nn, P.n + P.m, nn * d))
+    for r, rows in P.rows():
+        H[r:r + len(rows), :, r * d:] = rows
+    return H, H[:, P.n:].reshape(nn, P.m, nn, d).transpose(2, 0, 3, 1)
+
+
+def stored_factor(H: np.ndarray, d: int, b: int) -> tuple:
+    """The dense factor table H in the solver's layout: one array per
+    block of b nodes counted from the horizon back, from node 0 on, each
+    holding its rows from its first node's column on."""
+    nn = H.shape[0]
+    return tuple(H[a:c, :, a * d:].copy() for c in range(nn % b or b, nn + 1, b)
+                 for a in [max(c - b, 0)])
+
+
+def by_triangle(A, B, w: int, v: int, upper: bool, out=None) -> np.ndarray:
+    """A @ B for A (M w, M v) in node blocks of w x v that vanish below
+    the block diagonal if ``upper``, above it if not, as the products
+    against the dense table ran: the node range halved recursively, the
+    two diagonal halves recursing, the one nonzero off-diagonal quarter a
+    product of ``_by_node_rows``; a range of one node or a product within
+    2 _CALL_MACS multiply-adds goes to ``_by_node_rows`` whole."""
+    if out is None:
+        out = np.empty((A.shape[0], B.shape[1]))
+    if A.shape[0] <= w or A.size * B.shape[1] <= 2 * volterra._CALL_MACS:
+        return _by_node_rows(A, B, w, out)
+    h = A.shape[0] // w // 2
+    r, c = h * w, h * v
+    by_triangle(A[:r, :c], B[:c], w, v, upper, out[:r])
+    by_triangle(A[r:, c:], B[c:], w, v, upper, out[r:])
+    if upper:
+        out[:r] += _by_node_rows(A[:r, c:], B[c:], w)
+    else:
+        out[r:] += _by_node_rows(A[r:, :c], B[:c], w)
+    return out
+
+
+def dense_interior(H, W, C, rcal_inv, lo: int, u, dt: float, hi=None,
+                   first=None) -> np.ndarray:
+    """``delaylq.riccati._interior`` on the dense factor table H, as it ran
+    before H was stored by blocks: the rows lo..hi-1 in one slice of H,
+    all of them through ``by_triangle``, a block's own through
+    ``_by_node_rows``."""
+    M, d, k = u.shape
+    w, m = W.shape[1], rcal_inv.shape[-1]
+    t = M if hi is None else hi - lo
+    Hl = H[lo:lo + t, :, lo * d:].reshape(t * w, M * d)
+    Wl = W[lo:lo + t]
+    product = by_triangle if t == M else (
+        lambda A, B, rows, _, upper: _by_node_rows(A, B, rows))
+    hu = product(Hl, u.reshape(M * d, k), w, d, True).reshape(t, w, k)
+    if first is not None:
+        above = np.arange(lo, lo + t)[:, None] < first
+        np.copyto(hu, 0.0, where=above[:, None])
+    x = Wl @ u[:t]
+    x[:, w - m:] -= dt * (rcal_inv[lo:lo + t] @ hu[:, w - m:])
+    out = product(Hl.T, x.reshape(t * w, k), d, w, False).reshape(M, d, k)
+    out[:t] += Wl.transpose(0, 2, 1) @ hu
+    out[:t] -= C[lo:lo + t] @ u[:t]
+    return out

@@ -14,15 +14,17 @@ _GRAM = ("Q1", "Q2", "Q3", "R1", "R2")
 
 
 @st.composite
-def admissible_problems(draw):
-    """An admissible problem on a short grid: n, m in {1, 2}, N in [4, 8],
-    k in [1, N] delay steps, every field of ``field_shapes`` drawn with
-    entries in [-1, 1], the kernels strictly below the diagonal, and the
+def admissible_problems(draw, n_steps=st.integers(4, 8), full_delay=False):
+    """An admissible problem on a short grid: n, m in {1, 2}, N from
+    ``n_steps`` (in [4, 8]), k in [1, N] delay steps (k = N, the delay at
+    the horizon, with ``full_delay``), every field of ``field_shapes``
+    drawn with entries in [-1, 1], the kernels strictly below the
+    diagonal, and the
     weights Q_i = L L^T, R1 = lam I + M M^T and R2 = K K^T, so that
     R1(t) + R2(t + delay) >= lam I."""
     n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    N = draw(st.integers(4, 8))
-    k = draw(st.integers(1, N))
+    N = draw(n_steps)
+    k = N if full_delay else draw(st.integers(1, N))
     grid = dl.TimeGrid(t0=0.0, T=1.0, N=N, delay=k / N)
     lam = draw(st.floats(0.5, 2.0))
     values = st.floats(-1.0, 1.0)

@@ -8,7 +8,7 @@ import pytest
 import delaylq as dl
 from delaylq import oracles
 from evaluators import bcal, g3
-from loop_oracles import causal_gains, selector
+from loop_oracles import causal_gains, dense_factor, selector
 
 
 def with_free_terms(name, N, b=0.3, sigma=0.4):
@@ -49,9 +49,9 @@ class TestCausalGains:
 
     def test_history_gain_is_the_star_product(self, solve_preset):
         s = solve_preset("full", 16)
-        gains = causal_gains(s.P, s.vp)
+        gains, pb = causal_gains(s.P, s.vp), dense_factor(s.P)[1]
         for (sb, t) in [(9, 2), (16, 0), (4, 3)]:
-            expected = -s.P.rcal_inv[t] @ s.P.pb[sb, t].T
+            expected = -s.P.rcal_inv[t] @ pb[sb, t].T
             np.testing.assert_allclose(gains.Gamma[sb, t], expected,
                                        atol=1e-15)
 

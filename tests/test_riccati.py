@@ -14,9 +14,9 @@ from delaylq.cli import main as cli_main, replay
 from delaylq.riccati import RiccatiSolution
 from evaluators import (bcal, frontier, g2, g3, p2, p2_slice, star_left,
                         star_right, star_sandwich)
-from loop_oracles import (adjoint_sweep, advance_full_width,
+from loop_oracles import (adjoint_sweep, advance_full_width, dense_factor,
                           evolution_profile_full_width, live_blocks,
-                          pair_selector_sums)
+                          pair_selector_sums, stored_factor)
 from test_multidim import planar_problem, planar_state_delay_problem
 
 
@@ -157,7 +157,7 @@ class TestFactoredKernel:
         for sn in range(N + 1):
             for r in range(sn, N + 1):
                 pfree[r, sn] = g2(P, vp, r, sn) @ b[sn]
-        ref = dict(pfree=pfree, pb=P.pb, g1_table=P.g1_table,
+        ref = dict(pfree=pfree, pb=dense_factor(P)[1], g1_table=P.g1_table,
                    Xi=P.W[:, n:], rcal_inv=P.rcal_inv)
         eta, omega = adjoint_sweep(vp, ref)
         np.testing.assert_allclose(P.omega, omega, rtol=0, atol=1e-12)
@@ -165,14 +165,17 @@ class TestFactoredKernel:
                                    rtol=0, atol=1e-12)
 
     def test_stored_tables_are_quadratic_in_the_horizon(self, solve_preset):
-        # the one pair table is the factor H: (N+1)^2 3n (n+m) numbers;
-        # the rest is O(N (3n)^2)
+        # the one pair table is the factor H's lower half: per block
+        # [a, c) of the sweep, rows a..c-1 over columns a..N, (c - a)
+        # (N + 1 - a) node blocks of 3n (n+m) numbers; the rest is
+        # O(N (3n)^2)
         P = solve_preset("full", 48).P
-        d, nn, w = 3 * P.n, P.N + 1, P.n + P.m
+        d, nn, w, b = 3 * P.n, P.N + 1, P.n + P.m, riccati._BLOCK
+        stored = sum((c - a) * (nn - a) for c in range(nn, 0, -b)
+                     for a in [max(c - b, 0)]) * d * w
         arrays = [v for v in vars(P).values() if isinstance(v, np.ndarray)]
-        assert max(a.size for a in arrays) <= nn * nn * d * w
-        assert sum(a.nbytes for a in arrays) <= (
-            nn * nn * d * w + 4 * nn * d * d) * 8
+        assert sum(a.size for a in P.H) == stored
+        assert sum(a.nbytes for a in arrays) <= 4 * nn * d * d * 8
 
     def test_lifting_stores_no_control_kernel_table(self):
         # build_volterra keeps the running integrals E, the memory rows'
@@ -202,6 +205,7 @@ class TestFactoredKernel:
                 tracemalloc.stop()
             stored = sum(a.nbytes for a in vars(P).values()
                          if isinstance(a, np.ndarray))
+            stored += sum(a.nbytes for a in P.H)
             slice_bytes = (P.N + 1) ** 2 * (3 * P.n) ** 2 * 8
             assert peak <= stored + 0.5 * slice_bytes, (
                 name, (peak - stored) / slice_bytes)
@@ -217,7 +221,8 @@ class TestFactoredKernel:
         monkeypatch.setattr(volterra, "_CALL_MACS", 8)
         Ps = dl.solve_riccati(vp)
         for table in ("p1", "H", "W", "eta1", "omega"):
-            a, b = getattr(Ps, table), getattr(P, table)
+            a, b = (dense_factor(S)[0] if table == "H" else getattr(S, table)
+                    for S in (Ps, P))
             np.testing.assert_allclose(a, b, rtol=0,
                                        atol=1e-13 * np.abs(b).max())
         res_s = dl.riccati_residual(Ps, vp)
@@ -287,11 +292,15 @@ class TestLiveBlocks:
         _, Z = zero_weight_solution(8)
         assert Z.live == slice(0, 1)
         # n = 1: row or column b is block b; H[3, :, 15 + b] is H(5, 3)[b]
+        # in the dense layout
+        dense = {"H": dense_factor(Z)[0], "W": Z.W}
         for label, at in (("H", (3, 0, 15)), ("H", (3, 1, 15)),
                           ("W", (3, 0, 0))):
             for b, want in ((1, slice(0, 2)), (2, slice(0, 3, 2))):
-                hot = getattr(Z, label).copy()
+                hot = dense[label].copy()
                 hot[at[:2] + (at[2] + b,)] = 1e-300
+                if label == "H":
+                    hot = stored_factor(hot, 3, len(Z.H[-1]))
                 assert dataclasses.replace(Z, **{label: hot}).live == want, (
                     label, at, b)
 
@@ -308,7 +317,7 @@ class TestLiveBlocks:
                                     ("p1", P.p1[:, :, blk]),
                                     ("frontier", F[..., blk, :]),
                                     ("frontier", F[..., blk]),
-                                    ("pb", P.pb[..., blk, :])):
+                                    ("pb", dense_factor(P)[1][..., blk, :])):
                     assert not rows.any(), (name, b, label)
 
     @staticmethod
@@ -429,7 +438,8 @@ class TestStarProducts:
         d = 3
         p1 = np.tile(np.diag([2.0, 3.0, 4.0]), (9, 1, 1))
         # zero factors: p2 = 0 and pb = 0
-        zero_h, zero_w = np.zeros((9, 2, 9 * d)), np.zeros((9, 2, d))
+        zero_h = stored_factor(np.zeros((9, 2, 9 * d)), d, 9)
+        zero_w = np.zeros((9, 2, d))
         P = RiccatiSolution(n=1, m=1, dt=g.dt, p1=p1, H=zero_h, W=zero_w,
                             g1_table=np.zeros((9, 1, 1)),
                             rcal=np.tile(np.eye(1), (9, 1, 1)),
@@ -463,7 +473,8 @@ class TestStarProducts:
         for (sb, t) in [(8, 3), (16, 0), (5, 4)]:
             B = s.vp.lifted_columns()[..., s.vp.n:]
             np.testing.assert_allclose(star_right(s.P, B, s.vp, sb, t),
-                                       s.P.pb[sb, t], atol=1e-13)
+                                       dense_factor(s.P)[1][sb, t],
+                                       atol=1e-13)
 
     def test_domain_errors(self, solve_preset):
         s = solve_preset("tanh", 16)
@@ -507,7 +518,7 @@ class TestEvaluators:
             acc = np.zeros((s.problem.m, 3 * s.problem.n))
             for th in range(t + 1, N + 1):
                 acc += bcal(s.vp, th, t).T @ g3(s.P, s.vp, sb, t, th).T * dt
-            ref = s.P.pb[sb, t].T
+            ref = dense_factor(s.P)[1][sb, t].T
             scale = max(np.abs(ref).max(), 1e-30)
             assert np.abs(acc - ref).max() / scale < 1e-10
 
@@ -605,10 +616,11 @@ class TestResiduals:
         P, vp = s.P, s.vp
         base = dl.riccati_residual(P, vp).boundary_profile
         d, l, delta = 3 * P.n, 10, 100.0
-        H = P.H.copy()
+        H = dense_factor(P)[0]
         H[l, 0, (l + 5) * d] += delta           # g2(l + 5, l)[0, 0]
-        moved = dl.riccati_residual(dataclasses.replace(P, H=H),
-                                    vp).boundary_profile
+        moved = dl.riccati_residual(
+            dataclasses.replace(P, H=stored_factor(H, d, len(P.H[-1]))),
+            vp).boundary_profile
         want = abs(delta) * np.abs(vp.Acal[l][0]).max()
         assert abs(moved[l] - base[l] - want) <= 0.1 * want, (
             moved[l], base[l], want)

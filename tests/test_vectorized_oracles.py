@@ -339,8 +339,9 @@ def test_sweep_matches_euler_sweep(case):
     ref = loop_oracles.euler_sweep(vp)
     eta, ref["omega"] = loop_oracles.adjoint_sweep(vp, ref)
     ref["eta1"] = loop_oracles.pair_selector_sums(vp, eta)
+    got = dict(vars(P), pb=loop_oracles.dense_factor(P)[1])
     for f in ("p1", "pb", "eta1", "omega", "g1_table", "rcal"):
-        np.testing.assert_allclose(getattr(P, f), ref[f], rtol=0, atol=1e-12,
+        np.testing.assert_allclose(got[f], ref[f], rtol=0, atol=1e-12,
                                    err_msg=f)
     low = np.tril_indices(P.N + 1)
     np.testing.assert_allclose(frontier(P)[low], ref["frontier"][low],
@@ -479,9 +480,10 @@ def assert_blocked_matches_per_node(p):
     P, ref = dl.solve_riccati(vp), loop_oracles.per_node_sweep(vp)
     for table in ("p1", "H", "W", "g1_table", "rcal", "rcal_inv", "eta1",
                   "omega"):
-        want = getattr(ref, table)
+        got, want = (loop_oracles.dense_factor(S)[0] if table == "H"
+                     else getattr(S, table) for S in (P, ref))
         np.testing.assert_allclose(
-            getattr(P, table), want, rtol=0,
+            got, want, rtol=0,
             atol=1e-12 * max(1.0, np.abs(want).max()), err_msg=table)
     res = dl.riccati_residual(P, vp)
     ref_res = loop_oracles.per_node_residual(P, vp)
@@ -523,6 +525,46 @@ def test_blocked_sweep_matches_per_node_past_the_horizon(steps, block,
 @given(p=admissible_problems(), block=st.integers(1, 9))
 def test_blocked_sweep_matches_per_node_on_admissible_draws(p, block):
     with mock.patch.object(riccati, "_BLOCK", block):
+        assert_blocked_matches_per_node(p)
+
+
+def assert_blocked_products_match_dense(P, rng):
+    # every row range lo..hi-1 of the stored factor table applied to
+    # random stacks, with and without the residual's zeroed heads, against
+    # the products over the dense table
+    H = loop_oracles.dense_factor(P)[0]
+    N, d = P.N, 3 * P.n
+    C = rng.standard_normal((N + 1, d, d))
+    for lo in range(N + 1):
+        u = rng.standard_normal((N + 1 - lo, d, 3))
+        for hi in range(lo + 1, N + 2):
+            for first in (None, rng.integers(lo, N + 2, size=3)):
+                args = (P.W, C, P.rcal_inv, lo, u, P.dt, hi, first)
+                want = loop_oracles.dense_interior(H, *args)
+                np.testing.assert_allclose(
+                    riccati._interior(P.H, *args), want, rtol=0,
+                    atol=1e-12 * max(1.0, np.abs(want).max()),
+                    err_msg=(lo, hi, first))
+
+
+# a _BLOCK of 3 at N = 7 or 4 leaves a short block at node 0, 16 exceeds
+# every N + 1, and at 2 the delay reaches the horizon, k = N
+@pytest.mark.parametrize("block, steps, full_delay", [
+    (3, st.sampled_from([4, 7]), False), (16, st.integers(4, 8), False),
+    (2, st.integers(4, 8), True)], ids=["short-block", "one-block", "k-is-N"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_stored_factor_matches_dense_on_admissible_draws(block, steps,
+                                                         full_delay, data):
+    p = data.draw(admissible_problems(steps, full_delay))
+    with mock.patch.object(riccati, "_BLOCK", block):
+        vp = dl.build_volterra(p)
+        P = dl.solve_riccati(vp)
+        b = len(P.H[-1])
+        assert [len(x) for x in P.H] == [
+            c - max(c - b, 0) for c in range(P.N + 1, 0, -b)][::-1]
+        assert_blocked_products_match_dense(
+            P, np.random.default_rng(p.grid.N))
         assert_blocked_matches_per_node(p)
 
 

@@ -186,10 +186,11 @@ def test_node_row_products_cover_every_call_split(monkeypatch, macs):
 @pytest.mark.parametrize("upper", [True, False])
 @pytest.mark.parametrize("macs", [2 ** 17, 60, 12, 8])
 def test_triangle_products_cover_every_split(monkeypatch, macs, upper):
-    # 5 nodes of 3 x 2 blocks, zero on one side of the block diagonal,
-    # against 4 columns (24 multiply-adds a node block): one whole call,
-    # halving down to ranges of 2 or 3 nodes, down to single nodes that
-    # fit the bound, and single nodes past it, which go whole
+    # the dense reference the blocked products are pinned to: 5 nodes of
+    # 3 x 2 blocks, zero on one side of the block diagonal, against 4
+    # columns (24 multiply-adds a node block): one whole call, halving
+    # down to ranges of 2 or 3 nodes, down to single nodes that fit the
+    # bound, and single nodes past it, which go whole
     rng = np.random.default_rng(7)
     A = rng.standard_normal((5, 5, 3, 2))
     i, j = np.indices((5, 5))
@@ -197,7 +198,7 @@ def test_triangle_products_cover_every_split(monkeypatch, macs, upper):
     A = A.transpose(0, 2, 1, 3).reshape(15, 10)
     B = rng.standard_normal((10, 4))
     monkeypatch.setattr(volterra, "_CALL_MACS", macs)
-    np.testing.assert_allclose(volterra._by_triangle(A, B, 3, 2, upper),
+    np.testing.assert_allclose(loop_oracles.by_triangle(A, B, 3, 2, upper),
                                A @ B, rtol=1e-13, atol=1e-13)
 
 class TestLiftAndCost:
