@@ -18,7 +18,7 @@ from delaylq.problem import field_shapes
 import loop_oracles
 from evaluators import frontier
 from test_multidim import planar_problem, planar_state_delay_problem
-from strategies import admissible_problems
+from strategies import admissible_problems, unsolvable_draw
 from test_oracles import control_delay_preset
 
 
@@ -526,6 +526,22 @@ def test_blocked_sweep_matches_per_node_past_the_horizon(steps, block,
 def test_blocked_sweep_matches_per_node_on_admissible_draws(p, block):
     with mock.patch.object(riccati, "_BLOCK", block):
         assert_blocked_matches_per_node(p)
+
+
+@pytest.mark.parametrize("block", [1, 3, B])
+def test_blocked_sweep_loses_definiteness_where_per_node_does(block,
+                                                              monkeypatch):
+    # the draw admissible_problems rejects: every block size stops at the
+    # node, with the eigenvalue, where the per-node sweep stops
+    vp = dl.build_volterra(unsolvable_draw())
+    with pytest.raises(dl.NumericalError) as ref:
+        loop_oracles.per_node_sweep(vp)
+    monkeypatch.setattr(riccati, "_BLOCK", block)
+    with pytest.raises(dl.NumericalError) as got:
+        dl.solve_riccati(vp)
+    assert str(got.value) == str(ref.value) == (
+        "effective control weight lost positive definiteness at node 1 "
+        "(min eigenvalue -1.437500e+00)")
 
 
 def assert_blocked_products_match_dense(P, rng):
