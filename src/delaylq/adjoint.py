@@ -153,16 +153,16 @@ def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     # H(i, j)^T phi_i, c_j its i = j term; less dt sum_r y_r^T rcal_inv(r) y_r,
     # y_r = sum_i pb(i, r)^T phi_i the control rows of h_r (y_N = 0)
     d, n, w = 3 * vp.n, vp.n, vp.n + vp.m
-    h, c = np.empty((2, N, w))
-    for r, rows in P.rows(0, N):
-        # a stored block's rows over every column: the sums over i then
-        # run over the same terms, zeros included, at any block size
+    h = np.empty((N, w))
+    # a stored block's rows over every column, zeros included, so that the
+    # sums over i run over the same terms at any block size; from the
+    # horizon back, each block's columns cover those the later one wrote
+    pad = np.zeros((len(P.H[-1]), w, N, d))
+    for r, rows in reversed(P.rows(0, N)):
         nr = len(rows)
-        H = np.zeros((nr, w, N, d))
-        H[:, :, r:] = rows.reshape(nr, -1, N + 1 - r, d)[:, :, :N - r]
-        h[r:r + nr] = np.einsum("jcia,ia->jc", H, phi)
-        c[r:r + nr] = np.einsum("jcja,ja->jc", H[:, :, r:r + nr],
-                                phi[r:r + nr])
+        pad[:nr, :, r:] = rows.reshape(nr, -1, N + 1 - r, d)[:, :, :N - r]
+        h[r:r + nr] = np.einsum("jcia,ia->jc", pad[:nr], phi)
+    c = np.einsum("jca,ja->jc", riccati._diagonal(P.H, d)[:N], phi)
     quad = np.einsum("jc,jca,ja->", 2.0 * h - c, P.W[:N], phi)
     y = h[1:, n:]
     quad -= np.einsum("rm,rmq,rq->", y, P.rcal_inv[1:N], y) * dt

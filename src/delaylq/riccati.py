@@ -166,28 +166,34 @@ class RiccatiSolution:
         return col
 
 
-def _rows(H: tuple, d: int, lo: int, hi: int) -> list:
-    """(r, rows) for rows lo..hi-1 of the factor table H, stored as one
-    array per block of b nodes counted from the horizon back (the first
-    one short), from node 0 on: per stored block they meet, its rows r..
-    (up to hi-1) over columns r..N as (rows, n+m, (N+1-r) d), a view.
-    Rows and columns of a block start at its first node, so a row's zero
-    head from there to its diagonal is stored."""
+def _partition(nn: int, b: int) -> list:
+    """The blocks [a, c) of b nodes over nodes 0..nn-1, counted from the
+    horizon back (the first one short), listed from node 0 on: the nodes
+    of ``_applied``'s blocks and the rows of H's stored blocks."""
+    return [(max(c - b, 0), c) for c in range(nn % b or b, nn + 1, b)]
+
+
+def _blocks(H: tuple, d: int, lo: int, hi: int) -> list:
+    """(a, blk) for the stored blocks of the factor table H that hold rows
+    lo..hi-1, a the block's first node: H holds one array per block of
+    ``_partition``, its rows over the columns from its first node on."""
     nn, b = H[0].shape[2] // d, len(H[-1])
-    out = []
-    for blk in H[len(H) - 1 - (nn - 1 - lo) // b:len(H) - (nn - hi) // b]:
-        a = nn - blk.shape[2] // d
-        r = max(lo, a)
-        out.append((r, blk[r - a:hi - a, :, (r - a) * d:]))
-    return out
+    return [(nn - blk.shape[2] // d, blk) for blk in
+            H[len(H) - 1 - (nn - 1 - lo) // b:len(H) - (nn - hi) // b]]
+
+
+def _rows(H: tuple, d: int, lo: int, hi: int) -> list:
+    """(r, rows) for rows lo..hi-1 of the factor table H: per stored block
+    they meet, its rows r..(up to hi-1) over columns r..N as (rows, n+m,
+    (N+1-r) d), a view.  Rows and columns of a block start at its first
+    node, so a row's zero head from there to its diagonal is stored."""
+    return [(r, blk[r - a:hi - a, :, (r - a) * d:])
+            for a, blk in _blocks(H, d, lo, hi) for r in [max(lo, a)]]
 
 
 def _row(H: tuple, d: int, t: int) -> np.ndarray:
-    """Row t of the factor table H over columns t..N, a view.  Indexed
-    directly, not through ``_rows``: the sweep reads one per node."""
-    nn = H[0].shape[2] // d
-    blk = H[len(H) - 1 - (nn - 1 - t) // len(H[-1])]
-    a = nn - blk.shape[2] // d
+    """Row t of the factor table H over columns t..N, a view."""
+    [(a, blk)] = _blocks(H, d, t, t + 1)
     return blk[t - a, :, (t - a) * d:]
 
 
@@ -279,12 +285,9 @@ def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     nr = len(parts[0][1])
     out = _by_node_rows(parts[0][1].reshape(nr * w, -1).T,
                         x[:nr].reshape(-1, k), d).reshape(M, d, k)
-    if len(parts) == 1:
-        out[:t] += Wl.transpose(0, 2, 1) @ hu
-    else:
-        for r, rows in parts:
-            s = slice(r - lo, r - lo + len(rows))
-            out[s] += Wl[s].transpose(0, 2, 1) @ hu[s]
+    for r, rows in parts:
+        s = slice(r - lo, r - lo + len(rows))
+        out[s] += Wl[s].transpose(0, 2, 1) @ hu[s]
     del hu
     for r, rows in parts[1:]:
         q, nr = r - lo, len(rows)
@@ -323,8 +326,7 @@ def _applied(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     N, d = W.shape[0] - 1, W.shape[-1]
     b = _block_nodes(k, N)
     X = np.zeros((N + 1, d, b, k))
-    for c in range(N + 1, 0, -b):
-        a = max(c - b, 0)
+    for a, c in reversed(_partition(N + 1, b)):
         fill(a, c, X[a:, :, c - a - 1::-1])   # node l at column c - 1 - l
         far = None                      # the last block's, freed first
         if c <= N:
@@ -360,8 +362,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     k = w + any(free)
     # [g2 | pb], the lower half in _applied's blocks [a, c), from node 0 on
     b = _block_nodes(k, N)
-    H = tuple(np.zeros((c - a, w, (nn - a) * d))
-              for c in range(nn % b or b, nn + 1, b) for a in [max(c - b, 0)])
+    H = tuple(np.zeros((c - a, w, (nn - a) * d)) for a, c in _partition(nn, b))
 
     def fill(a: int, c: int, u: np.ndarray):
         # node l's columns: the selector U(., t_l), the control column
@@ -584,9 +585,8 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     weight[N] = 0.0
 
     prof_point, prof_bound = np.zeros(N + 1), np.zeros(N)
-    for blk in reversed(H):
-        nb, M = len(blk), blk.shape[2] // d
-        a = N + 1 - M
+    for a, blk in reversed(_blocks(H, d, 0, N + 1)):
+        nb, M = len(blk), N + 1 - a
         c, ls, q = a + nb, slice(a, a + nb), np.arange(nb)
         # node l's columns on rows a..N, zero below l, as [r, :, l, :],
         # and the trapezoid-weighted stack: rows l and N halved

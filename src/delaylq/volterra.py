@@ -51,6 +51,8 @@ def _by_node_rows(A: np.ndarray, B: np.ndarray, w: int,
           else max(1, min(32, _CALL_MACS // (w * K))))
     g = max(1, _CALL_MACS // (w * K * kc))       # node blocks per call
     full = M - M % g
+    if not full and kc == k:                     # one call, as below
+        return np.matmul(A, B, out=out)
     out = np.empty((R, k)) if out is None else out
     for c in range(0, k, kc):
         Bc, cols = B[:, c:c + kc], slice(c, c + kc)

@@ -90,7 +90,7 @@ from delaylq.oracles import CASES, CaseIIResiduals, CaseIResiduals
 from delaylq.exceptions import NumericalError
 from delaylq.riccati import (_EVOLUTION_BLOCK, RiccatiResiduals,
                              RiccatiSolution, _block_nodes,
-                             _lost_definiteness, _sym)
+                             _lost_definiteness, _partition, _sym)
 from delaylq.simulate import BLOWUP_THRESHOLD, BrownianBatch, SimulationBatch
 from delaylq import volterra
 from delaylq.volterra import _by_node_rows, _node_product, memory_kernel
@@ -1352,11 +1352,10 @@ def dense_factor(P) -> tuple[np.ndarray, np.ndarray]:
 
 def stored_factor(H: np.ndarray, d: int, b: int) -> tuple:
     """The dense factor table H in the solver's layout: one array per
-    block of b nodes counted from the horizon back, from node 0 on, each
-    holding its rows from its first node's column on."""
-    nn = H.shape[0]
-    return tuple(H[a:c, :, a * d:].copy() for c in range(nn % b or b, nn + 1, b)
-                 for a in [max(c - b, 0)])
+    block [a, c) of b nodes (``_partition``), each holding its
+    rows from its first node's column on."""
+    return tuple(H[a:c, :, a * d:].copy()
+                 for a, c in _partition(H.shape[0], b))
 
 
 def by_triangle(A, B, w: int, v: int, upper: bool, out=None) -> np.ndarray:

@@ -316,7 +316,8 @@ def test_blocked_synthesis_matches_whole_grid_on_admissible_draws(p, block):
     # last one; from 5 on one block holds every node of N <= 8; the draws'
     # delays reach k = N
     with mock.patch.object(riccati, "_BLOCK", block):
-        assert_blocked_synthesis_matches_whole_grid(p, exact=False)
+        if solvable(p):
+            assert_blocked_synthesis_matches_whole_grid(p, exact=False)
 
 
 #: the problems the sweep is pinned to the Euler sweep on
@@ -475,6 +476,23 @@ def truncated(p, N):
                              n=p.n, m=p.m, lam=p.lam, **fields)
 
 
+def solvable(p):
+    """Whether the per-node sweep solves p; where it stops, the blocked
+    sweep must stop with the same message.  The explicit sweep can lose
+    the effective control weight's definiteness on a draw whose weights
+    meet ``admissible_problems``' bounds in continuous time
+    (``unsolvable_draw``)."""
+    vp = dl.build_volterra(p)
+    try:
+        loop_oracles.per_node_sweep(vp)
+    except dl.NumericalError as ref:
+        with pytest.raises(dl.NumericalError) as got:
+            dl.solve_riccati(vp)
+        assert str(got.value) == str(ref)
+        return False
+    return True
+
+
 def assert_blocked_matches_per_node(p):
     vp = dl.build_volterra(p)
     P, ref = dl.solve_riccati(vp), loop_oracles.per_node_sweep(vp)
@@ -525,14 +543,15 @@ def test_blocked_sweep_matches_per_node_past_the_horizon(steps, block,
 @given(p=admissible_problems(), block=st.integers(1, 9))
 def test_blocked_sweep_matches_per_node_on_admissible_draws(p, block):
     with mock.patch.object(riccati, "_BLOCK", block):
-        assert_blocked_matches_per_node(p)
+        if solvable(p):
+            assert_blocked_matches_per_node(p)
 
 
 @pytest.mark.parametrize("block", [1, 3, B])
 def test_blocked_sweep_loses_definiteness_where_per_node_does(block,
                                                               monkeypatch):
-    # the draw admissible_problems rejects: every block size stops at the
-    # node, with the eigenvalue, where the per-node sweep stops
+    # a draw the explicit sweep cannot solve: every block size stops at
+    # the node, with the eigenvalue, where the per-node sweep stops
     vp = dl.build_volterra(unsolvable_draw())
     with pytest.raises(dl.NumericalError) as ref:
         loop_oracles.per_node_sweep(vp)
@@ -574,6 +593,8 @@ def test_stored_factor_matches_dense_on_admissible_draws(block, steps,
                                                          full_delay, data):
     p = data.draw(admissible_problems(steps, full_delay))
     with mock.patch.object(riccati, "_BLOCK", block):
+        if not solvable(p):
+            return
         vp = dl.build_volterra(p)
         P = dl.solve_riccati(vp)
         b = len(P.H[-1])
