@@ -512,6 +512,13 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
     N, n, m = P.N, P.n, P.m
     ln = len(range(3)[P.live]) * n          # live rows per node
     prof = np.zeros(N)
+    # 1.0 where node l keeps the rows of the node at offset o from it, 0.0
+    # where not, at o + N; a tile's row i is at offset 1 + i // ln from its
+    # first node, so at kept[row_at[i]]
+    o = np.arange(-N, N + 2)
+    kept = ((o > 0) & (np.abs(o - k) > 1) & (np.abs(o - 2 * k) > 1)).astype(
+        float)
+    row_at = np.arange(N * ln) // ln + 1 + N
     # every tile and its scratch in one buffer: a fresh one per tile costs
     # its page faults again
     buf = np.empty((2, max(_EVOLUTION_BLOCK, N * ln)))
@@ -532,9 +539,7 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
         Q = np.zeros_like(F)
         Q[..., :m] = F[..., :m] @ P.rcal_inv[l0:l0 + g + 1]
         # the rows node l = l0 + i keeps, as 1.0 and 0.0, by their offset
-        off = 1 + np.arange(nc) // ln - np.arange(g)[:, None]
-        keep = ((off > 0) & (np.abs(off - k) > 1)
-                & (np.abs(off - 2 * k) > 1))[..., None].astype(float)
+        keep = kept[row_at[:nc] - np.arange(g)[:, None], None]
         # D(l+1)'s half taken on its factor: a power of two, so the sum
         # of the halved products is 0.5 (D(l+1)[i, j] + D(l+1)[j, i])
         Qh, F1 = 0.5 * Q[1:] * keep, F[1:] * keep
@@ -542,7 +547,7 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
         F1t, Qht, F0t = (np.ascontiguousarray(X.transpose(0, 2, 1))
                          for X in (F1, Qh, F0))
         e, t = buf[:, :g * rows * nc].reshape(2, g, rows, nc)
-        worst = np.zeros(g)
+        worst = prof[l0:l0 + g]             # zeros until now
         for r0 in range(0, nc, rows):
             r1 = min(r0 + rows, nc)
             if r1 - r0 < rows:
@@ -551,7 +556,6 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
             e += np.matmul(F1[:, r0:r1], Qht, out=t)
             e -= np.matmul(Q0[:, r0:r1], F0t, out=t)
             np.maximum(worst, np.abs(e, out=e).max(axis=(1, 2)), out=worst)
-        prof[l0:l0 + g] = worst
         l0 += g
     return prof
 
