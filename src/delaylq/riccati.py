@@ -173,13 +173,13 @@ def _partition(nn: int, b: int) -> list:
     return [(max(c - b, 0), c) for c in range(nn % b or b, nn + 1, b)]
 
 
-def _blocks(H: tuple, d: int, lo: int, hi: int) -> list:
-    """(a, blk) for the stored blocks of the factor table H that hold rows
-    lo..hi-1, a the block's first node: H holds one array per block of
+def _block(H: tuple, d: int, t: int) -> tuple:
+    """(i, a): H[i] is the stored block of the factor table H that holds
+    row t, a its first node.  H holds one array per block of
     ``_partition``, its rows over the columns from its first node on."""
-    nn, b = H[0].shape[2] // d, len(H[-1])
-    return [(nn - blk.shape[2] // d, blk) for blk in
-            H[len(H) - 1 - (nn - 1 - lo) // b:len(H) - (nn - hi) // b]]
+    nn = H[0].shape[2] // d
+    i = len(H) - 1 - (nn - 1 - t) // len(H[-1])
+    return i, nn - H[i].shape[2] // d
 
 
 def _rows(H: tuple, d: int, lo: int, hi: int) -> list:
@@ -187,14 +187,22 @@ def _rows(H: tuple, d: int, lo: int, hi: int) -> list:
     they meet, its rows r..(up to hi-1) over columns r..N as (rows, n+m,
     (N+1-r) d), a view.  Rows and columns of a block start at its first
     node, so a row's zero head from there to its diagonal is stored."""
-    return [(r, blk[r - a:hi - a, :, (r - a) * d:])
-            for a, blk in _blocks(H, d, lo, hi) for r in [max(lo, a)]]
+    if lo >= hi:
+        return []
+    i, a = _block(H, d, lo)
+    out, r = [], lo
+    while r < hi:
+        blk = H[i]
+        out.append((r, blk[r - a:hi - a, :, (r - a) * d:]))
+        i, a = i + 1, a + len(blk)
+        r = a
+    return out
 
 
 def _row(H: tuple, d: int, t: int) -> np.ndarray:
     """Row t of the factor table H over columns t..N, a view."""
-    [(a, blk)] = _blocks(H, d, t, t + 1)
-    return blk[t - a, :, (t - a) * d:]
+    i, a = _block(H, d, t)
+    return H[i][t - a, :, (t - a) * d:]
 
 
 def _diagonal(H: tuple, d: int) -> np.ndarray:
@@ -256,14 +264,14 @@ def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     block's own rows in ``_applied``.  The rows go a stored block at a
     time (``_rows``): a block's H u is one ``_by_node_rows`` product
     against u from its first row's node on, its part of H^T x one of the
-    transpose against its rows of x.  The first block's part writes every
-    row of the result, W^T (H u) follows a block's rows at a time, and the
-    later blocks' parts add on once H u is freed, so that their
-    temporaries do not meet it.  With ``first`` (k,) given, column j's
-    rows of H u below first[j] are zeroed before x is formed; where u's
-    column is zero there too, those rows add exact zeros, and the column
-    gets the slice at node first[j] - 1 on rows first[j]..N (zeros above):
-    ``riccati_residual`` applies a block of nodes' slices in one call."""
+    transpose against its rows of x.  W^T (H u) is written into the
+    result first and H u freed, so that the blocks' parts, added on in
+    turn, and their temporaries do not meet it.  With ``first`` (k,)
+    given, column j's rows of H u below first[j] are zeroed before x is
+    formed; where u's column is zero there too, those rows add exact
+    zeros, and the column gets the slice at node first[j] - 1 on rows
+    first[j]..N (zeros above): ``riccati_residual`` applies a block of
+    nodes' slices in one call."""
     M, d, k = u.shape
     w, m = W.shape[1], rcal_inv.shape[-1]
     t = M if hi is None else hi - lo       # the rows read
@@ -279,17 +287,11 @@ def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     Wl = W[lo:lo + t]
     x = Wl @ u[:t]
     x[:, w - m:] -= dt * (rcal_inv[lo:lo + t] @ hu[:, w - m:])
-    # the first block's part of H^T x reaches every row; W^T (H u) follows,
-    # a block's rows at a time where more blocks follow, so that H u is
-    # freed before the temporaries of their parts
-    nr = len(parts[0][1])
-    out = _by_node_rows(parts[0][1].reshape(nr * w, -1).T,
-                        x[:nr].reshape(-1, k), d).reshape(M, d, k)
-    for r, rows in parts:
-        s = slice(r - lo, r - lo + len(rows))
-        out[s] += Wl[s].transpose(0, 2, 1) @ hu[s]
+    out = np.empty((M, d, k))
+    np.matmul(Wl.transpose(0, 2, 1), hu, out=out[:t])
+    out[t:] = 0.0
     del hu
-    for r, rows in parts[1:]:
+    for r, rows in parts:
         q, nr = r - lo, len(rows)
         out[q:] += _by_node_rows(rows.reshape(nr * w, -1).T,
                                  x[q:q + nr].reshape(-1, k), d).reshape(
@@ -589,7 +591,7 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     weight[N] = 0.0
 
     prof_point, prof_bound = np.zeros(N + 1), np.zeros(N)
-    for a, blk in reversed(_blocks(H, d, 0, N + 1)):
+    for a, blk in reversed(_rows(H, d, 0, N + 1)):
         nb, M = len(blk), N + 1 - a
         c, ls, q = a + nb, slice(a, a + nb), np.arange(nb)
         # node l's columns on rows a..N, zero below l, as [r, :, l, :],
