@@ -144,26 +144,20 @@ def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     if not src.homogeneous:
         raise ProblemValidationError(
             ["value_function applies to homogeneous problems (b = sigma = 0)"])
-    N, dt = vp.grid.N, vp.grid.dt
+    N, dt, n = vp.grid.N, vp.grid.dt, vp.n
     phi = vp.phi[:N]
     single = np.einsum("ja,jab,jb->", phi, P.p1[:N], phi) * dt
     # p2(i, j, 0) is F less the rank-m updates of nodes 1..N, and
-    # F(i, j) = H(i, j) W(j) below the diagonal, sym(H(j, j) W(j)) on it:
-    # phi^T F phi = sum_j (2 h_j - c_j)^T W(j) phi_j, h_j = sum_{i >= j}
-    # H(i, j)^T phi_i, c_j its i = j term; less dt sum_r y_r^T rcal_inv(r) y_r,
-    # y_r = sum_i pb(i, r)^T phi_i the control rows of h_r (y_N = 0)
-    d, n, w = 3 * vp.n, vp.n, vp.n + vp.m
-    h = np.empty((N, w))
-    # a stored block's rows over every column, zeros included, so that the
-    # sums over i run over the same terms at any block size; from the
-    # horizon back, each block's columns cover those the later one wrote
-    pad = np.zeros((len(P.H[-1]), w, N, d))
-    for r, rows in reversed(P.rows(0, N)):
-        nr = len(rows)
-        pad[:nr, :, r:] = rows.reshape(nr, -1, N + 1 - r, d)[:, :, :N - r]
-        h[r:r + nr] = np.einsum("jcia,ia->jc", pad[:nr], phi)
-    c = np.einsum("jca,ja->jc", riccati._diagonal(P.H, d)[:N], phi)
-    quad = np.einsum("jc,jca,ja->", 2.0 * h - c, P.W[:N], phi)
+    # F(i, j) = H(i, j) W(j) below the diagonal, the corner C(j) on it:
+    # phi^T F phi = sum_j 2 h_j^T W(j) phi_j - phi_j^T C(j) phi_j, h_j =
+    # sum_{i >= j} H(i, j)^T phi_i; less dt sum_r y_r^T rcal_inv(r) y_r,
+    # y_r = sum_i pb(i, r)^T phi_i the control rows of h_r (y_N = 0).  The
+    # sums over i stop at N - 1: node N's phi enters as zeros
+    u = np.zeros((N + 1, 3 * n, 1))
+    u[:N, :, 0] = phi
+    h = riccati._by_rows(P.H, 0, N, u)[..., 0]
+    quad = (2.0 * np.einsum("jc,jca,ja->", h, P.W[:N], phi)
+            - np.einsum("ja,jab,jb->", phi, P.corner[:N], phi))
     y = h[1:, n:]
     quad -= np.einsum("rm,rmq,rq->", y, P.rcal_inv[1:N], y) * dt
     return float(single + quad * dt * dt)

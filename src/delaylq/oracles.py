@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import NumericalError, ProblemValidationError
 from .problem import FREE_TERMS, DelayLQProblem
-from .riccati import RiccatiSolution, _applied, _diagonal
+from .riccati import RiccatiSolution, _applied
 from .simulate import (BrownianBatch, _cost_weight, _history_rows,
                        simulate_open_loop)
 from .volterra import VolterraProblem, memory_kernel
@@ -419,15 +419,13 @@ def _memory_window_terms(P: RiccatiSolution, problem: DelayLQProblem,
     N, dt, n, m = P.N, P.dt, P.n, P.m
     k = S1.shape[1] - 1
     G = _shifted_memory_kernel(problem)
-    # the factors' first-block columns, in the stored blocks: every term of
-    # the slice splits by blocks, so these apply its (1, 1) block, the only
-    # live one
+    # the factors' and the corners' first blocks, in the stored blocks:
+    # every term of the slice splits by blocks, so these apply its (1, 1)
+    # block, the only live one
     H1 = tuple(np.ascontiguousarray(
         blk.reshape(blk.shape[:2] + (-1, 3 * n))[..., :n]).reshape(
             blk.shape[:2] + (-1,)) for blk in P.H)
-    W1 = P.W[:, :, :n]
-    corner = _diagonal(H1, n).swapaxes(-1, -2) @ W1      # H(l, l) W(l)
-    corner = 0.5 * (corner + corner.swapaxes(-1, -2))
+    W1, C1 = P.W[:, :, :n], P.corner[:, :n, :n]
     cols = (k + 1) * m
 
     def fill(a: int, c: int, U: np.ndarray):
@@ -438,7 +436,7 @@ def _memory_window_terms(P: RiccatiSolution, problem: DelayLQProblem,
             np.cumsum(G[l + 1:N, l:l + k + 1].transpose(0, 2, 1, 3), axis=0,
                       out=u[2:].reshape(N - l - 1, n, k + 1, m))
 
-    for l, u, Z in _applied(H1, W1, corner, P.rcal_inv, cols, fill, dt,
+    for l, u, Z in _applied(H1, W1, C1, P.rcal_inv, cols, fill, dt,
                             P.p1[:, :n, :n]):
         if l == N:
             continue

@@ -132,8 +132,10 @@ def validate(problem: DelayLQProblem) -> ValidationReport:
             f"delay not a grid multiple: delay={g.delay}, dt={g.dt} "
             f"(nearest multiple {g.delay_steps}*dt={g.delay_steps * g.dt})"
         )
-    if problem.lam <= 0:
-        v.append(f"coercivity constant must be positive, got lam={problem.lam}")
+    lam_ok = 0 < problem.lam < np.inf       # False for NaN
+    if not lam_ok:
+        v.append(f"coercivity constant must be positive and finite, got "
+                 f"lam={problem.lam}")
 
     shapes = field_shapes(n, m, nn, k)
     bad_shapes = [
@@ -183,7 +185,7 @@ def validate(problem: DelayLQProblem) -> ValidationReport:
         reff[: g.N - k] += problem.R2[k : g.N]
     reff = 0.5 * (reff + reff.transpose(0, 2, 1))
     mins = np.linalg.eigvalsh(reff).min(axis=-1)
-    bad = np.where(mins < problem.lam - _PSD_TOL)[0]
+    bad = np.where(mins < problem.lam - _PSD_TOL)[0] if lam_ok else ()
     for j in bad:
         v.append(
             f"coercivity failure at node {int(j)}: min eigenvalue "

@@ -68,9 +68,9 @@ block's nodes to their selector and control columns, each node's rows
 up to its own zeroed; the rest of the two algebraic lines is batched
 over the block.  It takes the evolution line's increment as the drift
 itself, from the rank-m factors of pb in tiles of at most 2^15 entries,
-on the live lifted blocks only (see ``_live_blocks``): on the solver's
-output a dead block is one the data never reads (A2, C2 and Q2 zero for
-block 2; A3, C3 and Q3 for block 3).  That line is O(N^3 (L n)^2)
+on the live lifted blocks only (``VolterraProblem.live``): a dead block
+is one the data never reads (A2, C2 and Q2 zero for block 2; A3, C3 and
+Q3 for block 3), and it stays exactly zero.  That line is O(N^3 (L n)^2)
 elementwise work for L live blocks, outside BLAS.  No reader in this
 module forms a whole slice; the CLI's ``--dump-riccati`` replays them
 (``delaylq.cli.replay``), re-running the explicit Euler recurrence from
@@ -79,7 +79,7 @@ the terminal corner with the border columns H W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,8 @@ class RiccatiSolution:
         q = min(i, j).
 
     Only the factors of the border values are stored: p2(i, j, j) =
-    H(i, j) W(j) for i > j, the corner p2(j, j, j) = sym(H(j, j) W(j)).
+    H(i, j) W(j) for i > j, and the corner p2(j, j, j) = sym(H(j, j) W(j))
+    as ``corner[j]``, which the sweep forms for its own products.
     Row t of the factor table holds H(s, t)^T = [g2 | pb](s, t)^T for
     s >= t, the selector-weighted column g2 and the control products
     (P*B)(t_s, t_t) the sweep formed at node t; s < t is zero and not
@@ -116,9 +117,7 @@ class RiccatiSolution:
     ``omega``, the causal feedback's offset.  Its drift
     at node s reads the free-term star product p1(r) ub(r) + dt sum_{q>s}
     p2(r, q, s) ub(q), ub = U(., t_s) b(s), formed at node s and not
-    kept.  ``live``, the blocks the Euler drift can move, is derived from
-    ``H`` and ``W`` once per solution and cannot be set; the residual's
-    evolution line reads only those rows, at under half the cost of all.
+    kept.
     """
 
     n: int
@@ -127,18 +126,13 @@ class RiccatiSolution:
     p1: np.ndarray              # (N+1, 3n, 3n)
     H: tuple[np.ndarray, ...]   # per block [a, c): (c-a, n+m, (N+1-a) 3n)
     W: np.ndarray               # (N+1, n+m, 3n); [Acal; Xi]
+    corner: np.ndarray          # (N+1, 3n, 3n); sym(H(l, l) W(l))
     g1_table: np.ndarray        # (N+1, n, n)
     rcal: np.ndarray            # (N+1, m, m)
     rcal_inv: np.ndarray        # (N+1, m, m)
     eta1: np.ndarray            # (N+1, n)
     omega: np.ndarray           # (N+1, m)
     lambda_floor: float
-    # lifted blocks the Euler drift moves, read off the factors, see
-    # ``_live_blocks``
-    live: slice = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "live", _live_blocks(self.H, self.W))
 
     @property
     def N(self) -> int:
@@ -160,9 +154,8 @@ class RiccatiSolution:
     def border(self, l: int) -> np.ndarray:
         """p2(i, l, l) for i >= l as one flat ((N+1-l) 3n, 3n) column:
         H(i, l) W(l), the corner symmetrized."""
-        d = 3 * self.n
         col = self.row(l).T @ self.W[l]
-        col[:d] = _sym(col[:d])
+        col[:3 * self.n] = self.corner[l]
         return col
 
 
@@ -205,39 +198,9 @@ def _row(H: tuple, d: int, t: int) -> np.ndarray:
     return H[i][t - a, :, (t - a) * d:]
 
 
-def _diagonal(H: tuple, d: int) -> np.ndarray:
-    """(N+1, n+m, d): each row's diagonal node block, H(t, t)^T."""
-    return np.concatenate([
-        blk.reshape(len(blk), blk.shape[1], -1, d)[q, :, q]
-        for blk in H for q in [np.arange(len(blk))]])
-
-
 def _block_nodes(k: int, N: int) -> int:
     """Nodes per block of ``_applied`` for stacks of k columns."""
     return max(1, min(_BLOCK, _BLOCK_COLUMNS // k, N + 1))
-
-
-def _live_blocks(H: tuple, W: np.ndarray) -> slice:
-    """The lifted blocks the Euler drift moves, as a slice of the block axis.
-
-    Block 1 (the current state) always; block 2 or 3 iff its rows of the
-    factor table H or its columns of the closed-loop row W hold a nonzero
-    entry.  A block with neither has zero rows and columns in every
-    border H W and zero rows in the control products, so it stays
-    exactly zero under the Euler step, and skipping it is exact.  The
-    result is one of 0:1, 0:2, 0::2 and 0:3.
-    """
-    n = W.shape[-1] // 3
-
-    def holds(b: int) -> bool:
-        return bool(W[..., b * n:(b + 1) * n].any() or any(
-            blk.reshape(blk.shape[:2] + (-1, 3, n))[..., b, :].any()
-            for blk in H))
-
-    delay, memory = holds(1), holds(2)
-    if memory and not delay:
-        return slice(0, 3, 2)
-    return slice(0, 1 + delay + memory)
 
 
 def _lost_definiteness(l: int, eigenvalues: np.ndarray) -> NumericalError:
@@ -248,6 +211,20 @@ def _lost_definiteness(l: int, eigenvalues: np.ndarray) -> NumericalError:
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+def _by_rows(H: tuple, lo: int, t: int, u: np.ndarray) -> np.ndarray:
+    """(t, n+m, k): H u on rows lo..lo+t-1 of the factor table H, row r
+    sum_{s >= r} H(s, r)^T u(s) for the stacked columns u (M, d, k) over
+    nodes lo..N, one ``_by_node_rows`` product per stored block against u
+    from its first row's node on."""
+    (d, k), w = u.shape[1:], H[0].shape[1]
+    hu = np.empty((t, w, k))
+    for r, rows in _rows(H, d, lo, lo + t):
+        q = r - lo
+        _by_node_rows(rows.reshape(-1, rows.shape[-1]), u[q:].reshape(-1, k),
+                      w, hu[q:q + len(rows)].reshape(-1, k))
+    return hu
 
 
 def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
@@ -263,24 +240,19 @@ def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     sum splits by rows: with ``hi`` given it reads rows lo..hi-1 only, a
     block's own rows in ``_applied``.  The rows go a stored block at a
     time (``_rows``): a block's H u is one ``_by_node_rows`` product
-    against u from its first row's node on, its part of H^T x one of the
-    transpose against its rows of x.  W^T (H u) is written into the
-    result first and H u freed, so that the blocks' parts, added on in
-    turn, and their temporaries do not meet it.  With ``first`` (k,)
-    given, column j's rows of H u below first[j] are zeroed before x is
-    formed; where u's column is zero there too, those rows add exact
-    zeros, and the column gets the slice at node first[j] - 1 on rows
-    first[j]..N (zeros above): ``riccati_residual`` applies a block of
-    nodes' slices in one call."""
+    against u from its first row's node on (``_by_rows``), its part of
+    H^T x one of the transpose against its rows of x.  W^T (H u) is
+    written into the result first and H u freed, so that the blocks'
+    parts, added on in turn, and their temporaries do not meet it.  With
+    ``first`` (k,) given, column j's rows of H u below first[j] are zeroed
+    before x is formed; where u's column is zero there too, those rows add
+    exact zeros, and the column gets the slice at node first[j] - 1 on
+    rows first[j]..N (zeros above): ``riccati_residual`` applies a block
+    of nodes' slices in one call."""
     M, d, k = u.shape
     w, m = W.shape[1], rcal_inv.shape[-1]
     t = M if hi is None else hi - lo       # the rows read
-    parts = _rows(H, d, lo, lo + t)        # (first row, rows) per block
-    hu = np.empty((t, w, k))
-    for r, rows in parts:
-        q = r - lo
-        _by_node_rows(rows.reshape(-1, rows.shape[-1]), u[q:].reshape(-1, k),
-                      w, hu[q:q + len(rows)].reshape(-1, k))
+    hu = _by_rows(H, lo, t, u)
     if first is not None:
         above = np.arange(lo, lo + t)[:, None] < first
         np.copyto(hu, 0.0, where=above[:, None])
@@ -291,7 +263,7 @@ def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     np.matmul(Wl.transpose(0, 2, 1), hu, out=out[:t])
     out[t:] = 0.0
     del hu
-    for r, rows in parts:
+    for r, rows in _rows(H, d, lo, lo + t):
         q, nr = r - lo, len(rows)
         out[q:] += _by_node_rows(rows.reshape(nr * w, -1).T,
                                  x[q:q + nr].reshape(-1, k), d).reshape(
@@ -357,7 +329,7 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     rcal_inv = np.zeros((nn, m, m))
     W = np.zeros((nn, w, d))              # [Acal; Xi]
     W[:, :n] = vp.Acal
-    corner = np.empty((nn, d, d))         # sym(H(l, l) W(l)), kept for _interior
+    corner = np.empty((nn, d, d))         # sym(H(l, l) W(l))
     # where b = 0 throughout the free-term column is left out, and where
     # b(l) = 0 it is zero and node l's free column stays +0.0
     free = vp.source.b.any(axis=1).tolist()
@@ -460,9 +432,9 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         raise _lost_definiteness(l, floors[l:l + 1])
 
     return RiccatiSolution(
-        n=n, m=m, dt=dt, p1=p1, H=H, W=W, g1_table=g1_table,
-        rcal=rcal, rcal_inv=rcal_inv, eta1=eta1, omega=omega,
-        lambda_floor=float(floors.min()),
+        n=n, m=m, dt=dt, p1=p1, H=H, W=W, corner=corner,
+        g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, eta1=eta1,
+        omega=omega, lambda_floor=float(floors.min()),
     )
 
 
@@ -496,9 +468,9 @@ class RiccatiResiduals:
 _EVOLUTION_BLOCK = 1 << 15
 
 
-def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
+def _evolution_profile(P: RiccatiSolution, k: int, live: slice) -> np.ndarray:
     """max |sym(D(l+1)) - D(l)| per node l < N over pairs of smooth nodes
-    l+1..N, D(r) = pb(., r) rcal_inv(r) pb(., r)^T on the live rows.  A
+    l+1..N, D(r) = pb(., r) rcal_inv(r) pb(., r)^T on the ``live`` rows.  A
     node is rough within one node of offset k or 2k from l.
 
     No D is formed.  The nodes go in tiles of at most _EVOLUTION_BLOCK
@@ -512,7 +484,7 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
     product of one column is several times slower than a BLAS GEMM of
     two, and each entry is still the one rounded product."""
     N, n, m = P.N, P.n, P.m
-    ln = len(range(3)[P.live]) * n          # live rows per node
+    ln = len(range(3)[live]) * n          # live rows per node
     prof = np.zeros(N)
     # 1.0 where node l keeps the rows of the node at offset o from it, 0.0
     # where not, at o + N; a tile's row i is at offset 1 + i // ln from its
@@ -536,7 +508,7 @@ def _evolution_profile(P: RiccatiSolution, k: int) -> np.ndarray:
         for r, Hr in P.rows(l0, l0 + g + 1):
             s, nr = max(r, l0 + 1), len(Hr)
             F[r - l0:r - l0 + nr, s - l0 - 1:, ..., :m] = Hr[:, n:].reshape(
-                nr, m, -1, 3, n)[:, :, s - r:, P.live].transpose(0, 2, 3, 4, 1)
+                nr, m, -1, 3, n)[:, :, s - r:, live].transpose(0, 2, 3, 4, 1)
         F = F.reshape(g + 1, nc, -1)
         Q = np.zeros_like(F)
         Q[..., :m] = F[..., :m] @ P.rcal_inv[l0:l0 + g + 1]
@@ -580,13 +552,12 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
     live rows, in tiles from the factors (``_evolution_profile``)."""
     g, src, n, m = vp.grid, vp.source, vp.n, P.m
     N, dt, d, w = g.N, g.dt, 3 * n, n + m
-    H, W = P.H, P.W
+    H, W, corner = P.H, P.W, P.corner
 
     D1 = src.D1
     res_rcal = float(np.abs(
         P.rcal - vp.R - D1.transpose(0, 2, 1) @ P.g1_table @ D1).max())
 
-    corner = _sym(_diagonal(H, d).transpose(0, 2, 1) @ W)
     weight = np.full(N + 1, dt)
     weight[N] = 0.0
 
@@ -643,7 +614,7 @@ def riccati_residual(P: RiccatiSolution, vp: VolterraProblem) -> RiccatiResidual
             top = min(c, N)
             prof_bound[a:top] = lhs3[:top - a].max(axis=(1, 2, 3))
 
-    prof_evol = _evolution_profile(P, g.delay_steps)
+    prof_evol = _evolution_profile(P, g.delay_steps, vp.live)
     # effective weight jumps one delay before the horizon
     if src.nonzero("R2") and 0 <= N - g.delay_steps - 1:
         prof_evol[N - g.delay_steps - 1] = 0.0

@@ -134,6 +134,19 @@ class VolterraProblem:
     Ccal: np.ndarray     # (N+1, n, 3n) row (C1, C2, C3)
     source: DelayLQProblem
 
+    @property
+    def live(self) -> slice:
+        """The lifted blocks the data reads, a slice of the block axis (one
+        of 0:1, 0:2, 0::2 and 0:3): block 1 always, block 2 iff A2, C2 or Q2
+        holds a nonzero entry, block 3 likewise with A3, C3 and Q3.  A dead
+        block's entries of the Riccati tables stay exactly zero."""
+        src = self.source
+        delay = bool(src.nonzero("A2", "C2", "Q2"))
+        memory = bool(src.nonzero("A3", "C3", "Q3"))
+        if memory and not delay:
+            return slice(0, 3, 2)
+        return slice(0, 1 + delay + memory)
+
     def lifted_columns(self, a: int = 0, c: int | None = None) -> np.ndarray:
         """[U | B](t_i, t_l) for the base nodes l = a..c-1 (c = N+1 by
         default) on the rows i = a..N, as [i - a, l - a] blocks (3n, n + m),

@@ -128,6 +128,15 @@ def p2_slice(P, l: int) -> np.ndarray:
     raise ValueError(f"p2_slice needs 0 <= l <= N, got l={l}")
 
 
+def value_on_slice0(P, vp) -> float:
+    """The value function as the quadratic form of the free term on p1 and
+    the replayed slice 0, left-rectangle over nodes 0..N-1."""
+    N, dt, phi = P.N, P.dt, vp.phi[:P.N]
+    s0 = p2_slice(P, 0)[:N, :N]
+    return (np.einsum("ja,jab,jb->", phi, P.p1[:N], phi) * dt
+            + np.einsum("ia,ijab,jb->", phi, s0, phi) * dt * dt)
+
+
 # ----------------------------------------------------------------------
 # Star products over replayed slices (quadrature: right nodes {t+1..N})
 # ----------------------------------------------------------------------

@@ -30,10 +30,12 @@ residual as it ran on the replayed slices, with the selector column
 the selector sandwich the case V and II checks summed from the slices,
 and ``caseii_residual`` the state-delay residual with its gain parts
 formed per use and its sums over s accumulated term by term.
-``live_blocks`` is the rule on
-the data that the live set ``RiccatiSolution`` reads off its tables must
-follow.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the lifting
-stored before it built one selector column at a time;
+``live_blocks`` is the live set as
+it was read off the solver's tables before ``VolterraProblem.live`` took
+it from the data, and ``diagonal`` the corners' factors H(t, t)^T as the
+readers of the corner took them from the stored blocks before the sweep
+kept its corners.  ``dense_selector`` is the (N+1, N+1, 3n, n) table the
+lifting stored before it built one selector column at a time;
 ``dense_lifted_kernel`` and ``dense_k1`` are the kernel tables and the
 current-state gain summed against it.  ``causal_gains`` is the history
 gain Gamma as the synthesis formed it before it worked in the factor
@@ -104,25 +106,36 @@ class LoopCaseIExtraction:
     p1script: object    # callable (l, a, b) -> n x n window sum
 
 
-def live_blocks(vp) -> slice:
-    """The lifted blocks the data reads, as a slice of the block axis: the
-    live set ``RiccatiSolution`` should read off the solver's tables.
+def live_blocks(P) -> slice:
+    """The lifted blocks the Euler drift moves, read off the solution's
+    tables, as a slice of the block axis.
 
-    Block 1 is always live; block 2 iff its columns of Acal or Ccal or its
-    rows of Q hold a nonzero entry (A2, C2, Q2), block 3 likewise (A3, C3,
-    Q3).  The result is one of 0:1, 0:2, 0::2 and 0:3.
+    Block 1 (the current state) always; block 2 or 3 iff its rows of the
+    factor table H or its columns of the closed-loop row W hold a nonzero
+    entry.  A block with neither has zero rows and columns in every
+    border H W and zero rows in the control products, so it stays
+    exactly zero under the Euler step.  The result is one of 0:1, 0:2,
+    0::2 and 0:3.
     """
-    n = vp.n
+    n = P.n
 
-    def reads(b: int) -> bool:
-        cols = slice(b * n, (b + 1) * n)
-        return bool(vp.Acal[..., cols].any() or vp.Ccal[..., cols].any()
-                    or vp.Q[:, cols].any())
+    def holds(b: int) -> bool:
+        return bool(P.W[..., b * n:(b + 1) * n].any() or any(
+            blk.reshape(blk.shape[:2] + (-1, 3, n))[..., b, :].any()
+            for blk in P.H))
 
-    delay, memory = reads(1), reads(2)
+    delay, memory = holds(1), holds(2)
     if memory and not delay:
         return slice(0, 3, 2)
     return slice(0, 1 + delay + memory)
+
+
+def diagonal(H: tuple, d: int) -> np.ndarray:
+    """(N+1, n+m, d): each row's diagonal node block H(t, t)^T, from the
+    stored blocks H of the factor table."""
+    return np.concatenate([
+        blk.reshape(len(blk), blk.shape[1], -1, d)[q, :, q]
+        for blk in H for q in [np.arange(len(blk))]])
 
 
 def advance_full_width(X, pb_next, rinv_next, dt, work, live=None):
@@ -366,8 +379,8 @@ def riccati_residual(P, vp) -> RiccatiResiduals:
             prof_bound[l] = float(np.abs(lhs3).max())
 
             if not (l == N - k - 1 and src.nonzero("R2")):
-                pb_rows = _live_rows(pb[l + 1:, l], P.live)
-                fd = np.subtract(prev, live_view(X[d:, d:], M, P.live),
+                pb_rows = _live_rows(pb[l + 1:, l], vp.live)
+                fd = np.subtract(prev, live_view(X[d:, d:], M, vp.live),
                                  out=prev).reshape(pb_rows.shape[0], -1)
                 fd /= dt
                 fd -= (pb_rows @ P.rcal_inv[l]) @ pb_rows.T
@@ -378,7 +391,7 @@ def riccati_residual(P, vp) -> RiccatiResiduals:
                 fd[:, rough] = 0.0
                 prof_evol[l] = float(np.abs(fd, out=fd).max())
         # a copy, not np.ascontiguousarray: a one-entry view is contiguous
-        prev = live_view(X, M + 1, P.live).copy() if l > 0 else None
+        prev = live_view(X, M + 1, vp.live).copy() if l > 0 else None
 
     return RiccatiResiduals(
         pointwise=float(prof_point.max()),
@@ -1160,7 +1173,7 @@ def per_node_sweep(vp) -> RiccatiSolution:
     H = np.zeros((nn, w, nn * d))         # [g2 | pb] in the [t, n+m, (s, a)] layout
     W = np.zeros((nn, w, d))              # [Acal; Xi]
     W[:, :n] = vp.Acal
-    corner = np.empty((nn, d, d))         # sym(H(l, l) W(l)), kept for _interior
+    corner = np.empty((nn, d, d))         # sym(H(l, l) W(l))
     # columns over nodes l..N at offsets 0..N-l: the selector U(., t_l),
     # the control column B(., t_l) and the free-term column U(., t_l) b(l)
     stack = np.zeros((nn, d, n + m + 1))
@@ -1264,8 +1277,8 @@ def per_node_sweep(vp) -> RiccatiSolution:
     return RiccatiSolution(
         n=n, m=m, dt=dt, p1=p1,
         H=stored_factor(H, d, _block_nodes(n + m + any(free), N)), W=W,
-        g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv, eta1=eta1,
-        omega=omega, lambda_floor=float(floors.min()),
+        corner=corner, g1_table=g1_table, rcal=rcal, rcal_inv=rcal_inv,
+        eta1=eta1, omega=omega, lambda_floor=float(floors.min()),
     )
 
 
@@ -1313,7 +1326,7 @@ def per_node_residual(P, vp) -> RiccatiResiduals:
                           - cgd @ rct_inv @ dgc)
         prof_point[l] = float(np.abs(lhs1).max())
         # live rows only: the dead ones are 0.0 in both drifts
-        cur = _live_rows(pb[l:, l], P.live)
+        cur = _live_rows(pb[l:, l], vp.live)
         nxt, D = D, (cur @ P.rcal_inv[l]) @ cur.T
         if l == N:
             continue

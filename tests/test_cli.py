@@ -233,6 +233,24 @@ class TestSolve:
         assert run(["solve", "--problem", path, "--out", tmp_path / "o"]) == 1
         assert "coercivity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r1", [0.0, 1.0])
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_coercivity_constant_is_one_violation(
+            self, lam, r1, tmp_path, capsys):
+        # NaN fails no comparison, so neither lam <= 0 nor the weight's
+        # floor caught it; inf failed the floor at every node
+        p = dl.preset_problem("tanh", 8)
+        p.R1[:] = r1
+        path = tmp_path / "lam.json"
+        dl.save_problem(p, path)
+        doc = json.loads(path.read_text())
+        doc["lambda"] = float(lam)
+        path.write_text(json.dumps(doc))
+        assert run(["solve", "--problem", path, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "validation: coercivity constant must be positive and finite, "
+            f"got lam={float(lam)}"]
+
     @pytest.mark.parametrize("preset", sorted(KERNEL16_SHA256))
     def test_kernel_dump_flag(self, preset, tmp_path):
         out = tmp_path / "run"

@@ -13,10 +13,10 @@ from delaylq import cli, oracles, riccati, volterra
 from delaylq.cli import main as cli_main, replay
 from delaylq.riccati import RiccatiSolution
 from evaluators import (bcal, frontier, g2, g3, p2, p2_slice, star_left,
-                        star_right, star_sandwich)
+                        star_right, star_sandwich, value_on_slice0)
 from loop_oracles import (adjoint_sweep, advance_full_width, dense_factor,
-                          evolution_profile_full_width, live_blocks,
-                          pair_selector_sums, stored_factor)
+                          diagonal, evolution_profile_full_width,
+                          live_blocks, pair_selector_sums, stored_factor)
 from test_multidim import planar_problem, planar_state_delay_problem
 
 
@@ -237,11 +237,18 @@ class TestFactoredKernel:
         vp = dl.build_volterra(planar_problem(24, m=2, diffusive=False))
         cases.append((vp, dl.solve_riccati(vp)))
         for vp, P in cases:
-            N, dt, phi = P.N, P.dt, vp.phi[:P.N]
-            s0 = p2_slice(P, 0)[:N, :N]
-            want = (np.einsum("ja,jab,jb->", phi, P.p1[:N], phi) * dt
-                    + np.einsum("ia,ijab,jb->", phi, s0, phi) * dt * dt)
-            assert abs(dl.value_function(P, vp) - want) <= 1e-12
+            assert abs(dl.value_function(P, vp)
+                       - value_on_slice0(P, vp)) <= 1e-12
+
+    def test_corner_is_the_symmetrized_diagonal_factor(self, solve_preset):
+        # bit for bit the corner its readers took from H's diagonal before
+        # the sweep kept it; N = 40 spans three stored blocks
+        cases = [solve_preset(name, 40).P for name in dl.PRESET_NAMES]
+        cases += [dl.solve_riccati(dl.build_volterra(planar_problem(40, m=m)))
+                  for m in (1, 2)]
+        for P in cases:
+            np.testing.assert_array_equal(P.corner, riccati._sym(
+                diagonal(P.H, 3 * P.n).swapaxes(-1, -2) @ P.W))
 
     def test_domain_errors(self, solve_preset):
         P = solve_preset("tanh", 16).P
@@ -277,32 +284,36 @@ class TestLiveBlocks:
         cases.append(("planar-state-delay", vp, dl.solve_riccati(vp)))
         for name, vp, P in cases:
             dead = DEAD_BLOCKS.get(name, (2,))
-            assert list(range(3)[live_blocks(vp)]) == [
+            assert list(range(3)[vp.live]) == [
                 b for b in range(3) if b not in dead], name
-            assert P.live == live_blocks(vp), name
+            # on the presets the tables hold every live block
+            assert live_blocks(P) == vp.live, name
 
-    def test_live_set_is_read_off_the_tables(self, solve_preset):
-        P = solve_preset("state-delay", 16).P
-        with pytest.raises(ValueError, match="live"):
-            dataclasses.replace(P, live=slice(0, 1))
-        assert dataclasses.replace(P).live == P.live == slice(0, 2)
-        # a hand-built solution: a block is live iff its rows of the factor
-        # table H (g2 or the control products) or its columns of the
-        # closed-loop row W hold a nonzero entry
-        _, Z = zero_weight_solution(8)
-        assert Z.live == slice(0, 1)
-        # n = 1: row or column b is block b; H[3, :, 15 + b] is H(5, 3)[b]
-        # in the dense layout
-        dense = {"H": dense_factor(Z)[0], "W": Z.W}
-        for label, at in (("H", (3, 0, 15)), ("H", (3, 1, 15)),
-                          ("W", (3, 0, 0))):
-            for b, want in ((1, slice(0, 2)), (2, slice(0, 3, 2))):
+    def test_live_set_is_read_off_the_data(self):
+        # a block is live iff one of its coefficients or its weight holds a
+        # nonzero entry, however small; the set cannot be set
+        vp, Z = zero_weight_solution(8)
+        assert vp.live == live_blocks(Z) == slice(0, 1)
+        with pytest.raises(AttributeError):
+            vp.live = slice(0, 3)
+        for b, names, want in ((1, ("A2", "C2", "Q2"), slice(0, 2)),
+                               (2, ("A3", "C3", "Q3"), slice(0, 3, 2))):
+            for name in names:
+                hot = getattr(vp.source, name).copy()
+                hot[3, 0, 0] = 1e-300
+                p = dataclasses.replace(vp.source, **{name: hot})
+                assert dl.build_volterra(p).live == want, name
+            # the tables' rule, the oracle: n = 1, so row or column b is
+            # block b; H[3, :, 15 + b] is H(5, 3)[b] in the dense layout
+            dense = {"H": dense_factor(Z)[0], "W": Z.W}
+            for label, at in (("H", (3, 0, 15)), ("H", (3, 1, 15)),
+                              ("W", (3, 0, 0))):
                 hot = dense[label].copy()
                 hot[at[:2] + (at[2] + b,)] = 1e-300
                 if label == "H":
                     hot = stored_factor(hot, 3, len(Z.H[-1]))
-                assert dataclasses.replace(Z, **{label: hot}).live == want, (
-                    label, at, b)
+                assert live_blocks(dataclasses.replace(
+                    Z, **{label: hot})) == want, (label, at, b)
 
     def test_dead_blocks_are_exactly_zero(self, solve_preset):
         cases = [(name, solve_preset(name, 24).P, dead)
@@ -371,9 +382,9 @@ class TestLiveBlocks:
             p = dl.preset_problem("input-delay", 24)
             p.A2[:] = eps
             vp = dl.build_volterra(p)
-            assert live_blocks(vp) == (slice(0, 2) if eps else slice(0, 1))
+            assert vp.live == (slice(0, 2) if eps else slice(0, 1))
             P = dl.solve_riccati(vp)
-            assert P.live == live_blocks(vp)
+            assert live_blocks(P) == vp.live
             live, full = self._live_and_full_width(P, vp, monkeypatch)
             for f in live:
                 np.testing.assert_array_equal(live[f], full[f],
@@ -439,9 +450,9 @@ class TestStarProducts:
         p1 = np.tile(np.diag([2.0, 3.0, 4.0]), (9, 1, 1))
         # zero factors: p2 = 0 and pb = 0
         zero_h = stored_factor(np.zeros((9, 2, 9 * d)), d, 9)
-        zero_w = np.zeros((9, 2, d))
+        zero_w, zero_c = np.zeros((9, 2, d)), np.zeros((9, d, d))
         P = RiccatiSolution(n=1, m=1, dt=g.dt, p1=p1, H=zero_h, W=zero_w,
-                            g1_table=np.zeros((9, 1, 1)),
+                            corner=zero_c, g1_table=np.zeros((9, 1, 1)),
                             rcal=np.tile(np.eye(1), (9, 1, 1)),
                             rcal_inv=np.tile(np.eye(1), (9, 1, 1)),
                             eta1=np.zeros((9, 1)), omega=np.zeros((9, 1)),
@@ -452,7 +463,7 @@ class TestStarProducts:
         # sandwich of the identity against constant p1 integrates exactly
         const = RiccatiSolution(n=1, m=1, dt=g.dt,
                                 p1=np.tile(np.eye(d), (9, 1, 1)),
-                                H=zero_h, W=zero_w,
+                                H=zero_h, W=zero_w, corner=zero_c,
                                 g1_table=np.zeros((9, 1, 1)),
                                 rcal=P.rcal, rcal_inv=P.rcal_inv,
                                 eta1=P.eta1, omega=P.omega, lambda_floor=1.0)
@@ -594,7 +605,7 @@ class TestResiduals:
             P = dl.solve_riccati(vp)
             N, n, m = P.N, P.n, P.m
             d, w, b = 3 * n, n + m, riccati._BLOCK
-            L = len(range(3)[P.live])
+            L = len(range(3)[vp.live])
             bound = 8 * (2 * riccati._EVOLUTION_BLOCK
                          + 8 * (N + 1) * d * b * w
                          + 3 * (N + 1) * b * d * d

@@ -16,7 +16,7 @@ import delaylq as dl
 from delaylq import cli, oracles, riccati
 from delaylq.problem import field_shapes
 import loop_oracles
-from evaluators import frontier
+from evaluators import frontier, value_on_slice0
 from test_multidim import planar_problem, planar_state_delay_problem
 from strategies import admissible_problems, unsolvable_draw
 from test_oracles import control_delay_preset
@@ -603,6 +603,34 @@ def test_stored_factor_matches_dense_on_admissible_draws(block, steps,
         assert_blocked_products_match_dense(
             P, np.random.default_rng(p.grid.N))
         assert_blocked_matches_per_node(p)
+        # the corner bit for bit as its readers took it from H's diagonal,
+        # and the value function, which reads it and the stored blocks
+        np.testing.assert_array_equal(P.corner, riccati._sym(
+            loop_oracles.diagonal(P.H, 3 * P.n).swapaxes(-1, -2) @ P.W))
+        if p.homogeneous:
+            want = value_on_slice0(P, vp)
+            assert abs(dl.value_function(P, vp) - want) <= 1e-12 * max(
+                1.0, abs(want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=admissible_problems())
+def test_dead_blocks_are_exactly_zero_on_admissible_draws(p):
+    # a block outside vp.live is skipped by the residual's evolution line,
+    # exact only if the sweep leaves its rows of H and its columns of W at
+    # 0.0; the tables' rule then finds no block the data does not read
+    if not solvable(p):
+        return
+    vp = dl.build_volterra(p)
+    P = dl.solve_riccati(vp)
+    nn, n, w = P.N + 1, P.n, P.n + P.m
+    H = loop_oracles.dense_factor(P)[0].reshape(nn, w, nn, 3, n)
+    W = P.W.reshape(nn, w, 3, n)
+    live = set(range(3)[vp.live])
+    for b in set(range(3)) - live:
+        assert not H[..., b, :].any(), b
+        assert not W[..., b, :].any(), b
+    assert set(range(3)[loop_oracles.live_blocks(P)]) <= live
 
 
 def assert_control_columns_match_dense(p):
