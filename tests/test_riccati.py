@@ -296,6 +296,7 @@ class TestLiveBlocks:
         assert vp.live == live_blocks(Z) == slice(0, 1)
         with pytest.raises(AttributeError):
             vp.live = slice(0, 3)
+        dense = {"H": dense_factor(Z)[0], "W": Z.W}
         for b, names, want in ((1, ("A2", "C2", "Q2"), slice(0, 2)),
                                (2, ("A3", "C3", "Q3"), slice(0, 3, 2))):
             for name in names:
@@ -305,7 +306,6 @@ class TestLiveBlocks:
                 assert dl.build_volterra(p).live == want, name
             # the tables' rule, the oracle: n = 1, so row or column b is
             # block b; H[3, :, 15 + b] is H(5, 3)[b] in the dense layout
-            dense = {"H": dense_factor(Z)[0], "W": Z.W}
             for label, at in (("H", (3, 0, 15)), ("H", (3, 1, 15)),
                               ("W", (3, 0, 0))):
                 hot = dense[label].copy()
