@@ -155,7 +155,7 @@ def value_function(P: RiccatiSolution, vp: VolterraProblem) -> float:
     # sums over i stop at N - 1: node N's phi enters as zeros
     u = np.zeros((N + 1, 3 * n, 1))
     u[:N, :, 0] = phi
-    h = riccati._by_rows(P.H, 0, N, u)[..., 0]
+    h = riccati._by_rows(P.rows(0, N), u)[..., 0]
     quad = (2.0 * np.einsum("jc,jca,ja->", h, P.W[:N], phi)
             - np.einsum("ja,jab,jb->", phi, P.corner[:N], phi))
     y = h[1:, n:]

@@ -16,8 +16,8 @@ sweep forms neither a slice nor the border matrix F.  Sweep at node t_l
 (l = N..0):
   (i)   take the selector and control columns [U | B](., t_l) of a block
         of nodes from ``VolterraProblem.lifted_columns`` and, where b != 0,
-        form the free-term column U(., t_l) b(l), in a buffer shared by the
-        block;
+        form the free-term columns U(., t_l) b(l) of the whole block in one
+        product, in a buffer shared by the block;
   (ii)  apply the slice at node l over the future nodes to that stack u:
         p1 u + dt (H^T x + W^T (H u) - C u), x = W u - dt [0; rcal_inv P u],
         with P u the control rows of H u: two products against H give g2,
@@ -26,9 +26,13 @@ sweep forms neither a slice nor the border matrix F.  Sweep at node t_l
         finished before a block is one such product for all of its nodes,
         their stacks side by side; only the block's own rows are applied
         node by node;
-  (iii) form g1 as one product of the selector against g2, factor the
-        effective control weight (a Cholesky factor and its inverse) and
-        form the pointwise kernel and Xi(l);
+  (iii) form g1 as one product of the selector against g2, and its four
+        sandwiches by D1 and Ccal as one product by [D1 | Ccal], stacked
+        for every node before the sweep; factor the effective control
+        weight (a Cholesky factor and its inverse) by the LAPACK gufuncs
+        that np.linalg.cholesky and np.linalg.inv wrap, with the wrappers
+        run only where a factor comes out non-finite, to say why; form
+        the pointwise kernel and Xi(l);
   (iv)  take the adjoint's step in one (N+1, 3n) column: eta(., l+1) plus
         dt times the drift frozen at node l+1 (its free column less
         pb(., l+1) rcal_inv(l+1) kvec(l+1)) is eta(., l) on rows l+1..N;
@@ -82,6 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky, inv as _inv
 
 from .exceptions import NumericalError
 from .volterra import VolterraProblem, _by_node_rows
@@ -209,18 +214,32 @@ def _lost_definiteness(l: int, eigenvalues: np.ndarray) -> NumericalError:
         f"(min eigenvalue {eigenvalues.min():.6e})")
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.swapaxes(-1, -2))
+@np.errstate(invalid="ignore")
+def _inverse_factor(mat: np.ndarray) -> np.ndarray:
+    """inv(cholesky(mat)) from the LAPACK gufuncs that np.linalg.cholesky
+    and np.linalg.inv wrap: the same bits at a third of the cost.  Where
+    the wrappers raise, these fill NaN and flag an invalid value, which is
+    not warned of here."""
+    return _inv(_cholesky(mat, signature="d->d"), signature="d->d")
 
 
-def _by_rows(H: tuple, lo: int, t: int, u: np.ndarray) -> np.ndarray:
-    """(t, n+m, k): H u on rows lo..lo+t-1 of the factor table H, row r
-    sum_{s >= r} H(s, r)^T u(s) for the stacked columns u (M, d, k) over
-    nodes lo..N, one ``_by_node_rows`` product per stored block against u
-    from its first row's node on."""
-    (d, k), w = u.shape[1:], H[0].shape[1]
-    hu = np.empty((t, w, k))
-    for r, rows in _rows(H, d, lo, lo + t):
+def _sym(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(M + M.swapaxes(-1, -2), 0.5, out=out)
+
+
+def _by_rows(blocks: list, u: np.ndarray) -> np.ndarray:
+    """(t, n+m, k): H u on the rows lo..lo+t-1 of the factor table H that
+    ``blocks`` lists (``_rows``), row r sum_{s >= r} H(s, r)^T u(s) for the
+    stacked columns u (M, d, k) over nodes lo..N, one ``_by_node_rows``
+    product per stored block against u from its first row's node on.  A
+    single block's product is the result itself."""
+    (lo, first), k = blocks[0], u.shape[-1]
+    w = first.shape[1]
+    if len(blocks) == 1:
+        return _by_node_rows(first.reshape(-1, first.shape[-1]),
+                             u.reshape(-1, k), w).reshape(-1, w, k)
+    hu = np.empty((sum(len(rows) for _, rows in blocks), w, k))
+    for r, rows in blocks:
         q = r - lo
         _by_node_rows(rows.reshape(-1, rows.shape[-1]), u[q:].reshape(-1, k),
                       w, hu[q:q + len(rows)].reshape(-1, k))
@@ -242,8 +261,13 @@ def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     time (``_rows``): a block's H u is one ``_by_node_rows`` product
     against u from its first row's node on (``_by_rows``), its part of
     H^T x one of the transpose against its rows of x.  W^T (H u) is
-    written into the result first and H u freed, so that the blocks'
-    parts, added on in turn, and their temporaries do not meet it.  With
+    formed and H u freed first, so that the blocks' parts and their
+    temporaries do not meet H u.  The result starts as the first block's
+    part, which covers every row, with W^T (H u) added to its rows
+    lo..hi-1, then the later blocks' parts in turn: each row's sum is
+    W^T (H u) + the parts in turn, as a + b = b + a exactly, though a -0.0
+    of the first part on rows from hi on stays -0.0, where a sum from +0.0
+    would give +0.0.  With
     ``first`` (k,) given, column j's rows of H u below first[j] are zeroed
     before x is formed; where u's column is zero there too, those rows add
     exact zeros, and the column gets the slice at node first[j] - 1 on
@@ -252,22 +276,29 @@ def _interior(H: tuple, W: np.ndarray, C: np.ndarray, rcal_inv: np.ndarray,
     M, d, k = u.shape
     w, m = W.shape[1], rcal_inv.shape[-1]
     t = M if hi is None else hi - lo       # the rows read
-    hu = _by_rows(H, lo, t, u)
+    blocks = _rows(H, d, lo, lo + t)
+    hu = _by_rows(blocks, u)
     if first is not None:
         above = np.arange(lo, lo + t)[:, None] < first
         np.copyto(hu, 0.0, where=above[:, None])
     Wl = W[lo:lo + t]
     x = Wl @ u[:t]
     x[:, w - m:] -= dt * (rcal_inv[lo:lo + t] @ hu[:, w - m:])
-    out = np.empty((M, d, k))
-    np.matmul(Wl.transpose(0, 2, 1), hu, out=out[:t])
-    out[t:] = 0.0
-    del hu
-    for r, rows in _rows(H, d, lo, lo + t):
+
+    def part(r: int, rows: np.ndarray) -> np.ndarray:
+        # a stored block's part of H^T x, on rows r..N
         q, nr = r - lo, len(rows)
-        out[q:] += _by_node_rows(rows.reshape(nr * w, -1).T,
-                                 x[q:q + nr].reshape(-1, k), d).reshape(
-                                     -1, d, k)
+        return _by_node_rows(rows.reshape(nr * w, -1).T,
+                             x[q:q + nr].reshape(-1, k), d).reshape(-1, d, k)
+
+    whu = Wl.transpose(0, 2, 1) @ hu
+    del hu
+    (r, rows), *later = blocks
+    out = part(r, rows)     # the first block's covers every row
+    out[:t] += whu
+    del whu
+    for r, rows in later:
+        out[r - lo:] += part(r, rows)
     del x                   # before the next temporary: u may be wide
     out[:t] -= C[lo:lo + t] @ u[:t]
     return out
@@ -343,21 +374,28 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
         # B(., t_l) and the free-term column U(., t_l) b(l)
         u[..., :w] = vp.lifted_columns(a, c).transpose(0, 2, 1, 3)
         if k > w:
-            for l in range(a, c):
-                col = u[l - a:, :, l - a]
-                col[:, :, w] = col[:, :, :n] @ vp.source.b[l]
+            # each node's column as its own matrix-vector product, all in
+            # one call; the rows below a node are not read
+            u[..., w] = (u[..., :n].transpose(2, 0, 1, 3)
+                         @ vp.source.b[a:c, None, :, None])[..., 0].transpose(
+                             1, 2, 0)
 
     def factor_rcal(l: int, mat: np.ndarray):
-        mat = _sym(mat)
+        mat = _sym(mat, rcal[l])
         if not np.isfinite(mat).all():
             raise NumericalError(f"effective control weight non-finite at node {l}")
-        try:
-            linv = np.linalg.inv(np.linalg.cholesky(mat))
-        except np.linalg.LinAlgError:
-            raise _lost_definiteness(l, np.linalg.eigvalsh(mat)) from None
-        rcal[l] = mat
-        rcal_inv[l] = linv.T @ linv
+        linv = _inverse_factor(mat)
+        if not np.isfinite(linv).all():
+            # NaN where np.linalg's wrappers raise: they tell why
+            try:
+                linv = np.linalg.inv(np.linalg.cholesky(mat))
+            except np.linalg.LinAlgError:
+                raise _lost_definiteness(l, np.linalg.eigvalsh(mat)) from None
+        np.matmul(linv.T, linv, out=rcal_inv[l])
 
+    R, Q, Ccal, D1 = vp.R, vp.Q, vp.Ccal, vp.source.D1
+    DC = np.concatenate([D1, Ccal], axis=2)             # [D1 | Ccal]
+    sigma = vp.source.sigma[:, :, None]
     eta1 = np.zeros((nn, n))
     omega = np.zeros((nn, m))
     # node l+1's free column, the pair's column eta(., l+1) and rcal_inv
@@ -370,42 +408,40 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
     # selector-weighted g2 (:n), the control products (n:n+m) and the
     # free-term products (n+m)
     for l, u, G in _applied(H, W, corner, rcal_inv, k, fill, dt, p1):
-        M = N - l
+        M, Wl, D1l = N - l, W[l], D1[l]
         if l < N:
             v, G2 = u[1:].reshape(M * d, k), G.reshape(M * d, k)
-            g1_table[l] = _sym((v[:, :n].T @ G2[:, :n]) * dt)
+            _sym((v[:, :n].T @ G2[:, :n]) * dt, g1_table[l])
         g1_val = g1_table[l]                     # zero at node N
 
-        D1l = vp.source.D1[l]
-        factor_rcal(l, vp.R[l] + D1l.T @ g1_val @ D1l)
+        # the four sandwiches of g1 by D1 and Ccal in one product:
+        # [D1^T g1 D1, D1^T g1 Ccal; Ccal^T g1 D1, Ccal^T g1 Ccal]
+        S = (DC[l].T @ g1_val) @ DC[l]
+        factor_rcal(l, R[l] + S[:m, :m])
 
-        cgd = vp.Ccal[l].T @ g1_val @ D1l        # (3n, m)
-        dgc = D1l.T @ g1_val @ vp.Ccal[l]        # (m, 3n)
-        rdgc = rcal_inv[l] @ dgc
-        np.negative(rdgc, out=W[l, n:])          # Xi(l)
-        p1[l] = _sym(vp.Q[l] + vp.Ccal[l].T @ g1_val @ vp.Ccal[l]
-                     - cgd @ rdgc)
+        rdgc = rcal_inv[l] @ S[:m, m:]
+        np.negative(rdgc, out=Wl[n:])            # Xi(l)
+        _sym(Q[l] + S[m:, m:] - S[m:, :m] @ rdgc, p1[l])
 
         # the adjoint's step (iv): the diagonal and kvec start from their
-        # sigma terms; pb(., l+1) and the stack's selector and control
-        # columns enter as contiguous (M d, m) and (M d, n+m) operands,
-        # so the sums do not depend on the stack's width
-        g1sig = g1_val @ vp.source.sigma[l][:, None]
-        diag = ((vp.Ccal[l] + D1l @ W[l, n:]).T @ g1sig)[:, 0]
+        # sigma terms; the stack's selector and control columns enter as
+        # a contiguous (M d, n+m) operand, so the sums do not depend on
+        # the stack's width
+        g1sig = g1_val @ sigma[l]
+        diag = ((Ccal[l] + D1l @ Wl[n:]).T @ g1sig)[:, 0]
         kvec = (D1l.T @ g1sig)[:, 0]
         if l < N:
             s = l + 1
-            # row s of H, written at node s
-            pbs = np.ascontiguousarray(row[n:].T)
+            # pb(., s) y from row s of H, written at node s
             col = eta[s:]
-            col += dt * (fcol[s:] - (pbs @ y).reshape(M, d))
-            c = (np.ascontiguousarray(v[:, :n + m]).T @ col.reshape(-1)) * dt
+            col += dt * (fcol[s:] - (y @ row[n:]).reshape(M, d))
+            c = (np.ascontiguousarray(v[:, :w]).T @ col.reshape(-1)) * dt
             eta1[l] = c[:n]
-            diag += W[l].T @ c
+            diag += Wl.T @ c
             kvec += c[n:]
         eta[l] = diag
         y = rcal_inv[l] @ kvec
-        omega[l] = -y
+        np.negative(y, out=omega[l])
 
         head, row = p1[l] @ u[0], _row(H, d, l)
         if l < N:
@@ -413,10 +449,10 @@ def solve_riccati(vp: VolterraProblem) -> RiccatiSolution:
             # the corner sums: W(l)^T against one product of the column
             # just written with the stack (see the module docstring for
             # its thread bound)
-            head += (W[l].T @ (G2[:, :w].T @ v)) * dt
+            head += (Wl.T @ (G2[:, :w].T @ v)) * dt
             fcol[l + 1:] = G[..., -1] if free[l] else 0.0
         row[:, :d] = head[:, :w].T
-        corner[l] = _sym(head[:, :w] @ W[l])
+        _sym(head[:, :w] @ Wl, corner[l])
         fcol[l] = head[:, -1] if free[l] else 0.0
         # the interior reached factor_rcal through G; only the column
         # and the corner are new

@@ -135,6 +135,65 @@ FEEDBACK16_SHA256 = {
 }
 
 
+# sha256 of the files SOLVE48_FILES names from `solve --n-steps 48` on each
+# preset.  The sweep runs four blocks of 16 nodes there, so its products
+# over the finished rows span one to three stored blocks of H, where N = 16
+# spans one
+SOLVE48_FILES = ("feedback_k1.csv", "feedback_k2.csv", "feedback_k3.csv",
+                 "feedback_k4.csv", "feedback_v.csv", "riccati_p1.csv",
+                 "summary.json")
+SOLVE48_SHA256 = {
+    "tanh": (
+        "6943f475ebb948c4f0f2be068d5f19a954c602d036d5229af7ab68d5e4145cf1",
+        "cb90752f0694419698626dc8ecabdb9e14e2744e492a6757228707299a277ac3",
+        "ee8232825e4a3858fb932a4869c2c3a8838682bc1093d668a56faad0f7cd27fd",
+        "cb90752f0694419698626dc8ecabdb9e14e2744e492a6757228707299a277ac3",
+        "9149233f3890e58470c7260db58f2093b8939b318a98c4c74d27fb4f519c8db8",
+        "4f7fa21d4dee09afad552b9bd64db513277ffd6b381d7f2f572a5061d9d9812d",
+        "68109de6713ba1689f18f9cb4cfdf99dad01c1314f55f54e9fe54d44d5264b73"),
+    "input-delay": (
+        "e08e4c84d4cb48b66536e9aa82ee3a073cdc394d204ab6fd89ab2ede75802b3c",
+        "cb90752f0694419698626dc8ecabdb9e14e2744e492a6757228707299a277ac3",
+        "ee8232825e4a3858fb932a4869c2c3a8838682bc1093d668a56faad0f7cd27fd",
+        "4019db9de38a936b2ff245a46a75bfd8f9f2a3b8ab098452fa478234017e3848",
+        "9149233f3890e58470c7260db58f2093b8939b318a98c4c74d27fb4f519c8db8",
+        "4f7fa21d4dee09afad552b9bd64db513277ffd6b381d7f2f572a5061d9d9812d",
+        "5ff1d55dbffd8e915a3a2273f9176adce552e6d804c6d1b2bddb3e2a2ca6e455"),
+    "state-delay": (
+        "f511efdc561ac5413624d3e43856bc7b34f5da273608defafa11c183f86a6d08",
+        "190e8faf11657253bb67bbd5bc5d5dbd4dc5f02930cd33d7e8b4bf640947798d",
+        "ee8232825e4a3858fb932a4869c2c3a8838682bc1093d668a56faad0f7cd27fd",
+        "cb90752f0694419698626dc8ecabdb9e14e2744e492a6757228707299a277ac3",
+        "ec9d819305c66ed0132b7105b2e8b06117bf1b1280e5a43a597501cec18741a4",
+        "4f7fa21d4dee09afad552b9bd64db513277ffd6b381d7f2f572a5061d9d9812d",
+        "04679c2f84b5c3c77dddd27594c49bffffa2ae0a11e22312e02f8a506b86cfd1"),
+    "distributed": (
+        "f98debd4aaac78993cc0f04556bf36dacaaee5414ce9263b7546b2ceac2a4fe1",
+        "dfc7ab329c89acaa6ef4a893998ea03c9b3f4a07d3c3ff04fbe3df27530ac312",
+        "ee8232825e4a3858fb932a4869c2c3a8838682bc1093d668a56faad0f7cd27fd",
+        "0417b99ebc467ed63de7398f28fb8dc5985ffcbeb8d04e9f745196678c141ba1",
+        "9149233f3890e58470c7260db58f2093b8939b318a98c4c74d27fb4f519c8db8",
+        "1cb39de84d76ba19d3a59602a22849fb2d7a9cfb4d341a1c73a993b6b1ce8f32",
+        "da356ba12c03164bd60ee287638d2c58d60b26cd67991577c3b5855b03cdc64f"),
+    "pointwise": (
+        "abdd6c48dda0c02ba60a47c70e0f9fd9ab1fda34a203b9e68ad3855fede30c7b",
+        "aaeaea3b5e22441bbdcbce5af6874d7db3cd33e0ef4a6700b4484231260a43b3",
+        "e48a0cdb8c36565e9e02879dd1a5184afa2e61f3b2a9149963138904dea4e8d4",
+        "f08c25cb81f8aa94b269a3a681786965b4e3ba43d3d621870323b1a206a7413f",
+        "05940872d57fac2984d6ea810a7149017341db3449f49e8d7f68d8c04645553c",
+        "358e7ad8c1e720385ee84c2d14ad0ff1d17b02d50f066adbb25618d378517297",
+        "f0d5f8ca943d605498cd8d127a7897640dc9889d63188df8757f474e543e2f25"),
+    "full": (
+        "14d8b20da5ca1114e95fe239cb158de8a1b1dd3ce6c4c1dfb9c27cb95f542b6d",
+        "10111061c61a7268904f0c75b6cc78fb6e5e38c6be565b13e215c6b5549253db",
+        "e1afd9bea5f4c0a644bc9b420e65a3b8c8a1775712f8a9d1ebe997e4f01b1331",
+        "479342f8d054d8318086bb8563550e1091849c61a1a13f9ef16c7d60ba6e574e",
+        "20e1fda01919ccf6ef273e3e30135c78323769f01eec0ff1eb2c3006262d653b",
+        "630843a97176fd7e44d2f33246a8afe10cd0374051539b3407915238658f761f",
+        "5c7c3ea2f8d1b2625f2a3cb63b2616277a0d5093bf04147d026e1e75f282c29a"),
+}
+
+
 class TestSolve:
     def test_tanh_summary_contains_value(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -290,6 +349,15 @@ class TestSolve:
         for name, want in zip(("k1", "k2", "k3", "k4", "v"),
                               FEEDBACK16_SHA256[case]):
             data = (out / f"feedback_{name}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == want, name
+
+    @pytest.mark.parametrize("preset", sorted(SOLVE48_SHA256))
+    def test_outputs_past_one_sweep_block_are_pinned(self, preset, tmp_path):
+        out = tmp_path / "run"
+        assert run(["solve", "--preset", preset, "--n-steps", "48",
+                    "--out", out]) == 0
+        for name, want in zip(SOLVE48_FILES, SOLVE48_SHA256[preset]):
+            data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == want, name
 
     def test_out_of_memory_exits_two_on_one_line(self, tmp_path, capsys,

@@ -71,6 +71,28 @@ class TestFixedPointsAndSymmetry:
         with pytest.raises(dl.NumericalError, match="node 16"):
             dl.solve_riccati(vp)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_weight_aborts_with_node_index(self, value):
+        # an infinite 1x1 weight has the finite inverse factor 0: the
+        # weight itself is checked, not only its factor
+        vp = dl.build_volterra(dl.preset_problem("tanh", 16))
+        vp.R[10] = value  # bypass validation to hit the numerical guard
+        with pytest.raises(dl.NumericalError, match=(
+                "^effective control weight non-finite at node 10$")):
+            dl.solve_riccati(vp)
+
+    def test_weight_inverse_is_lapacks_factor(self, solve_preset):
+        # bit for bit what np.linalg's wrappers give at every node: the
+        # sweep calls the LAPACK gufuncs behind them, which a numpy
+        # release may change
+        cases = [solve_preset(name, 40).P for name in dl.PRESET_NAMES]
+        cases += [dl.solve_riccati(dl.build_volterra(planar_problem(40, m=m)))
+                  for m in (1, 2)]
+        for P in cases:
+            for l in range(P.N + 1):
+                linv = np.linalg.inv(np.linalg.cholesky(P.rcal[l]))
+                np.testing.assert_array_equal(P.rcal_inv[l], linv.T @ linv)
+
     def test_singular_weight_with_a_cholesky_factor_aborts_at_its_node(self):
         # this weight factors, but its smallest eigenvalue comes out 0.0:
         # the floor taken over every node after the sweep names the node

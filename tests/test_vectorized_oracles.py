@@ -512,11 +512,14 @@ def assert_blocked_matches_per_node(p):
 
 
 #: the problems the sweep over blocks of nodes is pinned to the per-node
-#: sweep on, each cut to N steps
+#: sweep on, each cut to N steps.  On planar m = 1 the sweep's stacked
+#: weight sandwiches, and on planar m = 3 its adjoint's pb y, sum in
+#: another order than the per-node sweep's and move by rounding
 BLOCKED = {
     **{name: (lambda N, name=name: truncated(dl.preset_problem(name, 40), N))
        for name in dl.PRESET_NAMES},
-    "planar-m2": lambda N: truncated(planar_problem(40, m=2), N),
+    **{f"planar-m{m}": (lambda N, m=m: truncated(planar_problem(40, m=m), N))
+       for m in (1, 2, 3)},
     "planar-memory": lambda N: truncated(planar_memory_problem(40), N),
 }
 B = riccati._BLOCK
